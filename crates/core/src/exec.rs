@@ -1,15 +1,21 @@
 //! Plan execution under the two-phase locking engine (§5).
 //!
-//! The [`Executor`] interprets compiled plans against a decomposition
-//! instance, acquiring the physical locks named by the placement through a
+//! The [`Executor`] runs compiled plans against a decomposition instance,
+//! acquiring the physical locks named by the placement through a
 //! [`TwoPhaseEngine`]. Every operation is well-locked (locks precede the
 //! reads/writes they cover — a planner invariant) and two-phase (the engine
 //! releases only at commit/abort), so by §4.2 the operations are
 //! serializable; the §5.1 lock order plus the engine's try-and-restart rule
 //! for out-of-order acquisitions gives deadlock freedom.
+//!
+//! Reads are not interpreted here: the query language has one evaluator
+//! ([`crate::query`]), and the executor is its *locked edge view* — it
+//! answers each step's "take these locks", "follow this key" (including
+//! the §4.5 speculative protocol) and "walk these entries" against the
+//! main containers. Mutations, which are not Fig. 4 plans, are.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::ops::{Bound, ControlFlow};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use relc_locks::{LockMode, MustRestart, TwoPhaseEngine};
@@ -22,7 +28,7 @@ use crate::placement::{LockPlacement, LockToken};
 use crate::planner::{
     InPlaceUpdate, InsertBatchPlan, InsertPlan, MutTraverse, Plan, RemoveBatchPlan, RemovePlan,
 };
-use crate::query::{PlanStep, QueryState};
+use crate::query::{eval_all, eval_any, EdgeView, KeyBounds, QueryState};
 
 /// How a [`Executor::run_insert`] call participates in the transaction
 /// layer's write compensation (see `txn.rs`).
@@ -102,9 +108,9 @@ type BuildFnv = std::hash::BuildHasherDefault<FnvHasher>;
 /// partial) tuples: filter by the interval, order by **(range value,
 /// projected tuple)**, deduplicate keeping first occurrences, truncate at
 /// the limit — exactly [`relc_spec::OracleRelation::query_range`]'s
-/// reference order. Shared by the locked executor, the MVCC snapshot
-/// interpreter, and the sharded fan-out merge, so every access path agrees
-/// with the oracle tuple-for-tuple.
+/// reference order, written independently of it (the differential suites
+/// compare the two). Shared by the evaluator and the sharded fan-out
+/// merge, so every access path agrees with the oracle tuple-for-tuple.
 pub(crate) fn assemble_range_output(
     tuples: impl IntoIterator<Item = Tuple>,
     range: &RangePattern,
@@ -131,18 +137,6 @@ pub(crate) fn assemble_range_output(
     out
 }
 
-/// The container-key interval of a range over a single-column edge: each
-/// value bound becomes a single-field key tuple bound (tuple order over
-/// single-column keys coincides with value order).
-pub(crate) fn range_key_bounds(range: &RangePattern) -> (Bound<Tuple>, Bound<Tuple>) {
-    let mk = |b: Bound<&Value>| match b {
-        Bound::Included(v) => Bound::Included(Tuple::from_pairs([(range.col(), v.clone())])),
-        Bound::Excluded(v) => Bound::Excluded(Tuple::from_pairs([(range.col(), v.clone())])),
-        Bound::Unbounded => Bound::Unbounded,
-    };
-    (mk(range.lo()), mk(range.hi()))
-}
-
 /// Batch-local state threaded through [`Executor::run_insert_all`]'s
 /// per-row passes.
 struct BatchInsertCtx<'b> {
@@ -166,6 +160,122 @@ pub struct Executor<'a> {
     /// MVCC state of the current attempt: the shared commit stamp and the
     /// journal of mirrored writes (see [`crate::mvcc`]).
     mvcc: MvccScope,
+}
+
+/// The locked edge view: a step's locks are really taken (through the
+/// two-phase engine, which holds them to commit) and edges are read from
+/// their main containers, which those locks make safe to read.
+impl EdgeView for Executor<'_> {
+    type Restart = MustRestart;
+
+    /// Containers walk an interval in key order only when they are sorted;
+    /// the step's `ordered` flag says which.
+    const WALKS_IN_KEY_ORDER: bool = false;
+
+    fn lock(
+        &mut self,
+        states: &[QueryState],
+        edge: EdgeId,
+        mode: LockMode,
+        presorted: bool,
+        all_stripes: bool,
+    ) -> Result<(), MustRestart> {
+        let host = self.placement.edge(edge).host;
+        let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
+        for st in states {
+            let inst = st.instance(host);
+            let tokens = if all_stripes {
+                self.placement.all_stripe_tokens(edge, &st.tuple)
+            } else {
+                self.placement.fallback_tokens(edge, &st.tuple)
+            };
+            for tok in tokens {
+                let lock = Arc::clone(inst.lock(tok.stripe));
+                batch.push((tok, lock));
+            }
+        }
+        if presorted && !self.always_sort_locks {
+            debug_assert!(
+                batch.windows(2).all(|w| w[0].0 <= w[1].0),
+                "planner sort-elision analysis was wrong"
+            );
+            for (tok, lock) in batch {
+                self.engine.acquire(tok, &lock, mode)?;
+            }
+            return Ok(());
+        }
+        self.acquire_sorted_batch(batch, mode)
+    }
+
+    /// A plain step is a container lookup. A §4.5 speculative step guesses
+    /// with an unlocked (linearizable) lookup, locks the target if present
+    /// or the fallback stripe if absent, re-validates, and restarts the
+    /// transaction on a wrong guess — `None` is then a *verified* absence.
+    fn follow(
+        &mut self,
+        st: &QueryState,
+        edge: EdgeId,
+        key: &Tuple,
+        spec: Option<LockMode>,
+    ) -> Result<Option<NodeRef>, MustRestart> {
+        let src = st.instance(self.decomp.edge(edge).src);
+        let container = src.container(self.decomp, edge);
+        let Some(mode) = spec else {
+            return Ok(container.lookup(key));
+        };
+        match container.lookup(key) {
+            Some(child) => {
+                // Guess: present. Lock the target instance, then verify
+                // that the edge still points at the same object.
+                let tok = self.placement.target_token(edge, child.key());
+                let lock = Arc::clone(child.lock(0));
+                self.engine.acquire(tok, &lock, mode)?;
+                match container.lookup(key) {
+                    Some(now) if Arc::ptr_eq(&now, &child) => Ok(Some(child)),
+                    _ => Err(self.engine.fail_speculation()),
+                }
+            }
+            None => {
+                // Guess: absent. Lock the fallback stripe(s) at the
+                // source, then verify the edge is still absent.
+                for tok in self.placement.fallback_tokens(edge, &st.tuple) {
+                    let lock = Arc::clone(src.lock(tok.stripe));
+                    self.engine.acquire(tok, &lock, mode)?;
+                }
+                match container.lookup(key) {
+                    Some(_) => Err(self.engine.fail_speculation()),
+                    None => Ok(None),
+                }
+            }
+        }
+    }
+
+    /// On sorted containers a bounded walk visits only the interval, in
+    /// ascending key order; elsewhere
+    /// [`relc_containers::Container::scan_range`] degrades to a filtered
+    /// full scan.
+    fn walk(
+        &mut self,
+        st: &QueryState,
+        edge: EdgeId,
+        bounds: Option<&KeyBounds>,
+        mut f: impl FnMut(&mut Self, &Tuple, NodeRef) -> ControlFlow<()>,
+    ) {
+        let container = st
+            .instance(self.decomp.edge(edge).src)
+            .container(self.decomp, edge);
+        let mut visit = |k: &Tuple, child: &NodeRef| {
+            if st.tuple.matches(k) {
+                f(self, k, Arc::clone(child))
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        match bounds {
+            Some((lo, hi)) => container.scan_range(lo.as_ref(), hi.as_ref(), &mut visit),
+            None => container.scan(&mut visit),
+        }
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -220,43 +330,6 @@ impl<'a> Executor<'a> {
         self.engine.set_try_only();
     }
 
-    /// Acquires the physical locks implementing `edge`'s logical locks for
-    /// every state, in `mode`.
-    fn lock_step(
-        &mut self,
-        states: &[QueryState],
-        edge: EdgeId,
-        mode: LockMode,
-        presorted: bool,
-        all_stripes: bool,
-    ) -> Result<(), MustRestart> {
-        let host = self.placement.edge(edge).host;
-        let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
-        for st in states {
-            let inst = st.instance(host);
-            let tokens = if all_stripes {
-                self.placement.all_stripe_tokens(edge, &st.tuple)
-            } else {
-                self.placement.fallback_tokens(edge, &st.tuple)
-            };
-            for tok in tokens {
-                let lock = Arc::clone(inst.lock(tok.stripe));
-                batch.push((tok, lock));
-            }
-        }
-        if presorted && !self.always_sort_locks {
-            debug_assert!(
-                batch.windows(2).all(|w| w[0].0 <= w[1].0),
-                "planner sort-elision analysis was wrong"
-            );
-            for (tok, lock) in batch {
-                self.engine.acquire(tok, &lock, mode)?;
-            }
-            return Ok(());
-        }
-        self.acquire_sorted_batch(batch, mode)
-    }
-
     /// Sorts a batch of physical locks into the §5.1 global token order and
     /// acquires each in `mode` — the shared tail of every mutation path's
     /// lock batching.
@@ -272,152 +345,6 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Point traversal: every state follows its bound key through `edge`'s
-    /// container; states whose edge instance is absent die.
-    fn lookup_step(&self, states: Vec<QueryState>, edge: EdgeId) -> Vec<QueryState> {
-        let em = self.decomp.edge(edge);
-        let mut out = Vec::with_capacity(states.len());
-        for mut st in states {
-            let key = st.tuple.project(em.cols);
-            debug_assert!(
-                key.is_valuation_for(em.cols),
-                "planner invariant: lookup key fully bound"
-            );
-            let src = st.instance(em.src).clone();
-            if let Some(child) = src.container(self.decomp, edge).lookup(&key) {
-                st.nodes[em.dst.index()] = Some(child);
-                out.push(st);
-            }
-        }
-        out
-    }
-
-    /// Scan traversal: every state fans out over `edge`'s container entries
-    /// that match its pattern.
-    fn scan_step(&self, states: Vec<QueryState>, edge: EdgeId) -> Vec<QueryState> {
-        let em = self.decomp.edge(edge);
-        let mut out = Vec::new();
-        for st in states {
-            let src = st.instance(em.src).clone();
-            src.container(self.decomp, edge)
-                .scan(&mut |k: &Tuple, child: &NodeRef| {
-                    if st.tuple.matches(k) {
-                        let mut next = st.clone();
-                        next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                        next.nodes[em.dst.index()] = Some(Arc::clone(child));
-                        out.push(next);
-                    }
-                    ControlFlow::Continue(())
-                });
-        }
-        out
-    }
-
-    /// Bounded range traversal: every state fans out over `edge`'s entries
-    /// inside the key interval induced by `range` (the planner guarantees
-    /// the edge keys on exactly the range column, so the value interval
-    /// *is* a contiguous key interval). On sorted containers the walk
-    /// visits only the interval, in ascending value order; elsewhere
-    /// [`relc_containers::Container::scan_range`] degrades to a filtered
-    /// full scan.
-    ///
-    /// `distinct_limit` is the top-k short circuit, passed only when the
-    /// walk is ordered *and* this is the plan's final traversal: entries
-    /// arrive in strictly ascending value order per state (one container
-    /// entry per value), so once `k` distinct output projections have been
-    /// collected, every later entry either duplicates one (with a larger
-    /// value, which dedup discards) or has `k` strictly smaller distinct
-    /// predecessors — never in the global top-k.
-    fn range_scan_step(
-        &self,
-        states: Vec<QueryState>,
-        edge: EdgeId,
-        range: &RangePattern,
-        distinct_limit: Option<(usize, ColumnSet)>,
-    ) -> Vec<QueryState> {
-        let em = self.decomp.edge(edge);
-        debug_assert!(
-            em.cols == ColumnSet::single(range.col()),
-            "planner invariant: range-scanned edge keys on the range column"
-        );
-        let (lo, hi) = range_key_bounds(range);
-        let mut out = Vec::new();
-        for st in states {
-            let src = st.instance(em.src).clone();
-            let mut distinct: BTreeSet<Tuple> = BTreeSet::new();
-            src.container(self.decomp, edge).scan_range(
-                lo.as_ref(),
-                hi.as_ref(),
-                &mut |k: &Tuple, child: &NodeRef| {
-                    if st.tuple.matches(k) {
-                        let mut next = st.clone();
-                        next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                        next.nodes[em.dst.index()] = Some(Arc::clone(child));
-                        if let Some((limit, output)) = &distinct_limit {
-                            distinct.insert(next.tuple.project(*output));
-                            out.push(next);
-                            if distinct.len() >= *limit {
-                                return ControlFlow::Break(());
-                            }
-                        } else {
-                            out.push(next);
-                        }
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
-        }
-        out
-    }
-
-    /// §4.5 speculative point traversal for reads: guess with an unlocked
-    /// (linearizable) lookup, lock the target if present or the fallback
-    /// stripe if absent, re-validate, and restart the transaction on a
-    /// wrong guess.
-    fn spec_lookup_step(
-        &mut self,
-        states: Vec<QueryState>,
-        edge: EdgeId,
-        mode: LockMode,
-    ) -> Result<Vec<QueryState>, MustRestart> {
-        let em = self.decomp.edge(edge);
-        let mut out = Vec::new();
-        for mut st in states {
-            let key = st.tuple.project(em.cols);
-            let src = st.instance(em.src).clone();
-            let container = src.container(self.decomp, edge);
-            match container.lookup(&key) {
-                Some(child) => {
-                    // Guess: present. Lock the target instance, then verify
-                    // that the edge still points at the same object.
-                    let tok = self.placement.target_token(edge, child.key());
-                    let lock = Arc::clone(child.lock(0));
-                    self.engine.acquire(tok, &lock, mode)?;
-                    match container.lookup(&key) {
-                        Some(now) if Arc::ptr_eq(&now, &child) => {
-                            st.nodes[em.dst.index()] = Some(child);
-                            out.push(st);
-                        }
-                        _ => return Err(self.engine.fail_speculation()),
-                    }
-                }
-                None => {
-                    // Guess: absent. Lock the fallback stripe(s) at the
-                    // source, then verify the edge is still absent.
-                    for tok in self.placement.fallback_tokens(edge, &st.tuple) {
-                        let lock = Arc::clone(src.lock(tok.stripe));
-                        self.engine.acquire(tok, &lock, mode)?;
-                    }
-                    if container.lookup(&key).is_some() {
-                        return Err(self.engine.fail_speculation());
-                    }
-                    // Verified absent: the state dies (no tuple downstream).
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Runs a compiled query plan; returns the deduplicated projection of
     /// the surviving states (§2's `query r s C`).
     ///
@@ -431,56 +358,12 @@ impl<'a> Executor<'a> {
         pattern: &Tuple,
         root: &NodeRef,
     ) -> Result<Vec<Tuple>, MustRestart> {
-        let mut states = vec![QueryState::initial(
-            self.decomp,
-            pattern.clone(),
-            Arc::clone(root),
-        )];
-        for step in &plan.steps {
-            match step {
-                PlanStep::Lock {
-                    edge,
-                    mode,
-                    presorted,
-                    all_stripes,
-                } => {
-                    self.lock_step(&states, *edge, *mode, *presorted, *all_stripes)?;
-                }
-                PlanStep::Lookup { edge } => {
-                    states = self.lookup_step(states, *edge);
-                }
-                PlanStep::Scan { edge } => {
-                    states = self.scan_step(states, *edge);
-                }
-                PlanStep::RangeScan { .. } => {
-                    unreachable!("plan_query never emits RangeScan; use run_query_range")
-                }
-                PlanStep::SpecLookup { edge, mode } => {
-                    states = self.spec_lookup_step(states, *edge, *mode)?;
-                }
-            }
-            if states.is_empty() {
-                return Ok(Vec::new());
-            }
-        }
-        let set: BTreeSet<Tuple> = states
-            .into_iter()
-            .map(|st| st.tuple.project(plan.output))
-            .collect();
-        Ok(set.into_iter().collect())
+        eval_all(self.decomp, self, plan, pattern, None, root)
     }
 
-    /// Runs a compiled range plan (§2's `query_range r s ρ C`): interprets
-    /// the chain exactly as [`Executor::run_query`], with
-    /// [`PlanStep::RangeScan`] steps walking only the key interval, then
-    /// assembles the canonical output — matches ordered by (range value,
-    /// projection), deduplicated, truncated at the limit — via
-    /// [`assemble_range_output`].
-    ///
-    /// The final filter re-checks the interval on every surviving state, so
-    /// chains that bind the range column through an ordinary multi-column
-    /// scan (no single-column edge qualified) are just as correct — they
-    /// only do more work.
+    /// Runs a compiled range plan (§2's `query_range r s ρ C`): as
+    /// [`Executor::run_query`], with range-scan steps walking only the key
+    /// interval and the output in the canonical range order.
     ///
     /// # Errors
     ///
@@ -493,49 +376,7 @@ impl<'a> Executor<'a> {
         range: &RangePattern,
         root: &NodeRef,
     ) -> Result<Vec<Tuple>, MustRestart> {
-        let mut states = vec![QueryState::initial(
-            self.decomp,
-            pattern.clone(),
-            Arc::clone(root),
-        )];
-        let last = plan.steps.len().saturating_sub(1);
-        for (i, step) in plan.steps.iter().enumerate() {
-            match step {
-                PlanStep::Lock {
-                    edge,
-                    mode,
-                    presorted,
-                    all_stripes,
-                } => {
-                    self.lock_step(&states, *edge, *mode, *presorted, *all_stripes)?;
-                }
-                PlanStep::Lookup { edge } => {
-                    states = self.lookup_step(states, *edge);
-                }
-                PlanStep::Scan { edge } => {
-                    states = self.scan_step(states, *edge);
-                }
-                PlanStep::RangeScan { edge, ordered } => {
-                    let distinct_limit = if *ordered && i == last {
-                        range.limit().map(|k| (k, plan.output))
-                    } else {
-                        None
-                    };
-                    states = self.range_scan_step(states, *edge, range, distinct_limit);
-                }
-                PlanStep::SpecLookup { edge, mode } => {
-                    states = self.spec_lookup_step(states, *edge, *mode)?;
-                }
-            }
-            if states.is_empty() {
-                return Ok(Vec::new());
-            }
-        }
-        Ok(assemble_range_output(
-            states.into_iter().map(|st| st.tuple),
-            range,
-            plan.output,
-        ))
+        eval_all(self.decomp, self, plan, pattern, Some(range), root)
     }
 
     /// Acquires exclusive locks on every root-hosted edge for the tuple
@@ -1086,15 +927,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs a compiled query plan as a short-circuiting existence check:
-    /// `true` as soon as one state survives every step, without
-    /// materializing, deduplicating, or sorting the matches (§2's
-    /// `query r s C` asked as a boolean).
-    ///
-    /// Unlike [`Executor::run_query`], sibling states produced by a scan
-    /// are explored depth-first, so locks for later siblings can be
-    /// requested out of the global order; the engine then only *tries*
-    /// those acquisitions, and contention surfaces as a restart — the same
-    /// protocol as speculative guesses (§5.1).
+    /// `true` as soon as one state survives every step (the evaluator's
+    /// depth-first order).
     ///
     /// # Errors
     ///
@@ -1107,79 +941,7 @@ impl<'a> Executor<'a> {
         root: &NodeRef,
     ) -> Result<bool, MustRestart> {
         let st = QueryState::initial(self.decomp, pattern.clone(), Arc::clone(root));
-        self.exists_from(&plan.steps, st)
-    }
-
-    fn exists_from(&mut self, steps: &[PlanStep], mut st: QueryState) -> Result<bool, MustRestart> {
-        let Some((step, rest)) = steps.split_first() else {
-            return Ok(true); // the state survived every step: a witness
-        };
-        match step {
-            PlanStep::Lock {
-                edge,
-                mode,
-                presorted,
-                all_stripes,
-            } => {
-                // One state's lock set is sorted on its own, but the DFS
-                // may have acquired deeper locks for an earlier sibling:
-                // never rely on the chain-level sort-elision here.
-                self.lock_step(
-                    std::slice::from_ref(&st),
-                    *edge,
-                    *mode,
-                    *presorted,
-                    *all_stripes,
-                )?;
-                self.exists_from(rest, st)
-            }
-            PlanStep::Lookup { edge } => {
-                let em = self.decomp.edge(*edge);
-                let key = st.tuple.project(em.cols);
-                let src = st.instance(em.src).clone();
-                match src.container(self.decomp, *edge).lookup(&key) {
-                    Some(child) => {
-                        st.nodes[em.dst.index()] = Some(child);
-                        self.exists_from(rest, st)
-                    }
-                    None => Ok(false),
-                }
-            }
-            PlanStep::RangeScan { .. } => {
-                unreachable!("plan_query never emits RangeScan; use run_query_range")
-            }
-            PlanStep::SpecLookup { edge, mode } => {
-                match self.spec_lookup_step(vec![st], *edge, *mode)?.pop() {
-                    Some(st) => self.exists_from(rest, st),
-                    None => Ok(false), // verified absent
-                }
-            }
-            PlanStep::Scan { edge } => {
-                let em = self.decomp.edge(*edge);
-                let decomp = self.decomp;
-                let src = st.instance(em.src).clone();
-                let mut outcome: Result<bool, MustRestart> = Ok(false);
-                src.container(decomp, *edge)
-                    .scan(&mut |k: &Tuple, child: &NodeRef| {
-                        if !st.tuple.matches(k) {
-                            return ControlFlow::Continue(());
-                        }
-                        let mut next = st.clone();
-                        next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                        next.nodes[em.dst.index()] = Some(Arc::clone(child));
-                        match self.exists_from(rest, next) {
-                            Ok(false) => ControlFlow::Continue(()),
-                            done => {
-                                // Witness found (or restart demanded):
-                                // stop scanning right here.
-                                outcome = done;
-                                ControlFlow::Break(())
-                            }
-                        }
-                    });
-                outcome
-            }
-        }
+        eval_any(self.decomp, self, &plan.steps, st)
     }
 
     /// Runs the in-place update fast path: locates the unique tuple
@@ -1243,16 +1005,12 @@ impl<'a> Executor<'a> {
                     }
                 }
                 self.acquire_sorted_batch(batch, step.mode)?;
-                let states = std::mem::take(&mut cands)
-                    .into_iter()
-                    .map(|c| (c.st, c.touched))
-                    .collect::<Vec<_>>();
-                for (st, touched) in states {
-                    let next = self.spec_lookup_step(vec![st], step.edge, step.mode)?;
-                    cands.extend(next.into_iter().map(|st| Cand {
-                        st,
-                        touched: touched.clone(),
-                    }));
+                for mut c in std::mem::take(&mut cands) {
+                    let key = c.st.tuple.project(em.cols);
+                    if let Some(child) = self.follow(&c.st, step.edge, &key, Some(step.mode))? {
+                        c.st.nodes[em.dst.index()] = Some(child);
+                        cands.push(c);
+                    }
                 }
             } else {
                 // Lock the step's tokens for every live candidate, one

@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use relc_spec::{ColumnSet, RangePattern, RelationSchema, Tuple, Value};
+use relc_spec::{ColumnSet, RangePattern, RelationSchema, Tuple};
 
 /// One completed operation with its observed result.
 #[derive(Debug, Clone)]
@@ -187,28 +187,7 @@ fn apply(state: &mut BTreeSet<Tuple>, op: &OpRecord) -> bool {
             range,
             cols,
             result,
-        } => {
-            let mut matched: Vec<(Value, Tuple)> = state
-                .iter()
-                .filter(|u| u.extends(s))
-                .filter_map(|u| {
-                    let v = u.get(range.col()).filter(|v| range.contains(v))?.clone();
-                    Some((v, u.project(*cols)))
-                })
-                .collect();
-            matched.sort();
-            let mut seen = BTreeSet::new();
-            let mut expect = Vec::new();
-            for (_, p) in matched {
-                if seen.insert(p.clone()) {
-                    expect.push(p);
-                    if range.limit().is_some_and(|k| expect.len() >= k) {
-                        break;
-                    }
-                }
-            }
-            expect == *result
-        }
+        } => range.select(state.iter(), s, *cols) == *result,
         OpRecord::Update { s, t, result } => match result {
             Some(old) => {
                 if old.extends(s) && state.remove(old) {

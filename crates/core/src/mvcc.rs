@@ -1,4 +1,4 @@
-//! The MVCC write mirror and lock-free snapshot walkers.
+//! The MVCC write mirror and the snapshot edge view.
 //!
 //! Every locked container mutation in [`crate::exec`] is mirrored into
 //! the written instance's *shadow version index* (see
@@ -10,13 +10,13 @@
 //! releases anything, so a version's stamp being `≤` a reader's snapshot
 //! implies the whole owning transaction committed before that snapshot.
 //!
-//! Snapshot readers ([`crate::relation::SnapshotReader`]) never touch
-//! the main containers — many of which are unsafe under concurrent
-//! writes and rely on the synthesized lock placement — only the version
-//! indexes, resolving at each edge the newest version committed at or
-//! before their snapshot timestamp. They hold an epoch guard for the
-//! whole traversal, which keeps truncated version nodes and purged cells
-//! alive until they are done.
+//! Snapshot readers ([`crate::relation::SnapshotReader`]) run the same
+//! compiled plans through the same evaluator ([`crate::query`]) as locked
+//! reads; only the edge view differs. [`Snapshot`] never touches the main
+//! containers — many of which are unsafe under concurrent writes and rely
+//! on the synthesized lock placement — only the version indexes,
+//! resolving at each edge the newest version committed at or before its
+//! timestamp, under an epoch guard held for the whole traversal.
 //!
 //! # Version retirement
 //!
@@ -36,22 +36,19 @@
 //! lock-free reader's back.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use relc_containers::epoch::Guard;
 use relc_containers::{Container, VersionCell};
-use relc_locks::CommitStamp;
+use relc_locks::{CommitStamp, LockMode};
 use relc_spec::Tuple;
 
-use relc_spec::RangePattern;
-
 use crate::decomp::{Decomposition, EdgeId};
-use crate::exec::{assemble_range_output, range_key_bounds};
 use crate::instance::NodeRef;
 use crate::placement::LockPlacement;
-use crate::planner::Plan;
-use crate::query::{PlanStep, QueryState};
+use crate::query::{EdgeView, KeyBounds, QueryState};
 
 /// One mirrored write: enough to revisit the cell at commit for
 /// truncation and dead-cell purge.
@@ -411,260 +408,71 @@ pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize
     total
 }
 
-/// Resolves `key` through `src`'s version index for `edge` at snapshot
-/// `snap`.
-fn resolve_edge(
-    decomp: &Decomposition,
-    src: &NodeRef,
-    edge: EdgeId,
-    key: &Tuple,
-    snap: u64,
-    guard: &Guard,
-) -> Option<NodeRef> {
-    src.versions(decomp, edge)
-        .lookup(key)
-        .and_then(|cell| cell.resolve(snap, guard))
+/// The snapshot edge view: the version indexes as of commit timestamp
+/// `snap`, read under the epoch `guard` that keeps truncated version nodes
+/// and purged cells alive for the whole traversal. A step's locks are not
+/// taken and a §4.5 speculative lookup is a plain one: the versions a
+/// snapshot resolves are immutable once committed, so nothing can restart.
+pub(crate) struct Snapshot<'a> {
+    pub decomp: &'a Decomposition,
+    pub snap: u64,
+    pub guard: &'a Guard,
 }
 
-/// Runs a compiled query plan against the version indexes at snapshot
-/// `snap`: the lock-free mirror of [`crate::exec::Executor::run_query`].
-/// `Lock` steps are skipped and `SpecLookup` degenerates to a plain
-/// version lookup — a snapshot reader needs neither locks nor
-/// speculation validation, because the versions it resolves are
-/// immutable once committed.
-pub(crate) fn snapshot_query(
-    decomp: &Decomposition,
-    plan: &Plan,
-    pattern: &Tuple,
-    root: &NodeRef,
-    snap: u64,
-    guard: &Guard,
-) -> Vec<Tuple> {
-    let mut states = vec![QueryState::initial(
-        decomp,
-        pattern.clone(),
-        Arc::clone(root),
-    )];
-    for step in &plan.steps {
-        match step {
-            PlanStep::Lock { .. } => continue,
-            PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
-                let em = decomp.edge(*edge);
-                let mut out = Vec::with_capacity(states.len());
-                for mut st in states {
-                    let key = st.tuple.project(em.cols);
-                    let src = st.instance(em.src).clone();
-                    if let Some(child) = resolve_edge(decomp, &src, *edge, &key, snap, guard) {
-                        st.nodes[em.dst.index()] = Some(child);
-                        out.push(st);
-                    }
-                }
-                states = out;
-            }
-            PlanStep::Scan { edge } => {
-                let em = decomp.edge(*edge);
-                let mut out = Vec::new();
-                for st in states {
-                    let src = st.instance(em.src).clone();
-                    src.versions(decomp, *edge).scan(&mut |k: &Tuple, cell| {
-                        if st.tuple.matches(k) {
-                            if let Some(child) = cell.resolve(snap, guard) {
-                                let mut next = st.clone();
-                                next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                                next.nodes[em.dst.index()] = Some(child);
-                                out.push(next);
-                            }
-                        }
-                        ControlFlow::Continue(())
-                    });
-                }
-                states = out;
-            }
-            PlanStep::RangeScan { .. } => {
-                unreachable!("plan_query never emits RangeScan; use snapshot_query_range")
-            }
-        }
-        if states.is_empty() {
-            return Vec::new();
-        }
+impl EdgeView for Snapshot<'_> {
+    type Restart = Infallible;
+
+    /// Every version index is a skip list, so an interval walk is a
+    /// bounded in-order traversal regardless of the main container's kind
+    /// (a step's `ordered` flag describes the locked view).
+    const WALKS_IN_KEY_ORDER: bool = true;
+
+    fn lock(
+        &mut self,
+        _: &[QueryState],
+        _: EdgeId,
+        _: LockMode,
+        _: bool,
+        _: bool,
+    ) -> Result<(), Infallible> {
+        Ok(())
     }
-    let set: BTreeSet<Tuple> = states
-        .into_iter()
-        .map(|st| st.tuple.project(plan.output))
-        .collect();
-    set.into_iter().collect()
-}
 
-/// Runs a compiled range plan against the version indexes at snapshot
-/// `snap`: the lock-free mirror of
-/// [`crate::exec::Executor::run_query_range`]. [`PlanStep::RangeScan`]
-/// walks only the key interval of the edge's *version index* — a skip
-/// list, so the walk is a bounded in-order traversal regardless of the
-/// main container's kind (the step's `ordered` flag describes the locked
-/// path; here every index is sorted) — resolving each cell at `snap`.
-/// Output assembly is the shared canonical order, so a snapshot range
-/// read answers exactly what a locked one would on the same cut.
-pub(crate) fn snapshot_query_range(
-    decomp: &Decomposition,
-    plan: &Plan,
-    pattern: &Tuple,
-    range: &RangePattern,
-    root: &NodeRef,
-    snap: u64,
-    guard: &Guard,
-) -> Vec<Tuple> {
-    let mut states = vec![QueryState::initial(
-        decomp,
-        pattern.clone(),
-        Arc::clone(root),
-    )];
-    let last = plan.steps.len().saturating_sub(1);
-    for (i, step) in plan.steps.iter().enumerate() {
-        match step {
-            PlanStep::Lock { .. } => continue,
-            PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
-                let em = decomp.edge(*edge);
-                let mut out = Vec::with_capacity(states.len());
-                for mut st in states {
-                    let key = st.tuple.project(em.cols);
-                    let src = st.instance(em.src).clone();
-                    if let Some(child) = resolve_edge(decomp, &src, *edge, &key, snap, guard) {
-                        st.nodes[em.dst.index()] = Some(child);
-                        out.push(st);
-                    }
-                }
-                states = out;
-            }
-            PlanStep::Scan { edge } => {
-                let em = decomp.edge(*edge);
-                let mut out = Vec::new();
-                for st in states {
-                    let src = st.instance(em.src).clone();
-                    src.versions(decomp, *edge).scan(&mut |k: &Tuple, cell| {
-                        if st.tuple.matches(k) {
-                            if let Some(child) = cell.resolve(snap, guard) {
-                                let mut next = st.clone();
-                                next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                                next.nodes[em.dst.index()] = Some(child);
-                                out.push(next);
-                            }
-                        }
-                        ControlFlow::Continue(())
-                    });
-                }
-                states = out;
-            }
-            PlanStep::RangeScan { edge, .. } => {
-                let em = decomp.edge(*edge);
-                let (lo, hi) = range_key_bounds(range);
-                // Top-k short circuit: the skip-list walk is ascending and
-                // single-column keys carry one entry per value, so on the
-                // final traversal each state's first k distinct output
-                // projections contain every global top-k candidate (see
-                // `Executor::range_scan_step`).
-                let distinct_limit = if i == last { range.limit() } else { None };
-                let mut out = Vec::new();
-                for st in states {
-                    let src = st.instance(em.src).clone();
-                    let mut distinct: BTreeSet<Tuple> = BTreeSet::new();
-                    src.versions(decomp, *edge).scan_range(
-                        lo.as_ref(),
-                        hi.as_ref(),
-                        &mut |k: &Tuple, cell| {
-                            if st.tuple.matches(k) {
-                                if let Some(child) = cell.resolve(snap, guard) {
-                                    let mut next = st.clone();
-                                    next.tuple =
-                                        st.tuple.union(k).expect("matches implies mergeable");
-                                    next.nodes[em.dst.index()] = Some(child);
-                                    if let Some(limit) = distinct_limit {
-                                        distinct.insert(next.tuple.project(plan.output));
-                                        out.push(next);
-                                        if distinct.len() >= limit {
-                                            return ControlFlow::Break(());
-                                        }
-                                    } else {
-                                        out.push(next);
-                                    }
-                                }
-                            }
-                            ControlFlow::Continue(())
-                        },
-                    );
-                }
-                states = out;
-            }
-        }
-        if states.is_empty() {
-            return Vec::new();
-        }
+    fn follow(
+        &mut self,
+        st: &QueryState,
+        edge: EdgeId,
+        key: &Tuple,
+        _spec: Option<LockMode>,
+    ) -> Result<Option<NodeRef>, Infallible> {
+        Ok(st
+            .instance(self.decomp.edge(edge).src)
+            .versions(self.decomp, edge)
+            .lookup(key)
+            .and_then(|cell| cell.resolve(self.snap, self.guard)))
     }
-    assemble_range_output(states.into_iter().map(|st| st.tuple), range, plan.output)
-}
 
-/// Short-circuiting existence check over the version indexes at snapshot
-/// `snap`: the lock-free mirror of [`crate::exec::Executor::run_exists`].
-pub(crate) fn snapshot_exists(
-    decomp: &Decomposition,
-    plan: &Plan,
-    pattern: &Tuple,
-    root: &NodeRef,
-    snap: u64,
-    guard: &Guard,
-) -> bool {
-    let st = QueryState::initial(decomp, pattern.clone(), Arc::clone(root));
-    snapshot_exists_from(decomp, &plan.steps, st, snap, guard)
-}
-
-fn snapshot_exists_from(
-    decomp: &Decomposition,
-    steps: &[PlanStep],
-    mut st: QueryState,
-    snap: u64,
-    guard: &Guard,
-) -> bool {
-    let Some((step, rest)) = steps.split_first() else {
-        return true; // the state survived every step: a witness
-    };
-    match step {
-        PlanStep::Lock { .. } => snapshot_exists_from(decomp, rest, st, snap, guard),
-        PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
-            let em = decomp.edge(*edge);
-            let key = st.tuple.project(em.cols);
-            let src = st.instance(em.src).clone();
-            match resolve_edge(decomp, &src, *edge, &key, snap, guard) {
-                Some(child) => {
-                    st.nodes[em.dst.index()] = Some(child);
-                    snapshot_exists_from(decomp, rest, st, snap, guard)
+    fn walk(
+        &mut self,
+        st: &QueryState,
+        edge: EdgeId,
+        bounds: Option<&KeyBounds>,
+        mut f: impl FnMut(&mut Self, &Tuple, NodeRef) -> ControlFlow<()>,
+    ) {
+        let index = st
+            .instance(self.decomp.edge(edge).src)
+            .versions(self.decomp, edge);
+        let mut visit = |k: &Tuple, cell: &Arc<VersionCell<NodeRef>>| {
+            if st.tuple.matches(k) {
+                if let Some(child) = cell.resolve(self.snap, self.guard) {
+                    return f(self, k, child);
                 }
-                None => false,
             }
-        }
-        PlanStep::RangeScan { .. } => {
-            unreachable!("plan_query never emits RangeScan; use snapshot_query_range")
-        }
-        PlanStep::Scan { edge } => {
-            let em = decomp.edge(*edge);
-            let src = st.instance(em.src).clone();
-            let mut found = false;
-            src.versions(decomp, *edge).scan(&mut |k: &Tuple, cell| {
-                if !st.tuple.matches(k) {
-                    return ControlFlow::Continue(());
-                }
-                let Some(child) = cell.resolve(snap, guard) else {
-                    return ControlFlow::Continue(());
-                };
-                let mut next = st.clone();
-                next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                next.nodes[em.dst.index()] = Some(child);
-                if snapshot_exists_from(decomp, rest, next, snap, guard) {
-                    found = true;
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            found
+            ControlFlow::Continue(())
+        };
+        match bounds {
+            Some((lo, hi)) => index.scan_range(lo.as_ref(), hi.as_ref(), &mut visit),
+            None => index.scan(&mut visit),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The concurrent query language (§5.2, Fig. 4).
+//! The concurrent query language (§5.2, Fig. 4) and its one evaluator.
 //!
 //! Compiled relational operations are sequences of *plan steps* over sets of
 //! *query states*. A query state pairs a partial tuple with a mapping from
@@ -8,14 +8,31 @@
 //! sequencing is implicit in the step list, and the matching `unlock`s of
 //! the shrinking phase are emitted by the renderer and performed by the
 //! engine's release-all at commit.
+//!
+//! # One evaluator, two edge views
+//!
+//! The language has one evaluation semantics, so it has one evaluator, in
+//! two traversal orders: breadth-first over every state (`query`,
+//! `query_range`) and depth-first to the first witness (`contains`). They
+//! are the only code that interprets [`PlanStep`]s. What differs between a
+//! locked read and a lock-free snapshot read is *how one edge is read*,
+//! and that is the edge view the evaluator is generic over: the locked
+//! view ([`crate::exec::Executor`]) takes the step's locks and reads the
+//! edge containers; the snapshot view (in `mvcc.rs`) takes none and
+//! resolves the edge's version index at its timestamp.
 
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::{Bound, ControlFlow};
+use std::sync::Arc;
 
 use relc_locks::LockMode;
-use relc_spec::Tuple;
+use relc_spec::{RangePattern, Tuple, Value};
 
-use crate::decomp::{Decomposition, EdgeId};
+use crate::decomp::{Decomposition, EdgeId, NodeId};
+use crate::exec::assemble_range_output;
 use crate::instance::NodeRef;
+use crate::planner::Plan;
 
 /// One step of a compiled plan (growing phase; unlocks are implicit).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,10 +140,259 @@ impl QueryState {
     /// # Panics
     ///
     /// Panics if the node is unbound — a planner invariant violation.
-    pub fn instance(&self, node: crate::decomp::NodeId) -> &NodeRef {
+    pub fn instance(&self, node: NodeId) -> &NodeRef {
         self.nodes[node.index()]
             .as_ref()
             .expect("planner invariant: node instance bound before use")
+    }
+}
+
+/// A key interval of one edge's entries.
+pub(crate) type KeyBounds = (Bound<Tuple>, Bound<Tuple>);
+
+/// The container-key interval of a range over a single-column edge: each
+/// value bound becomes a single-field key tuple bound (tuple order over
+/// single-column keys coincides with value order).
+fn range_key_bounds(range: &RangePattern) -> KeyBounds {
+    let mk = |b: Bound<&Value>| match b {
+        Bound::Included(v) => Bound::Included(Tuple::from_pairs([(range.col(), v.clone())])),
+        Bound::Excluded(v) => Bound::Excluded(Tuple::from_pairs([(range.col(), v.clone())])),
+        Bound::Unbounded => Bound::Unbounded,
+    };
+    (mk(range.lo()), mk(range.hi()))
+}
+
+/// How one edge of a decomposition instance is read: the three questions a
+/// plan step asks, answered under some synchronisation policy. The
+/// evaluator is monomorphised over this, so the policy costs nothing.
+pub(crate) trait EdgeView {
+    /// What a failed acquisition or speculation returns: `MustRestart`
+    /// under locks, `Infallible` at a snapshot.
+    type Restart;
+
+    /// Whether an interval [`Self::walk`] is in ascending key order whatever
+    /// the edge's container kind (else the step's `ordered` flag says).
+    const WALKS_IN_KEY_ORDER: bool;
+
+    /// Acquires the physical locks implementing `edge`'s logical locks for
+    /// every state in `states`.
+    fn lock(
+        &mut self,
+        states: &[QueryState],
+        edge: EdgeId,
+        mode: LockMode,
+        presorted: bool,
+        all_stripes: bool,
+    ) -> Result<(), Self::Restart>;
+
+    /// Follows `key` through `edge` of `st`'s source instance; `None` if the
+    /// edge instance is absent. `spec` carries the mode of a §4.5
+    /// speculative step, whose view also takes the step's locks.
+    fn follow(
+        &mut self,
+        st: &QueryState,
+        edge: EdgeId,
+        key: &Tuple,
+        spec: Option<LockMode>,
+    ) -> Result<Option<NodeRef>, Self::Restart>;
+
+    /// Walks the entries of `edge` at `st`'s source instance that match
+    /// `st`'s partial tuple (inside `bounds`, if given) until `f` breaks.
+    /// `f` gets the view back so a depth-first caller can keep using it.
+    fn walk(
+        &mut self,
+        st: &QueryState,
+        edge: EdgeId,
+        bounds: Option<&KeyBounds>,
+        f: impl FnMut(&mut Self, &Tuple, NodeRef) -> ControlFlow<()>,
+    );
+}
+
+/// The key interval a walking step covers: none for a plain scan, the
+/// range's for a `RangeScan` — the one place that checks it has one.
+fn walk_bounds(ranged: bool, bounds: Option<&KeyBounds>) -> Option<&KeyBounds> {
+    ranged.then(|| bounds.expect("planner invariant: RangeScan only in plans run with a range"))
+}
+
+/// `st` extended through a walked entry (`k` joins the tuple, `child` binds
+/// `dst`). Clone-then-overwrite on purpose: building it from `nodes.clone()`
+/// alone measured −20% ops/s on `graph_read_mostly` (CHANGES.md, PR 16).
+fn extend(st: &QueryState, dst: NodeId, k: &Tuple, child: NodeRef) -> QueryState {
+    let mut next = st.clone();
+    next.tuple = st.tuple.union(k).expect("matches implies mergeable");
+    next.nodes[dst.index()] = Some(child);
+    next
+}
+
+/// Evaluates `plan` breadth-first over **all** states — the locked view
+/// needs every state of a step at once to sort its lock batch — and
+/// returns the plan's output projection of the survivors: deduplicated and
+/// sorted (§2's `query r s C`), or, given a `range`, in the canonical
+/// range order via [`assemble_range_output`] (`query_range r s ρ C`).
+///
+/// The final range filter re-checks the interval on every surviving state,
+/// so chains that bind the range column through an ordinary multi-column
+/// scan (no single-column edge qualified) are just as correct — they only
+/// do more work.
+pub(crate) fn eval_all<V: EdgeView>(
+    decomp: &Decomposition,
+    view: &mut V,
+    plan: &Plan,
+    pattern: &Tuple,
+    range: Option<&RangePattern>,
+    root: &NodeRef,
+) -> Result<Vec<Tuple>, V::Restart> {
+    let st = QueryState::initial(decomp, pattern.clone(), Arc::clone(root));
+    let mut states = vec![st];
+    let bounds = range.map(range_key_bounds);
+    let last = plan.steps.len().saturating_sub(1);
+    for (i, step) in plan.steps.iter().enumerate() {
+        match step {
+            PlanStep::Lock {
+                edge,
+                mode,
+                presorted,
+                all_stripes,
+            } => {
+                view.lock(&states, *edge, *mode, *presorted, *all_stripes)?;
+                continue;
+            }
+            PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
+                let em = decomp.edge(*edge);
+                let spec = match step {
+                    PlanStep::SpecLookup { mode, .. } => Some(*mode),
+                    _ => None,
+                };
+                let mut out = Vec::with_capacity(states.len());
+                for mut st in states {
+                    let key = st.tuple.project(em.cols);
+                    debug_assert!(
+                        key.is_valuation_for(em.cols),
+                        "planner invariant: lookup key fully bound"
+                    );
+                    if let Some(child) = view.follow(&st, *edge, &key, spec)? {
+                        st.nodes[em.dst.index()] = Some(child);
+                        out.push(st);
+                    }
+                }
+                states = out;
+            }
+            PlanStep::Scan { edge } | PlanStep::RangeScan { edge, .. } => {
+                // Top-k short circuit, only on an ordered walk that is the
+                // plan's final traversal: entries arrive in strictly
+                // ascending value order per state (single-column keys carry
+                // one entry per value), so once `k` distinct output
+                // projections are collected, every later entry either
+                // duplicates one (at a larger value, which dedup discards)
+                // or has `k` strictly smaller distinct predecessors — never
+                // in the global top-k.
+                let (ranged, in_order) = match step {
+                    PlanStep::RangeScan { ordered, .. } => {
+                        (true, *ordered || V::WALKS_IN_KEY_ORDER)
+                    }
+                    _ => (false, false),
+                };
+                let interval = walk_bounds(ranged, bounds.as_ref());
+                let limit = range
+                    .and_then(RangePattern::limit)
+                    .filter(|_| in_order && i == last);
+                let dst = decomp.edge(*edge).dst;
+                let mut out = Vec::new();
+                for st in &states {
+                    let mut distinct: BTreeSet<Tuple> = BTreeSet::new();
+                    view.walk(st, *edge, interval, |_, k, child| {
+                        let next = extend(st, dst, k, child);
+                        if let Some(limit) = limit {
+                            distinct.insert(next.tuple.project(plan.output));
+                            out.push(next);
+                            if distinct.len() >= limit {
+                                return ControlFlow::Break(());
+                            }
+                        } else {
+                            out.push(next);
+                        }
+                        ControlFlow::Continue(())
+                    });
+                }
+                states = out;
+            }
+        }
+        if states.is_empty() {
+            return Ok(Vec::new());
+        }
+    }
+    let tuples = states.into_iter().map(|st| st.tuple);
+    Ok(match range {
+        Some(range) => assemble_range_output(tuples, range, plan.output),
+        None => {
+            let set: BTreeSet<Tuple> = tuples.map(|t| t.project(plan.output)).collect();
+            set.into_iter().collect()
+        }
+    })
+}
+
+/// Evaluates `steps` from `st` depth-first and stops at the **first
+/// witness**: `true` as soon as one state survives every step, without
+/// materializing, deduplicating, or sorting the matches (§2's `query r s C`
+/// asked as a boolean).
+///
+/// Sibling states produced by a scan are explored one at a time, so under
+/// the locked view locks for later siblings can be requested out of the
+/// global order; the engine then only *tries* those acquisitions, and
+/// contention surfaces as a restart — the same protocol as speculative
+/// guesses (§5.1).
+pub(crate) fn eval_any<V: EdgeView>(
+    decomp: &Decomposition,
+    view: &mut V,
+    steps: &[PlanStep],
+    mut st: QueryState,
+) -> Result<bool, V::Restart> {
+    let Some((step, rest)) = steps.split_first() else {
+        return Ok(true); // the state survived every step: a witness
+    };
+    match step {
+        PlanStep::Lock {
+            edge,
+            mode,
+            presorted,
+            all_stripes,
+        } => {
+            let states = std::slice::from_ref(&st);
+            view.lock(states, *edge, *mode, *presorted, *all_stripes)?;
+            eval_any(decomp, view, rest, st)
+        }
+        PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
+            let em = decomp.edge(*edge);
+            let key = st.tuple.project(em.cols);
+            let spec = match step {
+                PlanStep::SpecLookup { mode, .. } => Some(*mode),
+                _ => None,
+            };
+            match view.follow(&st, *edge, &key, spec)? {
+                Some(child) => {
+                    st.nodes[em.dst.index()] = Some(child);
+                    eval_any(decomp, view, rest, st)
+                }
+                None => Ok(false),
+            }
+        }
+        PlanStep::Scan { edge } | PlanStep::RangeScan { edge, .. } => {
+            let mut outcome = Ok(false);
+            let interval = walk_bounds(matches!(step, PlanStep::RangeScan { .. }), None);
+            let dst = decomp.edge(*edge).dst;
+            view.walk(&st, *edge, interval, |view, k, child| {
+                match eval_any(decomp, view, rest, extend(&st, dst, k, child)) {
+                    Ok(false) => ControlFlow::Continue(()),
+                    done => {
+                        // Witness found (or restart demanded): stop
+                        // walking right here.
+                        outcome = done;
+                        ControlFlow::Break(())
+                    }
+                }
+            });
+            outcome
+        }
     }
 }
 

@@ -26,6 +26,7 @@ use crate::placement::{LockPlacement, LockToken};
 use crate::planner::{
     InsertBatchPlan, InsertPlan, Plan, Planner, RemoveBatchPlan, RemovePlan, UpdatePlan,
 };
+use crate::query::{eval_all, eval_any, QueryState};
 use crate::txn::{Transaction, TxnError};
 
 /// A concurrent relation synthesized from a decomposition and a lock
@@ -360,6 +361,19 @@ where
     Ok(plan)
 }
 
+/// One snapshot read of a representation: which plan to fetch and which
+/// traversal order evaluates it.
+#[derive(Clone, Copy)]
+pub(crate) enum SnapshotRead<'a> {
+    /// `query r s C`.
+    Query(ColumnSet),
+    /// `query_range r s ρ C`.
+    Range(&'a RangePattern, ColumnSet),
+    /// `contains r s`: `query r s ∅` stopped at the first witness, and
+    /// answered as that query would be — the empty tuple, or nothing.
+    Witness,
+}
+
 impl Repr {
     /// Builds a fresh (empty) representation.
     ///
@@ -404,73 +418,41 @@ impl Repr {
         &self.root
     }
 
-    /// Snapshot query at an externally-captured `(snap, guard)` pair —
-    /// readers capture a representation and a registration together, so
-    /// the traversal always runs against the tree its snapshot was
-    /// registered for. `stats` is the owning relation's counter sink.
-    pub(crate) fn snapshot_query_at(
+    /// Evaluates one read under the snapshot edge view at an
+    /// externally-captured `(snap, guard)` pair — readers capture a
+    /// representation and a registration together, so the traversal
+    /// always runs against the tree its snapshot was registered for.
+    /// `stats` is the owning relation's counter sink.
+    pub(crate) fn snapshot_read(
         &self,
         stats: &LockStats,
         s: &Tuple,
-        cols: ColumnSet,
+        read: SnapshotRead<'_>,
         snap: u64,
         guard: &relc_containers::epoch::Guard,
     ) -> Result<Vec<Tuple>, CoreError> {
-        let plan = self.query_plan(s.dom(), cols)?;
+        let (plan, range) = match read {
+            SnapshotRead::Query(cols) => (self.query_plan(s.dom(), cols)?, None),
+            SnapshotRead::Range(range, cols) => {
+                (self.range_plan(s.dom(), range, cols)?, Some(range))
+            }
+            SnapshotRead::Witness => (self.query_plan(s.dom(), ColumnSet::EMPTY)?, None),
+        };
         stats.record_snapshot_reads(1);
-        Ok(mvcc::snapshot_query(
-            &self.decomp,
-            &plan,
-            s,
-            &self.root,
+        let mut view = mvcc::Snapshot {
+            decomp: &self.decomp,
             snap,
             guard,
-        ))
-    }
-
-    /// Snapshot range query at an externally-captured `(snap, guard)`
-    /// pair; see [`Self::snapshot_query_at`].
-    pub(crate) fn snapshot_query_range_at(
-        &self,
-        stats: &LockStats,
-        s: &Tuple,
-        range: &RangePattern,
-        cols: ColumnSet,
-        snap: u64,
-        guard: &relc_containers::epoch::Guard,
-    ) -> Result<Vec<Tuple>, CoreError> {
-        let plan = self.range_plan(s.dom(), range, cols)?;
-        stats.record_snapshot_reads(1);
-        Ok(mvcc::snapshot_query_range(
-            &self.decomp,
-            &plan,
-            s,
-            range,
-            &self.root,
-            snap,
-            guard,
-        ))
-    }
-
-    /// Snapshot existence check at an externally-captured `(snap, guard)`
-    /// pair; see [`Self::snapshot_query_at`].
-    pub(crate) fn snapshot_exists_at(
-        &self,
-        stats: &LockStats,
-        s: &Tuple,
-        snap: u64,
-        guard: &relc_containers::epoch::Guard,
-    ) -> Result<bool, CoreError> {
-        let plan = self.query_plan(s.dom(), ColumnSet::EMPTY)?;
-        stats.record_snapshot_reads(1);
-        Ok(mvcc::snapshot_exists(
-            &self.decomp,
-            &plan,
-            s,
-            &self.root,
-            snap,
-            guard,
-        ))
+        };
+        let Ok(out) = match read {
+            SnapshotRead::Witness => {
+                let st = QueryState::initial(&self.decomp, s.clone(), Arc::clone(&self.root));
+                eval_any(&self.decomp, &mut view, &plan.steps, st)
+                    .map(|found| Vec::from_iter(found.then(Tuple::empty)))
+            }
+            _ => eval_all(&self.decomp, &mut view, &plan, s, range, &self.root),
+        };
+        Ok(out)
     }
 
     pub(crate) fn query_plan(
@@ -1427,7 +1409,13 @@ impl ConcurrentRelation {
         // cannot plan a full scan (e.g. all-speculative roots) fall back
         // to the direct structural walk, which under the fence reads the
         // same frozen state.
-        match repr.snapshot_query_at(&self.stats, &Tuple::empty(), all, snap, &guard) {
+        match repr.snapshot_read(
+            &self.stats,
+            &Tuple::empty(),
+            SnapshotRead::Query(all),
+            snap,
+            &guard,
+        ) {
             Ok(rows) => Ok(rows),
             Err(CoreError::NoValidPlan(_)) => {
                 Ok(instance::abstract_relation(&repr.decomp, &repr.root)
@@ -1715,6 +1703,12 @@ impl<'r> SnapshotReader<'r> {
         self.snap
     }
 
+    /// One read of the pinned representation at this reader's snapshot.
+    fn read(&self, s: &Tuple, read: SnapshotRead<'_>) -> Result<Vec<Tuple>, CoreError> {
+        self.repr
+            .snapshot_read(&self.rel.stats, s, read, self.snap, &self.guard)
+    }
+
     /// `query r s C` (§2) at this snapshot: the projection onto `cols` of
     /// all tuples extending `s`, deduplicated and sorted — lock-free.
     ///
@@ -1723,8 +1717,7 @@ impl<'r> SnapshotReader<'r> {
     /// As for [`ConcurrentRelation::query`] (the same compiled plans
     /// drive the snapshot traversal, so the same shapes are plannable).
     pub fn query(&self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, CoreError> {
-        self.repr
-            .snapshot_query_at(&self.rel.stats, s, cols, self.snap, &self.guard)
+        self.read(s, SnapshotRead::Query(cols))
     }
 
     /// Range query at this snapshot; see
@@ -1739,8 +1732,7 @@ impl<'r> SnapshotReader<'r> {
         range: &RangePattern,
         cols: ColumnSet,
     ) -> Result<Vec<Tuple>, CoreError> {
-        self.repr
-            .snapshot_query_range_at(&self.rel.stats, s, range, cols, self.snap, &self.guard)
+        self.read(s, SnapshotRead::Range(range, cols))
     }
 
     /// Whether any tuple extends `s` at this snapshot — short-circuiting,
@@ -1750,8 +1742,7 @@ impl<'r> SnapshotReader<'r> {
     ///
     /// As for [`SnapshotReader::query`].
     pub fn contains(&self, s: &Tuple) -> Result<bool, CoreError> {
-        self.repr
-            .snapshot_exists_at(&self.rel.stats, s, self.snap, &self.guard)
+        Ok(!self.read(s, SnapshotRead::Witness)?.is_empty())
     }
 
     /// All tuples at this snapshot, sorted.

@@ -94,7 +94,9 @@ use crate::error::CoreError;
 use crate::exec::{assemble_range_output, Executor};
 use crate::mvcc::{self, MvccScope};
 use crate::placement::{LockPlacement, LockToken};
-use crate::relation::{ActiveTxnGuard, ConcurrentRelation, OpCounters, Repr, StatsSnapshot};
+use crate::relation::{
+    ActiveTxnGuard, ConcurrentRelation, OpCounters, Repr, SnapshotRead, StatsSnapshot,
+};
 use crate::txn::{RedoOp, Transaction, TxnError};
 use crate::wal::{self, RecoveryReport, Wal, WalOptions, WalRecord};
 
@@ -226,6 +228,72 @@ impl ShardedRelation {
             Some(self.shard_of(pattern))
         } else {
             None
+        }
+    }
+
+    /// Route-or-fan-out for `query`: the owning shard's answer when `s`
+    /// routes, else the sorted union of every shard's. `shard` reads one
+    /// shard, under a transaction's locks or at a reader's snapshot.
+    fn fan_query<E>(
+        &self,
+        s: &Tuple,
+        mut shard: impl FnMut(usize) -> Result<Vec<Tuple>, E>,
+    ) -> Result<Vec<Tuple>, E> {
+        match self.route(s) {
+            Some(i) => shard(i),
+            None => {
+                let mut acc: BTreeSet<Tuple> = BTreeSet::new();
+                for i in 0..self.shards.len() {
+                    acc.extend(shard(i)?);
+                }
+                Ok(acc.into_iter().collect())
+            }
+        }
+    }
+
+    /// Route-or-fan-out for `query_range`: fan-out patterns read every
+    /// shard **uncapped** with the range column added to the projection,
+    /// then merge, order, deduplicate, and cap globally — a per-shard cap
+    /// could drop a projection whose in-shard predecessors dedup away
+    /// against other shards' results.
+    fn fan_query_range<E>(
+        &self,
+        s: &Tuple,
+        range: &RangePattern,
+        cols: ColumnSet,
+        mut shard: impl FnMut(usize, &RangePattern, ColumnSet) -> Result<Vec<Tuple>, E>,
+    ) -> Result<Vec<Tuple>, E> {
+        match self.route(s) {
+            Some(i) => shard(i, range, cols),
+            None => {
+                let ext = cols.with(range.col());
+                let uncapped = range.without_limit();
+                let mut acc: Vec<Tuple> = Vec::new();
+                for i in 0..self.shards.len() {
+                    acc.extend(shard(i, &uncapped, ext)?);
+                }
+                Ok(assemble_range_output(acc, range, cols))
+            }
+        }
+    }
+
+    /// Route-or-fan-out for `contains`: fan-out patterns probe shards in
+    /// ascending order and stop at the first with a witness.
+    fn fan_contains<E>(
+        &self,
+        s: &Tuple,
+        mut shard: impl FnMut(usize) -> Result<bool, E>,
+    ) -> Result<bool, E> {
+        match self.route(s) {
+            Some(i) => shard(i),
+            None => {
+                for i in 0..self.shards.len() {
+                    if shard(i)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
         }
     }
 
@@ -467,7 +535,10 @@ impl ShardedRelation {
         cols: ColumnSet,
     ) -> Result<Vec<Tuple>, CoreError> {
         OpCounters::bump(&self.ops.range_queries, 1);
-        self.run_read(|snap| snap.query_range(s, range, cols))
+        match self.route(s) {
+            Some(i) => self.shards[i].query_range(s, range, cols),
+            None => self.run_read(|snap| snap.query_range(s, range, cols)),
+        }
     }
 
     /// Whether any tuple extends `s`; fan-out patterns short-circuit at
@@ -1384,23 +1455,14 @@ impl<'t> ShardedTransaction<'t> {
     ///
     /// As for [`Transaction::query`].
     pub fn query(&mut self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, TxnError> {
-        match self.rel.route(s) {
-            Some(i) => self.shard_tx(i).query(s, cols),
-            None => {
-                let mut acc: BTreeSet<Tuple> = BTreeSet::new();
-                for i in 0..self.rel.shards.len() {
-                    acc.extend(self.shard_tx(i).query(s, cols)?);
-                }
-                Ok(acc.into_iter().collect())
-            }
-        }
+        let rel = self.rel;
+        rel.fan_query(s, |i| self.shard_tx(i).query(s, cols))
     }
 
     /// Range query under this transaction's lock scope: routed patterns
     /// visit one shard; fan-out patterns visit every shard uncapped and
-    /// merge globally (same merge discipline as
-    /// [`ShardedSnapshotReader::query_range`]), serializable because
-    /// every visited shard's locks persist to commit.
+    /// merge globally, serializable because every visited shard's locks
+    /// persist to commit.
     ///
     /// # Errors
     ///
@@ -1411,18 +1473,10 @@ impl<'t> ShardedTransaction<'t> {
         range: &RangePattern,
         cols: ColumnSet,
     ) -> Result<Vec<Tuple>, TxnError> {
-        match self.rel.route(s) {
-            Some(i) => self.shard_tx(i).query_range(s, range, cols),
-            None => {
-                let ext = cols.with(range.col());
-                let uncapped = range.without_limit();
-                let mut acc: Vec<Tuple> = Vec::new();
-                for i in 0..self.rel.shards.len() {
-                    acc.extend(self.shard_tx(i).query_range(s, &uncapped, ext)?);
-                }
-                Ok(assemble_range_output(acc, range, cols))
-            }
-        }
+        let rel = self.rel;
+        rel.fan_query_range(s, range, cols, |i, range, cols| {
+            self.shard_tx(i).query_range(s, range, cols)
+        })
     }
 
     /// Whether any tuple extends `s`, under this transaction's locks
@@ -1433,17 +1487,8 @@ impl<'t> ShardedTransaction<'t> {
     ///
     /// As for [`Transaction::contains`].
     pub fn contains(&mut self, s: &Tuple) -> Result<bool, TxnError> {
-        match self.rel.route(s) {
-            Some(i) => self.shard_tx(i).contains(s),
-            None => {
-                for i in 0..self.rel.shards.len() {
-                    if self.shard_tx(i).contains(s)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
+        let rel = self.rel;
+        rel.fan_contains(s, |i| self.shard_tx(i).contains(s))
     }
 
     /// All tuples, sorted, as observed under this transaction's locks
@@ -1538,37 +1583,31 @@ impl<'r> ShardedSnapshotReader<'r> {
     ///
     /// As for [`ConcurrentRelation::query`].
     pub fn query(&self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, CoreError> {
-        match self.rel.route(s) {
-            Some(i) => self.shard_query(i, s, cols),
-            None => {
-                let mut acc: BTreeSet<Tuple> = BTreeSet::new();
-                for i in 0..self.rel.shards.len() {
-                    acc.extend(self.shard_query(i, s, cols)?);
-                }
-                Ok(acc.into_iter().collect())
-            }
-        }
+        self.rel
+            .fan_query(s, |i| self.shard_read(i, s, SnapshotRead::Query(cols)))
     }
 
     /// One shard's contribution at this snapshot, traversing the pinned
     /// representation (a live migration never redirects an open reader).
-    fn shard_query(&self, i: usize, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, CoreError> {
-        self.reprs[i].snapshot_query_at(
+    fn shard_read(
+        &self,
+        i: usize,
+        s: &Tuple,
+        read: SnapshotRead<'_>,
+    ) -> Result<Vec<Tuple>, CoreError> {
+        self.reprs[i].snapshot_read(
             self.rel.shards[i].stats_arc(),
             s,
-            cols,
+            read,
             self.snap,
             &self.guard,
         )
     }
 
     /// Range query at this snapshot: routed patterns read the owning
-    /// shard natively; fan-out patterns query every shard **uncapped**
-    /// with the range column added to the projection, then merge, order,
-    /// deduplicate, and cap globally — a per-shard cap could drop a
-    /// projection whose in-shard predecessors dedup away against other
-    /// shards' results. All shards are read at the one registered
-    /// timestamp, so the merged result is itself a snapshot.
+    /// shard natively; fan-out patterns merge every shard's uncapped
+    /// contribution and cap globally. All shards are read at the one
+    /// registered timestamp, so the merged result is itself a snapshot.
     ///
     /// # Errors
     ///
@@ -1579,32 +1618,9 @@ impl<'r> ShardedSnapshotReader<'r> {
         range: &RangePattern,
         cols: ColumnSet,
     ) -> Result<Vec<Tuple>, CoreError> {
-        match self.rel.route(s) {
-            Some(i) => self.reprs[i].snapshot_query_range_at(
-                self.rel.shards[i].stats_arc(),
-                s,
-                range,
-                cols,
-                self.snap,
-                &self.guard,
-            ),
-            None => {
-                let ext = cols.with(range.col());
-                let uncapped = range.without_limit();
-                let mut acc: Vec<Tuple> = Vec::new();
-                for (i, repr) in self.reprs.iter().enumerate() {
-                    acc.extend(repr.snapshot_query_range_at(
-                        self.rel.shards[i].stats_arc(),
-                        s,
-                        &uncapped,
-                        ext,
-                        self.snap,
-                        &self.guard,
-                    )?);
-                }
-                Ok(assemble_range_output(acc, range, cols))
-            }
-        }
+        self.rel.fan_query_range(s, range, cols, |i, range, cols| {
+            self.shard_read(i, s, SnapshotRead::Range(range, cols))
+        })
     }
 
     /// Whether any tuple extends `s` at this snapshot; fan-out patterns
@@ -1614,27 +1630,9 @@ impl<'r> ShardedSnapshotReader<'r> {
     ///
     /// As for [`ShardedSnapshotReader::query`].
     pub fn contains(&self, s: &Tuple) -> Result<bool, CoreError> {
-        match self.rel.route(s) {
-            Some(i) => self.reprs[i].snapshot_exists_at(
-                self.rel.shards[i].stats_arc(),
-                s,
-                self.snap,
-                &self.guard,
-            ),
-            None => {
-                for (i, repr) in self.reprs.iter().enumerate() {
-                    if repr.snapshot_exists_at(
-                        self.rel.shards[i].stats_arc(),
-                        s,
-                        self.snap,
-                        &self.guard,
-                    )? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-        }
+        self.rel.fan_contains(s, |i| {
+            Ok(!self.shard_read(i, s, SnapshotRead::Witness)?.is_empty())
+        })
     }
 
     /// All tuples at this snapshot, sorted and deduplicated across

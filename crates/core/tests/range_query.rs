@@ -1,10 +1,11 @@
-//! Differential validation of `query_range`: the snapshot path, the
-//! locked transactional path, and the sharded fan-out must all agree
-//! with the sequential oracle's §2-style range semantics — ordered by
-//! (range-column value, projection), deduplicated, capped at the
-//! limit — across every standard decomposition and lock placement,
-//! for hand-picked and randomized intervals alike; and concurrent
-//! range reads must observe one consistent snapshot cut.
+//! Differential validation of the read surface: `query`, `contains`, and
+//! above all `query_range` — on the snapshot path, the locked
+//! transactional path, and the sharded route-or-fan-out — must all agree
+//! with the sequential oracle's §2-style semantics (ranges ordered by
+//! (range-column value, projection), deduplicated, capped at the limit)
+//! across every standard decomposition and lock placement, for
+//! hand-picked and randomized intervals alike; and concurrent range reads
+//! must observe one consistent snapshot cut.
 
 use std::ops::Bound;
 use std::sync::{Arc, Barrier};
@@ -12,7 +13,7 @@ use std::sync::{Arc, Barrier};
 use relc::decomp::library::{diamond, split, stick};
 use relc::lincheck::{check_linearizable, HistoryRecorder, OpRecord};
 use relc::placement::LockPlacement;
-use relc::{ConcurrentRelation, Decomposition, ShardedRelation};
+use relc::{ConcurrentRelation, CoreError, Decomposition, ShardedRelation, TxnError};
 use relc_containers::ContainerKind;
 use relc_spec::{ColumnSet, OracleRelation, RangePattern, Tuple, Value};
 
@@ -98,70 +99,182 @@ fn range_battery(d: &Arc<Decomposition>, col: &str) -> Vec<RangePattern> {
     ]
 }
 
-/// Every decomposition × placement must answer every pattern × range ×
-/// projection shape exactly like the oracle — snapshot path and locked
-/// transactional path alike.
+/// One read of the §2 surface, as a row of the parity table.
+#[derive(Debug)]
+enum Read {
+    Query(ColumnSet),
+    Range(RangePattern, ColumnSet),
+    Contains,
+}
+
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Rows(Vec<Tuple>),
+    Found(bool),
+}
+
+/// Runs one table row through any of the six read surfaces — they share
+/// method names, not a trait.
+macro_rules! answer {
+    ($surface:expr, $s:expr, $read:expr) => {
+        match $read {
+            Read::Query(cols) => $surface.query($s, *cols).map(Answer::Rows),
+            Read::Range(r, cols) => $surface.query_range($s, r, *cols).map(Answer::Rows),
+            Read::Contains => $surface.contains($s).map(Answer::Found),
+        }
+    };
+}
+
+/// A transactional read's error as the single-shot surfaces report it
+/// (the table is single-threaded: nothing can demand a restart).
+fn core<T>(r: Result<T, TxnError>) -> Result<T, CoreError> {
+    r.map_err(|e| match e {
+        TxnError::Core(e) => e,
+        TxnError::Restart(_) => panic!("uncontended read demanded a restart"),
+    })
+}
+
+/// The table: every pattern × every read. Patterns cover fan-out (empty,
+/// partial) and routed (full key) shapes, present and absent; reads cover
+/// `query`, `contains`, and `query_range` over the whole battery on all
+/// three columns — which, crossed with the patterns, includes the range
+/// column already bound by the pattern — under projections that dedup
+/// within and across shards.
+fn read_table(d: &Arc<Decomposition>) -> Vec<(Tuple, Read)> {
+    let patterns = [
+        Tuple::empty(),
+        tup(d, &[("src", 1)]),
+        tup(d, &[("src", 9)]),
+        // Bind the full routing key: served by one shard.
+        tup(d, &[("src", 2), ("dst", 3)]),
+        tup(d, &[("src", 2), ("dst", 4)]),
+    ];
+    let projections = [
+        d.schema().columns(),
+        d.schema().column_set(&["dst"]).unwrap(),
+        // {src}: many (src, dst) pairs share a src, so the same
+        // projection surfaces from several shards — a fan-out merge must
+        // dedup at the smallest range value, not per shard.
+        d.schema().column_set(&["src"]).unwrap(),
+        d.schema().column_set(&["src", "weight"]).unwrap(),
+        ColumnSet::new(),
+    ];
+    let mut rows = Vec::new();
+    for s in &patterns {
+        rows.push((s.clone(), Read::Contains));
+        for &cols in &projections {
+            rows.push((s.clone(), Read::Query(cols)));
+            for col in ["src", "dst", "weight"] {
+                for range in range_battery(d, col) {
+                    rows.push((s.clone(), Read::Range(range, cols)));
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// Checks one surface against the oracle's answers row by row; returns how
+/// many rows it could plan. Speculative edges cannot be scanned, so shapes
+/// with no valid chain are skipped, mirroring `analyze_all` — but every
+/// surface of one (decomposition, placement) must skip the same rows.
+fn sweep(
+    label: &str,
+    table: &[(Tuple, Read)],
+    want: &[Answer],
+    mut read: impl FnMut(&Tuple, &Read) -> Result<Answer, CoreError>,
+) -> usize {
+    let mut planned = 0;
+    for ((s, row), want) in table.iter().zip(want) {
+        match read(s, row) {
+            Ok(got) => {
+                assert_eq!(&got, want, "{label}: {row:?} on pattern {s:?}");
+                planned += 1;
+            }
+            Err(CoreError::NoValidPlan(_)) => {}
+            Err(e) => panic!("{label}: {row:?} on pattern {s:?}: {e}"),
+        }
+    }
+    planned
+}
+
+/// The six read surfaces — `ConcurrentRelation`, `Transaction`,
+/// `SnapshotReader`, and their sharded counterparts at N=1 and N=4 — must
+/// answer every row of the table exactly like the oracle, on every
+/// decomposition × placement: one evaluator serves them all, through the
+/// locked edge view inside transactions and the snapshot view elsewhere.
 #[test]
-fn range_results_match_oracle_across_variants() {
+fn read_surfaces_match_oracle() {
     for (dname, d) in graph_decomps() {
         let oracle = OracleRelation::empty(d.schema().clone());
         for (s, t) in seed_data(&d) {
             let _ = oracle.insert(&s, &t);
         }
-        let full = d.schema().columns();
-        let projections = vec![
-            full,
-            d.schema().column_set(&["dst"]).unwrap(),
-            d.schema().column_set(&["weight"]).unwrap(),
-            d.schema().column_set(&["src", "weight"]).unwrap(),
-            ColumnSet::new(),
-        ];
-        let patterns = vec![
-            Tuple::empty(),
-            tup(&d, &[("src", 1)]),
-            tup(&d, &[("src", 2), ("dst", 3)]),
-        ];
+        let table = read_table(&d);
+        let want: Vec<Answer> = table
+            .iter()
+            .map(|(s, row)| match row {
+                Read::Query(cols) => Answer::Rows(oracle.query(s, *cols)),
+                Read::Range(r, cols) => Answer::Rows(oracle.query_range(s, r, *cols)),
+                Read::Contains => Answer::Found(!oracle.query(s, ColumnSet::new()).is_empty()),
+            })
+            .collect();
         for p in standard_placements(&d) {
+            let at = |surface: &str| format!("{dname} under `{}`, {surface}", p.name());
             let rel = ConcurrentRelation::new(d.clone(), Arc::clone(&p)).unwrap();
             for (s, t) in seed_data(&d) {
                 rel.insert(&s, &t).unwrap();
             }
-            for col in ["src", "dst", "weight"] {
-                for range in range_battery(&d, col) {
-                    for &cols in &projections {
-                        for s in &patterns {
-                            let got = match rel.query_range(s, &range, cols) {
-                                Ok(g) => g,
-                                // Speculative edges cannot be scanned; shapes
-                                // with no valid chain are skipped, mirroring
-                                // `analyze_all`.
-                                Err(relc::CoreError::NoValidPlan(_)) => continue,
-                                Err(e) => panic!("{dname} under `{}`: {e}", p.name()),
-                            };
-                            let want = oracle.query_range(s, &range, cols);
-                            assert_eq!(
-                                got,
-                                want,
-                                "{dname} under `{}`: range {range} over {col}, \
-                                 pattern {s:?}",
-                                p.name()
-                            );
-                        }
-                    }
-                }
-            }
-            // Locked path spot-check: same answers under a two-phase
-            // transaction, and the transaction sees its own writes.
-            let wcol = d.schema().column("weight").unwrap();
-            let r = RangePattern::at_least(wcol, Value::from(0));
-            if rel.query_range(&Tuple::empty(), &r, full).is_ok() {
+            let planned = sweep(&at("ConcurrentRelation"), &table, &want, |s, r| {
+                answer!(rel, s, r)
+            });
+            assert!(
+                planned > 0,
+                "{}: nothing plannable",
+                at("ConcurrentRelation")
+            );
+            let mut surfaces = vec![
                 rel.transaction(|tx| {
-                    let got = tx.query_range(&Tuple::empty(), &r, full)?;
-                    assert_eq!(got, oracle.query_range(&Tuple::empty(), &r, full));
-                    Ok(())
+                    Ok(sweep(&at("Transaction"), &table, &want, |s, r| {
+                        core(answer!(tx, s, r))
+                    }))
                 })
-                .unwrap();
+                .unwrap(),
+                rel.read_transaction(|snap| {
+                    sweep(&at("SnapshotReader"), &table, &want, |s, r| {
+                        answer!(snap, s, r)
+                    })
+                }),
+            ];
+            for n in [1, 4] {
+                let srel = ShardedRelation::new(d.clone(), Arc::clone(&p), n).unwrap();
+                for (s, t) in seed_data(&d) {
+                    srel.insert(&s, &t).unwrap();
+                }
+                surfaces.push(sweep(
+                    &at(&format!("ShardedRelation/{n}")),
+                    &table,
+                    &want,
+                    |s, r| answer!(srel, s, r),
+                ));
+                surfaces.push(
+                    srel.transaction(|tx| {
+                        let label = at(&format!("ShardedTransaction/{n}"));
+                        Ok(sweep(&label, &table, &want, |s, r| core(answer!(tx, s, r))))
+                    })
+                    .unwrap(),
+                );
+                surfaces.push(srel.read_transaction(|snap| {
+                    let label = at(&format!("ShardedSnapshotReader/{n}"));
+                    sweep(&label, &table, &want, |s, r| answer!(snap, s, r))
+                }));
             }
+            assert!(
+                surfaces.iter().all(|&n| n == planned),
+                "{dname} under `{}`: surfaces disagree on which rows are plannable: \
+                 {planned} vs {surfaces:?}",
+                p.name()
+            );
         }
     }
 }
@@ -237,10 +350,11 @@ fn randomized_ranges_match_oracle() {
     }
 }
 
-/// Sharded ranges: routed patterns hit one shard, fan-out patterns merge
-/// every shard at one snapshot — both must match the oracle, including
-/// limits that interact with cross-shard deduplication (the same
-/// projection reachable from several shards at different range values).
+/// Sharded range routing: a pattern binding the routing columns is served
+/// by its owning shard alone — one shard's own `query_range`, one snapshot
+/// read — while a fan-out pattern reads every shard at one snapshot; both
+/// match the oracle (value parity across all shapes is
+/// `read_surfaces_match_oracle`'s job).
 #[test]
 fn sharded_ranges_match_oracle() {
     let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
@@ -252,43 +366,46 @@ fn sharded_ranges_match_oracle() {
         let _ = oracle.insert(&s, &t);
     }
     let full = d.schema().columns();
-    let projections = vec![
-        full,
-        d.schema().column_set(&["dst"]).unwrap(),
-        // {src}: many (src, dst) pairs share a src, so the same
-        // projection surfaces from several shards — the fan-out merge
-        // must dedup at the smallest range value, not per shard.
-        d.schema().column_set(&["src"]).unwrap(),
-    ];
-    let patterns = vec![
-        Tuple::empty(),
-        tup(&d, &[("src", 1)]),
-        // Binds the full routing key: served by one shard.
-        tup(&d, &[("src", 2), ("dst", 3)]),
-    ];
-    for col in ["src", "dst", "weight"] {
-        for range in range_battery(&d, col) {
-            for &cols in &projections {
-                for s in &patterns {
-                    let want = oracle.query_range(s, &range, cols);
-                    let got = rel.query_range(s, &range, cols).unwrap();
-                    assert_eq!(
-                        got, want,
-                        "sharded: range {range} over {col}, pattern {s:?}"
-                    );
-                }
-            }
-        }
-    }
-    // Locked sharded path: same answers, serializable across shards.
     let wcol = d.schema().column("weight").unwrap();
-    let r = RangePattern::closed(wcol, Value::from(2), Value::from(9)).with_limit(5);
-    rel.transaction(|tx| {
-        let got = tx.query_range(&Tuple::empty(), &r, full)?;
-        assert_eq!(got, oracle.query_range(&Tuple::empty(), &r, full));
-        Ok(())
-    })
-    .unwrap();
+    let range = RangePattern::closed(wcol, Value::from(2), Value::from(9)).with_limit(5);
+    let shard_range_queries = |rel: &ShardedRelation| -> Vec<u64> {
+        rel.shards()
+            .iter()
+            .map(|s| s.stats_snapshot().ops.range_queries)
+            .collect()
+    };
+
+    let routed = tup(&d, &[("src", 2), ("dst", 3)]);
+    let (reads, per_shard) = (rel.lock_stats().snapshot_reads, shard_range_queries(&rel));
+    let got = rel.query_range(&routed, &range, full).unwrap();
+    assert_eq!(got, oracle.query_range(&routed, &range, full));
+    assert_eq!(got.len(), 1, "the routed key is present and in range");
+    assert_eq!(
+        rel.lock_stats().snapshot_reads - reads,
+        1,
+        "a routed range read must consult exactly one shard"
+    );
+    let mut expect = per_shard;
+    expect[rel.shard_of(&routed)] += 1;
+    assert_eq!(
+        shard_range_queries(&rel),
+        expect,
+        "a routed range read goes through its owning shard's own query_range"
+    );
+
+    let reads = rel.lock_stats().snapshot_reads;
+    let got = rel.query_range(&Tuple::empty(), &range, full).unwrap();
+    assert_eq!(got, oracle.query_range(&Tuple::empty(), &range, full));
+    assert_eq!(
+        rel.lock_stats().snapshot_reads - reads,
+        4,
+        "a fan-out range read consults every shard"
+    );
+    assert_eq!(
+        shard_range_queries(&rel),
+        expect,
+        "a fan-out range read uses the shared reader, not the shards' single-shot path"
+    );
 }
 
 /// Concurrent range reads observe one consistent cut: every writer

@@ -16,7 +16,6 @@ use crate::error::SpecError;
 use crate::range::RangePattern;
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// A reference implementation of a concurrent relation: a mutex around a set
 /// of tuples, with the §2 operation semantics.
@@ -167,40 +166,13 @@ impl OracleRelation {
     }
 
     /// `query_range r s ρ C`: the range-query reference semantics every
-    /// synthesized representation must match.
-    ///
-    /// Matches every tuple `u ⊇ s` whose value in the range column lies
-    /// inside `range`'s interval, orders the matches by **range-column
-    /// value first, then projected tuple**, projects each onto `cols` in
-    /// that order, deduplicates keeping first occurrences, and truncates
-    /// at `range.limit()`. The ordering step is what distinguishes this
-    /// from `query` + filter: `limit` selects the k *smallest* matches in
-    /// range order, and projections are emitted in range order rather
-    /// than projected-tuple order. The tie-break is the *projection*, not
-    /// the full tuple, so a representation whose access path binds only
-    /// the queried columns can reproduce the order exactly.
+    /// synthesized representation must match — [`RangePattern::select`]
+    /// over the current tuples. Unlike `query` + filter, `limit` selects
+    /// the k *smallest* matches in range order, and projections are
+    /// emitted in range order rather than projected-tuple order.
     pub fn query_range(&self, s: &Tuple, range: &RangePattern, cols: ColumnSet) -> Vec<Tuple> {
         let guard = self.tuples.lock().expect("oracle lock poisoned");
-        let mut matched: Vec<(Value, Tuple)> = guard
-            .iter()
-            .filter(|t| t.extends(s))
-            .filter_map(|t| {
-                let v = t.get(range.col()).filter(|v| range.contains(v))?;
-                Some((v.clone(), t.project(cols)))
-            })
-            .collect();
-        matched.sort();
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for (_, p) in matched {
-            if seen.insert(p.clone()) {
-                out.push(p);
-                if range.limit().is_some_and(|k| out.len() >= k) {
-                    break;
-                }
-            }
-        }
-        out
+        range.select(guard.iter(), s, cols)
     }
 
     /// Number of tuples currently in the relation.

@@ -13,10 +13,12 @@
 //! meaningful (the k smallest matches) and what sorted containers can
 //! serve natively with a bounded in-order scan.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Bound;
 
-use crate::column::ColumnId;
+use crate::column::{ColumnId, ColumnSet};
+use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// An interval predicate over one column: `lo ≤/< col ≤/< hi`, with
@@ -137,6 +139,46 @@ impl RangePattern {
             Bound::Unbounded => true,
         };
         above_lo && below_hi
+    }
+
+    /// The reference `query_range r s ρ C` result over `tuples`: matches
+    /// every tuple `u ⊇ s` whose value in the range column lies inside the
+    /// interval, orders the matches by **range-column value first, then
+    /// projected tuple**, projects each onto `cols` in that order,
+    /// deduplicates keeping first occurrences, and truncates at the limit.
+    ///
+    /// This is the specification side of the rule — the oracle and the
+    /// linearizability model both answer with it; implementations assemble
+    /// their results independently and are tested against it. The
+    /// tie-break is the *projection*, not the full tuple, so a
+    /// representation whose access path binds only the queried columns can
+    /// reproduce the order exactly.
+    pub fn select<'a>(
+        &self,
+        tuples: impl IntoIterator<Item = &'a Tuple>,
+        s: &Tuple,
+        cols: ColumnSet,
+    ) -> Vec<Tuple> {
+        let mut matched: Vec<(&Value, Tuple)> = tuples
+            .into_iter()
+            .filter(|u| u.extends(s))
+            .filter_map(|u| {
+                let v = u.get(self.col).filter(|v| self.contains(v))?;
+                Some((v, u.project(cols)))
+            })
+            .collect();
+        matched.sort();
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
+        for (_, p) in matched {
+            if seen.insert(p.clone()) {
+                out.push(p);
+                if self.limit.is_some_and(|k| out.len() >= k) {
+                    break;
+                }
+            }
+        }
+        out
     }
 
     /// Whether the interval is syntactically empty (`lo > hi`, or equal
