@@ -294,10 +294,15 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Takes the attempt's MVCC state; the commit/rollback paths stamp
-    /// and retire it before the engine releases any lock.
-    pub(crate) fn take_mvcc(&mut self) -> MvccScope {
-        std::mem::take(&mut self.mvcc)
+    /// The attempt's MVCC state; the commit/rollback paths stamp and
+    /// retire it before the engine releases any lock.
+    pub(crate) fn mvcc(&self) -> &MvccScope {
+        &self.mvcc
+    }
+
+    /// The borrowed lock engine (the commit/rollback paths release it).
+    pub(crate) fn engine(&mut self) -> &mut TwoPhaseEngine<LockToken> {
+        self.engine
     }
 
     /// Pre-seeds the attempt's commit stamp (cross-shard transactions

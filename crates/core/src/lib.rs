@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub(crate) mod commit;
 pub mod decomp;
 pub mod error;
 pub mod exec;

@@ -5,7 +5,8 @@
 //! [`crate::instance::VersionIndex`]): a lock-free map from entry key to
 //! that entry's [`VersionCell`] chain, kept parallel to the edge's main
 //! container. All versions written by one transaction attempt share one
-//! [`CommitStamp`]; the commit path stamps it through the global
+//! [`CommitStamp`]; the commit path ([`crate::commit::commit`], where the
+//! whole ordering argument lives) stamps it through the global
 //! [`commit clock`](relc_locks::commit_clock) *before* the lock engine
 //! releases anything, so a version's stamp being `≤` a reader's snapshot
 //! implies the whole owning transaction committed before that snapshot.
@@ -45,6 +46,7 @@ use relc_containers::{Container, VersionCell};
 use relc_locks::{CommitStamp, LockMode};
 use relc_spec::Tuple;
 
+use crate::commit::Participant;
 use crate::decomp::{Decomposition, EdgeId};
 use crate::instance::NodeRef;
 use crate::placement::LockPlacement;
@@ -195,73 +197,41 @@ impl MvccScope {
 /// Stamps and retires the MVCC scopes of one finishing attempt — commit
 /// *and* rollback paths alike (compensations push versions under the same
 /// stamp, so an aborted attempt's stamped state equals the
-/// pre-transaction state; leaving the stamp tentative forever would pin
-/// every entry the attempt touched at its pre-attempt version chain
-/// head). Must run while the attempt's locks are still held and strictly
-/// before the engine releases anything: that ordering is the whole
-/// commit-visibility argument. Scopes with an empty journal are ignored;
-/// if none wrote, the clock is never touched. Retirement truncates to
-/// `registry`'s floor — the *owning relation's* registry, so snapshot
-/// readers of other relations never pin this relation's dead versions.
+/// pre-transaction state). Must run while the attempt's locks are still
+/// held and strictly before any engine releases: that ordering is the
+/// whole commit-visibility argument (see [`crate::commit::commit`], the
+/// only caller besides its `abort`).
+///
+/// One stamp publishes for the whole attempt; `publish` then runs with
+/// the committed timestamp (and the participants, handed back because
+/// this function holds them) — after the clock has made it visible to
+/// readers, strictly before version retirement — which is where the
+/// commit path appends its redo records. If no participant wrote, the
+/// clock is never touched and `publish` never runs: a pure read commits
+/// no timestamp and logs nothing. Retirement truncates to `registry`'s
+/// floor — the *owning relation's* registry, so snapshot readers of other
+/// relations never pin this relation's dead versions — each participant
+/// under its own placement.
 pub(crate) fn finish_attempt(
-    placement: &LockPlacement,
     registry: &relc_locks::SnapshotRegistry,
-    scopes: &[MvccScope],
+    parts: &mut [Participant<'_>],
+    publish: impl FnOnce(&mut [Participant<'_>], u64),
 ) {
-    finish_attempt_with(placement, registry, scopes, |_| {});
-}
-
-/// [`finish_attempt`] with a publication hook: `publish` runs with the
-/// freshly committed timestamp immediately after the clock publishes it
-/// and strictly before version retirement. The WAL's commit path appends
-/// its redo record there — still inside the committer's log-order
-/// critical section, so log order equals timestamp order.
-pub(crate) fn finish_attempt_with(
-    placement: &LockPlacement,
-    registry: &relc_locks::SnapshotRegistry,
-    scopes: &[MvccScope],
-    publish: impl FnOnce(u64),
-) {
-    let paired: Vec<(&LockPlacement, &MvccScope)> = scopes.iter().map(|s| (placement, s)).collect();
-    finish_attempt_mixed_with(registry, &paired, publish);
-}
-
-/// [`finish_attempt`] for scopes journaled against *different*
-/// placements: a cross-shard attempt that raced a live migration can
-/// hold per-shard representations from both sides of the cutover, and a
-/// scope's journal entries only resolve against the placement (and its
-/// decomposition) they were written under. One stamp still publishes
-/// for the whole attempt; each scope retires under its own placement.
-pub(crate) fn finish_attempt_mixed(
-    registry: &relc_locks::SnapshotRegistry,
-    scopes: &[(&LockPlacement, &MvccScope)],
-) {
-    finish_attempt_mixed_with(registry, scopes, |_| {});
-}
-
-/// [`finish_attempt_mixed`] with the same publication hook as
-/// [`finish_attempt_with`]: `publish` runs with the committed timestamp
-/// right after publication (and never runs if no scope wrote — a pure
-/// read commits no timestamp and logs nothing).
-pub(crate) fn finish_attempt_mixed_with(
-    registry: &relc_locks::SnapshotRegistry,
-    scopes: &[(&LockPlacement, &MvccScope)],
-    publish: impl FnOnce(u64),
-) {
-    let Some(stamp) = scopes
+    let clock = relc_locks::commit_clock();
+    let Some(ts) = parts
         .iter()
-        .find(|(_, s)| !s.journal.is_empty())
-        .and_then(|(_, s)| s.stamp_opt())
+        .map(Participant::scope)
+        .find(|s| !s.journal.is_empty())
+        .and_then(MvccScope::stamp_opt)
+        .map(|stamp| clock.commit(stamp))
     else {
         return;
     };
-    let clock = relc_locks::commit_clock();
-    let ts = clock.commit(stamp);
-    publish(ts);
+    publish(parts, ts);
     let min_active = registry.min_active(clock);
     let guard = relc_containers::epoch::pin();
-    for (placement, scope) in scopes {
-        scope.retire(placement, min_active, &guard);
+    for p in parts.iter() {
+        p.scope().retire(p.placement(), min_active, &guard);
     }
 }
 

@@ -5,7 +5,11 @@
 //! decomposition instance, compiles and caches one plan per operation
 //! *shape* (the bound/output column sets), and runs each operation as a
 //! two-phase, well-locked, deadlock-free transaction with automatic restart
-//! and backoff. Operations are linearizable by construction (§4.2).
+//! and backoff. Operations are linearizable by construction (§4.2). How an
+//! attempt *ends* — the publish-before-unlock commit sequence, the
+//! roll-back, and the write fence `migrate_to` and `checkpoint` freeze the
+//! relation behind — is written once, in `commit.rs`, for this flavour and
+//! the sharded one alike.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -17,9 +21,9 @@ use relc_locks::{Backoff, LockStats, LockStatsSnapshot, TwoPhaseEngine};
 use relc_spec::SpecError;
 use relc_spec::{ColumnSet, RangePattern, RelationSchema, Tuple};
 
+use crate::commit::{self, Participant};
 use crate::decomp::Decomposition;
 use crate::error::CoreError;
-use crate::exec::Executor;
 use crate::instance::{self, NodeInstance, NodeRef};
 use crate::mvcc;
 use crate::placement::{LockPlacement, LockToken};
@@ -812,120 +816,20 @@ impl ConcurrentRelation {
             // draining every writer through the all-stripe fence, and any
             // attempt that acquired at least one lock holds a root-hosted
             // one, so a completed swap implies this attempt held nothing
-            // when the fence was taken. The `Arc::ptr_eq` check below
-            // catches exactly that stale window: the attempt rolls back
-            // its (now-unreachable) effects and retries on the new tree.
+            // when the fence was taken. The commit-time check in
+            // `commit::conclude` catches exactly that stale window: the
+            // attempt rolls back its (now-unreachable) effects and retries
+            // on the new tree.
             let repr = self.current_repr();
-            let mut exec = Executor::new(&repr.decomp, &repr.placement, &mut engine);
-            exec.always_sort_locks = self.always_sort_locks.load(Ordering::Relaxed);
-            let mut tx = Transaction::new(self, &repr, exec, single_shot);
-            match f(&mut tx) {
-                Ok(r) if !tx.needs_restart() && Arc::ptr_eq(&self.current_repr(), &repr) => {
-                    let delta = tx.len_delta();
-                    let redo = tx.take_redo();
-                    let scope = tx.take_mvcc();
-                    drop(tx);
-                    // The counter moves *before* the locks release: a
-                    // delta applied after `finish()` would let an observer
-                    // acquire the freed locks, read the new contents, and
-                    // still see the stale count. Likewise the MVCC commit
-                    // stamp publishes before the locks release — that
-                    // ordering is what lets a snapshot reader treat
-                    // "stamp ≤ snapshot" as "fully committed".
-                    self.apply_len_delta(delta);
-                    let mut wal_seq = None;
-                    match self.wal.as_ref().filter(|_| !redo.is_empty()) {
-                        Some(wal) => {
-                            // Encode outside the order lock, append inside
-                            // it: the order lock spans timestamp allocation
-                            // and the buffer append, so log order equals
-                            // timestamp order and every flushed prefix is a
-                            // committed prefix. The fsync wait happens off
-                            // the lock path, after release.
-                            let ops_bytes = crate::wal::encode_ops(&redo);
-                            let order = wal.lock_order();
-                            mvcc::finish_attempt_with(
-                                &repr.placement,
-                                &self.snapshots,
-                                std::slice::from_ref(&scope),
-                                |ts| {
-                                    wal_seq = Some(wal.append_commit(ts, false, &ops_bytes));
-                                    wal.raise_applied_through(ts);
-                                    drop(order);
-                                },
-                            );
-                        }
-                        None => mvcc::finish_attempt(
-                            &repr.placement,
-                            &self.snapshots,
-                            std::slice::from_ref(&scope),
-                        ),
-                    }
-                    engine.finish();
-                    // Group-commit durability wait, after lock release:
-                    // conflicting transactions append in timestamp order
-                    // under the 2PL locks, and per-log durability is
-                    // prefix-closed, so a durable dependent implies a
-                    // durable antecedent — recovery still yields a
-                    // consistent committed prefix. (Sound here because a
-                    // single-instance relation has exactly one log; the
-                    // sharded commit path must instead wait *before*
-                    // releasing, since prefix-closure says nothing about
-                    // cross-log dependencies.) An `Err` from this wait
-                    // means committed-in-memory-but-durability-unknown,
-                    // not aborted — see [`CoreError::Durability`].
-                    if let (Some(wal), Some(seq)) = (self.wal.as_ref(), wal_seq) {
-                        wal.wait_durable(seq)?;
-                    }
-                    return Ok(r);
-                }
-                // Ok with a swallowed MustRestart must not commit — the
-                // failed operation may be half-applied (an update whose
-                // unlink landed but whose re-insert restarted). Enforced,
-                // not just documented: handled exactly like a propagated
-                // restart.
-                // This arm also catches a successful closure whose
-                // representation was swapped out mid-attempt (the
-                // `Arc::ptr_eq` guard above): its effects landed in the
-                // retired tree, so they are rolled back — under the
-                // attempt's own still-held locks — and the closure
-                // re-runs against the new representation.
-                Ok(_) | Err(TxnError::Restart(_)) => {
-                    tx.rollback_effects();
-                    let scope = tx.take_mvcc();
-                    drop(tx);
-                    // The aborted attempt's versions (original writes plus
-                    // the compensations that net them out) still publish
-                    // at one timestamp, before the locks release.
-                    mvcc::finish_attempt(
-                        &repr.placement,
-                        &self.snapshots,
-                        std::slice::from_ref(&scope),
-                    );
-                    engine.rollback();
-                    backoff.wait();
-                }
-                Err(TxnError::Core(e)) => {
-                    tx.rollback_effects();
-                    let scope = tx.take_mvcc();
-                    drop(tx);
-                    mvcc::finish_attempt(
-                        &repr.placement,
-                        &self.snapshots,
-                        std::slice::from_ref(&scope),
-                    );
-                    // Only explicit application aborts count as user
-                    // rollbacks; validation errors (bad patterns, no valid
-                    // plan) never applied an effect and would dilute the
-                    // counter.
-                    if matches!(e, CoreError::TransactionAborted(_)) {
-                        engine.rollback_user();
-                    } else {
-                        engine.rollback();
-                    }
-                    return Err(e);
-                }
+            let mut tx = Transaction::new(self, &repr, &mut engine, single_shot);
+            let result = f(&mut tx);
+            let mut part = Participant::new(tx);
+            // One log, no marker log; the fsync wait sits after release.
+            let parts = std::slice::from_mut(&mut part);
+            if let Some(done) = commit::conclude(result, parts, None, false) {
+                return done;
             }
+            backoff.wait();
         }
     }
 
@@ -1271,11 +1175,10 @@ impl ConcurrentRelation {
     /// The protocol:
     ///
     /// 1. **Fence.** Acquire every stripe of every root-hosted edge
-    ///    exclusively (the 2PL engine's all-stripe sweep, widened to the
-    ///    whole root — [`Executor`]'s migration fence). Every locked
-    ///    operation holds at least one root-hosted lock for its whole
-    ///    two-phase scope, so holding the complete sweep drains all
-    ///    in-flight writers and blocks new ones.
+    ///    exclusively (the write fence, `with_write_fence` in `commit.rs`,
+    ///    which carries the argument): every locked operation holds a
+    ///    root-hosted lock for its whole two-phase scope, so the sweep
+    ///    drains all in-flight writers and blocks new ones.
     /// 2. **Cut.** Capture one MVCC commit timestamp. Under the fence no
     ///    writer can commit, so the old tree is frozen at exactly this
     ///    cut.
@@ -1322,40 +1225,14 @@ impl ConcurrentRelation {
         // invisible to everyone until the swap.
         let new_repr = Repr::new(decomp, placement)?;
 
-        let _guard = ActiveTxnGuard::enter(self.id);
-        let mut engine: TwoPhaseEngine<LockToken> = TwoPhaseEngine::new(Arc::clone(&self.stats));
-        let mut backoff = Backoff::new();
-        loop {
-            let repr = self.current_repr();
-            let fence = {
-                let mut exec = Executor::new(&repr.decomp, &repr.placement, &mut engine);
-                exec.always_sort_locks = self.always_sort_locks.load(Ordering::Relaxed);
-                exec.acquire_migration_fence(&repr.root)
-            };
-            if fence.is_err() {
-                engine.rollback();
-                backoff.wait();
-                continue;
-            }
-            // Fence held: no writer in flight, none can start. The old
-            // tree is frozen at this cut.
-            let result = self.load_frozen_contents(&repr, &new_repr);
-            match result {
-                Ok(rows) => {
-                    debug_assert_eq!(rows, self.len(), "quiescent cut must be exact");
-                    // Publish the new representation *before* releasing
-                    // the fence, mirroring the commit path's
-                    // publish-before-unlock ordering.
-                    self.install_repr(new_repr);
-                    engine.finish();
-                    return Ok(());
-                }
-                Err(e) => {
-                    engine.rollback();
-                    return Err(e);
-                }
-            }
-        }
+        commit::with_write_fence(std::slice::from_ref(self), |reprs| {
+            let rows = self.load_frozen_contents(&reprs[0], &new_repr)?;
+            debug_assert_eq!(rows, self.len(), "quiescent cut must be exact");
+            // Publish the new representation *before* the fence releases,
+            // mirroring the commit path's publish-before-unlock ordering.
+            self.install_repr(new_repr);
+            Ok(())
+        })
     }
 
     /// The bulk-load step of [`Self::migrate_to`], run under the fence:
@@ -1432,9 +1309,9 @@ impl ConcurrentRelation {
         self.wal.is_some()
     }
 
-    /// The WAL handle (sharding layer and tests).
-    pub(crate) fn wal(&self) -> Option<&Arc<crate::wal::Wal>> {
-        self.wal.as_ref()
+    /// The WAL handle (commit core, sharding layer and tests).
+    pub(crate) fn wal(&self) -> Option<&crate::wal::Wal> {
+        self.wal.as_deref()
     }
 
     /// Attaches a WAL. Only valid before the relation is shared (the
@@ -1579,14 +1456,12 @@ impl ConcurrentRelation {
         self.replay_tail(wal, None)
     }
 
-    /// Checkpoints the relation: freezes it behind the migration
-    /// write-fence (every writer drained — one MVCC cut, the same
-    /// machinery as [`Self::migrate_to`]), snapshots the contents to the
-    /// checkpoint sidecar (tmp + fsync + rename), and truncates the log.
-    /// Committers that were still waiting on a group fsync are released:
-    /// the checkpoint's cut covers their in-memory (published-
-    /// before-unlock) effects, so the checkpoint itself is their
-    /// durability. Returns the number of rows checkpointed.
+    /// Checkpoints the relation: freezes it behind the write fence
+    /// (every writer drained — one MVCC cut, the same machinery as
+    /// [`Self::migrate_to`]), snapshots the contents to the checkpoint
+    /// sidecar (tmp + fsync + rename), and truncates the log, which
+    /// releases committers still waiting on a group fsync: the cut covers
+    /// their effects. Returns the number of rows checkpointed.
     ///
     /// # Errors
     ///
@@ -1599,43 +1474,7 @@ impl ConcurrentRelation {
     /// Panics if called from inside a transaction on this relation (the
     /// same re-entrancy diagnosis as every other entry point).
     pub fn checkpoint(&self) -> Result<usize, CoreError> {
-        let wal = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| CoreError::Durability("relation has no write-ahead log".into()))?;
-        let _guard = ActiveTxnGuard::enter(self.id);
-        let mut engine: TwoPhaseEngine<LockToken> = TwoPhaseEngine::new(Arc::clone(&self.stats));
-        let mut backoff = Backoff::new();
-        loop {
-            let repr = self.current_repr();
-            let fence = {
-                let mut exec = Executor::new(&repr.decomp, &repr.placement, &mut engine);
-                exec.always_sort_locks = self.always_sort_locks.load(Ordering::Relaxed);
-                exec.acquire_migration_fence(&repr.root)
-            };
-            if fence.is_err() {
-                engine.rollback();
-                backoff.wait();
-                continue;
-            }
-            // Fence held: no writer in flight, none can start, and every
-            // committed stamp is ≤ now() — the cut covers exactly the
-            // committed history.
-            let cut_ts = relc_locks::commit_clock().now();
-            let result = self
-                .frozen_rows(&repr)
-                .and_then(|rows| wal.checkpoint(cut_ts, &rows).map(|()| rows.len()));
-            match result {
-                Ok(n) => {
-                    engine.finish();
-                    return Ok(n);
-                }
-                Err(e) => {
-                    engine.rollback();
-                    return Err(e);
-                }
-            }
-        }
+        commit::checkpoint(std::slice::from_ref(self))
     }
 
     /// Group-commit batching counters of this relation's WAL (`None`
@@ -2192,32 +2031,6 @@ mod tests {
             .unwrap();
         assert!(inserted);
         assert!(runs.get() >= 1);
-        assert_eq!(rel.len(), 1);
-        rel.verify().unwrap();
-    }
-
-    #[test]
-    fn swallowed_restart_cannot_commit() {
-        // A closure that swallows a restart error and returns Ok anyway
-        // must not commit the half-run: the transaction loop detects the
-        // swallowed restart, rolls back, and re-runs the closure.
-        let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
-        let p = LockPlacement::coarse(&d).unwrap();
-        let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
-        let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
-        let runs = std::cell::Cell::new(0u32);
-        rel.transaction(|tx| {
-            runs.set(runs.get() + 1);
-            tx.query(&d.schema().tuple(&[("src", Value::from(1))]).unwrap(), dw)?;
-            // First run: the insert upgrades the query's shared locks and
-            // demands a restart — which this closure wrongly swallows.
-            let _ = tx.insert(&edge(&d, 1, 2), &weight(&d, 1));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(runs.get(), 2, "the swallowed restart must force a re-run");
-        // What committed is the successful second run, not the first.
-        assert!(rel.contains(&edge(&d, 1, 2)).unwrap());
         assert_eq!(rel.len(), 1);
         rel.verify().unwrap();
     }

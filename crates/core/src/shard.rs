@@ -37,11 +37,11 @@
 //! transaction layer: a [`ShardedTransaction`] lazily opens one
 //! [`Transaction`] per touched shard, routes each operation, and holds
 //! **every** shard's locks until the closure returns (the two-phase
-//! discipline spans shards). Commit finishes each touched shard's engine;
-//! any restart or abort replays *every* touched shard's undo segment
-//! before a single lock is released, so an abort after ops on shards A and
-//! B rolls both back atomically — no observer can see A's effects without
-//! B's.
+//! discipline spans shards). The attempt then ends through the same
+//! commit protocol as a single-instance one (`commit.rs`), applied to
+//! every touched shard: one stamp publishes all of them, and an abort
+//! replays *every* shard's undo segment before a single lock is released
+//! — no observer can see shard A's effects without shard B's.
 //!
 //! Deadlock freedom extends the §5.1 argument lexicographically: the
 //! global coordinate of a lock is `(shard index, lock token)`. A
@@ -89,16 +89,14 @@ use std::sync::Arc;
 use relc_locks::{Backoff, CommitStamp, LockStatsSnapshot, TwoPhaseEngine};
 use relc_spec::{ColumnSet, RangePattern, RelationSchema, SpecError, Tuple};
 
+use crate::commit::{self, Participant};
 use crate::decomp::Decomposition;
 use crate::error::CoreError;
-use crate::exec::{assemble_range_output, Executor};
-use crate::mvcc::{self, MvccScope};
+use crate::exec::assemble_range_output;
 use crate::placement::{LockPlacement, LockToken};
-use crate::relation::{
-    ActiveTxnGuard, ConcurrentRelation, OpCounters, Repr, SnapshotRead, StatsSnapshot,
-};
-use crate::txn::{RedoOp, Transaction, TxnError};
-use crate::wal::{self, RecoveryReport, Wal, WalOptions, WalRecord};
+use crate::relation::{ConcurrentRelation, OpCounters, Repr, SnapshotRead, StatsSnapshot};
+use crate::txn::{Transaction, TxnError};
+use crate::wal::{RecoveryReport, Wal, WalOptions, WalRecord};
 
 /// The router's default seed. Any value works — what matters is that the
 /// routing hash stream is not the stripe/bucket stream (see the module
@@ -592,11 +590,7 @@ impl ShardedRelation {
     /// the fan-out single-shot reads (which keep their own operation
     /// counters instead of counting as read transactions).
     fn run_read<R>(&self, f: impl FnOnce(&ShardedSnapshotReader<'_>) -> R) -> R {
-        let _guards: Vec<ActiveTxnGuard> = self
-            .shards
-            .iter()
-            .map(|s| ActiveTxnGuard::enter(s.relation_id()))
-            .collect();
+        let _guards = commit::enter_all(&self.shards);
         let reader = ShardedSnapshotReader::open(self);
         f(&reader)
     }
@@ -637,17 +631,12 @@ impl ShardedRelation {
     /// cutover** so fan-out readers never observe a half-migrated mix of
     /// representations.
     ///
-    /// The protocol extends the single-instance fence shard by shard:
+    /// The protocol is the single-instance one over every shard:
     ///
-    /// 1. **Fence every shard, in ascending shard order.** Each shard's
-    ///    migration fence (every stripe of every root-hosted edge, held
-    ///    exclusively) is acquired with that shard's own engine; ascending
-    ///    order matches the cross-shard `(shard, token)` acquisition order,
-    ///    so the fence cannot deadlock against a cross-shard transaction —
-    ///    a transaction blocked against a fenced shard either waits in its
-    ///    maximum shard or fails its try-only acquisition and restarts. A
-    ///    contended fence rolls back **all** shards' fences and retries
-    ///    with backoff.
+    /// 1. **Fence every shard, in ascending shard order** — the same
+    ///    write fence (`with_write_fence` in `commit.rs`, which carries
+    ///    the deadlock argument against cross-shard transactions), taken
+    ///    over all shards instead of one.
     /// 2. **One cut.** With every fence held, no writer on any shard is in
     ///    flight and none can commit: the whole relation is frozen. Each
     ///    shard's contents are read at an MVCC cut and bulk-loaded into
@@ -683,11 +672,6 @@ impl ShardedRelation {
                 "migration target has a different schema".into(),
             ));
         }
-        let _guards: Vec<ActiveTxnGuard> = self
-            .shards
-            .iter()
-            .map(|s| ActiveTxnGuard::enter(s.relation_id()))
-            .collect();
         // One fresh (empty, still private) representation per shard;
         // built before fencing so placement validation fails fast.
         let new_reprs: Vec<Arc<Repr>> = self
@@ -695,46 +679,11 @@ impl ShardedRelation {
             .iter()
             .map(|_| Repr::new(Arc::clone(&decomp), Arc::clone(&placement)))
             .collect::<Result<_, _>>()?;
-        let mut engines: Vec<TwoPhaseEngine<LockToken>> = self
-            .shards
-            .iter()
-            .map(|s| TwoPhaseEngine::new(Arc::clone(s.stats_arc())))
-            .collect();
-        let mut backoff = Backoff::new();
-        loop {
-            let reprs: Vec<Arc<Repr>> = self.shards.iter().map(|s| s.current_repr()).collect();
-            // Ascending shard order (see the deadlock argument above).
-            let mut fenced = true;
-            for i in 0..self.shards.len() {
-                let fence = {
-                    let mut exec =
-                        Executor::new(&reprs[i].decomp, &reprs[i].placement, &mut engines[i]);
-                    exec.always_sort_locks = self.shards[i].always_sort_locks();
-                    exec.acquire_migration_fence(&reprs[i].root)
-                };
-                if fence.is_err() {
-                    fenced = false;
-                    break;
-                }
-            }
-            if !fenced {
-                for engine in &mut engines {
-                    engine.rollback();
-                }
-                backoff.wait();
-                continue;
-            }
+        commit::with_write_fence(&self.shards, |reprs| {
             // Every fence held: the whole relation is frozen at one cut.
-            for (i, shard) in self.shards.iter().enumerate() {
-                match shard.load_frozen_contents(&reprs[i], &new_reprs[i]) {
-                    Ok(rows) => debug_assert_eq!(rows, shard.len(), "quiescent cut must be exact"),
-                    Err(e) => {
-                        for engine in &mut engines {
-                            engine.rollback();
-                        }
-                        return Err(e);
-                    }
-                }
+            for ((shard, repr), new_repr) in self.shards.iter().zip(reprs).zip(&new_reprs) {
+                let rows = shard.load_frozen_contents(repr, new_repr)?;
+                debug_assert_eq!(rows, shard.len(), "quiescent cut must be exact");
             }
             // Swap window: odd epoch keeps fan-out readers from capturing
             // a mixed representation set while the per-shard swaps land.
@@ -744,11 +693,8 @@ impl ShardedRelation {
             }
             self.migration_epoch.fetch_add(1, Ordering::AcqRel);
             self.migrations.fetch_add(1, Ordering::Relaxed);
-            for engine in &mut engines {
-                engine.finish();
-            }
-            return Ok(());
-        }
+            Ok(())
+        })
     }
 
     /// Runs `f` as one two-phase transaction spanning every shard it
@@ -784,203 +730,24 @@ impl ShardedRelation {
         &self,
         mut f: impl FnMut(&mut ShardedTransaction<'_>) -> Result<R, TxnError>,
     ) -> Result<R, CoreError> {
-        // Re-entrancy guards for every shard: a single-shot operation on
-        // this relation (or directly on a shard) inside the closure would
-        // open a second engine against locks this transaction holds.
-        let _guards: Vec<ActiveTxnGuard> = self
-            .shards
-            .iter()
-            .map(|s| ActiveTxnGuard::enter(s.relation_id()))
-            .collect();
-        let mut engines: Vec<TwoPhaseEngine<LockToken>> = self
-            .shards
-            .iter()
-            .map(|s| TwoPhaseEngine::new(Arc::clone(s.stats_arc())))
-            .collect();
+        let _guards = commit::enter_all(&self.shards);
+        let mut engines = commit::engines_for(&self.shards);
         let mut backoff = Backoff::new();
         loop {
             // Pin every shard's representation for this attempt (same
-            // stale-window discipline as the single-instance loop: a
-            // migration completing mid-attempt fails the commit-time
-            // check below, and the attempt rolls back and re-runs on the
-            // new trees).
+            // stale-window discipline as the single-instance loop).
             let reprs: Vec<Arc<Repr>> = self.shards.iter().map(|s| s.current_repr()).collect();
             let mut stx =
                 ShardedTransaction::new(self, &reprs, engines.iter_mut().map(Some).collect());
-            match f(&mut stx) {
-                Ok(r)
-                    if !stx.needs_restart()
-                        && reprs
-                            .iter()
-                            .zip(&self.shards)
-                            .all(|(r, s)| Arc::ptr_eq(r, &s.current_repr())) =>
-                {
-                    // Commit: publish every shard's len delta while all
-                    // locks are still held, stamp the shared commit
-                    // timestamp over *all* shards' version journals (one
-                    // stamp per attempt ⇒ readers see the cross-shard
-                    // transaction atomically), then release shard by
-                    // shard.
-                    let (touched, scopes, redos) = stx.into_touched(false);
-                    for &(i, delta) in &touched {
-                        self.shards[i].apply_len_delta(delta);
-                    }
-                    // Per-shard WAL records for every writing shard. The
-                    // shards of one relation either all have a WAL or
-                    // none does.
-                    let writers: Vec<(usize, Vec<u8>)> = if self.shards[0].has_wal() {
-                        touched
-                            .iter()
-                            .zip(&redos)
-                            .filter(|(_, redo)| !redo.is_empty())
-                            .map(|(&(i, _), redo)| (i, wal::encode_ops(redo)))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    if writers.is_empty() {
-                        Self::stamp_scopes(&reprs, self.shards[0].snapshots(), &touched, &scopes);
-                        for (i, _) in touched {
-                            engines[i].finish();
-                        }
-                        return Ok(r);
-                    }
-                    // Writes on >1 shard need the marker protocol: each
-                    // data record is flagged, and recovery applies them
-                    // only if the shared timestamp's marker is durable.
-                    let cross = writers.len() > 1;
-                    // Every involved log's order lock, ascending shard
-                    // order (the same global order every committer uses,
-                    // so no deadlock), held across the one shared
-                    // clock.commit and all appends: each log's record
-                    // sequence stays in timestamp order.
-                    let order_guards: Vec<_> = writers
-                        .iter()
-                        .map(|&(i, _)| self.shards[i].wal().expect("checked").lock_order())
-                        .collect();
-                    let mut seqs: Vec<(usize, u64)> = Vec::new();
-                    let mut committed_ts = 0u64;
-                    Self::stamp_scopes_with(
-                        &reprs,
-                        self.shards[0].snapshots(),
-                        &touched,
-                        &scopes,
-                        |ts| {
-                            for (i, bytes) in &writers {
-                                let shard_wal = self.shards[*i].wal().expect("checked");
-                                seqs.push((*i, shard_wal.append_commit(ts, cross, bytes)));
-                                shard_wal.raise_applied_through(ts);
-                            }
-                            committed_ts = ts;
-                            drop(order_guards);
-                        },
-                    );
-                    // Every writing attempt waits for durability *before*
-                    // any lock releases — single-shard ones too. Per-log
-                    // durability is prefix-closed, but a sharded relation
-                    // has one log per shard and prefix-closure says
-                    // nothing about *cross*-log dependencies: if this
-                    // attempt released its locks first, a later
-                    // transaction could read these effects, become
-                    // durable in a *different* shard's log, and survive a
-                    // crash that loses this attempt's record — recovery
-                    // would replay the dependent without its antecedent.
-                    // Holding the locks until the records are durable
-                    // means any observer of these effects commits
-                    // strictly after they can no longer vanish. The
-                    // marker appends last, strictly after every data
-                    // record is durable: a durable marker *implies*
-                    // durable data records on every shard (atomic
-                    // commit), an absent marker aborts them all (atomic
-                    // abort).
-                    let durability: Result<(), CoreError> = (|| {
-                        for &(i, seq) in &seqs {
-                            self.shards[i].wal().expect("checked").wait_durable(seq)?;
-                        }
-                        if cross {
-                            let w0 = self.shards[0].wal().expect("checked");
-                            let mseq = w0.append_marker(committed_ts);
-                            w0.wait_durable(mseq)?;
-                        }
-                        Ok(())
-                    })();
-                    for &(i, _) in &touched {
-                        engines[i].finish();
-                    }
-                    // On a durability error the attempt has already
-                    // published in memory (see the `transaction` docs on
-                    // what `CoreError::Durability` means here).
-                    durability?;
-                    return Ok(r);
-                }
-                // A swallowed restart must not commit (same enforcement
-                // as the single-instance loop); this arm also rolls back
-                // an attempt whose representation set was swapped out by
-                // a live migration mid-flight.
-                Ok(_) | Err(TxnError::Restart(_)) => {
-                    let (touched, scopes, _) = stx.into_touched(true);
-                    Self::stamp_scopes(&reprs, self.shards[0].snapshots(), &touched, &scopes);
-                    for (i, _) in touched {
-                        engines[i].rollback();
-                    }
-                    backoff.wait();
-                }
-                Err(TxnError::Core(e)) => {
-                    let (touched, scopes, _) = stx.into_touched(true);
-                    Self::stamp_scopes(&reprs, self.shards[0].snapshots(), &touched, &scopes);
-                    let user = matches!(e, CoreError::TransactionAborted(_));
-                    for (i, _) in touched {
-                        if user {
-                            engines[i].rollback_user();
-                        } else {
-                            engines[i].rollback();
-                        }
-                    }
-                    return Err(e);
-                }
+            let result = f(&mut stx);
+            let mut parts = stx.into_participants();
+            // One log per shard, markers in shard 0's; every writing
+            // attempt holds its locks until its records are durable.
+            if let Some(done) = commit::conclude(result, &mut parts, self.shards[0].wal(), true) {
+                return done;
             }
+            backoff.wait();
         }
-    }
-
-    /// Stamps and retires one attempt's MVCC scopes, each under the
-    /// placement of the representation it was journaled against —
-    /// `touched` and `scopes` are aligned (both in ascending order of
-    /// touched shard index).
-    fn stamp_scopes(
-        reprs: &[Arc<Repr>],
-        registry: &relc_locks::SnapshotRegistry,
-        touched: &[(usize, isize)],
-        scopes: &[MvccScope],
-    ) {
-        let paired: Vec<(&LockPlacement, &MvccScope)> = touched
-            .iter()
-            .zip(scopes)
-            .map(|(&(i, _), scope)| (&*reprs[i].placement, scope))
-            .collect();
-        mvcc::finish_attempt_mixed(registry, &paired);
-    }
-
-    /// [`Self::stamp_scopes`] with a publish hook: `publish(ts)` runs at
-    /// the commit timestamp, after [`CommitClock::commit`] has published
-    /// it to readers but still inside the committer's log-order critical
-    /// section — callers hold every involved log's order lock across the
-    /// commit *and* the appends, and that lock (not pre-visibility) is
-    /// what guarantees log order matches timestamp order.
-    ///
-    /// [`CommitClock::commit`]: relc_locks::CommitClock::commit
-    fn stamp_scopes_with(
-        reprs: &[Arc<Repr>],
-        registry: &relc_locks::SnapshotRegistry,
-        touched: &[(usize, isize)],
-        scopes: &[MvccScope],
-        publish: impl FnOnce(u64),
-    ) {
-        let paired: Vec<(&LockPlacement, &MvccScope)> = touched
-            .iter()
-            .zip(scopes)
-            .map(|(&(i, _), scope)| (&*reprs[i].placement, scope))
-            .collect();
-        mvcc::finish_attempt_mixed_with(registry, &paired, publish);
     }
 
     /// Opens a **durable** sharded relation backed by one write-ahead log
@@ -1039,16 +806,12 @@ impl ShardedRelation {
     }
 
     /// Checkpoints every shard at **one** MVCC cut: acquires all shards'
-    /// migration write fences in ascending order (the same frozen state
+    /// write fences in ascending order (the same frozen state
     /// [`Self::migrate_to`] snapshots), writes each shard's frozen rows to
     /// its checkpoint sidecar at a single cut timestamp, then truncates
-    /// the logs — shard 0's **last**, because it holds the cross-shard
-    /// commit markers: a crash after truncating shard 0 but before shard
-    /// `i > 0` would otherwise strand cross-shard records whose markers
-    /// are gone, silently aborting committed transactions. With the
-    /// marker log truncated last, any stranded cross-shard record's
-    /// marker is still present (or the record's shard was already
-    /// checkpointed past it). Returns the total rows snapshotted.
+    /// the logs — shard 0's, which holds the cross-shard commit markers,
+    /// **last**, so a crash mid-truncation never strands a cross-shard
+    /// record without its marker. Returns the total rows snapshotted.
     ///
     /// # Errors
     ///
@@ -1059,78 +822,7 @@ impl ShardedRelation {
     ///
     /// Panics if called from inside a transaction on this relation.
     pub fn checkpoint(&self) -> Result<usize, CoreError> {
-        if !self.shards[0].has_wal() {
-            return Err(CoreError::Durability(
-                "relation has no write-ahead log".into(),
-            ));
-        }
-        let _guards: Vec<ActiveTxnGuard> = self
-            .shards
-            .iter()
-            .map(|s| ActiveTxnGuard::enter(s.relation_id()))
-            .collect();
-        let mut engines: Vec<TwoPhaseEngine<LockToken>> = self
-            .shards
-            .iter()
-            .map(|s| TwoPhaseEngine::new(Arc::clone(s.stats_arc())))
-            .collect();
-        let mut backoff = Backoff::new();
-        loop {
-            let reprs: Vec<Arc<Repr>> = self.shards.iter().map(|s| s.current_repr()).collect();
-            let mut fenced = true;
-            for i in 0..self.shards.len() {
-                let fence = {
-                    let mut exec =
-                        Executor::new(&reprs[i].decomp, &reprs[i].placement, &mut engines[i]);
-                    exec.always_sort_locks = self.shards[i].always_sort_locks();
-                    exec.acquire_migration_fence(&reprs[i].root)
-                };
-                if fence.is_err() {
-                    fenced = false;
-                    break;
-                }
-            }
-            if !fenced {
-                for engine in &mut engines {
-                    engine.rollback();
-                }
-                backoff.wait();
-                continue;
-            }
-            // Every fence held: one quiescent cut across all shards.
-            let cut_ts = relc_locks::commit_clock().now();
-            let result = (|| {
-                let mut total = 0usize;
-                // Phase 1: every shard's snapshot sidecar reaches disk
-                // before any log shrinks — a crash mid-phase leaves all
-                // logs intact and recovery keyed on each sidecar's floor.
-                for (shard, repr) in self.shards.iter().zip(&reprs) {
-                    let rows = shard.frozen_rows(repr)?;
-                    let shard_wal = shard.wal().expect("checked");
-                    shard_wal.write_snapshot(cut_ts, &rows)?;
-                    total += rows.len();
-                }
-                // Phase 2: truncate, shard 0 (the marker log) last.
-                for shard in self.shards.iter().rev() {
-                    shard.wal().expect("checked").truncate_log()?;
-                }
-                Ok(total)
-            })();
-            match result {
-                Ok(total) => {
-                    for engine in &mut engines {
-                        engine.finish();
-                    }
-                    return Ok(total);
-                }
-                Err(e) => {
-                    for engine in &mut engines {
-                        engine.rollback();
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        commit::checkpoint(&self.shards)
     }
 
     /// Aggregated group-commit statistics across all shards' logs
@@ -1225,9 +917,7 @@ impl<'t> ShardedTransaction<'t> {
                 .expect("engine slot taken exactly once per attempt");
             let shard = &self.rel.shards[i];
             let repr = &self.reprs[i];
-            let mut exec = Executor::new(&repr.decomp, &repr.placement, engine);
-            exec.always_sort_locks = shard.always_sort_locks();
-            let mut tx = Transaction::new(shard, repr, exec, false);
+            let mut tx = Transaction::new(shard, repr, engine, false);
             // All shards write versions under the attempt's shared stamp
             // (injected before any mirrored write can happen).
             tx.set_mvcc_stamp(Arc::clone(&self.stamp));
@@ -1243,40 +933,11 @@ impl<'t> ShardedTransaction<'t> {
         tx
     }
 
-    /// Whether any touched shard demanded a restart; the commit path
-    /// refuses to commit in that case, exactly like the single-instance
-    /// loop.
-    fn needs_restart(&self) -> bool {
-        self.open.iter().flatten().any(|tx| tx.needs_restart())
-    }
-
-    /// Consumes the attempt: optionally rolls back every touched shard's
-    /// undo segment (all while every lock of every shard is still held),
-    /// and returns the touched shard indices with their len deltas plus
-    /// every touched shard's MVCC scope (taken *after* any rollback, so
-    /// compensation versions are journaled too) and its redo stream
-    /// (empty unless the shard has a WAL; rollback clears it). The
-    /// caller stamps the scopes through [`mvcc::finish_attempt`] and
-    /// releases the engines afterwards.
-    #[allow(clippy::type_complexity)]
-    fn into_touched(
-        self,
-        rollback: bool,
-    ) -> (Vec<(usize, isize)>, Vec<MvccScope>, Vec<Vec<RedoOp>>) {
-        let mut touched = Vec::new();
-        let mut scopes = Vec::new();
-        let mut redos = Vec::new();
-        for (i, slot) in self.open.into_iter().enumerate() {
-            if let Some(mut tx) = slot {
-                if rollback {
-                    tx.rollback_effects();
-                }
-                touched.push((i, tx.len_delta()));
-                redos.push(tx.take_redo());
-                scopes.push(tx.take_mvcc());
-            }
-        }
-        (touched, scopes, redos)
+    /// Consumes the attempt into its commit participants: the touched
+    /// shards' transactions, in ascending shard order.
+    fn into_participants(self) -> Vec<Participant<'t>> {
+        let touched = self.open.into_iter().flatten();
+        touched.map(Participant::new).collect()
     }
 
     /// `insert r s t` (§2) under this transaction's lock scope, routed to

@@ -12,12 +12,13 @@
 //! [`TwoPhaseEngine`] across every operation invoked through it. Locks
 //! accumulate until the closure passed to
 //! [`ConcurrentRelation::transaction`] returns; only then does the engine
-//! release (commit). When any operation inside the closure demands a
-//! restart (out-of-order lock contention, a shared→exclusive upgrade, a
-//! failed speculation), the *whole closure* re-runs from scratch against
-//! a clean lock state — that is what makes read-modify-write sequences
-//! atomic: the values read before the restart are discarded along with
-//! the locks.
+//! release — through the one commit protocol in `commit.rs`, which a
+//! sharded transaction runs over several of these at once. When any
+//! operation inside the closure demands a restart (out-of-order lock
+//! contention, a shared→exclusive upgrade, a failed speculation), the
+//! *whole closure* re-runs from scratch against a clean lock state — that
+//! is what makes read-modify-write sequences atomic: the values read
+//! before the restart are discarded along with the locks.
 //!
 //! # Write compensation
 //!
@@ -67,11 +68,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use relc_locks::MustRestart;
+use relc_locks::{MustRestart, TwoPhaseEngine};
 use relc_spec::{ColumnSet, SpecError, Tuple};
 
 use crate::error::CoreError;
 use crate::exec::{Executor, InsertUndo};
+use crate::placement::LockToken;
 use crate::planner::{InsertPlan, RemovePlan, UpdatePlan};
 use crate::relation::{ConcurrentRelation, Repr};
 
@@ -186,12 +188,16 @@ pub struct Transaction<'t> {
 }
 
 impl<'t> Transaction<'t> {
+    /// Opens one attempt on `rel`, pinned to `repr`, acquiring through
+    /// `engine`.
     pub(crate) fn new(
         rel: &'t ConcurrentRelation,
         repr: &'t Repr,
-        exec: Executor<'t>,
+        engine: &'t mut TwoPhaseEngine<LockToken>,
         single_shot: bool,
     ) -> Self {
+        let mut exec = Executor::new(&repr.decomp, &repr.placement, engine);
+        exec.always_sort_locks = rel.always_sort_locks();
         Transaction {
             rel,
             repr,
@@ -264,17 +270,27 @@ impl<'t> Transaction<'t> {
         self.len_delta
     }
 
-    /// Takes the attempt's applied-operation stream for the WAL's redo
-    /// record (empty when the relation has no WAL, or nothing applied).
-    pub(crate) fn take_redo(&mut self) -> Vec<RedoOp> {
-        std::mem::take(&mut self.redo)
+    /// The attempt's applied-operation stream for the WAL's redo record
+    /// (empty when the relation has no WAL, or nothing applied).
+    pub(crate) fn redo(&self) -> &[RedoOp] {
+        &self.redo
     }
 
-    /// Takes the attempt's MVCC state (commit stamp + write journal);
-    /// the commit/rollback paths stamp and retire it before the engine
-    /// releases any lock.
-    pub(crate) fn take_mvcc(&mut self) -> crate::mvcc::MvccScope {
-        self.exec.take_mvcc()
+    /// The attempt's MVCC state (commit stamp + write journal), which
+    /// [`crate::commit`] stamps and retires before the engine releases
+    /// any lock.
+    pub(crate) fn mvcc(&self) -> &crate::mvcc::MvccScope {
+        self.exec.mvcc()
+    }
+
+    /// The representation this attempt is pinned to.
+    pub(crate) fn repr(&self) -> &'t Repr {
+        self.repr
+    }
+
+    /// The attempt's lock engine, for the release that ends it.
+    pub(crate) fn engine(&mut self) -> &mut TwoPhaseEngine<LockToken> {
+        self.exec.engine()
     }
 
     /// Pre-seeds the attempt's commit stamp. The sharding layer injects

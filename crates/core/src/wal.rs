@@ -184,19 +184,11 @@ impl Wal {
         read_log(self.log.path())
     }
 
-    /// Writes the checkpoint sidecar (tmp + fsync + rename + dir fsync)
-    /// and truncates the log. Caller must have writers quiescent (the
-    /// relation's migration fence held).
-    pub(crate) fn checkpoint(&self, cut_ts: u64, rows: &[Tuple]) -> Result<(), CoreError> {
-        self.write_snapshot(cut_ts, rows)?;
-        self.truncate_log()
-    }
-
-    /// The checkpoint's first phase: the sidecar write alone, log left
-    /// untouched. The sharded checkpoint writes *every* shard's sidecar
-    /// before truncating *any* log (shard 0's — the marker log — last),
-    /// so a crash between the phases can never strand a cross-shard data
-    /// record whose marker was already truncated away.
+    /// The checkpoint's first phase: the sidecar write (tmp + fsync +
+    /// rename + dir fsync) alone, log left untouched — a checkpoint
+    /// writes *every* shard's sidecar before truncating *any* log (see
+    /// [`crate::commit::checkpoint`]). Caller must have writers quiescent
+    /// (the write fence held).
     pub(crate) fn write_snapshot(&self, cut_ts: u64, rows: &[Tuple]) -> Result<(), CoreError> {
         write_checkpoint(
             &self.checkpoint_path,

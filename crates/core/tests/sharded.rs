@@ -318,40 +318,6 @@ fn cross_shard_abort_rolls_back_already_applied_shards() {
     }
 }
 
-/// A closure that swallows a restart must not commit a half-applied
-/// cross-shard transaction: the loop detects it, rolls back every touched
-/// shard, and re-runs.
-#[test]
-fn swallowed_restart_cannot_commit_across_shards() {
-    let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
-    let p = LockPlacement::coarse(&d).unwrap();
-    let rel = ShardedRelation::new(d.clone(), p, 4).unwrap();
-    let (ka, kb) = keys_in_distinct_shards(&rel);
-    let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
-    let runs = std::cell::Cell::new(0u32);
-    rel.transaction(|tx| {
-        runs.set(runs.get() + 1);
-        // Applied effect on kb's shard before the restart on ka's shard.
-        let _ = tx.insert(&kb, &weight(&rel, 5))?;
-        // Shared locks from the query; the insert upgrades and demands a
-        // restart — which this closure wrongly swallows.
-        tx.query(
-            &ka.project(d.schema().column_set(&["src", "dst"]).unwrap()),
-            dw,
-        )?;
-        let _ = tx.insert(&ka, &weight(&rel, 1));
-        Ok(())
-    })
-    .unwrap();
-    assert!(runs.get() >= 2, "the swallowed restart must force a re-run");
-    // Both inserts committed exactly once (the successful re-run).
-    assert!(rel.contains(&ka).unwrap());
-    assert!(rel.contains(&kb).unwrap());
-    assert_eq!(rel.len(), 2);
-    let snap = rel.verify().unwrap();
-    assert_eq!(snap.len(), 2);
-}
-
 /// Single-shot operations on the sharded relation (or its shards) inside a
 /// cross-shard closure would self-deadlock; the per-shard re-entrancy
 /// guards panic instead.

@@ -12,17 +12,24 @@
 //! the replay floor), the commit clock resuming strictly above the
 //! highest replayed stamp, and the group-commit acceptance bound
 //! (>= 2 commits per fsync under a concurrent commit workload).
+//!
+//! The commit core (`crates/core/src/commit.rs`) is covered here for both
+//! relation flavours at once: the outcome table (what each way an attempt
+//! can end leaves behind, in memory and in the logs), checkpoints racing
+//! writers, and the maintenance fence's statistics.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
-use relc::decomp::library::split;
+use relc::decomp::library::{split, stick};
 use relc::placement::LockPlacement;
-use relc::{ConcurrentRelation, ShardedRelation, WalOptions};
+use relc::{ConcurrentRelation, CoreError, ShardedRelation, TxnError, WalOptions};
 use relc_containers::ContainerKind;
-use relc_spec::{Tuple, Value};
+use relc_spec::{OracleRelation, SpecError, Tuple, Value};
 
 /// The commit clock is process-global; every test here serializes so
 /// clock-resumption assertions are not perturbed by parallel tests.
@@ -641,4 +648,340 @@ fn fsync_off_still_logs_and_recovers_on_clean_shutdown() {
     drop(rel);
     let (rec, _) = ConcurrentRelation::open_durable(d, p, &dir, opts).unwrap();
     assert_eq!(dump(&rec), expect);
+}
+
+/// Two probe keys of a sharded relation that live in the same shard
+/// (`same`) or in different ones.
+fn shard_mates(rel: &ShardedRelation, same: bool) -> (Tuple, Tuple) {
+    let a = skey(rel, 0, 0);
+    let b = (1..256)
+        .map(|k| skey(rel, k, k))
+        .find(|b| (rel.shard_of(b) == rel.shard_of(&a)) == same)
+        .expect("the router spreads 256 probe keys over the shards");
+    (a, b)
+}
+
+/// The rows of the commit-outcome table for one relation: every way an
+/// attempt can end, run back to back against an oracle. `$ka` / `$kb` are
+/// the two keys every writing attempt touches and `$shards` the number of
+/// distinct shards they live in. After each outcome the contents equal the
+/// oracle's, `len()` is exact, `verify()` finds no tentative stamp,
+/// `user_rollbacks` moved only for `tx.abort` (once per touched shard),
+/// and a durable relation's logs grew by exactly one record per writing
+/// shard plus one marker iff more than one shard wrote — read-only,
+/// aborted and restarted attempts append nothing. A macro because the two
+/// flavours share method names, not a trait.
+macro_rules! check_commit_outcomes {
+    ($label:expr, $rel:expr, $ka:expr, $kb:expr, $shards:expr) => {{
+        let (label, rel, ka, kb, shards): (String, _, Tuple, Tuple, u64) =
+            ($label, $rel, $ka, $kb, $shards);
+        let schema = rel.schema().clone();
+        let oracle = OracleRelation::empty(schema.clone());
+        let w = |x: i64| schema.tuple(&[("weight", Value::from(x))]).unwrap();
+        let wc = schema.column_set(&["weight"]).unwrap();
+        let not_a_key = ka.project(schema.column_set(&["src"]).unwrap());
+        let durable = rel.wal_stats().is_some();
+        let per_commit = if durable {
+            shards + u64::from(shards > 1)
+        } else {
+            0
+        };
+        let counters = || {
+            (
+                rel.wal_stats().map_or(0, |s| s.appends),
+                rel.lock_stats().user_rollbacks,
+            )
+        };
+        let mut seen = counters();
+        let mut check = |outcome: &str, appended: u64, user_rollbacks: u64| {
+            let got = rel
+                .verify()
+                .unwrap_or_else(|e| panic!("{label} / {outcome}: {e}"));
+            let want: BTreeSet<Tuple> = oracle.snapshot().into_iter().collect();
+            assert_eq!(got, want, "{label} / {outcome}: contents");
+            assert_eq!(rel.len(), oracle.len(), "{label} / {outcome}: len");
+            let now = counters();
+            assert_eq!(now.0 - seen.0, appended, "{label} / {outcome}: appends");
+            assert_eq!(
+                now.1 - seen.1,
+                user_rollbacks,
+                "{label} / {outcome}: user_rollbacks"
+            );
+            seen = now;
+        };
+
+        rel.transaction(|tx| {
+            assert!(tx.insert(&ka, &w(1))?);
+            assert!(tx.insert(&kb, &w(2))?);
+            Ok(())
+        })
+        .unwrap();
+        oracle.insert(&ka, &w(1)).unwrap();
+        oracle.insert(&kb, &w(2)).unwrap();
+        check("commit", per_commit, 0);
+
+        let read = rel
+            .transaction(|tx| {
+                assert!(tx.contains(&kb)?);
+                tx.query(&ka, wc)
+            })
+            .unwrap();
+        assert_eq!(read, vec![w(1)], "{label}");
+        check("read-only commit", 0, 0);
+
+        let err = rel
+            .transaction(|tx| -> Result<(), TxnError> {
+                tx.update(&ka, &w(3))?;
+                assert_eq!(tx.remove(&kb)?, 1);
+                Err(tx.abort("changed my mind"))
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::TransactionAborted(_)),
+            "{label}: {err}"
+        );
+        check("tx.abort", 0, shards);
+
+        let err = rel
+            .transaction(|tx| -> Result<(), TxnError> {
+                tx.update(&kb, &w(4))?;
+                tx.update(&ka, &w(4))?;
+                tx.remove(&not_a_key)?;
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Spec(SpecError::RemoveNotByKey { .. })),
+            "{label}: {err}"
+        );
+        check("validation error", 0, 0);
+
+        // The query's shared lock on `ka`'s shard makes the update of `ka`
+        // (and of `kb`, when it lives there too) demand an upgrade restart,
+        // which the closure wrongly swallows — after `kb`'s update already
+        // applied, when `kb` lives elsewhere. The half-run must not commit:
+        // it rolls back and the closure re-runs, with exclusive hints.
+        let runs = Cell::new(0u32);
+        rel.transaction(|tx| {
+            runs.set(runs.get() + 1);
+            tx.query(&ka, wc)?;
+            let _ = tx.update(&kb, &w(5));
+            let _ = tx.update(&ka, &w(6));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            runs.get(),
+            2,
+            "{label}: the swallowed restart forces one re-run"
+        );
+        oracle.update(&kb, &w(5)).unwrap();
+        oracle.update(&ka, &w(6)).unwrap();
+        check("swallowed MustRestart", per_commit, 0);
+    }};
+}
+
+/// One outcome table for the commit core: outcomes × flavours × durability.
+#[test]
+fn commit_outcome_table() {
+    let _serial = serialize();
+    let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
+    let p = LockPlacement::coarse(&d).unwrap();
+    let opts = WalOptions::default();
+    for durable in [false, true] {
+        let single = if durable {
+            let dir = fresh_dir("outcomes-single");
+            ConcurrentRelation::open_durable(d.clone(), p.clone(), dir, opts)
+                .unwrap()
+                .0
+        } else {
+            ConcurrentRelation::new(d.clone(), p.clone()).unwrap()
+        };
+        let (ka, kb) = (key(&single, 0, 0), key(&single, 1, 1));
+        check_commit_outcomes!(format!("single, durable={durable}"), single, ka, kb, 1);
+
+        for (n, same) in [(1, true), (4, true), (4, false)] {
+            let rel = if durable {
+                let dir = fresh_dir(&format!("outcomes-sharded-{n}-{same}"));
+                ShardedRelation::open_durable(d.clone(), p.clone(), n, dir, opts)
+                    .unwrap()
+                    .0
+            } else {
+                ShardedRelation::new(d.clone(), p.clone(), n).unwrap()
+            };
+            let (ka, kb) = shard_mates(&rel, same);
+            let label = format!("sharded N={n}, one shard={same}, durable={durable}");
+            check_commit_outcomes!(label, rel, ka, kb, if same { 1 } else { 2 });
+        }
+    }
+}
+
+/// Checkpoints racing writers, for one relation flavour. `$open` opens
+/// (or reopens) the durable relation in a directory; `$records` says how
+/// many log records a committed transfer between two accounts appends
+/// (one per distinct shard). Two writers run seeded constant-sum
+/// transfers plus routed single-shot inserts/removes of zero-weight
+/// scratch rows while the main thread checkpoints; after a reopen the
+/// recovered contents equal the final in-memory contents, the sum is
+/// conserved, and recovery replays no more records than were appended
+/// after the last checkpoint began.
+macro_rules! check_checkpoint_race {
+    ($name:expr, $open:expr, $records:expr) => {{
+        const ACCOUNTS: u64 = 16;
+        const START: i64 = 1000;
+        let (open, records_of) = ($open, $records);
+        let dir = fresh_dir($name);
+        let (rel, _) = open(&dir);
+        let schema = rel.schema().clone();
+        let row = |s: u64, d: u64| {
+            schema
+                .tuple(&[
+                    ("src", Value::from(s as i64)),
+                    ("dst", Value::from(d as i64)),
+                ])
+                .unwrap()
+        };
+        let bal = |w: i64| schema.tuple(&[("weight", Value::from(w))]).unwrap();
+        let wcol = schema.column("weight").unwrap();
+        let weight_of = |t: &Tuple| t.get(wcol).unwrap().as_int().unwrap();
+        for i in 0..ACCOUNTS {
+            rel.insert(&row(i, 0), &bal(START)).unwrap();
+        }
+        // Log records appended by writes that have returned.
+        let appended = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        let floor = std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (rel, row, bal) = (&rel, &row, &bal);
+                let (appended, stop, records_of) = (&appended, &stop, &records_of);
+                scope.spawn(move || {
+                    let mut rng = XorShift(0xC0FFEE + t);
+                    // Transfers still to run once the checkpoints are over,
+                    // so the log always has a tail to replay.
+                    let mut tail = 8;
+                    while tail > 0 {
+                        if stop.load(Ordering::SeqCst) {
+                            tail -= 1;
+                        }
+                        let a = rng.next() % ACCOUNTS;
+                        let b = (a + 1 + rng.next() % (ACCOUNTS - 1)) % ACCOUNTS;
+                        let amount = 1 + (rng.next() % 5) as i64;
+                        let (ka, kb) = (row(a, 0), row(b, 0));
+                        rel.transaction(|tx| {
+                            let from = weight_of(&tx.update(&ka, &bal(0))?.unwrap());
+                            tx.update(&ka, &bal(from - amount))?;
+                            let to = weight_of(&tx.update(&kb, &bal(0))?.unwrap());
+                            tx.update(&kb, &bal(to + amount))?;
+                            Ok(())
+                        })
+                        .unwrap();
+                        appended.fetch_add(records_of(rel, &ka, &kb), Ordering::SeqCst);
+                        let scratch = row(1000 + t, rng.next() % 8);
+                        if rel.insert(&scratch, &bal(0)).unwrap()
+                            || rel.remove(&scratch).unwrap() == 1
+                        {
+                            appended.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+            let mut floor = 0;
+            for _ in 0..4 {
+                std::thread::sleep(Duration::from_millis(3));
+                // Everything counted so far committed before this
+                // checkpoint's cut, so none of it can be replayed.
+                floor = appended.load(Ordering::SeqCst);
+                rel.checkpoint().unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+            floor
+        });
+        let contents = rel.verify().unwrap();
+        assert_eq!(rel.len(), contents.len(), "{}", $name);
+        assert_eq!(
+            contents.iter().map(weight_of).sum::<i64>(),
+            ACCOUNTS as i64 * START,
+            "{}: transfers conserve the sum",
+            $name
+        );
+        let after_floor = appended.load(Ordering::SeqCst) - floor;
+        drop(rel);
+
+        let (recovered, report) = open(&dir);
+        assert_eq!(recovered.verify().unwrap(), contents, "{}", $name);
+        assert_eq!(recovered.len(), contents.len(), "{}", $name);
+        assert!(!report.torn_tail, "{}", $name);
+        assert!(
+            (16..=after_floor).contains(&(report.replayed as u64)),
+            "{}: replayed {} records, {after_floor} appended since the last checkpoint began",
+            $name,
+            report.replayed
+        );
+    }};
+}
+
+/// `checkpoint()` while writers run (only the benchmark did this before):
+/// the fence drains them, the cut is consistent, and checkpoint + tail
+/// recover exactly the final state — on both flavours.
+#[test]
+fn checkpoint_racing_writers_recovers_final_state() {
+    let _serial = serialize();
+    let (d, p) = graph();
+    let opts = WalOptions::default();
+    check_checkpoint_race!(
+        "race-single",
+        |dir: &Path| ConcurrentRelation::open_durable(d.clone(), p.clone(), dir, opts).unwrap(),
+        |_: &ConcurrentRelation, _: &Tuple, _: &Tuple| 1u64
+    );
+    check_checkpoint_race!(
+        "race-sharded",
+        |dir: &Path| ShardedRelation::open_durable(d.clone(), p.clone(), 4, dir, opts).unwrap(),
+        |rel: &ShardedRelation, a: &Tuple, b: &Tuple| {
+            1 + u64::from(rel.shard_of(a) != rel.shard_of(b))
+        }
+    );
+}
+
+/// The write fence is maintenance, not a transaction: neither
+/// `checkpoint()` nor `migrate_to()` may move `commits` (the denominator
+/// of restarts-per-commit) or `user_rollbacks`, on either flavour.
+#[test]
+fn maintenance_fences_count_no_commits() {
+    let _serial = serialize();
+    let (d, p) = graph();
+    let target = stick(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+    let target_p = LockPlacement::coarse(&target).unwrap();
+    let opts = WalOptions::default();
+
+    let single =
+        ConcurrentRelation::open_durable(d.clone(), p.clone(), fresh_dir("fence-single"), opts)
+            .unwrap()
+            .0;
+    let sharded =
+        ShardedRelation::open_durable(d.clone(), p.clone(), 4, fresh_dir("fence-sharded"), opts)
+            .unwrap()
+            .0;
+    for i in 0..12i64 {
+        single
+            .insert(&key(&single, i, i), &payload(&single, i))
+            .unwrap();
+        sharded
+            .insert(&skey(&sharded, i, i), &spayload(&sharded, i))
+            .unwrap();
+    }
+    let counted = |s: relc_locks::LockStatsSnapshot| (s.commits, s.user_rollbacks);
+
+    let before = counted(single.lock_stats());
+    assert_eq!(single.checkpoint().unwrap(), 12);
+    assert_eq!(counted(single.lock_stats()), before, "single checkpoint");
+    single.migrate_to(target.clone(), target_p.clone()).unwrap();
+    assert_eq!(counted(single.lock_stats()), before, "single migrate_to");
+    assert_eq!(single.verify().unwrap().len(), 12);
+
+    let before = counted(sharded.lock_stats());
+    assert_eq!(sharded.checkpoint().unwrap(), 12);
+    assert_eq!(counted(sharded.lock_stats()), before, "sharded checkpoint");
+    sharded.migrate_to(target, target_p).unwrap();
+    assert_eq!(counted(sharded.lock_stats()), before, "sharded migrate_to");
+    assert_eq!(sharded.verify().unwrap().len(), 12);
 }
