@@ -1,4 +1,4 @@
-//! A concurrent skip list map — the Rust analog of the JDK
+//! A concurrent skip list — the Rust analog of the JDK
 //! `ConcurrentSkipListMap` row of Figure 1: linearizable `lookup` and
 //! `write`, *sorted*, weakly-consistent `scan`.
 //!
@@ -11,14 +11,26 @@
 //! surfaced via [`ConcurrentSkipListMap::reclamation_stats`] so churn
 //! tests can assert deferral stays bounded.
 //!
+//! # One algorithm, two faces
+//!
+//! The algorithm — the tower search, lock-and-validate, link, unlink and
+//! the bottom-level walk — is written once, in [`SkipList`], generic over
+//! the payload `P` a node carries. [`ConcurrentSkipListMap`] is the face
+//! whose payload is a replaceable value pointer (a [`Slot`]); the map
+//! shape of [`VersionIndex`](crate::VersionIndex) is the face whose payload
+//! is a [`VersionCell`](crate::VersionCell) embedded in the node. Every
+//! read of the core runs under the *caller's* epoch guard and returns
+//! borrows tied to it, so a face decides how often to pin.
+//!
 //! # Locking order (deadlock freedom)
 //!
-//! Both `insert` and `remove` acquire node locks in **non-increasing key
+//! Both `upsert` and `remove` acquire node locks in **non-increasing key
 //! order**: predecessors bottom-up (whose keys are non-increasing with
 //! level), and `remove` locks the victim (the largest key involved) first.
 //! A thread holding a lock on key `k` therefore never waits for a lock on a
 //! key greater than `k`, so the wait-for graph is acyclic.
 
+use std::cmp::Ordering;
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 
@@ -31,37 +43,91 @@ use crate::taxonomy::ContainerProps;
 
 const MAX_HEIGHT: usize = 20;
 
-#[derive(Debug)]
-struct Node<K, V> {
-    /// `None` only for the head sentinel (conceptually −∞).
-    key: Option<K>,
-    /// Current value; replaced atomically on update. Null only for the head.
-    value: Atomic<V>,
+/// Tower levels a node holds inline. With p = 1/2 heights, 1 node in 2^10
+/// is taller and boxes the rest, so a node is one allocation and a descent
+/// chases no second pointer per node.
+///
+/// The number is measured, because a node's allocation size is something
+/// clients feel through the system allocator. With every level above 0
+/// boxed (72-byte nodes over `Tuple` keys, plus a small box for half of
+/// them) all that a removed row hands the collector is fastbin-sized:
+/// glibc parks such chunks and coalesces them in bursts, and the bursts
+/// landed on whichever operation next freed a larger block
+/// (`graph_read_mostly` `write_p99_us` +65%). With 8 inline levels a node
+/// is 128 bytes — the size class of the evaluator's 4-field tuple buffers
+/// — and nodes freed by the other client migrated between the per-thread
+/// arenas through that class until both clients convoyed on arena locks
+/// (`ops_per_s` −40% some 15 s into a run). Ten levels, 144 bytes, is past
+/// the first effect and clear of the second.
+const INLINE_HEIGHT: usize = 10;
+
+/// The linkage of one tower: what the algorithm locks, marks and follows.
+/// The head sentinel (conceptually −∞) is only this; every other tower is
+/// part of a [`Node`].
+#[repr(C)] // keeps the flags and level 0 next to the node's key: see `Node`
+struct Links<K, P> {
     lock: Mutex<()>,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Tower of next pointers; `next.len()` is the node's height.
-    next: Box<[Atomic<Node<K, V>>]>,
+    height: u8,
+    /// Levels `0..INLINE_HEIGHT`.
+    low: [Atomic<Node<K, P>>; INLINE_HEIGHT],
+    /// Levels `INLINE_HEIGHT..height`; empty (no allocation) otherwise.
+    high: Box<[Atomic<Node<K, P>>]>,
 }
 
-impl<K, V> Node<K, V> {
+impl<K, P> Links<K, P> {
+    fn new(height: usize, fully_linked: bool) -> Self {
+        Links {
+            lock: Mutex::new(()),
+            marked: AtomicBool::new(false),
+            fully_linked: AtomicBool::new(fully_linked),
+            height: height as u8,
+            low: std::array::from_fn(|_| Atomic::null()),
+            high: (INLINE_HEIGHT..height).map(|_| Atomic::null()).collect(),
+        }
+    }
+
     fn height(&self) -> usize {
-        self.next.len()
+        self.height as usize
+    }
+
+    fn next(&self, level: usize) -> &Atomic<Node<K, P>> {
+        match level.checked_sub(INLINE_HEIGHT) {
+            None => &self.low[level],
+            Some(l) => &self.high[l],
+        }
     }
 }
 
-fn new_tower<K, V>(height: usize) -> Box<[Atomic<Node<K, V>>]> {
-    (0..height).map(|_| Atomic::null()).collect()
+/// One entry of a [`SkipList`]: a key, what the face stores under it, and
+/// the tower that links it — in that order in memory, so a bottom-level
+/// walk (key, payload, flags, level 0) stays in the node's first 56 bytes.
+#[repr(C)]
+pub(crate) struct Node<K, P> {
+    pub(crate) key: K,
+    pub(crate) payload: P,
+    links: Links<K, P>,
 }
 
-/// Result of a tower search: `(preds, succs, lfound)` — the per-level
-/// predecessors and successors of a key, and the highest level where the
-/// key itself was found.
-type FindResult<'g, K, V> = (
-    Vec<&'g Node<K, V>>,
-    Vec<Shared<'g, Node<K, V>>>,
-    Option<usize>,
-);
+impl<K, P> Node<K, P> {
+    /// Whether readers may report this node: published at every level and
+    /// not logically deleted.
+    fn is_live(&self) -> bool {
+        self.links.fully_linked.load(SeqCst) && !self.links.marked.load(SeqCst)
+    }
+}
+
+/// Result of a tower search: the per-level predecessors and successors of
+/// a key, and the highest level at which the key itself was found.
+struct Position<'g, K, P> {
+    preds: [&'g Links<K, P>; MAX_HEIGHT],
+    succs: [Shared<'g, Node<K, P>>; MAX_HEIGHT],
+    found: Option<usize>,
+}
+
+/// The node locks an `upsert` or `remove` holds while it relinks.
+type Held<'g> = [Option<MutexGuard<'g, ()>>; MAX_HEIGHT];
 
 /// Geometric (p = 1/2) random height from a thread-local xorshift generator,
 /// seeded deterministically per thread.
@@ -82,6 +148,355 @@ fn random_height() -> usize {
     })
 }
 
+/// The lazy skip list itself, generic over the payload `P` of a node. See
+/// the [module docs](self).
+///
+/// A node's payload is dropped with the node: when the collector destroys
+/// an unlinked node (after every guard pinned before the unlink has
+/// dropped), or eagerly when the list drops.
+pub(crate) struct SkipList<K, P> {
+    head: Links<K, P>,
+}
+
+impl<K: Ord, P> SkipList<K, P> {
+    pub(crate) fn new() -> Self {
+        SkipList {
+            head: Links::new(MAX_HEIGHT, true),
+        }
+    }
+
+    /// The tower search, top level down: at each level, walks right while
+    /// keys are `< key`, then reports the level, the last tower before
+    /// `key`, the first node not before it (null if none) and whether that
+    /// node holds exactly `key`. Stops as soon as `at_level` breaks.
+    fn descend<'g, B>(
+        &'g self,
+        key: &K,
+        guard: &'g Guard,
+        mut at_level: impl FnMut(usize, &'g Links<K, P>, Shared<'g, Node<K, P>>, bool) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let mut pred = &self.head;
+        for level in (0..MAX_HEIGHT).rev() {
+            let mut curr = pred.next(level).load(SeqCst, guard);
+            let mut exact = false;
+            // SAFETY: nodes reachable under `guard` are not yet destroyed,
+            // and `&'g self` keeps the list from dropping them eagerly.
+            while let Some(node) = unsafe { curr.as_ref() } {
+                match node.key.cmp(key) {
+                    Ordering::Less => {
+                        pred = &node.links;
+                        curr = pred.next(level).load(SeqCst, guard);
+                    }
+                    ord => {
+                        exact = ord == Ordering::Equal;
+                        break;
+                    }
+                }
+            }
+            if let ControlFlow::Break(b) = at_level(level, pred, curr, exact) {
+                return Some(b);
+            }
+        }
+        None
+    }
+
+    /// Read-only descent: the first node whose key is `≥ key` (null if
+    /// none) and whether it holds exactly `key`. Records no predecessors,
+    /// and stops at the first level that meets `key` itself: towers link
+    /// bottom-up, so a node seen at any level is on the bottom level too.
+    fn seek<'g>(&'g self, key: &K, guard: &'g Guard) -> (Shared<'g, Node<K, P>>, bool) {
+        self.descend(key, guard, |level, _, curr, exact| {
+            if exact || level == 0 {
+                ControlFlow::Break((curr, exact))
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .expect("the descent reaches level 0")
+    }
+
+    /// Finds predecessors and successors of `key` at every level.
+    fn find<'g>(&'g self, key: &K, guard: &'g Guard) -> Position<'g, K, P> {
+        let mut pos = Position {
+            preds: [&self.head; MAX_HEIGHT],
+            succs: [Shared::null(); MAX_HEIGHT],
+            found: None,
+        };
+        self.descend(key, guard, |level, pred, curr, exact| {
+            pos.preds[level] = pred;
+            pos.succs[level] = curr;
+            if exact && pos.found.is_none() {
+                pos.found = Some(level);
+            }
+            ControlFlow::<()>::Continue(())
+        });
+        pos
+    }
+
+    /// Locks `preds[0..height]` bottom-up, skipping consecutive duplicates
+    /// (equal predecessors are always at consecutive levels), and validates
+    /// that each `pred.next(level)` still equals `succs[level]` and that no
+    /// involved node is marked. Returns the guards on success.
+    fn lock_and_validate<'g>(
+        preds: &[&'g Links<K, P>; MAX_HEIGHT],
+        succs: &[Shared<'g, Node<K, P>>; MAX_HEIGHT],
+        height: usize,
+        expect_succ_unmarked: bool,
+        guard: &'g Guard,
+    ) -> Option<Held<'g>> {
+        let mut held: Held<'g> = std::array::from_fn(|_| None);
+        let mut prev: *const Links<K, P> = std::ptr::null();
+        for level in 0..height {
+            let pred = preds[level];
+            if !std::ptr::eq(prev, pred) {
+                held[level] = Some(pred.lock.lock());
+                prev = pred;
+            }
+            if pred.marked.load(SeqCst) {
+                return None;
+            }
+            if expect_succ_unmarked {
+                // SAFETY: `succs[level]` was loaded under `guard`; nodes
+                // are only freed after all guards quiesce.
+                if let Some(s) = unsafe { succs[level].as_ref() } {
+                    if s.links.marked.load(SeqCst) {
+                        return None;
+                    }
+                }
+            }
+            if pred.next(level).load(SeqCst, guard) != succs[level] {
+                return None;
+            }
+        }
+        Some(held)
+    }
+
+    /// The live node holding `key`, if any.
+    pub(crate) fn get<'g>(&'g self, key: &K, guard: &'g Guard) -> Option<&'g Node<K, P>> {
+        let (curr, exact) = self.seek(key, guard);
+        if !exact {
+            return None;
+        }
+        // SAFETY: found under `guard`; an exact hit is never null.
+        let node = unsafe { curr.deref() };
+        node.is_live().then_some(node)
+    }
+
+    /// Visits the live nodes whose keys lie in `[lo, hi]`, in key order,
+    /// until `f` breaks. Weakly consistent: walks the bottom level live;
+    /// entries linked or unlinked behind the cursor are not revisited. A
+    /// bounded walk positions itself by the tower search (O(log n)), not by
+    /// walking from the head.
+    pub(crate) fn walk<'g>(
+        &'g self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        guard: &'g Guard,
+        mut f: impl FnMut(&'g Node<K, P>) -> ControlFlow<()>,
+    ) {
+        let mut curr = match lo {
+            Bound::Unbounded => self.head.low[0].load(SeqCst, guard),
+            Bound::Included(b) => self.seek(b, guard).0,
+            Bound::Excluded(b) => match self.seek(b, guard) {
+                // SAFETY: found under `guard`; an exact hit is never null.
+                // An excluded bound skips the key itself.
+                (hit, true) => unsafe { hit.deref() }.links.low[0].load(SeqCst, guard),
+                (after, false) => after,
+            },
+        };
+        // SAFETY: reachable under `guard`, as in `seek`.
+        while let Some(node) = unsafe { curr.as_ref() } {
+            let below = match hi {
+                Bound::Included(b) => node.key <= *b,
+                Bound::Excluded(b) => node.key < *b,
+                Bound::Unbounded => true,
+            };
+            if !below || (node.is_live() && f(node).is_break()) {
+                return;
+            }
+            curr = node.links.low[0].load(SeqCst, guard);
+        }
+    }
+
+    /// If `key` is present, runs `update` on its payload under the node's
+    /// lock (which excludes a racing `remove` of that node) and returns its
+    /// result; otherwise links a new node carrying `make`'s payload and
+    /// returns `None`. `seed` goes to whichever of the two runs.
+    pub(crate) fn upsert<T, R>(
+        &self,
+        key: &K,
+        guard: &Guard,
+        seed: T,
+        update: impl FnOnce(&P, T) -> R,
+        make: impl FnOnce(T) -> P,
+    ) -> Option<R>
+    where
+        K: Clone,
+    {
+        // Retry paths escalate spin → yield → jittered sleep instead of
+        // spinning unboundedly: on an oversubscribed box the thread we are
+        // waiting on (a mid-removal unlinker or a mid-publication
+        // inserter) may not even be scheduled.
+        let mut backoff = Backoff::new();
+        loop {
+            let pos = self.find(key, guard);
+            if let Some(l) = pos.found {
+                // SAFETY: found under `guard`.
+                let node = unsafe { pos.succs[l].deref() };
+                if node.links.marked.load(SeqCst) {
+                    // Mid-removal: retry until it is unlinked.
+                    backoff.wait();
+                    continue;
+                }
+                // Wait for the inserter to publish.
+                while !node.links.fully_linked.load(SeqCst) {
+                    backoff.wait();
+                }
+                let _node_guard = node.links.lock.lock();
+                if node.links.marked.load(SeqCst) {
+                    // The remover held this lock from marking through
+                    // unlinking, so the node is already unlinked: retry
+                    // immediately (and without waiting while we hold the
+                    // victim's lock), the next find() cannot see it.
+                    continue;
+                }
+                return Some(update(&node.payload, seed));
+            }
+
+            let height = random_height();
+            let Some(held) = Self::lock_and_validate(&pos.preds, &pos.succs, height, true, guard)
+            else {
+                backoff.wait();
+                continue;
+            };
+
+            let node = Owned::new(Node {
+                key: key.clone(),
+                payload: make(seed),
+                links: Links::new(height, false),
+            })
+            .into_shared(guard);
+            // SAFETY: just allocated, uniquely reachable through us.
+            let links = &unsafe { node.deref() }.links;
+            for (level, succ) in pos.succs.iter().enumerate().take(height) {
+                links.next(level).store(*succ, SeqCst);
+            }
+            for (level, pred) in pos.preds.iter().enumerate().take(height) {
+                pred.next(level).store(node, SeqCst);
+            }
+            links.fully_linked.store(true, SeqCst);
+            drop(held);
+            return None;
+        }
+    }
+
+    /// Unlinks `key`'s node, if one is linked, and hands it to the
+    /// collector; `take` reads the payload once the node is unreachable to
+    /// new readers (still under the victim's lock, so no `upsert` update
+    /// races it).
+    pub(crate) fn remove<R>(
+        &self,
+        key: &K,
+        guard: &Guard,
+        take: impl FnOnce(&P) -> R,
+    ) -> Option<R> {
+        let mut victim: Shared<'_, Node<K, P>> = Shared::null();
+        let mut victim_guard: Option<MutexGuard<'_, ()>> = None;
+        let mut top = 0usize;
+        let mut backoff = Backoff::new();
+        loop {
+            let pos = self.find(key, guard);
+            if victim_guard.is_none() {
+                let l = pos.found?;
+                let cand = pos.succs[l];
+                // SAFETY: found under `guard`.
+                let links = &unsafe { cand.deref() }.links;
+                let ready = links.fully_linked.load(SeqCst)
+                    && links.height() - 1 == l
+                    && !links.marked.load(SeqCst);
+                if !ready {
+                    return None;
+                }
+                top = links.height();
+                let g = links.lock.lock();
+                if links.marked.load(SeqCst) {
+                    return None;
+                }
+                links.marked.store(true, SeqCst);
+                victim = cand;
+                victim_guard = Some(g);
+            }
+            // SAFETY: victim is marked and we hold its lock; it cannot be
+            // destroyed until we unlink it ourselves.
+            let victim_ref = unsafe { victim.deref() };
+            let Some(held) =
+                Self::lock_and_validate(&pos.preds, &[victim; MAX_HEIGHT], top, false, guard)
+            else {
+                backoff.wait();
+                continue;
+            };
+            // Unlink top-down. Victim's tower is frozen: its lock is held
+            // and it is marked, so no insert can link after it.
+            for level in (0..top).rev() {
+                let after = victim_ref.links.next(level).load(SeqCst, guard);
+                pos.preds[level].next(level).store(after, SeqCst);
+            }
+            let taken = take(&victim_ref.payload);
+            drop(held);
+            drop(victim_guard);
+            // SAFETY: the node is unlinked at every level, so no thread
+            // that pins from now on can reach it, and the victim's lock
+            // plus mark made this thread the only one to unlink it.
+            unsafe { guard.defer_destroy(victim) };
+            return Some(taken);
+        }
+    }
+}
+
+impl<K, P> Drop for SkipList<K, P> {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` guarantees no concurrent accessors; walk the
+        // bottom level and free every node (and with it its payload)
+        // eagerly.
+        unsafe {
+            let guard = epoch::unprotected();
+            let mut curr = self.head.low[0].load(SeqCst, guard);
+            while !curr.is_null() {
+                let next = curr.deref().links.low[0].load(SeqCst, guard);
+                drop(curr.into_owned());
+                curr = next;
+            }
+        }
+    }
+}
+
+/// The payload of [`ConcurrentSkipListMap`]: the entry's current value,
+/// replaced atomically on update and owned by the slot (the value still in
+/// it is freed with the node).
+struct Slot<V> {
+    value: Atomic<V>,
+}
+
+impl<V> Slot<V> {
+    fn get<'g>(&'g self, guard: &'g Guard) -> &'g V {
+        // SAFETY: a slot always holds a value; the epoch guard keeps a
+        // replaced value alive for the duration of this read.
+        unsafe { self.value.load(SeqCst, guard).deref() }
+    }
+}
+
+impl<V> Drop for Slot<V> {
+    fn drop(&mut self) {
+        // SAFETY: a slot drops with its node — at list teardown or from
+        // the collector, when no reader can still reach either — and the
+        // value in it was never handed to the collector itself.
+        unsafe {
+            let guard = epoch::unprotected();
+            drop(self.value.load(SeqCst, guard).into_owned());
+        }
+    }
+}
+
 /// A concurrency-safe sorted map (Figure 1's `ConcurrentSkipListMap` row).
 ///
 /// # Examples
@@ -98,7 +513,7 @@ fn random_height() -> usize {
 /// assert_eq!(keys, vec![1, 3]); // sorted
 /// ```
 pub struct ConcurrentSkipListMap<K, V> {
-    head: Box<Node<K, V>>,
+    list: SkipList<K, Slot<V>>,
     len: AtomicUsize,
 }
 
@@ -106,210 +521,43 @@ impl<K: Key, V: Val> ConcurrentSkipListMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         ConcurrentSkipListMap {
-            head: Box::new(Node {
-                key: None,
-                value: Atomic::null(),
-                lock: Mutex::new(()),
-                marked: AtomicBool::new(false),
-                fully_linked: AtomicBool::new(true),
-                next: new_tower(MAX_HEIGHT),
-            }),
+            list: SkipList::new(),
             len: AtomicUsize::new(0),
         }
     }
 
-    /// Finds predecessors and successors of `key` at every level.
-    /// Returns `(preds, succs, lfound)` where `lfound` is the highest level
-    /// at which a node with exactly `key` was found.
-    fn find<'g>(&'g self, key: &K, guard: &'g Guard) -> FindResult<'g, K, V> {
-        let mut preds: Vec<&'g Node<K, V>> = vec![&*self.head; MAX_HEIGHT];
-        let mut succs: Vec<Shared<'g, Node<K, V>>> = vec![Shared::null(); MAX_HEIGHT];
-        let mut lfound = None;
-        let mut pred: &'g Node<K, V> = &self.head;
-        for level in (0..MAX_HEIGHT).rev() {
-            let mut curr = pred.next[level].load(SeqCst, guard);
-            // SAFETY: nodes reachable under `guard` are not yet destroyed.
-            while let Some(node) = unsafe { curr.as_ref() } {
-                let nk = node.key.as_ref().expect("non-head nodes have keys");
-                if nk < key {
-                    pred = node;
-                    curr = node.next[level].load(SeqCst, guard);
-                } else {
-                    if lfound.is_none() && nk == key {
-                        lfound = Some(level);
-                    }
-                    break;
-                }
-            }
-            preds[level] = pred;
-            succs[level] = curr;
-        }
-        (preds, succs, lfound)
-    }
-
-    /// Locks `preds[0..height]` bottom-up, skipping consecutive duplicates
-    /// (equal predecessors are always at consecutive levels), and validates
-    /// that each `pred.next[level]` still equals `succs[level]` and that no
-    /// involved node is marked. Returns the guards on success.
-    fn lock_and_validate<'g>(
-        preds: &[&'g Node<K, V>],
-        succs: &[Shared<'g, Node<K, V>>],
-        height: usize,
-        expect_succ_unmarked: bool,
-        guard: &'g Guard,
-    ) -> Option<Vec<MutexGuard<'g, ()>>> {
-        let mut guards: Vec<MutexGuard<'g, ()>> = Vec::with_capacity(height);
-        let mut prev: Option<*const Node<K, V>> = None;
-        for level in 0..height {
-            let pred = preds[level];
-            if prev != Some(pred as *const _) {
-                guards.push(pred.lock.lock());
-                prev = Some(pred as *const _);
-            }
-            if pred.marked.load(SeqCst) {
-                return None;
-            }
-            if expect_succ_unmarked {
-                // SAFETY: `succs[level]` was loaded under `guard`; nodes
-                // are only freed after all guards quiesce.
-                if let Some(s) = unsafe { succs[level].as_ref() } {
-                    if s.marked.load(SeqCst) {
-                        return None;
-                    }
-                }
-            }
-            if pred.next[level].load(SeqCst, guard) != succs[level] {
-                return None;
-            }
-        }
-        Some(guards)
-    }
-
     fn insert(&self, key: &K, value: V) -> Option<V> {
-        let height = random_height();
         let guard = epoch::pin();
-        // Retry paths escalate spin → yield → jittered sleep instead of
-        // spinning unboundedly: on an oversubscribed box the thread we are
-        // waiting on (a mid-removal unlinker or a mid-publication
-        // inserter) may not even be scheduled.
-        let mut backoff = Backoff::new();
-        loop {
-            let (preds, succs, lfound) = self.find(key, &guard);
-            if let Some(l) = lfound {
-                // SAFETY: found under `guard`.
-                let node = unsafe { succs[l].deref() };
-                if node.marked.load(SeqCst) {
-                    // Mid-removal: retry until it is unlinked.
-                    backoff.wait();
-                    continue;
-                }
-                // Wait for the inserter to publish.
-                while !node.fully_linked.load(SeqCst) {
-                    backoff.wait();
-                }
-                // Update in place under the node lock (excludes a racing
-                // remove from reading a value we are about to replace).
-                let _node_guard = node.lock.lock();
-                if node.marked.load(SeqCst) {
-                    // The remover held this lock from marking through
-                    // unlinking, so the node is already unlinked: retry
-                    // immediately (and without waiting while we hold the
-                    // victim's lock), the next find() cannot see it.
-                    continue;
-                }
-                let old = node.value.swap(Owned::new(value.clone()), SeqCst, &guard);
-                // SAFETY: `old` was the published value; we hold the node
-                // lock so no other update raced the swap.
+        let old = self.list.upsert(
+            key,
+            &guard,
+            value,
+            |slot, value| {
+                let old = slot.value.swap(Owned::new(value), SeqCst, &guard);
+                // SAFETY: `old` was the published value; the node lock
+                // `upsert` holds excludes any other swap, so this thread
+                // alone reads it here and retires it.
                 let old_val = unsafe { old.deref() }.clone();
                 unsafe { guard.defer_destroy(old) };
-                return Some(old_val);
-            }
-
-            let Some(lock_guards) = Self::lock_and_validate(&preds, &succs, height, true, &guard)
-            else {
-                backoff.wait();
-                continue;
-            };
-
-            let node = Owned::new(Node {
-                key: Some(key.clone()),
-                value: Atomic::new(value.clone()),
-                lock: Mutex::new(()),
-                marked: AtomicBool::new(false),
-                fully_linked: AtomicBool::new(false),
-                next: new_tower(height),
-            })
-            .into_shared(&guard);
-            // SAFETY: just allocated, uniquely reachable through us.
-            let node_ref = unsafe { node.deref() };
-            for (level, succ) in succs.iter().enumerate().take(height) {
-                node_ref.next[level].store(*succ, SeqCst);
-            }
-            for (level, pred) in preds.iter().enumerate().take(height) {
-                pred.next[level].store(node, SeqCst);
-            }
-            node_ref.fully_linked.store(true, SeqCst);
-            drop(lock_guards);
+                old_val
+            },
+            |value| Slot {
+                value: Atomic::new(value),
+            },
+        );
+        if old.is_none() {
             self.len.fetch_add(1, SeqCst);
-            return None;
         }
+        old
     }
 
     fn remove(&self, key: &K) -> Option<V> {
         let guard = epoch::pin();
-        let mut victim: Shared<'_, Node<K, V>> = Shared::null();
-        let mut victim_guard: Option<MutexGuard<'_, ()>> = None;
-        let mut top = 0usize;
-        let mut backoff = Backoff::new();
-        loop {
-            let (preds, succs, lfound) = self.find(key, &guard);
-            if victim_guard.is_none() {
-                let l = lfound?;
-                let cand = succs[l];
-                // SAFETY: found under `guard`.
-                let node = unsafe { cand.deref() };
-                let ready = node.fully_linked.load(SeqCst)
-                    && node.height() - 1 == l
-                    && !node.marked.load(SeqCst);
-                if !ready {
-                    return None;
-                }
-                top = node.height();
-                let g = node.lock.lock();
-                if node.marked.load(SeqCst) {
-                    return None;
-                }
-                node.marked.store(true, SeqCst);
-                victim = cand;
-                victim_guard = Some(g);
-            }
-            // SAFETY: victim is marked and we hold its lock; it cannot be
-            // destroyed until we unlink it ourselves.
-            let victim_ref = unsafe { victim.deref() };
-            let succs_now: Vec<Shared<'_, Node<K, V>>> = (0..top).map(|_| victim).collect();
-            let Some(pred_guards) = Self::lock_and_validate(&preds, &succs_now, top, false, &guard)
-            else {
-                backoff.wait();
-                continue;
-            };
-            // Unlink top-down. Victim's tower is frozen: its lock is held
-            // and it is marked, so no insert can link after it.
-            for level in (0..top).rev() {
-                preds[level].next[level].store(victim_ref.next[level].load(SeqCst, &guard), SeqCst);
-            }
-            let val = victim_ref.value.load(SeqCst, &guard);
-            // SAFETY: value pointer is final (updates exclude via the node
-            // lock and check `marked`).
-            let old_val = unsafe { val.deref() }.clone();
-            unsafe {
-                guard.defer_destroy(val);
-                guard.defer_destroy(victim);
-            }
-            drop(pred_guards);
-            drop(victim_guard);
-            self.len.fetch_sub(1, SeqCst);
-            return Some(old_val);
-        }
+        let old = self
+            .list
+            .remove(key, &guard, |slot| slot.get(&guard).clone())?;
+        self.len.fetch_sub(1, SeqCst);
+        Some(old)
     }
 
     /// Snapshot of the epoch collector's reclamation counters.
@@ -340,37 +588,13 @@ impl<K: Key, V: Val> Default for ConcurrentSkipListMap<K, V> {
 impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
     fn lookup(&self, key: &K) -> Option<V> {
         let guard = epoch::pin();
-        let (_, succs, lfound) = self.find(key, &guard);
-        let l = lfound?;
-        // SAFETY: found under `guard`.
-        let node = unsafe { succs[l].deref() };
-        if node.fully_linked.load(SeqCst) && !node.marked.load(SeqCst) {
-            let v = node.value.load(SeqCst, &guard);
-            // SAFETY: non-head nodes always hold a value; the epoch guard
-            // keeps a replaced value alive for the duration of this read.
-            Some(unsafe { v.deref() }.clone())
-        } else {
-            None
-        }
+        self.list
+            .get(key, &guard)
+            .map(|node| node.payload.get(&guard).clone())
     }
 
     fn scan(&self, f: &mut dyn FnMut(&K, &V) -> ControlFlow<()>) {
-        // Sorted, weakly consistent: walks the bottom level live; entries
-        // inserted/removed behind the cursor are not revisited.
-        let guard = epoch::pin();
-        let mut curr = self.head.next[0].load(SeqCst, &guard);
-        // SAFETY: reachable under `guard`.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            if node.fully_linked.load(SeqCst) && !node.marked.load(SeqCst) {
-                let v = node.value.load(SeqCst, &guard);
-                let key = node.key.as_ref().expect("non-head nodes have keys");
-                // SAFETY: as in `lookup`.
-                if f(key, unsafe { v.deref() }).is_break() {
-                    return;
-                }
-            }
-            curr = node.next[0].load(SeqCst, &guard);
-        }
+        self.scan_range(Bound::Unbounded, Bound::Unbounded, f);
     }
 
     fn scan_range(
@@ -379,38 +603,10 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
         hi: Bound<&K>,
         f: &mut dyn FnMut(&K, &V) -> ControlFlow<()>,
     ) {
-        // Bounded sorted walk, weakly consistent like `scan`: position at
-        // the lower bound via the tower search (O(log n) instead of
-        // walking the bottom level from the head), then follow the bottom
-        // level until a key passes the upper bound.
         let guard = epoch::pin();
-        let mut curr = match lo {
-            Bound::Included(b) | Bound::Excluded(b) => self.find(b, &guard).1[0],
-            Bound::Unbounded => self.head.next[0].load(SeqCst, &guard),
-        };
-        // SAFETY: reachable under `guard`, as in `scan`.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            let key = node.key.as_ref().expect("non-head nodes have keys");
-            // find() lands on the first key ≥ the bound; an excluded
-            // bound must skip the key itself.
-            let skip = matches!(lo, Bound::Excluded(b) if key == b);
-            let below = match hi {
-                Bound::Included(b) => key <= b,
-                Bound::Excluded(b) => key < b,
-                Bound::Unbounded => true,
-            };
-            if !below {
-                return;
-            }
-            if !skip && node.fully_linked.load(SeqCst) && !node.marked.load(SeqCst) {
-                let v = node.value.load(SeqCst, &guard);
-                // SAFETY: as in `lookup`.
-                if f(key, unsafe { v.deref() }).is_break() {
-                    return;
-                }
-            }
-            curr = node.next[0].load(SeqCst, &guard);
-        }
+        self.list.walk(lo, hi, &guard, |node| {
+            f(&node.key, node.payload.get(&guard))
+        });
     }
 
     fn write(&self, key: &K, value: Option<V>) -> Option<V> {
@@ -422,7 +618,7 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
 
     fn update_entry(&self, old_key: &K, new_key: &K, value: V) -> Option<V> {
         if old_key == new_key {
-            // Same position: one CAS on the node's value pointer via
+            // Same position: one swap of the node's value pointer via
             // `insert`'s replace path, no unlink/relink at all.
             let old = self.lookup(old_key)?;
             self.insert(new_key, value);
@@ -458,27 +654,6 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
 
     fn props(&self) -> ContainerProps {
         ContainerKind::ConcurrentSkipListMap.props()
-    }
-}
-
-impl<K, V> Drop for ConcurrentSkipListMap<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` guarantees no concurrent accessors; walk the
-        // bottom level and free every node and its value eagerly.
-        unsafe {
-            let guard = epoch::unprotected();
-            let mut curr = self.head.next[0].load(SeqCst, guard);
-            while !curr.is_null() {
-                let node = curr.deref();
-                let next = node.next[0].load(SeqCst, guard);
-                let val = node.value.load(SeqCst, guard);
-                if !val.is_null() {
-                    drop(val.into_owned());
-                }
-                drop(curr.into_owned());
-                curr = next;
-            }
-        }
     }
 }
 

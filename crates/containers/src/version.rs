@@ -1,5 +1,5 @@
-//! Multiversion cells: the per-entry version chains behind MVCC snapshot
-//! reads.
+//! Multiversion cells and the version index: the per-entry version chains
+//! behind MVCC snapshot reads, and the per-edge structure that finds them.
 //!
 //! A [`VersionCell`] holds a lock-free, epoch-managed chain of
 //! `(commit stamp, value)` nodes, newest first. Mutation (`push`,
@@ -20,17 +20,26 @@
 //!   place, so a transaction that overwrites its own write (or compensates
 //!   it during rollback) nets to one version.
 //!
+//! A [`VersionIndex`] is one decomposition edge instance's map from entry
+//! key to chain, in one of two shapes fixed by the edge's container kind:
+//! one chain stored inline for an edge that holds at most one entry, a
+//! skip list with the chain embedded in its node for every other.
+//!
 //! Retired nodes go through the epoch collector, so they are counted by
 //! [`ReclamationStats`](crate::ReclamationStats); this module additionally
 //! keeps process-global [`VersionStats`] counters (`created` / `retired`)
 //! so tests can prove superseded versions are actually reclaimed.
 
 use std::fmt;
+use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
 
 use crossbeam::epoch::{self, Atomic, Guard, Owned, Shared};
 use relc_locks::CommitStamp;
+
+use crate::api::{ContainerKind, Key, Val};
+use crate::skiplist::SkipList;
 
 /// Process-global count of version nodes ever created.
 static VERSIONS_CREATED: AtomicU64 = AtomicU64::new(0);
@@ -115,6 +124,13 @@ impl<V: Clone> VersionCell<V> {
         }
     }
 
+    /// A cell with no history yet: absent at every snapshot.
+    fn empty() -> Self {
+        VersionCell {
+            head: Atomic::null(),
+        }
+    }
+
     /// Pushes a new version. Caller must hold the entry's write locks
     /// (same-entry pushes are serialized by 2PL). A push with the same
     /// stamp `Arc` as the current head replaces the head in place.
@@ -153,6 +169,14 @@ impl<V: Clone> VersionCell<V> {
     /// the chain has no version that old (the entry did not exist yet at
     /// `snap`). Lock-free; requires only an epoch guard.
     pub fn resolve(&self, snap: u64, guard: &Guard) -> Option<V> {
+        self.resolve_ref(snap, guard).cloned()
+    }
+
+    /// [`resolve`](Self::resolve) without the clone: a borrow of the
+    /// version's value, good while both the guard stays pinned (retired
+    /// versions outlive it) and the cell is borrowed (a dropped cell frees
+    /// its chain eagerly).
+    fn resolve_ref<'g>(&'g self, snap: u64, guard: &'g Guard) -> Option<&'g V> {
         let mut cur = self.head.load(SeqCst, guard);
         // SAFETY: every link was loaded under `guard`; retired nodes
         // outlive all guards pinned before their unlink.
@@ -160,7 +184,7 @@ impl<V: Clone> VersionCell<V> {
             // Tentative stamps load as u64::MAX, so they are skipped like
             // any future-committed version.
             if node.stamp.load() <= snap {
-                return node.value.clone();
+                return node.value.as_ref();
             }
             cur = node.prev.load(SeqCst, guard);
         }
@@ -189,7 +213,13 @@ impl<V: Clone> VersionCell<V> {
         // Cut everything below it. In-flight readers that already walked
         // past the keeper keep following the (intact) prev pointers of
         // the cut nodes until their guards quiesce.
-        let mut cut = keeper.prev.swap(Shared::null(), SeqCst, guard);
+        Self::cut(&keeper.prev, guard);
+    }
+
+    /// Detaches the chain hanging off `link` and retires every node of
+    /// it. Caller must hold the entry's write locks.
+    fn cut(link: &Atomic<VersionNode<V>>, guard: &Guard) {
+        let mut cut = link.swap(Shared::null(), SeqCst, guard);
         // SAFETY: the cut nodes were just unlinked by this thread (which
         // holds the entry's write locks) and are not yet handed to the
         // collector, so each is still live while we walk it.
@@ -233,6 +263,25 @@ impl<V: Clone> VersionCell<V> {
             None => true,
         }
     }
+
+    /// The value of the newest version, committed or not — what the
+    /// entry holds as far as the writer that holds its locks can tell.
+    fn newest<'g>(&'g self, guard: &'g Guard) -> Option<&'g V> {
+        // SAFETY: loaded under `guard`; see `push` for chain liveness. A
+        // node's value is never written after the node is published.
+        unsafe { self.head.load(SeqCst, guard).as_ref() }.and_then(|node| node.value.as_ref())
+    }
+
+    /// Retirement of a chain that nothing else owns: truncates to
+    /// `min_active` and, if what is left [is dead](Self::is_dead), drops
+    /// that too, leaving the cell empty. Same contract as
+    /// [`truncate`](Self::truncate).
+    fn truncate_to_empty(&self, min_active: u64, guard: &Guard) {
+        self.truncate(min_active, guard);
+        if self.is_dead(min_active, guard) {
+            Self::cut(&self.head, guard);
+        }
+    }
 }
 
 impl<V> Drop for VersionCell<V> {
@@ -249,6 +298,189 @@ impl<V> Drop for VersionCell<V> {
             drop(unsafe { cur.into_owned() });
             cur = next;
         }
+    }
+}
+
+/// The shadow version index of one decomposition edge instance: entry key →
+/// that entry's version chain. **The index follows the edge**: its shape is
+/// fixed at construction from the [`ContainerKind`] of the edge it shadows
+/// ([`VersionIndex::for_kind`]) and never changes.
+///
+/// * An edge that holds at most one entry at a time
+///   ([`ContainerKind::Singleton`]) has the *one-chain* shape: the index
+///   **is** one [`VersionCell`], stored inline, whose versions carry the
+///   `(entry key, value)` pair the edge held. The edge's history is a
+///   single sequence of states, so one chain records all of it; replacing
+///   the entry — tombstone the old key, write the new one, under one stamp —
+///   collapses to one version (the same-stamp rule of
+///   [`VersionCell::push`]) instead of an unlink and a relink.
+/// * Every other edge has the *map* shape: a lazy skip list (the algorithm
+///   of [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap), shared)
+///   whose node **embeds** the entry's `VersionCell` — no box, no
+///   reference count. An entry whose whole history is one dead tombstone
+///   is unlinked, and the collector frees the node together with what is
+///   left of its chain, as one deferred destruction.
+///
+/// Reads take the caller's epoch guard and return borrows good for as
+/// long as that guard *and* the index are held: one pin covers a whole
+/// traversal, and resolving a version touches no reference count.
+///
+/// Writes follow the [`VersionCell`] contract: the caller holds the
+/// entry's write locks, so same-entry mutation is serialized; writers of
+/// *different* entries of a map-shaped index may run concurrently.
+pub struct VersionIndex<K, V> {
+    shape: Shape<K, V>,
+}
+
+enum Shape<K, V> {
+    One(VersionCell<(K, V)>),
+    Map(SkipList<K, VersionCell<V>>),
+}
+
+impl<K: Key, V: Val> VersionIndex<K, V> {
+    /// The index for an edge implemented by a `kind` container — the one
+    /// place the shape is decided.
+    pub fn for_kind(kind: ContainerKind) -> Self {
+        VersionIndex {
+            shape: match kind {
+                ContainerKind::Singleton => Shape::One(VersionCell::empty()),
+                _ => Shape::Map(SkipList::new()),
+            },
+        }
+    }
+
+    /// Records that as of `stamp` the entry `key` holds `value` (`None`:
+    /// is absent). Caller must hold the entry's write locks.
+    ///
+    /// On the one-chain shape a live write *is* the edge's new state
+    /// (whatever key it held before), and a tombstone applies only if
+    /// `key` is the entry the edge holds now.
+    pub fn write(&self, key: &K, stamp: Arc<CommitStamp>, value: Option<V>, guard: &Guard) {
+        match &self.shape {
+            Shape::One(cell) => match value {
+                Some(v) => cell.push(stamp, Some((key.clone(), v)), guard),
+                None => {
+                    if cell.newest(guard).is_some_and(|(held, _)| held == key) {
+                        cell.push(stamp, None, guard);
+                    }
+                }
+            },
+            Shape::Map(list) => {
+                list.upsert(
+                    key,
+                    guard,
+                    (stamp, value),
+                    |cell, (stamp, value)| cell.push(stamp, value, guard),
+                    |(stamp, value)| VersionCell::new(stamp, value),
+                );
+            }
+        }
+    }
+
+    /// The value `key` held at snapshot `snap`, if it was present then.
+    pub fn get<'g>(&'g self, key: &K, snap: u64, guard: &'g Guard) -> Option<&'g V> {
+        match &self.shape {
+            Shape::One(cell) => cell
+                .resolve_ref(snap, guard)
+                .filter(|(held, _)| held == key)
+                .map(|(_, v)| v),
+            Shape::Map(list) => list.get(key, guard)?.payload.resolve_ref(snap, guard),
+        }
+    }
+
+    /// Visits, in key order, the entries present at snapshot `snap` whose
+    /// keys lie in `[lo, hi]`, until `f` breaks.
+    pub fn walk<'g>(
+        &'g self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        snap: u64,
+        guard: &'g Guard,
+        mut f: impl FnMut(&'g K, &'g V) -> ControlFlow<()>,
+    ) {
+        match &self.shape {
+            Shape::One(cell) => {
+                if let Some((k, v)) = cell.resolve_ref(snap, guard) {
+                    if (lo, hi).contains(k) {
+                        let _ = f(k, v);
+                    }
+                }
+            }
+            Shape::Map(list) => list.walk(lo, hi, guard, |node| {
+                match node.payload.resolve_ref(snap, guard) {
+                    Some(v) => f(&node.key, v),
+                    None => ControlFlow::Continue(()),
+                }
+            }),
+        }
+    }
+
+    /// Retires what no reader at or after `floor` can see of entry `key`:
+    /// truncates its chain to the newest version at or below `floor` and
+    /// drops the entry altogether once its whole history is one tombstone
+    /// there. Caller must hold the entry's write locks (and found the
+    /// entry by writing it: it is warm).
+    pub fn retire(&self, key: &K, floor: u64, guard: &Guard) {
+        match &self.shape {
+            Shape::One(cell) => cell.truncate_to_empty(floor, guard),
+            Shape::Map(list) => {
+                let Some(node) = list.get(key, guard) else {
+                    return;
+                };
+                node.payload.truncate(floor, guard);
+                if node.payload.is_dead(floor, guard) {
+                    list.remove(key, guard, |_| ());
+                }
+            }
+        }
+    }
+
+    /// [`retire`](Self::retire) for every entry. Caller must hold write
+    /// locks covering the whole index.
+    pub fn sweep(&self, floor: u64, guard: &Guard) {
+        match &self.shape {
+            Shape::One(cell) => cell.truncate_to_empty(floor, guard),
+            Shape::Map(list) => {
+                let mut dead: Vec<&K> = Vec::new();
+                list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
+                    node.payload.truncate(floor, guard);
+                    if node.payload.is_dead(floor, guard) {
+                        dead.push(&node.key);
+                    }
+                    ControlFlow::Continue(())
+                });
+                for key in dead {
+                    list.remove(key, guard, |_| ());
+                }
+            }
+        }
+    }
+
+    /// Invariant-checking view: every non-empty chain's
+    /// [`chain_stamps`](VersionCell::chain_stamps), with the entry key it
+    /// belongs to (`None` on the one-chain shape, whose chain spans keys).
+    pub fn chains(&self, guard: &Guard, mut f: impl FnMut(Option<&K>, Vec<(u64, bool)>)) {
+        match &self.shape {
+            Shape::One(cell) => {
+                let stamps = cell.chain_stamps(guard);
+                if !stamps.is_empty() {
+                    f(None, stamps);
+                }
+            }
+            Shape::Map(list) => list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
+                f(Some(&node.key), node.payload.chain_stamps(guard));
+                ControlFlow::Continue(())
+            }),
+        }
+    }
+}
+
+impl<K, V> fmt::Debug for VersionIndex<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.shape {
+            Shape::One(_) => "VersionIndex::One { .. }",
+            Shape::Map(_) => "VersionIndex::Map { .. }",
+        })
     }
 }
 

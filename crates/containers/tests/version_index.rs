@@ -1,0 +1,462 @@
+//! [`VersionIndex`] — both shapes — against a model, under drop tracking,
+//! and under concurrent snapshot readers.
+//!
+//! The commit clock, the version counters and the epoch domain are
+//! process-global, so the tests in this binary serialize on a mutex.
+
+use std::collections::BTreeMap;
+use std::ops::{Bound, ControlFlow};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use proptest::prelude::*;
+use relc_containers::testsupport::{DropCounter, DropFamily};
+use relc_containers::{epoch, reclamation_flush, version_stats, ContainerKind, VersionIndex};
+use relc_locks::{commit_clock, CommitStamp, SnapshotRegistry};
+
+fn serialize() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+const ONE: ContainerKind = ContainerKind::Singleton;
+const MAP: ContainerKind = ContainerKind::HashMap;
+
+// ---------------------------------------------------------------------
+// Model equivalence.
+// ---------------------------------------------------------------------
+
+const KEYS: i64 = 6;
+
+#[derive(Debug, Clone)]
+enum Retire {
+    Nothing,
+    Written,
+    Sweep,
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// One transaction attempt: its writes (`None` = tombstone; a key
+    /// written twice is a same-stamp rewrite), whether it then rolls back
+    /// (compensating writes under the same stamp), and what it retires
+    /// once its stamp has committed — at a floor `floor_back` commits old.
+    Attempt {
+        writes: Vec<(i64, Option<i64>)>,
+        abort: bool,
+        retire: Retire,
+        floor_back: usize,
+    },
+    /// Snapshot reads `back` commits in the past: every key's `get`, the
+    /// full `walk`, and the `walk` over `[lo, hi)`.
+    Read { back: usize, lo: i64, hi: i64 },
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let write = (0..KEYS, proptest::option::of(0i64..1000));
+    prop_oneof![
+        (
+            proptest::collection::vec(write, 1..5),
+            any::<bool>(),
+            prop_oneof![
+                Just(Retire::Nothing),
+                Just(Retire::Written),
+                Just(Retire::Sweep)
+            ],
+            0usize..4,
+        )
+            .prop_map(|(writes, abort, retire, floor_back)| Op::Attempt {
+                writes,
+                abort,
+                retire,
+                floor_back,
+            }),
+        (0usize..4, 0..KEYS, 0..KEYS + 1).prop_map(|(back, lo, hi)| Op::Read { back, lo, hi }),
+    ]
+}
+
+/// The reference: each key's committed history, oldest first.
+#[derive(Default)]
+struct Model {
+    history: BTreeMap<i64, Vec<(u64, Option<i64>)>>,
+}
+
+impl Model {
+    fn at(&self, key: i64, snap: u64) -> Option<i64> {
+        let versions = self.history.get(&key)?;
+        versions.iter().rev().find(|(ts, _)| *ts <= snap)?.1
+    }
+
+    fn live_at(&self, snap: u64) -> Vec<(i64, i64)> {
+        (0..KEYS)
+            .filter_map(|k| self.at(k, snap).map(|v| (k, v)))
+            .collect()
+    }
+}
+
+fn walk(
+    index: &VersionIndex<i64, i64>,
+    lo: Bound<&i64>,
+    hi: Bound<&i64>,
+    snap: u64,
+) -> Vec<(i64, i64)> {
+    let guard = epoch::pin();
+    let mut out = Vec::new();
+    index.walk(lo, hi, snap, &guard, |k, v| {
+        out.push((*k, *v));
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// One attempt's writes, applied to the index and to the model's view of
+/// the state the attempt will commit.
+struct Attempt<'a> {
+    kind: ContainerKind,
+    index: &'a VersionIndex<i64, i64>,
+    stamp: Arc<CommitStamp>,
+    guard: &'a epoch::Guard,
+    state: BTreeMap<i64, Option<i64>>,
+    written: Vec<i64>,
+}
+
+impl Attempt<'_> {
+    fn write(&mut self, key: i64, value: Option<i64>) {
+        self.index
+            .write(&key, Arc::clone(&self.stamp), value, self.guard);
+        if self.kind == ONE && value.is_some() {
+            // A live write is the one-entry edge's whole new state.
+            for (k, v) in self.state.iter_mut() {
+                if *k != key && v.is_some() {
+                    *v = None;
+                    self.written.push(*k);
+                }
+            }
+        }
+        self.state.insert(key, value);
+        self.written.push(key);
+    }
+}
+
+fn check_model(kind: ContainerKind, ops: &[Op]) {
+    let _serial = serialize();
+    let clock = commit_clock();
+    let index: VersionIndex<i64, i64> = VersionIndex::for_kind(kind);
+    let mut model = Model::default();
+    // Own commit timestamps, and the highest floor retired at so far: a
+    // reader older than a floor a writer used cannot exist in the system.
+    let mut times: Vec<u64> = vec![clock.now()];
+    let mut floor = 0u64;
+    let pick = |times: &[u64], back: usize, floor: u64| {
+        times[times.len() - 1 - back.min(times.len() - 1)].max(floor)
+    };
+    for op in ops {
+        match op {
+            Op::Attempt {
+                writes,
+                abort,
+                retire,
+                floor_back,
+            } => {
+                let guard = epoch::pin();
+                let now = *times.last().unwrap();
+                let before: BTreeMap<i64, Option<i64>> =
+                    (0..KEYS).map(|k| (k, model.at(k, now))).collect();
+                let mut attempt = Attempt {
+                    kind,
+                    index: &index,
+                    stamp: CommitStamp::new(),
+                    guard: &guard,
+                    state: before.clone(),
+                    written: Vec::new(),
+                };
+                for &(key, value) in writes {
+                    attempt.write(key, value);
+                }
+                if *abort {
+                    // Compensations restore the pre-attempt state: the
+                    // tombstones first, so a one-entry edge never holds two.
+                    let touched = attempt.written.clone();
+                    for restore_live in [false, true] {
+                        for &key in touched.iter().rev() {
+                            if before[&key].is_some() == restore_live {
+                                attempt.write(key, before[&key]);
+                            }
+                        }
+                    }
+                }
+                let Attempt {
+                    stamp,
+                    state,
+                    mut written,
+                    ..
+                } = attempt;
+                let ts = clock.commit(&stamp);
+                times.push(ts);
+                written.sort_unstable();
+                written.dedup();
+                for &key in &written {
+                    model
+                        .history
+                        .entry(key)
+                        .or_default()
+                        .push((ts, state[&key]));
+                }
+                let at = pick(&times, *floor_back, floor);
+                match retire {
+                    Retire::Nothing => continue,
+                    Retire::Written => written.iter().for_each(|k| index.retire(k, at, &guard)),
+                    Retire::Sweep => {
+                        index.sweep(at, &guard);
+                        index.chains(&guard, |key, stamps| {
+                            let old = stamps.iter().filter(|(s, _)| *s <= at).count();
+                            let dead = stamps.len() == 1 && old == 1 && !stamps[0].1;
+                            assert!(
+                                old <= 1 && !dead,
+                                "{kind} {key:?}: {stamps:?} survived a sweep at {at}"
+                            );
+                        });
+                    }
+                }
+                floor = at;
+            }
+            Op::Read { back, lo, hi } => {
+                let snap = pick(&times, *back, floor);
+                let live = model.live_at(snap);
+                if kind == ONE {
+                    assert!(live.len() <= 1, "a one-entry edge held {live:?} at {snap}");
+                }
+                let guard = epoch::pin();
+                for key in 0..KEYS {
+                    assert_eq!(
+                        index.get(&key, snap, &guard).copied(),
+                        model.at(key, snap),
+                        "{kind}: get({key}) at {snap}"
+                    );
+                }
+                assert_eq!(
+                    walk(&index, Bound::Unbounded, Bound::Unbounded, snap),
+                    live,
+                    "{kind}: walk at {snap}"
+                );
+                let inside: Vec<_> = live
+                    .iter()
+                    .copied()
+                    .filter(|(k, _)| (*lo..*hi).contains(k))
+                    .collect();
+                assert_eq!(
+                    walk(&index, Bound::Included(lo), Bound::Excluded(hi), snap),
+                    inside,
+                    "{kind}: walk over [{lo}, {hi}) at {snap}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn map_shape_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
+        check_model(MAP, &ops);
+    }
+
+    #[test]
+    fn one_chain_shape_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
+        check_model(ONE, &ops);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Drop tracking.
+// ---------------------------------------------------------------------
+
+/// One committed write of `key → value` (or a tombstone), retired at the
+/// clock's present.
+fn commit_write(index: &VersionIndex<i64, DropCounter>, key: i64, value: Option<DropCounter>) {
+    let guard = epoch::pin();
+    let stamp = CommitStamp::new();
+    index.write(&key, Arc::clone(&stamp), value, &guard);
+    let ts = commit_clock().commit(&stamp);
+    index.retire(&key, ts, &guard);
+}
+
+/// A cell embedded in an unlinked node — and the versions truncated off a
+/// chain — are destroyed exactly once ([`DropCounter`] panics on a second
+/// drop), and only after every guard pinned before the unlink has dropped.
+#[test]
+fn retired_entries_are_destroyed_once_and_only_after_earlier_guards_drop() {
+    let _serial = serialize();
+    for kind in [MAP, ONE] {
+        let fam = DropFamily::new();
+        let index: VersionIndex<i64, DropCounter> = VersionIndex::for_kind(kind);
+        commit_write(&index, 7, Some(fam.make(1)));
+        commit_write(&index, 8, Some(fam.make(2)));
+        // What survives all of this test's retirement: on the map shape
+        // entry 7; on the one-chain shape nothing (writing 8 replaced 7).
+        let (kept, kept_versions) = if kind == MAP { (1, 1) } else { (0, 0) };
+        reclamation_flush();
+        assert_eq!(fam.live(), kept + 1, "{kind}");
+        let v0 = version_stats().live() - kept_versions - 1;
+
+        let held = epoch::pin();
+        let snap = commit_clock().now();
+        let seen = index.get(&8, snap, &held).expect("present at the snapshot");
+        // Tombstone, then retire: the live version is truncated and the
+        // entry, now one dead tombstone, is unlinked with its cell (map)
+        // or emptied (one chain) — all of it handed to the collector, none
+        // of it destroyed while `held` is pinned.
+        commit_write(&index, 8, None);
+        assert!(index.get(&8, commit_clock().now(), &held).is_none());
+        reclamation_flush();
+        assert_eq!(seen.payload(), 2, "{kind}: the guard keeps what it read");
+        assert_eq!(
+            fam.live(),
+            kept + 1,
+            "{kind}: nothing freed under the guard"
+        );
+        if kind == MAP {
+            // The tombstone lives in the unlinked node's embedded cell.
+            assert_eq!(version_stats().live() - v0, kept_versions + 1);
+        }
+
+        drop(held);
+        reclamation_flush();
+        assert_eq!(fam.live(), kept, "{kind}: the retired value is freed");
+        assert_eq!(version_stats().live() - v0, kept_versions, "{kind}");
+
+        // Dropping the index frees what is still linked, once.
+        drop(index);
+        assert_eq!(fam.live(), 0, "{kind}");
+        assert_eq!(fam.created(), fam.dropped(), "{kind}");
+        assert_eq!(version_stats().live(), v0, "{kind}");
+        assert_eq!(reclamation_flush().in_flight(), 0, "{kind}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Readers against a rewriting, retiring, unlinking writer.
+// ---------------------------------------------------------------------
+
+const SLOTS: i64 = 8;
+
+/// Attempt `n` of the writer moves the one-entry edge from key `n - 1` to
+/// key `n` (value `n`) and, under the same stamp, sets map entry `n % 8` to
+/// `n` and tombstones map entry `(n + 4) % 8`; then it retires what it
+/// wrote at the registry's floor, as a committing transaction does. A
+/// reader at any snapshot must therefore find the pair intact: the one
+/// entry `(n, n)` for the newest attempt `n` it can see, and `n` under map
+/// key `n % 8` — a torn pair means a version leaked across a stamp.
+fn stress(attempts: i64) {
+    let clock = commit_clock();
+    let registry = SnapshotRegistry::new();
+    let one: VersionIndex<i64, i64> = VersionIndex::for_kind(ONE);
+    let map: VersionIndex<i64, i64> = VersionIndex::for_kind(MAP);
+    let done = AtomicBool::new(false);
+    let newest = AtomicI64::new(0);
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut reads = 0u64;
+                    while !done.load(SeqCst) {
+                        let floor = newest.load(SeqCst);
+                        let reg = registry.register(clock);
+                        let guard = epoch::pin();
+                        let mut pair = None;
+                        one.walk(
+                            Bound::Unbounded,
+                            Bound::Unbounded,
+                            reg.snap(),
+                            &guard,
+                            |k, v| {
+                                pair = Some((*k, *v));
+                                ControlFlow::Continue(())
+                            },
+                        );
+                        let Some((n, v)) = pair else {
+                            assert_eq!(floor, 0, "the edge is never empty once written");
+                            continue;
+                        };
+                        assert_eq!(n, v, "one-entry edge tore");
+                        assert!(n >= floor, "snapshot went back in time: {n} < {floor}");
+                        assert_eq!(one.get(&n, reg.snap(), &guard), Some(&n));
+                        assert_eq!(
+                            map.get(&(n % SLOTS), reg.snap(), &guard),
+                            Some(&n),
+                            "attempt {n} is visible in one index and not the other"
+                        );
+                        let mut prev = -1;
+                        map.walk(
+                            Bound::Unbounded,
+                            Bound::Unbounded,
+                            reg.snap(),
+                            &guard,
+                            |k, v| {
+                                assert!(
+                                    *k > prev && *v % SLOTS == *k && *v <= n,
+                                    "({k}, {v}) at {n}"
+                                );
+                                prev = *k;
+                                ControlFlow::Continue(())
+                            },
+                        );
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        for n in 1..=attempts {
+            let guard = epoch::pin();
+            let stamp = CommitStamp::new();
+            one.write(&(n - 1), Arc::clone(&stamp), None, &guard);
+            one.write(&n, Arc::clone(&stamp), Some(n), &guard);
+            let (set, cleared) = (n % SLOTS, (n + SLOTS / 2) % SLOTS);
+            map.write(&set, Arc::clone(&stamp), Some(n), &guard);
+            map.write(&cleared, Arc::clone(&stamp), None, &guard);
+            clock.commit(&stamp);
+            newest.store(n, SeqCst);
+            let floor = registry.min_active(clock);
+            one.retire(&n, floor, &guard);
+            if n % 64 == 0 {
+                map.sweep(floor, &guard);
+            } else {
+                map.retire(&set, floor, &guard);
+                map.retire(&cleared, floor, &guard);
+            }
+        }
+        done.store(true, SeqCst);
+        for r in readers {
+            assert!(r.join().unwrap() > 0, "a reader never completed a read");
+        }
+    });
+    // Quiescent: one more sweep leaves one version per live entry.
+    let guard = epoch::pin();
+    let now = clock.now();
+    one.sweep(now, &guard);
+    map.sweep(now, &guard);
+    let count = |index: &VersionIndex<i64, i64>| {
+        let mut versions = 0;
+        index.chains(&guard, |_, stamps| versions += stamps.len());
+        versions
+    };
+    assert_eq!(count(&one), 1);
+    assert_eq!(count(&map), (SLOTS / 2) as usize);
+}
+
+#[test]
+fn snapshot_readers_never_see_a_torn_pair() {
+    let _serial = serialize();
+    stress(20_000);
+}
+
+/// Long form of [`snapshot_readers_never_see_a_torn_pair`] for the soak
+/// step.
+#[test]
+#[ignore = "soak: run with --ignored"]
+fn snapshot_readers_never_see_a_torn_pair_soak() {
+    let _serial = serialize();
+    stress(2_000_000);
+}

@@ -2,17 +2,26 @@
 //! (§4.1).
 //!
 //! Each node `v : A ▷ B` of a decomposition has a set of run-time instances
-//! `v_t`, one per valuation `t` of `A`; each instance owns one container per
-//! outgoing edge and the physical lock stripes assigned to the node by the
-//! lock placement. Instances are shared via [`Arc`] — a node with several
-//! incoming edges (e.g. the diamond's `w`) is reachable from several
-//! containers but is one object, exactly as in Fig. 2(b).
+//! `v_t`, one per valuation `t` of `A`; each instance owns, per outgoing
+//! edge, the edge's container and its shadow [`VersionIndex`], and the
+//! physical lock stripes assigned to the node by the lock placement.
+//! Instances are shared via [`Arc`] — a node with several incoming edges
+//! (e.g. the diamond's `w`) is reachable from several containers but is one
+//! object, exactly as in Fig. 2(b).
+//!
+//! **The index follows the edge.** [`NodeInstance::new`] makes both halves
+//! of an edge from the one [`ContainerKind`](relc_containers::ContainerKind)
+//! the decomposition gives it: the container that fits the edge, and the
+//! version index that fits that container — one inline version chain where
+//! the edge holds at most one entry (`Singleton`), a skip list with the
+//! chains embedded in its nodes everywhere else. Nothing else in the
+//! runtime knows which shape an edge has.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use relc_containers::{ConcurrentSkipListMap, Container, VersionCell};
+use relc_containers::Container;
 use relc_locks::PhysicalLock;
 use relc_spec::Tuple;
 
@@ -27,18 +36,21 @@ pub type NodeRef = Arc<NodeInstance>;
 /// container and mirrored by every locked write, so snapshot readers
 /// traverse only this lock-free structure and never touch containers
 /// that are unsafe under concurrent writes.
-pub type VersionIndex = ConcurrentSkipListMap<Tuple, Arc<VersionCell<NodeRef>>>;
+pub type VersionIndex = relc_containers::VersionIndex<Tuple, NodeRef>;
+
+/// What an instance owns per outgoing edge.
+struct EdgeInstance {
+    container: Box<dyn Container<Tuple, NodeRef>>,
+    versions: VersionIndex,
+}
 
 /// A run-time instance `v_t` of decomposition node `v`.
 pub struct NodeInstance {
     node: NodeId,
     key: Tuple,
     locks: Box<[Arc<PhysicalLock>]>,
-    /// One container per outgoing edge, parallel to `node.outgoing`.
-    containers: Box<[Box<dyn Container<Tuple, NodeRef>>]>,
-    /// One shadow version index per outgoing edge, parallel to
-    /// `containers`.
-    versions: Box<[VersionIndex]>,
+    /// Parallel to `node.outgoing`.
+    edges: Box<[EdgeInstance]>,
 }
 
 impl NodeInstance {
@@ -63,18 +75,24 @@ impl NodeInstance {
         let locks = (0..placement.stripe_count(node))
             .map(|_| Arc::new(PhysicalLock::new()))
             .collect();
-        let containers = meta
+        // The index follows the edge: both are made from the edge's
+        // container kind, here and nowhere else.
+        let edges = meta
             .outgoing
             .iter()
-            .map(|&e| decomp.edge(e).container.instantiate::<Tuple, NodeRef>())
+            .map(|&e| {
+                let kind = decomp.edge(e).container;
+                EdgeInstance {
+                    container: kind.instantiate::<Tuple, NodeRef>(),
+                    versions: VersionIndex::for_kind(kind),
+                }
+            })
             .collect();
-        let versions = meta.outgoing.iter().map(|_| VersionIndex::new()).collect();
         Arc::new(NodeInstance {
             node,
             key,
             locks,
-            containers,
-            versions,
+            edges,
         })
     }
 
@@ -97,6 +115,16 @@ impl NodeInstance {
         &self.locks[stripe as usize]
     }
 
+    fn edge(&self, decomp: &Decomposition, edge: EdgeId) -> &EdgeInstance {
+        let pos = decomp
+            .node(self.node)
+            .outgoing
+            .iter()
+            .position(|&e| e == edge)
+            .expect("edge must leave this node");
+        &self.edges[pos]
+    }
+
     /// The container implementing outgoing edge `edge`.
     ///
     /// # Panics
@@ -107,13 +135,7 @@ impl NodeInstance {
         decomp: &Decomposition,
         edge: EdgeId,
     ) -> &dyn Container<Tuple, NodeRef> {
-        let pos = decomp
-            .node(self.node)
-            .outgoing
-            .iter()
-            .position(|&e| e == edge)
-            .expect("edge must leave this node");
-        &*self.containers[pos]
+        &*self.edge(decomp, edge).container
     }
 
     /// The shadow version index of outgoing edge `edge`.
@@ -122,19 +144,13 @@ impl NodeInstance {
     ///
     /// Panics if `edge` is not an outgoing edge of this node.
     pub fn versions(&self, decomp: &Decomposition, edge: EdgeId) -> &VersionIndex {
-        let pos = decomp
-            .node(self.node)
-            .outgoing
-            .iter()
-            .position(|&e| e == edge)
-            .expect("edge must leave this node");
-        &self.versions[pos]
+        &self.edge(decomp, edge).versions
     }
 
     /// Whether every container of this instance is empty (the instance
     /// represents no residual tuples and should be unlinked).
     pub fn is_exhausted(&self) -> bool {
-        self.containers.iter().all(|c| c.is_empty())
+        self.edges.iter().all(|e| e.container.is_empty())
     }
 }
 
@@ -229,7 +245,7 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
         }
     }
     // Structural walk: sharing, keys, exhaustion.
-    let mut seen: Vec<(NodeId, Tuple, *const NodeInstance)> = Vec::new();
+    let mut seen: HashMap<(NodeId, Tuple), *const NodeInstance> = HashMap::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
     while let Some(inst) = stack.pop() {
         let meta = decomp.node(inst.node());
@@ -248,11 +264,8 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
             ));
         }
         let ptr = Arc::as_ptr(&inst);
-        match seen
-            .iter()
-            .find(|(n, k, _)| *n == inst.node() && k == inst.key())
-        {
-            Some((_, _, prev)) if *prev != ptr => {
+        match seen.insert((inst.node(), inst.key().clone()), ptr) {
+            Some(prev) if prev != ptr => {
                 return Err(format!(
                     "instance {:?} of {} is duplicated instead of shared",
                     inst.key(),
@@ -260,7 +273,7 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
                 ));
             }
             Some(_) => continue, // already visited this exact object
-            None => seen.push((inst.node(), inst.key().clone(), ptr)),
+            None => {}
         }
         for &e in &meta.outgoing {
             inst.container(decomp, e)

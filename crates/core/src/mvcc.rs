@@ -3,13 +3,17 @@
 //! Every locked container mutation in [`crate::exec`] is mirrored into
 //! the written instance's *shadow version index* (see
 //! [`crate::instance::VersionIndex`]): a lock-free map from entry key to
-//! that entry's [`VersionCell`] chain, kept parallel to the edge's main
-//! container. All versions written by one transaction attempt share one
-//! [`CommitStamp`]; the commit path ([`crate::commit::commit`], where the
-//! whole ordering argument lives) stamps it through the global
-//! [`commit clock`](relc_locks::commit_clock) *before* the lock engine
-//! releases anything, so a version's stamp being `≤` a reader's snapshot
-//! implies the whole owning transaction committed before that snapshot.
+//! that entry's version chain, kept parallel to the edge's main container
+//! and shaped like it — one inline chain for an edge that holds at most
+//! one entry, a skip list with embedded chains for every other. This
+//! module never sees a chain: it writes entries, reads them at a
+//! timestamp, and asks the index to retire them. All versions written by
+//! one transaction attempt share one [`CommitStamp`]; the commit path
+//! ([`crate::commit::commit`], where the whole ordering argument lives)
+//! stamps it through the global [`commit clock`](relc_locks::commit_clock)
+//! *before* the lock engine releases anything, so a version's stamp being
+//! `≤` a reader's snapshot implies the whole owning transaction committed
+//! before that snapshot.
 //!
 //! Snapshot readers ([`crate::relation::SnapshotReader`]) run the same
 //! compiled plans through the same evaluator ([`crate::query`]) as locked
@@ -17,52 +21,60 @@
 //! containers — many of which are unsafe under concurrent writes and rely
 //! on the synthesized lock placement — only the version indexes,
 //! resolving at each edge the newest version committed at or before its
-//! timestamp, under an epoch guard held for the whole traversal.
+//! timestamp, under one epoch guard held for the whole traversal (the
+//! indexes pin nothing themselves and hand back borrows good for that
+//! guard).
 //!
 //! # Version retirement
 //!
 //! At commit (locks still held), the committer computes the oldest
 //! snapshot any in-flight reader holds
 //! ([`SnapshotRegistry::min_active`](relc_locks::SnapshotRegistry::min_active))
-//! once, then for every cell in its write journal: truncates versions
-//! strictly older than the newest version at or below that floor, and —
-//! if the cell's whole remaining history is one committed tombstone at
-//! or below the floor — unlinks the cell from its index (the skip list
-//! defers the `Arc` through the epoch collector, so retirement shows up
-//! in `ReclamationStats`). Cells are only ever mutated or unlinked by a
-//! transaction holding the entry's 2PL write locks, which is what makes
-//! the chains single-writer. A cell tombstoned while an old reader was
-//! still live is retired the next time *any* transaction writes that
-//! entry (or when the relation drops); it is never reclaimed behind a
-//! lock-free reader's back.
+//! once, then revisits every entry in its write journal. The journal
+//! names entries — `(host, edge, key)` — and holds no pointer into an
+//! index: the entry is found again by key, under the commit's guard,
+//! along the path the attempt's own write just warmed. That is what lets
+//! a chain live *inside* its index node rather than behind a shared
+//! pointer. Retiring an entry truncates versions strictly older than the
+//! newest version at or below the floor and — if the whole remaining
+//! history is one committed tombstone at or below it — drops the entry
+//! from the index (a map-shaped index unlinks the node and defers it, with
+//! the chain it embeds, through the epoch collector, so retirement shows
+//! up in `ReclamationStats`; a one-chain index empties its chain).
+//! Entries are only ever mutated or unlinked by a transaction holding the
+//! entry's 2PL write locks, which is what makes the chains single-writer
+//! — for a one-entry edge too, whose every writer holds the lock of the
+//! entry present. An entry tombstoned while an old reader was still live
+//! is retired the next time *any* transaction writes that entry (or
+//! sweeps its index, or when the relation drops); it is never reclaimed
+//! behind a lock-free reader's back.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::convert::Infallible;
-use std::ops::ControlFlow;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 use relc_containers::epoch::Guard;
-use relc_containers::{Container, VersionCell};
 use relc_locks::{CommitStamp, LockMode};
 use relc_spec::Tuple;
 
 use crate::commit::Participant;
 use crate::decomp::{Decomposition, EdgeId};
-use crate::instance::NodeRef;
+use crate::instance::{NodeInstance, NodeRef};
 use crate::placement::LockPlacement;
 use crate::query::{EdgeView, KeyBounds, QueryState};
 
-/// One mirrored write: enough to revisit the cell at commit for
-/// truncation and dead-cell purge.
+/// One mirrored write: where to find the entry again at commit, for
+/// truncation and dead-entry purge. The index is re-entered by key — the
+/// attempt wrote this entry moments ago, so the path to it is warm, and
+/// the journal holds no reference into the index's memory.
 pub(crate) struct JournalEntry {
-    /// The instance whose version index holds the cell.
+    /// The instance whose version index holds the entry.
     pub host: NodeRef,
     /// The outgoing edge the entry belongs to.
     pub edge: EdgeId,
     /// The entry key within the edge.
     pub key: Tuple,
-    /// The entry's version chain.
-    pub cell: Arc<VersionCell<NodeRef>>,
 }
 
 /// Per-transaction-attempt MVCC state, owned by the executor: the shared
@@ -102,11 +114,11 @@ impl MvccScope {
     }
 
     /// Mirrors one locked container write into `host`'s version index
-    /// for `edge`: pushes a version (`None` = tombstone) stamped with
-    /// this attempt's stamp onto the entry's cell, creating the cell on
-    /// first write. Caller must hold the entry's placement write locks —
-    /// the same locks that serialize the mirrored container mutation —
-    /// which serializes all same-entry cell mutation.
+    /// for `edge`: records a version (`None` = tombstone) stamped with
+    /// this attempt's stamp for the entry. Caller must hold the entry's
+    /// placement write locks — the same locks that serialize the
+    /// mirrored container mutation — which serializes all same-entry
+    /// index mutation.
     pub fn write(
         &mut self,
         decomp: &Decomposition,
@@ -117,78 +129,49 @@ impl MvccScope {
         guard: &Guard,
     ) {
         let stamp = self.stamp();
-        let index = host.versions(decomp, edge);
-        let cell = match index.lookup(&key) {
-            Some(cell) => {
-                cell.push(stamp, value, guard);
-                cell
-            }
-            None => {
-                let cell = Arc::new(VersionCell::new(stamp, value));
-                index.write(&key, Some(Arc::clone(&cell)));
-                cell
-            }
-        };
+        host.versions(decomp, edge).write(&key, stamp, value, guard);
         self.journal.push(JournalEntry {
             host: Arc::clone(host),
             edge,
             key,
-            cell,
         });
     }
 
     /// Commit-side maintenance, run with the attempt's locks still held
-    /// and its stamp already committed: truncate every journaled cell to
-    /// the retirement floor `min_active` and unlink cells whose whole
+    /// and its stamp already committed: truncate every journaled entry to
+    /// the retirement floor `min_active` and drop entries whose whole
     /// visible history is one committed tombstone at or below it.
     ///
     /// Where the placement guards a whole edge container instance with
     /// one physical lock
     /// (`!`[`LockPlacement::admits_container_concurrency`]), the *whole*
     /// version index of each journaled edge is swept, not just the
-    /// journaled cells. A dead cell that a live reader pinned at *its*
+    /// journaled entries. A dead entry that a live reader pinned at *its*
     /// committing transaction's retirement can only otherwise be
     /// reclaimed by a later write of the same entry key — and on
     /// value-keyed edges (a weight sink, say) the same key rarely
     /// recurs, so those corpses would pile up and every snapshot scan
     /// would crawl them forever. The sweep is safe exactly because this
     /// attempt holds that single per-instance lock exclusively for every
-    /// journaled edge, so no other writer can be mutating *any* cell of
+    /// journaled edge, so no other writer can be mutating *any* entry of
     /// the index. Speculative edges (present entries locked at per-entry
     /// targets) and edges striped by entry-key columns (another stripe's
-    /// writer may hold another stripe) keep the journaled-cells-only
+    /// writer may hold another stripe) keep the journaled-entries-only
     /// rule — there, the entry keys are relation keys, which workloads
     /// do rewrite.
     pub fn retire(&self, placement: &LockPlacement, min_active: u64, guard: &Guard) {
         let decomp = placement.decomposition();
         let mut swept: Vec<(*const (), EdgeId)> = Vec::new();
         for entry in &self.journal {
-            if !placement.admits_container_concurrency(entry.edge) {
-                let tag = (Arc::as_ptr(&entry.host).cast::<()>(), entry.edge);
-                if swept.contains(&tag) {
-                    continue;
-                }
+            let index = entry.host.versions(decomp, entry.edge);
+            if placement.admits_container_concurrency(entry.edge) {
+                index.retire(&entry.key, min_active, guard);
+                continue;
+            }
+            let tag = (Arc::as_ptr(&entry.host).cast::<()>(), entry.edge);
+            if !swept.contains(&tag) {
                 swept.push(tag);
-                let index = entry.host.versions(decomp, entry.edge);
-                let mut dead: Vec<Tuple> = Vec::new();
-                index.scan(&mut |k: &Tuple, cell| {
-                    cell.truncate(min_active, guard);
-                    if cell.is_dead(min_active, guard) {
-                        dead.push(k.clone());
-                    }
-                    std::ops::ControlFlow::<()>::Continue(())
-                });
-                for k in dead {
-                    index.write(&k, None);
-                }
-            } else {
-                entry.cell.truncate(min_active, guard);
-                if entry.cell.is_dead(min_active, guard) {
-                    entry
-                        .host
-                        .versions(decomp, entry.edge)
-                        .write(&entry.key, None);
-                }
+                index.sweep(min_active, guard);
             }
         }
     }
@@ -253,14 +236,15 @@ impl std::fmt::Debug for MvccScope {
 ///   the stamp on rollback paths too);
 /// * after compacting each chain to the current retirement floor, at
 ///   most one version sits at or below the floor (the keeper —
-///   [`VersionCell::truncate`]'s postcondition);
+///   [`relc_containers::VersionCell::truncate`]'s postcondition);
 /// * the version indexes, resolved at the current clock time, carry
 ///   exactly the live keys of the main containers (every locked write
-///   was mirrored, every mirror was written).
+///   was mirrored, every mirror was written) — whichever shape the
+///   index has.
 ///
-/// As a side effect chains are compacted to the current floor, exactly
-/// as a committing writer would; at quiescence that is sound and
-/// exercises the retirement path.
+/// As a side effect every index is swept to the current floor, exactly
+/// as a committing writer holding its lock would; at quiescence that is
+/// sound and exercises the retirement path.
 pub(crate) fn verify_versions(
     decomp: &Decomposition,
     root: &NodeRef,
@@ -270,14 +254,12 @@ pub(crate) fn verify_versions(
     let floor = registry.min_active(clock);
     let now = clock.now();
     let guard = relc_containers::epoch::pin();
-    let mut seen: Vec<*const ()> = Vec::new();
+    let mut seen: HashSet<*const NodeInstance> = HashSet::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
     while let Some(inst) = stack.pop() {
-        let ptr = Arc::as_ptr(&inst).cast::<()>();
-        if seen.contains(&ptr) {
+        if !seen.insert(Arc::as_ptr(&inst)) {
             continue;
         }
-        seen.push(ptr);
         let meta = decomp.node(inst.node());
         for &e in &meta.outgoing {
             let em = decomp.edge(e);
@@ -289,47 +271,33 @@ pub(crate) fn verify_versions(
                     stack.push(Arc::clone(child));
                     ControlFlow::Continue(())
                 });
+            let index = inst.versions(decomp, e);
+            index.sweep(floor, &guard);
             let mut err: Option<String> = None;
-            let mut resolved: BTreeSet<Tuple> = BTreeSet::new();
-            inst.versions(decomp, e).scan(&mut |k: &Tuple, cell| {
-                cell.truncate(floor, &guard);
-                let stamps = cell.chain_stamps(&guard);
-                if let Some(w) = stamps.windows(2).find(|w| w[0].0 <= w[1].0) {
-                    err = Some(format!(
-                        "version chain for {k:?} on {ename} of instance \
-                         {:?} is not strictly decreasing: {} then {}",
-                        inst.key(),
-                        w[0].0,
-                        w[1].0
-                    ));
-                    return ControlFlow::Break(());
-                }
-                if stamps.iter().any(|&(s, _)| s == u64::MAX) {
-                    err = Some(format!(
-                        "version chain for {k:?} on {ename} of instance \
-                         {:?} holds a tentative stamp at quiescence",
-                        inst.key()
-                    ));
-                    return ControlFlow::Break(());
-                }
+            index.chains(&guard, |k, stamps| {
                 let below = stamps.iter().filter(|&&(s, _)| s <= floor).count();
-                if below > 1 {
-                    err = Some(format!(
-                        "version chain for {k:?} on {ename} of instance \
-                         {:?} keeps {below} versions at or below the \
-                         retirement floor {floor}",
-                        inst.key()
-                    ));
-                    return ControlFlow::Break(());
-                }
-                if cell.resolve(now, &guard).is_some() {
-                    resolved.insert(k.clone());
-                }
-                ControlFlow::Continue(())
+                let fault = if let Some(w) = stamps.windows(2).find(|w| w[0].0 <= w[1].0) {
+                    format!("is not strictly decreasing: {} then {}", w[0].0, w[1].0)
+                } else if stamps.iter().any(|&(s, _)| s == u64::MAX) {
+                    "holds a tentative stamp at quiescence".to_owned()
+                } else if below > 1 {
+                    format!("keeps {below} versions at or below the retirement floor {floor}")
+                } else {
+                    return;
+                };
+                err.get_or_insert(format!(
+                    "version chain for {k:?} on {ename} of instance {:?} {fault}",
+                    inst.key()
+                ));
             });
             if let Some(err) = err {
                 return Err(err);
             }
+            let mut resolved: BTreeSet<Tuple> = BTreeSet::new();
+            index.walk(Bound::Unbounded, Bound::Unbounded, now, &guard, |k, _| {
+                resolved.insert(k.clone());
+                ControlFlow::Continue(())
+            });
             if resolved != live {
                 let missing: Vec<_> = live.difference(&resolved).collect();
                 let phantom: Vec<_> = resolved.difference(&live).collect();
@@ -354,25 +322,20 @@ pub(crate) fn verify_versions(
 pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize {
     let guard = relc_containers::epoch::pin();
     let mut total = 0usize;
-    let mut seen: Vec<*const ()> = Vec::new();
+    let mut seen: HashSet<*const NodeInstance> = HashSet::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
     while let Some(inst) = stack.pop() {
-        let ptr = Arc::as_ptr(&inst).cast::<()>();
-        if seen.contains(&ptr) {
+        if !seen.insert(Arc::as_ptr(&inst)) {
             continue;
         }
-        seen.push(ptr);
-        let meta = decomp.node(inst.node());
-        for &e in &meta.outgoing {
+        for &e in &decomp.node(inst.node()).outgoing {
             inst.container(decomp, e)
                 .scan(&mut |_k: &Tuple, child: &NodeRef| {
                     stack.push(Arc::clone(child));
                     ControlFlow::Continue(())
                 });
-            inst.versions(decomp, e).scan(&mut |_k: &Tuple, cell| {
-                total += cell.chain_stamps(&guard).len();
-                ControlFlow::Continue(())
-            });
+            inst.versions(decomp, e)
+                .chains(&guard, |_, stamps| total += stamps.len());
         }
     }
     total
@@ -392,9 +355,9 @@ pub(crate) struct Snapshot<'a> {
 impl EdgeView for Snapshot<'_> {
     type Restart = Infallible;
 
-    /// Every version index is a skip list, so an interval walk is a
-    /// bounded in-order traversal regardless of the main container's kind
-    /// (a step's `ordered` flag describes the locked view).
+    /// Both version index shapes walk in key order, so an interval walk
+    /// is a bounded in-order traversal regardless of the main container's
+    /// kind (a step's `ordered` flag describes the locked view).
     const WALKS_IN_KEY_ORDER: bool = true;
 
     fn lock(
@@ -418,8 +381,8 @@ impl EdgeView for Snapshot<'_> {
         Ok(st
             .instance(self.decomp.edge(edge).src)
             .versions(self.decomp, edge)
-            .lookup(key)
-            .and_then(|cell| cell.resolve(self.snap, self.guard)))
+            .get(key, self.snap, self.guard)
+            .cloned())
     }
 
     fn walk(
@@ -432,17 +395,77 @@ impl EdgeView for Snapshot<'_> {
         let index = st
             .instance(self.decomp.edge(edge).src)
             .versions(self.decomp, edge);
-        let mut visit = |k: &Tuple, cell: &Arc<VersionCell<NodeRef>>| {
-            if st.tuple.matches(k) {
-                if let Some(child) = cell.resolve(self.snap, self.guard) {
-                    return f(self, k, child);
-                }
-            }
-            ControlFlow::Continue(())
+        let (lo, hi) = match bounds {
+            Some((lo, hi)) => (lo.as_ref(), hi.as_ref()),
+            None => (Bound::Unbounded, Bound::Unbounded),
         };
-        match bounds {
-            Some((lo, hi)) => index.scan_range(lo.as_ref(), hi.as_ref(), &mut visit),
-            None => index.scan(&mut visit),
+        index.walk(lo, hi, self.snap, self.guard, |k, child| {
+            if st.tuple.matches(k) {
+                f(self, k, Arc::clone(child))
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decomp::library::stick;
+    use relc_containers::ContainerKind;
+    use relc_spec::Value;
+
+    /// Writes the stick row `(1, 2, 42)` edge by edge — `ρ→u` and `u→v`
+    /// have map-shaped indexes, the Singleton `v→w` the one-chain shape —
+    /// with the container write and the mirror write of each edge switched
+    /// separately, commits, and verifies.
+    fn verify_row(writes: impl Fn(&str) -> (bool, bool)) -> Result<(), String> {
+        let d = stick(ContainerKind::TreeMap, ContainerKind::TreeMap);
+        let p = LockPlacement::coarse(&d).unwrap();
+        let row = d
+            .schema()
+            .tuple(&[
+                ("src", Value::from(1)),
+                ("dst", Value::from(2)),
+                ("weight", Value::from(42)),
+            ])
+            .unwrap();
+        let inst = |name: &str| {
+            let node = d.node_by_name(name).unwrap();
+            NodeInstance::new(&d, &p, node, row.project(d.node(node).key_cols))
+        };
+        let root = inst("ρ");
+        let guard = relc_containers::epoch::pin();
+        let mut scope = MvccScope::default();
+        let mut src = Arc::clone(&root);
+        for (from, to) in [("ρ", "u"), ("u", "v"), ("v", "w")] {
+            let e = d.edge_between(from, to).unwrap();
+            let key = row.project(d.edge(e).cols);
+            let child = inst(to);
+            let (container, mirror) = writes(to);
+            if container {
+                src.container(&d, e).write(&key, Some(Arc::clone(&child)));
+            }
+            if mirror {
+                scope.write(&d, &src, e, key, Some(Arc::clone(&child)), &guard);
+            }
+            src = child;
+        }
+        let registry = relc_locks::SnapshotRegistry::new();
+        relc_locks::commit_clock().commit(scope.stamp_opt().expect("something was mirrored"));
+        scope.retire(&p, registry.min_active(relc_locks::commit_clock()), &guard);
+        verify_versions(&d, &root, &registry)
+    }
+
+    #[test]
+    fn mirror_completeness_is_checked_on_both_index_shapes() {
+        verify_row(|_| (true, true)).expect("a fully mirrored row verifies");
+        for (edge_to, shape) in [("v", "map"), ("w", "one-chain")] {
+            let err = verify_row(|to| (true, to != edge_to)).unwrap_err();
+            assert!(err.contains("unmirrored live keys [⟨"), "{shape}: {err}");
+            let err = verify_row(|to| (to != edge_to, true)).unwrap_err();
+            assert!(err.contains("phantom version keys [⟨"), "{shape}: {err}");
         }
     }
 }

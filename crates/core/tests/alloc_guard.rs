@@ -1,0 +1,119 @@
+//! Allocation guard: what a preloaded row and a single-shot read cost the
+//! allocator, counted — so it gates — on the `graph_read_mostly` shape of
+//! the benchmark (`split(ConcurrentHashMap, HashMap)` + `striped_root(1024)`,
+//! 4,096 nodes, 32,768 edges).
+//!
+//! The counts are deterministic: one thread, a fixed insertion order, and
+//! every allocation in the path has a size fixed by the shape (the only
+//! randomness, skip-list tower heights, moves a count by well under one
+//! allocation per row). Before the version index followed its edge — one
+//! generic skip list per edge instance, whatever the edge's container —
+//! this test measured **119.2 allocations per preloaded row, 61.1 of them
+//! still live after the preload, and 86.0 allocations per 8-row read** (90
+//! on the benchmark's own stream). The row ceilings below sit between that
+//! and what the edge-shaped index measures (76.7 and 39.8, with headroom
+//! for the tower coin); a read may not cost more than it did (now 84.0).
+//!
+//! This binary holds exactly one test: the counter is process-global and
+//! the harness runs a binary's tests on parallel threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use relc::decomp::library::split;
+use relc::placement::LockPlacement;
+use relc::ConcurrentRelation;
+use relc_containers::ContainerKind;
+use relc_spec::{Tuple, Value};
+
+/// Counts every allocation (a `realloc` is one more) and every release.
+struct Counting;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static FREED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain statistics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are `System.dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(1, Relaxed);
+        FREED.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are `System.realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocated, live)` so far.
+fn counters() -> (u64, u64) {
+    let allocated = ALLOCATED.load(Relaxed);
+    (allocated, allocated - FREED.load(Relaxed))
+}
+
+const NODES: u32 = 4_096;
+const EDGES: u32 = 32_768;
+
+#[test]
+fn preloaded_row_and_single_shot_read_stay_within_their_allocation_budget() {
+    let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+    let p = LockPlacement::striped_root(&d, 1024).unwrap();
+    let rel = ConcurrentRelation::new(d, p).unwrap();
+    let schema = rel.schema().clone();
+    let col = |n: &str| schema.column(n).unwrap();
+    let (src, dst, weight) = (col("src"), col("dst"), col("weight"));
+    let edge = |s: u32, d: u32| Tuple::from_pairs([(src, Value::from(s)), (dst, Value::from(d))]);
+    let payload = |w: u32| Tuple::from_pairs([(weight, Value::from(w))]);
+
+    // Every node's self-loop, then 7 more out-edges per node: each node
+    // ends with 8 successors and 8 predecessors, as in the benchmark.
+    let rows: Vec<(u32, u32)> = (0..NODES)
+        .map(|n| (n, n))
+        .chain((0..NODES).flat_map(|n| (1..8).map(move |k| (n, (n + k * 523) % NODES))))
+        .collect();
+    assert_eq!(rows.len() as u32, EDGES);
+
+    let (allocated0, live0) = counters();
+    for &(s, t) in &rows {
+        assert!(rel.insert(&edge(s, t), &payload(s ^ t)).unwrap());
+    }
+    let (allocated1, live1) = counters();
+    let per_row = (allocated1 - allocated0) as f64 / EDGES as f64;
+    let live_per_row = (live1 - live0) as f64 / EDGES as f64;
+
+    let out = schema.column_set(&["dst", "weight"]).unwrap();
+    let reads = 512u32;
+    let (before_reads, _) = counters();
+    for n in 0..reads {
+        let rows = rel
+            .query(&Tuple::from_pairs([(src, Value::from(n * 7))]), out)
+            .unwrap();
+        assert_eq!(rows.len(), 8);
+    }
+    let per_read = (counters().0 - before_reads) as f64 / reads as f64;
+
+    println!("allocations per preloaded row {per_row:.1}, live {live_per_row:.1}; per 8-row read {per_read:.1}");
+    assert!(
+        per_row <= 90.0,
+        "{per_row:.1} allocations per preloaded row"
+    );
+    assert!(
+        live_per_row <= 48.0,
+        "{live_per_row:.1} live per preloaded row"
+    );
+    assert!(per_read <= 86.0, "{per_read:.1} allocations per 8-row read");
+    rel.verify().unwrap();
+}

@@ -660,3 +660,65 @@ fn snapshot_counters_surface_through_stats() {
     );
     assert!(graph.version_stats().created > v0.created);
 }
+
+/// `verify()` must stay linear in the instance count: its three walks
+/// (structure, version chains, footprint) each remember the instances they
+/// visited, and with a list for that memory a 32,768-edge `split` graph —
+/// 4,096 `u`/`v` and 65,536 `w`/`y` instances, the benchmark's
+/// `graph_read_mostly` — took 40 s to verify. The graph is churned first
+/// so the walk meets both index shapes in every state a commit leaves
+/// them in: rewritten and emptied one-chain indexes (`w→x`, `y→z`),
+/// unlinked and re-linked map entries (`u→w`, `v→y`), and — under a
+/// registered reader — chains more than one version deep, whose
+/// mirror-completeness check has to resolve past the pinned versions.
+#[test]
+fn verify_walks_a_benchmark_sized_graph_in_linear_time() {
+    let _serial = serialize();
+    let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+    let rel =
+        ConcurrentRelation::new(d.clone(), LockPlacement::striped_root(&d, 1024).unwrap()).unwrap();
+    let nodes = 4_096i64;
+    let rows: Vec<(i64, i64)> = (0..nodes)
+        .flat_map(|n| (0..8).map(move |k| (n, (n + k * 523) % nodes)))
+        .collect();
+    for &(s, t) in &rows {
+        assert!(rel.insert(&edge(&rel, s, t), &weight(&rel, s ^ t)).unwrap());
+    }
+    let pin = rel.snapshots().register(relc_locks::commit_clock());
+    for (i, &(s, t)) in rows.iter().enumerate().filter(|(i, _)| i % 16 == 3) {
+        match i % 3 {
+            0 => drop(rel.update(&edge(&rel, s, t), &weight(&rel, -1)).unwrap()),
+            1 => drop(rel.remove(&edge(&rel, s, t)).unwrap()),
+            _ => {
+                rel.remove(&edge(&rel, s, t)).unwrap();
+                rel.insert(&edge(&rel, s, t), &weight(&rel, -2)).unwrap();
+            }
+        }
+    }
+    let removed = rows
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 16 == 3 && i % 3 == 1);
+    let expected = rows.len() - removed.count();
+    let pinned_footprint = rel.version_footprint();
+    assert!(
+        pinned_footprint > 2 * expected + rows.len() / 16,
+        "the registered reader pins the churned entries' old versions: {pinned_footprint}"
+    );
+
+    let start = std::time::Instant::now();
+    assert_eq!(rel.verify().unwrap().len(), expected);
+    drop(pin);
+    // No reader left: this pass compacts every chain to one version and
+    // drops what the removes left behind, in both shapes.
+    assert_eq!(rel.verify().unwrap().len(), expected);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(20),
+        "two verify() passes over {} rows took {elapsed:?}",
+        rows.len()
+    );
+    // `ρ→u`, `u→w`, `w→x` and their mirror images: 2 root entries per
+    // node and 4 entries per row, one version each.
+    assert_eq!(rel.version_footprint(), 2 * nodes as usize + 4 * expected);
+}
