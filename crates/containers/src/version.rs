@@ -17,8 +17,9 @@
 //!   head is invisible to every reader (no snapshot can reach
 //!   `u64::MAX`);
 //! * a push carrying the *same* stamp as the head replaces the head in
-//!   place, so a transaction that overwrites its own write (or compensates
-//!   it during rollback) nets to one version.
+//!   place, so an attempt holds at most one version of an entry — which is
+//!   what lets an aborted attempt take its write back by dropping the head
+//!   ([`VersionIndex::revert`]).
 //!
 //! A [`VersionIndex`] is one decomposition edge instance's map from entry
 //! key to chain, in one of two shapes fixed by the edge's container kind:
@@ -140,8 +141,8 @@ impl<V: Clone> VersionCell<V> {
         // retired through the epoch collector, so it is live here.
         let prev = match unsafe { head.as_ref() } {
             Some(h) if Arc::ptr_eq(&h.stamp, &stamp) => {
-                // Same transaction attempt rewrote this entry (or a
-                // rollback compensation undid it): collapse to one node.
+                // Same transaction attempt rewrote this entry: collapse
+                // to one node.
                 h.prev.load(SeqCst, guard)
             }
             _ => head,
@@ -272,6 +273,23 @@ impl<V: Clone> VersionCell<V> {
         unsafe { self.head.load(SeqCst, guard).as_ref() }.and_then(|node| node.value.as_ref())
     }
 
+    /// Drops the head if it is the version the attempt holding `stamp`
+    /// pushed (at most one is: see [`push`](Self::push)), leaving the chain
+    /// as that attempt found it. Caller must hold the entry's write locks.
+    fn pop(&self, stamp: &Arc<CommitStamp>, guard: &Guard) {
+        let head = self.head.load(SeqCst, guard);
+        // SAFETY: loaded under `guard`; see `push` for chain liveness.
+        if let Some(h) = unsafe { head.as_ref() }.filter(|h| Arc::ptr_eq(&h.stamp, stamp)) {
+            self.head.store(h.prev.load(SeqCst, guard), SeqCst);
+            retire_to_collector(head, guard);
+        }
+    }
+
+    /// Whether the chain holds no version at all.
+    fn is_empty(&self, guard: &Guard) -> bool {
+        self.head.load(SeqCst, guard).is_null()
+    }
+
     /// Retirement of a chain that nothing else owns: truncates to
     /// `min_active` and, if what is left [is dead](Self::is_dead), drops
     /// that too, leaving the cell empty. Same contract as
@@ -373,6 +391,37 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     |cell, (stamp, value)| cell.push(stamp, value, guard),
                     |(stamp, value)| VersionCell::new(stamp, value),
                 );
+            }
+        }
+    }
+
+    /// Takes back what the attempt holding `stamp` wrote to entry `key` —
+    /// its one tentative version, if it is still there — and returns what
+    /// the entry holds without it: the value the attempt found, `None` if
+    /// it found the entry absent. An entry the attempt created goes with
+    /// its version (a map-shaped index unlinks the node; a one-chain index
+    /// falls back to the `(key, value)` it held before). Caller must hold
+    /// the entry's write locks and must not have committed `stamp`.
+    pub fn revert<'g>(
+        &'g self,
+        key: &K,
+        stamp: &Arc<CommitStamp>,
+        guard: &'g Guard,
+    ) -> Option<&'g V> {
+        match &self.shape {
+            Shape::One(cell) => {
+                cell.pop(stamp, guard);
+                cell.newest(guard)
+                    .filter(|(held, _)| held == key)
+                    .map(|(_, v)| v)
+            }
+            Shape::Map(list) => {
+                let cell = &list.get(key, guard)?.payload;
+                cell.pop(stamp, guard);
+                if cell.is_empty(guard) {
+                    list.remove(key, guard, |_| ());
+                }
+                cell.newest(guard)
             }
         }
     }

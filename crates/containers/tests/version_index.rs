@@ -39,8 +39,9 @@ enum Retire {
 enum Op {
     /// One transaction attempt: its writes (`None` = tombstone; a key
     /// written twice is a same-stamp rewrite), whether it then rolls back
-    /// (compensating writes under the same stamp), and what it retires
-    /// once its stamp has committed — at a floor `floor_back` commits old.
+    /// (reverting what it wrote, newest first, and committing nothing), and
+    /// otherwise what it retires once its stamp has committed — at a floor
+    /// `floor_back` commits old.
     Attempt {
         writes: Vec<(i64, Option<i64>)>,
         abort: bool,
@@ -174,16 +175,22 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     attempt.write(key, value);
                 }
                 if *abort {
-                    // Compensations restore the pre-attempt state: the
-                    // tombstones first, so a one-entry edge never holds two.
-                    let touched = attempt.written.clone();
-                    for restore_live in [false, true] {
-                        for &key in touched.iter().rev() {
-                            if before[&key].is_some() == restore_live {
-                                attempt.write(key, before[&key]);
-                            }
-                        }
+                    // Every written entry goes back to what the attempt
+                    // found, and readers at every snapshot see no trace.
+                    for key in attempt.written.iter().rev() {
+                        assert_eq!(
+                            index.revert(key, &attempt.stamp, &guard).copied(),
+                            before[key],
+                            "{kind}: revert({key})"
+                        );
                     }
+                    index.chains(&guard, |key, stamps| {
+                        assert!(
+                            !stamps.is_empty() && stamps.iter().all(|&(s, _)| s <= now),
+                            "{kind} {key:?}: {stamps:?} kept a reverted version or entry"
+                        );
+                    });
+                    continue;
                 }
                 let Attempt {
                     stamp,
@@ -336,7 +343,7 @@ fn retired_entries_are_destroyed_once_and_only_after_earlier_guards_drop() {
 }
 
 // ---------------------------------------------------------------------
-// Readers against a rewriting, retiring, unlinking writer.
+// Readers against a rewriting, reverting, retiring, unlinking writer.
 // ---------------------------------------------------------------------
 
 const SLOTS: i64 = 8;
@@ -348,6 +355,12 @@ const SLOTS: i64 = 8;
 /// reader at any snapshot must therefore find the pair intact: the one
 /// entry `(n, n)` for the newest attempt `n` it can see, and `n` under map
 /// key `n % 8` — a torn pair means a version leaked across a stamp.
+///
+/// Before it commits, each attempt first runs and *rolls back*: the same
+/// writes with the value `-n`, plus a map entry (key `≥ 8`) that no
+/// committed attempt ever holds, all reverted newest first under a stamp
+/// that never commits. Readers must never see a negative value or such a
+/// key, and a reverted entry must be gone from the index, not emptied.
 fn stress(attempts: i64) {
     let clock = commit_clock();
     let registry = SnapshotRegistry::new();
@@ -395,7 +408,7 @@ fn stress(attempts: i64) {
                             &guard,
                             |k, v| {
                                 assert!(
-                                    *k > prev && *v % SLOTS == *k && *v <= n,
+                                    *k > prev && *v > 0 && *v % SLOTS == *k && *v <= n,
                                     "({k}, {v}) at {n}"
                                 );
                                 prev = *k;
@@ -410,10 +423,24 @@ fn stress(attempts: i64) {
             .collect();
         for n in 1..=attempts {
             let guard = epoch::pin();
+            let (set, cleared) = (n % SLOTS, (n + SLOTS / 2) % SLOTS);
+            let doomed = CommitStamp::new();
+            let journal = [
+                (&one, n - 1, None),
+                (&one, n, Some(-n)),
+                (&map, set, Some(-n)),
+                (&map, SLOTS + set, Some(-n)),
+            ];
+            for (index, key, value) in journal {
+                index.write(&key, Arc::clone(&doomed), value, &guard);
+            }
+            for (index, key, _) in journal.iter().rev() {
+                let found = index.revert(key, &doomed, &guard);
+                assert!(found.is_none_or(|v| *v > 0 && *v < n), "({key}, {found:?})");
+            }
             let stamp = CommitStamp::new();
             one.write(&(n - 1), Arc::clone(&stamp), None, &guard);
             one.write(&n, Arc::clone(&stamp), Some(n), &guard);
-            let (set, cleared) = (n % SLOTS, (n + SLOTS / 2) % SLOTS);
             map.write(&set, Arc::clone(&stamp), Some(n), &guard);
             map.write(&cleared, Arc::clone(&stamp), None, &guard);
             clock.commit(&stamp);
@@ -444,6 +471,12 @@ fn stress(attempts: i64) {
     };
     assert_eq!(count(&one), 1);
     assert_eq!(count(&map), (SLOTS / 2) as usize);
+    map.chains(&guard, |key, _| {
+        assert!(key.is_some_and(|k| *k < SLOTS), "{key:?}")
+    });
+    drop(guard);
+    drop((one, map));
+    assert_eq!(reclamation_flush().in_flight(), 0, "retired == reclaimed");
 }
 
 #[test]

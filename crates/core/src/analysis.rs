@@ -37,7 +37,8 @@
 //! engine's try-and-restart rule, which is deadlock-free by design).
 //!
 //! [`AnalyzerOptions`] can seed deliberate discipline violations (skip the
-//! sweep sort, undo mode promotion, drop an MVCC mirror site); together
+//! sweep sort, undo mode promotion, drop an MVCC mirror site, publish a
+//! speculative child without its lock); together
 //! with [`PlacementBuilder::build_unchecked`](crate::placement::PlacementBuilder::build_unchecked)
 //! (non-dominating hosts) these drive the rejection battery that proves
 //! the analyzer flags each violation class with a step-level diagnostic.
@@ -238,6 +239,13 @@ pub struct AnalyzerOptions {
     /// reads and the root-swap publication writes must be flagged (see
     /// [`Analyzer::analyze_migration`]).
     pub suppress_migration_fence: bool,
+    /// Model an executor whose inserts never take the target-side lock of a
+    /// §4.5 speculative child before publishing it — sound only for the
+    /// last write of an attempt. Anywhere else (a mid-transaction insert,
+    /// a row of a batch) a speculative reader could lock the child and
+    /// read a row that a later restart rolls back; the publication must be
+    /// flagged as an uncovered write.
+    pub suppress_published_target_lock: bool,
 }
 
 /// How strictly an acquisition site treats ordering. Blocking sites are
@@ -1103,36 +1111,14 @@ impl Analyzer {
         toks
     }
 
-    /// Root-hosted edges with the force flag `run_insert` derives from
-    /// [`InsertPlan::check_has_scan`].
-    fn insert_root_hosted(&self, plan: &InsertPlan) -> Vec<(EdgeId, bool)> {
-        self.decomp
-            .edges()
-            .filter(|&(e, _)| self.placement.edge(e).host == self.decomp.root())
-            .map(|(e, _)| (e, plan.check_has_scan))
-            .collect()
-    }
-
-    /// Root-hosted edges with the force flag `run_remove` derives from the
-    /// plan's per-edge all-stripes analysis.
-    fn remove_root_hosted(&self, plan: &RemovePlan) -> Vec<(EdgeId, bool)> {
-        self.decomp
-            .edges()
-            .filter(|&(e, _)| self.placement.edge(e).host == self.decomp.root())
-            .map(|(e, _)| {
-                let force = plan
-                    .edges
-                    .iter()
-                    .zip(&plan.all_stripes)
-                    .any(|(&(pe, _), &all)| pe == e && all);
-                (e, force)
-            })
-            .collect()
-    }
-
     /// The insert body after the root sweep: walk locks on every non-root
-    /// host, the unlocked existence-check chain, then the container writes
-    /// in reverse mutation order.
+    /// host, the unlocked existence-check chain, the target-side locks of
+    /// the speculative children about to be published, then the container
+    /// writes in reverse mutation order. Modelled as a write that more
+    /// operations may follow — the stricter of the executor's two modes
+    /// (`Executor::run_insert`'s `hold_published_targets`): the last write
+    /// of an attempt may skip the target locks, everything else must hold
+    /// them, because it can still be rolled back.
     fn sym_insert_body(
         &self,
         ex: &mut SymExec<'_>,
@@ -1171,6 +1157,32 @@ impl Analyzer {
                 }
             }
             st.bound[em.dst.index()] = true;
+        }
+        // The isolation rule's site: one target-side acquisition per
+        // speculative edge, before the writes. (A site table, like
+        // `mirror_write`: the model binds every host, so the walk's own
+        // holds at the child would mask a state-based check.)
+        for (i, &e) in plan.edges.iter().enumerate() {
+            if !self.placement.edge(e).speculative {
+                continue;
+            }
+            let Some(tok) = ex.target_token(e, st_full, Some(i)) else {
+                continue;
+            };
+            if !self.options.suppress_published_target_lock {
+                ex.acquire(tok, LockMode::Exclusive, Site::Tolerant, Some(i));
+                continue;
+            }
+            let (t, ename) = (ex.render(&tok), ex.edge_name(e));
+            ex.diag(
+                DiagnosticKind::UncoveredWrite,
+                Some(i),
+                vec![t],
+                format!(
+                    "speculative edge {ename} publishes its child without the \
+                     target-side lock, in an insert that can still be rolled back"
+                ),
+            );
         }
         for (i, &e) in plan.edges.iter().enumerate().rev() {
             ex.require_write(e, st_full, false, Some(i));
@@ -1229,9 +1241,7 @@ impl Analyzer {
         // Bottom-up unlink: write every edge's entry out of its container,
         // then decide survivor death by reading the node's containers
         // empty (`is_exhausted`), for every node below the root.
-        let mut order: Vec<NodeId> = self.decomp.nodes().map(|(v, _)| v).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(self.decomp.topo_position(v)));
-        for v in order {
+        for &v in &plan.reverse_topo_nodes {
             for &e in &self.decomp.node(v).outgoing {
                 if self.decomp.edge(e).src == v {
                     ex.require_write(e, &st, false, None);
@@ -1257,8 +1267,7 @@ impl Analyzer {
         let plan = self.planner.plan_insert(bound)?;
         let mut ex = self.exec(format!("insert bound={}", self.render_set(bound)));
         let st_full = self.full_state(0);
-        let hosted = self.insert_root_hosted(&plan);
-        let sweep = self.root_sweep_tokens(&mut ex, &hosted, &st_full);
+        let sweep = self.root_sweep_tokens(&mut ex, &plan.root_hosted, &st_full);
         ex.acquire_batch(sweep, LockMode::Exclusive, Site::Sweep, None);
         self.sym_insert_body(&mut ex, &plan, bound, &st_full, Site::Blocking);
         Ok(ex.diags)
@@ -1278,7 +1287,7 @@ impl Analyzer {
         let states = [self.full_state(0), self.full_state(1)];
         let mut sweep = Vec::new();
         for st in &states {
-            sweep.extend(self.root_sweep_tokens(&mut ex, &plan.root_hosted, st));
+            sweep.extend(self.root_sweep_tokens(&mut ex, &plan.insert.root_hosted, st));
         }
         ex.acquire_batch(sweep, LockMode::Exclusive, Site::Sweep, None);
         for (r, st) in states.iter().enumerate() {
@@ -1301,8 +1310,7 @@ impl Analyzer {
         let plan = self.planner.plan_remove(bound)?;
         let mut ex = self.exec(format!("remove bound={}", self.render_set(bound)));
         let st0 = SymState::operand(&self.decomp, bound, 0);
-        let hosted = self.remove_root_hosted(&plan);
-        let sweep = self.root_sweep_tokens(&mut ex, &hosted, &st0);
+        let sweep = self.root_sweep_tokens(&mut ex, &plan.root_hosted, &st0);
         ex.acquire_batch(sweep, LockMode::Exclusive, Site::Sweep, None);
         self.sym_remove_body(&mut ex, &plan, bound, 0, Site::Blocking);
         Ok(ex.diags)
@@ -1320,7 +1328,7 @@ impl Analyzer {
         let mut sweep = Vec::new();
         for r in 0..2u8 {
             let st = SymState::operand(&self.decomp, bound, r);
-            sweep.extend(self.root_sweep_tokens(&mut ex, &plan.root_hosted, &st));
+            sweep.extend(self.root_sweep_tokens(&mut ex, &plan.remove.root_hosted, &st));
         }
         ex.acquire_batch(sweep, LockMode::Exclusive, Site::Sweep, None);
         for r in 0..2u8 {
@@ -1357,9 +1365,8 @@ impl Analyzer {
         match plan {
             UpdatePlan::InPlace(p) => self.sym_update_in_place(&mut ex, &p, bound),
             UpdatePlan::General(p) => {
-                let hosted = self.remove_root_hosted(&p.remove);
                 let st0 = SymState::operand(&self.decomp, bound, 0);
-                let sweep = self.root_sweep_tokens(&mut ex, &hosted, &st0);
+                let sweep = self.root_sweep_tokens(&mut ex, &p.remove.root_hosted, &st0);
                 ex.acquire_batch(sweep, LockMode::Exclusive, Site::Sweep, None);
                 let survivor = self.sym_remove_body(&mut ex, &p.remove, bound, 0, Site::Blocking);
                 // Re-insert x = u ⊕ t mid-transaction: the old tuple's
@@ -1374,8 +1381,7 @@ impl Analyzer {
                     *b = true;
                 }
                 let all = self.decomp.schema().columns();
-                let hosted = self.insert_root_hosted(&p.insert);
-                let sweep = self.root_sweep_tokens(&mut ex, &hosted, &st_new);
+                let sweep = self.root_sweep_tokens(&mut ex, &p.insert.root_hosted, &st_new);
                 ex.acquire_batch(sweep, LockMode::Exclusive, Site::Tolerant, None);
                 self.sym_insert_body(&mut ex, &p.insert, all, &st_new, Site::Tolerant);
             }

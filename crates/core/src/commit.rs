@@ -7,7 +7,10 @@
 //! of a single-instance transaction, or the shards a
 //! [`ShardedTransaction`](crate::ShardedTransaction) touched, in ascending
 //! shard order — and it ends through [`conclude`]: [`commit`] when the
-//! closure succeeded, [`abort`] otherwise. [`with_write_fence`] is the
+//! closure succeeded, [`abort`] otherwise. An attempt that reaches neither
+//! because its closure panicked is rolled back as its [`Transaction`]s
+//! drop, before the engines they borrow can release a lock — the same
+//! journal rollback [`abort`] runs. [`with_write_fence`] is the
 //! maintenance counterpart: the all-stripe fence that `migrate_to` and
 //! `checkpoint` freeze a relation (or every shard of one) behind.
 
@@ -59,8 +62,7 @@ impl<'a> Participant<'a> {
         &self.tx.repr().placement
     }
 
-    /// The attempt's MVCC state in this instance (compensations included
-    /// once [`abort`] has replayed the undo log).
+    /// The attempt's MVCC state in this instance.
     pub(crate) fn scope(&self) -> &MvccScope {
         self.tx.mvcc()
     }
@@ -219,20 +221,15 @@ pub(crate) fn commit(
     durability
 }
 
-/// Rolls a failed attempt back and releases its locks: every
-/// participant's undo log replays before a single lock is released, so no
-/// observer can see one shard's effects without another's. The aborted
-/// attempt's versions — the original writes plus the compensations that
-/// net them out — still publish at one timestamp before the release;
-/// leaving the stamp tentative would pin every touched entry at its
-/// pre-attempt chain head forever.
+/// Rolls a failed attempt back and releases its locks: every participant's
+/// write journal is taken back ([`MvccScope::roll_back`]) before a single
+/// lock is released, so no observer can see one shard's effects without
+/// another's. Nothing is published — no commit timestamp, no log record,
+/// no version: the attempt's stamp stays tentative and its versions are
+/// gone from every chain, which is exactly the pre-attempt state.
 pub(crate) fn abort(parts: &mut [Participant<'_>], user_abort: bool) {
     for p in parts.iter_mut() {
-        p.tx.rollback_effects();
-    }
-    if let Some(first) = parts.first() {
-        let registry = first.tx.relation().snapshots();
-        mvcc::finish_attempt(registry, parts, |_, _| {});
+        p.tx.roll_back();
     }
     for p in parts.iter_mut() {
         if user_abort {

@@ -25,55 +25,8 @@ use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::instance::{NodeInstance, NodeRef};
 use crate::mvcc::MvccScope;
 use crate::placement::{LockPlacement, LockToken};
-use crate::planner::{
-    InPlaceUpdate, InsertBatchPlan, InsertPlan, MutTraverse, Plan, RemoveBatchPlan, RemovePlan,
-};
+use crate::planner::{InPlaceUpdate, InsertPlan, MutTraverse, Plan, RemovePlan};
 use crate::query::{eval_all, eval_any, EdgeView, KeyBounds, QueryState};
-
-/// How a [`Executor::run_insert`] call participates in the transaction
-/// layer's write compensation (see `txn.rs`).
-#[derive(Clone, Copy)]
-pub enum InsertUndo<'p> {
-    /// The final write phase of a single-shot operation: no later
-    /// operation of the same transaction can restart, so this insert can
-    /// never be compensated and no extra locks are needed.
-    None,
-    /// A mid-transaction insert that may later be compensated by a
-    /// structural removal (the given inverse plan): pre-acquire, before
-    /// the first write, every token that removal could need beyond the
-    /// insert's own set, so the compensation can never restart.
-    Prepare(&'p RemovePlan),
-    /// Like [`InsertUndo::Prepare`], but for the *final* operation of a
-    /// single-shot transaction (a `ConcurrentRelation::insert_all` batch):
-    /// compensation is still possible (a later row of the same batch can
-    /// restart), so the inverse's extra tokens are pre-acquired — but no
-    /// later operation of this transaction will ever *read* the freshly
-    /// materialized subtrees, so their host locks need not enter the
-    /// engine. Other transactions cannot reach them either: locked
-    /// readers block on the root-hosted tokens the batch sweep holds, and
-    /// speculative readers on the pre-acquired target-side locks.
-    PrepareFinal(&'p RemovePlan),
-    /// This insert *is* a compensation step (re-inserting a removed
-    /// tuple during rollback). Freshly materialized speculative targets
-    /// must still take their target-side locks before publication: the
-    /// re-inserted value may be uncommitted state that the rest of the
-    /// rollback undoes again, so a speculative reader acquiring the
-    /// otherwise-free lock would dirty-read it — and a later compensation
-    /// step (an unlink of the same key) would then find the lock
-    /// contended and restart, which rollback must never do.
-    Compensation,
-}
-
-impl<'p> InsertUndo<'p> {
-    /// [`InsertUndo::Prepare`] when a mid-transaction inverse plan exists,
-    /// [`InsertUndo::None`] for the final phase of a single-shot operation.
-    pub fn from_inverse(inverse: Option<&'p RemovePlan>) -> Self {
-        match inverse {
-            Some(p) => InsertUndo::Prepare(p),
-            None => InsertUndo::None,
-        }
-    }
-}
 
 /// FNV-1a, the hasher for the batch-local maps: their keys are consulted
 /// once or twice per row on the hot path, where SipHash's per-hash setup
@@ -137,17 +90,12 @@ pub(crate) fn assemble_range_output(
     out
 }
 
-/// Batch-local state threaded through [`Executor::run_insert_all`]'s
-/// per-row passes.
-struct BatchInsertCtx<'b> {
-    /// Indexed by edge: the edge leaves the root, so its publication is
-    /// deferred to the flush (from the batch plan).
-    defer: &'b [bool],
-    /// Deferred publications: (edge, entry key) → complete-but-unpublished
-    /// child instance. Later rows of the same batch consult this map so
-    /// shared subtrees stay shared.
-    pending: &'b mut HashMap<(EdgeId, Tuple), NodeRef, BuildFnv>,
-}
+/// A batch's deferred root publications: (edge, entry key) →
+/// complete-but-unpublished child instance. [`Executor::run_insert_all`]
+/// threads one through its per-row passes — publication of an edge that
+/// leaves the root waits for the flush, and later rows consult the map so
+/// shared subtrees stay shared.
+type PendingPublications = HashMap<(EdgeId, Tuple), NodeRef, BuildFnv>;
 
 /// Executes compiled plans for one transaction at a time.
 pub struct Executor<'a> {
@@ -294,10 +242,15 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The attempt's MVCC state; the commit/rollback paths stamp and
-    /// retire it before the engine releases any lock.
+    /// The attempt's MVCC state; the commit path stamps and retires it
+    /// before the engine releases any lock.
     pub(crate) fn mvcc(&self) -> &MvccScope {
         &self.mvcc
+    }
+
+    /// Takes back every write of the attempt ([`MvccScope::roll_back`]).
+    pub(crate) fn roll_back(&mut self) {
+        self.mvcc.roll_back(self.decomp);
     }
 
     /// The borrowed lock engine (the commit/rollback paths release it).
@@ -384,44 +337,13 @@ impl<'a> Executor<'a> {
         eval_all(self.decomp, self, plan, pattern, Some(range), root)
     }
 
-    /// Acquires exclusive locks on every root-hosted edge for the tuple
-    /// `bound` (insert: the full tuple; remove: the key pattern), in one
-    /// sorted batch. Root-hosted edges include all speculative fallbacks,
-    /// which freezes the presence of speculative edges for the rest of the
-    /// transaction. `force_all` selects edges whose whole stripe set must be
-    /// taken (scanned root edges in removals).
-    fn lock_root_batch(
-        &mut self,
-        bound: &Tuple,
-        root: &NodeRef,
-        force_all: &dyn Fn(EdgeId) -> bool,
-    ) -> Result<(), MustRestart> {
-        let mut batch: Vec<LockToken> = Vec::new();
-        for (e, _) in self.decomp.edges() {
-            if self.placement.edge(e).host == self.decomp.root() {
-                if force_all(e) {
-                    batch.extend(self.placement.all_stripe_tokens(e, bound));
-                } else {
-                    batch.extend(self.placement.fallback_tokens(e, bound));
-                }
-            }
-        }
-        batch.sort();
-        batch.dedup();
-        for tok in batch {
-            let lock = Arc::clone(root.lock(tok.stripe));
-            self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
-        }
-        Ok(())
-    }
-
     /// Acquires the migration write fence: every stripe of every
-    /// root-hosted edge, exclusively, in one sorted batch — the same
-    /// all-stripe sweep scanning removals use, widened to the whole root.
+    /// root-hosted edge, exclusively — the all-stripe sweep scanning
+    /// removals use, widened to the whole root.
     ///
     /// Every locked operation holds at least one root-hosted lock for its
-    /// full two-phase scope: mutations take the root batch
-    /// ([`Executor::lock_root_batch`]), locked reads traverse from the
+    /// full two-phase scope: mutations take their root sweep
+    /// ([`Executor::acquire_root_sweep`]), locked reads traverse from the
     /// root, and even the speculative in-place update pins its fallback
     /// root stripe before the target protocol. Holding the complete sweep
     /// therefore means no writer is in flight and none can acquire until
@@ -433,43 +355,32 @@ impl<'a> Executor<'a> {
     /// [`MustRestart`] on contention, like any other acquisition — the
     /// migration loop backs off and retries.
     pub(crate) fn acquire_migration_fence(&mut self, root: &NodeRef) -> Result<(), MustRestart> {
+        let hosted: Vec<(EdgeId, bool)> = (self.decomp.edges())
+            .filter(|&(e, _)| self.placement.edge(e).host == self.decomp.root())
+            .map(|(e, _)| (e, true))
+            .collect();
         // The root's key columns are empty, so the empty tuple is a valid
         // instance bound for every root-hosted token.
-        let bound = Tuple::empty();
-        let mut batch: Vec<LockToken> = Vec::new();
-        for (e, _) in self.decomp.edges() {
-            if self.placement.edge(e).host == self.decomp.root() {
-                batch.extend(self.placement.all_stripe_tokens(e, &bound));
-            }
-        }
-        batch.sort();
-        batch.dedup();
-        for tok in batch {
-            let lock = Arc::clone(root.lock(tok.stripe));
-            self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
-        }
-        Ok(())
+        self.acquire_root_sweep(&hosted, std::slice::from_ref(&Tuple::empty()), root)
     }
 
     /// Runs a compiled insert plan for the full tuple `x = s ∪ t` with
     /// pattern `s`. Returns whether the tuple was inserted (put-if-absent,
     /// §2).
     ///
-    /// `undo` is the multi-operation transaction layer's compensation
-    /// mode: when a *later* operation of the same transaction restarts,
-    /// this insert is compensated by structurally removing `x`, and that
-    /// removal must never itself restart (the transaction would be left
-    /// half-applied). [`InsertUndo::Prepare`] carries the inverse
-    /// [`RemovePlan`] and makes the insert pre-acquire, *before its first
-    /// write*, the only tokens the compensation could need beyond the
-    /// insert's own set: the all-stripes tokens of edges whose removal
-    /// covers a whole striped container instance, plus the target-side
-    /// locks of speculative children. Single-shot operations pass
-    /// [`InsertUndo::None`] — their writes are the final phase of the
-    /// transaction, so no compensation can run. Compensation re-inserts
-    /// pass [`InsertUndo::Compensation`], which still locks freshly
-    /// materialized speculative targets before publishing them (see its
-    /// docs for why rollback correctness depends on this).
+    /// Every lock is taken before the first write, so a [`MustRestart`]
+    /// leaves nothing of *this* insert behind; what an attempt wrote before
+    /// it is taken back from the write journal, under the locks the attempt
+    /// still holds, with no help from the operation that wrote it (see
+    /// [`crate::mvcc`], *Rollback*). One isolation rule remains with the
+    /// caller: `hold_published_targets` says this is not the attempt's
+    /// last write — more operations (or more rows of a batch) follow, any
+    /// of which can still restart and roll this insert back. Such an
+    /// insert takes the target-side lock of every §4.5 speculative child it
+    /// publishes *before* publishing it: published with its lock free, a
+    /// speculative reader could take that lock and read a row that may
+    /// yet be rolled back. The final write of a single-shot operation
+    /// passes `false`: nothing can follow it but the commit.
     ///
     /// # Errors
     ///
@@ -481,39 +392,34 @@ impl<'a> Executor<'a> {
         x: &Tuple,
         s: &Tuple,
         root: &NodeRef,
-        undo: InsertUndo<'_>,
+        hold_published_targets: bool,
     ) -> Result<bool, MustRestart> {
-        // A scanning existence check reads whole container instances
-        // unlocked; take every root stripe so no sibling-stripe writer can
-        // race the scan (`InsertPlan::check_has_scan`).
-        self.lock_root_batch(x, root, &|_| plan.check_has_scan)?;
-        let mut order: Vec<NodeId> = self.decomp.nodes().map(|(id, _)| id).collect();
-        order.sort_by_key(|&v| self.decomp.topo_position(v));
-        self.insert_under_root_locks(plan, x, s, root, undo, &order, None)
+        // Root-hosted edges include all speculative fallbacks, which
+        // freezes the presence of speculative edges for the rest of the
+        // transaction.
+        self.acquire_root_sweep(&plan.root_hosted, std::slice::from_ref(x), root)?;
+        self.insert_under_root_locks(plan, x, s, root, hold_published_targets, None)
     }
 
     /// The per-tuple body of [`Executor::run_insert`], entered with the
     /// tuple's root-hosted locks already held (by `run_insert`'s own root
-    /// batch, or by [`Executor::run_insert_all`]'s bulk sweep).
+    /// sweep, or by [`Executor::run_insert_all`]'s bulk one).
     ///
-    /// `topo_nodes` is the materialization order (all nodes, topologically
-    /// sorted — batch plans cache it so it is not re-sorted per row). When
-    /// `batch` is given, root-source edge publications are *deferred*: the
-    /// completed child goes into the batch's pending map instead of the
-    /// root container, and lookups consult that map, so later rows of the
-    /// same batch still share subtrees. The caller flushes the map — in one
-    /// fused [`relc_containers::Container::extend_entries`] call per
-    /// container — before releasing any lock.
-    #[allow(clippy::too_many_arguments)]
+    /// When `pending` is given, root-source edge publications are
+    /// *deferred*: the completed child goes into the batch's pending map
+    /// instead of the root container, and lookups consult that map, so
+    /// later rows of the same batch still share subtrees. The caller
+    /// flushes the map — in one fused
+    /// [`relc_containers::Container::extend_entries`] call per container —
+    /// before releasing any lock.
     fn insert_under_root_locks(
         &mut self,
         plan: &InsertPlan,
         x: &Tuple,
         s: &Tuple,
         root: &NodeRef,
-        undo: InsertUndo<'_>,
-        topo_nodes: &[NodeId],
-        mut batch: Option<BatchInsertCtx<'_>>,
+        hold_published_targets: bool,
+        mut pending: Option<&mut PendingPublications>,
     ) -> Result<bool, MustRestart> {
         // Walk every edge in mutation order, locking non-root hosts and
         // recording bindings/presence along x's projections.
@@ -541,22 +447,16 @@ impl<'a> Executor<'a> {
             let found = src_inst.container(self.decomp, e).lookup(&key).or_else(|| {
                 // An earlier row of this batch may have created the edge
                 // with its publication still pending.
-                batch
+                pending
                     .as_ref()
-                    .filter(|ctx| ctx.defer[e.index()])
-                    .and_then(|ctx| ctx.pending.get(&(e, key.clone())).cloned())
+                    .filter(|_| em.src == self.decomp.root())
+                    .and_then(|pending| pending.get(&(e, key.clone())).cloned())
             });
             if let Some(child) = found {
                 // Speculative edges: presence is frozen by the fallback
                 // lock held exclusively, so no target lock or re-validation
                 // is needed for the existence check.
-                match &bindings[em.dst.index()] {
-                    Some(prev) => debug_assert!(
-                        Arc::ptr_eq(prev, &child),
-                        "shared node reached with different instances"
-                    ),
-                    None => bindings[em.dst.index()] = Some(child),
-                }
+                merge_binding(&mut bindings, em.dst, child);
                 present[e.index()] = true;
             }
         }
@@ -576,88 +476,19 @@ impl<'a> Executor<'a> {
             return Ok(false);
         }
 
-        // Pre-acquire the compensation tokens (see the doc comment): the
-        // inverse removal's all-stripes edges on hosts that already exist,
-        // plus the target-side locks of present speculative children —
-        // the inverse removal acquires those, and it must find them
-        // uncontended. Hosts we are about to create fresh are unreachable
-        // to other transactions until published, so their locks cannot be
-        // contended (they are taken below, after creation).
-        if let InsertUndo::Prepare(inverse) | InsertUndo::PrepareFinal(inverse) = undo {
-            let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
-            for (i, &(e, _)) in inverse.edges.iter().enumerate() {
-                let ep = self.placement.edge(e);
-                if ep.speculative && present[e.index()] {
-                    let child = bindings[self.decomp.edge(e).dst.index()]
-                        .as_ref()
-                        .expect("present edge binds its target");
-                    batch.push((
-                        self.placement.target_token(e, child.key()),
-                        Arc::clone(child.lock(0)),
-                    ));
-                }
-                if !inverse.all_stripes[i] {
-                    continue;
-                }
-                let Some(host_inst) = bindings[ep.host.index()].as_ref() else {
-                    continue;
-                };
-                for tok in self.placement.all_stripe_tokens(e, x) {
-                    let lock = Arc::clone(host_inst.lock(tok.stripe));
-                    batch.push((tok, lock));
-                }
-            }
-            self.acquire_sorted_batch(batch, LockMode::Exclusive)?;
-        }
-
-        // Materialize: create missing instances in topological order,
-        // remembering which hosts pre-existed (those were locked during
-        // the walk above; fresh ones were not).
-        let mut prebound = vec![false; self.decomp.node_count()];
-        for &v in topo_nodes {
-            match &bindings[v.index()] {
-                Some(_) => prebound[v.index()] = true,
-                None => {
-                    let key = x.project(self.decomp.node(v).key_cols);
-                    bindings[v.index()] =
-                        Some(NodeInstance::new(self.decomp, self.placement, v, key));
-                }
+        // Materialize: create missing instances in topological order.
+        for &v in &plan.topo_nodes {
+            if bindings[v.index()].is_none() {
+                let key = x.project(self.decomp.node(v).key_cols);
+                bindings[v.index()] = Some(NodeInstance::new(self.decomp, self.placement, v, key));
             }
         }
-        // Compensation tokens for *fresh* hosts: the walk only locks hosts
-        // that already exist, so the lock sets of freshly materialized
-        // instances would be published free. A single-shot insert never
-        // needs them held, but a mid-transaction insert must pre-acquire
-        // them: a later shared read of the same transaction (a query
-        // through the new subtree) would otherwise hold them shared, and
-        // the compensating unlink's exclusive acquisition would then be an
-        // upgrade — which rollback must never hit. The instances are
-        // unpublished here, so these try-acquisitions cannot fail.
-        if matches!(undo, InsertUndo::Prepare(_)) {
-            for &e in &plan.edges {
-                let ep = self.placement.edge(e);
-                if ep.host == self.decomp.root() || prebound[ep.host.index()] {
-                    continue;
-                }
-                let host_inst = bindings[ep.host.index()].as_ref().expect("all bound");
-                for tok in self.placement.all_stripe_tokens(e, x) {
-                    let lock = Arc::clone(host_inst.lock(tok.stripe));
-                    self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
-                }
-            }
-        }
-        // Compensation tokens, part two: targets of speculative edges we
-        // are about to write. Fresh instances are unpublished (always
-        // uncontended); a shared pre-existing target can contend with a
-        // speculative reader, which restarts us — still before any write.
-        // This also runs for compensation re-inserts: a fresh target
-        // published with its lock free would let speculative readers
-        // dirty-read the rolled-back value and could make a later
-        // compensating unlink of the same key restart (the engine's
-        // shadowed-lock mechanism re-acquires the fresh object under the
-        // already-held token, and an unpublished lock is uncontended, so
-        // the acquisition here cannot itself fail).
-        if !matches!(undo, InsertUndo::None) {
+        // The isolation rule (see `run_insert`): targets of the speculative
+        // edges about to be written. A fresh instance is unpublished, so
+        // its lock is uncontended; a shared pre-existing target can contend
+        // with a speculative reader, which restarts us — still before any
+        // write.
+        if hold_published_targets {
             for &e in &plan.edges {
                 if present[e.index()] || !self.placement.edge(e).speculative {
                     continue;
@@ -695,18 +526,14 @@ impl<'a> Executor<'a> {
             // *deferred* branch here (rather than at the batch flush)
             // keeps one code path for both.
             self.mvcc_write(&src, e, x.project(em.cols), Some(Arc::clone(&dst)));
-            if let Some(ctx) = batch.as_mut() {
-                if ctx.defer[e.index()] {
-                    // Defer the publication: the subtree below `dst` is
-                    // complete (deeper edges were just written), so linking
-                    // it in later — at the batch flush, still under every
-                    // lock of this sweep — is indistinguishable to readers.
-                    let prev = ctx
-                        .pending
-                        .insert((e, x.project(em.cols)), Arc::clone(&dst));
-                    debug_assert!(prev.is_none(), "edge instance appeared under our locks");
-                    continue;
-                }
+            if let Some(pending) = pending.as_mut().filter(|_| em.src == self.decomp.root()) {
+                // Defer the publication: the subtree below `dst` is
+                // complete (deeper edges were just written), so linking
+                // it in later — at the batch flush, still under every
+                // lock of this sweep — is indistinguishable to readers.
+                let prev = pending.insert((e, x.project(em.cols)), Arc::clone(&dst));
+                debug_assert!(prev.is_none(), "edge instance appeared under our locks");
+                continue;
             }
             let prev = src
                 .container(self.decomp, e)
@@ -716,11 +543,11 @@ impl<'a> Executor<'a> {
         Ok(true)
     }
 
-    /// Sorts a precomputed sweep of root-lock tokens into the §5.1 global
-    /// order, merges duplicate tokens by *joining* their modes (one
-    /// physical lock requested shared by one row and exclusive by another
-    /// collapses to a single exclusive acquisition up front — never
-    /// shared-then-upgrade), and acquires the survivors in one pass.
+    /// The root lock sweep of a mutation: for every tuple of `bounds`
+    /// (insert: the full tuples; remove: the key patterns), the fallback
+    /// tokens of each root-hosted edge in `hosted` — every stripe where the
+    /// edge's flag says so — sorted into the §5.1 global order,
+    /// deduplicated, and acquired exclusively in one pass.
     ///
     /// Every token names a root-hosted lock and root tokens precede all
     /// others in the global order, so when this runs as a transaction
@@ -728,36 +555,40 @@ impl<'a> Executor<'a> {
     /// never restarting on order violations).
     fn acquire_root_sweep(
         &mut self,
-        mut sweep: Vec<(LockToken, LockMode)>,
+        hosted: &[(EdgeId, bool)],
+        bounds: &[Tuple],
         root: &NodeRef,
     ) -> Result<(), MustRestart> {
-        sweep.sort_by(|a, b| a.0.cmp(&b.0));
-        sweep.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 = prev.1.join(next.1);
-                true
-            } else {
-                false
+        let mut sweep: Vec<LockToken> = Vec::new();
+        for bound in bounds {
+            for &(e, all_stripes) in hosted {
+                if all_stripes {
+                    self.placement.all_stripe_tokens_into(e, bound, &mut sweep);
+                } else {
+                    self.placement.fallback_tokens_into(e, bound, &mut sweep);
+                }
             }
-        });
-        for (tok, mode) in sweep {
+        }
+        sweep.sort();
+        sweep.dedup();
+        for tok in sweep {
             let lock = Arc::clone(root.lock(tok.stripe));
-            self.engine.acquire(tok, &lock, mode)?;
+            self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
         }
         Ok(())
     }
 
-    /// Runs a compiled batch-insert plan: row `i` inserts the full tuple
+    /// Runs one insert plan over a batch: row `i` inserts the full tuple
     /// `xs[i]` with existence pattern `rows[i].0` (the caller's validated
     /// originals; all rows bind the same column sets). The amortized form
-    /// of one [`Executor::run_insert`] per row.
+    /// of one [`Executor::run_insert`] per row; returns one put-if-absent
+    /// flag per row.
     ///
-    /// Locking: every row's root-hosted lock tokens — including the
-    /// all-stripes compensation tokens of the shared inverse plan — are
-    /// precomputed, deduplicated, globally sorted, and acquired in **one
-    /// in-order sweep** before the first row runs; the per-row passes then
-    /// skip the root batch entirely. Root-source edge publications are
-    /// deferred into a pending map and flushed at the end with one fused
+    /// Locking: every row's root-hosted lock tokens are deduplicated,
+    /// globally sorted, and acquired in **one in-order sweep** before the
+    /// first row runs; the per-row passes then skip the root sweep
+    /// entirely. Root-source edge publications are deferred into a pending
+    /// map and flushed at the end with one fused
     /// [`relc_containers::Container::extend_entries`] call per container,
     /// key-sorted so sorted containers insert along one in-order walk.
     ///
@@ -766,111 +597,39 @@ impl<'a> Executor<'a> {
     /// (under one batch all rows share `dom s`, so an earlier row's tuple
     /// extends a later `s` exactly when the patterns are equal).
     ///
-    /// `results` receives one flag per processed row and `applied` the
-    /// *indices* of the actually-inserted rows; both are filled *even on
-    /// an error return* (the pending map is flushed first), so the
-    /// transaction layer can compensate every applied row whatever
-    /// happened mid-batch.
-    ///
-    /// `final_op` marks the batch as the last operation of a single-shot
-    /// transaction (see [`InsertUndo::PrepareFinal`]): fresh subtree host
-    /// locks are skipped, which is a large share of a load batch's
-    /// per-row lock-engine traffic.
-    ///
     /// # Errors
     ///
-    /// [`MustRestart`] on lock contention; the caller rolls back (undoing
-    /// the applied prefix) and retries.
-    #[allow(clippy::too_many_arguments)]
+    /// [`MustRestart`] on lock contention, with some rows possibly applied
+    /// and none published at the root; the caller rolls the attempt back
+    /// (the journal names every write) and retries.
     pub fn run_insert_all(
         &mut self,
-        plan: &InsertBatchPlan,
+        plan: &InsertPlan,
         xs: &[Tuple],
         rows: &[(Tuple, Tuple)],
         root: &NodeRef,
-        final_op: bool,
-        results: &mut Vec<bool>,
-        applied: &mut Vec<usize>,
-    ) -> Result<(), MustRestart> {
-        let mut tokens: Vec<LockToken> = Vec::new();
-        for x in xs {
-            for &(e, force_all) in &plan.root_hosted {
-                if force_all {
-                    self.placement.all_stripe_tokens_into(e, x, &mut tokens);
-                } else {
-                    self.placement.fallback_tokens_into(e, x, &mut tokens);
-                }
-            }
-        }
-        self.acquire_root_sweep(
-            tokens
-                .into_iter()
-                .map(|t| (t, LockMode::Exclusive))
-                .collect(),
-            root,
-        )?;
-
-        let mut pending: HashMap<(EdgeId, Tuple), NodeRef, BuildFnv> = HashMap::default();
+    ) -> Result<Vec<bool>, MustRestart> {
+        self.acquire_root_sweep(&plan.root_hosted, xs, root)?;
+        let mut pending = PendingPublications::default();
         let mut seen: HashSet<&Tuple, BuildFnv> = HashSet::default();
-        let mut outcome = Ok(());
-        for (i, x) in xs.iter().enumerate() {
-            let s = &rows[i].0;
-            if seen.contains(s) {
-                // An earlier row claimed this pattern (whether it inserted
-                // or found the tuple pre-existing): put-if-absent fails.
-                results.push(false);
-                continue;
-            }
-            let undo = if final_op {
-                InsertUndo::PrepareFinal(&plan.inverse)
-            } else {
-                InsertUndo::Prepare(&plan.inverse)
-            };
-            let res = self.insert_under_root_locks(
-                &plan.insert,
-                x,
-                s,
-                root,
-                undo,
-                &plan.topo_nodes,
-                Some(BatchInsertCtx {
-                    defer: &plan.defer,
-                    pending: &mut pending,
-                }),
-            );
-            match res {
-                Ok(inserted) => {
-                    results.push(inserted);
-                    seen.insert(s);
-                    if inserted {
-                        applied.push(i);
-                    }
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
+        let mut results = Vec::with_capacity(xs.len());
+        for (x, (s, _)) in xs.iter().zip(rows) {
+            // An earlier row claimed this pattern (whether it inserted or
+            // found the tuple pre-existing): put-if-absent fails. A later
+            // row can still restart the batch, so every row holds the
+            // targets it publishes.
+            let inserted = seen.insert(s)
+                && self.insert_under_root_locks(plan, x, s, root, true, Some(&mut pending))?;
+            results.push(inserted);
         }
-        // Flush the deferred publications — also on the error path: the
-        // applied rows' compensating unlinks (replayed by the transaction's
-        // rollback, under these still-held locks) must find their tuples
-        // fully linked.
         self.flush_pending_publications(pending, root);
-        outcome
+        Ok(results)
     }
 
     /// Publishes a batch's deferred root-source edges: one fused
     /// key-sorted [`relc_containers::Container::extend_entries`] call per
     /// edge container, under the still-held bulk sweep locks.
-    fn flush_pending_publications(
-        &self,
-        pending: HashMap<(EdgeId, Tuple), NodeRef, BuildFnv>,
-        root: &NodeRef,
-    ) {
-        if pending.is_empty() {
-            return;
-        }
+    fn flush_pending_publications(&self, pending: PendingPublications, root: &NodeRef) {
         let mut by_edge: BTreeMap<EdgeId, Vec<(Tuple, NodeRef)>> = BTreeMap::new();
         for ((e, key), child) in pending {
             by_edge.entry(e).or_default().push((key, child));
@@ -1129,69 +888,6 @@ impl<'a> Executor<'a> {
         Ok(Some(old))
     }
 
-    /// Reverses an applied [`Executor::run_update_in_place`] during
-    /// rollback: re-traverses the plan by the *new* tuple (every edge is a
-    /// point lookup — the full valuation is known) and swaps each touched
-    /// entry back to the old key and a fresh old-keyed sink instance.
-    ///
-    /// Runs strictly under the locks the forward pass acquired (still held
-    /// by the transaction), performs **no** lock acquisition, and therefore
-    /// can never restart — the property `Transaction::rollback_effects`
-    /// relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the traversal does not find the new tuple's entries —
-    /// that would mean the undo log is being replayed out of order (a
-    /// transaction-layer bug).
-    pub fn run_update_write_back(
-        &mut self,
-        plan: &InPlaceUpdate,
-        old: &Tuple,
-        new: &Tuple,
-        root: &NodeRef,
-    ) {
-        let mut bindings: Vec<Option<NodeRef>> = vec![None; self.decomp.node_count()];
-        bindings[self.decomp.root().index()] = Some(Arc::clone(root));
-        let mut fresh: Vec<Option<NodeRef>> = vec![None; self.decomp.node_count()];
-        for step in &plan.steps {
-            let em = self.decomp.edge(step.edge);
-            let src = bindings[em.src.index()]
-                .clone()
-                .expect("write-back: source bound by an earlier step");
-            if step.touched {
-                let inst = fresh[em.dst.index()]
-                    .get_or_insert_with(|| {
-                        let key = old.project(self.decomp.node(em.dst).key_cols);
-                        NodeInstance::new(self.decomp, self.placement, em.dst, key)
-                    })
-                    .clone();
-                self.mvcc_write(&src, step.edge, new.project(em.cols), None);
-                self.mvcc_write(
-                    &src,
-                    step.edge,
-                    old.project(em.cols),
-                    Some(Arc::clone(&inst)),
-                );
-                let prev = src.container(self.decomp, step.edge).update_entry(
-                    &new.project(em.cols),
-                    &old.project(em.cols),
-                    inst,
-                );
-                assert!(
-                    prev.is_some(),
-                    "in-place write-back: rewritten entry vanished under held locks"
-                );
-            } else {
-                let child = src
-                    .container(self.decomp, step.edge)
-                    .lookup(&new.project(em.cols))
-                    .expect("write-back: path entry vanished under held locks");
-                merge_binding(&mut bindings, em.dst, child);
-            }
-        }
-    }
-
     /// Runs a compiled remove plan for key pattern `s`. Returns the removed
     /// tuple, if one existed (§2; at most one, since `s` is a key).
     ///
@@ -1205,79 +901,42 @@ impl<'a> Executor<'a> {
         s: &Tuple,
         root: &NodeRef,
     ) -> Result<Option<Tuple>, MustRestart> {
-        self.lock_root_batch(s, root, &|e| {
-            plan.edges
-                .iter()
-                .zip(&plan.all_stripes)
-                .any(|(&(pe, _), &all)| pe == e && all)
-        })?;
-        let mut order: Vec<NodeId> = self.decomp.nodes().map(|(id, _)| id).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(self.decomp.topo_position(v)));
-        self.remove_under_root_locks(plan, s, root, &order)
+        self.acquire_root_sweep(&plan.root_hosted, std::slice::from_ref(s), root)?;
+        self.remove_under_root_locks(plan, s, root)
     }
 
-    /// Runs a compiled batch-remove plan for `keys` (all binding the same
-    /// column set): the amortized form of one [`Executor::run_remove`] per
-    /// key. Every key's root-hosted tokens (with the plan's force-all
-    /// analysis applied) are acquired in one globally sorted in-order
-    /// sweep, then each key unlinks under the held set.
-    ///
-    /// `removed` receives each removed tuple as it is unlinked, tagged
-    /// with the index of the key that matched it — filled even on an
-    /// error return, so the transaction layer can compensate the applied
-    /// prefix and report per-key outcomes. Duplicate keys in one batch
-    /// behave as the sequential fold: the first occurrence removes, later
+    /// Runs one remove plan over `keys` (all binding the same column set):
+    /// the amortized form of one [`Executor::run_remove`] per key. Every
+    /// key's root-hosted tokens are acquired in one globally sorted
+    /// in-order sweep, then each key unlinks under the held set. Returns,
+    /// per key, whether it matched a tuple; duplicate keys in one batch
+    /// behave as the sequential fold — the first occurrence removes, later
     /// ones find nothing.
     ///
     /// # Errors
     ///
-    /// [`MustRestart`] on lock contention; the caller rolls back
-    /// (re-inserting the removed prefix) and retries.
+    /// [`MustRestart`] on lock contention, with some keys possibly
+    /// unlinked; the caller rolls the attempt back and retries.
     pub fn run_remove_all(
         &mut self,
-        plan: &RemoveBatchPlan,
+        plan: &RemovePlan,
         keys: &[Tuple],
         root: &NodeRef,
-        removed: &mut Vec<(usize, Tuple)>,
-    ) -> Result<(), MustRestart> {
-        let mut tokens: Vec<LockToken> = Vec::new();
-        for s in keys {
-            for &(e, force_all) in &plan.root_hosted {
-                if force_all {
-                    self.placement.all_stripe_tokens_into(e, s, &mut tokens);
-                } else {
-                    self.placement.fallback_tokens_into(e, s, &mut tokens);
-                }
-            }
-        }
-        self.acquire_root_sweep(
-            tokens
-                .into_iter()
-                .map(|t| (t, LockMode::Exclusive))
-                .collect(),
-            root,
-        )?;
-        for (i, s) in keys.iter().enumerate() {
-            if let Some(t) =
-                self.remove_under_root_locks(&plan.remove, s, root, &plan.reverse_topo_nodes)?
-            {
-                removed.push((i, t));
-            }
-        }
-        Ok(())
+    ) -> Result<Vec<bool>, MustRestart> {
+        self.acquire_root_sweep(&plan.root_hosted, keys, root)?;
+        keys.iter()
+            .map(|s| Ok(self.remove_under_root_locks(plan, s, root)?.is_some()))
+            .collect()
     }
 
     /// The per-key body of [`Executor::run_remove`], entered with the
     /// key's root-hosted locks already held (by `run_remove`'s own root
-    /// batch, or by [`Executor::run_remove_all`]'s bulk sweep).
-    /// `reverse_topo_nodes` is the bottom-up unlink order (batch plans
-    /// cache it so it is not re-sorted per key).
+    /// sweep, or by [`Executor::run_remove_all`]'s bulk one).
     fn remove_under_root_locks(
         &mut self,
         plan: &RemovePlan,
         s: &Tuple,
         root: &NodeRef,
-        reverse_topo_nodes: &[NodeId],
     ) -> Result<Option<Tuple>, MustRestart> {
         // Multi-state traversal: a scan over an edge whose columns are not
         // bound by `s` (e.g. a by-cpu index when removing by pid) yields
@@ -1291,7 +950,7 @@ impl<'a> Executor<'a> {
         for (i, &(e, kind)) in plan.edges.iter().enumerate() {
             let em = self.decomp.edge(e);
             let ep = self.placement.edge(e);
-            // Lock (non-root hosts; the root batch covered the rest), one
+            // Lock (non-root hosts; the root sweep covered the rest), one
             // sorted batch across all candidate states.
             if ep.host != self.decomp.root() {
                 let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
@@ -1324,7 +983,7 @@ impl<'a> Executor<'a> {
                             if ep.speculative {
                                 // Exclude readers holding the target-side
                                 // lock; presence is already frozen by the
-                                // fallback lock from the root batch.
+                                // fallback lock from the root sweep.
                                 let tok = self.placement.target_token(e, child.key());
                                 let lock = Arc::clone(child.lock(0));
                                 self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
@@ -1364,7 +1023,7 @@ impl<'a> Executor<'a> {
         // containers become empty; dying children are removed from every
         // parent container.
         let mut dies = vec![false; self.decomp.node_count()];
-        for &v in reverse_topo_nodes {
+        for &v in &plan.reverse_topo_nodes {
             let meta = self.decomp.node(v);
             let inst = bindings[v.index()].as_ref().expect("all bound").clone();
             if meta.outgoing.is_empty() {

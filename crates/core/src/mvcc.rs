@@ -48,6 +48,21 @@
 //! is retired the next time *any* transaction writes that entry (or
 //! sweeps its index, or when the relation drops); it is never reclaimed
 //! behind a lock-free reader's back.
+//!
+//! # Rollback
+//!
+//! The same journal is the attempt's undo log — the only one. An entry's
+//! chain holds at most one version per attempt (same-stamp pushes
+//! collapse), on top of the value the attempt found, so an attempt that
+//! does not commit is taken back physically
+//! ([`MvccScope::roll_back`]): newest journal entry first, drop the
+//! attempt's version from the entry's chain and write the main container's
+//! entry back to what the chain now says. Every journaled entry was written
+//! under a lock the attempt still holds, so rollback acquires nothing,
+//! plans nothing and cannot restart; it re-links the *same* instances the
+//! attempt unlinked, so §4.1 sharing is restored rather than rebuilt; and
+//! it never touches the commit clock — the stamp of an attempt that rolled
+//! back stays tentative and dies with its versions.
 
 use std::collections::{BTreeSet, HashSet};
 use std::convert::Infallible;
@@ -64,10 +79,11 @@ use crate::instance::{NodeInstance, NodeRef};
 use crate::placement::LockPlacement;
 use crate::query::{EdgeView, KeyBounds, QueryState};
 
-/// One mirrored write: where to find the entry again at commit, for
-/// truncation and dead-entry purge. The index is re-entered by key — the
-/// attempt wrote this entry moments ago, so the path to it is warm, and
-/// the journal holds no reference into the index's memory.
+/// One mirrored write: where to find the entry again when the attempt
+/// ends — at commit for truncation and dead-entry purge, at rollback to
+/// take the write back. The index is re-entered by key — the attempt wrote
+/// this entry moments ago, so the path to it is warm, and the journal holds
+/// no reference into the index's memory.
 pub(crate) struct JournalEntry {
     /// The instance whose version index holds the entry.
     pub host: NodeRef,
@@ -80,7 +96,8 @@ pub(crate) struct JournalEntry {
 /// Per-transaction-attempt MVCC state, owned by the executor: the shared
 /// commit stamp (created lazily on the first mirrored write, so
 /// read-only and no-op transactions never touch the clock) and the write
-/// journal revisited at commit.
+/// journal, revisited when the attempt ends: by [`MvccScope::retire`] if
+/// it commits, by [`MvccScope::roll_back`] if it does not.
 #[derive(Default)]
 pub(crate) struct MvccScope {
     stamp: Option<Arc<CommitStamp>>,
@@ -175,15 +192,38 @@ impl MvccScope {
             }
         }
     }
+
+    /// Takes back every write of an attempt that will not commit, newest
+    /// first, with the attempt's locks still held: per journal entry, drop
+    /// the attempt's version from the entry's chain and write the main
+    /// container's entry back to what the chain now says (the instance the
+    /// attempt found there, or nothing). Deliberately handed nothing but
+    /// the decomposition: no engine, no plans, no clock. See the module
+    /// docs.
+    ///
+    /// Does nothing when there is nothing to take back: no mirrored write,
+    /// a journal already rolled back (this consumes it), or a stamp that
+    /// has published — a committed attempt's journal is only waiting to be
+    /// dropped, which it is with the attempt, after its locks are gone, so
+    /// that freeing the instances it unlinked is off the lock path.
+    pub fn roll_back(&mut self, decomp: &Decomposition) {
+        let Some(stamp) = self.stamp.as_ref().filter(|s| !s.is_committed()) else {
+            return;
+        };
+        let guard = relc_containers::epoch::pin();
+        while let Some(JournalEntry { host, edge, key }) = self.journal.pop() {
+            let found = host.versions(decomp, edge).revert(&key, stamp, &guard);
+            host.container(decomp, edge).write(&key, found.cloned());
+        }
+    }
 }
 
-/// Stamps and retires the MVCC scopes of one finishing attempt — commit
-/// *and* rollback paths alike (compensations push versions under the same
-/// stamp, so an aborted attempt's stamped state equals the
-/// pre-transaction state). Must run while the attempt's locks are still
-/// held and strictly before any engine releases: that ordering is the
-/// whole commit-visibility argument (see [`crate::commit::commit`], the
-/// only caller besides its `abort`).
+/// Stamps and retires the MVCC scopes of one committing attempt. Must run
+/// while the attempt's locks are still held and strictly before any engine
+/// releases: that ordering is the whole commit-visibility argument (see
+/// [`crate::commit::commit`], the only caller). An attempt that does not
+/// commit never gets here: it is taken back by [`MvccScope::roll_back`],
+/// which leaves nothing to stamp.
 ///
 /// One stamp publishes for the whole attempt; `publish` then runs with
 /// the committed timestamp (and the participants, handed back because
@@ -232,8 +272,8 @@ impl std::fmt::Debug for MvccScope {
 /// [`ConcurrentRelation::verify`](crate::ConcurrentRelation::verify)):
 ///
 /// * chain stamps are strictly decreasing newest-first;
-/// * no tentative stamp survives quiescence ([`finish_attempt`] commits
-///   the stamp on rollback paths too);
+/// * no tentative stamp survives quiescence (an attempt either commits
+///   its stamp or drops its versions — [`MvccScope::roll_back`]);
 /// * after compacting each chain to the current retirement floor, at
 ///   most one version sits at or below the floor (the keeper —
 ///   [`relc_containers::VersionCell::truncate`]'s postcondition);

@@ -38,7 +38,7 @@ use relc_containers::ContainerKind;
 use relc_locks::LockMode;
 use relc_spec::{ColumnId, ColumnSet};
 
-use crate::decomp::{Decomposition, EdgeId};
+use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
 use crate::placement::LockPlacement;
 use crate::query::{render_plan, PlanStep};
@@ -77,6 +77,13 @@ pub struct InsertPlan {
     /// to take every stripe (§4.4's conservative all-`k` rule) so the
     /// scanned instances are writer-free.
     pub check_has_scan: bool,
+    /// Root-hosted edges with their force-all-stripes flag
+    /// (`check_has_scan`): a row's fallback (or all-stripe) tokens of these
+    /// edges are its root lock sweep, and a batch's sweep is the union over
+    /// its rows.
+    pub root_hosted: Vec<(EdgeId, bool)>,
+    /// Node ids in topological order: the materialization order.
+    pub topo_nodes: Vec<NodeId>,
 }
 
 /// A compiled remove plan (§2's `remove r s`; `s` must be a key).
@@ -88,6 +95,12 @@ pub struct RemovePlan {
     /// lock (needed when the removal's emptiness checks must cover a whole
     /// container instance that striping splits).
     pub all_stripes: Vec<bool>,
+    /// Root-hosted edges with their force-all-stripes flag (their
+    /// `all_stripes` entry): the root lock sweep of one key, or — unioned
+    /// over the keys — of a batch.
+    pub root_hosted: Vec<(EdgeId, bool)>,
+    /// Node ids in reverse topological order: the bottom-up unlink order.
+    pub reverse_topo_nodes: Vec<NodeId>,
 }
 
 /// A compiled update plan (§2's `update r s t`: replace the unique tuple
@@ -146,9 +159,8 @@ pub struct GeneralUpdate {
     pub remove: RemovePlan,
     /// Re-inserts the rewritten tuple (existence check is over the full
     /// column set: after the unlink it is vacuous, but it keeps the insert
-    /// machinery uniform). Shared (`Arc`) with the transaction layer's
-    /// compensation entry, so `Tx::update` fetches one plan, not two.
-    pub insert: Arc<InsertPlan>,
+    /// machinery uniform).
+    pub insert: InsertPlan,
     /// Columns assigned by the update (`dom t`).
     pub updated: ColumnSet,
     /// Edges whose key columns intersect `updated`.
@@ -197,51 +209,22 @@ pub struct InPlaceStep {
     pub all_stripes: bool,
 }
 
-/// A compiled batch-insert plan: the per-tuple [`InsertPlan`] plus every
-/// per-edge analysis the batched executor would otherwise redo per tuple.
-///
-/// `insert_all` fetches one of these per batch (one plan-cache hit instead
-/// of two per row), bulk-acquires the union of the batch's root-hosted
-/// lock tokens in one globally sorted sweep, and defers the publication of
-/// root-source edges so they can be written with one fused
-/// `Container::extend_entries` call per container.
+/// A compiled batch-insert plan. Everything a batch amortizes — the root
+/// sweep's edges, the materialization order — is compiled into the
+/// per-tuple [`InsertPlan`], which the row path uses too; the batch plan is
+/// that plan, fetched once per batch.
 #[derive(Debug, Clone)]
 pub struct InsertBatchPlan {
-    /// The per-tuple insert plan (mutation order + existence-check chain).
-    pub insert: Arc<InsertPlan>,
-    /// Full-column remove plan compensating one applied row — shared with
-    /// the transaction layer's undo entries, exactly as
-    /// [`GeneralUpdate::insert`] shares its re-insert plan.
-    pub inverse: Arc<RemovePlan>,
-    /// Root-hosted edges with their force-all-stripes flag: the per-row
-    /// fallback (or all-stripe) tokens of these edges form the batch's
-    /// bulk lock sweep. The all-stripes entries come from the inverse
-    /// plan — the compensation tokens a mid-transaction insert must hold
-    /// before its first write (see [`crate::exec::InsertUndo::Prepare`]).
-    pub root_hosted: Vec<(EdgeId, bool)>,
-    /// Indexed by edge: the edge leaves the root, so the batch defers its
-    /// publication to the flush (subtrees complete strictly before the
-    /// root links them in, even mid-batch).
-    pub defer: Vec<bool>,
-    /// Node ids in topological order (the per-tuple materialization order,
-    /// sorted once per plan instead of once per tuple).
-    pub topo_nodes: Vec<crate::decomp::NodeId>,
+    /// The per-tuple insert plan.
+    pub insert: InsertPlan,
 }
 
-/// A compiled batch-remove plan: the per-key [`RemovePlan`] plus the
-/// precomputed root sweep and the compensating full-column insert plan.
+/// A compiled batch-remove plan: the per-key [`RemovePlan`] (which carries
+/// the root sweep's edges and the unlink order), fetched once per batch.
 #[derive(Debug, Clone)]
 pub struct RemoveBatchPlan {
-    /// The per-key remove plan (mutation order + traversal kinds).
-    pub remove: Arc<RemovePlan>,
-    /// Full-column insert plan compensating one removed row.
-    pub reinsert: Arc<InsertPlan>,
-    /// Root-hosted edges with their force-all-stripes flag (from the
-    /// remove plan's per-edge analysis): the bulk lock sweep.
-    pub root_hosted: Vec<(EdgeId, bool)>,
-    /// Node ids in reverse topological order (the per-key unlink order,
-    /// sorted once per plan instead of once per key).
-    pub reverse_topo_nodes: Vec<crate::decomp::NodeId>,
+    /// The per-key remove plan.
+    pub remove: RemovePlan,
 }
 
 /// The query planner for one (decomposition, placement) pair.
@@ -555,6 +538,8 @@ impl Planner {
             edges: self.mutation_order(),
             check,
             check_has_scan,
+            root_hosted: self.root_hosted_edges(|_| check_has_scan),
+            topo_nodes: self.nodes_in_topo_order(false),
         })
     }
 
@@ -667,86 +652,52 @@ impl Planner {
             edges.push((e, kind));
             all_stripes.push(needs_all);
         }
-        Ok(RemovePlan { edges, all_stripes })
+        let forced = |e| (edges.iter().zip(&all_stripes)).any(|(&(pe, _), &all)| pe == e && all);
+        let root_hosted = self.root_hosted_edges(forced);
+        Ok(RemovePlan {
+            edges,
+            all_stripes,
+            root_hosted,
+            reverse_topo_nodes: self.nodes_in_topo_order(true),
+        })
     }
 
-    /// Plans a batched `insert_all` whose rows all bind `bound`: the
-    /// per-tuple insert plan, its full-column inverse (one shared `Arc` for
-    /// every row's undo entry), and the per-edge analyses of the bulk lock
-    /// sweep and the deferred root publications. See [`InsertBatchPlan`].
+    /// Plans a batched `insert_all` whose rows all bind `bound`. See
+    /// [`InsertBatchPlan`].
     ///
     /// # Errors
     ///
     /// As for [`Planner::plan_insert`].
     pub fn plan_insert_batch(&self, bound: ColumnSet) -> Result<InsertBatchPlan, CoreError> {
-        let insert = Arc::new(self.plan_insert(bound)?);
-        // A full tuple is always a key, so the inverse plan always exists.
-        let inverse = Arc::new(self.plan_remove(self.decomp.schema().columns())?);
-        // The unlocked check chain's scans need every root stripe held,
-        // exactly as in the single-row path (see `InsertPlan::check_has_scan`).
-        let root_hosted = self
-            .root_hosted_edges(&inverse)
-            .into_iter()
-            .map(|(e, force)| (e, force || insert.check_has_scan))
-            .collect();
-        Ok(InsertBatchPlan {
-            root_hosted,
-            defer: self.root_source_edges(),
-            topo_nodes: self.nodes_in_topo_order(false),
-            insert,
-            inverse,
-        })
+        let insert = self.plan_insert(bound)?;
+        Ok(InsertBatchPlan { insert })
     }
 
-    /// Plans a batched `remove_all` whose keys all bind `bound`: the
-    /// per-key remove plan, the full-column re-insert compensating one
-    /// removed row, and the precomputed root lock sweep. See
+    /// Plans a batched `remove_all` whose keys all bind `bound`. See
     /// [`RemoveBatchPlan`].
     ///
     /// # Errors
     ///
     /// As for [`Planner::plan_remove`].
     pub fn plan_remove_batch(&self, bound: ColumnSet) -> Result<RemoveBatchPlan, CoreError> {
-        let remove = Arc::new(self.plan_remove(bound)?);
-        let reinsert = Arc::new(self.plan_insert(self.decomp.schema().columns())?);
-        Ok(RemoveBatchPlan {
-            root_hosted: self.root_hosted_edges(&remove),
-            reverse_topo_nodes: self.nodes_in_topo_order(true),
-            remove,
-            reinsert,
-        })
+        let remove = self.plan_remove(bound)?;
+        Ok(RemoveBatchPlan { remove })
     }
 
-    /// Root-hosted edges with the force-all-stripes flag `plan`'s per-edge
-    /// analysis assigns them — the shape of a batch's bulk lock sweep.
-    fn root_hosted_edges(&self, plan: &RemovePlan) -> Vec<(EdgeId, bool)> {
+    /// Root-hosted edges, each with the force-all-stripes flag `force_all`
+    /// assigns it — the shape of a root lock sweep.
+    fn root_hosted_edges(&self, force_all: impl Fn(EdgeId) -> bool) -> Vec<(EdgeId, bool)> {
         let root = self.decomp.root();
         self.decomp
             .edges()
             .filter(|&(e, _)| self.placement.edge(e).host == root)
-            .map(|(e, _)| {
-                let force_all = plan
-                    .edges
-                    .iter()
-                    .zip(&plan.all_stripes)
-                    .any(|(&(pe, _), &all)| pe == e && all);
-                (e, force_all)
-            })
+            .map(|(e, _)| (e, force_all(e)))
             .collect()
     }
 
-    /// Per-edge (indexed by [`EdgeId::index`]): the edge leaves the root.
-    fn root_source_edges(&self) -> Vec<bool> {
-        let mut defer = vec![false; self.decomp.edge_count()];
-        for (e, em) in self.decomp.edges() {
-            defer[e.index()] = em.src == self.decomp.root();
-        }
-        defer
-    }
-
     /// All node ids sorted by topological position (reversed on demand).
-    fn nodes_in_topo_order(&self, reverse: bool) -> Vec<crate::decomp::NodeId> {
-        let mut nodes: Vec<crate::decomp::NodeId> = self.decomp.nodes().map(|(id, _)| id).collect();
+    fn nodes_in_topo_order(&self, reverse: bool) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = self.decomp.nodes().map(|(id, _)| id).collect();
         nodes.sort_by_key(|&v| self.decomp.topo_position(v));
         if reverse {
             nodes.reverse();
@@ -812,7 +763,7 @@ impl Planner {
             }));
         }
         let remove = self.plan_remove(bound)?;
-        let insert = Arc::new(self.plan_insert(self.decomp.schema().columns())?);
+        let insert = self.plan_insert(self.decomp.schema().columns())?;
         Ok(UpdatePlan::General(GeneralUpdate {
             remove,
             insert,

@@ -27,9 +27,7 @@ use crate::error::CoreError;
 use crate::instance::{self, NodeInstance, NodeRef};
 use crate::mvcc;
 use crate::placement::{LockPlacement, LockToken};
-use crate::planner::{
-    InsertBatchPlan, InsertPlan, Plan, Planner, RemoveBatchPlan, RemovePlan, UpdatePlan,
-};
+use crate::planner::{InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
 use crate::query::{eval_all, eval_any, QueryState};
 use crate::txn::{Transaction, TxnError};
 
@@ -110,8 +108,6 @@ pub(crate) struct Repr {
     insert_plans: RwLock<HashMap<u64, Arc<InsertPlan>>>,
     remove_plans: RwLock<HashMap<u64, Arc<RemovePlan>>>,
     update_plans: RwLock<HashMap<(u64, u64), Arc<UpdatePlan>>>,
-    insert_batch_plans: RwLock<HashMap<u64, Arc<InsertBatchPlan>>>,
-    remove_batch_plans: RwLock<HashMap<u64, Arc<RemoveBatchPlan>>>,
 }
 
 /// Top-level operation counters for one relation flavor, surfaced through
@@ -274,10 +270,6 @@ thread_local! {
         std::cell::RefCell::new(PlanMemo::new());
     static UPDATE_MEMO: std::cell::RefCell<PlanMemo<(u64, u64, u64), Arc<UpdatePlan>>> =
         std::cell::RefCell::new(PlanMemo::new());
-    static INSERT_BATCH_MEMO: std::cell::RefCell<PlanMemo<(u64, u64), Arc<InsertBatchPlan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
-    static REMOVE_BATCH_MEMO: std::cell::RefCell<PlanMemo<(u64, u64), Arc<RemoveBatchPlan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
 }
 
 /// Ids of live relations. The thread-local memos above are keyed by
@@ -412,8 +404,6 @@ impl Repr {
             insert_plans: RwLock::new(HashMap::new()),
             remove_plans: RwLock::new(HashMap::new()),
             update_plans: RwLock::new(HashMap::new()),
-            insert_batch_plans: RwLock::new(HashMap::new()),
-            remove_batch_plans: RwLock::new(HashMap::new()),
         }))
     }
 
@@ -510,34 +500,6 @@ impl Repr {
             &self.remove_plans,
             bound.bits(),
             || self.planner.plan_remove(bound),
-        )
-    }
-
-    pub(crate) fn insert_batch_plan(
-        &self,
-        bound: ColumnSet,
-    ) -> Result<Arc<InsertBatchPlan>, CoreError> {
-        plan_cached(
-            &INSERT_BATCH_MEMO,
-            (self.id, bound.bits()),
-            |k| k.0,
-            &self.insert_batch_plans,
-            bound.bits(),
-            || self.planner.plan_insert_batch(bound),
-        )
-    }
-
-    pub(crate) fn remove_batch_plan(
-        &self,
-        bound: ColumnSet,
-    ) -> Result<Arc<RemoveBatchPlan>, CoreError> {
-        plan_cached(
-            &REMOVE_BATCH_MEMO,
-            (self.id, bound.bits()),
-            |k| k.0,
-            &self.remove_batch_plans,
-            bound.bits(),
-            || self.planner.plan_remove_batch(bound),
         )
     }
 
@@ -889,9 +851,8 @@ impl ConcurrentRelation {
     /// As for [`Self::insert`], for any row; the batch has no effect.
     pub fn insert_all(&self, rows: &[(Tuple, Tuple)]) -> Result<Vec<bool>, CoreError> {
         OpCounters::bump(&self.ops.batch_rows, rows.len() as u64);
-        // Single-shot: the batch is the whole transaction, which lets the
-        // executor skip the fresh-subtree host locks (the batch still
-        // records its undo segment — a mid-batch restart rolls it back).
+        // A mid-batch restart rolls the applied rows back like any other
+        // attempt's writes.
         self.run_transaction(true, |tx| tx.insert_all(rows))
     }
 
@@ -1620,6 +1581,7 @@ mod tests {
     use crate::decomp::library::{dcache, diamond, kv, split, stick};
     use relc_containers::ContainerKind;
     use relc_spec::{OracleRelation, SpecError, Value};
+    use std::collections::BTreeSet;
 
     fn graph_variants() -> Vec<(Arc<Decomposition>, Arc<LockPlacement>)> {
         let mut out = Vec::new();
@@ -1982,32 +1944,101 @@ mod tests {
         }
     }
 
+    /// Every link of the relation's instance graph, by address: (parent,
+    /// edge, entry key, child). A shared node shows up once per parent,
+    /// each time at the same child address.
+    fn instance_links(rel: &ConcurrentRelation) -> BTreeSet<(usize, usize, Tuple, usize)> {
+        let repr = rel.current_repr();
+        let mut links = BTreeSet::new();
+        let mut stack = vec![Arc::clone(repr.root())];
+        while let Some(inst) = stack.pop() {
+            for &e in &repr.decomp.node(inst.node()).outgoing {
+                let container = inst.container(&repr.decomp, e);
+                container.scan(&mut |k: &Tuple, child: &NodeRef| {
+                    let (from, to) = (Arc::as_ptr(&inst) as usize, Arc::as_ptr(child) as usize);
+                    if links.insert((from, e.index(), k.clone(), to)) {
+                        stack.push(Arc::clone(child));
+                    }
+                    std::ops::ControlFlow::Continue(())
+                });
+            }
+        }
+        links
+    }
+
+    /// Holding `present = (s, t)`, aborts a transaction that inserts
+    /// `fresh`, updates `present` to `t2` and removes it: the rollback must
+    /// be exact down to the objects — the same instances re-linked on every
+    /// path (so a shared node is restored shared, not rebuilt per parent).
+    fn check_abort_restores_instances(
+        name: &str,
+        rel: &ConcurrentRelation,
+        present: (&Tuple, &Tuple),
+        fresh: (&Tuple, &Tuple),
+        t2: &Tuple,
+    ) {
+        rel.insert(present.0, present.1).unwrap();
+        let before = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let links = instance_links(rel);
+        let err = rel
+            .transaction(|tx| -> Result<(), crate::TxnError> {
+                // Apply all three mutation kinds, then abort.
+                assert!(tx.insert(fresh.0, fresh.1)?);
+                assert!(tx.update(present.0, t2)?.is_some());
+                assert_eq!(tx.remove(present.0)?, 1);
+                Err(tx.abort("insufficient funds"))
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::TransactionAborted(ref m) if m.contains("funds")),
+            "{name}: {err}"
+        );
+        assert_eq!(instance_links(rel), links, "{name}: same instances");
+        let after = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(after, before, "{name}: rollback must be exact");
+        assert_eq!(rel.len(), 1, "{name}");
+        // The abort is an application rollback, not a conflict retry.
+        let stats = rel.lock_stats();
+        assert!(stats.user_rollbacks >= 1, "{name}: {stats}");
+    }
+
     #[test]
     fn aborted_transaction_rolls_back_every_effect() {
         for (d, p) in graph_variants() {
             let name = format!("{} / {}", d.describe(), p.name());
             let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
-            rel.insert(&edge(&d, 1, 2), &weight(&d, 100)).unwrap();
-            let before = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let err = rel
-                .transaction(|tx| -> Result<(), crate::TxnError> {
-                    // Apply all three mutation kinds, then abort.
-                    assert!(tx.insert(&edge(&d, 5, 6), &weight(&d, 1))?);
-                    assert!(tx.update(&edge(&d, 1, 2), &weight(&d, 55))?.is_some());
-                    assert_eq!(tx.remove(&edge(&d, 1, 2))?, 1);
-                    Err(tx.abort("insufficient funds"))
-                })
-                .unwrap_err();
-            assert!(
-                matches!(err, CoreError::TransactionAborted(ref m) if m.contains("funds")),
-                "{name}: {err}"
+            check_abort_restores_instances(
+                &name,
+                &rel,
+                (&edge(&d, 1, 2), &weight(&d, 100)),
+                (&edge(&d, 5, 6), &weight(&d, 1)),
+                &weight(&d, 55),
             );
-            let after = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(after, before, "{name}: rollback must be exact");
-            assert_eq!(rel.len(), 1, "{name}");
-            // The abort is an application rollback, not a conflict retry.
-            let stats = rel.lock_stats();
-            assert!(stats.user_rollbacks >= 1, "{name}: {stats}");
+        }
+        let d = dcache();
+        let tuple = |cols: &[(&str, i64)]| {
+            let fields: Vec<_> = cols.iter().map(|&(c, v)| (c, Value::from(v))).collect();
+            d.schema().tuple(&fields).unwrap()
+        };
+        for p in [
+            LockPlacement::coarse(&d).unwrap(),
+            LockPlacement::fine(&d).unwrap(),
+        ] {
+            let name = format!("dcache / {}", p.name());
+            let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
+            check_abort_restores_instances(
+                &name,
+                &rel,
+                (
+                    &tuple(&[("parent", 1), ("name", 2)]),
+                    &tuple(&[("child", 3)]),
+                ),
+                (
+                    &tuple(&[("parent", 1), ("name", 5)]),
+                    &tuple(&[("child", 6)]),
+                ),
+                &tuple(&[("child", 7)]),
+            );
         }
     }
 

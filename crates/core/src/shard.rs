@@ -40,8 +40,8 @@
 //! discipline spans shards). The attempt then ends through the same
 //! commit protocol as a single-instance one (`commit.rs`), applied to
 //! every touched shard: one stamp publishes all of them, and an abort
-//! replays *every* shard's undo segment before a single lock is released
-//! — no observer can see shard A's effects without shard B's.
+//! rolls back *every* shard's write journal before a single lock is
+//! released — no observer can see shard A's effects without shard B's.
 //!
 //! Deadlock freedom extends the §5.1 argument lexicographically: the
 //! global coordinate of a lock is `(shard index, lock token)`. A
@@ -701,7 +701,7 @@ impl ShardedRelation {
     /// touches: per-shard [`Transaction`]s open lazily as operations
     /// route, all locks across all touched shards are held until the
     /// closure returns, and commit/rollback is atomic across shards
-    /// (every shard's undo segment replays before any lock is released).
+    /// (every shard's journal rolls back before any lock is released).
     /// See the [module docs](self) for the cross-shard ordering protocol.
     ///
     /// The closure contract is exactly

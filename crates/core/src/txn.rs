@@ -20,18 +20,20 @@
 //! is what makes read-modify-write sequences atomic: the values read
 //! before the restart are discarded along with the locks.
 //!
-//! # Write compensation
+//! # Rollback
 //!
 //! Operations apply their container writes eagerly (later operations in
 //! the same transaction must see them), so a restart in operation *k*
-//! must first undo the writes of operations *1..k*. The transaction keeps
-//! an undo log of structural inverses (insert ⟷ unlink) and replays it in
-//! reverse before releasing any lock. Because the log is replayed while
-//! every lock of the original operations is still held, and each
-//! operation pre-acquires the few extra tokens its inverse could need
-//! (see [`Executor::run_insert`]'s [`InsertUndo`]), compensation itself
-//! can never restart — enforced, not assumed: a restarting compensation
-//! panics rather than release locks around a half-applied transaction.
+//! must first take back the writes of operations *1..k*. There is one
+//! record of those writes — the MVCC write journal every mirrored
+//! container write already appends to — and it is the undo log: an attempt
+//! that does not commit is rolled back from it, newest entry first, under
+//! the locks the attempt still holds ([`crate::mvcc`], *Rollback*). The
+//! operations keep no inverse of themselves and acquire nothing on
+//! rollback's behalf; every journaled entry was written under a lock that
+//! is still held, so rollback cannot restart, by construction. The same
+//! rollback runs when the closure panics: the transaction rolls back as it
+//! drops, before its lock engine can release anything.
 //!
 //! # Example
 //!
@@ -63,18 +65,16 @@
 //!
 //! [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
 //! [`TwoPhaseEngine`]: relc_locks::TwoPhaseEngine
-//! [`Executor::run_insert`]: crate::exec::Executor::run_insert
 
 use std::fmt;
-use std::sync::Arc;
 
 use relc_locks::{MustRestart, TwoPhaseEngine};
 use relc_spec::{ColumnSet, SpecError, Tuple};
 
 use crate::error::CoreError;
-use crate::exec::{Executor, InsertUndo};
+use crate::exec::Executor;
 use crate::placement::LockToken;
-use crate::planner::{InsertPlan, RemovePlan, UpdatePlan};
+use crate::planner::UpdatePlan;
 use crate::relation::{ConcurrentRelation, Repr};
 
 /// Why a transactional operation did not return a value.
@@ -142,23 +142,6 @@ pub(crate) enum RedoOp {
     Update(Tuple, Tuple),
 }
 
-/// A structural inverse recorded for one applied operation.
-enum UndoOp {
-    /// Inverse of an insert: unlink the tuple.
-    Unlink { plan: Arc<RemovePlan>, tuple: Tuple },
-    /// Inverse of a removal: re-insert the tuple.
-    Reinsert { plan: Arc<InsertPlan>, tuple: Tuple },
-    /// Inverse of an in-place update: swap the touched entries back from
-    /// `new` to `old` (holds the old values, not a structural
-    /// unlink/re-insert pair). Replayed under the locks of the forward
-    /// pass, it acquires nothing and can never restart.
-    WriteBack {
-        plan: Arc<UpdatePlan>,
-        old: Tuple,
-        new: Tuple,
-    },
-}
-
 /// An open multi-operation transaction on a [`ConcurrentRelation`].
 ///
 /// Created by [`ConcurrentRelation::transaction`]; every operation runs
@@ -174,15 +157,15 @@ pub struct Transaction<'t> {
     /// commit that it is still the relation's current one).
     repr: &'t Repr,
     exec: Executor<'t>,
-    undo: Vec<UndoOp>,
     /// Applied operations in order, for the WAL's redo record. Empty
     /// (never pushed, no allocation) unless the relation has a WAL.
     redo: Vec<RedoOp>,
     /// Whether to capture [`RedoOp`]s — true exactly when the relation
-    /// has a WAL attached. Unlike undo, redo is captured even in
-    /// single-shot mode: the record is what recovery replays.
+    /// has a WAL attached.
     log_redo: bool,
     len_delta: isize,
+    /// The closure is one operation of the relation's single-shot sugar:
+    /// its last write is the attempt's last write.
     single_shot: bool,
     saw_restart: bool,
 }
@@ -202,7 +185,6 @@ impl<'t> Transaction<'t> {
             rel,
             repr,
             exec,
-            undo: Vec::new(),
             redo: Vec::new(),
             log_redo: rel.has_wal(),
             len_delta: 0,
@@ -214,10 +196,10 @@ impl<'t> Transaction<'t> {
     /// Records any [`MustRestart`] an operation produced before handing it
     /// to the closure. A closure that swallows the error and returns `Ok`
     /// would otherwise commit a half-applied transaction (e.g. an update
-    /// whose unlink succeeded but whose re-insert restarted); the commit
-    /// path checks [`Transaction::needs_restart`] and rolls back and
-    /// retries instead, so the discipline is enforced, not just
-    /// documented.
+    /// whose unlink succeeded but whose re-insert restarted, or a batch
+    /// stopped mid-way); the commit path checks
+    /// [`Transaction::needs_restart`] and rolls back and retries instead,
+    /// so the discipline is enforced, not just documented.
     fn track<T>(&mut self, r: Result<T, MustRestart>) -> Result<T, TxnError> {
         if r.is_err() {
             self.saw_restart = true;
@@ -283,6 +265,15 @@ impl<'t> Transaction<'t> {
         self.exec.mvcc()
     }
 
+    /// Takes back every write of the attempt from its write journal, while
+    /// all of its locks are still held (see the [module docs](self)).
+    /// Reached from [`crate::commit::abort`] and, when the closure
+    /// panicked, from `Drop`; a no-op once the attempt has committed or
+    /// rolled back.
+    pub(crate) fn roll_back(&mut self) {
+        self.exec.roll_back();
+    }
+
     /// The representation this attempt is pinned to.
     pub(crate) fn repr(&self) -> &'t Repr {
         self.repr
@@ -310,37 +301,39 @@ impl<'t> Transaction<'t> {
     /// As for [`ConcurrentRelation::insert`], wrapped in
     /// [`TxnError::Core`]; or [`TxnError::Restart`] (propagate it).
     pub fn insert(&mut self, s: &Tuple, t: &Tuple) -> Result<bool, TxnError> {
-        let record_undo = !self.single_shot;
-        self.insert_impl(s, t, record_undo)
+        self.insert_row(s, t, !self.single_shot)
     }
 
-    /// [`Transaction::insert`] with the undo decision made by the caller:
-    /// batch operations record undo entries even in single-shot mode (a
-    /// mid-batch failure must roll the whole batch back), while the
-    /// single-shot one-op sugar never needs them.
-    fn insert_impl(&mut self, s: &Tuple, t: &Tuple, record_undo: bool) -> Result<bool, TxnError> {
+    /// [`Transaction::insert`] with the isolation rule of
+    /// [`Executor::run_insert`] decided by the caller: a row of a batch is
+    /// never the attempt's last write, single-shot or not.
+    fn insert_row(
+        &mut self,
+        s: &Tuple,
+        t: &Tuple,
+        hold_published_targets: bool,
+    ) -> Result<bool, TxnError> {
         self.assert_two_phase();
         let x = self.validate_insert(s, t)?;
         let plan = self.repr.insert_plan(s.dom())?;
-        // A full tuple is always a key, so the inverse plan always exists.
-        let inverse = if record_undo {
-            Some(self.repr.remove_plan(x.dom())?)
-        } else {
-            None
-        };
-        let undo = InsertUndo::from_inverse(inverse.as_deref());
-        let res = self.exec.run_insert(&plan, &x, s, self.repr.root(), undo);
+        let root = self.repr.root();
+        let res = self
+            .exec
+            .run_insert(&plan, &x, s, root, hold_published_targets);
         let inserted = self.track(res)?;
         if inserted {
-            self.len_delta += 1;
-            if let Some(plan) = inverse {
-                self.undo.push(UndoOp::Unlink { plan, tuple: x });
-            }
-            if self.log_redo {
-                self.redo.push(RedoOp::Insert(s.clone(), t.clone()));
-            }
+            self.applied_insert(s, t);
         }
         Ok(inserted)
+    }
+
+    /// Bookkeeping for one inserted row: the tuple count and the redo
+    /// stream.
+    fn applied_insert(&mut self, s: &Tuple, t: &Tuple) {
+        self.len_delta += 1;
+        if self.log_redo {
+            self.redo.push(RedoOp::Insert(s.clone(), t.clone()));
+        }
     }
 
     /// §2 argument validation shared by [`Transaction::insert`] and
@@ -374,12 +367,12 @@ impl<'t> Transaction<'t> {
     /// sweep, and root-edge publications fused into one bulk container
     /// write per edge.
     ///
-    /// The batch is atomic within the transaction: its rows share one undo
-    /// segment, so a mid-batch failure (or a later abort of the enclosing
-    /// transaction) rolls back *every* applied row, never a prefix. All
-    /// rows are validated before the first effect; rows whose shapes
-    /// (`dom s`, `dom t`) differ from the first row's fall back to the
-    /// per-row path, keeping the fold semantics exact.
+    /// The batch is atomic within the transaction: a mid-batch restart
+    /// fails the attempt, and the attempt's rollback takes back *every*
+    /// applied row, never a prefix. All rows are validated before the first
+    /// effect; rows whose shapes (`dom s`, `dom t`) differ from the first
+    /// row's fall back to the per-row path, keeping the fold semantics
+    /// exact.
     ///
     /// # Errors
     ///
@@ -400,43 +393,20 @@ impl<'t> Transaction<'t> {
             .any(|(s, t)| s.dom() != dom_s || t.dom() != dom_t)
         {
             // Mixed shapes need per-row plans; run the fold directly (each
-            // row validates itself, and undo is recorded per row, so
-            // batch atomicity still holds).
-            let mut out = Vec::with_capacity(rows.len());
-            for (s, t) in rows {
-                out.push(self.insert_impl(s, t, true)?);
-            }
-            return Ok(out);
+            // row validates itself).
+            return rows
+                .iter()
+                .map(|(s, t)| self.insert_row(s, t, true))
+                .collect();
         }
         self.validate_insert(s0, t0)?;
         let xs: Vec<Tuple> = rows.iter().map(|(s, t)| s.union_disjoint(t)).collect();
-        let plan = self.repr.insert_batch_plan(dom_s)?;
-        let mut results = Vec::with_capacity(rows.len());
-        let mut applied = Vec::new();
-        let res = self.exec.run_insert_all(
-            &plan,
-            &xs,
-            rows,
-            self.repr.root(),
-            self.single_shot,
-            &mut results,
-            &mut applied,
-        );
-        // The applied prefix is recorded in the undo segment *before* a
-        // mid-batch restart propagates: rollback must compensate it.
-        let mut xs = xs;
-        for i in applied {
-            self.len_delta += 1;
-            self.undo.push(UndoOp::Unlink {
-                plan: Arc::clone(&plan.inverse),
-                tuple: std::mem::replace(&mut xs[i], Tuple::empty()),
-            });
-            if self.log_redo {
-                let (s, t) = &rows[i];
-                self.redo.push(RedoOp::Insert(s.clone(), t.clone()));
-            }
+        let plan = self.repr.insert_plan(dom_s)?;
+        let res = self.exec.run_insert_all(&plan, &xs, rows, self.repr.root());
+        let results = self.track(res)?;
+        for ((s, t), _) in rows.iter().zip(&results).filter(|(_, &inserted)| inserted) {
+            self.applied_insert(s, t);
         }
-        self.track(res)?;
         Ok(results)
     }
 
@@ -449,9 +419,9 @@ impl<'t> Transaction<'t> {
     /// `false`) — so batch callers can tell which keys were present;
     /// `results.iter().filter(|b| **b).count()` is the removed total.
     ///
-    /// The batch shares one undo segment: a mid-batch failure or a later
-    /// abort re-inserts every removed tuple. Keys whose shape differs from
-    /// the first key's fall back to the per-key path.
+    /// Atomic like [`Transaction::insert_all`]: a mid-batch restart fails
+    /// the attempt, whose rollback re-links every removed tuple. Keys whose
+    /// shape differs from the first key's fall back to the per-key path.
     ///
     /// # Errors
     ///
@@ -463,31 +433,27 @@ impl<'t> Transaction<'t> {
             return Ok(Vec::new());
         };
         if keys.iter().any(|k| k.dom() != k0.dom()) {
-            let mut out = Vec::with_capacity(keys.len());
-            for k in keys {
-                out.push(self.remove_impl(k, true)?.is_some());
-            }
-            return Ok(out);
+            return keys
+                .iter()
+                .map(|k| Ok(self.remove_returning(k)?.is_some()))
+                .collect();
         }
-        let plan = self.repr.remove_batch_plan(k0.dom())?;
-        let mut removed = Vec::new();
-        let res = self
-            .exec
-            .run_remove_all(&plan, keys, self.repr.root(), &mut removed);
-        let mut results = vec![false; keys.len()];
-        for (i, t) in removed {
-            results[i] = true;
-            self.len_delta -= 1;
-            self.undo.push(UndoOp::Reinsert {
-                plan: Arc::clone(&plan.reinsert),
-                tuple: t,
-            });
-            if self.log_redo {
-                self.redo.push(RedoOp::Remove(keys[i].clone()));
-            }
+        let plan = self.repr.remove_plan(k0.dom())?;
+        let res = self.exec.run_remove_all(&plan, keys, self.repr.root());
+        let results = self.track(res)?;
+        for (key, _) in keys.iter().zip(&results).filter(|(_, &removed)| removed) {
+            self.applied_remove(key);
         }
-        self.track(res)?;
         Ok(results)
+    }
+
+    /// Bookkeeping for one removed row: the tuple count and the redo
+    /// stream.
+    fn applied_remove(&mut self, s: &Tuple) {
+        self.len_delta -= 1;
+        if self.log_redo {
+            self.redo.push(RedoOp::Remove(s.clone()));
+        }
     }
 
     /// `remove r s` (§2) under this transaction's lock scope; returns how
@@ -507,37 +473,12 @@ impl<'t> Transaction<'t> {
     ///
     /// As for [`Transaction::remove`].
     pub fn remove_returning(&mut self, s: &Tuple) -> Result<Option<Tuple>, TxnError> {
-        let record_undo = !self.single_shot;
-        self.remove_impl(s, record_undo)
-    }
-
-    /// [`Transaction::remove_returning`] with the undo decision made by
-    /// the caller (see [`Transaction::insert_impl`]).
-    fn remove_impl(&mut self, s: &Tuple, record_undo: bool) -> Result<Option<Tuple>, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.remove_plan(s.dom())?;
-        // The compensating re-insert's plan is fetched *before* the unlink
-        // is applied: no fallible step may sit between a mutation and the
-        // push of its undo entry. Removed tuples are full valuations, so
-        // the plan's bound set is the whole column set.
-        let reinsert = if record_undo {
-            Some(self.repr.insert_plan(self.rel.schema().columns())?)
-        } else {
-            None
-        };
         let res = self.exec.run_remove(&plan, s, self.repr.root());
         let removed = self.track(res)?;
-        if let Some(u) = &removed {
-            self.len_delta -= 1;
-            if let Some(plan) = reinsert {
-                self.undo.push(UndoOp::Reinsert {
-                    plan,
-                    tuple: u.clone(),
-                });
-            }
-            if self.log_redo {
-                self.redo.push(RedoOp::Remove(s.clone()));
-            }
+        if removed.is_some() {
+            self.applied_remove(s);
         }
         Ok(removed)
     }
@@ -564,66 +505,39 @@ impl<'t> Transaction<'t> {
     pub fn update(&mut self, s: &Tuple, t: &Tuple) -> Result<Option<Tuple>, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.update_plan(s.dom(), t.dom())?;
-        match &*plan {
+        let root = self.repr.root();
+        let old = match &*plan {
+            // Every lock is taken before the first write, so a restart
+            // here leaves nothing behind.
             UpdatePlan::InPlace(ip) => {
-                // Every lock is taken before the first write, so a restart
-                // here leaves nothing to compensate; only later operations
-                // of a multi-op transaction can force the write-back.
-                let res = self.exec.run_update_in_place(ip, s, t, self.repr.root());
-                let Some(old) = self.track(res)? else {
-                    return Ok(None);
-                };
-                if !self.single_shot {
-                    self.undo.push(UndoOp::WriteBack {
-                        plan: Arc::clone(&plan),
-                        old: old.clone(),
-                        new: old.override_with(t),
-                    });
-                }
-                if self.log_redo {
-                    self.redo.push(RedoOp::Update(s.clone(), t.clone()));
-                }
-                Ok(Some(old))
+                let res = self.exec.run_update_in_place(ip, s, t, root);
+                self.track(res)?
             }
             UpdatePlan::General(gp) => {
-                let res = self.exec.run_remove(&gp.remove, s, self.repr.root());
+                let res = self.exec.run_remove(&gp.remove, s, root);
                 let Some(old) = self.track(res)? else {
                     return Ok(None);
                 };
-                // From here the unlink is applied, and the re-insert below
-                // can still restart (its root batch names the *new*
-                // values' tokens) — so the compensation entry is recorded
-                // even for single-shot updates. Its locks are a subset of
-                // the unlink's held set, and it shares the plan's `Arc`d
-                // full-column insert plan (one plan fetch, not two).
-                self.undo.push(UndoOp::Reinsert {
-                    plan: Arc::clone(&gp.insert),
-                    tuple: old.clone(),
-                });
+                // From here the unlink is applied, and the re-insert can
+                // still restart (its root sweep names the *new* values'
+                // tokens): `track` then fails the attempt, and its
+                // rollback re-links what the unlink took out.
                 let new = old.override_with(t);
-                let inverse_new = if self.single_shot {
-                    None
-                } else {
-                    Some(self.repr.remove_plan(new.dom())?)
-                };
-                let undo = InsertUndo::from_inverse(inverse_new.as_deref());
                 let res = self
                     .exec
-                    .run_insert(&gp.insert, &new, &new, self.repr.root(), undo);
+                    .run_insert(&gp.insert, &new, &new, root, !self.single_shot);
                 let reinserted = self.track(res)?;
                 debug_assert!(
                     reinserted,
                     "no tuple can extend the unlinked key under our exclusive locks"
                 );
-                if let Some(plan) = inverse_new {
-                    self.undo.push(UndoOp::Unlink { plan, tuple: new });
-                }
-                if self.log_redo {
-                    self.redo.push(RedoOp::Update(s.clone(), t.clone()));
-                }
-                Ok(Some(old))
+                Some(old)
             }
+        };
+        if old.is_some() && self.log_redo {
+            self.redo.push(RedoOp::Update(s.clone(), t.clone()));
         }
+        Ok(old)
     }
 
     /// `query r s C` (§2) under this transaction's lock scope: the
@@ -702,68 +616,18 @@ impl<'t> Transaction<'t> {
     pub fn abort(&self, reason: impl Into<String>) -> TxnError {
         TxnError::Core(CoreError::TransactionAborted(reason.into()))
     }
+}
 
-    /// Rolls back every applied effect by replaying the undo log in
-    /// reverse, while all of the transaction's locks are still held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a compensating operation demands a restart — that would
-    /// mean an operation failed to pre-acquire its inverse's lock set
-    /// (a bug in the transaction layer, never a recoverable condition:
-    /// releasing locks here would publish a half-applied transaction).
-    pub(crate) fn rollback_effects(&mut self) {
-        while let Some(op) = self.undo.pop() {
-            match op {
-                UndoOp::Unlink { plan, tuple } => {
-                    let removed = self
-                        .exec
-                        .run_remove(&plan, &tuple, self.repr.root())
-                        .unwrap_or_else(|_| {
-                            panic!(
-                                "transaction compensation (unlink) restarted; \
-                                 inverse locks were not pre-acquired"
-                            )
-                        });
-                    debug_assert!(removed.is_some(), "inserted tuple vanished under our locks");
-                }
-                UndoOp::Reinsert { plan, tuple } => {
-                    // `Compensation` (not `None`): the re-insert must lock
-                    // freshly materialized speculative targets before
-                    // publishing them, or a speculative reader could
-                    // dirty-read the rolled-back value and make a later
-                    // compensation step restart.
-                    let inserted = self
-                        .exec
-                        .run_insert(
-                            &plan,
-                            &tuple,
-                            &tuple,
-                            self.repr.root(),
-                            InsertUndo::Compensation,
-                        )
-                        .unwrap_or_else(|_| {
-                            panic!(
-                                "transaction compensation (re-insert) restarted; \
-                                 inverse locks were not pre-acquired"
-                            )
-                        });
-                    debug_assert!(inserted, "removed tuple reappeared under our locks");
-                }
-                UndoOp::WriteBack { plan, old, new } => {
-                    let UpdatePlan::InPlace(ip) = &*plan else {
-                        unreachable!("WriteBack is recorded only for in-place update plans")
-                    };
-                    // Acquires no locks (the forward pass's are still
-                    // held), so this compensation step cannot restart by
-                    // construction.
-                    self.exec
-                        .run_update_write_back(ip, &old, &new, self.repr.root());
-                }
-            }
-        }
-        self.len_delta = 0;
-        self.redo.clear();
+/// An attempt that ends without [`crate::commit::conclude`] — its closure
+/// panicked — must not leave its writes behind: the lock engine this
+/// transaction borrows releases every lock when *it* drops, which is
+/// strictly after this. Rolling back here keeps locked readers from seeing
+/// half a transaction and the version chains from keeping tentative heads
+/// forever. After a commit or an abort there is nothing left to take back
+/// and this does nothing.
+impl Drop for Transaction<'_> {
+    fn drop(&mut self) {
+        self.roll_back();
     }
 }
 
@@ -771,7 +635,7 @@ impl fmt::Debug for Transaction<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Transaction")
             .field("relation", &self.rel)
-            .field("pending_undo_ops", &self.undo.len())
+            .field("mvcc", self.exec.mvcc())
             .field("len_delta", &self.len_delta)
             .field("single_shot", &self.single_shot)
             .finish()

@@ -2,8 +2,8 @@
 //!
 //! Opt-in durability under the transaction layer: a relation opened with
 //! [`ConcurrentRelation::open_durable`] appends **one logical redo record
-//! per committed transaction** — serialized from the same op stream the
-//! undo log captures, but recording the *forward* calls — stamped with
+//! per committed transaction** — the attempt's applied operations as the
+//! API calls that made them — stamped with
 //! the transaction's [`CommitClock`] timestamp and published in watermark
 //! order, so the log is a timestamp-ordered history of commits. Fsyncs
 //! are batched by [`relc_locks::GroupCommit`]: concurrent committers

@@ -295,6 +295,52 @@ fn seeded_under_locked_migration_fence_flagged() {
     assert!(ok.is_empty(), "full-fence cutover should be clean: {ok:?}");
 }
 
+/// The one lock rollback still asks of a write: an insert that is not its
+/// attempt's last write — a row of a batch, the re-insert of a general
+/// update inside a longer transaction — holds the target-side lock of every
+/// §4.5 speculative child it publishes. An executor that never takes it
+/// must be flagged wherever a speculative edge is written.
+#[test]
+fn seeded_unlocked_speculative_publication_flagged() {
+    let d = library::split(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
+    let p = LockPlacement::speculative(&d, 4).unwrap();
+    let opts = AnalyzerOptions {
+        suppress_published_target_lock: true,
+        ..Default::default()
+    };
+    let analyzer = Analyzer::with_options(Arc::clone(&d), Arc::clone(&p), opts);
+    let key = d.schema().column_set(&["src", "dst"]).unwrap();
+    for diags in [
+        analyzer.analyze_insert(key).unwrap(),
+        analyzer.analyze_insert_all(key).unwrap(),
+    ] {
+        let hit = diags
+            .iter()
+            .find(|x| x.kind == DiagnosticKind::UncoveredWrite)
+            .unwrap_or_else(|| panic!("unlocked publication not flagged: {diags:?}"));
+        assert!(hit.step.is_some(), "diagnostic must name the plan step");
+        assert_eq!(hit.tokens.len(), 1, "diagnostic must name the target token");
+    }
+    // Sanity: with the target locks taken the same shapes are clean, and
+    // a placement without speculative edges has nothing to flag.
+    let ok = Analyzer::new(Arc::clone(&d), p)
+        .analyze_insert_all(key)
+        .unwrap();
+    assert!(ok.is_empty(), "locked publication should be clean: {ok:?}");
+    let opts = AnalyzerOptions {
+        suppress_published_target_lock: true,
+        ..Default::default()
+    };
+    let fine = LockPlacement::fine(&d).unwrap();
+    let ok = Analyzer::with_options(d, fine, opts)
+        .analyze_insert(key)
+        .unwrap();
+    assert!(
+        ok.is_empty(),
+        "no speculative edge, nothing to hold: {ok:?}"
+    );
+}
+
 /// Disabling the cross-shard try-only demotion must surface as an
 /// out-of-order acquisition in the lexicographic (shard, token) model.
 #[test]

@@ -227,7 +227,7 @@ fn poisoned_batch_aborts_whole_batch() {
 }
 
 /// An abort *after* a batch inside a transaction rolls back every row of
-/// the batch — the batch's undo segment is replayed as one unit.
+/// the batch, with everything else the attempt wrote.
 #[test]
 fn aborted_transaction_rolls_back_whole_batch() {
     for (name, rel) in variants() {
@@ -374,12 +374,11 @@ fn batch_contention_stress_against_single_op_writers() {
     }
 }
 
-/// Regression (found by the batch tests, but reachable with single ops):
-/// a mid-transaction insert materializes fresh node instances; a later
-/// *shared* read of the same transaction traverses them; rollback's
-/// compensating unlink then needs those locks exclusively. The insert
-/// must pre-acquire fresh hosts' locks exclusively (they are unpublished,
-/// so the acquisition can never fail) or rollback panics on the upgrade.
+/// A mid-transaction insert materializes fresh node instances and a later
+/// *shared* read of the same transaction traverses them, taking their
+/// locks shared. Rollback unlinks them anyway: it acquires nothing, so
+/// there is no upgrade for it to trip over. (Historically a regression
+/// test: rollback by compensating unlink needed those locks exclusively.)
 #[test]
 fn insert_then_shared_read_then_abort_rolls_back() {
     for (name, rel) in variants() {

@@ -283,8 +283,8 @@ fn small_histories_are_linearizable() {
 
 /// Bank-transfer stress: concurrent multi-operation transactions moving
 /// value between keys must conserve the total — any lost update, partial
-/// commit, or unrolled-back restart breaks the sum. Exercises the undo
-/// log hard: transactions restart mid-flight with effects already applied.
+/// commit, or unrolled-back restart breaks the sum. Exercises rollback
+/// hard: transactions restart mid-flight with effects already applied.
 #[test]
 fn concurrent_transfers_conserve_the_total() {
     for (name, rel) in variants() {

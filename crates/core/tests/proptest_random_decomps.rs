@@ -112,6 +112,24 @@ fn build_decomposition(
     b.build().expect("trie decompositions are adequate")
 }
 
+/// The key pattern `a = v`.
+fn key_a(schema: &RelationSchema, v: i64) -> Tuple {
+    schema.tuple(&[("a", Value::from(v))]).unwrap()
+}
+
+/// A valuation of the columns of {b, c, d} selected by the low three bits
+/// of `mask` (all three when it selects none).
+fn rest(schema: &RelationSchema, mask: u8, vals: (i64, i64, i64)) -> Tuple {
+    let mask = if mask & 7 == 0 { 7 } else { mask };
+    let fields: Vec<(&str, Value)> = [("b", vals.0), ("c", vals.1), ("d", vals.2)]
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, (col, v))| (col, Value::from(v)))
+        .collect();
+    schema.tuple(&fields).unwrap()
+}
+
 fn tuple4(schema: &RelationSchema, a: i64, bb: i64, c: i64, d: i64) -> Tuple {
     schema
         .tuple(&[
@@ -125,6 +143,89 @@ fn tuple4(schema: &RelationSchema, a: i64, bb: i64, c: i64, d: i64) -> Tuple {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A random prefix of every kind of write — single-row and batched,
+    /// in-place and general updates — then an abort, on every placement
+    /// the generated decomposition admits: inside the attempt each result
+    /// matches the oracle's, and afterwards there is no trace of it — the
+    /// contents, `len()` and the version footprint are the committed
+    /// preload's, and `verify()` holds.
+    #[test]
+    fn aborted_write_prefix_leaves_no_trace(
+        partitions in proptest::collection::vec(partition_strategy(), 1..4),
+        containers in proptest::collection::vec(container_strategy(), 1..6),
+        preload in proptest::collection::vec((0i64..6, 0i64..3, 0i64..3, 0i64..3), 0..8),
+        ops in proptest::collection::vec(
+            (0u8..5, 1u8..8, proptest::collection::vec((0i64..6, 0i64..3, 0i64..3, 0i64..3), 1..4)),
+            1..10,
+        ),
+    ) {
+        let d = build_decomposition(&partitions, &containers);
+        let schema = d.schema().clone();
+        let placements = [
+            LockPlacement::coarse(&d).ok(),
+            LockPlacement::fine(&d).ok(),
+            LockPlacement::striped_root(&d, 4).ok(),
+            LockPlacement::speculative(&d, 4).ok(),
+        ];
+        for p in placements.into_iter().flatten() {
+            let name = p.name().to_owned();
+            let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
+            // A speculative placement cannot plan every shape on every
+            // decomposition (no scans over speculative edges).
+            let (planner, a) = (rel.planner(), schema.column_set(&["a"]).unwrap());
+            let plannable = planner.plan_insert(a).is_ok()
+                && planner.plan_remove(a).is_ok()
+                && (1..8).all(|m| planner.plan_update(a, rest(&schema, m, (0, 0, 0)).dom()).is_ok());
+            if !plannable {
+                continue;
+            }
+            for &(a, bb, c, dd) in &preload {
+                rel.insert(&key_a(&schema, a), &rest(&schema, 7, (bb, c, dd))).unwrap();
+            }
+            let committed = rel.verify().map_err(TestCaseError::fail)?;
+            let footprint = rel.version_footprint();
+            let err = rel.transaction(|tx| -> Result<(), relc::TxnError> {
+                // The closure re-runs after a restart, so its oracle does too.
+                let oracle = OracleRelation::empty(schema.clone());
+                oracle.load(committed.iter().cloned());
+                for (which, mask, rows) in &ops {
+                    let keys: Vec<Tuple> = rows.iter().map(|r| key_a(&schema, r.0)).collect();
+                    let pairs: Vec<(Tuple, Tuple)> = rows
+                        .iter()
+                        .map(|&(a, bb, c, dd)| (key_a(&schema, a), rest(&schema, 7, (bb, c, dd))))
+                        .collect();
+                    let (s, t) = &pairs[0];
+                    match which {
+                        0 => assert_eq!(tx.insert(s, t)?, oracle.insert(s, t).unwrap(), "{name}"),
+                        1 => assert_eq!(tx.remove(s)?, oracle.remove(s), "{name}"),
+                        2 => {
+                            let (.., bb, c, dd) = rows[0];
+                            let t = rest(&schema, *mask, (bb, c, dd));
+                            assert_eq!(tx.update(s, &t)?, oracle.update(s, &t).unwrap(), "{name}");
+                        }
+                        3 => {
+                            let want: Vec<bool> =
+                                pairs.iter().map(|(s, t)| oracle.insert(s, t).unwrap()).collect();
+                            assert_eq!(tx.insert_all(&pairs)?, want, "{name}");
+                        }
+                        _ => {
+                            let want: Vec<bool> =
+                                keys.iter().map(|k| oracle.remove(k) == 1).collect();
+                            assert_eq!(tx.remove_all(&keys)?, want, "{name}");
+                        }
+                    }
+                }
+                Err(tx.abort("discard the prefix"))
+            });
+            prop_assert!(matches!(err, Err(relc::CoreError::TransactionAborted(_))), "{}", name);
+            prop_assert_eq!(rel.version_footprint(), footprint, "{}: footprint", name);
+            prop_assert_eq!(rel.len(), committed.len(), "{}: len", name);
+            let after = rel.verify().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(after, committed, "{}: contents", name);
+        }
+    }
+
     #[test]
     fn random_batches_match_sequential_oracle_fold(
         partitions in proptest::collection::vec(partition_strategy(), 1..4),

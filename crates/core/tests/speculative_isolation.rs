@@ -4,7 +4,8 @@
 //! half-unlinked instance to a speculative reader. Historically caught
 //! two bugs: insert publishing the root link before the subtree was
 //! complete, and the engine treating a re-created instance's fresh
-//! physical lock as covered by the dead object's token.
+//! physical lock as covered by the dead object's token. The same suite
+//! races the journal rollback of aborted attempts against those readers.
 
 use std::sync::{Arc, Barrier};
 
@@ -78,14 +79,15 @@ fn reader_never_sees_key_vanish() {
 
 #[test]
 fn rollback_reinsert_never_exposes_uncommitted_values() {
-    // Regression: a rolled-back transaction that updates then removes the
-    // same key replays its undo log starting with a re-insert of the
-    // *uncommitted* updated value. That re-insert materializes a fresh
-    // speculative target instance and must take its target-side lock
-    // before publishing it — otherwise a speculative reader acquires the
-    // free lock and dirty-reads the rolled-back value, and the following
-    // compensating unlink finds the lock contended, restarts, and panics
-    // with the rollback half-applied.
+    // A transaction that updates and then removes the same key, and rolls
+    // back: the rollback re-links key 1's subtree — the very instances the
+    // remove unlinked, whose target-side locks the attempt still holds —
+    // and then takes the uncommitted update back inside it. A speculative
+    // reader that guesses through the re-linked entry must wait on that
+    // lock until the whole rollback is done; it must never read the
+    // rolled-back value, and the rollback must never have to wait for it.
+    // (Historically a regression test for compensation by re-insert, which
+    // published a *fresh* target whose lock nobody held.)
     let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
     let p = LockPlacement::speculative(&d, 8).unwrap();
     let rel = Arc::new(ConcurrentRelation::new(d.clone(), p).unwrap());
@@ -109,10 +111,10 @@ fn rollback_reinsert_never_exposes_uncommitted_values() {
                     .transaction(|tx| -> Result<(), relc::TxnError> {
                         tx.update(&key(&sch, 1), &w(&sch, MARKER))?;
                         // Extra removes between the update and the remove
-                        // of key 1: their compensating re-inserts replay
-                        // *between* the re-insert of key 1's uncommitted
-                        // value and its unlink, widening the window in
-                        // which that value is linked during rollback.
+                        // of key 1: the rollback re-links them *between*
+                        // re-linking key 1 and restoring its value,
+                        // widening the window in which the uncommitted
+                        // value is linked during rollback.
                         for k in [3, 4, 5, 6] {
                             tx.remove(&key(&sch, k))?;
                         }

@@ -3,7 +3,7 @@
 //! and forced mid-transaction restarts, lincheck under contention, and the
 //! short-circuiting `contains`.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, RwLock};
 
 use proptest::prelude::*;
 use relc::decomp::library::{dcache, diamond, kv, split, stick};
@@ -13,6 +13,11 @@ use relc::planner::UpdatePlan;
 use relc::{ConcurrentRelation, CoreError, Decomposition};
 use relc_containers::ContainerKind;
 use relc_spec::{OracleRelation, RelationSchema, Tuple, Value};
+
+/// The commit clock is process-global. The rollback tests assert how far
+/// it moved, so they take this exclusively; every other test that commits
+/// takes it shared.
+static CLOCK: RwLock<()> = RwLock::new(());
 
 fn edge(d: &Decomposition, s: i64, t: i64) -> Tuple {
     d.schema()
@@ -121,6 +126,7 @@ fn fast_path_is_selected_across_library_decompositions() {
 /// *general* path — the fallback must keep exact §2 semantics.
 #[test]
 fn general_path_update_matches_oracle() {
+    let _clock = CLOCK.read().unwrap_or_else(|e| e.into_inner());
     let d = weight_in_mid_key();
     let p = LockPlacement::coarse(&d).unwrap();
     let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
@@ -161,6 +167,7 @@ fn general_path_update_matches_oracle() {
 /// graph variants the shared tests already sweep.
 #[test]
 fn fast_path_update_and_contains_match_oracle_on_dcache_and_kv() {
+    let _clock = CLOCK.read().unwrap_or_else(|e| e.into_inner());
     // dcache.
     let d = dcache();
     for p in [
@@ -249,25 +256,28 @@ fn fast_path_update_and_contains_match_oracle_on_dcache_and_kv() {
 /// (c) of the issue's test matrix: a transaction whose fast-path update is
 /// followed by an operation that forces a restart mid-transaction. The
 /// first run applies the in-place rewrite and then restarts (the insert
-/// upgrades shared traversal locks); the rollback must replay the
-/// write-back exactly, and the retry must commit both effects once.
+/// upgrades shared traversal locks); the rollback must take the rewrite
+/// back exactly — publishing nothing — and the retry must commit both
+/// effects once, at one timestamp.
 #[test]
 fn fast_path_rollback_after_forced_mid_transaction_restart() {
+    let _clock = CLOCK.write().unwrap_or_else(|e| e.into_inner());
     {
         let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let p = LockPlacement::fine(&d).unwrap();
         let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
         rel.insert(&edge(&d, 1, 1), &weight(&d, 10)).unwrap();
         let runs = std::cell::Cell::new(0u32);
+        let clock = relc_locks::commit_clock().now();
         rel.transaction(|tx| {
             runs.set(runs.get() + 1);
             // Fast-path update: shared locks on the root chains, exclusive
             // only on the touched hosts.
             let old = tx.update(&edge(&d, 1, 1), &weight(&d, 77))?;
             assert!(old.is_some());
-            // The insert's root batch needs those root locks exclusively:
+            // The insert's root sweep needs those root locks exclusively:
             // upgrade → restart on the first run, after the update already
-            // wrote. The write-back must undo it before the retry.
+            // wrote. The rollback must take it back before the retry.
             tx.insert(&edge(&d, 2, 2), &weight(&d, 20))?;
             Ok(())
         })
@@ -275,6 +285,11 @@ fn fast_path_rollback_after_forced_mid_transaction_restart() {
         assert!(
             runs.get() >= 2,
             "the shared→exclusive upgrade must force one restart"
+        );
+        assert_eq!(
+            relc_locks::commit_clock().now(),
+            clock + 1,
+            "only the committed run allocates a timestamp"
         );
         let wcol = d.schema().column("weight").unwrap();
         let verified = rel.verify().unwrap();
@@ -293,10 +308,11 @@ fn fast_path_rollback_after_forced_mid_transaction_restart() {
 
 /// Aborted transactions mixing fast-path updates with structural ops must
 /// roll back to the exact prior instance — including double updates of one
-/// key (write-backs replay in reverse order) and update-then-remove (the
-/// write-back must find the compensating re-insert's fresh instances).
+/// key and update-then-remove-then-insert of it — without allocating a
+/// commit timestamp or leaving a version behind.
 #[test]
 fn fast_path_rollback_on_abort_composes_with_other_ops() {
+    let _clock = CLOCK.write().unwrap_or_else(|e| e.into_inner());
     let variants: Vec<(Arc<Decomposition>, Arc<LockPlacement>)> = {
         let st = stick(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let sp = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
@@ -314,6 +330,8 @@ fn fast_path_rollback_on_abort_composes_with_other_ops() {
         rel.insert(&edge(&d, 1, 2), &weight(&d, 100)).unwrap();
         rel.insert(&edge(&d, 3, 4), &weight(&d, 200)).unwrap();
         let before = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let trace = || (relc_locks::commit_clock().now(), rel.version_footprint());
+        let untouched = trace();
 
         // Double update of one key, update of another, then abort.
         let err = rel
@@ -325,6 +343,7 @@ fn fast_path_rollback_on_abort_composes_with_other_ops() {
             })
             .unwrap_err();
         assert!(matches!(err, CoreError::TransactionAborted(_)), "{name}");
+        assert_eq!(trace(), untouched, "{name}: (clock, footprint)");
         let after = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(after, before, "{name}: double-update abort must be exact");
 
@@ -339,6 +358,7 @@ fn fast_path_rollback_on_abort_composes_with_other_ops() {
             })
             .unwrap_err();
         assert!(matches!(err, CoreError::TransactionAborted(_)), "{name}");
+        assert_eq!(trace(), untouched, "{name}: (clock, footprint)");
         let after = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(after, before, "{name}: mixed-op abort must be exact");
         assert_eq!(rel.len(), 2, "{name}");
@@ -350,6 +370,7 @@ fn fast_path_rollback_on_abort_composes_with_other_ops() {
 /// structurally sound and linearizable histories must check out.
 #[test]
 fn fast_path_update_contention_stress() {
+    let _clock = CLOCK.read().unwrap_or_else(|e| e.into_inner());
     let variants: Vec<(&str, Arc<Decomposition>, Arc<LockPlacement>)> = {
         let sp = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let di = diamond(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
@@ -420,6 +441,7 @@ fn fast_path_update_contention_stress() {
 /// queries must be linearizable (Wing–Gong check).
 #[test]
 fn fast_path_update_histories_are_linearizable() {
+    let _clock = CLOCK.read().unwrap_or_else(|e| e.into_inner());
     let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
     for p in [
         LockPlacement::fine(&d).unwrap(),
@@ -557,6 +579,7 @@ proptest! {
     fn proptest_fast_and_general_updates_match_oracle(
         ops in proptest::collection::vec(fp_op_strategy(), 1..120)
     ) {
+        let _clock = CLOCK.read().unwrap_or_else(|e| e.into_inner());
         let d = abcd_chain();
         let schema = d.schema().clone();
         // Sanity-check the strategy split once per case.

@@ -20,6 +20,7 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
@@ -663,18 +664,22 @@ fn shard_mates(rel: &ShardedRelation, same: bool) -> (Tuple, Tuple) {
 
 /// The rows of the commit-outcome table for one relation: every way an
 /// attempt can end, run back to back against an oracle. `$ka` / `$kb` are
-/// the two keys every writing attempt touches and `$shards` the number of
-/// distinct shards they live in. After each outcome the contents equal the
-/// oracle's, `len()` is exact, `verify()` finds no tentative stamp,
-/// `user_rollbacks` moved only for `tx.abort` (once per touched shard),
-/// and a durable relation's logs grew by exactly one record per writing
-/// shard plus one marker iff more than one shard wrote — read-only,
-/// aborted and restarted attempts append nothing. A macro because the two
-/// flavours share method names, not a trait.
+/// the two keys every writing attempt touches, `$shards` the number of
+/// distinct shards they live in, and `$footprint` counts the relation's
+/// versions. After each outcome the contents equal the oracle's, `len()`
+/// is exact, `verify()` finds no tentative stamp, `user_rollbacks` moved
+/// only for `tx.abort` (once per touched shard), a durable relation's logs
+/// grew by exactly one record per writing shard plus one marker iff more
+/// than one shard wrote, and the commit clock ticked once per *committed*
+/// writing attempt — read-only, aborted, restarted and panicked attempts
+/// append nothing, allocate no timestamp and leave the version footprint
+/// where it was. A macro because the two flavours share method names, not
+/// a trait.
 macro_rules! check_commit_outcomes {
-    ($label:expr, $rel:expr, $ka:expr, $kb:expr, $shards:expr) => {{
+    ($label:expr, $rel:expr, $ka:expr, $kb:expr, $shards:expr, $footprint:expr) => {{
         let (label, rel, ka, kb, shards): (String, _, Tuple, Tuple, u64) =
             ($label, $rel, $ka, $kb, $shards);
+        let footprint = || $footprint(&rel);
         let schema = rel.schema().clone();
         let oracle = OracleRelation::empty(schema.clone());
         let w = |x: i64| schema.tuple(&[("weight", Value::from(x))]).unwrap();
@@ -690,10 +695,11 @@ macro_rules! check_commit_outcomes {
             (
                 rel.wal_stats().map_or(0, |s| s.appends),
                 rel.lock_stats().user_rollbacks,
+                relc_locks::commit_clock().now(),
             )
         };
         let mut seen = counters();
-        let mut check = |outcome: &str, appended: u64, user_rollbacks: u64| {
+        let mut check = |outcome: &str, appended: u64, user_rollbacks: u64, timestamps: u64| {
             let got = rel
                 .verify()
                 .unwrap_or_else(|e| panic!("{label} / {outcome}: {e}"));
@@ -707,6 +713,11 @@ macro_rules! check_commit_outcomes {
                 user_rollbacks,
                 "{label} / {outcome}: user_rollbacks"
             );
+            assert_eq!(
+                now.2 - seen.2,
+                timestamps,
+                "{label} / {outcome}: commit timestamps allocated"
+            );
             seen = now;
         };
 
@@ -718,7 +729,7 @@ macro_rules! check_commit_outcomes {
         .unwrap();
         oracle.insert(&ka, &w(1)).unwrap();
         oracle.insert(&kb, &w(2)).unwrap();
-        check("commit", per_commit, 0);
+        check("commit", per_commit, 0, 1);
 
         let read = rel
             .transaction(|tx| {
@@ -727,8 +738,9 @@ macro_rules! check_commit_outcomes {
             })
             .unwrap();
         assert_eq!(read, vec![w(1)], "{label}");
-        check("read-only commit", 0, 0);
+        check("read-only commit", 0, 0, 0);
 
+        let versions = footprint();
         let err = rel
             .transaction(|tx| -> Result<(), TxnError> {
                 tx.update(&ka, &w(3))?;
@@ -740,7 +752,8 @@ macro_rules! check_commit_outcomes {
             matches!(err, CoreError::TransactionAborted(_)),
             "{label}: {err}"
         );
-        check("tx.abort", 0, shards);
+        assert_eq!(footprint(), versions, "{label} / tx.abort: footprint");
+        check("tx.abort", 0, shards, 0);
 
         let err = rel
             .transaction(|tx| -> Result<(), TxnError> {
@@ -754,7 +767,33 @@ macro_rules! check_commit_outcomes {
             matches!(err, CoreError::Spec(SpecError::RemoveNotByKey { .. })),
             "{label}: {err}"
         );
-        check("validation error", 0, 0);
+        assert_eq!(footprint(), versions, "{label} / validation: footprint");
+        check("validation error", 0, 0, 0);
+
+        // A closure that panics after writing to every shard it touches
+        // unwinds through the attempt: it must roll back before its locks
+        // go, exactly like an abort, and leave the relation usable.
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            rel.transaction(|tx| -> Result<(), TxnError> {
+                tx.update(&ka, &w(7))?;
+                assert_eq!(tx.remove(&kb)?, 1);
+                assert!(tx.insert(&kb, &w(8))?);
+                panic!("closure panicked mid-transaction");
+            })
+        }));
+        assert!(panicked.is_err(), "{label}: the panic reaches the caller");
+        assert_eq!(footprint(), versions, "{label} / panic: footprint");
+        check("panic", 0, 0, 0);
+        rel.transaction(|tx| tx.update(&kb, &w(9)).map(drop))
+            .unwrap();
+        oracle.update(&kb, &w(9)).unwrap();
+        let fresh = rel.read_transaction(|r| r.query(&kb, wc)).unwrap();
+        assert_eq!(
+            fresh,
+            vec![w(9)],
+            "{label}: commit after a panic is visible"
+        );
+        check("commit after panic", u64::from(durable), 0, 1);
 
         // The query's shared lock on `ka`'s shard makes the update of `ka`
         // (and of `kb`, when it lives there too) demand an upgrade restart,
@@ -777,7 +816,7 @@ macro_rules! check_commit_outcomes {
         );
         oracle.update(&kb, &w(5)).unwrap();
         oracle.update(&ka, &w(6)).unwrap();
-        check("swallowed MustRestart", per_commit, 0);
+        check("swallowed MustRestart", per_commit, 0, 1);
     }};
 }
 
@@ -798,7 +837,14 @@ fn commit_outcome_table() {
             ConcurrentRelation::new(d.clone(), p.clone()).unwrap()
         };
         let (ka, kb) = (key(&single, 0, 0), key(&single, 1, 1));
-        check_commit_outcomes!(format!("single, durable={durable}"), single, ka, kb, 1);
+        check_commit_outcomes!(
+            format!("single, durable={durable}"),
+            single,
+            ka,
+            kb,
+            1,
+            ConcurrentRelation::version_footprint
+        );
 
         for (n, same) in [(1, true), (4, true), (4, false)] {
             let rel = if durable {
@@ -811,7 +857,11 @@ fn commit_outcome_table() {
             };
             let (ka, kb) = shard_mates(&rel, same);
             let label = format!("sharded N={n}, one shard={same}, durable={durable}");
-            check_commit_outcomes!(label, rel, ka, kb, if same { 1 } else { 2 });
+            let footprint = |rel: &ShardedRelation| -> usize {
+                let shards = rel.shards().iter();
+                shards.map(ConcurrentRelation::version_footprint).sum()
+            };
+            check_commit_outcomes!(label, rel, ka, kb, if same { 1 } else { 2 }, footprint);
         }
     }
 }

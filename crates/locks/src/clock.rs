@@ -51,10 +51,9 @@ pub const TENTATIVE_TS: u64 = u64::MAX;
 /// Every version written by the attempt holds an `Arc` of the same
 /// stamp; committing is a single atomic store, which is what makes all
 /// of a transaction's versions become visible at once (no torn
-/// multi-entry visibility). Aborted attempts commit their stamp too —
-/// after compensation, so the stamped state equals the pre-transaction
-/// state — because a forever-tentative head would shadow the entry from
-/// writers' version chains ever becoming visible in order.
+/// multi-entry visibility). An attempt that rolls back never commits its
+/// stamp: it takes its versions out of their chains instead, and the
+/// stamp dies tentative with them.
 #[derive(Debug)]
 pub struct CommitStamp(AtomicU64);
 

@@ -69,8 +69,8 @@ struct Held {
     mode: LockMode,
     /// Earlier physical locks held under the same key: when a transaction
     /// removes a node instance and re-creates it (remove + insert of the
-    /// same key, or undo compensation), the *key* is unchanged but the
-    /// physical lock is a fresh object. The engine keeps the dead
+    /// same key), the *key* is unchanged but the physical lock is a fresh
+    /// object. The engine keeps the dead
     /// object's lock (transactions blocked on it must stay blocked until
     /// we release) and additionally acquires the live object's lock —
     /// treating the new object as covered by the old acquisition would
@@ -154,14 +154,8 @@ impl<O: Ord + Clone + fmt::Debug + LockdepClass> TwoPhaseEngine<O> {
     /// this engine is in global order anymore, whatever its key — the
     /// composing layer flags that here. Cleared automatically by
     /// [`TwoPhaseEngine::finish`] and [`TwoPhaseEngine::rollback`].
-    ///
-    /// Compensation (undo-log replay, which must never restart) is safe
-    /// under this flag: by the transaction layer's pre-acquisition
-    /// invariant, every lock an inverse operation needs is either already
-    /// held — a covered re-acquisition that returns before any try — or
-    /// belongs to a freshly materialized, not-yet-published instance no
-    /// other thread can hold, where the try always succeeds (the same
-    /// argument the same-key replacement path above relies on).
+    /// (Rolling an attempt back acquires nothing, so the flag never
+    /// stands in its way.)
     pub fn set_try_only(&mut self) {
         self.try_only = true;
     }
