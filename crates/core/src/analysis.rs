@@ -53,9 +53,7 @@ use relc_spec::{ColumnId, ColumnSet};
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
 use crate::placement::LockPlacement;
-use crate::planner::{
-    InPlaceUpdate, InsertPlan, MutTraverse, Plan, Planner, RemovePlan, UpdatePlan,
-};
+use crate::planner::{InPlaceUpdate, InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
 use crate::query::PlanStep;
 
 /// Where a column's symbolic value came from.
@@ -514,7 +512,7 @@ impl<'a> SymExec<'a> {
         self.held.push((tok, mode, site != Site::Tolerant));
     }
 
-    /// A sorted batch acquisition ([`acquire_sorted_batch`] /
+    /// A sorted batch acquisition (a lock step's batch /
     /// [`acquire_root_sweep`] in the executor): sorts where the partial
     /// order decides (stable for unknown pairs), dedups exact repeats,
     /// then acquires each token. With
@@ -893,18 +891,22 @@ impl Analyzer {
         out
     }
 
-    /// Walks a compiled query-shaped plan (`Lock`/`Lookup`/`Scan`/
-    /// `SpecLookup` steps). `tolerant_after_scan` models the existence
-    /// DFS, which knowingly acquires later siblings' locks out of order.
+    /// Walks a compiled plan from `st` and returns the survivor state: the
+    /// one model of every plan the evaluator runs — queries, ranges and
+    /// the existence DFS, the locate plans of removes and in-place
+    /// updates, an insert's unlocked existence check. Acquisitions start
+    /// at `site`; `tolerant_after_scan` models walkers that, past a scan,
+    /// knowingly acquire for sibling or candidate states out of the global
+    /// order and rely on the engine's try-and-restart rule (the existence
+    /// DFS, a mutation's locate).
     fn sym_plan_steps(
         &self,
         ex: &mut SymExec<'_>,
         plan: &Plan,
-        bound: ColumnSet,
+        mut st: SymState,
+        mut site: Site,
         tolerant_after_scan: bool,
-    ) {
-        let mut st = SymState::operand(&self.decomp, bound, 0);
-        let mut site = Site::Blocking;
+    ) -> SymState {
         let has_range = plan
             .steps
             .iter()
@@ -1025,6 +1027,7 @@ impl Analyzer {
                 }
             }
         }
+        st
     }
 
     /// Analyzes `query r s C` for a pattern binding `bound` with outputs
@@ -1040,7 +1043,8 @@ impl Analyzer {
     ) -> Result<Vec<Diagnostic>, CoreError> {
         let plan = self.planner.plan_query(bound, output)?;
         let mut ex = self.exec(format!("query bound={}", self.render_set(bound)));
-        self.sym_plan_steps(&mut ex, &plan, bound, false);
+        let st = SymState::operand(&self.decomp, bound, 0);
+        self.sym_plan_steps(&mut ex, &plan, st, Site::Blocking, false);
         Ok(ex.diags)
     }
 
@@ -1064,7 +1068,8 @@ impl Analyzer {
             self.render_set(bound),
             self.render_set(ColumnSet::single(range_col))
         ));
-        self.sym_plan_steps(&mut ex, &plan, bound, false);
+        let st = SymState::operand(&self.decomp, bound, 0);
+        self.sym_plan_steps(&mut ex, &plan, st, Site::Blocking, false);
         Ok(ex.diags)
     }
 
@@ -1078,7 +1083,8 @@ impl Analyzer {
     pub fn analyze_exists(&self, bound: ColumnSet) -> Result<Vec<Diagnostic>, CoreError> {
         let plan = self.planner.plan_query(bound, ColumnSet::new())?;
         let mut ex = self.exec(format!("exists bound={}", self.render_set(bound)));
-        self.sym_plan_steps(&mut ex, &plan, bound, true);
+        let st = SymState::operand(&self.decomp, bound, 0);
+        self.sym_plan_steps(&mut ex, &plan, st, Site::Blocking, true);
         Ok(ex.diags)
     }
 
@@ -1112,7 +1118,7 @@ impl Analyzer {
     }
 
     /// The insert body after the root sweep: walk locks on every non-root
-    /// host, the unlocked existence-check chain, the target-side locks of
+    /// host, the unlocked existence-check plan, the target-side locks of
     /// the speculative children about to be published, then the container
     /// writes in reverse mutation order. Modelled as a write that more
     /// operations may follow — the stricter of the executor's two modes
@@ -1134,30 +1140,15 @@ impl Analyzer {
                 ex.acquire_batch(toks, LockMode::Exclusive, walk_site, None);
             }
         }
-        // The existence check reads containers *unlocked*: every read must
-        // be justified by the walk/sweep holds (R1) or by writer exclusion
-        // (R2) under the scan-forced all-stripe sweep.
-        let mut st = st_full.clone();
-        for (i, o) in st.cols.iter_mut().enumerate() {
-            if !bound.contains(ColumnId::from_index(i)) {
-                *o = None;
-            }
+        // The existence check reads containers *unlocked* (its plan has no
+        // lock steps): every read must be justified by the walk/sweep holds
+        // (R1) or by writer exclusion (R2) under the scan-forced all-stripe
+        // sweep. It starts from the pattern's columns of the full tuple.
+        let mut st = SymState::operand(&self.decomp, ColumnSet::new(), 0);
+        for c in bound.iter() {
+            st.cols[c.index()] = st_full.cols[c.index()];
         }
-        for b in st.bound.iter_mut() {
-            *b = false;
-        }
-        st.bound[root.index()] = true;
-        for (i, &(e, kind)) in plan.check.iter().enumerate() {
-            let em = self.decomp.edge(e);
-            match kind {
-                MutTraverse::Lookup => ex.require_read(e, &st, true, Some(i)),
-                MutTraverse::Scan => {
-                    ex.require_read(e, &st, false, Some(i));
-                    st.scan_bind(em.cols, &mut ex.next_scan);
-                }
-            }
-            st.bound[em.dst.index()] = true;
-        }
+        self.sym_plan_steps(ex, &plan.check, st, walk_site, false);
         // The isolation rule's site: one target-side acquisition per
         // speculative edge, before the writes. (A site table, like
         // `mirror_write`: the model binds every host, so the walk's own
@@ -1189,55 +1180,21 @@ impl Analyzer {
         }
     }
 
-    /// The remove body after the root sweep: the locked locate traversal
-    /// (per-edge all-stripe or fallback batches, §4.5 target locks for
-    /// speculative hops), then the bottom-up unlink — a write per edge and
-    /// a whole-instance emptiness read per non-root node. Returns the
-    /// survivor state (scan origins bound) for callers that re-insert.
+    /// The remove body after the root sweep: the locate plan, then the
+    /// bottom-up unlink — a write per edge and a whole-instance emptiness
+    /// read per non-root node. Returns the survivor state (scan origins
+    /// bound) for callers that re-insert.
     fn sym_remove_body(
         &self,
         ex: &mut SymExec<'_>,
         plan: &RemovePlan,
         bound: ColumnSet,
         row: u8,
-        mut site: Site,
+        site: Site,
     ) -> SymState {
         let root = self.decomp.root();
-        let mut st = SymState::operand(&self.decomp, bound, row);
-        for (i, (&(e, kind), &all)) in plan.edges.iter().zip(&plan.all_stripes).enumerate() {
-            let em = self.decomp.edge(e);
-            let ep = self.placement.edge(e);
-            if ep.host != root {
-                let toks = if all {
-                    ex.all_stripe_tokens(e, &st, Some(i))
-                } else {
-                    ex.fallback_tokens(e, &st, Some(i))
-                };
-                ex.acquire_batch(toks, LockMode::Exclusive, site, Some(i));
-            }
-            match kind {
-                MutTraverse::Lookup => {
-                    if ep.speculative {
-                        // §4.5 protocol: the present path pins the
-                        // target-side lock; the read is protocol-justified.
-                        if let Some(tok) = ex.target_token(e, &st, Some(i)) {
-                            ex.acquire(tok, LockMode::Exclusive, Site::Tolerant, Some(i));
-                        }
-                    } else {
-                        ex.require_read(e, &st, true, Some(i));
-                    }
-                }
-                MutTraverse::Scan => {
-                    ex.require_read(e, &st, false, Some(i));
-                    st.scan_bind(em.cols, &mut ex.next_scan);
-                    // Past the first scan the executor iterates candidate
-                    // states; later acquisitions rely on the engine's
-                    // try-and-restart rule rather than global order.
-                    site = Site::Tolerant;
-                }
-            }
-            st.bound[em.dst.index()] = true;
-        }
+        let st = SymState::operand(&self.decomp, bound, row);
+        let st = self.sym_plan_steps(ex, &plan.locate, st, site, true);
         // Bottom-up unlink: write every edge's entry out of its container,
         // then decide survivor death by reading the node's containers
         // empty (`is_exhausted`), for every node below the root.
@@ -1258,7 +1215,7 @@ impl Analyzer {
 
     /// Analyzes `insert r s x` planned for a pattern over `bound`: root
     /// sweep (all stripes when the existence check scans), non-root walk
-    /// locks, unlocked check chain, reverse-order container writes.
+    /// locks, unlocked check plan, reverse-order container writes.
     ///
     /// # Errors
     ///
@@ -1389,59 +1346,28 @@ impl Analyzer {
         Ok(ex.diags)
     }
 
-    /// The in-place update model: locate steps with the plan's promoted
-    /// lock modes, then the touched-entry rewrites (old entry tombstone +
-    /// new entry, each with its MVCC mirror).
+    /// The in-place update model: the locate plan with its promoted lock
+    /// modes, then the touched-entry rewrites (old entry tombstone + new
+    /// entry, each with its MVCC mirror).
     fn sym_update_in_place(&self, ex: &mut SymExec<'_>, p: &InPlaceUpdate, bound: ColumnSet) {
-        let mut st = SymState::operand(&self.decomp, bound, 0);
-        let mut site = Site::Blocking;
-        let mut touched_steps: Vec<(usize, EdgeId)> = Vec::new();
-        for (i, step) in p.steps.iter().enumerate() {
-            let em = self.decomp.edge(step.edge);
-            let ep = self.placement.edge(step.edge);
-            // With the seeded-violation switch the promotion pass is
-            // undone: each step reverts to its pre-promotion mode.
-            let mode = if self.options.suppress_promotion {
-                if step.touched {
-                    LockMode::Exclusive
-                } else {
-                    self.placement.read_mode(step.edge)
+        // With the seeded-violation switch the promotion pass is undone:
+        // each lock step reverts to its pre-promotion mode.
+        let mut locate = p.locate.clone();
+        if self.options.suppress_promotion {
+            for step in &mut locate.steps {
+                if let PlanStep::Lock { edge, mode, .. } | PlanStep::SpecLookup { edge, mode } =
+                    step
+                {
+                    *mode = if p.touched.contains(edge) {
+                        LockMode::Exclusive
+                    } else {
+                        self.placement.read_mode(*edge)
+                    };
                 }
-            } else {
-                step.mode
-            };
-            if ep.speculative {
-                // Planner invariant: speculative steps are untouched
-                // lookups riding the §4.5 protocol. The executor pins the
-                // fallback root stripe first (structural-writer gate for
-                // unlocked existence checks), then the target lock.
-                let toks = ex.fallback_tokens(step.edge, &st, Some(i));
-                ex.acquire_batch(toks, mode, site, Some(i));
-                if let Some(tok) = ex.target_token(step.edge, &st, Some(i)) {
-                    ex.acquire(tok, mode, Site::Tolerant, Some(i));
-                }
-                st.bound[em.dst.index()] = true;
-                continue;
-            }
-            let toks = if step.all_stripes {
-                ex.all_stripe_tokens(step.edge, &st, Some(i))
-            } else {
-                ex.fallback_tokens(step.edge, &st, Some(i))
-            };
-            ex.acquire_batch(toks, mode, site, Some(i));
-            match step.kind {
-                MutTraverse::Lookup => ex.require_read(step.edge, &st, true, Some(i)),
-                MutTraverse::Scan => {
-                    ex.require_read(step.edge, &st, false, Some(i));
-                    st.scan_bind(em.cols, &mut ex.next_scan);
-                    site = Site::Tolerant;
-                }
-            }
-            st.bound[em.dst.index()] = true;
-            if step.touched {
-                touched_steps.push((i, step.edge));
             }
         }
+        let st = SymState::operand(&self.decomp, bound, 0);
+        let st = self.sym_plan_steps(ex, &locate, st, Site::Blocking, true);
         // Write phase: each touched edge gets an old-entry tombstone and a
         // new-entry write (stripe may differ when striping columns are
         // updated), both demanding exclusive coverage + an MVCC mirror.
@@ -1449,9 +1375,10 @@ impl Analyzer {
         for c in p.updated.iter() {
             st_new.cols[c.index()] = Some(Origin::Operand(1));
         }
-        for (i, e) in touched_steps {
-            ex.require_write(e, &st, false, Some(i));
-            ex.require_write(e, &st_new, false, Some(i));
+        for &e in &p.touched {
+            let step = (locate.steps.iter()).position(|s| !s.is_lock() && s.edge() == e);
+            ex.require_write(e, &st, false, step);
+            ex.require_write(e, &st_new, false, step);
         }
     }
 

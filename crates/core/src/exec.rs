@@ -8,11 +8,15 @@
 //! serializable; the §5.1 lock order plus the engine's try-and-restart rule
 //! for out-of-order acquisitions gives deadlock freedom.
 //!
-//! Reads are not interpreted here: the query language has one evaluator
+//! Plans are not interpreted here: the query language has one evaluator
 //! ([`crate::query`]), and the executor is its *locked edge view* — it
 //! answers each step's "take these locks", "follow this key" (including
 //! the §4.5 speculative protocol) and "walk these entries" against the
-//! main containers. Mutations, which are not Fig. 4 plans, are.
+//! main containers. A mutation locates what it writes with a plan of the
+//! same language (§5.2) — a remove's and an in-place update's locate
+//! plan, an insert's existence check — and the executor keeps only what
+//! no plan expresses: the root lock sweep, the insert's full-tuple walk,
+//! and the write phases (materialize and publish, unlink, rewrite).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -21,12 +25,12 @@ use std::sync::Arc;
 use relc_locks::{LockMode, MustRestart, TwoPhaseEngine};
 use relc_spec::{ColumnSet, RangePattern, Tuple, Value};
 
-use crate::decomp::{Decomposition, EdgeId, NodeId};
+use crate::decomp::{Decomposition, EdgeId};
 use crate::instance::{NodeInstance, NodeRef};
 use crate::mvcc::MvccScope;
 use crate::placement::{LockPlacement, LockToken};
-use crate::planner::{InPlaceUpdate, InsertPlan, MutTraverse, Plan, RemovePlan};
-use crate::query::{eval_all, eval_any, EdgeView, KeyBounds, QueryState};
+use crate::planner::{InPlaceUpdate, InsertPlan, Plan, RemovePlan};
+use crate::query::{bind, eval_all, eval_any, eval_states, EdgeView, KeyBounds, QueryState};
 
 /// FNV-1a, the hasher for the batch-local maps: their keys are consulted
 /// once or twice per row on the hot path, where SipHash's per-hash setup
@@ -147,12 +151,13 @@ impl EdgeView for Executor<'_> {
                 batch.windows(2).all(|w| w[0].0 <= w[1].0),
                 "planner sort-elision analysis was wrong"
             );
-            for (tok, lock) in batch {
-                self.engine.acquire(tok, &lock, mode)?;
-            }
-            return Ok(());
+        } else {
+            batch.sort_by(|a, b| a.0.cmp(&b.0));
         }
-        self.acquire_sorted_batch(batch, mode)
+        for (tok, lock) in batch {
+            self.engine.acquire(tok, &lock, mode)?;
+        }
+        Ok(())
     }
 
     /// A plain step is a container lookup. A §4.5 speculative step guesses
@@ -286,21 +291,6 @@ impl<'a> Executor<'a> {
     /// shard they hold locks in.
     pub(crate) fn set_try_only(&mut self) {
         self.engine.set_try_only();
-    }
-
-    /// Sorts a batch of physical locks into the §5.1 global token order and
-    /// acquires each in `mode` — the shared tail of every mutation path's
-    /// lock batching.
-    fn acquire_sorted_batch(
-        &mut self,
-        mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)>,
-        mode: LockMode,
-    ) -> Result<(), MustRestart> {
-        batch.sort_by(|a, b| a.0.cmp(&b.0));
-        for (tok, lock) in batch {
-            self.engine.acquire(tok, &lock, mode)?;
-        }
-        Ok(())
     }
 
     /// Runs a compiled query plan; returns the deduplicated projection of
@@ -456,21 +446,22 @@ impl<'a> Executor<'a> {
                 // Speculative edges: presence is frozen by the fallback
                 // lock held exclusively, so no target lock or re-validation
                 // is needed for the existence check.
-                merge_binding(&mut bindings, em.dst, child);
+                bind(&mut bindings, em.dst, child);
                 present[e.index()] = true;
             }
         }
 
-        // Existence check: does any tuple extend s? (Chain over dom s.)
-        // When the chain's first step is a point lookup, the walk above
-        // already answered it: the lookup key is `s`'s projection, which
-        // coincides with `x`'s on columns bound by `s`, and the walk
-        // evaluates every root-source edge definitively. An absent first
-        // edge means no tuple extends `s` — the common case for fresh-key
-        // inserts — so the chain traversal is skipped entirely.
-        let exists = match plan.check.first() {
-            Some(&(e1, MutTraverse::Lookup)) if !present[e1.index()] => false,
-            _ => self.check_exists(&plan.check, s, &bindings),
+        // Existence check: does any tuple extend s? When the check's first
+        // step is a point lookup, the walk above already answered it: the
+        // lookup key is `s`'s projection, which coincides with `x`'s on
+        // columns bound by `s`, and the walk evaluates every root-source
+        // edge definitively. An absent first edge means no tuple extends
+        // `s` — the common case for fresh-key inserts — so the check is
+        // skipped entirely. Otherwise it runs unlocked: the sweep and the
+        // walk's exclusive locks exclude every writer of what it reads.
+        let exists = match plan.first_check_lookup() {
+            Some(e1) if !present[e1.index()] => false,
+            _ => self.run_exists(&plan.check, s, root)?,
         };
         if exists {
             return Ok(false);
@@ -641,55 +632,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluates the existence-check chain over the recorded bindings: true
-    /// iff some tuple extends `s`.
-    fn check_exists(
-        &self,
-        check: &[(EdgeId, MutTraverse)],
-        s: &Tuple,
-        bindings: &[Option<NodeRef>],
-    ) -> bool {
-        // States: (pattern-so-far, instance). Lookup steps reuse the
-        // bindings recorded by the mutation walk (their keys coincide with
-        // s's projections); scan steps read the containers directly — their
-        // whole container instance is covered by the held locks.
-        let root = bindings[self.decomp.root().index()]
-            .as_ref()
-            .expect("root always bound");
-        let mut states: Vec<(Tuple, NodeRef)> = vec![(s.clone(), Arc::clone(root))];
-        for (e, kind) in check {
-            let em = self.decomp.edge(*e);
-            let mut next = Vec::new();
-            match kind {
-                MutTraverse::Lookup => {
-                    for (t, inst) in &states {
-                        let key = t.project(em.cols);
-                        if let Some(child) = inst.container(self.decomp, *e).lookup(&key) {
-                            next.push((t.clone(), child));
-                        }
-                    }
-                }
-                MutTraverse::Scan => {
-                    for (t, inst) in &states {
-                        inst.container(self.decomp, *e)
-                            .scan(&mut |k: &Tuple, child: &NodeRef| {
-                                if t.matches(k) {
-                                    let merged = t.union(k).expect("matches implies mergeable");
-                                    next.push((merged, Arc::clone(child)));
-                                }
-                                ControlFlow::Continue(())
-                            });
-                    }
-                }
-            }
-            states = next;
-            if states.is_empty() {
-                return false;
-            }
-        }
-        !states.is_empty()
-    }
-
     /// Runs a compiled query plan as a short-circuiting existence check:
     /// `true` as soon as one state survives every step (the evaluator's
     /// depth-first order).
@@ -708,12 +650,33 @@ impl<'a> Executor<'a> {
         eval_any(self.decomp, self, &plan.steps, st)
     }
 
+    /// Runs a mutation's locate plan for key pattern `s` and returns its
+    /// survivor: the stored tuple extending `s`, with the node instances
+    /// it is stored under, or `None` if no tuple extends `s`. A scan over
+    /// an edge whose columns `s` does not bind (a by-cpu index when
+    /// removing by pid) yields several candidate states, which deeper
+    /// edges filter; since `s` is a key, at most one survives.
+    fn locate(
+        &mut self,
+        plan: &Plan,
+        s: &Tuple,
+        root: &NodeRef,
+    ) -> Result<Option<QueryState>, MustRestart> {
+        let st = QueryState::initial(self.decomp, s.clone(), Arc::clone(root));
+        let mut survivors = eval_states(self.decomp, self, plan, None, st)?;
+        debug_assert!(
+            survivors.len() <= 1,
+            "s is a key: at most one candidate can survive the full traversal"
+        );
+        Ok(survivors.pop())
+    }
+
     /// Runs the in-place update fast path: locates the unique tuple
-    /// `u ⊇ s` along the plan's steps (locking path edges in read mode and
-    /// touched edges exclusively), then swaps each touched edge's entry to
-    /// the rewritten key/child — no unlink, no re-insert, no touching of
-    /// any other edge. Returns the replaced tuple, or `None` if no tuple
-    /// extends `s`.
+    /// `u ⊇ s` with the plan's locate plan (locking path edges in read
+    /// mode and touched edges exclusively), then swaps each touched edge's
+    /// entry to the rewritten key/child — no unlink, no re-insert, no
+    /// touching of any other edge. Returns the replaced tuple, or `None` if
+    /// no tuple extends `s`.
     ///
     /// All lock acquisitions happen during the locate phase, strictly
     /// before the first container write; a [`MustRestart`] therefore never
@@ -734,158 +697,43 @@ impl<'a> Executor<'a> {
         t: &Tuple,
         root: &NodeRef,
     ) -> Result<Option<Tuple>, MustRestart> {
-        /// A locate candidate: the query state plus, per touched edge, the
-        /// source instance and old entry key to rewrite if this candidate
-        /// survives.
-        struct Cand {
-            st: QueryState,
-            touched: Vec<(EdgeId, NodeRef, Tuple)>,
-        }
-        let mut cands = vec![Cand {
-            st: QueryState::initial(self.decomp, s.clone(), Arc::clone(root)),
-            touched: Vec::new(),
-        }];
-        for step in &plan.steps {
-            let em = self.decomp.edge(step.edge);
-            let ep = self.placement.edge(step.edge);
-            if ep.speculative {
-                // §4.5: self-locking lookup; the planner guarantees spec
-                // steps are point lookups and never touched.
-                debug_assert!(step.kind == MutTraverse::Lookup && !step.touched);
-                // Pin the fallback root stripe *before* the target
-                // protocol: unlocked existence checks exclude structural
-                // writers by sweeping every root stripe (see
-                // `InsertPlan::check_has_scan`), and the in-place rewrite
-                // is such a writer even when the present path would let it
-                // skip the root entirely.
-                let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
-                for c in &cands {
-                    let Some(host_inst) = c.st.nodes[ep.host.index()].clone() else {
-                        continue;
-                    };
-                    for tok in self.placement.fallback_tokens(step.edge, &c.st.tuple) {
-                        let lock = Arc::clone(host_inst.lock(tok.stripe));
-                        batch.push((tok, lock));
-                    }
-                }
-                self.acquire_sorted_batch(batch, step.mode)?;
-                for mut c in std::mem::take(&mut cands) {
-                    let key = c.st.tuple.project(em.cols);
-                    if let Some(child) = self.follow(&c.st, step.edge, &key, Some(step.mode))? {
-                        c.st.nodes[em.dst.index()] = Some(child);
-                        cands.push(c);
-                    }
-                }
-            } else {
-                // Lock the step's tokens for every live candidate, one
-                // sorted batch (as in `run_remove`).
-                let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
-                for c in &cands {
-                    let Some(host_inst) = c.st.nodes[ep.host.index()].clone() else {
-                        continue;
-                    };
-                    let tokens = if step.all_stripes {
-                        self.placement.all_stripe_tokens(step.edge, &c.st.tuple)
-                    } else {
-                        self.placement.fallback_tokens(step.edge, &c.st.tuple)
-                    };
-                    for tok in tokens {
-                        let lock = Arc::clone(host_inst.lock(tok.stripe));
-                        batch.push((tok, lock));
-                    }
-                }
-                self.acquire_sorted_batch(batch, step.mode)?;
-                let mut next = Vec::with_capacity(cands.len());
-                for mut c in cands {
-                    let Some(src_inst) = c.st.nodes[em.src.index()].clone() else {
-                        continue; // prefix absent for this candidate
-                    };
-                    match step.kind {
-                        MutTraverse::Lookup => {
-                            let key = c.st.tuple.project(em.cols);
-                            let Some(child) =
-                                src_inst.container(self.decomp, step.edge).lookup(&key)
-                            else {
-                                continue;
-                            };
-                            merge_binding(&mut c.st.nodes, em.dst, child);
-                            if step.touched {
-                                c.touched.push((step.edge, src_inst, key));
-                            }
-                            next.push(c);
-                        }
-                        MutTraverse::Scan => {
-                            src_inst.container(self.decomp, step.edge).scan(
-                                &mut |k: &Tuple, child: &NodeRef| {
-                                    if c.st.tuple.matches(k) {
-                                        let mut cand = Cand {
-                                            st: c.st.clone(),
-                                            touched: c.touched.clone(),
-                                        };
-                                        cand.st.tuple =
-                                            c.st.tuple.union(k).expect("matches implies mergeable");
-                                        merge_binding(
-                                            &mut cand.st.nodes,
-                                            em.dst,
-                                            Arc::clone(child),
-                                        );
-                                        if step.touched {
-                                            cand.touched.push((
-                                                step.edge,
-                                                src_inst.clone(),
-                                                k.clone(),
-                                            ));
-                                        }
-                                        next.push(cand);
-                                    }
-                                    ControlFlow::Continue(())
-                                },
-                            );
-                        }
-                    }
-                }
-                cands = next;
-            }
-            if cands.is_empty() {
-                return Ok(None); // no tuple matches s
-            }
-        }
-        debug_assert!(
-            cands.len() == 1,
-            "s is a key: at most one candidate can survive the full traversal"
-        );
-        let survivor = cands.remove(0);
-        let old = survivor.st.tuple;
+        let Some(survivor) = self.locate(&plan.locate, s, root)? else {
+            return Ok(None); // no tuple matches s
+        };
+        let old = &survivor.tuple;
         debug_assert!(
             old.is_valuation_for(self.decomp.schema().columns()),
-            "the locate set binds every column (a touched edge reaches a sink)"
+            "the locate plan binds every column (a touched edge reaches a sink)"
         );
         let new = old.override_with(t);
 
-        // Write phase: swap each touched entry under the exclusive locks
-        // taken above. One fresh instance per affected sink node, shared
-        // across all of its (necessarily all-touched) incoming edges.
+        // Write phase: swap each touched entry — at the survivor's
+        // instance of the edge's source, keyed by the old tuple — under the
+        // exclusive locks the locate plan took. One fresh instance per
+        // affected sink node, shared across all of its (necessarily
+        // all-touched) incoming edges.
         let mut fresh: Vec<Option<NodeRef>> = vec![None; self.decomp.node_count()];
-        for (e, src_inst, old_key) in &survivor.touched {
-            let em = self.decomp.edge(*e);
+        for &e in &plan.touched {
+            let em = self.decomp.edge(e);
+            let src_inst = survivor.instance(em.src);
             let inst = fresh[em.dst.index()]
                 .get_or_insert_with(|| {
                     let key = new.project(self.decomp.node(em.dst).key_cols);
                     NodeInstance::new(self.decomp, self.placement, em.dst, key)
                 })
                 .clone();
-            let new_key = new.project(em.cols);
+            let (old_key, new_key) = (old.project(em.cols), new.project(em.cols));
             // Mirror as tombstone(old) + live(new); when the keys
             // coincide the two same-stamp pushes hit one cell and
             // collapse to the live version.
-            self.mvcc_write(src_inst, *e, old_key.clone(), None);
-            self.mvcc_write(src_inst, *e, new_key.clone(), Some(Arc::clone(&inst)));
+            self.mvcc_write(src_inst, e, old_key.clone(), None);
+            self.mvcc_write(src_inst, e, new_key.clone(), Some(Arc::clone(&inst)));
             let prev = src_inst
-                .container(self.decomp, *e)
-                .update_entry(old_key, &new_key, inst);
+                .container(self.decomp, e)
+                .update_entry(&old_key, &new_key, inst);
             debug_assert!(prev.is_some(), "touched entry vanished under our locks");
         }
-        Ok(Some(old))
+        Ok(Some(survivor.tuple))
     }
 
     /// Runs a compiled remove plan for key pattern `s`. Returns the removed
@@ -938,84 +786,9 @@ impl<'a> Executor<'a> {
         s: &Tuple,
         root: &NodeRef,
     ) -> Result<Option<Tuple>, MustRestart> {
-        // Multi-state traversal: a scan over an edge whose columns are not
-        // bound by `s` (e.g. a by-cpu index when removing by pid) yields
-        // several *candidate* states; deeper edges filter them. Since `s`
-        // is a key, at most one candidate survives the full traversal.
-        let mut states = vec![QueryState::initial(
-            self.decomp,
-            s.clone(),
-            Arc::clone(root),
-        )];
-        for (i, &(e, kind)) in plan.edges.iter().enumerate() {
-            let em = self.decomp.edge(e);
-            let ep = self.placement.edge(e);
-            // Lock (non-root hosts; the root sweep covered the rest), one
-            // sorted batch across all candidate states.
-            if ep.host != self.decomp.root() {
-                let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
-                for st in &states {
-                    let Some(host_inst) = st.nodes[ep.host.index()].clone() else {
-                        continue;
-                    };
-                    let tokens = if plan.all_stripes[i] {
-                        self.placement.all_stripe_tokens(e, &st.tuple)
-                    } else {
-                        self.placement.fallback_tokens(e, &st.tuple)
-                    };
-                    for tok in tokens {
-                        let lock = Arc::clone(host_inst.lock(tok.stripe));
-                        batch.push((tok, lock));
-                    }
-                }
-                self.acquire_sorted_batch(batch, LockMode::Exclusive)?;
-            }
-            let mut next = Vec::with_capacity(states.len());
-            for st in states {
-                let Some(src_inst) = st.nodes[em.src.index()].clone() else {
-                    continue; // prefix absent for this candidate
-                };
-                let container = src_inst.container(self.decomp, e);
-                match kind {
-                    MutTraverse::Lookup => {
-                        let key = st.tuple.project(em.cols);
-                        if let Some(child) = container.lookup(&key) {
-                            if ep.speculative {
-                                // Exclude readers holding the target-side
-                                // lock; presence is already frozen by the
-                                // fallback lock from the root sweep.
-                                let tok = self.placement.target_token(e, child.key());
-                                let lock = Arc::clone(child.lock(0));
-                                self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
-                            }
-                            let mut st = st;
-                            merge_binding(&mut st.nodes, em.dst, child);
-                            next.push(st);
-                        }
-                    }
-                    MutTraverse::Scan => {
-                        container.scan(&mut |k: &Tuple, child: &NodeRef| {
-                            if st.tuple.matches(k) {
-                                let mut cand = st.clone();
-                                cand.tuple = st.tuple.union(k).expect("matches implies mergeable");
-                                merge_binding(&mut cand.nodes, em.dst, Arc::clone(child));
-                                next.push(cand);
-                            }
-                            ControlFlow::Continue(())
-                        });
-                    }
-                }
-            }
-            states = next;
-            if states.is_empty() {
-                return Ok(None); // no tuple matches s
-            }
-        }
-        debug_assert!(
-            states.len() == 1,
-            "s is a key: at most one candidate can survive the full traversal"
-        );
-        let survivor = states.remove(0);
+        let Some(survivor) = self.locate(&plan.locate, s, root)? else {
+            return Ok(None); // no tuple matches s
+        };
         let tuple = survivor.tuple;
         let bindings = survivor.nodes;
 
@@ -1043,16 +816,6 @@ impl<'a> Executor<'a> {
             dies[v.index()] = v != self.decomp.root() && inst.is_exhausted();
         }
         Ok(Some(tuple))
-    }
-}
-
-fn merge_binding(bindings: &mut [Option<NodeRef>], node: NodeId, child: NodeRef) {
-    match &bindings[node.index()] {
-        Some(prev) => debug_assert!(
-            Arc::ptr_eq(prev, &child),
-            "shared node reached with different instances"
-        ),
-        None => bindings[node.index()] = Some(child),
     }
 }
 

@@ -9,34 +9,38 @@
 //!   chains that bind the needed columns, rejects chains that would need to
 //!   scan a speculative edge (no lock could be named in advance, §4.5),
 //!   costs each candidate, and keeps the cheapest.
-//! * **Mutations** (insert/remove) must touch *every* edge (§5.2: "a
-//!   concurrent query plan that locates and locks all of the edges that
-//!   require updating"). The planner fixes a global edge order — by lock
-//!   host's topological position, then source position — which makes the
-//!   executor's acquisitions follow the §5.1 lock order, and classifies
-//!   each traversal as lookup or scan given the operation's bound columns.
+//! * **Mutations** locate what they write with a plan in the same step
+//!   language, run by the same evaluator (§5.2: "a concurrent query plan
+//!   that locates and locks all of the edges that require updating"); the
+//!   executor adds only the write phase. A remove's locate plan traverses
+//!   *every* edge in a global edge order — by lock host's topological
+//!   position, then source position — which makes the acquisitions follow
+//!   the §5.1 lock order, each traversal a lookup or a scan given the
+//!   columns bound so far. An insert's existence check is the `contains`
+//!   plan of its pattern, run without its locks under the insert's own.
 //! * **Updates** are classified into two strategies. When the updated
 //!   columns intersect no edge source's key columns (only sinks bind
 //!   them), the tuple's position in every untouched container is
 //!   unchanged and [`plan_update`](Planner::plan_update) emits the
-//!   [`UpdatePlan::InPlace`] fast path: lock the cheapest locate chains
-//!   in read mode, the *touched* edges (whose key columns intersect
-//!   `dom t`) in write mode, and rewrite exactly those entries in place.
-//!   Otherwise the general [`UpdatePlan::General`] unlink + re-insert
-//!   plan is produced. A mode-promotion pass upgrades any step sharing a
-//!   physical lock host with an exclusive step, so a plan never requests
-//!   one lock shared first and exclusive later (which would restart on
-//!   the upgrade every time).
+//!   [`UpdatePlan::InPlace`] fast path: a locate plan that locks the
+//!   cheapest chains in read mode and the *touched* edges (whose key
+//!   columns intersect `dom t`) in write mode, and a rewrite of exactly
+//!   those entries in place. Otherwise the general [`UpdatePlan::General`]
+//!   unlink + re-insert plan is produced. A mode-promotion pass upgrades
+//!   any lock step sharing a physical lock host with an exclusive one, so
+//!   a plan never requests one lock shared first and exclusive later
+//!   (which would restart on the upgrade every time).
 //! * The §5.2 static **sort-elision analysis**: a lock set produced by
 //!   traversing sorted containers is already in lock order, so the runtime
 //!   sort can be skipped (`presorted`).
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use relc_containers::ContainerKind;
 use relc_locks::LockMode;
-use relc_spec::{ColumnId, ColumnSet};
+use relc_spec::{ColumnId, ColumnSet, RelationSchema, SpecError};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
@@ -50,54 +54,65 @@ pub struct Plan {
     pub steps: Vec<PlanStep>,
     /// Columns projected out of the surviving states.
     pub output: ColumnSet,
-    /// Heuristic cost estimate used to select this plan.
+    /// Heuristic cost estimate used to select this plan (0 for the locate
+    /// plan of a remove or an in-place update, whose steps the mutation
+    /// order fixes).
     pub cost: f64,
-}
-
-/// How a mutation traverses one edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutTraverse {
-    /// Point lookup: the edge's columns are bound at this point.
-    Lookup,
-    /// Scan (filtered by the pattern), binding the edge's columns.
-    Scan,
 }
 
 /// A compiled insert plan (§2's `insert r s t`, put-if-absent).
 #[derive(Debug, Clone)]
 pub struct InsertPlan {
-    /// Every edge, in mutation order (lock host topo, then source topo).
+    /// Every edge, in mutation order (lock host topo, then source topo):
+    /// the full-tuple walk that locks the non-root hosts and finds which
+    /// edges are already present.
     pub edges: Vec<EdgeId>,
-    /// Existence-check chain over the bound columns `dom s`.
-    pub check: Vec<(EdgeId, MutTraverse)>,
-    /// The check chain scans at least one edge. The check runs *unlocked*,
-    /// so a scan observes whole container instances; under a striped root
-    /// the fallback sweep holds only the inserted tuple's stripe, which
-    /// does not exclude writers on sibling stripes. Force the root sweep
-    /// to take every stripe (§4.4's conservative all-`k` rule) so the
-    /// scanned instances are writer-free.
-    pub check_has_scan: bool,
-    /// Root-hosted edges with their force-all-stripes flag
-    /// (`check_has_scan`): a row's fallback (or all-stripe) tokens of these
-    /// edges are its root lock sweep, and a batch's sweep is the union over
-    /// its rows.
+    /// The existence check `∃u ⊇ s`: the `contains` plan over `dom s`
+    /// ([`Planner::plan_query`] with no output) without its `Lock` steps
+    /// and with §4.5 speculative lookups read as plain ones. It runs under
+    /// the root sweep and the walk's exclusive locks, which exclude every
+    /// writer of what it reads.
+    pub check: Plan,
+    /// Root-hosted edges with their force-all-stripes flag: a row's
+    /// fallback (or all-stripe) tokens of these edges are its root lock
+    /// sweep, and a batch's sweep is the union over its rows. Every flag
+    /// is set when the check scans: a scan observes whole container
+    /// instances, and under a striped root the fallback sweep holds only
+    /// the inserted tuple's stripe, which does not exclude writers on
+    /// sibling stripes — §4.4's conservative all-`k` rule makes the
+    /// scanned instances writer-free.
     pub root_hosted: Vec<(EdgeId, bool)>,
     /// Node ids in topological order: the materialization order.
     pub topo_nodes: Vec<NodeId>,
 }
 
+impl InsertPlan {
+    /// The check's first edge when the check opens with a point lookup:
+    /// its key is the pattern's projection, which the full-tuple walk
+    /// looks up too.
+    pub(crate) fn first_check_lookup(&self) -> Option<EdgeId> {
+        match self.check.steps.first() {
+            Some(&PlanStep::Lookup { edge }) => Some(edge),
+            _ => None,
+        }
+    }
+}
+
 /// A compiled remove plan (§2's `remove r s`; `s` must be a key).
 #[derive(Debug, Clone)]
 pub struct RemovePlan {
-    /// Every edge, in mutation order, with its traversal kind.
-    pub edges: Vec<(EdgeId, MutTraverse)>,
-    /// Per `edges` entry: conservatively take every stripe of the edge's
-    /// lock (needed when the removal's emptiness checks must cover a whole
-    /// container instance that striping splits).
-    pub all_stripes: Vec<bool>,
-    /// Root-hosted edges with their force-all-stripes flag (their
-    /// `all_stripes` entry): the root lock sweep of one key, or — unioned
-    /// over the keys — of a batch.
+    /// Locates the tuple and locks every edge that stores it (§5.2): one
+    /// traversal per edge in mutation order — a lookup where the edge's
+    /// columns are bound, a scan otherwise, an exclusive §4.5 speculative
+    /// lookup on a speculative edge — each preceded by an exclusive lock
+    /// at a non-root host (the root sweep holds the root's). A lock takes
+    /// every stripe where the scan or the unlink's emptiness check reads a
+    /// whole container instance that striping splits.
+    pub locate: Plan,
+    /// Root-hosted edges with their force-all-stripes flag (set where a
+    /// root-hosted edge's traversal reads a whole striped instance): the
+    /// root lock sweep of one key, or — unioned over the keys — of a
+    /// batch.
     pub root_hosted: Vec<(EdgeId, bool)>,
     /// Node ids in reverse topological order: the bottom-up unlink order.
     pub reverse_topo_nodes: Vec<NodeId>,
@@ -167,46 +182,26 @@ pub struct GeneralUpdate {
     pub touched: Vec<EdgeId>,
 }
 
-/// The in-place update fast path: a locate traversal over the minimal edge
-/// set (cheapest chains from the root to every touched edge's source, plus
-/// the touched edges themselves), followed by an entry rewrite of exactly
-/// the touched edges.
+/// The in-place update fast path: a locate plan over the minimal edge set
+/// (cheapest chains from the root to every touched edge's source, plus the
+/// touched edges themselves), followed by an entry rewrite of exactly the
+/// touched edges.
 #[derive(Debug, Clone)]
 pub struct InPlaceUpdate {
-    /// Locate/rewrite steps, in mutation order (so the executor's lock
-    /// acquisitions follow the §5.1 global order).
-    pub steps: Vec<InPlaceStep>,
+    /// Locates the tuple: every traversal, in mutation order (so the lock
+    /// acquisitions follow the §5.1 global order), preceded by a lock of
+    /// its edge — in the container's read mode for pure traversal,
+    /// exclusive for touched edges, and promoted to exclusive wherever a
+    /// physical lock is also requested exclusively (so no execution is
+    /// forced into an upgrade restart). A §4.5 hop is a lock of the
+    /// fallback stripe plus the speculative lookup. A touched edge whose
+    /// old values are not yet bound is scanned, and takes every stripe
+    /// where striping splits the instance its rewrite moves entries in.
+    pub locate: Plan,
     /// Columns assigned by the update (`dom t`).
     pub updated: ColumnSet,
-    /// Edges whose entries are rewritten (the steps with `touched` set).
+    /// Edges whose entries are rewritten.
     pub touched: Vec<EdgeId>,
-}
-
-/// One step of an [`InPlaceUpdate`]: lock edge `edge`'s logical locks in
-/// `mode`, then traverse it (`kind`), and — if `touched` — rewrite its
-/// entry during the write phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InPlaceStep {
-    /// The edge to lock and traverse.
-    pub edge: EdgeId,
-    /// Lookup where the edge's columns are bound at this point in the
-    /// traversal, scan otherwise. A touched edge whose old values are not
-    /// yet bound is always a scan; later touched edges become lookups once
-    /// the first touched scan binds the old values (branch agreement
-    /// guarantees every touched edge stores the same old values).
-    pub kind: MutTraverse,
-    /// Shared for pure traversal (the container's read mode), exclusive
-    /// for touched edges — promoted to exclusive for *every* step whose
-    /// placement host also hosts an exclusive step, so one physical lock
-    /// is never requested shared first and exclusive later (which would
-    /// force an upgrade restart on every execution).
-    pub mode: LockMode,
-    /// Whether this edge's container entry is rewritten.
-    pub touched: bool,
-    /// Take every stripe at the host: required when the traversal reads (or
-    /// the rewrite moves) entries that striping by non-source columns
-    /// spreads across stripes (§4.4's conservative all-`k` acquisition).
-    pub all_stripes: bool,
 }
 
 /// A compiled batch-insert plan. Everything a batch amortizes — the root
@@ -525,86 +520,28 @@ impl Planner {
 
     /// Plans `insert r s t` where `dom s = bound` (§2). The full tuple
     /// `s ∪ t` must be a valuation of the schema, so every edge is traversed
-    /// by point lookup; the existence check on `s` is a chain over `bound`.
+    /// by point lookup; the existence check on `s` is `contains r s`.
     ///
     /// # Errors
     ///
     /// [`CoreError::NoValidPlan`] if no chain can check `∃u ⊇ s` under the
     /// placement (e.g. the check would scan a speculative edge).
     pub fn plan_insert(&self, bound: ColumnSet) -> Result<InsertPlan, CoreError> {
-        let check = self.plan_check_chain(bound)?;
-        let check_has_scan = check.iter().any(|&(_, k)| k == MutTraverse::Scan);
+        let mut check = self.plan_query(bound, ColumnSet::EMPTY)?;
+        check.steps = (check.steps.into_iter())
+            .filter_map(|step| match step {
+                PlanStep::Lock { .. } => None,
+                PlanStep::SpecLookup { edge, .. } => Some(PlanStep::Lookup { edge }),
+                step => Some(step),
+            })
+            .collect();
+        let scans = (check.steps.iter()).any(|step| matches!(step, PlanStep::Scan { .. }));
         Ok(InsertPlan {
             edges: self.mutation_order(),
             check,
-            check_has_scan,
-            root_hosted: self.root_hosted_edges(|_| check_has_scan),
+            root_hosted: self.root_hosted_edges(|_| scans),
             topo_nodes: self.nodes_in_topo_order(false),
         })
-    }
-
-    /// Finds the cheapest chain that decides whether any tuple extends a
-    /// pattern over `bound`: lookups where the edge's columns are bound,
-    /// scans otherwise (scans are invalid on speculative edges).
-    fn plan_check_chain(&self, bound: ColumnSet) -> Result<Vec<(EdgeId, MutTraverse)>, CoreError> {
-        let mut best: Option<(f64, Vec<(EdgeId, MutTraverse)>)> = None;
-        let mut chain = Vec::new();
-        self.enumerate_check(self.decomp.root(), bound, 0.0, 1.0, &mut chain, &mut best);
-        best.map(|(_, c)| c).ok_or_else(|| {
-            CoreError::NoValidPlan(format!(
-                "no chain can check existence of a tuple over {} under placement `{}`",
-                self.decomp.schema().catalog().render_set(bound),
-                self.placement.name()
-            ))
-        })
-    }
-
-    fn enumerate_check(
-        &self,
-        node: crate::decomp::NodeId,
-        bound: ColumnSet,
-        cost: f64,
-        states: f64,
-        chain: &mut Vec<(EdgeId, MutTraverse)>,
-        best: &mut Option<(f64, Vec<(EdgeId, MutTraverse)>)>,
-    ) {
-        // Stop when every bound column has been applied as a constraint:
-        // A_node ⊇ bound means a surviving state witnesses ∃u ⊇ s. The root
-        // instance always exists, so at least one edge must be traversed.
-        if bound.is_subset(self.decomp.node(node).key_cols) && node != self.decomp.root() {
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                *best = Some((cost, chain.clone()));
-            }
-            return;
-        }
-        for &e in &self.decomp.node(node).outgoing {
-            let em = self.decomp.edge(e);
-            let ep = self.placement.edge(e);
-            let point = em.cols.is_subset(bound);
-            let (kind, step_cost, next_states) = if point {
-                (MutTraverse::Lookup, lookup_cost(em.container), states)
-            } else {
-                if ep.speculative {
-                    continue; // cannot scan a speculative edge
-                }
-                let fanout = if em.singleton { 1.0 } else { DEFAULT_FANOUT };
-                (
-                    MutTraverse::Scan,
-                    SCAN_SETUP_COST + fanout * SCAN_ENTRY_COST,
-                    states * fanout,
-                )
-            };
-            chain.push((e, kind));
-            self.enumerate_check(
-                em.dst,
-                bound,
-                cost + states * step_cost,
-                next_states,
-                chain,
-                best,
-            );
-            chain.pop();
-        }
     }
 
     /// Plans `remove r s` where `dom s = bound`; the schema's FDs must make
@@ -617,49 +554,72 @@ impl Planner {
     ///   scanning a speculative edge.
     pub fn plan_remove(&self, bound: ColumnSet) -> Result<RemovePlan, CoreError> {
         if !self.decomp.schema().is_key(bound) {
-            return Err(CoreError::Spec(relc_spec::SpecError::RemoveNotByKey {
+            return Err(CoreError::Spec(SpecError::RemoveNotByKey {
                 dom: self.decomp.schema().catalog().render_set(bound),
             }));
         }
-        let order = self.mutation_order();
+        let root = self.decomp.root();
         let mut known = bound;
-        let mut edges = Vec::with_capacity(order.len());
-        let mut all_stripes = Vec::with_capacity(order.len());
-        for e in order {
+        let mut steps = Vec::new();
+        let mut forced = Vec::new();
+        for e in self.mutation_order() {
             let em = self.decomp.edge(e);
             let ep = self.placement.edge(e);
-            let kind = if em.cols.is_subset(known) {
-                MutTraverse::Lookup
-            } else {
-                if ep.speculative {
-                    return Err(CoreError::NoValidPlan(format!(
-                        "removal must scan speculative edge {}→{}",
-                        self.decomp.node(em.src).name,
-                        self.decomp.node(em.dst).name
-                    )));
-                }
-                known = known.union(em.cols);
-                MutTraverse::Scan
-            };
+            let point = em.cols.is_subset(known);
+            if ep.speculative && !point {
+                return Err(CoreError::NoValidPlan(format!(
+                    "removal must scan speculative edge {}→{}",
+                    self.decomp.node(em.src).name,
+                    self.decomp.node(em.dst).name
+                )));
+            }
             // Two situations force taking every stripe: emptiness checks on
             // non-root sources, and scans — both read a whole container
             // instance, which striping beyond the source key splits.
-            let a_src = self.decomp.node(em.src).key_cols;
-            let needs_all = !ep.speculative
-                && !ep.stripe_by.is_subset(a_src)
+            let all_stripes = !ep.speculative
+                && !ep.stripe_by.is_subset(self.decomp.node(em.src).key_cols)
                 && self.placement.stripe_count(ep.host) > 1
-                && (em.src != self.decomp.root() || kind == MutTraverse::Scan);
-            edges.push((e, kind));
-            all_stripes.push(needs_all);
+                && (em.src != root || !point);
+            if ep.host != root {
+                steps.push(PlanStep::Lock {
+                    edge: e,
+                    mode: LockMode::Exclusive,
+                    presorted: false,
+                    all_stripes,
+                });
+            } else if all_stripes {
+                forced.push(e);
+            }
+            steps.push(self.traversal(e, point, LockMode::Exclusive));
+            known = known.union(em.cols);
         }
-        let forced = |e| (edges.iter().zip(&all_stripes)).any(|(&(pe, _), &all)| pe == e && all);
-        let root_hosted = self.root_hosted_edges(forced);
         Ok(RemovePlan {
-            edges,
-            all_stripes,
-            root_hosted,
+            locate: self.locate_plan(steps),
+            root_hosted: self.root_hosted_edges(|e| forced.contains(&e)),
             reverse_topo_nodes: self.nodes_in_topo_order(true),
         })
+    }
+
+    /// The traversal of edge `e` in a mutation's locate plan: a §4.5
+    /// speculative lookup in `mode` on a speculative edge, else a lookup
+    /// where the edge's columns are bound (`point`) and a scan elsewhere.
+    fn traversal(&self, e: EdgeId, point: bool, mode: LockMode) -> PlanStep {
+        if self.placement.edge(e).speculative {
+            PlanStep::SpecLookup { edge: e, mode }
+        } else if point {
+            PlanStep::Lookup { edge: e }
+        } else {
+            PlanStep::Scan { edge: e }
+        }
+    }
+
+    /// A mutation's locate plan: its survivor is the whole stored tuple.
+    fn locate_plan(&self, steps: Vec<PlanStep>) -> Plan {
+        Plan {
+            steps,
+            output: self.decomp.schema().columns(),
+            cost: 0.0,
+        }
     }
 
     /// Plans a batched `insert_all` whose rows all bind `bound`. See
@@ -719,10 +679,10 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::Spec`] with [`relc_spec::SpecError::EmptyUpdate`] if
-    ///   `updated` is empty, [`relc_spec::SpecError::UpdateOverlapsPattern`]
+    /// * [`CoreError::Spec`] with [`SpecError::EmptyUpdate`] if
+    ///   `updated` is empty, [`SpecError::UpdateOverlapsPattern`]
     ///   if it intersects `bound`, or
-    ///   [`relc_spec::SpecError::RemoveNotByKey`] if `bound` is not a key;
+    ///   [`SpecError::RemoveNotByKey`] if `bound` is not a key;
     /// * [`CoreError::NoValidPlan`] if the located tuple cannot be reached
     ///   under the placement (as for `remove`).
     pub fn plan_update(
@@ -730,34 +690,16 @@ impl Planner {
         bound: ColumnSet,
         updated: ColumnSet,
     ) -> Result<UpdatePlan, CoreError> {
-        if updated.is_empty() {
-            return Err(CoreError::Spec(relc_spec::SpecError::EmptyUpdate));
-        }
-        if !updated.is_disjoint(bound) {
-            return Err(CoreError::Spec(
-                relc_spec::SpecError::UpdateOverlapsPattern {
-                    shared: self
-                        .decomp
-                        .schema()
-                        .catalog()
-                        .render_set(updated.intersection(bound)),
-                },
-            ));
-        }
-        if !self.decomp.schema().is_key(bound) {
-            return Err(CoreError::Spec(relc_spec::SpecError::RemoveNotByKey {
-                dom: self.decomp.schema().catalog().render_set(bound),
-            }));
-        }
+        validate_update(self.decomp.schema(), bound, updated)?;
         let touched: Vec<EdgeId> = self
             .decomp
             .edges()
             .filter(|(_, em)| !em.cols.is_disjoint(updated))
             .map(|(e, _)| e)
             .collect();
-        if let Some(steps) = self.plan_in_place(bound, updated, &touched) {
+        if let Some(locate) = self.plan_in_place(bound, updated, &touched) {
             return Ok(UpdatePlan::InPlace(InPlaceUpdate {
-                steps,
+                locate,
                 updated,
                 touched,
             }));
@@ -780,7 +722,7 @@ impl Planner {
         bound: ColumnSet,
         updated: ColumnSet,
         touched: &[EdgeId],
-    ) -> Option<Vec<InPlaceStep>> {
+    ) -> Option<Plan> {
         // Eligibility: the updated columns must intersect no edge source's
         // key columns. Then any node binding an updated column is a sink
         // (it can be the source of no edge), every affected sink is the
@@ -799,14 +741,14 @@ impl Planner {
         }
         // The locate set: the cheapest valid chain from the root to every
         // touched edge's source, plus the touched edges themselves.
-        let mut need: std::collections::BTreeSet<EdgeId> = touched.iter().copied().collect();
+        let mut need: BTreeSet<EdgeId> = touched.iter().copied().collect();
         for &e in touched {
             need.extend(self.cheapest_chain_to(self.decomp.edge(e).src, bound)?);
         }
         // Compile the steps in mutation order; `known` accumulates the
-        // bound columns, exactly as the executor's traversal will bind
+        // bound columns, exactly as the evaluator's traversal will bind
         // them.
-        let mut steps = Vec::with_capacity(need.len());
+        let mut steps = Vec::with_capacity(2 * need.len());
         let mut known = bound;
         for e in self.mutation_order() {
             if !need.contains(&e) {
@@ -815,72 +757,85 @@ impl Planner {
             let em = self.decomp.edge(e);
             let ep = self.placement.edge(e);
             let is_touched = touched.contains(&e);
-            let kind = if em.cols.is_subset(known) {
-                MutTraverse::Lookup
-            } else {
-                if ep.speculative {
-                    return None; // cannot scan a speculative edge (§4.5)
-                }
-                MutTraverse::Scan
-            };
+            let point = em.cols.is_subset(known);
+            if ep.speculative && !point {
+                return None; // cannot scan a speculative edge (§4.5)
+            }
             known = known.union(em.cols);
-            let a_src = self.decomp.node(em.src).key_cols;
             // Scans read — and touched rewrites may move entries across —
             // the whole container instance; when striping by non-source
             // columns splits it, every stripe must be held.
-            let all_stripes = !ep.stripe_by.is_subset(a_src)
+            let all_stripes = !ep.stripe_by.is_subset(self.decomp.node(em.src).key_cols)
                 && self.placement.stripe_count(ep.host) > 1
-                && (is_touched || kind == MutTraverse::Scan);
+                && (is_touched || !point);
             let mode = if is_touched {
                 LockMode::Exclusive
             } else {
                 self.placement.read_mode(e)
             };
-            steps.push(InPlaceStep {
+            // A §4.5 hop, too, locks its fallback stripe before the
+            // speculation protocol: unlocked existence checks exclude
+            // structural writers by sweeping every root stripe (see
+            // `InsertPlan::root_hosted`), and the in-place rewrite is such
+            // a writer even where the present path would skip the root.
+            steps.push(PlanStep::Lock {
                 edge: e,
-                kind,
                 mode,
-                touched: is_touched,
+                presorted: false,
                 all_stripes,
             });
+            steps.push(self.traversal(e, point, mode));
         }
         self.promote_colliding_modes(&mut steps);
-        Some(steps)
+        Some(self.locate_plan(steps))
     }
 
     /// Lock sites (decomposition nodes whose instances hold the physical
-    /// locks) a step can acquire: the placement host, plus the edge target
-    /// for speculative lookups.
-    fn step_lock_sites(&self, step: &InPlaceStep) -> Vec<crate::decomp::NodeId> {
-        let ep = self.placement.edge(step.edge);
-        if ep.speculative {
-            vec![ep.host, self.decomp.edge(step.edge).dst]
-        } else {
-            vec![ep.host]
+    /// locks) a step can acquire: the placement host of a lock step, plus
+    /// the edge target for a speculative lookup.
+    fn lock_sites(&self, step: &PlanStep) -> Vec<NodeId> {
+        match *step {
+            PlanStep::Lock { edge, .. } => vec![self.placement.edge(edge).host],
+            PlanStep::SpecLookup { edge, .. } => {
+                vec![self.placement.edge(edge).host, self.decomp.edge(edge).dst]
+            }
+            _ => Vec::new(),
         }
     }
 
     /// One physical lock requested shared by one step and exclusive by a
     /// later one would force an upgrade restart on *every* execution;
-    /// promote shared steps whose lock sites collide with an exclusive
+    /// promote shared lock steps whose lock sites collide with an exclusive
     /// step's sites, to a fixpoint.
-    fn promote_colliding_modes(&self, steps: &mut [InPlaceStep]) {
-        let mut exclusive_nodes: std::collections::BTreeSet<crate::decomp::NodeId> = steps
-            .iter()
-            .filter(|s| s.mode == LockMode::Exclusive)
-            .flat_map(|s| self.step_lock_sites(s))
+    fn promote_colliding_modes(&self, steps: &mut [PlanStep]) {
+        let exclusive = |step: &PlanStep| {
+            matches!(
+                step,
+                PlanStep::Lock {
+                    mode: LockMode::Exclusive,
+                    ..
+                } | PlanStep::SpecLookup {
+                    mode: LockMode::Exclusive,
+                    ..
+                }
+            )
+        };
+        let mut exclusive_nodes: BTreeSet<NodeId> = (steps.iter())
+            .filter(|step| exclusive(step))
+            .flat_map(|step| self.lock_sites(step))
             .collect();
         loop {
             let mut changed = false;
             for step in steps.iter_mut() {
-                if step.mode == LockMode::Exclusive {
-                    continue;
-                }
-                let sites = self.step_lock_sites(step);
-                if sites.iter().any(|n| exclusive_nodes.contains(n)) {
-                    step.mode = LockMode::Exclusive;
-                    exclusive_nodes.extend(sites);
-                    changed = true;
+                let sites = self.lock_sites(step);
+                if let PlanStep::Lock { mode, .. } | PlanStep::SpecLookup { mode, .. } = step {
+                    if *mode == LockMode::Shared
+                        && sites.iter().any(|n| exclusive_nodes.contains(n))
+                    {
+                        *mode = LockMode::Exclusive;
+                        exclusive_nodes.extend(sites);
+                        changed = true;
+                    }
                 }
             }
             if !changed {
@@ -960,6 +915,37 @@ impl Planner {
     pub fn render(&self, plan: &Plan) -> String {
         render_plan(&self.decomp, &plan.steps)
     }
+}
+
+/// The §2 preconditions of `update r s t` with `dom s = bound` and
+/// `dom t = updated`, checked in this order: the update assigns something,
+/// it assigns no column of the pattern (an update never changes which key
+/// the tuple answers to), and the pattern is a key (so "the tuple matching
+/// `s`" is well defined).
+///
+/// # Errors
+///
+/// [`CoreError::Spec`] with [`SpecError::EmptyUpdate`],
+/// [`SpecError::UpdateOverlapsPattern`] or [`SpecError::RemoveNotByKey`]
+/// respectively.
+pub(crate) fn validate_update(
+    schema: &RelationSchema,
+    bound: ColumnSet,
+    updated: ColumnSet,
+) -> Result<(), CoreError> {
+    let render = |cols| schema.catalog().render_set(cols);
+    if updated.is_empty() {
+        Err(SpecError::EmptyUpdate)
+    } else if !updated.is_disjoint(bound) {
+        Err(SpecError::UpdateOverlapsPattern {
+            shared: render(updated.intersection(bound)),
+        })
+    } else if !schema.is_key(bound) {
+        Err(SpecError::RemoveNotByKey { dom: render(bound) })
+    } else {
+        Ok(())
+    }
+    .map_err(CoreError::Spec)
 }
 
 impl fmt::Display for Plan {
@@ -1159,18 +1145,45 @@ mod tests {
 
     #[test]
     fn insert_plan_check_chain_covers_key() {
+        // The check is `contains r s`: over a key it looks the tuple up
+        // along one branch, without the query plan's locks.
         let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let p = LockPlacement::fine(&d).unwrap();
         let planner = Planner::new(d.clone(), p);
         let plan = planner.plan_insert(cols(&d, &["src", "dst"])).unwrap();
         assert_eq!(plan.edges.len(), d.edge_count());
-        // The check chain should be pure lookups (src, dst both bound).
-        assert!(plan.check.iter().all(|(_, k)| *k == MutTraverse::Lookup));
-        let covered: ColumnSet = plan
-            .check
-            .iter()
-            .fold(ColumnSet::EMPTY, |acc, (e, _)| acc.union(d.edge(*e).cols));
-        assert!(cols(&d, &["src", "dst"]).is_subset(covered));
+        assert_eq!(
+            planner.render(&plan.check),
+            "let b = lookup(a, ρu) in\n\
+             let c = lookup(b, uw) in\n\
+             c"
+        );
+        assert!(plan.root_hosted.iter().all(|&(_, all)| !all));
+
+        // A pattern no lookup chain binds scans, and the root sweep then
+        // takes every stripe.
+        let d = stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
+        let planner = Planner::new(d.clone(), LockPlacement::striped_root(&d, 2).unwrap());
+        let plan = planner.plan_insert(cols(&d, &["dst"])).unwrap();
+        assert_eq!(
+            planner.render(&plan.check),
+            "let b = scan(a, ρu) in\n\
+             let c = lookup(b, uv) in\n\
+             c"
+        );
+        assert!(plan.root_hosted.iter().all(|&(_, all)| all));
+
+        // A §4.5 speculative lookup is read as a plain one: the insert's
+        // own locks freeze the edge.
+        let d = diamond(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+        let planner = Planner::new(d.clone(), LockPlacement::speculative(&d, 8).unwrap());
+        let plan = planner.plan_insert(cols(&d, &["src", "dst"])).unwrap();
+        assert_eq!(
+            planner.render(&plan.check),
+            "let b = lookup(a, ρx) in\n\
+             let c = lookup(b, xw) in\n\
+             c"
+        );
     }
 
     #[test]
@@ -1192,17 +1205,36 @@ mod tests {
 
     #[test]
     fn remove_plan_mixes_lookups_and_scans() {
+        // src, dst edges are lookups; the weight edge must be scanned. The
+        // coarse placement hosts every edge at the root, whose locks the
+        // root sweep takes: the locate plan itself locks nothing.
         let d = stick(ContainerKind::HashMap, ContainerKind::HashMap);
         let p = LockPlacement::coarse(&d).unwrap();
         let planner = Planner::new(d.clone(), p);
         let plan = planner.plan_remove(cols(&d, &["src", "dst"])).unwrap();
-        let kinds: Vec<MutTraverse> = plan.edges.iter().map(|(_, k)| *k).collect();
-        // src, dst edges are lookups; the weight edge must be scanned.
         assert_eq!(
-            kinds,
-            vec![MutTraverse::Lookup, MutTraverse::Lookup, MutTraverse::Scan]
+            planner.render(&plan.locate),
+            "let b = lookup(a, ρu) in\n\
+             let c = lookup(b, uv) in\n\
+             let d = scan(c, vw) in\n\
+             d"
         );
-        assert!(plan.all_stripes.iter().all(|&b| !b));
+        assert!(plan.root_hosted.iter().all(|&(_, all)| !all));
+        // Under the fine placement each non-root host is locked
+        // exclusively before its edge is traversed.
+        let planner = Planner::new(d.clone(), LockPlacement::fine(&d).unwrap());
+        let plan = planner.plan_remove(cols(&d, &["src", "dst"])).unwrap();
+        assert_eq!(
+            planner.render(&plan.locate),
+            "let b = lookup(a, ρu) in\n\
+             let _ = lock!(b, ψ(uv)) in\n\
+             let c = lookup(b, uv) in\n\
+             let _ = lock!(c, ψ(vw)) in\n\
+             let d = scan(c, vw) in\n\
+             let _ = unlock(c, ψ(vw)) in\n\
+             let _ = unlock(b, ψ(uv)) in\n\
+             d"
+        );
     }
 
     #[test]
@@ -1210,8 +1242,30 @@ mod tests {
         let d = diamond(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let p = LockPlacement::speculative(&d, 8).unwrap();
         let planner = Planner::new(d.clone(), p);
-        // (src, dst) binds both speculative edges via lookups: fine.
-        assert!(planner.plan_remove(cols(&d, &["src", "dst"])).is_ok());
+        // (src, dst) binds both speculative edges via exclusive §4.5
+        // lookups: fine.
+        let plan = planner.plan_remove(cols(&d, &["src", "dst"])).unwrap();
+        assert_eq!(
+            planner.render(&plan.locate),
+            "let b = spec-lock!-lookup(a, ρx) in\n\
+             let c = spec-lock!-lookup(b, ρy) in\n\
+             let _ = lock!(c, ψ(yw)) in\n\
+             let d = lookup(c, yw) in\n\
+             let _ = lock!(d, ψ(xw)) in\n\
+             let e = lookup(d, xw) in\n\
+             let _ = lock!(e, ψ(wz)) in\n\
+             let f = scan(e, wz) in\n\
+             let _ = unlock(e, ψ(wz)) in\n\
+             let _ = unlock(d, ψ(xw)) in\n\
+             let _ = unlock(c, ψ(yw)) in\n\
+             let _ = unlock(b, ψ(ρy)) in\n\
+             let _ = unlock(a, ψ(ρx)) in\n\
+             f"
+        );
+        // Removing by the full tuple also looks every edge up.
+        assert!(planner
+            .plan_remove(cols(&d, &["src", "dst", "weight"]))
+            .is_ok());
     }
 
     #[test]
@@ -1230,35 +1284,39 @@ mod tests {
         let UpdatePlan::InPlace(ip) = &plan else {
             panic!("weight update on the stick must take the fast path");
         };
-        // Steps cover the locate chain ρ→u→v plus the touched edge v→w.
-        assert_eq!(ip.steps.len(), d.edge_count());
-        let last = ip.steps.last().unwrap();
-        assert_eq!(last.edge, vw);
-        assert!(last.touched);
-        assert_eq!(last.mode, LockMode::Exclusive);
-        // The old weight is unknown until the touched edge is read: scan.
-        assert_eq!(last.kind, MutTraverse::Scan);
-        // Under the coarse placement every step shares the root lock, so
-        // mode promotion must make the whole plan exclusive (a shared-then-
+        // The locate covers the chain ρ→u→v plus the touched edge v→w,
+        // whose old weight is unknown until it is read: a scan. Under the
+        // coarse placement every step shares the root lock, so mode
+        // promotion makes the whole plan exclusive (a shared-then-
         // exclusive request on one lock would restart every execution).
-        assert!(ip.steps.iter().all(|s| s.mode == LockMode::Exclusive));
+        assert_eq!(
+            planner.render(&ip.locate),
+            "let _ = lock!(a, ψ(ρu)) in\n\
+             let b = lookup(a, ρu) in\n\
+             let _ = lock!(b, ψ(uv)) in\n\
+             let c = lookup(b, uv) in\n\
+             let _ = lock!(c, ψ(vw)) in\n\
+             let d = scan(c, vw) in\n\
+             let _ = unlock(c, ψ(vw)) in\n\
+             let _ = unlock(b, ψ(uv)) in\n\
+             let _ = unlock(a, ψ(ρu)) in\n\
+             d"
+        );
 
         // Assignment overlapping the key pattern is rejected.
         assert!(matches!(
             planner.plan_update(cols(&d, &["src", "dst"]), cols(&d, &["dst"])),
-            Err(CoreError::Spec(
-                relc_spec::SpecError::UpdateOverlapsPattern { .. }
-            ))
+            Err(CoreError::Spec(SpecError::UpdateOverlapsPattern { .. }))
         ));
         // Empty assignment is rejected.
         assert!(matches!(
             planner.plan_update(cols(&d, &["src", "dst"]), ColumnSet::EMPTY),
-            Err(CoreError::Spec(relc_spec::SpecError::EmptyUpdate))
+            Err(CoreError::Spec(SpecError::EmptyUpdate))
         ));
         // Non-key pattern is rejected.
         assert!(matches!(
             planner.plan_update(cols(&d, &["src"]), cols(&d, &["weight"])),
-            Err(CoreError::Spec(relc_spec::SpecError::RemoveNotByKey { .. }))
+            Err(CoreError::Spec(SpecError::RemoveNotByKey { .. }))
         ));
     }
 
@@ -1280,25 +1338,33 @@ mod tests {
         let mut touched = plan.touched().to_vec();
         touched.sort();
         assert_eq!(touched, vec![wx, yz]);
-        // Both branches must be traversed: 6 steps, 2 touched.
-        assert_eq!(ip.steps.len(), d.edge_count());
-        assert_eq!(ip.steps.iter().filter(|s| s.touched).count(), 2);
-        // Non-touched traversal stays in shared mode (hosts are disjoint
-        // from the touched hosts under the fine placement).
-        assert!(ip
-            .steps
-            .iter()
-            .filter(|s| !s.touched)
-            .all(|s| s.mode == LockMode::Shared));
-        // The first touched edge in mutation order scans for the old
-        // values; the second finds them bound and downgrades to a lookup.
-        let touched_kinds: Vec<MutTraverse> = ip
-            .steps
-            .iter()
-            .filter(|s| s.touched)
-            .map(|s| s.kind)
-            .collect();
-        assert_eq!(touched_kinds, vec![MutTraverse::Scan, MutTraverse::Lookup]);
+        // Both branches are traversed and both touched edges locked
+        // exclusively; untouched traversal stays in shared mode (hosts are
+        // disjoint from the touched hosts under the fine placement). The
+        // first touched edge in mutation order scans for the old values;
+        // the second finds them bound and is a lookup.
+        assert_eq!(
+            planner.render(&ip.locate),
+            "let _ = lock(a, ψ(ρu)) in\n\
+             let b = lookup(a, ρu) in\n\
+             let _ = lock(b, ψ(ρv)) in\n\
+             let c = lookup(b, ρv) in\n\
+             let _ = lock(c, ψ(vy)) in\n\
+             let d = lookup(c, vy) in\n\
+             let _ = lock!(d, ψ(yz)) in\n\
+             let e = scan(d, yz) in\n\
+             let _ = lock(e, ψ(uw)) in\n\
+             let f = lookup(e, uw) in\n\
+             let _ = lock!(f, ψ(wx)) in\n\
+             let g = lookup(f, wx) in\n\
+             let _ = unlock(f, ψ(wx)) in\n\
+             let _ = unlock(e, ψ(uw)) in\n\
+             let _ = unlock(d, ψ(yz)) in\n\
+             let _ = unlock(c, ψ(vy)) in\n\
+             let _ = unlock(b, ψ(ρv)) in\n\
+             let _ = unlock(a, ψ(ρu)) in\n\
+             g"
+        );
 
         // A chain binding the updated column mid-path disqualifies the
         // fast path: weight sits in a non-sink node's key.
@@ -1323,7 +1389,8 @@ mod tests {
 
         // The diamond under speculation: the touched sink edge is not
         // speculative (only root edges are), so the fast path still
-        // applies, locating through one speculative lookup.
+        // applies, locating through one speculative lookup (through ρ→x or
+        // ρ→y) — its fallback stripe locked first — plus w→z.
         let d3 = diamond(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let p3 = LockPlacement::speculative(&d3, 8).unwrap();
         let planner3 = Planner::new(d3.clone(), p3);
@@ -1333,8 +1400,19 @@ mod tests {
         let UpdatePlan::InPlace(ip3) = &plan3 else {
             panic!("diamond/speculative weight update must take the fast path");
         };
-        // One chain to w suffices (through ρ→x or ρ→y), plus w→z: 3 steps.
-        assert_eq!(ip3.steps.len(), 3);
+        assert_eq!(
+            planner3.render(&ip3.locate),
+            "let _ = lock(a, ψ(ρx)) in\n\
+             let b = spec-lock-lookup(a, ρx) in\n\
+             let _ = lock(b, ψ(xw)) in\n\
+             let c = lookup(b, xw) in\n\
+             let _ = lock!(c, ψ(wz)) in\n\
+             let d = scan(c, wz) in\n\
+             let _ = unlock(c, ψ(wz)) in\n\
+             let _ = unlock(b, ψ(xw)) in\n\
+             let _ = unlock(a, ψ(ρx)) in\n\
+             d"
+        );
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //!
 //! The language has one evaluation semantics, so it has one evaluator, in
 //! two traversal orders: breadth-first over every state (`query`,
-//! `query_range`) and depth-first to the first witness (`contains`). They
-//! are the only code that interprets [`PlanStep`]s. What differs between a
-//! locked read and a lock-free snapshot read is *how one edge is read*,
-//! and that is the edge view the evaluator is generic over: the locked
-//! view ([`crate::exec::Executor`]) takes the step's locks and reads the
-//! edge containers; the snapshot view (in `mvcc.rs`) takes none and
-//! resolves the edge's version index at its timestamp.
+//! `query_range`, and the locate phase of every mutation — §5.2's "query
+//! plan that locates and locks all of the edges that require updating")
+//! and depth-first to the first witness (`contains`, and an insert's
+//! existence check). They are the only code that interprets
+//! [`PlanStep`]s; a mutation adds only its write phase, over the states
+//! its locate plan leaves. What differs between a locked read and a
+//! lock-free snapshot read is *how one edge is read*, and that is the edge
+//! view the evaluator is generic over: the locked view
+//! ([`crate::exec::Executor`]) takes the step's locks and reads the edge
+//! containers; the snapshot view (in `mvcc.rs`) takes none and resolves
+//! the edge's version index at its timestamp.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -214,35 +218,46 @@ fn walk_bounds(ranged: bool, bounds: Option<&KeyBounds>) -> Option<&KeyBounds> {
     ranged.then(|| bounds.expect("planner invariant: RangeScan only in plans run with a range"))
 }
 
+/// Binds `dst` to `child` in `nodes`. A node reached along two edges is
+/// reached at one instance (§4.1 sharing), so a second binding must name
+/// the instance already bound.
+pub(crate) fn bind(nodes: &mut [Option<NodeRef>], dst: NodeId, child: NodeRef) {
+    debug_assert!(
+        nodes[dst.index()]
+            .as_ref()
+            .is_none_or(|prev| Arc::ptr_eq(prev, &child)),
+        "shared node reached with different instances"
+    );
+    nodes[dst.index()] = Some(child);
+}
+
 /// `st` extended through a walked entry (`k` joins the tuple, `child` binds
 /// `dst`). Clone-then-overwrite on purpose: building it from `nodes.clone()`
 /// alone measured −20% ops/s on `graph_read_mostly` (CHANGES.md, PR 16).
 fn extend(st: &QueryState, dst: NodeId, k: &Tuple, child: NodeRef) -> QueryState {
     let mut next = st.clone();
     next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-    next.nodes[dst.index()] = Some(child);
+    bind(&mut next.nodes, dst, child);
     next
 }
 
-/// Evaluates `plan` breadth-first over **all** states — the locked view
-/// needs every state of a step at once to sort its lock batch — and
-/// returns the plan's output projection of the survivors: deduplicated and
-/// sorted (§2's `query r s C`), or, given a `range`, in the canonical
-/// range order via [`assemble_range_output`] (`query_range r s ρ C`).
+/// Evaluates `plan` breadth-first over **all** states from `st` — the
+/// locked view needs every state of a step at once to sort its lock batch
+/// — and returns the states that survive every step. A query projects
+/// them ([`eval_all`]); a mutation's locate phase reads its one survivor's
+/// tuple and node instances, which it then writes under the locks the
+/// walk took.
 ///
-/// The final range filter re-checks the interval on every surviving state,
-/// so chains that bind the range column through an ordinary multi-column
-/// scan (no single-column edge qualified) are just as correct — they only
-/// do more work.
-pub(crate) fn eval_all<V: EdgeView>(
+/// Given a `range`, `RangeScan` steps walk only its key interval, and an
+/// ordered walk that is the plan's last traversal stops once it has
+/// `limit` distinct output projections per state.
+pub(crate) fn eval_states<V: EdgeView>(
     decomp: &Decomposition,
     view: &mut V,
     plan: &Plan,
-    pattern: &Tuple,
     range: Option<&RangePattern>,
-    root: &NodeRef,
-) -> Result<Vec<Tuple>, V::Restart> {
-    let st = QueryState::initial(decomp, pattern.clone(), Arc::clone(root));
+    st: QueryState,
+) -> Result<Vec<QueryState>, V::Restart> {
     let mut states = vec![st];
     let bounds = range.map(range_key_bounds);
     let last = plan.steps.len().saturating_sub(1);
@@ -271,7 +286,7 @@ pub(crate) fn eval_all<V: EdgeView>(
                         "planner invariant: lookup key fully bound"
                     );
                     if let Some(child) = view.follow(&st, *edge, &key, spec)? {
-                        st.nodes[em.dst.index()] = Some(child);
+                        bind(&mut st.nodes, em.dst, child);
                         out.push(st);
                     }
                 }
@@ -318,10 +333,33 @@ pub(crate) fn eval_all<V: EdgeView>(
             }
         }
         if states.is_empty() {
-            return Ok(Vec::new());
+            break;
         }
     }
-    let tuples = states.into_iter().map(|st| st.tuple);
+    Ok(states)
+}
+
+/// Evaluates `plan` from the pattern's initial state ([`eval_states`]) and
+/// returns the plan's output projection of the survivors: deduplicated and
+/// sorted (§2's `query r s C`), or, given a `range`, in the canonical
+/// range order via [`assemble_range_output`] (`query_range r s ρ C`).
+///
+/// The final range filter re-checks the interval on every surviving state,
+/// so chains that bind the range column through an ordinary multi-column
+/// scan (no single-column edge qualified) are just as correct — they only
+/// do more work.
+pub(crate) fn eval_all<V: EdgeView>(
+    decomp: &Decomposition,
+    view: &mut V,
+    plan: &Plan,
+    pattern: &Tuple,
+    range: Option<&RangePattern>,
+    root: &NodeRef,
+) -> Result<Vec<Tuple>, V::Restart> {
+    let st = QueryState::initial(decomp, pattern.clone(), Arc::clone(root));
+    let tuples = eval_states(decomp, view, plan, range, st)?
+        .into_iter()
+        .map(|st| st.tuple);
     Ok(match range {
         Some(range) => assemble_range_output(tuples, range, plan.output),
         None => {
@@ -370,7 +408,7 @@ pub(crate) fn eval_any<V: EdgeView>(
             };
             match view.follow(&st, *edge, &key, spec)? {
                 Some(child) => {
-                    st.nodes[em.dst.index()] = Some(child);
+                    bind(&mut st.nodes, em.dst, child);
                     eval_any(decomp, view, rest, st)
                 }
                 None => Ok(false),
@@ -417,12 +455,6 @@ pub fn render_plan(decomp: &Decomposition, steps: &[PlanStep]) -> String {
     for step in steps {
         match step {
             PlanStep::Lock { edge, mode, .. } => {
-                let host = &decomp
-                    .node(crate::decomp::NodeId(
-                        decomp.edge(*edge).src.0, // rendered below via placement-free form
-                    ))
-                    .name;
-                let _ = host;
                 out.push_str(&format!(
                     "let _ = lock{}({}, ψ({})) in\n",
                     if *mode == LockMode::Exclusive {
@@ -448,7 +480,11 @@ pub fn render_plan(decomp: &Decomposition, steps: &[PlanStep]) -> String {
                     current as char,
                     edge_name(*edge),
                 ));
-                locked.push((*edge, current));
+                // After a lock of its fallback stripe (a mutation's locate),
+                // the logical lock is already taken: one unlock.
+                if !locked.contains(&(*edge, current)) {
+                    locked.push((*edge, current));
+                }
                 current = var;
             }
             PlanStep::Lookup { edge } => {

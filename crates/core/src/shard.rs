@@ -87,13 +87,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use relc_locks::{Backoff, CommitStamp, LockStatsSnapshot, TwoPhaseEngine};
-use relc_spec::{ColumnSet, RangePattern, RelationSchema, SpecError, Tuple};
+use relc_spec::{ColumnSet, RangePattern, RelationSchema, Tuple};
 
 use crate::commit::{self, Participant};
 use crate::decomp::Decomposition;
 use crate::error::CoreError;
 use crate::exec::assemble_range_output;
 use crate::placement::{LockPlacement, LockToken};
+use crate::planner::validate_update;
 use crate::relation::{ConcurrentRelation, OpCounters, Repr, SnapshotRead, StatsSnapshot};
 use crate::txn::{Transaction, TxnError};
 use crate::wal::{RecoveryReport, Wal, WalOptions, WalRecord};
@@ -1075,24 +1076,9 @@ impl<'t> ShardedTransaction<'t> {
         if let Some(i) = self.rel.route(s) {
             return self.shard_tx(i).update(s, t);
         }
-        // Validate up front (the §2 conditions plan_update would check):
-        // past this point the operation decomposes into remove + insert.
-        let schema = self.rel.schema();
-        if t.is_empty() {
-            return Err(TxnError::Core(CoreError::Spec(SpecError::EmptyUpdate)));
-        }
-        if !t.dom().is_disjoint(s.dom()) {
-            return Err(TxnError::Core(CoreError::Spec(
-                SpecError::UpdateOverlapsPattern {
-                    shared: schema.catalog().render_set(t.dom().intersection(s.dom())),
-                },
-            )));
-        }
-        if !schema.is_key(s.dom()) {
-            return Err(TxnError::Core(CoreError::Spec(SpecError::RemoveNotByKey {
-                dom: schema.catalog().render_set(s.dom()),
-            })));
-        }
+        // Validate up front, as `plan_update` would: past this point the
+        // operation decomposes into remove + insert.
+        validate_update(self.rel.schema(), s.dom(), t.dom())?;
         let Some(old) = self.remove_returning(s)? else {
             return Ok(None);
         };

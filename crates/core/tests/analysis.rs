@@ -8,8 +8,9 @@ use std::sync::Arc;
 use relc::analysis::{Analyzer, AnalyzerOptions, DiagnosticKind};
 use relc::decomp::library;
 use relc::placement::LockPlacement;
-use relc::Decomposition;
+use relc::{ConcurrentRelation, Decomposition};
 use relc_containers::ContainerKind;
+use relc_spec::{ColumnSet, Tuple, Value};
 
 fn standard_decomps() -> Vec<(&'static str, Arc<Decomposition>)> {
     vec![
@@ -341,6 +342,157 @@ fn seeded_unlocked_speculative_publication_flagged() {
     );
 }
 
+/// A graph-schema decomposition whose first edge binds (src, weight): a
+/// weight update moves the tuple, so it takes the general unlink +
+/// re-insert plan — the one update shape no standard decomposition has.
+fn weight_in_mid_key() -> Arc<Decomposition> {
+    let mut b = Decomposition::builder(relc_spec::library::graph_schema());
+    let root = b.root();
+    let a = b.node("a");
+    let c = b.node("c");
+    b.edge(root, a, &["src", "weight"], ContainerKind::HashMap)
+        .unwrap();
+    b.edge(a, c, &["dst"], ContainerKind::HashMap).unwrap();
+    b.build().unwrap()
+}
+
+/// An operation's result for the footprint table: the value, or only the
+/// error's variant (its message is not part of the footprint).
+fn outcome<T: std::fmt::Debug>(r: Result<T, relc::CoreError>) -> String {
+    match r {
+        Ok(v) => format!("{v:?}"),
+        Err(e) => {
+            let debug = format!("{e:?}");
+            format!("Err({})", debug.split('(').next().unwrap_or_default())
+        }
+    }
+}
+
+/// The lock-stat delta of each single-shot mutation shape on a fresh
+/// four-row relation, one `(case, outcome and delta)` pair per shape:
+/// insert of a fresh and of a present key, and of a fresh row by each
+/// one-column pattern; remove of a present and an
+/// absent tuple by every key of the schema (smallest first); one update
+/// of the non-key columns by the smallest key. Rows are `r·10 + column`,
+/// so `row(7)` is absent and its values collide with no preloaded row.
+fn footprint_cases(d: &Arc<Decomposition>, p: &Arc<LockPlacement>) -> Vec<(String, String)> {
+    let schema = d.schema();
+    let all = schema.columns();
+    let cols: Vec<_> = all.iter().collect();
+    let mut keys: Vec<ColumnSet> = (1u32..1 << cols.len())
+        .map(|mask| {
+            let mut s = ColumnSet::new();
+            for (i, &c) in cols.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    s.insert(c);
+                }
+            }
+            s
+        })
+        .filter(|&s| schema.is_key(s))
+        .collect();
+    keys.sort_by_key(|s| (s.len(), s.bits()));
+    let (key, payload) = (keys[0], all.difference(keys[0]));
+    let row = |r: i64| {
+        Tuple::from_pairs(
+            all.iter()
+                .map(|c| (c, Value::from(r * 10 + c.index() as i64))),
+        )
+    };
+    let measure = |op: &dyn Fn(&ConcurrentRelation) -> String| {
+        let rel = ConcurrentRelation::new(Arc::clone(d), Arc::clone(p)).unwrap();
+        for r in 0..4 {
+            let x = row(r);
+            assert!(rel.insert(&x.project(key), &x.project(payload)).unwrap());
+        }
+        let before = rel.lock_stats();
+        let outcome = op(&rel);
+        let after = rel.lock_stats();
+        format!(
+            "{outcome} acq={} restarts={} upgrades={} spec_fail={}",
+            after.acquisitions - before.acquisitions,
+            after.restarts - before.restarts,
+            after.upgrades - before.upgrades,
+            after.speculation_failures - before.speculation_failures
+        )
+    };
+    let insert = |r: i64, s: ColumnSet| {
+        move |rel: &ConcurrentRelation| {
+            let x = row(r).override_with(&row(7).project(all.difference(s)));
+            outcome(rel.insert(&x.project(s), &x.project(all.difference(s))))
+        }
+    };
+    let mut cases = vec![
+        ("insert fresh".to_owned(), measure(&insert(7, key))),
+        ("insert present".to_owned(), measure(&insert(1, key))),
+    ];
+    // A pattern over one column: wherever no lookup chain binds it, the
+    // existence check scans, and the root sweep takes every stripe.
+    for c in all.iter() {
+        let s = ColumnSet::single(c);
+        let name = schema.catalog().render_set(s);
+        cases.push((format!("insert fresh {name}"), measure(&insert(7, s))));
+    }
+    for &k in &keys {
+        let name = schema.catalog().render_set(k);
+        for (what, r) in [("present", 1), ("absent", 7)] {
+            let out = measure(&|rel| outcome(rel.remove(&row(r).project(k))));
+            cases.push((format!("remove {what} {name}"), out));
+        }
+    }
+    let plan = ConcurrentRelation::new(Arc::clone(d), Arc::clone(p))
+        .unwrap()
+        .planner()
+        .plan_update(key, payload);
+    let kind = match plan {
+        Ok(plan) if plan.is_in_place() => "update in-place",
+        Ok(_) => "update general",
+        Err(_) => "update unplannable",
+    };
+    let out = measure(&|rel| {
+        let old = rel.update(&row(1).project(key), &row(7).project(payload));
+        outcome(old.map(|o| o.is_some()))
+    });
+    cases.push((kind.to_owned(), out));
+    cases
+}
+
+/// The lock footprint of every mutation shape, pinned: acquisitions,
+/// restarts, upgrades and failed speculations of each single-threaded
+/// case of [`footprint_cases`], over every standard decomposition ×
+/// placement plus [`weight_in_mid_key`] (for the general update). A
+/// change to how a mutation locates, checks or sweeps that takes a
+/// different lock set — the all-stripe root sweep of an insert whose
+/// existence check scans included — shows up here as a changed row.
+#[test]
+fn lock_footprint_table() {
+    let mut decomps = standard_decomps();
+    decomps.push(("mid-key(hm)", weight_in_mid_key()));
+    let mut got = Vec::new();
+    for (dname, d) in decomps {
+        for p in standard_placements(&d) {
+            for (case, out) in footprint_cases(&d, &p) {
+                got.push(format!("{dname} | {} | {case} | {out}", p.name()));
+            }
+        }
+    }
+    let expected: Vec<&str> = LOCK_FOOTPRINT.lines().filter(|l| !l.is_empty()).collect();
+    let diffs: Vec<String> = got
+        .iter()
+        .zip(&expected)
+        .filter(|(g, e)| g != e)
+        .map(|(g, e)| format!("  expected {e}\n  got      {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && got.len() == expected.len(),
+        "lock footprint changed ({} rows, expected {}):\n{}\nfull table:\n{}",
+        got.len(),
+        expected.len(),
+        diffs.join("\n"),
+        got.join("\n")
+    );
+}
+
 /// Disabling the cross-shard try-only demotion must surface as an
 /// out-of-order acquisition in the lexicographic (shard, token) model.
 #[test]
@@ -362,3 +514,313 @@ fn seeded_shard_demotion_bypass_flagged() {
         "demoted revisit must be clean"
     );
 }
+
+/// [`lock_footprint_table`]'s expected rows: `decomposition | placement |
+/// case | outcome and lock-stat delta`.
+const LOCK_FOOTPRINT: &str = "
+stick(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | remove present {src, dst} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert fresh {dst} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert fresh {dst} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert fresh {dst} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | remove present {src, dst} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | remove present {src, dst} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert fresh {dst} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert fresh {dst} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert fresh {dst} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | remove present {src, dst} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | remove present {src, dst} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | remove present {src, dst} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert fresh {parent} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert fresh {name} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert fresh {child} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | remove present {parent, name} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | remove absent {parent, name} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | remove present {parent, name, child} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | remove absent {parent, name, child} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert fresh {parent} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert fresh {name} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert fresh {child} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | remove present {parent, name} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | remove absent {parent, name} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | remove present {parent, name, child} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | remove absent {parent, name, child} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert fresh {value} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | remove present {key} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | remove present {key, value} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert fresh {value} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert fresh {value} | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert fresh {value} | true acq=8 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert fresh {value} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | remove present {src, dst} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | update general | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | update general | true acq=2 restarts=0 upgrades=0 spec_fail=0
+";
