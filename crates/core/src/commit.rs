@@ -143,10 +143,16 @@ pub(crate) fn conclude<R>(
 ///    nothing across logs: released early, these effects could be read
 ///    by a later transaction that becomes durable in a *different*
 ///    shard's log and survives a crash that loses this record — recovery
-///    would replay the dependent without its antecedent. So there every
-///    writing attempt, single-shard ones too, waits *before* releasing
-///    (`true`): any observer of these effects commits strictly after
-///    they can no longer vanish. The cross-shard marker goes to
+///    would replay the dependent without its antecedent. So a sharded
+///    relation's `transaction` waits *before* releasing (`true`), even
+///    when the attempt wrote one shard: any observer of these effects
+///    commits strictly after they can no longer vanish. Routed
+///    single-shot writes (`ShardedRelation::{insert, update,
+///    remove_returning, insert_all, remove_all}` on the routed fast path)
+///    do not: they run through the shard's own `run_transaction`, which
+///    passes `false`, so they release before their `fsync` and can lose
+///    an antecedent in the way just described. That gap is open (ROADMAP,
+///    the `durable_sharded` item, (b)). The cross-shard marker goes to
 ///    `marker_log` (shard 0's) last, strictly after every data record is
 ///    durable: a durable marker implies durable data records on every
 ///    shard (atomic commit), an absent one aborts them all (atomic

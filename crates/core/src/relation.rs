@@ -66,8 +66,7 @@ pub struct ConcurrentRelation {
     stats: Arc<LockStats>,
     len: AtomicUsize,
     always_sort_locks: AtomicBool,
-    /// Unique id for the re-entrancy guard (stable across migrations;
-    /// the per-representation plan memos key on [`Repr::id`] instead).
+    /// Unique id for the re-entrancy guard (stable across migrations).
     id: u64,
     /// Per-relation snapshot-reader registry: a long-lived reader of
     /// *this* relation pins only this relation's version retirement, not
@@ -86,28 +85,24 @@ pub struct ConcurrentRelation {
 }
 
 /// One physical representation of a relation: a `(decomposition, lock
-/// placement)` pair plus the instance tree that realizes it and the plan
-/// caches compiled against it. [`ConcurrentRelation`] holds the *current*
+/// placement)` pair plus the instance tree that realizes it and the plans
+/// compiled against it. [`ConcurrentRelation`] holds the *current*
 /// representation behind an `RwLock<Arc<Repr>>`; live migration builds a
 /// fresh `Repr` and swaps the pointer, while transactions and snapshot
-/// readers that pinned the old one keep using it until they drop — at
-/// which point the old instance tree retires through the epoch collector
-/// like any other unlinked subtree.
+/// readers that pinned the old one keep using it (and its plans) until
+/// they drop — at which point the old instance tree retires through the
+/// epoch collector like any other unlinked subtree, and its plans go with
+/// it. Plans of one decomposition therefore never reach another.
 pub(crate) struct Repr {
-    /// Unique id for the thread-local plan memo (avoids cross-thread cache
-    /// traffic on the shared plan maps in the per-operation hot path).
-    /// Per representation, not per relation: plans compiled for the old
-    /// decomposition must not leak into the new one after a migration.
-    pub(crate) id: u64,
     pub(crate) decomp: Arc<Decomposition>,
     pub(crate) placement: Arc<LockPlacement>,
     pub(crate) planner: Planner,
     pub(crate) root: NodeRef,
-    query_plans: RwLock<HashMap<(u64, u64), Arc<Plan>>>,
-    range_plans: RwLock<HashMap<(u64, usize, u64), Arc<Plan>>>,
-    insert_plans: RwLock<HashMap<u64, Arc<InsertPlan>>>,
-    remove_plans: RwLock<HashMap<u64, Arc<RemovePlan>>>,
-    update_plans: RwLock<HashMap<(u64, u64), Arc<UpdatePlan>>>,
+    query_plans: PlanCache<(u64, u64), Plan>,
+    range_plans: PlanCache<(u64, usize, u64), Plan>,
+    insert_plans: PlanCache<u64, InsertPlan>,
+    remove_plans: PlanCache<u64, RemovePlan>,
+    update_plans: PlanCache<(u64, u64), UpdatePlan>,
 }
 
 /// Top-level operation counters for one relation flavor, surfaced through
@@ -209,7 +204,7 @@ pub struct StatsSnapshot {
     pub migrations: u64,
 }
 
-/// Monotonic relation ids for the thread-local plan memo.
+/// Monotonic relation ids for the re-entrancy guard ([`ActiveTxnGuard`]).
 static NEXT_RELATION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 thread_local! {
@@ -255,106 +250,31 @@ impl Drop for ActiveTxnGuard {
     }
 }
 
-/// Memo key for range plans:
-/// (relation id, bound-column bits, range column, output bits).
-type RangePlanKey = (u64, u64, usize, u64);
+/// One kind of plan compiled against a representation, keyed by
+/// operation shape. A fetch is one shared read; a miss builds the plan
+/// and publishes it. Two threads that miss together both build, and both
+/// return whichever plan was published first — either is a correct plan.
+struct PlanCache<K, P>(RwLock<HashMap<K, Arc<P>>>);
 
-thread_local! {
-    static QUERY_MEMO: std::cell::RefCell<PlanMemo<(u64, u64, u64), Arc<Plan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
-    static RANGE_MEMO: std::cell::RefCell<PlanMemo<RangePlanKey, Arc<Plan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
-    static INSERT_MEMO: std::cell::RefCell<PlanMemo<(u64, u64), Arc<InsertPlan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
-    static REMOVE_MEMO: std::cell::RefCell<PlanMemo<(u64, u64), Arc<RemovePlan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
-    static UPDATE_MEMO: std::cell::RefCell<PlanMemo<(u64, u64, u64), Arc<UpdatePlan>>> =
-        std::cell::RefCell::new(PlanMemo::new());
-}
-
-/// Ids of live relations. The thread-local memos above are keyed by
-/// relation id and would otherwise retain Arc'd plans of dropped
-/// relations forever on long-lived worker threads; once a memo grows past
-/// its sweep point, inserting into it first drops every entry whose
-/// relation is no longer here.
-static LIVE_RELATIONS: std::sync::LazyLock<RwLock<std::collections::HashSet<u64>>> =
-    std::sync::LazyLock::new(|| RwLock::new(std::collections::HashSet::new()));
-
-/// Initial memo size at which an insert sweeps dead-relation entries. A
-/// single relation memoizes one plan per operation *shape*, so a memo
-/// this large means many relations have passed through this thread.
-const MEMO_SWEEP_WATERMARK: usize = 128;
-
-/// A thread-local plan memo with lazy dead-relation eviction. Sweeps are
-/// O(len) with the live-set read lock held, but only ever run on a memo
-/// *miss* (a fresh (relation, shape) pair on this thread), never on the
-/// per-operation hot path — and the sweep point doubles past the live
-/// population, so a thread legitimately serving many live relations does
-/// not re-sweep fruitlessly on every miss.
-struct PlanMemo<K, V> {
-    map: HashMap<K, V>,
-    /// Size at which the next insert sweeps first.
-    sweep_at: usize,
-}
-
-impl<K: std::hash::Hash + Eq, V> PlanMemo<K, V> {
-    fn new() -> Self {
-        PlanMemo {
-            map: HashMap::new(),
-            sweep_at: MEMO_SWEEP_WATERMARK,
-        }
-    }
-
-    fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
-    }
-
-    fn insert(&mut self, key: K, value: V, relation_id: impl Fn(&K) -> u64) {
-        if self.map.len() >= self.sweep_at {
-            let live = LIVE_RELATIONS.read().expect("live-relation set");
-            self.map.retain(|k, _| live.contains(&relation_id(k)));
-            drop(live);
-            self.sweep_at = (self.map.len() * 2).max(MEMO_SWEEP_WATERMARK);
-        }
-        self.map.insert(key, value);
+impl<K, P> Default for PlanCache<K, P> {
+    fn default() -> Self {
+        PlanCache(RwLock::new(HashMap::new()))
     }
 }
 
-/// The shared body of every plan accessor: probe the thread-local memo,
-/// then the relation's shared cache (building and publishing the plan on
-/// a miss), then fill the memo. One definition, six plan kinds — the
-/// memo-sweep and double-planning subtleties live here only.
-fn plan_cached<MK, CK, P>(
-    memo: &'static std::thread::LocalKey<std::cell::RefCell<PlanMemo<MK, Arc<P>>>>,
-    memo_key: MK,
-    rel_id: fn(&MK) -> u64,
-    cache: &RwLock<HashMap<CK, Arc<P>>>,
-    cache_key: CK,
-    build: impl FnOnce() -> Result<P, CoreError>,
-) -> Result<Arc<P>, CoreError>
-where
-    MK: std::hash::Hash + Eq,
-    CK: std::hash::Hash + Eq,
-{
-    if let Some(p) = memo.with(|m| m.borrow().get(&memo_key).cloned()) {
-        return Ok(p);
-    }
-    let cached = cache.read().expect("plan cache").get(&cache_key).cloned();
-    let plan = match cached {
-        Some(p) => p,
-        None => {
-            let plan = Arc::new(build()?);
-            cache
-                .write()
-                .expect("plan cache")
-                .insert(cache_key, Arc::clone(&plan));
-            plan
+impl<K: std::hash::Hash + Eq, P> PlanCache<K, P> {
+    fn get_or_build(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<P, CoreError>,
+    ) -> Result<Arc<P>, CoreError> {
+        if let Some(plan) = self.0.read().expect("plan cache").get(&key) {
+            return Ok(Arc::clone(plan));
         }
-    };
-    memo.with(|m| {
-        m.borrow_mut().insert(memo_key, Arc::clone(&plan), rel_id);
-    });
-    Ok(plan)
+        let plan = Arc::new(build()?);
+        let mut cache = self.0.write().expect("plan cache");
+        Ok(Arc::clone(cache.entry(key).or_insert(plan)))
+    }
 }
 
 /// One snapshot read of a representation: which plan to fetch and which
@@ -388,22 +308,16 @@ impl Repr {
         }
         let root = NodeInstance::new(&decomp, &placement, decomp.root(), Tuple::empty());
         let planner = Planner::new(Arc::clone(&decomp), Arc::clone(&placement));
-        let id = NEXT_RELATION_ID.fetch_add(1, Ordering::Relaxed);
-        LIVE_RELATIONS
-            .write()
-            .expect("live-relation set")
-            .insert(id);
         Ok(Arc::new(Repr {
-            id,
             decomp,
             placement,
             planner,
             root,
-            query_plans: RwLock::new(HashMap::new()),
-            range_plans: RwLock::new(HashMap::new()),
-            insert_plans: RwLock::new(HashMap::new()),
-            remove_plans: RwLock::new(HashMap::new()),
-            update_plans: RwLock::new(HashMap::new()),
+            query_plans: PlanCache::default(),
+            range_plans: PlanCache::default(),
+            insert_plans: PlanCache::default(),
+            remove_plans: PlanCache::default(),
+            update_plans: PlanCache::default(),
         }))
     }
 
@@ -454,14 +368,10 @@ impl Repr {
         bound: ColumnSet,
         output: ColumnSet,
     ) -> Result<Arc<Plan>, CoreError> {
-        plan_cached(
-            &QUERY_MEMO,
-            (self.id, bound.bits(), output.bits()),
-            |k| k.0,
-            &self.query_plans,
-            (bound.bits(), output.bits()),
-            || self.planner.plan_query(bound, output),
-        )
+        self.query_plans
+            .get_or_build((bound.bits(), output.bits()), || {
+                self.planner.plan_query(bound, output)
+            })
     }
 
     pub(crate) fn range_plan(
@@ -470,37 +380,19 @@ impl Repr {
         range: &RangePattern,
         output: ColumnSet,
     ) -> Result<Arc<Plan>, CoreError> {
-        let col = range.col().index();
-        plan_cached(
-            &RANGE_MEMO,
-            (self.id, bound.bits(), col, output.bits()),
-            |k| k.0,
-            &self.range_plans,
-            (bound.bits(), col, output.bits()),
-            || self.planner.plan_range(bound, range.col(), output),
-        )
+        let key = (bound.bits(), range.col().index(), output.bits());
+        self.range_plans
+            .get_or_build(key, || self.planner.plan_range(bound, range.col(), output))
     }
 
     pub(crate) fn insert_plan(&self, bound: ColumnSet) -> Result<Arc<InsertPlan>, CoreError> {
-        plan_cached(
-            &INSERT_MEMO,
-            (self.id, bound.bits()),
-            |k| k.0,
-            &self.insert_plans,
-            bound.bits(),
-            || self.planner.plan_insert(bound),
-        )
+        self.insert_plans
+            .get_or_build(bound.bits(), || self.planner.plan_insert(bound))
     }
 
     pub(crate) fn remove_plan(&self, bound: ColumnSet) -> Result<Arc<RemovePlan>, CoreError> {
-        plan_cached(
-            &REMOVE_MEMO,
-            (self.id, bound.bits()),
-            |k| k.0,
-            &self.remove_plans,
-            bound.bits(),
-            || self.planner.plan_remove(bound),
-        )
+        self.remove_plans
+            .get_or_build(bound.bits(), || self.planner.plan_remove(bound))
     }
 
     pub(crate) fn update_plan(
@@ -508,25 +400,10 @@ impl Repr {
         bound: ColumnSet,
         updated: ColumnSet,
     ) -> Result<Arc<UpdatePlan>, CoreError> {
-        plan_cached(
-            &UPDATE_MEMO,
-            (self.id, bound.bits(), updated.bits()),
-            |k| k.0,
-            &self.update_plans,
-            (bound.bits(), updated.bits()),
-            || self.planner.plan_update(bound, updated),
-        )
-    }
-}
-
-impl Drop for Repr {
-    fn drop(&mut self) {
-        // Unregister so the thread-local plan memos can shed this
-        // representation's entries at their next sweep.
-        LIVE_RELATIONS
-            .write()
-            .expect("live-relation set")
-            .remove(&self.id);
+        self.update_plans
+            .get_or_build((bound.bits(), updated.bits()), || {
+                self.planner.plan_update(bound, updated)
+            })
     }
 }
 
@@ -935,18 +812,18 @@ impl ConcurrentRelation {
     }
 
     /// `query r s C` (§2): the projection onto `cols` of all tuples
-    /// extending `s`, deduplicated and sorted. Sugar for a one-operation
-    /// [`Self::transaction`].
+    /// extending `s`, deduplicated and sorted.
+    ///
+    /// Runs on the lock-free snapshot path: the result is a serializable
+    /// read at the current commit timestamp, it acquires no locks, and it
+    /// can neither block nor restart writers. Reads that must observe a
+    /// transaction's own uncommitted writes use [`Transaction::query`]
+    /// instead.
     ///
     /// # Errors
     ///
     /// [`CoreError::NoValidPlan`] if no chain can bind this shape under the
     /// placement (e.g. it would have to scan a speculative edge).
-    /// Since the MVCC layer landed this routes onto the lock-free
-    /// snapshot path: the result is a serializable read at the current
-    /// commit timestamp, it acquires no locks, and it can neither block
-    /// nor restart writers. Reads that must observe a transaction's own
-    /// uncommitted writes use [`Transaction::query`] instead.
     pub fn query(&self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, CoreError> {
         OpCounters::bump(&self.ops.queries, 1);
         self.open_reader(|snap| snap.query(s, cols))
@@ -983,10 +860,11 @@ impl ConcurrentRelation {
     /// deduplicating, and sorting the full projection the way
     /// `query(s, ∅)` would.
     ///
+    /// Runs on the lock-free snapshot path, like [`Self::query`].
+    ///
     /// # Errors
     ///
     /// As for [`Self::query`].
-    /// Routes onto the lock-free snapshot path, like [`Self::query`].
     pub fn contains(&self, s: &Tuple) -> Result<bool, CoreError> {
         OpCounters::bump(&self.ops.contains_checks, 1);
         self.open_reader(|snap| snap.contains(s))
@@ -2067,21 +1945,39 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_plan_memos_stay_bounded_across_dropped_relations() {
-        // Long-lived worker threads must not retain plan memo entries for
-        // every relation that ever passed through them: once a memo grows
-        // past the sweep watermark, entries of dropped relations are shed.
+    fn plans_stay_with_the_representation_that_compiled_them() {
+        // A reader pinning the representation a migration swaps out keeps
+        // that representation's plans; the new one compiles its own.
         let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
-        for _ in 0..MEMO_SWEEP_WATERMARK * 4 {
-            let p = LockPlacement::coarse(&d).unwrap();
-            let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
-            rel.insert(&edge(&d, 1, 2), &weight(&d, 1)).unwrap();
+        let rel = ConcurrentRelation::new(d.clone(), LockPlacement::coarse(&d).unwrap()).unwrap();
+        rel.insert(&edge(&d, 1, 2), &weight(&d, 1)).unwrap();
+        let all = d.schema().columns();
+        let shapes: Vec<ColumnSet> = [&["src"][..], &["dst"], &["src", "dst"]]
+            .iter()
+            .map(|cols| d.schema().column_set(cols).unwrap())
+            .collect();
+        let old = rel.current_repr();
+        let old_planner = rel.planner();
+        let cached: Vec<_> = shapes
+            .iter()
+            .map(|&b| old.query_plan(b, all).unwrap())
+            .collect();
+
+        let d2 = split(ContainerKind::HashMap, ContainerKind::TreeMap);
+        rel.migrate_to(d2.clone(), LockPlacement::coarse(&d2).unwrap())
+            .unwrap();
+        let new = rel.current_repr();
+        assert!(!Arc::ptr_eq(&old, &new));
+        let mut differ = false;
+        for (&b, before) in shapes.iter().zip(&cached) {
+            let was = old.query_plan(b, all).unwrap();
+            assert!(Arc::ptr_eq(&was, before), "old plan still cached");
+            assert_eq!(was.steps, old_planner.plan_query(b, all).unwrap().steps);
+            let now = new.query_plan(b, all).unwrap();
+            assert_eq!(now.steps, rel.planner().plan_query(b, all).unwrap().steps);
+            differ |= was.steps != now.steps;
         }
-        let len = INSERT_MEMO.with(|m| m.borrow().map.len());
-        assert!(
-            len <= MEMO_SWEEP_WATERMARK,
-            "memo retained dead-relation plans: {len}"
-        );
+        assert!(differ, "stick and split plan some shape differently");
     }
 
     #[test]
