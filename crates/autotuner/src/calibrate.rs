@@ -3,8 +3,8 @@
 //!
 //! Two workload families live here:
 //!
-//! * the **transaction-layer mixes** ([`TxnMix`]) — the `txn_mix`
-//!   bench's update/transfer/read shapes, run via [`calibrate_run`] with
+//! * the **transaction-layer mixes** ([`TxnMix`]) — read, update,
+//!   read-modify-write and transfer shapes, run via [`calibrate_run`] with
 //!   per-op latency capture and a [`relc::StatsSnapshot`] delta, producing
 //!   the [`crate::cost::FeatureVector`] per (candidate, mix);
 //! * the legacy **§6.2 graph workload** ([`run_workload`]) — `k` identical
@@ -233,9 +233,9 @@ pub fn run_workload(graph: &Arc<dyn GraphOps>, cfg: &WorkloadConfig) -> Workload
 // Transaction-layer calibration (the cost model's measurement probes).
 // ---------------------------------------------------------------------------
 
-/// A transaction-layer calibration mix, mirroring the shapes of the
-/// `txn_mix` bench: the cost model measures each candidate under these and
-/// matches observed traffic against their profiles.
+/// A transaction-layer calibration mix: the cost model measures each
+/// candidate under these and matches observed traffic against their
+/// profiles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TxnMix {
     /// 95% lock-free snapshot point reads / 5% single-shot updates.

@@ -1,4 +1,4 @@
-//! The **closed-loop autotuner**: observe a live `txn_mix`-shaped
+//! The **closed-loop autotuner**: observe a live `calibrate::TxnMix`-shaped
 //! workload, consult the persisted cost model ([`CostModel`]), and when
 //! the model covers the observed traffic, **migrate the running relation
 //! live** ([`ConcurrentRelation::migrate_to`]) to the advised
@@ -102,8 +102,7 @@ fn worst_for(model: &CostModel, mix_label: &str) -> Option<Candidate> {
         .map(|(_, c)| c.clone())
 }
 
-/// A live workload shape (the `txn_mix` bench's names; the report keys on
-/// them).
+/// A live workload shape (the [`TxnMix`] names; the report keys on them).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
     ReadHeavy,
@@ -519,7 +518,7 @@ fn main() {
     if !report_path.is_empty() {
         let mut md = String::from(
             "# Closed-loop autotune report\n\n\
-             Observe a live `txn_mix`-shaped workload, match it against the\n\
+             Observe a live `calibrate::TxnMix`-shaped workload, match it against the\n\
              calibrated cost model, migrate the running relation live to the\n\
              advised representation, and re-measure.\n\n\
              Regenerate with:\n\n\

@@ -9,6 +9,11 @@
 //! | §6.1 autotuner | `autotune` | enumerates the candidate space and ranks it per mix |
 //! | Stripe-factor ablation (§4.4) | `ablation_striping` | k ∈ {1, 4, 64, 1024} |
 //! | Lock-sort elision ablation (§5.2) | `ablation_sorting` | planner analysis on vs forced runtime sorts |
+//! | Key-skew ablation (extension) | `ablation_zipf` | Zipf-skewed keys across placements |
+//! | §4.3/§5.1 lock-discipline report | `relc-analyze` | static analyzer over every standard decomposition × placement; exits non-zero on a diagnostic |
+//!
+//! The repository's performance benchmark is the separate `benchmark/`
+//! workspace, not this crate.
 //!
 //! The library half hosts the [`handcoded`] baseline, the Figure 5
 //! [`figures`] configuration table, and plain-text [`report`] formatting.

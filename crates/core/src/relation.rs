@@ -1103,14 +1103,20 @@ impl ConcurrentRelation {
             migrations: std::sync::atomic::AtomicU64::new(0),
             wal: None,
         };
-        let n = rows.len();
+        scratch.bulk_load(&rows)?;
+        Ok(rows.len())
+    }
+
+    /// Inserts full tuples in [`Self::insert_all`] batches of 4096 rows
+    /// (the migration and checkpoint-recovery loads).
+    fn bulk_load(&self, rows: &[Tuple]) -> Result<(), CoreError> {
         const CHUNK: usize = 4096;
-        for chunk in rows.chunks(CHUNK.max(1)) {
+        for chunk in rows.chunks(CHUNK) {
             let batch: Vec<(Tuple, Tuple)> =
                 chunk.iter().map(|t| (t.clone(), Tuple::empty())).collect();
-            scratch.insert_all(&batch)?;
+            self.insert_all(&batch)?;
         }
-        Ok(n)
+        Ok(())
     }
 
     /// Reads the relation's frozen contents at the current clock time.
@@ -1198,12 +1204,7 @@ impl ConcurrentRelation {
     ) -> Result<crate::wal::RecoveryReport, CoreError> {
         let mut report = crate::wal::RecoveryReport::default();
         if let Some((cut_ts, rows)) = wal.read_checkpoint()? {
-            const CHUNK: usize = 4096;
-            for chunk in rows.chunks(CHUNK) {
-                let batch: Vec<(Tuple, Tuple)> =
-                    chunk.iter().map(|t| (t.clone(), Tuple::empty())).collect();
-                self.insert_all(&batch)?;
-            }
+            self.bulk_load(&rows)?;
             report.checkpoint_rows = rows.len();
             report.max_ts = cut_ts;
             wal.raise_applied_through(cut_ts);

@@ -99,11 +99,12 @@ use crate::relation::{ConcurrentRelation, OpCounters, Repr, SnapshotRead, StatsS
 use crate::txn::{Transaction, TxnError};
 use crate::wal::{RecoveryReport, Wal, WalOptions, WalRecord};
 
-/// The router's default seed. Any value works — what matters is that the
-/// routing hash stream is not the stripe/bucket stream (see the module
-/// docs on decorrelation) — but it is fixed so shard assignment is
-/// reproducible across runs.
-const DEFAULT_ROUTER_SEED: u64 = 0x5bd1_e995_9d03_58c3;
+/// The router's seed. Any value works — what matters is that the routing
+/// hash stream is not the stripe/bucket stream (see the module docs on
+/// decorrelation) — but it is fixed so shard assignment is reproducible
+/// across runs and a durable relation's log directory reopens with every
+/// tuple in the shard that logged it.
+const ROUTER_SEED: u64 = 0x5bd1_e995_9d03_58c3;
 
 /// One logical relation partitioned across independent decomposition
 /// instances by a seeded hash of its canonical key columns. See the
@@ -111,7 +112,6 @@ const DEFAULT_ROUTER_SEED: u64 = 0x5bd1_e995_9d03_58c3;
 pub struct ShardedRelation {
     shards: Vec<ConcurrentRelation>,
     route_by: ColumnSet,
-    seed: u64,
     /// Seqlock-style generation for the sharded cutover: odd exactly
     /// while [`Self::migrate_to`] is swapping shard representations, even
     /// otherwise. Fan-out snapshot readers spin past odd values and
@@ -128,7 +128,7 @@ pub struct ShardedRelation {
 impl ShardedRelation {
     /// Synthesizes a relation partitioned over `shards` independent
     /// instances of the given (decomposition, placement) pair, routed by
-    /// the schema's canonical key under the default router seed.
+    /// the schema's canonical key under the router's fixed seed.
     /// `shards` is clamped to at least 1.
     ///
     /// # Errors
@@ -138,22 +138,6 @@ impl ShardedRelation {
         decomp: Arc<Decomposition>,
         placement: Arc<LockPlacement>,
         shards: usize,
-    ) -> Result<Self, CoreError> {
-        Self::with_seed(decomp, placement, shards, DEFAULT_ROUTER_SEED)
-    }
-
-    /// [`ShardedRelation::new`] with an explicit router seed (ablation
-    /// and distribution tests; a production deployment has no reason to
-    /// change it).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::new`].
-    pub fn with_seed(
-        decomp: Arc<Decomposition>,
-        placement: Arc<LockPlacement>,
-        shards: usize,
-        seed: u64,
     ) -> Result<Self, CoreError> {
         let route_by = decomp.schema().canonical_key();
         // One snapshot registry shared by every shard: a cross-shard
@@ -172,7 +156,6 @@ impl ShardedRelation {
         Ok(ShardedRelation {
             shards,
             route_by,
-            seed,
             migration_epoch: AtomicU64::new(0),
             ops: OpCounters::default(),
             migrations: AtomicU64::new(0),
@@ -217,7 +200,7 @@ impl ShardedRelation {
     /// `t`'s. `t` must bind every routing column (full tuples always do).
     pub fn shard_of(&self, t: &Tuple) -> usize {
         debug_assert!(self.route_by.is_subset(t.dom()));
-        (t.stable_hash_of_seeded(self.route_by, self.seed) % self.shards.len() as u64) as usize
+        (t.stable_hash_of_seeded(self.route_by, ROUTER_SEED) % self.shards.len() as u64) as usize
     }
 
     /// Routes a pattern: `Some(shard)` when it binds every routing
@@ -774,7 +757,7 @@ impl ShardedRelation {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| CoreError::Durability(format!("create {}: {e}", dir.display())))?;
-        let mut rel = Self::with_seed(decomp, placement, shards, DEFAULT_ROUTER_SEED)?;
+        let mut rel = Self::new(decomp, placement, shards)?;
         let wals: Vec<Wal> = (0..rel.shards.len())
             .map(|i| {
                 Wal::open(

@@ -516,14 +516,29 @@ fn range_reads_are_one_snapshot_cut() {
 
 /// Small mixed histories of writers and range readers must be
 /// linearizable under the §2 range semantics (Wing–Gong with the
-/// `Range` record).
+/// `Range` record). Two inputs, twenty rounds each: snapshot reads over
+/// `weight` (a filtered scan) and locked reads inside `transaction` over
+/// `src` on a skip-list root (a native bounded `RangeScan`).
 #[test]
 fn concurrent_range_histories_linearize() {
-    let d = stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
-    let p = LockPlacement::fine(&d).unwrap();
-    let wcol = d.schema().column("weight").unwrap();
-    for round in 0..20u64 {
-        let rel = Arc::new(ConcurrentRelation::new(d.clone(), p.clone()).unwrap());
+    let inputs: Vec<(Arc<Decomposition>, &str, bool)> = vec![
+        (
+            stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap),
+            "weight",
+            false,
+        ),
+        (
+            stick(ContainerKind::ConcurrentSkipListMap, ContainerKind::HashMap),
+            "src",
+            true,
+        ),
+    ];
+    for round in 0..20 * inputs.len() as u64 {
+        let (d, col, locked) = &inputs[round as usize % inputs.len()];
+        let locked = *locked;
+        let p = LockPlacement::fine(d).unwrap();
+        let rcol = d.schema().column(col).unwrap();
+        let rel = Arc::new(ConcurrentRelation::new(d.clone(), p).unwrap());
         let rec = HistoryRecorder::new();
         let threads = 3usize;
         let barrier = Arc::new(Barrier::new(threads));
@@ -547,12 +562,18 @@ fn concurrent_range_histories_linearize() {
                         let dv = (next() % 2) as i64;
                         let wv = (next() % 3) as i64;
                         if tid == 0 {
-                            let range = RangePattern::closed(wcol, Value::from(0), Value::from(1))
+                            let range = RangePattern::closed(rcol, Value::from(0), Value::from(1))
                                 .with_limit(2);
                             let cols = d.schema().column_set(&["src", "dst"]).unwrap();
                             rec.record(|| {
-                                let result =
-                                    rel.query_range(&Tuple::empty(), &range, cols).unwrap();
+                                let result = if locked {
+                                    rel.transaction(|tx| {
+                                        tx.query_range(&Tuple::empty(), &range, cols)
+                                    })
+                                } else {
+                                    rel.query_range(&Tuple::empty(), &range, cols)
+                                }
+                                .unwrap();
                                 (
                                     (),
                                     OpRecord::Range {
@@ -600,7 +621,8 @@ fn concurrent_range_histories_linearize() {
         let history = rec.into_history();
         assert!(
             check_linearizable(d.schema(), &history),
-            "round {round}: non-linearizable range history: {history:#?}"
+            "round {round} ({col}, locked={locked}): non-linearizable range history: \
+             {history:#?}"
         );
     }
 }

@@ -372,9 +372,15 @@ fn fast_path_rollback_on_abort_composes_with_other_ops() {
 fn fast_path_update_contention_stress() {
     let _clock = CLOCK.read().unwrap_or_else(|e| e.into_inner());
     let variants: Vec<(&str, Arc<Decomposition>, Arc<LockPlacement>)> = {
+        let st = stick(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let sp = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         let di = diamond(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
         vec![
+            (
+                "stick/coarse",
+                st.clone(),
+                LockPlacement::coarse(&st).unwrap(),
+            ),
             ("split/fine", sp.clone(), LockPlacement::fine(&sp).unwrap()),
             (
                 "split/striped",
