@@ -21,7 +21,8 @@
 //!   `(shard, token)`.
 //! * **No shared→exclusive upgrade** — the planner's mode-promotion pass
 //!   promoted every lock that a later step needs exclusively, so no
-//!   execution is forced into an upgrade restart.
+//!   execution is forced into an upgrade, which restarts whenever another
+//!   reader shares the lock.
 //! * **MVCC write-side completeness** — every plan step that mutates an
 //!   edge container has a corresponding `mvcc_write` mirror site, so no
 //!   version chain can silently go stale.
@@ -478,7 +479,7 @@ impl<'a> SymExec<'a> {
                 step,
                 vec![t],
                 "exclusive acquisition of a token already held shared (forces an \
-                 upgrade restart on every execution)"
+                 upgrade, which restarts whenever another reader shares the lock)"
                     .to_owned(),
             );
             self.held[pos].1 = mode;

@@ -29,7 +29,7 @@
 //!   unlink + re-insert plan is produced. A mode-promotion pass upgrades
 //!   any lock step sharing a physical lock host with an exclusive one, so
 //!   a plan never requests one lock shared first and exclusive later
-//!   (which would restart on the upgrade every time).
+//!   (an upgrade, which restarts whenever another reader shares the lock).
 //! * The §5.2 static **sort-elision analysis**: a lock set produced by
 //!   traversing sorted containers is already in lock order, so the runtime
 //!   sort can be skipped (`presorted`).
@@ -193,7 +193,8 @@ pub struct InPlaceUpdate {
     /// its edge — in the container's read mode for pure traversal,
     /// exclusive for touched edges, and promoted to exclusive wherever a
     /// physical lock is also requested exclusively (so no execution is
-    /// forced into an upgrade restart). A §4.5 hop is a lock of the
+    /// forced into an upgrade, which restarts whenever another reader
+    /// shares the lock). A §4.5 hop is a lock of the
     /// fallback stripe plus the speculative lookup. A touched edge whose
     /// old values are not yet bound is scanned, and takes every stripe
     /// where striping splits the instance its rewrite moves entries in.
@@ -804,8 +805,9 @@ impl Planner {
     }
 
     /// One physical lock requested shared by one step and exclusive by a
-    /// later one would force an upgrade restart on *every* execution;
-    /// promote shared lock steps whose lock sites collide with an exclusive
+    /// later one would force an upgrade on *every* execution, which
+    /// restarts whenever another reader shares the lock; promote shared
+    /// lock steps whose lock sites collide with an exclusive
     /// step's sites, to a fixpoint.
     fn promote_colliding_modes(&self, steps: &mut [PlanStep]) {
         let exclusive = |step: &PlanStep| {

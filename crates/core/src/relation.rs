@@ -556,7 +556,8 @@ impl ConcurrentRelation {
     /// scope, released only when the closure returns (§4.2's
     /// serializability argument applies to the whole sequence). When the
     /// lock engine demands a restart — out-of-order contention, a
-    /// shared→exclusive upgrade, a failed speculation — the closure's
+    /// shared→exclusive upgrade while another reader shares the lock, a
+    /// failed speculation — the closure's
     /// effects are rolled back and the **whole closure re-runs** after
     /// randomized backoff, which is what makes read-modify-write
     /// sequences atomic.
@@ -1922,14 +1923,15 @@ mod tests {
     }
 
     #[test]
-    fn transaction_read_then_write_upgrades_and_retries() {
+    fn transaction_read_then_write_upgrades_in_place() {
         // A query inside a transaction takes shared locks; the following
-        // insert upgrades them. The upgrade restarts the closure once and
-        // the retry must succeed (hints promote the modes).
+        // insert upgrades them. With no other reader the upgrade is
+        // granted in place: the closure runs once and nothing restarts.
         let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
         let p = LockPlacement::coarse(&d).unwrap();
         let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
         let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
+        let restarts = rel.lock_stats().restarts;
         let runs = std::cell::Cell::new(0u32);
         let inserted = rel
             .transaction(|tx| {
@@ -1940,8 +1942,97 @@ mod tests {
             })
             .unwrap();
         assert!(inserted);
-        assert!(runs.get() >= 1);
+        assert_eq!(runs.get(), 1);
+        assert_eq!(rel.lock_stats().restarts - restarts, 0);
         assert_eq!(rel.len(), 1);
+        rel.verify().unwrap();
+    }
+
+    #[test]
+    fn two_readers_upgrading_one_key_restart_exactly_one() {
+        // Two transfers query the same accounts and meet at a barrier
+        // while both hold them shared, then update them. The first upgrade
+        // cannot be granted in place beside the other reader: that
+        // transaction restarts. Once it has rolled back, the second is the
+        // sole reader and upgrades in place; the first re-runs after it.
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicBool, AtomicU32};
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
+        let p = LockPlacement::coarse(&d).unwrap();
+        let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
+        let (a, b) = (edge(&d, 1, 1), edge(&d, 1, 2));
+        rel.insert(&a, &weight(&d, 100)).unwrap();
+        rel.insert(&b, &weight(&d, 0)).unwrap();
+        let restarts = rel.lock_stats().restarts;
+        let wcol = d.schema().column_set(&["weight"]).unwrap();
+        let w = d.schema().column("weight").unwrap();
+        let balance = move |rows: Vec<Tuple>| rows[0].get(w).and_then(Value::as_int).unwrap();
+
+        let (done, finished) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let first_runs = AtomicU32::new(0);
+            let second_committed = AtomicBool::new(false);
+            let barrier = Barrier::new(2);
+            let spin_until = |cond: &dyn Fn() -> bool| {
+                while !cond() {
+                    std::thread::yield_now();
+                }
+            };
+            // Reads both balances, meets the other transfer at the barrier
+            // on its first run, then moves 10 from `a` to `b`.
+            let transfer = |tx: &mut Transaction<'_>, run: u32, before_update: &dyn Fn()| {
+                let x = balance(tx.query(&a, wcol)?);
+                let y = balance(tx.query(&b, wcol)?);
+                if run == 1 {
+                    barrier.wait();
+                }
+                before_update();
+                tx.update(&a, &weight(&d, x - 10))?;
+                tx.update(&b, &weight(&d, y + 10))?;
+                Ok(())
+            };
+            let second_runs = std::thread::scope(|s| {
+                s.spawn(|| {
+                    rel.transaction(|tx| {
+                        let run = first_runs.fetch_add(1, Ordering::AcqRel) + 1;
+                        if run > 1 {
+                            // An exclusive request now would turn the
+                            // second's upgrade away (writer preference).
+                            spin_until(&|| second_committed.load(Ordering::Acquire));
+                        }
+                        transfer(tx, run, &|| ())
+                    })
+                    .unwrap()
+                });
+                let runs = Cell::new(0u32);
+                rel.transaction(|tx| {
+                    runs.set(runs.get() + 1);
+                    transfer(tx, runs.get(), &|| {
+                        spin_until(&|| first_runs.load(Ordering::Acquire) > 1)
+                    })
+                })
+                .unwrap();
+                second_committed.store(true, Ordering::Release);
+                runs.get()
+            });
+            let _ = done.send((first_runs.into_inner(), second_runs, rel, a, b));
+        });
+        let outcome = finished.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(outcome, Err(RecvTimeoutError::Timeout)),
+            "the two transfers hung"
+        );
+        watched.join().unwrap();
+        let (first_runs, second_runs, rel, a, b) = outcome.unwrap();
+        assert_eq!((first_runs, second_runs), (2, 1));
+        assert_eq!(rel.lock_stats().restarts - restarts, 1);
+        let x = balance(rel.query(&a, wcol).unwrap());
+        let y = balance(rel.query(&b, wcol).unwrap());
+        assert_eq!((x, y), (80, 20), "both transfers applied once");
         rel.verify().unwrap();
     }
 

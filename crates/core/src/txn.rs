@@ -15,10 +15,11 @@
 //! release — through the one commit protocol in `commit.rs`, which a
 //! sharded transaction runs over several of these at once. When any
 //! operation inside the closure demands a restart (out-of-order lock
-//! contention, a shared→exclusive upgrade, a failed speculation), the
-//! *whole closure* re-runs from scratch against a clean lock state — that
-//! is what makes read-modify-write sequences atomic: the values read
-//! before the restart are discarded along with the locks.
+//! contention, a shared→exclusive upgrade while another reader shares the
+//! lock, a failed speculation), the *whole closure* re-runs from scratch
+//! against a clean lock state — that is what makes read-modify-write
+//! sequences atomic: the values read before the restart are discarded
+//! along with the locks.
 //!
 //! # Rollback
 //!
@@ -547,8 +548,9 @@ impl<'t> Transaction<'t> {
     /// Inside a transaction a query's shared locks *persist to commit*
     /// (two-phase discipline) — the observed values stay stable for the
     /// rest of the transaction. A later write to the same edges upgrades
-    /// shared→exclusive, which restarts the closure once and re-runs it
-    /// with exclusive locks acquired up front (the engine's mode hints).
+    /// shared→exclusive: in place when this transaction is the lock's only
+    /// reader; otherwise the closure restarts once and re-runs with
+    /// exclusive locks acquired up front (the engine's mode hints).
     ///
     /// # Errors
     ///

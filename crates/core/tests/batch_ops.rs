@@ -4,6 +4,7 @@
 //! keys inside one batch, whole-batch aborts on poisoned rows, forced
 //! mid-batch restarts, and contention against single-op writers.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -12,6 +13,8 @@ use relc::placement::LockPlacement;
 use relc::{ConcurrentRelation, CoreError, Decomposition};
 use relc_containers::ContainerKind;
 use relc_spec::{OracleRelation, SpecError, Tuple, Value};
+
+mod support;
 
 fn variants() -> Vec<(String, Arc<ConcurrentRelation>)> {
     let mut out: Vec<(String, Arc<ConcurrentRelation>)> = Vec::new();
@@ -257,22 +260,32 @@ fn aborted_transaction_rolls_back_whole_batch() {
     }
 }
 
-/// A shared→exclusive upgrade *after* a query forces the whole closure —
-/// including an already-applied batch — to roll back and re-run; the
-/// committed state is the second run's.
+/// A shared→exclusive upgrade *after* a query, contended by a second
+/// reader of the same lock, forces the whole closure — including an
+/// already-applied batch — to roll back and re-run; the committed state is
+/// the second run's.
 #[test]
 fn forced_mid_transaction_restart_replays_batch() {
     let d = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
     let p = LockPlacement::coarse(&d).unwrap();
     let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
     let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
-    let runs = std::cell::Cell::new(0u32);
-    let results = rel
-        .transaction(|tx| {
-            runs.set(runs.get() + 1);
+    let src1 = d.schema().tuple(&[("src", Value::from(1))]).unwrap();
+    let runs = AtomicU32::new(0);
+    let hold = |wait: &dyn Fn()| {
+        rel.transaction(|tx| {
+            tx.query(&src1, dw)?;
+            wait();
+            Ok(())
+        })
+        .unwrap()
+    };
+    let results = support::with_second_reader(&runs, hold, || {
+        rel.transaction(|tx| {
+            let run = runs.fetch_add(1, Ordering::AcqRel) + 1;
             // Shared locks first...
-            let succ = tx.query(&d.schema().tuple(&[("src", Value::from(1))]).unwrap(), dw)?;
-            assert!(succ.is_empty() || runs.get() > 1);
+            let succ = tx.query(&src1, dw)?;
+            assert!(succ.is_empty() || run > 1);
             // ...then a batch needing exclusive access: first run restarts.
             tx.insert_all(&[
                 (
@@ -289,9 +302,14 @@ fn forced_mid_transaction_restart_replays_batch() {
                 ),
             ])
         })
-        .unwrap();
+        .unwrap()
+    });
     assert_eq!(results, vec![true, true]);
-    assert_eq!(runs.get(), 2, "the upgrade must force exactly one re-run");
+    assert_eq!(
+        runs.load(Ordering::Acquire),
+        2,
+        "the upgrade must force exactly one re-run"
+    );
     assert_eq!(rel.len(), 2);
     rel.verify().unwrap();
 }

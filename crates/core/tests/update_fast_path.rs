@@ -3,6 +3,7 @@
 //! and forced mid-transaction restarts, lincheck under contention, and the
 //! short-circuiting `contains`.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, RwLock};
 
 use proptest::prelude::*;
@@ -13,6 +14,8 @@ use relc::planner::UpdatePlan;
 use relc::{ConcurrentRelation, CoreError, Decomposition};
 use relc_containers::ContainerKind;
 use relc_spec::{OracleRelation, RelationSchema, Tuple, Value};
+
+mod support;
 
 /// The commit clock is process-global. The rollback tests assert how far
 /// it moved, so they take this exclusively; every other test that commits
@@ -267,23 +270,36 @@ fn fast_path_rollback_after_forced_mid_transaction_restart() {
         let p = LockPlacement::fine(&d).unwrap();
         let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
         rel.insert(&edge(&d, 1, 1), &weight(&d, 10)).unwrap();
-        let runs = std::cell::Cell::new(0u32);
+        let runs = AtomicU32::new(0);
         let clock = relc_locks::commit_clock().now();
-        rel.transaction(|tx| {
-            runs.set(runs.get() + 1);
-            // Fast-path update: shared locks on the root chains, exclusive
-            // only on the touched hosts.
-            let old = tx.update(&edge(&d, 1, 1), &weight(&d, 77))?;
-            assert!(old.is_some());
-            // The insert's root sweep needs those root locks exclusively:
-            // upgrade → restart on the first run, after the update already
-            // wrote. The rollback must take it back before the retry.
-            tx.insert(&edge(&d, 2, 2), &weight(&d, 20))?;
-            Ok(())
-        })
-        .unwrap();
+        // A second reader shares the root locks, so the upgrade below
+        // cannot be granted in place.
+        let hold = |wait: &dyn Fn()| {
+            rel.transaction(|tx| {
+                tx.query(&edge(&d, 2, 2), d.schema().column_set(&["weight"]).unwrap())?;
+                wait();
+                Ok(())
+            })
+            .unwrap()
+        };
+        support::with_second_reader(&runs, hold, || {
+            rel.transaction(|tx| {
+                runs.fetch_add(1, Ordering::AcqRel);
+                // Fast-path update: shared locks on the root chains,
+                // exclusive only on the touched hosts.
+                let old = tx.update(&edge(&d, 1, 1), &weight(&d, 77))?;
+                assert!(old.is_some());
+                // The insert's root sweep needs those root locks
+                // exclusively: upgrade → restart on the first run, after
+                // the update already wrote. The rollback must take it back
+                // before the retry.
+                tx.insert(&edge(&d, 2, 2), &weight(&d, 20))?;
+                Ok(())
+            })
+            .unwrap()
+        });
         assert!(
-            runs.get() >= 2,
+            runs.load(Ordering::Acquire) >= 2,
             "the shared→exclusive upgrade must force one restart"
         );
         assert_eq!(

@@ -18,11 +18,10 @@
 //! can end leaves behind, in memory and in the logs), checkpoints racing
 //! writers, and the maintenance fence's statistics.
 
-use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -31,6 +30,8 @@ use relc::placement::LockPlacement;
 use relc::{ConcurrentRelation, CoreError, ShardedRelation, TxnError, WalOptions};
 use relc_containers::ContainerKind;
 use relc_spec::{OracleRelation, SpecError, Tuple, Value};
+
+mod support;
 
 /// The commit clock is process-global; every test here serializes so
 /// clock-resumption assertions are not perturbed by parallel tests.
@@ -795,22 +796,33 @@ macro_rules! check_commit_outcomes {
         );
         check("commit after panic", u64::from(durable), 0, 1);
 
-        // The query's shared lock on `ka`'s shard makes the update of `ka`
-        // (and of `kb`, when it lives there too) demand an upgrade restart,
-        // which the closure wrongly swallows — after `kb`'s update already
-        // applied, when `kb` lives elsewhere. The half-run must not commit:
-        // it rolls back and the closure re-runs, with exclusive hints.
-        let runs = Cell::new(0u32);
-        rel.transaction(|tx| {
-            runs.set(runs.get() + 1);
-            tx.query(&ka, wc)?;
-            let _ = tx.update(&kb, &w(5));
-            let _ = tx.update(&ka, &w(6));
-            Ok(())
-        })
-        .unwrap();
+        // The query's shared lock on `ka`'s shard, shared with a second
+        // reader, makes the update of `ka` (and of `kb`, when it lives
+        // there too) demand an upgrade restart, which the closure wrongly
+        // swallows — after `kb`'s update already applied, when `kb` lives
+        // elsewhere. The half-run must not commit: it rolls back and the
+        // closure re-runs, with exclusive hints.
+        let runs = AtomicU32::new(0);
+        let hold = |wait: &dyn Fn()| {
+            rel.transaction(|tx| {
+                tx.query(&ka, wc)?;
+                wait();
+                Ok(())
+            })
+            .unwrap()
+        };
+        support::with_second_reader(&runs, hold, || {
+            rel.transaction(|tx| {
+                runs.fetch_add(1, Ordering::AcqRel);
+                tx.query(&ka, wc)?;
+                let _ = tx.update(&kb, &w(5));
+                let _ = tx.update(&ka, &w(6));
+                Ok(())
+            })
+            .unwrap()
+        });
         assert_eq!(
-            runs.get(),
+            runs.load(Ordering::Acquire),
             2,
             "{label}: the swallowed restart forces one re-run"
         );

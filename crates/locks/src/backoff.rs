@@ -1,9 +1,9 @@
 //! Randomized exponential backoff for transaction restarts.
 //!
 //! When a transaction must restart (an out-of-order `try_lock` failed, or a
-//! shared→exclusive upgrade was needed), immediately retrying against the
-//! same contended locks livelocks. [`Backoff`] spins briefly, then yields,
-//! then sleeps with deterministic-per-thread jitter.
+//! shared→exclusive upgrade met another reader), immediately retrying
+//! against the same contended locks livelocks. [`Backoff`] spins briefly,
+//! then yields, then sleeps with deterministic-per-thread jitter.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,10 +13,12 @@
 //!   *try*; on failure the transaction must release everything and restart.
 //!   Since no thread ever blocks while violating the order, the wait-for
 //!   graph cannot contain a cycle: **deadlock freedom by construction**.
-//! * **Upgrade hints**: a shared→exclusive upgrade cannot be granted in
-//!   place (two upgraders would deadlock); the engine records the needed
-//!   mode and fails the transaction, so the retry acquires exclusive access
-//!   up front.
+//! * **Upgrades and hints**: a shared→exclusive upgrade is granted in
+//!   place when the transaction is the lock's sole reader and no writer
+//!   waits — a *try*, so it never blocks. Otherwise waiting would risk a
+//!   deadlock (two upgraders wait for each other); the engine records the
+//!   needed mode and fails the transaction, so the retry acquires
+//!   exclusive access up front.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -177,12 +179,14 @@ impl<O: Ord + Clone + fmt::Debug + LockdepClass> TwoPhaseEngine<O> {
     ///
     /// In-order requests (`key` greater than every held key) block;
     /// out-of-order requests only try, and on contention the transaction
-    /// must restart.
+    /// must restart. An exclusive request for a lock held shared upgrades
+    /// it in place when no other reader or waiting writer shares it.
     ///
     /// # Errors
     ///
     /// [`MustRestart`] if the lock could not be acquired without risking
-    /// deadlock; the caller must [`TwoPhaseEngine::rollback`], back off, and
+    /// deadlock — including an upgrade while another reader shares the
+    /// lock; the caller must [`TwoPhaseEngine::rollback`], back off, and
     /// re-run the transaction. Mode hints recorded by failed upgrades are
     /// applied automatically on the retry.
     ///
@@ -211,7 +215,16 @@ impl<O: Ord + Clone + fmt::Debug + LockdepClass> TwoPhaseEngine<O> {
                     if held.mode.covers(mode) {
                         return Ok(());
                     }
-                    // Upgrade required: remember and restart.
+                    // Upgrade required. A sole reader upgrades in place:
+                    // the try never blocks, so it adds no wait-for edge
+                    // wherever the key sits in the held order, and the
+                    // shared hold is kept until the exclusive one is
+                    // taken. Otherwise remember the mode and restart.
+                    // SAFETY: `held` records our one shared hold of `lock`.
+                    if held.shadowed.is_empty() && unsafe { lock.try_upgrade() } {
+                        held.mode = LockMode::Exclusive;
+                        return Ok(());
+                    }
                     self.hints.insert(key, LockMode::Exclusive);
                     self.local.upgrades += 1;
                     self.local.restarts += 1;
@@ -432,13 +445,31 @@ mod tests {
     }
 
     #[test]
+    fn sole_reader_upgrades_in_place() {
+        let a = lock();
+        let mut e = engine();
+        e.acquire(1, &a, LockMode::Shared).unwrap();
+        e.acquire(1, &a, LockMode::Exclusive).unwrap();
+        assert_eq!(e.holds(&1), Some(LockMode::Exclusive));
+        assert!(!a.try_acquire(LockMode::Shared), "really exclusive");
+        e.finish();
+        let snap = e.stats().snapshot();
+        assert_eq!((snap.upgrades, snap.restarts, snap.acquisitions), (0, 0, 1));
+        // Released as exclusive: the lock is free again.
+        assert!(a.try_acquire(LockMode::Exclusive));
+        unsafe { a.release(LockMode::Exclusive) };
+    }
+
+    #[test]
     fn upgrade_restarts_with_hint() {
         let a = lock();
         let mut e = engine();
         e.acquire(1, &a, LockMode::Shared).unwrap();
+        assert!(a.try_acquire(LockMode::Shared)); // another reader shares `a`
         let err = e.acquire(1, &a, LockMode::Exclusive).unwrap_err();
         assert_eq!(err.reason, RestartReason::UpgradeRequired);
         e.rollback();
+        unsafe { a.release(LockMode::Shared) };
         // Retry: the hint upgrades the first acquisition to exclusive.
         e.acquire(1, &a, LockMode::Shared).unwrap();
         assert_eq!(e.holds(&1), Some(LockMode::Exclusive));
@@ -597,8 +628,10 @@ mod tests {
         // Conflict-driven restart: counted in `restarts`, not in
         // `user_rollbacks`.
         e.acquire(1, &a, LockMode::Shared).unwrap();
+        assert!(a.try_acquire(LockMode::Shared)); // another reader shares `a`
         let _ = e.acquire(1, &a, LockMode::Exclusive).unwrap_err();
         e.rollback();
+        unsafe { a.release(LockMode::Shared) };
         // Application abort: counted in `user_rollbacks` only.
         e.acquire(1, &a, LockMode::Shared).unwrap();
         e.rollback_user();

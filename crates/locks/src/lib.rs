@@ -11,7 +11,8 @@
 //! * [`TwoPhaseEngine`] — per-thread transaction lock manager enforcing
 //!   two-phase discipline and the global lock order of §5.1, with
 //!   try-and-restart handling for out-of-order needs (speculation §4.5,
-//!   upgrades) — deadlock freedom by construction;
+//!   upgrades, granted in place for a sole reader) — deadlock freedom by
+//!   construction;
 //! * [`Backoff`] — randomized restart backoff;
 //! * [`LockStats`] — counters consumed by the ablation benchmarks.
 //!

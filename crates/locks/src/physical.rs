@@ -138,6 +138,22 @@ impl PhysicalLock {
         }
     }
 
+    /// Turns the caller's shared hold into an exclusive one without
+    /// releasing it, if that needs no waiting: succeeds only when the
+    /// caller is the sole reader and no writer is flagged
+    /// ([`WRITER_PENDING`]), so writer preference is kept. On failure the
+    /// caller still holds the lock shared.
+    ///
+    /// # Safety
+    ///
+    /// The caller must currently hold this lock shared (once); on success
+    /// it holds it exclusively and must release it as such.
+    pub unsafe fn try_upgrade(&self) -> bool {
+        self.state
+            .compare_exchange(1, EXCLUSIVE, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
     /// Releases the lock previously acquired in `mode`.
     ///
     /// # Safety
@@ -209,6 +225,48 @@ mod tests {
         unsafe { l.release(LockMode::Shared) };
         assert!(l.try_acquire(LockMode::Exclusive));
         unsafe { l.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn sole_reader_upgrades_in_place() {
+        let l = PhysicalLock::new();
+        assert!(l.try_acquire(LockMode::Shared));
+        assert!(unsafe { l.try_upgrade() });
+        assert!(!l.try_acquire(LockMode::Shared), "now exclusive");
+        unsafe { l.release(LockMode::Exclusive) };
+        assert!(l.try_acquire(LockMode::Exclusive), "released as exclusive");
+        unsafe { l.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn upgrade_fails_beside_another_reader() {
+        let l = PhysicalLock::new();
+        assert!(l.try_acquire(LockMode::Shared));
+        assert!(l.try_acquire(LockMode::Shared));
+        assert!(!unsafe { l.try_upgrade() });
+        // Still two readers: the failed upgrade released nothing.
+        unsafe { l.release(LockMode::Shared) };
+        assert!(!l.try_acquire(LockMode::Exclusive));
+        unsafe { l.release(LockMode::Shared) };
+        assert!(l.try_acquire(LockMode::Exclusive));
+        unsafe { l.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn upgrade_yields_to_a_pending_writer() {
+        let l = Arc::new(PhysicalLock::new());
+        assert!(l.try_acquire(LockMode::Shared));
+        let l2 = l.clone();
+        let writer = std::thread::spawn(move || {
+            l2.acquire(LockMode::Exclusive); // raises WRITER_PENDING, waits
+            unsafe { l2.release(LockMode::Exclusive) };
+        });
+        while l.state.load(Ordering::Relaxed) & WRITER_PENDING == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!unsafe { l.try_upgrade() }, "writer preference");
+        unsafe { l.release(LockMode::Shared) };
+        writer.join().unwrap();
     }
 
     #[test]

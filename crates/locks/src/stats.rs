@@ -117,7 +117,9 @@ pub struct LockStatsSnapshot {
     pub contended: u64,
     /// Transaction restarts (out-of-order try-lock failures or upgrades).
     pub restarts: u64,
-    /// Restarts caused specifically by shared→exclusive upgrades.
+    /// Restarts caused specifically by shared→exclusive upgrades. An
+    /// upgrade granted in place (the transaction was the lock's sole
+    /// reader) restarts nothing and is not counted.
     pub upgrades: u64,
     /// Failed speculative lock guesses (§4.5).
     pub speculation_failures: u64,
