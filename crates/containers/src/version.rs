@@ -93,7 +93,7 @@ struct VersionNode<V> {
     prev: Atomic<VersionNode<V>>,
 }
 
-/// An entry's multiversion history. See the [module docs](self).
+/// An entry's multiversion history. See the module docs of `version.rs`.
 pub struct VersionCell<V> {
     head: Atomic<VersionNode<V>>,
 }

@@ -3,16 +3,15 @@
 //! §4.2's serializability argument covers a two-phase transaction over
 //! any number of locks; it does not care whether those locks live in one
 //! decomposition instance or in several. Neither does this module. An
-//! attempt is a set of [`Participant`]s — the one [`ConcurrentRelation`]
-//! of a single-instance transaction, or the shards a
-//! [`ShardedTransaction`](crate::ShardedTransaction) touched, in ascending
-//! shard order — and it ends through [`conclude`]: [`commit`] when the
-//! closure succeeded, [`abort`] otherwise. An attempt that reaches neither
-//! because its closure panicked is rolled back as its [`Transaction`]s
-//! drop, before the engines they borrow can release a lock — the same
-//! journal rollback [`abort`] runs. [`with_write_fence`] is the
-//! maintenance counterpart: the all-stripe fence that `migrate_to` and
-//! `checkpoint` freeze a relation (or every shard of one) behind.
+//! attempt is a set of [`Participant`]s — the parts of the instances a
+//! [`Transaction`] touched, in ascending instance order — and it ends
+//! through [`conclude`]: [`commit`] when the closure succeeded, [`abort`]
+//! otherwise. An attempt that reaches neither because its closure panicked
+//! is rolled back as its parts drop, before the engines they borrow can
+//! release a lock — the same journal rollback [`abort`] runs.
+//! [`with_write_fence`] is the maintenance counterpart: the all-stripe
+//! fence that `migrate_to` and `checkpoint` freeze a relation's instances
+//! behind.
 
 use std::sync::{Arc, MutexGuard};
 
@@ -21,23 +20,23 @@ use relc_locks::{Backoff, TwoPhaseEngine};
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::mvcc::{self, MvccScope};
-use crate::placement::{LockPlacement, LockToken};
+use crate::placement::LockPlacement;
 use crate::relation::{ActiveTxnGuard, ConcurrentRelation, Repr};
-use crate::txn::{Transaction, TxnError};
+use crate::txn::{Part, Transaction, TxnError};
 use crate::wal::{self, Wal};
 
-/// One decomposition instance an attempt touched: its [`Transaction`] —
-/// which already holds the shard, the representation pinned for the
-/// attempt, the lock engine, the len delta, the MVCC scope and the redo
-/// stream — plus the log state [`commit`] carries between its passes.
-/// That state lives here, not in per-commit vectors, so a one-participant
-/// commit allocates nothing but its redo record.
+/// One decomposition instance an attempt touched: its [`Part`] — which
+/// already holds the instance, the representation pinned for the attempt,
+/// the lock engine, the len delta, the MVCC scope and the redo stream —
+/// plus the log state [`commit`] carries between its passes. That state
+/// lives here, not in per-commit vectors, so a one-participant commit
+/// allocates nothing but its redo record.
 pub(crate) struct Participant<'a> {
-    tx: Transaction<'a>,
+    tx: Part<'a>,
     log: Option<PendingRecord<'a>>,
 }
 
-/// A writing participant's redo record on its way into its shard's log.
+/// A writing participant's redo record on its way into its instance's log.
 struct PendingRecord<'a> {
     wal: &'a Wal,
     bytes: Vec<u8>,
@@ -49,12 +48,17 @@ struct PendingRecord<'a> {
 }
 
 impl<'a> Participant<'a> {
-    pub(crate) fn new(tx: Transaction<'a>) -> Self {
+    pub(crate) fn new(tx: Part<'a>) -> Self {
         Participant { tx, log: None }
     }
 
-    /// The placement this participant's scope was journaled under. A
-    /// cross-shard attempt that raced a live migration can hold
+    /// The participant's part, for the operations routed to it.
+    pub(crate) fn part_mut(&mut self) -> &mut Part<'a> {
+        &mut self.tx
+    }
+
+    /// The placement this participant's scope was journaled under. An
+    /// attempt spanning instances that raced a live migration can hold
     /// representations from both sides of the cutover, and journal
     /// entries only resolve against the placement they were written
     /// under — so each participant retires under its own.
@@ -69,28 +73,25 @@ impl<'a> Participant<'a> {
 
     /// Whether this participant's effects may be published: no operation
     /// demanded a restart, and the representation pinned for the attempt
-    /// is still the shard's current one. (The caller's `Arc` keeps the
-    /// pinned representation alive, so the pointer comparison cannot be
-    /// fooled by address reuse.)
+    /// is still the instance's current one. (The transaction loop's `Arc`
+    /// keeps the pinned representation alive, so the pointer comparison
+    /// cannot be fooled by address reuse.)
     fn may_commit(&self) -> bool {
-        !self.tx.needs_restart()
-            && std::ptr::eq(&*self.tx.relation().current_repr(), self.tx.repr())
+        !self.tx.needs_restart() && self.tx.relation().is_current(self.tx.repr())
     }
 }
 
 /// Ends the attempt whose closure returned `result`. `Some` is the
 /// transaction's final answer; `None` means the attempt was rolled back
-/// and the closure must re-run after back-off. See [`commit`] for
-/// `marker_log` and `hold_locks_until_durable`.
+/// and the closure must re-run after back-off.
 pub(crate) fn conclude<R>(
     result: Result<R, TxnError>,
-    parts: &mut [Participant<'_>],
-    marker_log: Option<&Wal>,
-    hold_locks_until_durable: bool,
+    tx: &mut Transaction<'_>,
 ) -> Option<Result<R, CoreError>> {
+    let (instances, parts) = tx.attempt();
     match result {
-        Ok(r) if parts.iter().all(Participant::may_commit) => {
-            Some(commit(parts, marker_log, hold_locks_until_durable).map(|()| r))
+        Ok(r) if parts.iter().flatten().all(Participant::may_commit) => {
+            Some(commit(instances, parts).map(|()| r))
         }
         // `Ok` with a swallowed `MustRestart` must not commit — the failed
         // operation may be half-applied (an update whose unlink landed but
@@ -113,9 +114,10 @@ pub(crate) fn conclude<R>(
     }
 }
 
-/// Publishes a successful attempt and releases its locks. Every step
-/// happens while **all** locks of **all** participants are still held,
-/// in this order:
+/// Publishes a successful attempt and releases its locks. `parts` holds
+/// one slot per instance of the relation, `Some` where the attempt
+/// touched it. Every step happens while **all** locks of **all**
+/// participants are still held, in this order:
 ///
 /// 1. **Len deltas.** A counter moved after release would let an
 ///    observer acquire the freed locks, read the new contents, and still
@@ -123,7 +125,7 @@ pub(crate) fn conclude<R>(
 /// 2. **Redo records**, for participants that wrote and have a log —
 ///    encoded outside the order lock.
 /// 3. **Log-order locks** of every writing participant, in ascending
-///    shard order (the one global order, so committers cannot deadlock
+///    instance order (the one global order, so committers cannot deadlock
 ///    on them). Each spans the timestamp allocation and that log's
 ///    append, so every log's record sequence is in timestamp order and
 ///    every flushed prefix is a committed prefix.
@@ -134,49 +136,39 @@ pub(crate) fn conclude<R>(
 ///    participant wrote, each record is flagged cross-shard and recovery
 ///    applies it only if the timestamp's marker is durable.
 /// 6. **Version retirement** ([`mvcc::finish_attempt`] runs 4–6).
-/// 7. **Durability wait and release.** Per-log durability is
-///    prefix-closed, and conflicting transactions append in timestamp
+/// 7. **Durability wait and release.** The rule: a relation with more
+///    than one log holds its locks until the attempt's records are
+///    durable; a relation with one log releases first. Per-log durability
+///    is prefix-closed, and conflicting transactions append in timestamp
 ///    order under the 2PL locks — so with *one* log a durable dependent
 ///    implies a durable antecedent, and the fsync wait can sit after the
-///    release, off the lock path (`hold_locks_until_durable = false`).
-///    A sharded relation has one log per shard, and prefix closure says
-///    nothing across logs: released early, these effects could be read
-///    by a later transaction that becomes durable in a *different*
-///    shard's log and survives a crash that loses this record — recovery
-///    would replay the dependent without its antecedent. So a sharded
-///    relation's `transaction` waits *before* releasing (`true`), even
-///    when the attempt wrote one shard: any observer of these effects
-///    commits strictly after they can no longer vanish. Routed
-///    single-shot writes (`ShardedRelation::{insert, update,
-///    remove_returning, insert_all, remove_all}` on the routed fast path)
-///    do not: they run through the shard's own `run_transaction`, which
-///    passes `false`, so they release before their `fsync` and can lose
-///    an antecedent in the way just described. That gap is open (ROADMAP,
-///    the `durable_sharded` item, (b)). The cross-shard marker goes to
-///    `marker_log` (shard 0's) last, strictly after every data record is
-///    durable: a durable marker implies durable data records on every
-///    shard (atomic commit), an absent one aborts them all (atomic
-///    abort).
+///    release, off the lock path. Prefix closure says nothing across
+///    logs: released early, these effects could be read by a later
+///    transaction that becomes durable in a *different* instance's log
+///    and survives a crash that loses this record — recovery would replay
+///    the dependent without its antecedent. So with several logs every
+///    writing attempt waits *before* releasing, even one that wrote a
+///    single instance: any observer of its effects commits strictly after
+///    they can no longer vanish. The cross-shard marker goes to instance
+///    0's log last, strictly after every data record is durable: a
+///    durable marker implies durable data records on every instance
+///    (atomic commit), an absent one aborts them all (atomic abort).
 ///
-/// Both arguments are facts about what the caller *is* — a relation with
-/// one log or with one per shard — not settings.
+/// Both the rule and the marker log are facts about the relation — how
+/// many logs it has — read here, not settings passed in.
 ///
 /// # Errors
 ///
 /// [`CoreError::Durability`] from the wait. That is *not* an abort: the
-/// attempt is already published in memory and its locks are released,
-/// only its durability is unknown.
-pub(crate) fn commit(
-    parts: &mut [Participant<'_>],
-    marker_log: Option<&Wal>,
-    hold_locks_until_durable: bool,
+/// attempt is already published in memory, only its durability is
+/// unknown.
+fn commit(
+    instances: &[ConcurrentRelation],
+    parts: &mut [Option<Participant<'_>>],
 ) -> Result<(), CoreError> {
-    // Shards of one relation share one snapshot registry.
-    let Some(first) = parts.first() else {
-        return Ok(());
-    };
-    let registry = first.tx.relation().snapshots();
-    for p in parts.iter_mut() {
+    let marker_log = instances[0].wal();
+    let hold_locks_until_durable = instances.iter().filter_map(|s| s.wal()).nth(1).is_some();
+    for p in parts.iter_mut().flatten() {
         let shard = p.tx.relation();
         shard.apply_len_delta(p.tx.len_delta());
         let redo = p.tx.redo();
@@ -189,27 +181,28 @@ pub(crate) fn commit(
             });
         }
     }
-    let cross = parts.iter().filter(|p| p.log.is_some()).count() > 1;
-    for log in parts.iter_mut().filter_map(|p| p.log.as_mut()) {
+    let cross = parts.iter().flatten().filter(|p| p.log.is_some()).count() > 1;
+    for log in parts.iter_mut().flatten().filter_map(|p| p.log.as_mut()) {
         log.order = Some(log.wal.lock_order());
     }
     let mut commit_ts = 0;
-    mvcc::finish_attempt(registry, parts, |parts, ts| {
-        for log in parts.iter_mut().filter_map(|p| p.log.as_mut()) {
+    // Instances of one relation share one snapshot registry.
+    mvcc::finish_attempt(instances[0].snapshots(), parts, |parts, ts| {
+        for log in parts.iter_mut().flatten().filter_map(|p| p.log.as_mut()) {
             log.seq = Some(log.wal.append_commit(ts, cross, &log.bytes));
             log.wal.raise_applied_through(ts);
             log.order = None;
         }
         commit_ts = ts;
     });
-    let wait = |parts: &[Participant<'_>]| -> Result<(), CoreError> {
-        for log in parts.iter().filter_map(|p| p.log.as_ref()) {
+    let wait = |parts: &[Option<Participant<'_>>]| -> Result<(), CoreError> {
+        for log in parts.iter().flatten().filter_map(|p| p.log.as_ref()) {
             if let Some(seq) = log.seq {
                 log.wal.wait_durable(seq)?;
             }
         }
         if cross {
-            let markers = marker_log.expect("a relation with several logs names its marker log");
+            let markers = marker_log.expect("a relation with several logs has a marker log");
             markers.wait_durable(markers.append_marker(commit_ts))?;
         }
         Ok(())
@@ -218,7 +211,7 @@ pub(crate) fn commit(
     if hold_locks_until_durable {
         durability = wait(parts);
     }
-    for p in parts.iter_mut() {
+    for p in parts.iter_mut().flatten() {
         p.tx.engine().finish();
     }
     if !hold_locks_until_durable {
@@ -229,39 +222,21 @@ pub(crate) fn commit(
 
 /// Rolls a failed attempt back and releases its locks: every participant's
 /// write journal is taken back ([`MvccScope::roll_back`]) before a single
-/// lock is released, so no observer can see one shard's effects without
+/// lock is released, so no observer can see one instance's effects without
 /// another's. Nothing is published — no commit timestamp, no log record,
 /// no version: the attempt's stamp stays tentative and its versions are
 /// gone from every chain, which is exactly the pre-attempt state.
-pub(crate) fn abort(parts: &mut [Participant<'_>], user_abort: bool) {
-    for p in parts.iter_mut() {
+fn abort(parts: &mut [Option<Participant<'_>>], user_abort: bool) {
+    for p in parts.iter_mut().flatten() {
         p.tx.roll_back();
     }
-    for p in parts.iter_mut() {
+    for p in parts.iter_mut().flatten() {
         if user_abort {
             p.tx.engine().rollback_user();
         } else {
             p.tx.engine().rollback();
         }
     }
-}
-
-/// Re-entrancy guards for every shard: a single-shot operation on the
-/// relation (or directly on a shard) from inside a closure or a fence
-/// would open a second engine against locks this thread already holds.
-pub(crate) fn enter_all(shards: &[ConcurrentRelation]) -> Vec<ActiveTxnGuard> {
-    shards
-        .iter()
-        .map(|s| ActiveTxnGuard::enter(s.relation_id()))
-        .collect()
-}
-
-/// One idle lock engine per shard, each reporting to its shard's stats.
-pub(crate) fn engines_for(shards: &[ConcurrentRelation]) -> Vec<TwoPhaseEngine<LockToken>> {
-    shards
-        .iter()
-        .map(|s| TwoPhaseEngine::new(Arc::clone(s.stats_arc())))
-        .collect()
 }
 
 /// Runs `frozen` with every writer of `shards` drained: takes each
@@ -289,8 +264,11 @@ pub(crate) fn with_write_fence<T>(
     shards: &[ConcurrentRelation],
     frozen: impl FnOnce(&[Arc<Repr>]) -> Result<T, CoreError>,
 ) -> Result<T, CoreError> {
-    let _guards = enter_all(shards);
-    let mut engines = engines_for(shards);
+    let _guard = ActiveTxnGuard::enter(shards);
+    let mut engines: Vec<_> = shards
+        .iter()
+        .map(|s| TwoPhaseEngine::new(Arc::clone(s.stats_arc())))
+        .collect();
     let mut backoff = Backoff::new();
     let reprs = loop {
         let reprs: Vec<Arc<Repr>> = shards.iter().map(|s| s.current_repr()).collect();
@@ -323,22 +301,18 @@ pub(crate) fn with_write_fence<T>(
 /// whose markers are gone, silently aborting committed transactions.
 /// Committers still parked on a group fsync are released by the
 /// truncation: the cut covers their published-before-unlock effects, so
-/// the checkpoint itself is their durability. Returns the rows written.
+/// the checkpoint itself is their durability. `wals` are the shards' logs,
+/// in shard order. Returns the rows written.
 ///
 /// # Errors
 ///
-/// [`CoreError::Durability`] if a shard has no write-ahead log, or on any
-/// I/O error; the in-memory state is unaffected either way.
-pub(crate) fn checkpoint(shards: &[ConcurrentRelation]) -> Result<usize, CoreError> {
-    let wals: Vec<&Wal> = shards
-        .iter()
-        .map(|s| s.wal())
-        .collect::<Option<_>>()
-        .ok_or_else(|| CoreError::Durability("relation has no write-ahead log".into()))?;
+/// [`CoreError::Durability`] on any I/O error; the in-memory state is
+/// unaffected either way.
+pub(crate) fn checkpoint(shards: &[ConcurrentRelation], wals: &[&Wal]) -> Result<usize, CoreError> {
     with_write_fence(shards, |reprs| {
         let cut_ts = relc_locks::commit_clock().now();
         let mut total = 0;
-        for ((shard, repr), wal) in shards.iter().zip(reprs).zip(&wals) {
+        for ((shard, repr), wal) in shards.iter().zip(reprs).zip(wals) {
             let rows = shard.frozen_rows(repr)?;
             wal.write_snapshot(cut_ts, &rows)?;
             total += rows.len();

@@ -263,10 +263,15 @@ impl<'a> Executor<'a> {
         self.engine
     }
 
-    /// Pre-seeds the attempt's commit stamp (cross-shard transactions
-    /// share one stamp across every shard's executor).
+    /// Pre-seeds the attempt's commit stamp (a transaction spanning
+    /// instances shares one stamp across every instance's executor).
     pub(crate) fn set_mvcc_stamp(&mut self, stamp: Arc<relc_locks::CommitStamp>) {
         self.mvcc.set_stamp(stamp);
+    }
+
+    /// The attempt's commit stamp, created on first use.
+    pub(crate) fn mvcc_stamp(&mut self) -> Arc<relc_locks::CommitStamp> {
+        self.mvcc.stamp()
     }
 
     /// Mirrors a locked container write into `host`'s shadow version
@@ -362,7 +367,7 @@ impl<'a> Executor<'a> {
     /// leaves nothing of *this* insert behind; what an attempt wrote before
     /// it is taken back from the write journal, under the locks the attempt
     /// still holds, with no help from the operation that wrote it (see
-    /// [`crate::mvcc`], *Rollback*). One isolation rule remains with the
+    /// `mvcc.rs`, *Rollback*). One isolation rule remains with the
     /// caller: `hold_published_targets` says this is not the attempt's
     /// last write — more operations (or more rows of a batch) follow, any
     /// of which can still restart and roll this insert back. Such an

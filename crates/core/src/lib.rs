@@ -54,8 +54,11 @@ pub use decomp::{Decomposition, DecompositionBuilder, EdgeId, NodeId};
 pub use error::CoreError;
 pub use placement::{LockPlacement, LockToken, PlacementBuilder};
 pub use planner::{Plan, Planner};
-pub use relation::{ConcurrentRelation, OpCountersSnapshot, SnapshotReader, StatsSnapshot};
+pub use relation::{
+    ConcurrentRelation, Instance, Layout, OpCountersSnapshot, Relation, SnapshotReader,
+    StatsSnapshot,
+};
 pub use relc_containers::{ReclamationStats, VersionStats};
-pub use shard::{ShardedRelation, ShardedSnapshotReader, ShardedTransaction};
+pub use shard::{ShardedRelation, Shards};
 pub use txn::{Transaction, TxnError};
 pub use wal::{RecoveryReport, WalOptions};

@@ -237,12 +237,13 @@ impl MvccScope {
 /// under its own placement.
 pub(crate) fn finish_attempt(
     registry: &relc_locks::SnapshotRegistry,
-    parts: &mut [Participant<'_>],
-    publish: impl FnOnce(&mut [Participant<'_>], u64),
+    parts: &mut [Option<Participant<'_>>],
+    publish: impl FnOnce(&mut [Option<Participant<'_>>], u64),
 ) {
     let clock = relc_locks::commit_clock();
     let Some(ts) = parts
         .iter()
+        .flatten()
         .map(Participant::scope)
         .find(|s| !s.journal.is_empty())
         .and_then(MvccScope::stamp_opt)
@@ -253,7 +254,7 @@ pub(crate) fn finish_attempt(
     publish(parts, ts);
     let min_active = registry.min_active(clock);
     let guard = relc_containers::epoch::pin();
-    for p in parts.iter() {
+    for p in parts.iter().flatten() {
         p.scope().retire(p.placement(), min_active, &guard);
     }
 }

@@ -301,7 +301,7 @@ impl Planner {
     /// binding the range column among other columns fall back to an
     /// ordinary [`PlanStep::Scan`] (the executor filters the fan-out). Both
     /// shapes are costed and the cheapest chain wins, with
-    /// [`RANGE_SELECTIVITY`] discounting bounded walks.
+    /// `RANGE_SELECTIVITY` discounting bounded walks.
     ///
     /// # Errors
     ///

@@ -1,38 +1,59 @@
 //! The synthesized concurrent relation: the public API of the system (§2).
 //!
-//! A [`ConcurrentRelation`] is the object the compiler produces for one
-//! (decomposition, lock placement) pair: it owns the root of the
-//! decomposition instance, compiles and caches one plan per operation
-//! *shape* (the bound/output column sets), and runs each operation as a
-//! two-phase, well-locked, deadlock-free transaction with automatic restart
-//! and backoff. Operations are linearizable by construction (§4.2). How an
+//! A [`Relation`] is the object the compiler produces for one
+//! (decomposition, lock placement) pair. Its [`Layout`] says how its tuples
+//! are laid out: in one decomposition instance ([`ConcurrentRelation`]) or
+//! hash-partitioned over several ([`ShardedRelation`](crate::ShardedRelation),
+//! see [`crate::shard`]). Each instance owns the root of its instance tree
+//! and caches one compiled plan per operation *shape* (the bound/output
+//! column sets). Every operation is written once, for either layout: it
+//! routes to the instances it touches and runs as one two-phase,
+//! well-locked, deadlock-free transaction with automatic restart and
+//! backoff, so operations are linearizable by construction (§4.2). How an
 //! attempt *ends* — the publish-before-unlock commit sequence, the
 //! roll-back, and the write fence `migrate_to` and `checkpoint` freeze the
-//! relation behind — is written once, in `commit.rs`, for this flavour and
-//! the sharded one alike.
+//! relation behind — is written once too, in `commit.rs`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use relc_locks::{Backoff, LockStats, LockStatsSnapshot, TwoPhaseEngine};
+use relc_locks::{Backoff, LockStats, LockStatsSnapshot, SnapshotRegistry};
 #[cfg(doc)]
 use relc_spec::SpecError;
 use relc_spec::{ColumnSet, RangePattern, RelationSchema, Tuple};
 
-use crate::commit::{self, Participant};
+use crate::commit;
 use crate::decomp::Decomposition;
 use crate::error::CoreError;
 use crate::instance::{self, NodeInstance, NodeRef};
 use crate::mvcc;
-use crate::placement::{LockPlacement, LockToken};
+use crate::placement::LockPlacement;
 use crate::planner::{InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
 use crate::query::{eval_all, eval_any, QueryState};
+use crate::shard::Router;
 use crate::txn::{Transaction, TxnError};
+use crate::wal::{RecoveryReport, Wal, WalOptions, WalRecord};
 
 /// A concurrent relation synthesized from a decomposition and a lock
-/// placement.
+/// placement, laid out over one decomposition instance or several (see
+/// [`Layout`]). Every operation below is the same code for either layout;
+/// [`ConcurrentRelation`] has an example.
+pub struct Relation<L: Layout> {
+    layout: L,
+    /// Top-level operation counters (see [`OpCountersSnapshot`]).
+    ops: OpCounters,
+    /// Seqlock-style generation for the migration cutover: odd exactly
+    /// while [`Self::migrate_to`] swaps the instances' representations.
+    /// Snapshot readers spin past odd values and re-validate after
+    /// registering, so none captures a half-migrated mix of trees.
+    migration_epoch: AtomicU64,
+    /// Completed [`Self::migrate_to`] cutovers.
+    migrations: AtomicU64,
+}
+
+/// A relation held in one decomposition instance.
 ///
 /// # Examples
 ///
@@ -52,13 +73,33 @@ use crate::txn::{Transaction, TxnError};
 /// assert_eq!(graph.remove(&s)?, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct ConcurrentRelation {
+pub type ConcurrentRelation = Relation<Instance>;
+
+pub(crate) mod sealed {
+    /// Closes [`Layout`](super::Layout) to the crate's two layouts.
+    pub trait Sealed {}
+}
+
+/// How a [`Relation`]'s tuples are laid out over decomposition instances:
+/// all in one ([`Instance`]) or hash-partitioned over several
+/// ([`Shards`](crate::shard::Shards)). Sealed: those are the only two.
+pub trait Layout: sealed::Sealed + Sized {
+    /// The relation's instances and the router between them.
+    #[doc(hidden)]
+    fn router(rel: &Relation<Self>) -> Router<'_>;
+}
+
+/// The [`Layout`] of a relation held in one decomposition instance: its
+/// representation, lock statistics, tuple count, snapshot registry and
+/// write-ahead log. A sharded relation's shards are relations of this
+/// layout.
+pub struct Instance {
     /// The schema is fixed for the relation's lifetime — migrations swap
     /// the representation, never the logical relation — so it is cached
     /// here and handed out by reference while `repr` changes underneath.
     schema: Arc<RelationSchema>,
-    /// The current physical representation. Swapped atomically by
-    /// [`Self::migrate_to`] under the migration write fence; every
+    /// The current physical representation. Swapped by
+    /// [`Relation::migrate_to`] under the migration write fence; every
     /// transaction attempt and snapshot reader pins one `Arc<Repr>` for
     /// its whole scope, so in-flight work keeps the representation it
     /// started on alive until it finishes.
@@ -68,25 +109,67 @@ pub struct ConcurrentRelation {
     always_sort_locks: AtomicBool,
     /// Unique id for the re-entrancy guard (stable across migrations).
     id: u64,
-    /// Per-relation snapshot-reader registry: a long-lived reader of
-    /// *this* relation pins only this relation's version retirement, not
-    /// every relation in the process. Shards of one sharded relation
-    /// share a single registry so a cross-shard reader is one floor.
-    /// Shared by every representation the relation migrates through.
-    snapshots: Arc<relc_locks::SnapshotRegistry>,
-    /// Top-level operation counters (see [`OpCountersSnapshot`]).
-    ops: OpCounters,
-    /// Number of completed [`Self::migrate_to`] cutovers.
-    migrations: std::sync::atomic::AtomicU64,
-    /// The write-ahead log, attached by [`Self::open_durable`] after
-    /// recovery. `None` (the default) costs one branch on the commit
-    /// path and nothing else — WAL off is zero-overhead.
-    wal: Option<Arc<crate::wal::Wal>>,
+    /// Snapshot-reader registry: a long-lived reader of this relation
+    /// pins only this relation's version retirement, not every relation
+    /// in the process. The shards of one relation share one registry, so
+    /// a reader spanning them is one floor.
+    snapshots: Arc<SnapshotRegistry>,
+    /// The write-ahead log, attached after recovery by `open_durable`.
+    /// Unset (the default) costs one branch on the commit path and
+    /// nothing else — WAL off is zero-overhead.
+    wal: OnceLock<Wal>,
 }
 
-/// One physical representation of a relation: a `(decomposition, lock
+impl sealed::Sealed for Instance {}
+
+impl Layout for Instance {
+    fn router(rel: &Relation<Self>) -> Router<'_> {
+        Router::new(std::slice::from_ref(rel), ColumnSet::EMPTY)
+    }
+}
+
+/// One value per instance of a relation, held inline when there is one
+/// instance, so per-instance state costs a one-instance relation no
+/// allocation.
+pub(crate) enum PerInstance<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> FromIterator<T> for PerInstance<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let first = iter.next().expect("a relation has at least one instance");
+        match iter.next() {
+            None => PerInstance::One(first),
+            Some(second) => PerInstance::Many([first, second].into_iter().chain(iter).collect()),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for PerInstance<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            PerInstance::One(t) => std::slice::from_ref(t),
+            PerInstance::Many(v) => v,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for PerInstance<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            PerInstance::One(t) => std::slice::from_mut(t),
+            PerInstance::Many(v) => v,
+        }
+    }
+}
+
+/// One physical representation of an instance: a `(decomposition, lock
 /// placement)` pair plus the instance tree that realizes it and the plans
-/// compiled against it. [`ConcurrentRelation`] holds the *current*
+/// compiled against it. An [`Instance`] holds its *current*
 /// representation behind an `RwLock<Arc<Repr>>`; live migration builds a
 /// fresh `Repr` and swaps the pointer, while transactions and snapshot
 /// readers that pinned the old one keep using it (and its plans) until
@@ -105,25 +188,29 @@ pub(crate) struct Repr {
     update_plans: PlanCache<(u64, u64), UpdatePlan>,
 }
 
-/// Top-level operation counters for one relation flavor, surfaced through
+/// Top-level operation counters of one relation, surfaced through
 /// [`StatsSnapshot::ops`]. Counts public API calls (one `insert_all` of
 /// `n` rows is `n` batch rows and one batch), not internal retries —
 /// restart pressure is visible in [`LockStatsSnapshot::restarts`] instead.
+/// Every operation bumps one of these from whichever thread runs it, so
+/// they sit on cache lines of their own, off the lines that operations
+/// only read.
 #[derive(Default)]
+#[repr(align(64))]
 pub(crate) struct OpCounters {
-    pub(crate) inserts: std::sync::atomic::AtomicU64,
-    pub(crate) removes: std::sync::atomic::AtomicU64,
-    pub(crate) updates: std::sync::atomic::AtomicU64,
-    pub(crate) queries: std::sync::atomic::AtomicU64,
-    pub(crate) range_queries: std::sync::atomic::AtomicU64,
-    pub(crate) contains_checks: std::sync::atomic::AtomicU64,
-    pub(crate) batch_rows: std::sync::atomic::AtomicU64,
-    pub(crate) transactions: std::sync::atomic::AtomicU64,
-    pub(crate) read_transactions: std::sync::atomic::AtomicU64,
+    pub(crate) inserts: AtomicU64,
+    pub(crate) removes: AtomicU64,
+    pub(crate) updates: AtomicU64,
+    pub(crate) queries: AtomicU64,
+    pub(crate) range_queries: AtomicU64,
+    pub(crate) contains_checks: AtomicU64,
+    pub(crate) batch_rows: AtomicU64,
+    pub(crate) transactions: AtomicU64,
+    pub(crate) read_transactions: AtomicU64,
 }
 
 impl OpCounters {
-    pub(crate) fn bump(counter: &std::sync::atomic::AtomicU64, n: u64) {
+    pub(crate) fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -182,71 +269,67 @@ impl OpCountersSnapshot {
 
 /// The unified observability surface the autotuner consumes: lock,
 /// version, and reclamation counters plus per-op counts and migration
-/// progress, captured in one call on either relation flavor
-/// ([`ConcurrentRelation::stats_snapshot`],
-/// [`crate::ShardedRelation::stats_snapshot`]). The `locks`, `versions`,
-/// and `reclamation` fields agree with the legacy `lock_stats()` /
-/// `version_stats()` / `reclamation_stats()` accessors — they read the
-/// same counters.
+/// progress, captured in one call ([`Relation::stats_snapshot`]). The
+/// `locks`, `versions`, and `reclamation` fields agree with the
+/// `lock_stats()` / `version_stats()` / `reclamation_stats()` accessors —
+/// they read the same counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Two-phase engine counters (acquisitions, restarts, commits, …).
+    /// Two-phase engine counters (acquisitions, restarts, commits, …),
+    /// summed over the relation's instances.
     pub locks: LockStatsSnapshot,
     /// Process-global MVCC version-chain counters.
     pub versions: relc_containers::VersionStats,
     /// Process-global epoch-reclamation counters.
     pub reclamation: relc_containers::ReclamationStats,
-    /// Top-level operation counters of this relation flavor.
+    /// Top-level operation counters of this relation.
     pub ops: OpCountersSnapshot,
-    /// Current tuple count (same caveat as [`ConcurrentRelation::len`]).
+    /// Current tuple count (same caveat as [`Relation::len`]).
     pub len: usize,
     /// Completed live migrations on this relation.
     pub migrations: u64,
 }
 
-/// Monotonic relation ids for the re-entrancy guard ([`ActiveTxnGuard`]).
-static NEXT_RELATION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Monotonic instance ids for the re-entrancy guard ([`ActiveTxnGuard`]).
+static NEXT_RELATION_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Relations with an open transaction on this thread (see
+    /// Instances with an open transaction on this thread (see
     /// [`ActiveTxnGuard`]). At most a handful deep in practice.
     static ACTIVE_TXNS: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// RAII marker for "this thread is inside a transaction on relation
-/// `id`"; entering twice for the same relation is a certain
-/// self-deadlock, so it panics with a diagnosis instead of hanging.
+/// RAII marker for "this thread is inside a transaction on these
+/// instances"; entering one twice is a certain self-deadlock, so it
+/// panics with a diagnosis instead of hanging. Guards are scoped, so they
+/// drop in the reverse order they entered: each pops what it pushed.
 pub(crate) struct ActiveTxnGuard {
-    id: u64,
+    depth: usize,
 }
 
 impl ActiveTxnGuard {
-    pub(crate) fn enter(id: u64) -> Self {
+    pub(crate) fn enter(instances: &[ConcurrentRelation]) -> Self {
         ACTIVE_TXNS.with(|t| {
             let mut t = t.borrow_mut();
-            assert!(
-                !t.contains(&id),
-                "re-entrant operation on a relation already inside a \
-                 transaction on this thread: use the `Transaction` handle \
-                 for every operation inside a transaction closure \
-                 (calling single-shot methods there would self-deadlock)"
-            );
-            t.push(id);
-        });
-        ActiveTxnGuard { id }
+            let depth = t.len();
+            for id in instances.iter().map(|s| s.layout.id) {
+                assert!(
+                    !t.contains(&id),
+                    "re-entrant operation on a relation already inside a \
+                     transaction on this thread: use the `Transaction` handle \
+                     for every operation inside a transaction closure \
+                     (calling single-shot methods there would self-deadlock)"
+                );
+                t.push(id);
+            }
+            ActiveTxnGuard { depth }
+        })
     }
 }
 
 impl Drop for ActiveTxnGuard {
     fn drop(&mut self) {
-        ACTIVE_TXNS.with(|t| {
-            let mut t = t.borrow_mut();
-            let pos = t
-                .iter()
-                .rposition(|&x| x == self.id)
-                .expect("guard entered");
-            t.remove(pos);
-        });
+        ACTIVE_TXNS.with(|t| t.borrow_mut().truncate(self.depth));
     }
 }
 
@@ -330,7 +413,7 @@ impl Repr {
     /// externally-captured `(snap, guard)` pair — readers capture a
     /// representation and a registration together, so the traversal
     /// always runs against the tree its snapshot was registered for.
-    /// `stats` is the owning relation's counter sink.
+    /// `stats` is the owning instance's counter sink.
     pub(crate) fn snapshot_read(
         &self,
         stats: &LockStats,
@@ -407,48 +490,33 @@ impl Repr {
     }
 }
 
-impl ConcurrentRelation {
-    /// Synthesizes a relation from a decomposition and a placement.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::IllFormedPlacement`] if the placement belongs to a
-    /// different decomposition.
-    pub fn new(
-        decomp: Arc<Decomposition>,
-        placement: Arc<LockPlacement>,
-    ) -> Result<Self, CoreError> {
-        Self::new_with_registry(decomp, placement, relc_locks::SnapshotRegistry::new())
+impl<L: Layout> Relation<L> {
+    pub(crate) fn with_layout(layout: L) -> Self {
+        Relation {
+            layout,
+            ops: OpCounters::default(),
+            migration_epoch: AtomicU64::new(0),
+            migrations: AtomicU64::new(0),
+        }
     }
 
-    /// As [`Self::new`], but registering snapshot readers with the given
-    /// registry — the sharding layer passes one registry to every shard
-    /// so a cross-shard reader establishes a single retirement floor.
-    pub(crate) fn new_with_registry(
-        decomp: Arc<Decomposition>,
-        placement: Arc<LockPlacement>,
-        snapshots: Arc<relc_locks::SnapshotRegistry>,
-    ) -> Result<Self, CoreError> {
-        let repr = Repr::new(decomp, placement)?;
-        let schema = Arc::clone(repr.decomp.schema());
-        Ok(ConcurrentRelation {
-            schema,
-            repr: RwLock::new(repr),
-            stats: Arc::new(LockStats::new()),
-            len: AtomicUsize::new(0),
-            always_sort_locks: AtomicBool::new(false),
-            id: NEXT_RELATION_ID.fetch_add(1, Ordering::Relaxed),
-            snapshots,
-            ops: OpCounters::default(),
-            migrations: std::sync::atomic::AtomicU64::new(0),
-            wal: None,
-        })
+    /// The layout's own state (the per-layout constructors and accessors).
+    pub(crate) fn layout(&self) -> &L {
+        &self.layout
+    }
+
+    pub(crate) fn router(&self) -> Router<'_> {
+        L::router(self)
+    }
+
+    fn instances(&self) -> &[ConcurrentRelation] {
+        self.router().instances
     }
 
     /// The relation's schema (fixed for the relation's lifetime — live
     /// migration swaps the representation, never the logical relation).
     pub fn schema(&self) -> &Arc<RelationSchema> {
-        &self.schema
+        &self.instances()[0].layout.schema
     }
 
     /// The decomposition currently representing the relation. Owned:
@@ -456,33 +524,19 @@ impl ConcurrentRelation {
     /// moment, so callers get a pinned `Arc`, not a reference into the
     /// relation.
     pub fn decomposition(&self) -> Arc<Decomposition> {
-        Arc::clone(&self.current_repr().decomp)
+        Arc::clone(&self.instances()[0].current_repr().decomp)
     }
 
     /// The lock placement currently in force (owned, like
     /// [`Self::decomposition`]).
     pub fn placement(&self) -> Arc<LockPlacement> {
-        Arc::clone(&self.current_repr().placement)
+        Arc::clone(&self.instances()[0].current_repr().placement)
     }
 
     /// The current representation's planner (exposed for plan inspection
     /// and rendering; owned, like [`Self::decomposition`]).
     pub fn planner(&self) -> Planner {
-        self.current_repr().planner.clone()
-    }
-
-    /// Pins the current representation. Cheap (one `RwLock` read + `Arc`
-    /// clone); writers are only ever [`Self::migrate_to`]'s pointer swap.
-    pub(crate) fn current_repr(&self) -> Arc<Repr> {
-        Arc::clone(&self.repr.read().expect("repr lock"))
-    }
-
-    /// Installs a new representation. Called only under the migration
-    /// write fence (all root stripes held exclusively), with the new
-    /// tree fully loaded and its bulk-load commit stamps published.
-    pub(crate) fn install_repr(&self, repr: Arc<Repr>) {
-        *self.repr.write().expect("repr lock") = repr;
-        self.migrations.fetch_add(1, Ordering::Relaxed);
+        self.instances()[0].current_repr().planner.clone()
     }
 
     /// Number of completed [`Self::migrate_to`] cutovers.
@@ -495,7 +549,7 @@ impl ConcurrentRelation {
     /// migration count, in one struct (the autotuner's input).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            locks: self.stats.snapshot(),
+            locks: self.lock_stats(),
             versions: relc_containers::version_stats(),
             reclamation: relc_containers::reclamation_stats(),
             ops: self.ops.snapshot(),
@@ -504,9 +558,14 @@ impl ConcurrentRelation {
         }
     }
 
-    /// Lock statistics accumulated so far.
+    /// Lock statistics accumulated so far, summed over the instances. A
+    /// transaction contributes one commit (or rollback) per instance it
+    /// touched.
     pub fn lock_stats(&self) -> LockStatsSnapshot {
-        self.stats.snapshot()
+        self.instances()
+            .iter()
+            .map(|s| s.layout.stats.snapshot())
+            .sum()
     }
 
     /// Epoch reclamation counters (retired / reclaimed deferred
@@ -527,23 +586,33 @@ impl ConcurrentRelation {
         relc_containers::reclamation_flush()
     }
 
+    /// Process-global version-chain counters (`created` / `retired`);
+    /// the MVCC analogue of [`Self::reclamation_stats`].
+    pub fn version_stats(&self) -> relc_containers::VersionStats {
+        relc_containers::version_stats()
+    }
+
     /// Ablation knob (§5.2): ignore the planner's sort-elision analysis and
     /// always sort lock sets at runtime.
     pub fn set_always_sort_locks(&self, v: bool) {
-        self.always_sort_locks.store(v, Ordering::Relaxed);
+        for s in self.instances() {
+            s.layout.always_sort_locks.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of tuples (maintained outside the locking protocol; exact
     /// under quiescence, approximate during concurrent mutation).
     ///
-    /// The counter is published *before* a committing transaction releases
-    /// its locks (see [`Self::apply_len_delta`]), so any transaction
-    /// ordered after a commit — anything that contends on one of its locks
-    /// — observes the updated count: at quiescence
-    /// `len() == snapshot().len()` always holds, and the stress suites
-    /// assert it.
+    /// Each instance's count is published *before* a committing
+    /// transaction releases its locks, so any transaction ordered after a
+    /// commit — anything that contends on one of its locks — observes the
+    /// updated count: at quiescence `len() == snapshot().len()` always
+    /// holds, and the stress suites assert it.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.instances()
+            .iter()
+            .map(|s| s.layout.len.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Whether the relation is empty (same caveat as [`Self::len`]).
@@ -554,12 +623,12 @@ impl ConcurrentRelation {
     /// Runs `f` as one two-phase transaction over this relation: every
     /// operation invoked on the [`Transaction`] shares a single lock
     /// scope, released only when the closure returns (§4.2's
-    /// serializability argument applies to the whole sequence). When the
-    /// lock engine demands a restart — out-of-order contention, a
-    /// shared→exclusive upgrade while another reader shares the lock, a
-    /// failed speculation — the closure's
-    /// effects are rolled back and the **whole closure re-runs** after
-    /// randomized backoff, which is what makes read-modify-write
+    /// serializability argument applies to the whole sequence, across
+    /// every instance it touches). When the lock engine demands a
+    /// restart — out-of-order contention, a shared→exclusive upgrade while
+    /// another reader shares the lock, a failed speculation — the
+    /// closure's effects are rolled back and the **whole closure re-runs**
+    /// after randomized backoff, which is what makes read-modify-write
     /// sequences atomic.
     ///
     /// The closure must propagate [`TxnError`] with `?`; returning
@@ -599,7 +668,7 @@ impl ConcurrentRelation {
     /// let halved = graph.transaction(|tx| {
     ///     match tx.remove_returning(&edge)? {
     ///         Some(old) => {
-    ///             let wcol = tx.relation().schema().column("weight").unwrap();
+    ///             let wcol = tx.schema().column("weight").unwrap();
     ///             let half = match old.get(wcol) {
     ///                 Some(v) => v.as_int().unwrap() / 2,
     ///                 None => 0,
@@ -624,10 +693,10 @@ impl ConcurrentRelation {
     /// On a durable relation, [`CoreError::Durability`] can also surface
     /// *after* the closure succeeded, from the group-commit fsync wait.
     /// That case is **not** an abort: the transaction already committed
-    /// in memory (its effects are published and its locks released) but
-    /// durability is unknown. Retrying the closure would apply its
-    /// effects twice — treat the error as fatal for this relation (see
-    /// the [`CoreError::Durability`] docs).
+    /// in memory (its effects are published) but durability is unknown.
+    /// Retrying the closure would apply its effects twice — treat the
+    /// error as fatal for this relation (see the
+    /// [`CoreError::Durability`] docs).
     pub fn transaction<R>(
         &self,
         f: impl FnMut(&mut Transaction<'_>) -> Result<R, TxnError>,
@@ -644,29 +713,29 @@ impl ConcurrentRelation {
         single_shot: bool,
         mut f: impl FnMut(&mut Transaction<'_>) -> Result<R, TxnError>,
     ) -> Result<R, CoreError> {
+        let router = self.router();
         // Re-entrancy guard: a second engine on the same thread for the
-        // same relation would block on locks the first engine holds — a
+        // same instance would block on locks the first engine holds — a
         // guaranteed self-deadlock (or restart livelock). Fail loudly.
-        let _guard = ActiveTxnGuard::enter(self.id);
-        let mut engine: TwoPhaseEngine<LockToken> = TwoPhaseEngine::new(Arc::clone(&self.stats));
+        let _guard = ActiveTxnGuard::enter(router.instances);
+        // Created on an instance's first touch and kept across attempts:
+        // an engine carries the mode hints a restart leaves for the retry.
+        let mut engines: PerInstance<_> = router.instances.iter().map(|_| None).collect();
         let mut backoff = Backoff::new();
         loop {
-            // Pin the representation for this attempt. A migration may
-            // install a new one while this attempt runs — but only after
-            // draining every writer through the all-stripe fence, and any
-            // attempt that acquired at least one lock holds a root-hosted
-            // one, so a completed swap implies this attempt held nothing
-            // when the fence was taken. The commit-time check in
-            // `commit::conclude` catches exactly that stale window: the
-            // attempt rolls back its (now-unreachable) effects and retries
-            // on the new tree.
-            let repr = self.current_repr();
-            let mut tx = Transaction::new(self, &repr, &mut engine, single_shot);
+            // Pin every instance's representation for this attempt. A
+            // migration may install a new one while this attempt runs —
+            // but only after draining every writer through the all-stripe
+            // fence, and any attempt that acquired at least one lock holds
+            // a root-hosted one, so a completed swap implies this attempt
+            // held nothing in that instance when the fence was taken. The
+            // commit-time check in `commit::conclude` catches exactly that
+            // stale window: the attempt rolls back its (now-unreachable)
+            // effects and retries on the new tree.
+            let reprs: PerInstance<_> = router.instances.iter().map(|s| s.current_repr()).collect();
+            let mut tx = Transaction::new(router, &reprs, &mut engines, single_shot);
             let result = f(&mut tx);
-            let mut part = Participant::new(tx);
-            // One log, no marker log; the fsync wait sits after release.
-            let parts = std::slice::from_mut(&mut part);
-            if let Some(done) = commit::conclude(result, parts, None, false) {
+            if let Some(done) = commit::conclude(result, &mut tx) {
                 return done;
             }
             backoff.wait();
@@ -675,7 +744,8 @@ impl ConcurrentRelation {
 
     /// `insert r s t` (§2): inserts `s ∪ t` provided no existing tuple
     /// extends `s`; returns whether the insert happened. Generalizes
-    /// put-if-absent. Sugar for a one-operation [`Self::transaction`].
+    /// put-if-absent. Sugar for a one-operation [`Self::transaction`],
+    /// routed to the instance that owns `s ∪ t`.
     ///
     /// # Errors
     ///
@@ -693,10 +763,11 @@ impl ConcurrentRelation {
     /// semantically the sequential fold of [`Self::insert`] over `rows`
     /// (one put-if-absent result per row, duplicates losing to the first
     /// occurrence), but atomic — observers see all of the batch's effects
-    /// or none — and amortized: the plan is fetched once, every row's root
-    /// lock targets are deduplicated and acquired in one globally sorted
-    /// sweep, and root-edge publications are fused into one bulk container
-    /// write per edge ([`relc_containers::Container::extend_entries`]).
+    /// or none, across every instance it touches — and amortized: the plan
+    /// is fetched once per instance, every row's root lock targets are
+    /// deduplicated and acquired in one globally sorted sweep, and
+    /// root-edge publications are fused into one bulk container write per
+    /// edge ([`relc_containers::Container::extend_entries`]).
     ///
     /// A validation error in *any* row aborts the whole batch with no
     /// effect.
@@ -729,19 +800,17 @@ impl ConcurrentRelation {
     /// As for [`Self::insert`], for any row; the batch has no effect.
     pub fn insert_all(&self, rows: &[(Tuple, Tuple)]) -> Result<Vec<bool>, CoreError> {
         OpCounters::bump(&self.ops.batch_rows, rows.len() as u64);
-        // A mid-batch restart rolls the applied rows back like any other
-        // attempt's writes.
         self.run_transaction(true, |tx| tx.insert_all(rows))
     }
 
     /// Batched `remove r s` (§2) over many keys as one atomic, amortized
     /// transaction: the sequential fold of [`Self::remove`] over `keys`
-    /// (duplicate keys remove once), with one plan fetch and one globally
-    /// sorted bulk lock sweep. Returns one outcome per key — whether that
-    /// key's tuple existed and was removed (a later duplicate of a removed
-    /// key reads `false`), mirroring [`Self::insert_all`]'s per-row
-    /// results; `results.iter().filter(|b| **b).count()` is the removed
-    /// total.
+    /// (duplicate keys remove once), with one plan fetch per instance and
+    /// one globally sorted bulk lock sweep. Returns one outcome per key —
+    /// whether that key's tuple existed and was removed (a later duplicate
+    /// of a removed key reads `false`), mirroring [`Self::insert_all`]'s
+    /// per-row results; `results.iter().filter(|b| **b).count()` is the
+    /// removed total.
     ///
     /// # Errors
     ///
@@ -816,10 +885,10 @@ impl ConcurrentRelation {
     /// extending `s`, deduplicated and sorted.
     ///
     /// Runs on the lock-free snapshot path: the result is a serializable
-    /// read at the current commit timestamp, it acquires no locks, and it
-    /// can neither block nor restart writers. Reads that must observe a
-    /// transaction's own uncommitted writes use [`Transaction::query`]
-    /// instead.
+    /// read at the current commit timestamp — one consistent cut across
+    /// every instance it reads — it acquires no locks, and it can neither
+    /// block nor restart writers. Reads that must observe a transaction's
+    /// own uncommitted writes use [`Transaction::query`] instead.
     ///
     /// # Errors
     ///
@@ -882,15 +951,18 @@ impl ConcurrentRelation {
 
     /// Runs a lock-free read-only transaction: every read through the
     /// [`SnapshotReader`] observes one consistent snapshot of the
-    /// relation — the state as of the commit timestamp captured at entry
-    /// — no matter how many writers commit while the closure runs.
-    /// Readers acquire no locks, never restart, and never block or
-    /// restart writers; they traverse the decomposition's shadow version
-    /// indexes under an epoch guard (see [`crate::mvcc`]).
+    /// relation — the state as of the commit timestamp captured at entry,
+    /// on every instance — no matter how many writers commit while the
+    /// closure runs. Readers acquire no locks, never restart, and never
+    /// block or restart writers; they traverse the decomposition's shadow
+    /// version indexes under an epoch guard (see `mvcc.rs`).
     ///
     /// Snapshot reads are *serializable at their snapshot timestamp*:
     /// the closure's reads interleave with concurrent writers exactly as
-    /// if the whole closure ran atomically at the moment of entry.
+    /// if the whole closure ran atomically at the moment of entry. The
+    /// commit clock is process-global and a transaction spanning
+    /// instances stamps all of them with one timestamp before releasing a
+    /// lock, so no read sees one instance's half of it without the other's.
     ///
     /// # Examples
     ///
@@ -930,109 +1002,102 @@ impl ConcurrentRelation {
     /// count under their own op counters rather than as read
     /// transactions.
     fn open_reader<R>(&self, f: impl FnOnce(&SnapshotReader<'_>) -> R) -> R {
-        let _guard = ActiveTxnGuard::enter(self.id);
-        let reader = SnapshotReader::open(self);
-        f(&reader)
+        let router = self.router();
+        let _guard = ActiveTxnGuard::enter(router.instances);
+        f(&SnapshotReader::open(router, &self.migration_epoch))
     }
 
-    /// Process-global version-chain counters (`created` / `retired`);
-    /// the MVCC analogue of [`Self::reclamation_stats`].
-    pub fn version_stats(&self) -> relc_containers::VersionStats {
-        relc_containers::version_stats()
-    }
-
-    /// Structural verification of the quiescent instance (tests):
-    /// branch agreement, sharing, no exhausted instances, and the MVCC
-    /// version-chain invariants (strictly decreasing stamps, no
-    /// tentative stamps, compaction to the retirement floor, mirror
-    /// completeness against the containers — see
-    /// [`mvcc::verify_versions`](crate::mvcc)). Returns the represented
-    /// relation.
+    /// Structural verification of every quiescent instance: branch
+    /// agreement, sharing, no exhausted instances, the MVCC version-chain
+    /// invariants (strictly decreasing stamps, no tentative stamps,
+    /// compaction to the retirement floor, mirror completeness against the
+    /// containers — see `mvcc::verify_versions`), and the routing
+    /// invariant: each tuple lives in exactly the instance the router
+    /// names. Returns the represented relation.
     ///
     /// # Errors
     ///
     /// A description of the violated invariant.
-    pub fn verify(&self) -> Result<std::collections::BTreeSet<Tuple>, String> {
-        let repr = self.current_repr();
-        mvcc::verify_versions(&repr.decomp, &repr.root, &self.snapshots)?;
-        instance::verify_instance(&repr.decomp, &repr.root)
+    pub fn verify(&self) -> Result<BTreeSet<Tuple>, String> {
+        let router = self.router();
+        let several = router.instances.len() > 1;
+        let mut all = BTreeSet::new();
+        for (i, shard) in router.instances.iter().enumerate() {
+            let repr = shard.current_repr();
+            let rows = mvcc::verify_versions(&repr.decomp, &repr.root, shard.snapshots())
+                .and_then(|()| instance::verify_instance(&repr.decomp, &repr.root))
+                .map_err(|e| {
+                    if several {
+                        format!("shard {i}: {e}")
+                    } else {
+                        e
+                    }
+                })?;
+            for t in rows {
+                let want = router.shard_of(&t);
+                if want != i {
+                    return Err(format!(
+                        "misrouted tuple: shard {i} holds a tuple the router places in shard {want}"
+                    ));
+                }
+                all.insert(t);
+            }
+        }
+        Ok(all)
     }
 
     /// Total number of versions held across every version chain reachable
-    /// from the root (test support for retirement regressions: after
+    /// from the roots (test support for retirement regressions: after
     /// churn at quiescence this should return to one version per live
     /// entry — even while a snapshot reader on a *different* relation
     /// stays open, since registries are per relation).
     pub fn version_footprint(&self) -> usize {
-        let repr = self.current_repr();
-        mvcc::version_footprint(&repr.decomp, &repr.root)
+        let footprint = |s: &ConcurrentRelation| {
+            let repr = s.current_repr();
+            mvcc::version_footprint(&repr.decomp, &repr.root)
+        };
+        self.instances().iter().map(footprint).sum()
     }
 
-    /// The snapshot-reader registry owned by this relation (advanced:
-    /// registering directly pins this relation's version retirement
-    /// without opening a [`Self::read_transaction`]; most callers never
-    /// need this).
-    pub fn snapshots(&self) -> &Arc<relc_locks::SnapshotRegistry> {
-        &self.snapshots
-    }
-
-    /// Applies a committed transaction's net tuple-count change. Called
-    /// while the transaction's locks are still held (release-ordered, so
-    /// the count is visible to anything ordered after the commit).
-    pub(crate) fn apply_len_delta(&self, delta: isize) {
-        match delta.cmp(&0) {
-            std::cmp::Ordering::Greater => {
-                self.len.fetch_add(delta as usize, Ordering::Release);
-            }
-            std::cmp::Ordering::Less => {
-                self.len.fetch_sub(delta.unsigned_abs(), Ordering::Release);
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-
-    /// The statistics sink shared with this relation's engines (the
-    /// sharding layer builds per-shard engines against it).
-    pub(crate) fn stats_arc(&self) -> &Arc<LockStats> {
-        &self.stats
-    }
-
-    /// Current value of the §5.2 sort-elision ablation knob.
-    pub(crate) fn always_sort_locks(&self) -> bool {
-        self.always_sort_locks.load(Ordering::Relaxed)
-    }
-
-    /// The relation's unique id (for the re-entrancy guard).
-    pub(crate) fn relation_id(&self) -> u64 {
-        self.id
+    /// The snapshot-reader registry owned by this relation and shared by
+    /// its instances (advanced: registering directly pins this relation's
+    /// version retirement without opening a [`Self::read_transaction`];
+    /// most callers never need this).
+    pub fn snapshots(&self) -> &Arc<SnapshotRegistry> {
+        &self.instances()[0].layout.snapshots
     }
 
     /// Live migration: rebuilds the relation under a new `(decomposition,
-    /// placement)` pair and atomically cuts traffic over, without ever
-    /// blocking readers and with writers paused only for the cutover
-    /// itself.
+    /// placement)` pair and atomically cuts traffic over, as **one
+    /// cutover** across every instance, without ever blocking readers and
+    /// with writers paused only for the cutover itself.
     ///
     /// The protocol:
     ///
-    /// 1. **Fence.** Acquire every stripe of every root-hosted edge
-    ///    exclusively (the write fence, `with_write_fence` in `commit.rs`,
-    ///    which carries the argument): every locked operation holds a
-    ///    root-hosted lock for its whole two-phase scope, so the sweep
-    ///    drains all in-flight writers and blocks new ones.
-    /// 2. **Cut.** Capture one MVCC commit timestamp. Under the fence no
-    ///    writer can commit, so the old tree is frozen at exactly this
-    ///    cut.
-    /// 3. **Bulk load.** Read the full contents at the cut (lock-free
-    ///    snapshot read) and load them into a freshly built tree for the
-    ///    new pair via the batched `insert_all` sweep (one fused
-    ///    container write per root edge).
-    /// 4. **Swap.** Atomically install the new representation, then
-    ///    release the fence.
+    /// 1. **Fence every instance, in ascending order.** Acquire every
+    ///    stripe of every root-hosted edge exclusively (the write fence,
+    ///    `with_write_fence` in `commit.rs`, which carries the argument and
+    ///    the deadlock freedom against transactions spanning instances):
+    ///    every locked operation holds a root-hosted lock for its whole
+    ///    two-phase scope, so the sweep drains all in-flight writers and
+    ///    blocks new ones.
+    /// 2. **One cut.** Under the fences no writer can commit, so the whole
+    ///    relation is frozen. Each instance's contents are read at an MVCC
+    ///    cut (lock-free snapshot read) and loaded into a freshly built
+    ///    tree for the new pair via the batched `insert_all` sweep (one
+    ///    fused container write per root edge); the new trees are private
+    ///    until the swap, so the loads contend with nobody.
+    /// 3. **Swap window.** The migration epoch goes odd, every instance's
+    ///    representation is swapped, the epoch goes even. Snapshot readers
+    ///    spin past the odd window and re-validate their captured
+    ///    representations after registering, so every reader holds either
+    ///    all-old or all-new trees — and either set is the same frozen cut.
+    /// 4. **Release** the fences.
     ///
     /// Snapshot readers registered before the swap pinned the old
-    /// representation and keep reading it — frozen at their snapshot —
-    /// until they drop; the old tree then retires through the epoch
-    /// collector. Writers that raced the fence (captured the old
+    /// representations and keep reading them — frozen at their snapshot —
+    /// until they drop; the old trees then retire through the epoch
+    /// collector. Writers that raced the fence (captured an old
     /// representation but acquired their locks only after the swap) fail
     /// the commit-time representation check in the transaction loop, roll
     /// back under their own locks, and retry against the new tree.
@@ -1056,35 +1121,268 @@ impl ConcurrentRelation {
         decomp: Arc<Decomposition>,
         placement: Arc<LockPlacement>,
     ) -> Result<(), CoreError> {
-        if decomp.schema() != &self.schema {
+        if decomp.schema() != self.schema() {
             return Err(CoreError::IllFormedPlacement(
                 "migration target has a different schema".into(),
             ));
         }
-        // Validates placement/decomposition agreement; the new tree is
-        // invisible to everyone until the swap.
-        let new_repr = Repr::new(decomp, placement)?;
-
-        commit::with_write_fence(std::slice::from_ref(self), |reprs| {
-            let rows = self.load_frozen_contents(&reprs[0], &new_repr)?;
-            debug_assert_eq!(rows, self.len(), "quiescent cut must be exact");
-            // Publish the new representation *before* the fence releases,
+        let instances = self.instances();
+        // One fresh (empty, still private) representation per instance;
+        // built before fencing so placement validation fails fast.
+        let new_reprs: Vec<Arc<Repr>> = instances
+            .iter()
+            .map(|_| Repr::new(Arc::clone(&decomp), Arc::clone(&placement)))
+            .collect::<Result<_, _>>()?;
+        commit::with_write_fence(instances, |reprs| {
+            for ((shard, repr), new_repr) in instances.iter().zip(reprs).zip(&new_reprs) {
+                let rows = shard.load_frozen_contents(repr, new_repr)?;
+                debug_assert_eq!(rows, shard.len(), "quiescent cut must be exact");
+            }
+            // Publish the new representations *before* the fences release,
             // mirroring the commit path's publish-before-unlock ordering.
-            self.install_repr(new_repr);
+            self.migration_epoch.fetch_add(1, Ordering::AcqRel);
+            for (shard, new_repr) in instances.iter().zip(new_reprs) {
+                *shard.layout.repr.write().expect("repr lock") = new_repr;
+            }
+            self.migration_epoch.fetch_add(1, Ordering::AcqRel);
+            self.migrations.fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
     }
 
-    /// The bulk-load step of [`Self::migrate_to`], run under the fence:
-    /// reads the frozen contents at one MVCC cut and loads them into
-    /// `new_repr`'s (still private) tree. Returns the row count.
-    pub(crate) fn load_frozen_contents(
-        &self,
-        repr: &Repr,
-        new_repr: &Arc<Repr>,
-    ) -> Result<usize, CoreError> {
-        let rows = self.frozen_rows(repr)?;
+    /// Makes the relation durable, for both constructors' `open_durable`:
+    /// opens one write-ahead log per instance in `dir` (created if absent)
+    /// as `<stem>.wal` / `<stem>.ckpt`, recovers ([`Self::recover`]), and
+    /// only then attaches the logs, so the recovery itself is never
+    /// re-logged. The commit clock
+    /// resumes strictly above the highest replayed stamp.
+    pub(crate) fn open_logs(
+        self,
+        dir: &std::path::Path,
+        opts: WalOptions,
+        stem: impl Fn(usize) -> String,
+    ) -> Result<(Self, RecoveryReport), CoreError> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| CoreError::Durability(format!("create {}: {e}", dir.display())))?;
+        let instances = self.instances();
+        let wals: Vec<Wal> = (0..instances.len())
+            .map(|i| {
+                let stem = stem(i);
+                Wal::open(
+                    dir.join(format!("{stem}.wal")),
+                    dir.join(format!("{stem}.ckpt")),
+                    opts,
+                )
+            })
+            .collect::<Result<_, _>>()?;
+        let report = self.recover(&wals.iter().collect::<Vec<_>>(), true)?;
+        for (shard, wal) in instances.iter().zip(wals) {
+            assert!(shard.layout.wal.set(wal).is_ok(), "a log is attached once");
+        }
+        Ok((self, report))
+    }
 
+    /// The recovery routine, instance by instance: the checkpoint (when
+    /// `from_checkpoint`; a live relation already holds it), then every log
+    /// record above the replay floor. With more than one log, a record
+    /// flagged cross-shard applies only if instance 0's log holds a
+    /// durable commit **marker** for its timestamp, so a crash between two
+    /// logs' fsyncs aborts the whole transaction on every instance (atomic
+    /// cross-shard recovery).
+    fn recover(&self, wals: &[&Wal], from_checkpoint: bool) -> Result<RecoveryReport, CoreError> {
+        let markers = match wals {
+            [first, _, ..] => Some(
+                first
+                    .read_records()?
+                    .0
+                    .iter()
+                    .filter_map(|r| match r {
+                        WalRecord::Marker { ts } => Some(*ts),
+                        WalRecord::Commit { .. } => None,
+                    })
+                    .collect::<BTreeSet<u64>>(),
+            ),
+            _ => None,
+        };
+        let mut report = RecoveryReport::default();
+        for (shard, wal) in self.instances().iter().zip(wals) {
+            if from_checkpoint {
+                report.merge(&shard.load_checkpoint(wal)?);
+            }
+            report.merge(&shard.replay_tail(wal, markers.as_ref())?);
+        }
+        Ok(report)
+    }
+
+    /// Re-runs log replay on a live durable relation — the crash-during-
+    /// recovery path, exposed for differential testing: every record at
+    /// or below the replay floor (everything already in memory) is
+    /// skipped, so calling this right after `open_durable` — or twice in a
+    /// row — changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Durability`] if the relation has no WAL, or any
+    /// replay error.
+    pub fn replay_log(&self) -> Result<RecoveryReport, CoreError> {
+        self.recover(&self.logs()?, false)
+    }
+
+    /// Every instance's write-ahead log.
+    fn logs(&self) -> Result<Vec<&Wal>, CoreError> {
+        self.instances()
+            .iter()
+            .map(ConcurrentRelation::wal)
+            .collect::<Option<_>>()
+            .ok_or_else(|| CoreError::Durability("relation has no write-ahead log".into()))
+    }
+
+    /// Checkpoints the relation at **one** MVCC cut: freezes every
+    /// instance behind the write fence (every writer drained — the same
+    /// machinery as [`Self::migrate_to`]), snapshots each instance's
+    /// contents to its checkpoint sidecar (tmp + fsync + rename) at one cut
+    /// timestamp, and truncates the logs — instance 0's, which holds the
+    /// cross-shard commit markers, **last** — which releases committers
+    /// still waiting on a group fsync: the cut covers their effects.
+    /// Returns the number of rows checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Durability`] if the relation has no WAL or on any
+    /// I/O error; the relation's in-memory state is unaffected either
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called from inside a transaction on this relation (the
+    /// same re-entrancy diagnosis as every other entry point).
+    pub fn checkpoint(&self) -> Result<usize, CoreError> {
+        commit::checkpoint(self.instances(), &self.logs()?)
+    }
+
+    /// Group-commit batching counters of the relation's logs (`None`
+    /// without them): appends, flushes and fsyncs summed over the logs,
+    /// and the largest commits-per-fsync batch of any.
+    pub fn wal_stats(&self) -> Option<relc_locks::GroupCommitStats> {
+        let stats = self.logs().ok()?.into_iter().map(Wal::stats);
+        stats.reduce(|mut agg, s| {
+            agg.appends += s.appends;
+            agg.flushes += s.flushes;
+            agg.fsyncs += s.fsyncs;
+            agg.max_batch = agg.max_batch.max(s.max_batch);
+            agg
+        })
+    }
+}
+
+impl ConcurrentRelation {
+    /// Synthesizes a relation from a decomposition and a placement.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::IllFormedPlacement`] if the placement belongs to a
+    /// different decomposition.
+    pub fn new(
+        decomp: Arc<Decomposition>,
+        placement: Arc<LockPlacement>,
+    ) -> Result<Self, CoreError> {
+        Self::new_with_registry(decomp, placement, SnapshotRegistry::new())
+    }
+
+    /// Opens a **durable** relation backed by a write-ahead log in `dir`
+    /// (created if absent), `relation.wal` with its checkpoint sidecar
+    /// `relation.ckpt`: recovers whatever a previous process left there —
+    /// checkpoint plus log tail, tolerating a torn tail — then attaches the
+    /// log so every subsequent committed transaction appends one redo
+    /// record, group-commit batched. The commit clock resumes strictly
+    /// above the highest replayed stamp.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error, a corrupt checkpoint, or the usual construction
+    /// errors of [`Self::new`].
+    pub fn open_durable(
+        decomp: Arc<Decomposition>,
+        placement: Arc<LockPlacement>,
+        dir: impl AsRef<std::path::Path>,
+        opts: WalOptions,
+    ) -> Result<(Self, RecoveryReport), CoreError> {
+        Self::new(decomp, placement)?.open_logs(dir.as_ref(), opts, |_| "relation".into())
+    }
+
+    /// As [`Self::new`], but registering snapshot readers with the given
+    /// registry — a sharded relation passes one registry to every shard so
+    /// a reader spanning them establishes a single retirement floor.
+    pub(crate) fn new_with_registry(
+        decomp: Arc<Decomposition>,
+        placement: Arc<LockPlacement>,
+        snapshots: Arc<SnapshotRegistry>,
+    ) -> Result<Self, CoreError> {
+        Ok(Self::with_repr(Repr::new(decomp, placement)?, snapshots))
+    }
+
+    fn with_repr(repr: Arc<Repr>, snapshots: Arc<SnapshotRegistry>) -> Self {
+        Relation::with_layout(Instance {
+            schema: Arc::clone(repr.decomp.schema()),
+            repr: RwLock::new(repr),
+            stats: Arc::new(LockStats::new()),
+            len: AtomicUsize::new(0),
+            always_sort_locks: AtomicBool::new(false),
+            id: NEXT_RELATION_ID.fetch_add(1, Ordering::Relaxed),
+            snapshots,
+            wal: OnceLock::new(),
+        })
+    }
+
+    /// Pins the current representation. Cheap (one `RwLock` read + `Arc`
+    /// clone); writers are only ever [`Relation::migrate_to`]'s pointer
+    /// swap.
+    pub(crate) fn current_repr(&self) -> Arc<Repr> {
+        Arc::clone(&self.layout.repr.read().expect("repr lock"))
+    }
+
+    /// Whether `repr` is still the current representation: a pointer
+    /// comparison under the read lock, with no reference-count traffic.
+    pub(crate) fn is_current(&self, repr: &Repr) -> bool {
+        std::ptr::eq(&**self.layout.repr.read().expect("repr lock"), repr)
+    }
+
+    /// Applies a committed transaction's net tuple-count change. Called
+    /// while the transaction's locks are still held (release-ordered, so
+    /// the count is visible to anything ordered after the commit).
+    pub(crate) fn apply_len_delta(&self, delta: isize) {
+        let len = &self.layout.len;
+        match delta.cmp(&0) {
+            std::cmp::Ordering::Greater => {
+                len.fetch_add(delta as usize, Ordering::Release);
+            }
+            std::cmp::Ordering::Less => {
+                len.fetch_sub(delta.unsigned_abs(), Ordering::Release);
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+
+    /// The statistics sink shared with this instance's engines.
+    pub(crate) fn stats_arc(&self) -> &Arc<LockStats> {
+        &self.layout.stats
+    }
+
+    /// Current value of the §5.2 sort-elision ablation knob.
+    pub(crate) fn always_sort_locks(&self) -> bool {
+        self.layout.always_sort_locks.load(Ordering::Relaxed)
+    }
+
+    /// The write-ahead log, once attached.
+    pub(crate) fn wal(&self) -> Option<&Wal> {
+        self.layout.wal.get()
+    }
+
+    /// The bulk-load step of [`Relation::migrate_to`], run under the
+    /// fence: reads the frozen contents at one MVCC cut and loads them into
+    /// `new_repr`'s (still private) tree. Returns the row count.
+    fn load_frozen_contents(&self, repr: &Repr, new_repr: &Arc<Repr>) -> Result<usize, CoreError> {
+        let rows = self.frozen_rows(repr)?;
         // Load through a scratch relation wrapping the new representation
         // so the batched insert path (plans, bulk sweeps, fused container
         // writes, MVCC mirrors) is reused verbatim. Its locks are private
@@ -1092,24 +1390,13 @@ impl ConcurrentRelation {
         // stamp the new tree's version chains *before* the swap makes
         // them reachable, so any reader registered after the swap has a
         // snapshot at or above every bulk stamp.
-        let scratch = ConcurrentRelation {
-            schema: Arc::clone(&self.schema),
-            repr: RwLock::new(Arc::clone(new_repr)),
-            stats: Arc::new(LockStats::new()),
-            len: AtomicUsize::new(0),
-            always_sort_locks: AtomicBool::new(false),
-            id: NEXT_RELATION_ID.fetch_add(1, Ordering::Relaxed),
-            snapshots: Arc::clone(&self.snapshots),
-            ops: OpCounters::default(),
-            migrations: std::sync::atomic::AtomicU64::new(0),
-            wal: None,
-        };
+        let scratch = Self::with_repr(Arc::clone(new_repr), Arc::clone(&self.layout.snapshots));
         scratch.bulk_load(&rows)?;
         Ok(rows.len())
     }
 
-    /// Inserts full tuples in [`Self::insert_all`] batches of 4096 rows
-    /// (the migration and checkpoint-recovery loads).
+    /// Inserts full tuples in [`Relation::insert_all`] batches of 4096
+    /// rows (the migration and checkpoint-recovery loads).
     fn bulk_load(&self, rows: &[Tuple]) -> Result<(), CoreError> {
         const CHUNK: usize = 4096;
         for chunk in rows.chunks(CHUNK) {
@@ -1120,25 +1407,19 @@ impl ConcurrentRelation {
         Ok(())
     }
 
-    /// Reads the relation's frozen contents at the current clock time.
-    /// Only sound with the migration write-fence held (every writer
-    /// drained): shared by [`Self::load_frozen_contents`] and the
-    /// checkpoint path.
+    /// Reads the instance's frozen contents at the current clock time.
+    /// Only sound with the write fence held (every writer drained): shared
+    /// by [`Self::load_frozen_contents`] and the checkpoint path.
     pub(crate) fn frozen_rows(&self, repr: &Repr) -> Result<Vec<Tuple>, CoreError> {
         let snap = relc_locks::commit_clock().now();
         let guard = relc_containers::epoch::pin();
-        let all = self.schema.columns();
+        let all = self.schema().columns();
         // Prefer the MVCC snapshot traversal at the cut; placements that
         // cannot plan a full scan (e.g. all-speculative roots) fall back
         // to the direct structural walk, which under the fence reads the
         // same frozen state.
-        match repr.snapshot_read(
-            &self.stats,
-            &Tuple::empty(),
-            SnapshotRead::Query(all),
-            snap,
-            &guard,
-        ) {
+        let read = SnapshotRead::Query(all);
+        match repr.snapshot_read(&self.layout.stats, &Tuple::empty(), read, snap, &guard) {
             Ok(rows) => Ok(rows),
             Err(CoreError::NoValidPlan(_)) => {
                 Ok(instance::abstract_relation(&repr.decomp, &repr.root)
@@ -1149,69 +1430,17 @@ impl ConcurrentRelation {
         }
     }
 
-    /// Whether this relation logs to a WAL (drives redo capture in the
-    /// transaction layer).
-    pub(crate) fn has_wal(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// The WAL handle (commit core, sharding layer and tests).
-    pub(crate) fn wal(&self) -> Option<&crate::wal::Wal> {
-        self.wal.as_deref()
-    }
-
-    /// Attaches a WAL. Only valid before the relation is shared (the
-    /// field is plain, not atomic); [`Self::open_durable`] and the
-    /// sharded constructor call this after recovery so the replay itself
-    /// is never re-logged.
-    pub(crate) fn attach_wal(&mut self, wal: Arc<crate::wal::Wal>) {
-        self.wal = Some(wal);
-    }
-
-    /// Opens a **durable** relation backed by a write-ahead log in `dir`
-    /// (created if absent): recovers whatever a previous process left
-    /// there — checkpoint plus log tail, tolerating a torn tail — then
-    /// attaches the log so every subsequent committed transaction
-    /// appends one redo record, group-commit batched. The commit clock
-    /// resumes strictly above the highest replayed stamp.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error, a corrupt checkpoint, or the usual construction
-    /// errors of [`Self::new`].
-    pub fn open_durable(
-        decomp: Arc<Decomposition>,
-        placement: Arc<LockPlacement>,
-        dir: impl AsRef<std::path::Path>,
-        opts: crate::wal::WalOptions,
-    ) -> Result<(Self, crate::wal::RecoveryReport), CoreError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CoreError::Durability(format!("create {}: {e}", dir.display())))?;
-        let wal = crate::wal::Wal::open(dir.join("relation.wal"), dir.join("relation.ckpt"), opts)?;
-        let mut rel = Self::new(decomp, placement)?;
-        let report = rel.recover_from(&wal, None)?;
-        rel.attach_wal(Arc::new(wal));
-        Ok((rel, report))
-    }
-
-    /// Recovery: loads the checkpoint (if any) and replays the log tail.
-    /// The WAL is deliberately *not* attached yet, so neither the bulk
-    /// checkpoint load nor the replayed transactions append records.
-    pub(crate) fn recover_from(
-        &self,
-        wal: &crate::wal::Wal,
-        markers: Option<&std::collections::BTreeSet<u64>>,
-    ) -> Result<crate::wal::RecoveryReport, CoreError> {
-        let mut report = crate::wal::RecoveryReport::default();
+    /// Loads the checkpoint, if any, and raises the replay floor to its
+    /// cut. The log is deliberately *not* attached yet, so the bulk load
+    /// appends nothing.
+    fn load_checkpoint(&self, wal: &Wal) -> Result<RecoveryReport, CoreError> {
+        let mut report = RecoveryReport::default();
         if let Some((cut_ts, rows)) = wal.read_checkpoint()? {
             self.bulk_load(&rows)?;
             report.checkpoint_rows = rows.len();
             report.max_ts = cut_ts;
             wal.raise_applied_through(cut_ts);
         }
-        let tail = self.replay_tail(wal, markers)?;
-        report.merge(&tail);
         Ok(report)
     }
 
@@ -1222,22 +1451,22 @@ impl ConcurrentRelation {
     /// the floor makes a second pass over the same tail a no-op —
     /// recovery idempotence (a crash *during* recovery simply re-runs
     /// it).
-    pub(crate) fn replay_tail(
+    fn replay_tail(
         &self,
-        wal: &crate::wal::Wal,
-        markers: Option<&std::collections::BTreeSet<u64>>,
-    ) -> Result<crate::wal::RecoveryReport, CoreError> {
+        wal: &Wal,
+        markers: Option<&BTreeSet<u64>>,
+    ) -> Result<RecoveryReport, CoreError> {
         use crate::txn::RedoOp;
         let (mut records, torn_tail) = wal.read_records()?;
-        records.sort_by_key(crate::wal::WalRecord::ts);
+        records.sort_by_key(WalRecord::ts);
         let floor = wal.applied_through();
-        let mut report = crate::wal::RecoveryReport {
+        let mut report = RecoveryReport {
             torn_tail,
             max_ts: floor,
             ..Default::default()
         };
         for rec in records {
-            let crate::wal::WalRecord::Commit {
+            let WalRecord::Commit {
                 ts,
                 cross_shard,
                 ops,
@@ -1278,115 +1507,86 @@ impl ConcurrentRelation {
         relc_locks::commit_clock().advance_to(report.max_ts);
         Ok(report)
     }
-
-    /// Re-runs log replay on a live durable relation — the crash-during-
-    /// recovery path, exposed for differential testing: every record at
-    /// or below the replay floor (everything already in memory) is
-    /// skipped, so calling this right after [`Self::open_durable`] — or
-    /// twice in a row — changes nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Durability`] if the relation has no WAL, or any
-    /// replay error.
-    pub fn replay_log(&self) -> Result<crate::wal::RecoveryReport, CoreError> {
-        let wal = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| CoreError::Durability("relation has no write-ahead log".into()))?;
-        self.replay_tail(wal, None)
-    }
-
-    /// Checkpoints the relation: freezes it behind the write fence
-    /// (every writer drained — one MVCC cut, the same machinery as
-    /// [`Self::migrate_to`]), snapshots the contents to the checkpoint
-    /// sidecar (tmp + fsync + rename), and truncates the log, which
-    /// releases committers still waiting on a group fsync: the cut covers
-    /// their effects. Returns the number of rows checkpointed.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Durability`] if the relation has no WAL or on any
-    /// I/O error; the relation's in-memory state is unaffected either
-    /// way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called from inside a transaction on this relation (the
-    /// same re-entrancy diagnosis as every other entry point).
-    pub fn checkpoint(&self) -> Result<usize, CoreError> {
-        commit::checkpoint(std::slice::from_ref(self))
-    }
-
-    /// Group-commit batching counters of this relation's WAL (`None`
-    /// without one): appends, flushes, fsyncs, and the largest
-    /// commits-per-fsync batch.
-    pub fn wal_stats(&self) -> Option<relc_locks::GroupCommitStats> {
-        self.wal.as_ref().map(|w| w.stats())
-    }
 }
 
-/// A lock-free read-only view of a [`ConcurrentRelation`] at one commit
-/// timestamp, handed to [`ConcurrentRelation::read_transaction`]'s
-/// closure. All reads resolve against the version chains at the captured
-/// snapshot; committed writers later than the snapshot are invisible,
-/// tentative (uncommitted) versions always are.
+/// A lock-free read-only view of a [`Relation`] at one commit timestamp,
+/// handed to [`Relation::read_transaction`]'s closure. One snapshot
+/// registration and one epoch guard span every instance: all reads —
+/// routed to one instance or fanned out over all — resolve against the
+/// version chains at the captured snapshot; committed writers later than
+/// the snapshot are invisible, tentative (uncommitted) versions always
+/// are.
 ///
 /// While the reader is alive it is registered with the **relation's
 /// own** [`relc_locks::SnapshotRegistry`], which stops this relation's
 /// committers from truncating version history it still needs — but
-/// leaves every other relation's retirement unpinned — and it holds an epoch
-/// guard, which keeps already-truncated nodes it may be walking alive
-/// until it drops.
+/// leaves every other relation's retirement unpinned — and it holds an
+/// epoch guard, which keeps already-truncated nodes it may be walking
+/// alive until it drops.
 pub struct SnapshotReader<'r> {
-    rel: &'r ConcurrentRelation,
-    /// The representation pinned for this reader's lifetime. A live
-    /// migration may swap the relation's current representation at any
-    /// moment; this reader keeps traversing the tree its snapshot was
-    /// registered against (frozen at that snapshot by the fence), and
-    /// the held `Arc` keeps that tree alive until the reader drops.
-    repr: Arc<Repr>,
+    router: Router<'r>,
+    /// The representations pinned for this reader's lifetime, one per
+    /// instance — validated against the migration epoch at open, so they
+    /// are all pre-cutover or all post-cutover, never a mix. The held
+    /// `Arc`s keep retired trees alive until the reader drops.
+    reprs: PerInstance<Arc<Repr>>,
     snap: u64,
     guard: relc_containers::epoch::Guard,
     _reg: relc_locks::SnapshotGuard,
 }
 
 impl<'r> SnapshotReader<'r> {
-    fn open(rel: &'r ConcurrentRelation) -> Self {
-        // Capture → register → re-check: if a migration swapped the
-        // representation between the capture and the registration, the
-        // registered snapshot could postdate commits that only the *new*
-        // tree contains — so re-capture until one representation spans
-        // the registration. The held `Arc` rules out ABA: the old
-        // representation cannot be freed (and its address reused) while
-        // `repr` still points at it.
-        let (repr, reg) = loop {
-            let repr = rel.current_repr();
-            let reg = rel.snapshots.register(relc_locks::commit_clock());
-            if Arc::ptr_eq(&rel.current_repr(), &repr) {
-                break (repr, reg);
+    fn open(router: Router<'r>, migration_epoch: &AtomicU64) -> Self {
+        // Capture every instance's representation and one registration,
+        // then re-validate both the migration epoch and each captured
+        // pointer: a live migration swaps the instances one by one, and a
+        // capture that straddled the swap window could pair pre-cutover
+        // trees with post-cutover ones — or register a snapshot that
+        // postdates commits only the new trees contain. The epoch is odd
+        // for exactly the swap window, so spinning past odd values and
+        // re-checking afterwards guarantees an all-old or all-new set. The
+        // held `Arc`s rule out ABA: an old representation cannot be freed
+        // (and its address reused) while the reader still points at it.
+        // Registering before the re-check (and before pinning) stops
+        // committers from truncating history at or below `snap`; the
+        // epoch guard keeps already-truncated nodes alive.
+        let instances = router.instances;
+        let (reprs, reg) = loop {
+            let epoch = migration_epoch.load(Ordering::Acquire);
+            if epoch & 1 == 1 {
+                std::thread::yield_now();
+                continue;
             }
-            drop(reg);
+            let reprs: PerInstance<_> = instances.iter().map(|s| s.current_repr()).collect();
+            let reg = instances[0]
+                .snapshots()
+                .register(relc_locks::commit_clock());
+            if migration_epoch.load(Ordering::Acquire) == epoch
+                && reprs.iter().zip(instances).all(|(r, s)| s.is_current(r))
+            {
+                break (reprs, reg);
+            }
         };
-        let guard = relc_containers::epoch::pin();
         SnapshotReader {
-            rel,
-            repr,
+            router,
+            reprs,
             snap: reg.snap(),
-            guard,
+            guard: relc_containers::epoch::pin(),
             _reg: reg,
         }
     }
 
-    /// The commit timestamp this reader observes.
+    /// The commit timestamp this reader observes, on every instance.
     pub fn snapshot_ts(&self) -> u64 {
         self.snap
     }
 
-    /// One read of the pinned representation at this reader's snapshot.
-    fn read(&self, s: &Tuple, read: SnapshotRead<'_>) -> Result<Vec<Tuple>, CoreError> {
-        self.repr
-            .snapshot_read(&self.rel.stats, s, read, self.snap, &self.guard)
+    /// One instance's contribution at this snapshot, traversing the
+    /// pinned representation (a live migration never redirects an open
+    /// reader).
+    fn read(&self, i: usize, s: &Tuple, read: SnapshotRead<'_>) -> Result<Vec<Tuple>, CoreError> {
+        let stats = &self.router.instances[i].layout.stats;
+        self.reprs[i].snapshot_read(stats, s, read, self.snap, &self.guard)
     }
 
     /// `query r s C` (§2) at this snapshot: the projection onto `cols` of
@@ -1394,14 +1594,13 @@ impl<'r> SnapshotReader<'r> {
     ///
     /// # Errors
     ///
-    /// As for [`ConcurrentRelation::query`] (the same compiled plans
-    /// drive the snapshot traversal, so the same shapes are plannable).
+    /// As for [`Relation::query`] (the same compiled plans drive the
+    /// snapshot traversal, so the same shapes are plannable).
     pub fn query(&self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, CoreError> {
-        self.read(s, SnapshotRead::Query(cols))
+        (self.router).fan_query(s, |i| self.read(i, s, SnapshotRead::Query(cols)))
     }
 
-    /// Range query at this snapshot; see
-    /// [`ConcurrentRelation::query_range`].
+    /// Range query at this snapshot; see [`Relation::query_range`].
     ///
     /// # Errors
     ///
@@ -1412,7 +1611,9 @@ impl<'r> SnapshotReader<'r> {
         range: &RangePattern,
         cols: ColumnSet,
     ) -> Result<Vec<Tuple>, CoreError> {
-        self.read(s, SnapshotRead::Range(range, cols))
+        (self.router).fan_query_range(s, range, cols, |i, range, cols| {
+            self.read(i, s, SnapshotRead::Range(range, cols))
+        })
     }
 
     /// Whether any tuple extends `s` at this snapshot — short-circuiting,
@@ -1422,7 +1623,9 @@ impl<'r> SnapshotReader<'r> {
     ///
     /// As for [`SnapshotReader::query`].
     pub fn contains(&self, s: &Tuple) -> Result<bool, CoreError> {
-        Ok(!self.read(s, SnapshotRead::Witness)?.is_empty())
+        (self.router).fan_contains(s, |i| {
+            Ok(!self.read(i, s, SnapshotRead::Witness)?.is_empty())
+        })
     }
 
     /// All tuples at this snapshot, sorted.
@@ -1431,7 +1634,8 @@ impl<'r> SnapshotReader<'r> {
     ///
     /// As for [`SnapshotReader::query`].
     pub fn snapshot(&self) -> Result<Vec<Tuple>, CoreError> {
-        self.query(&Tuple::empty(), self.rel.schema().columns())
+        let all = self.router.instances[0].schema().columns();
+        self.query(&Tuple::empty(), all)
     }
 }
 
@@ -1439,16 +1643,18 @@ impl fmt::Debug for SnapshotReader<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapshotReader")
             .field("snapshot_ts", &self.snap)
+            .field("instances", &self.reprs.len())
             .finish()
     }
 }
 
-impl fmt::Debug for ConcurrentRelation {
+impl<L: Layout> fmt::Debug for Relation<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let repr = self.current_repr();
-        f.debug_struct("ConcurrentRelation")
+        let repr = self.instances()[0].current_repr();
+        f.debug_struct("Relation")
             .field("decomposition", &repr.decomp.describe())
             .field("placement", &repr.placement.name())
+            .field("instances", &self.instances().len())
             .field("len", &self.len())
             .field("migrations", &self.migration_count())
             .finish()
@@ -1798,7 +2004,7 @@ mod tests {
                     assert_eq!(to.get(wcol), Some(&Value::from(0)), "{name}");
                     // Read-your-writes: the new values are visible inside
                     // the transaction.
-                    let wc = tx.relation().schema().column_set(&["weight"]).unwrap();
+                    let wc = tx.schema().column_set(&["weight"]).unwrap();
                     assert_eq!(
                         tx.query(&edge(&d, 1, 2), wc)?,
                         vec![weight(&d, 70)],

@@ -8,18 +8,17 @@
 //! one operation at a time; this module makes the transaction the unit
 //! of locking.
 //!
-//! A [`Transaction`] borrows its relation and holds **one**
-//! [`TwoPhaseEngine`] across every operation invoked through it. Locks
-//! accumulate until the closure passed to
-//! [`ConcurrentRelation::transaction`] returns; only then does the engine
-//! release — through the one commit protocol in `commit.rs`, which a
-//! sharded transaction runs over several of these at once. When any
-//! operation inside the closure demands a restart (out-of-order lock
-//! contention, a shared→exclusive upgrade while another reader shares the
-//! lock, a failed speculation), the *whole closure* re-runs from scratch
-//! against a clean lock state — that is what makes read-modify-write
-//! sequences atomic: the values read before the restart are discarded
-//! along with the locks.
+//! A [`Transaction`] borrows its relation and routes every operation to
+//! the instance that owns it, opening one *part* per touched instance on
+//! first touch. A part holds **one** lock engine across every operation
+//! routed to its instance. Locks accumulate until the closure passed to
+//! [`Relation::transaction`] returns; only then do the engines release —
+//! through the one commit protocol in `commit.rs`. When any operation
+//! inside the closure demands a restart (out-of-order lock contention, a
+//! shared→exclusive upgrade while another reader shares the lock, a failed
+//! speculation), the *whole closure* re-runs from scratch against a clean
+//! lock state — that is what makes read-modify-write sequences atomic: the
+//! values read before the restart are discarded along with the locks.
 //!
 //! # Rollback
 //!
@@ -29,11 +28,11 @@
 //! record of those writes — the MVCC write journal every mirrored
 //! container write already appends to — and it is the undo log: an attempt
 //! that does not commit is rolled back from it, newest entry first, under
-//! the locks the attempt still holds ([`crate::mvcc`], *Rollback*). The
+//! the locks the attempt still holds (`mvcc.rs`, *Rollback*). The
 //! operations keep no inverse of themselves and acquire nothing on
 //! rollback's behalf; every journaled entry was written under a lock that
 //! is still held, so rollback cannot restart, by construction. The same
-//! rollback runs when the closure panics: the transaction rolls back as it
+//! rollback runs when the closure panics: each part rolls back as it
 //! drops, before its lock engine can release anything.
 //!
 //! # Example
@@ -64,35 +63,36 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
-//! [`TwoPhaseEngine`]: relc_locks::TwoPhaseEngine
+//! [`Relation::transaction`]: crate::relation::Relation::transaction
 
 use std::fmt;
+use std::sync::Arc;
 
 use relc_locks::{MustRestart, TwoPhaseEngine};
-use relc_spec::{ColumnSet, SpecError, Tuple};
+use relc_spec::{ColumnSet, RangePattern, RelationSchema, SpecError, Tuple};
 
+use crate::commit::Participant;
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::placement::LockToken;
-use crate::planner::UpdatePlan;
-use crate::relation::{ConcurrentRelation, Repr};
+use crate::planner::{validate_update, UpdatePlan};
+use crate::relation::{ConcurrentRelation, PerInstance, Repr};
+use crate::shard::Router;
 
 /// Why a transactional operation did not return a value.
 ///
-/// Closures passed to [`ConcurrentRelation::transaction`] should
-/// propagate this with `?`: [`TxnError::Restart`] is consumed by the
-/// transaction loop (the closure re-runs), while [`TxnError::Core`]
-/// aborts the transaction — its effects are rolled back — and surfaces to
-/// the caller.
+/// Closures passed to [`Relation::transaction`] should propagate this
+/// with `?`: [`TxnError::Restart`] is consumed by the transaction loop
+/// (the closure re-runs), while [`TxnError::Core`] aborts the transaction
+/// — its effects are rolled back — and surfaces to the caller.
 ///
-/// [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
+/// [`Relation::transaction`]: crate::relation::Relation::transaction
 #[derive(Debug)]
 pub enum TxnError {
     /// The lock engine demands a whole-transaction restart. Internal
-    /// control flow: never escapes [`ConcurrentRelation::transaction`].
+    /// control flow: never escapes [`Relation::transaction`].
     ///
-    /// [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
+    /// [`Relation::transaction`]: crate::relation::Relation::transaction
     Restart(MustRestart),
     /// The transaction aborts with an error; all of its effects are
     /// undone before the error is returned.
@@ -129,10 +129,10 @@ impl From<SpecError> for TxnError {
 }
 
 /// One applied operation, recorded as its API arguments for the
-/// write-ahead log's redo stream. Captured only when the relation has a
-/// WAL attached (see [`Transaction::new`]); replay re-runs the same calls
-/// through a fresh transaction, so the redo record needs nothing beyond
-/// what the caller originally passed.
+/// write-ahead log's redo stream. Captured only when the instance has a
+/// WAL attached; replay re-runs the same calls through a fresh
+/// transaction, so the redo record needs nothing beyond what the caller
+/// originally passed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RedoOp {
     /// `insert r s t` that actually inserted.
@@ -143,38 +143,392 @@ pub(crate) enum RedoOp {
     Update(Tuple, Tuple),
 }
 
-/// An open multi-operation transaction on a [`ConcurrentRelation`].
+/// An instance's lock engine across the attempts of one operation: empty
+/// until the instance is first touched, then kept, with the mode hints a
+/// restart leaves for the retry.
+pub(crate) type EngineSlot = Option<TwoPhaseEngine<LockToken>>;
+
+/// An open multi-operation transaction on a [`Relation`].
 ///
-/// Created by [`ConcurrentRelation::transaction`]; every operation runs
-/// under the transaction's single two-phase lock scope and sees the
-/// effects of the transaction's earlier operations. See the
-/// [module docs](self) for semantics.
+/// Created by [`Relation::transaction`]; every operation routes to the
+/// instance owning it, runs under the transaction's single two-phase lock
+/// scope, and sees the effects of the transaction's earlier operations.
+/// See the [module docs](self) for semantics.
 ///
-/// [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
+/// [`Relation`]: crate::relation::Relation
+/// [`Relation::transaction`]: crate::relation::Relation::transaction
 pub struct Transaction<'t> {
+    router: Router<'t>,
+    /// The representations pinned for this attempt, one per instance
+    /// (captured by the transaction loop; the commit path refuses to
+    /// commit a part whose instance was swapped by a live migration since).
+    reprs: &'t [Arc<Repr>],
+    /// Each instance's engine slot, lent to its part when it opens.
+    engines: PerInstance<Option<&'t mut EngineSlot>>,
+    /// The touched instances' parts, as commit participants.
+    parts: PerInstance<Option<Participant<'t>>>,
+    /// Highest instance index touched so far: acquisitions there may
+    /// block, anything lower is demoted to try-only (the global
+    /// `(instance, token)` order — see `shard.rs`).
+    max_open: Option<usize>,
+    /// The closure is one operation of the relation's single-shot sugar:
+    /// its last write is the attempt's last write.
+    single_shot: bool,
+}
+
+impl<'t> Transaction<'t> {
+    pub(crate) fn new(
+        router: Router<'t>,
+        reprs: &'t [Arc<Repr>],
+        engines: &'t mut [EngineSlot],
+        single_shot: bool,
+    ) -> Self {
+        Transaction {
+            router,
+            reprs,
+            engines: engines.iter_mut().map(Some).collect(),
+            parts: router.instances.iter().map(|_| None).collect(),
+            max_open: None,
+            single_shot,
+        }
+    }
+
+    /// The attempt as the commit path sees it: the relation's instances
+    /// and, per instance, the part the attempt opened there, if any.
+    pub(crate) fn attempt(&mut self) -> (&'t [ConcurrentRelation], &mut [Option<Participant<'t>>]) {
+        (self.router.instances, &mut self.parts)
+    }
+
+    /// The relation's schema — the metadata a closure may need (columns
+    /// by name); operations on the relation go through the transaction.
+    pub fn schema(&self) -> &'t Arc<RelationSchema> {
+        self.router.instances[0].schema()
+    }
+
+    /// The open part for instance `i`, created on first touch. Maintains
+    /// the cross-instance acquisition order: returning to an instance
+    /// below the current maximum demotes that part's engine to try-only
+    /// for the rest of the attempt.
+    fn part(&mut self, i: usize) -> &mut Part<'t> {
+        if self.parts[i].is_none() {
+            let shard = &self.router.instances[i];
+            let engine = self.engines[i]
+                .take()
+                .expect("an instance opens once per attempt")
+                .get_or_insert_with(|| TwoPhaseEngine::new(Arc::clone(shard.stats_arc())));
+            let mut part = Part::new(shard, &self.reprs[i], engine, self.single_shot);
+            // Every instance the attempt touches publishes under one
+            // commit stamp, so snapshot readers see it at one timestamp.
+            if let Some(first) = self.parts.iter_mut().flatten().next() {
+                part.exec.set_mvcc_stamp(first.part_mut().exec.mvcc_stamp());
+            }
+            self.parts[i] = Some(Participant::new(part));
+        }
+        let part = self.parts[i].as_mut().expect("just opened").part_mut();
+        if self.max_open.is_some_and(|m| i < m) {
+            part.exec.set_try_only();
+        } else {
+            self.max_open = Some(i);
+        }
+        part
+    }
+
+    /// `insert r s t` (§2) under this transaction's lock scope, routed to
+    /// the owner of `s ∪ t`: inserts `s ∪ t` provided no existing tuple
+    /// extends `s`; returns whether the insert happened.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::insert`], wrapped in [`TxnError::Core`]; or
+    /// [`TxnError::Restart`] (propagate it).
+    ///
+    /// [`Relation::insert`]: crate::relation::Relation::insert
+    pub fn insert(&mut self, s: &Tuple, t: &Tuple) -> Result<bool, TxnError> {
+        let i = self.router.route_row(s, t);
+        self.part(i).insert(s, t)
+    }
+
+    /// Batched `insert r s t` over many rows under this transaction's lock
+    /// scope: semantically the sequential fold of [`Transaction::insert`]
+    /// over `rows` — one put-if-absent result per row, duplicate patterns
+    /// within the batch losing to the first occurrence — executed as **one
+    /// amortized pass per touched instance** (rows keep their relative
+    /// order; equal keys route identically): one plan fetch, every row's
+    /// root lock targets deduplicated and acquired in one globally sorted
+    /// sweep, and root-edge publications fused into one bulk container
+    /// write per edge.
+    ///
+    /// The batch is atomic within the transaction: a mid-batch restart
+    /// fails the attempt, and the attempt's rollback takes back *every*
+    /// applied row, never a prefix. All rows are validated before the first
+    /// effect; rows whose shapes (`dom s`, `dom t`) differ from the first
+    /// row's fall back to the per-row path, keeping the fold semantics
+    /// exact.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::insert`] — validation errors abort the whole
+    /// batch with no effect; or [`TxnError::Restart`] (propagate it).
+    pub fn insert_all(&mut self, rows: &[(Tuple, Tuple)]) -> Result<Vec<bool>, TxnError> {
+        let router = self.router;
+        self.per_instance(rows, |(s, t)| router.route_row(s, t), Part::insert_all)
+    }
+
+    /// Batched `remove r s` over many keys under this transaction's lock
+    /// scope: semantically the sequential fold of [`Transaction::remove`]
+    /// over `keys` (duplicate keys remove once), executed as one amortized
+    /// pass per touched instance with a single plan fetch and one globally
+    /// sorted bulk lock sweep. Returns one outcome per key — whether *that*
+    /// key's tuple existed and was removed (a later duplicate of a removed
+    /// key reads `false`) — so batch callers can tell which keys were
+    /// present; `results.iter().filter(|b| **b).count()` is the removed
+    /// total.
+    ///
+    /// Atomic like [`Transaction::insert_all`]. Keys whose shape differs
+    /// from the first key's fall back to the per-key path, and so does a
+    /// batch holding any alternate (fan-out) key: grouped, all routed keys
+    /// would run before any fan-out key, and a routed and an alternate
+    /// pattern can match the *same* tuple, where the fold's outcome depends
+    /// on evaluation order.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::remove`]; or [`TxnError::Restart`]
+    /// (propagate it).
+    pub fn remove_all(&mut self, keys: &[Tuple]) -> Result<Vec<bool>, TxnError> {
+        let router = self.router;
+        if keys.iter().any(|k| router.route(k).is_none()) {
+            return keys
+                .iter()
+                .map(|k| Ok(self.remove_returning(k)?.is_some()))
+                .collect();
+        }
+        self.per_instance(keys, |k| router.shard_of(k), Part::remove_all)
+    }
+
+    /// Runs a batch as one sub-batch per touched instance, in ascending
+    /// instance order, and scatters the per-row results back. A batch that
+    /// routes to one instance — always, with one instance — runs whole,
+    /// without copying a row.
+    fn per_instance<T: Clone>(
+        &mut self,
+        rows: &[T],
+        route: impl Fn(&T) -> usize,
+        run: impl Fn(&mut Part<'t>, &[T]) -> Result<Vec<bool>, TxnError>,
+    ) -> Result<Vec<bool>, TxnError> {
+        let Some(first) = rows.first().map(&route) else {
+            return Ok(Vec::new());
+        };
+        if rows.iter().all(|r| route(r) == first) {
+            return run(self.part(first), rows);
+        }
+        let mut groups = vec![Vec::new(); self.router.instances.len()];
+        for (idx, row) in rows.iter().enumerate() {
+            groups[route(row)].push(idx);
+        }
+        let mut results = vec![false; rows.len()];
+        for (i, group) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+            let sub: Vec<T> = group.iter().map(|&idx| rows[idx].clone()).collect();
+            for (&idx, r) in group.iter().zip(run(self.part(i), &sub)?) {
+                results[idx] = r;
+            }
+        }
+        Ok(results)
+    }
+
+    /// `remove r s` (§2) under this transaction's lock scope; returns how
+    /// many tuples were removed (0 or 1, since `s` must be a key).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::remove`], wrapped in [`TxnError::Core`]; or
+    /// [`TxnError::Restart`] (propagate it).
+    ///
+    /// [`Relation::remove`]: crate::relation::Relation::remove
+    pub fn remove(&mut self, s: &Tuple) -> Result<usize, TxnError> {
+        Ok(usize::from(self.remove_returning(s)?.is_some()))
+    }
+
+    /// Like [`Transaction::remove`], but returns the removed tuple.
+    /// Alternate keys (a key set without the routing columns) search the
+    /// instances in ascending order under this transaction's locks.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::remove`].
+    pub fn remove_returning(&mut self, s: &Tuple) -> Result<Option<Tuple>, TxnError> {
+        match self.router.route(s) {
+            Some(i) => self.part(i).remove_returning(s),
+            // Not a key: instance 0 rejects it with the canonical error.
+            None if !self.schema().is_key(s.dom()) => self.part(0).remove_returning(s),
+            None => {
+                for i in 0..self.router.instances.len() {
+                    if let Some(t) = self.part(i).remove_returning(s)? {
+                        return Ok(Some(t));
+                    }
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// `update r s t` (§2) under this transaction's lock scope: replaces
+    /// the unique tuple `u ⊇ s` with `u ⊕ t`, returning the replaced
+    /// tuple, or `None` if no tuple extends `s`.
+    ///
+    /// `s` must be a key (as for `remove`) and `dom t` must be disjoint
+    /// from `dom s` — an update never changes which key the tuple answers
+    /// to, so a routed update never moves a tuple between instances.
+    ///
+    /// Two strategies, chosen by the planner (see
+    /// [`crate::planner::UpdatePlan`]): when the updated columns appear in
+    /// no non-sink node key, only the touched edges' entries are rewritten
+    /// **in place** under write locks on exactly those edges; otherwise a
+    /// locked unlink + re-insert runs under the one two-phase scope. Either
+    /// way the update is a single serializable step. An alternate-key
+    /// update on several instances locates the tuple instance by instance
+    /// and — when `t` rewrites a routing column — relocates it to its new
+    /// owner (an unlink on one instance and an insert on another, atomic
+    /// under this transaction).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::update`], wrapped in [`TxnError::Core`]; or
+    /// [`TxnError::Restart`] (propagate it).
+    ///
+    /// [`Relation::update`]: crate::relation::Relation::update
+    pub fn update(&mut self, s: &Tuple, t: &Tuple) -> Result<Option<Tuple>, TxnError> {
+        if let Some(i) = self.router.route(s) {
+            return self.part(i).update(s, t);
+        }
+        // Validate up front, as `plan_update` would: past this point the
+        // operation decomposes into remove + insert.
+        validate_update(self.schema(), s.dom(), t.dom())?;
+        let Some(old) = self.remove_returning(s)? else {
+            return Ok(None);
+        };
+        let new = old.override_with(t);
+        let inserted = self
+            .part(self.router.shard_of(&new))
+            .insert(&new, &Tuple::empty())?;
+        debug_assert!(
+            inserted,
+            "no tuple can extend the unlinked key under our exclusive locks"
+        );
+        Ok(Some(old))
+    }
+
+    /// `query r s C` (§2) under this transaction's lock scope: the
+    /// projection onto `cols` of all tuples extending `s`, deduplicated
+    /// and sorted. Observes this transaction's own earlier writes.
+    ///
+    /// Inside a transaction a query's shared locks *persist to commit*
+    /// (two-phase discipline) — the observed values stay stable for the
+    /// rest of the transaction, on every instance a fan-out pattern
+    /// visits. A later write to the same edges upgrades shared→exclusive:
+    /// in place when this transaction is the lock's only reader; otherwise
+    /// the closure restarts once and re-runs with exclusive locks acquired
+    /// up front (the engine's mode hints).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::query`], wrapped in [`TxnError::Core`]; or
+    /// [`TxnError::Restart`] (propagate it).
+    ///
+    /// [`Relation::query`]: crate::relation::Relation::query
+    pub fn query(&mut self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, TxnError> {
+        let router = self.router;
+        router.fan_query(s, |i| self.part(i).query(s, cols))
+    }
+
+    /// Range query under this transaction's lock scope: the projection
+    /// onto `cols` of all tuples extending `s` whose `range` column falls
+    /// inside the interval, ordered by (range-column value, projection),
+    /// deduplicated, truncated to `range.limit()` if set. Observes this
+    /// transaction's own earlier writes; the same two-phase lock
+    /// persistence as [`Transaction::query`] applies.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::query`].
+    pub fn query_range(
+        &mut self,
+        s: &Tuple,
+        range: &RangePattern,
+        cols: ColumnSet,
+    ) -> Result<Vec<Tuple>, TxnError> {
+        let router = self.router;
+        router.fan_query_range(s, range, cols, |i, range, cols| {
+            self.part(i).query_range(s, range, cols)
+        })
+    }
+
+    /// Whether any tuple extends `s` — a short-circuiting existence check
+    /// that stops at the first witness instead of materializing,
+    /// deduplicating, and sorting every match the way `query(s, ∅)` would.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::query`].
+    pub fn contains(&mut self, s: &Tuple) -> Result<bool, TxnError> {
+        let router = self.router;
+        router.fan_contains(s, |i| self.part(i).contains(s))
+    }
+
+    /// All tuples, sorted, as observed under this transaction's locks.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Transaction::query`].
+    pub fn snapshot(&mut self) -> Result<Vec<Tuple>, TxnError> {
+        self.query(&Tuple::empty(), self.schema().columns())
+    }
+
+    /// Aborts the transaction: return this from the closure (e.g.
+    /// `return Err(tx.abort("insufficient funds"))`) to roll back every
+    /// effect on every instance and surface
+    /// [`CoreError::TransactionAborted`] to the [`Relation::transaction`]
+    /// caller.
+    ///
+    /// [`Relation::transaction`]: crate::relation::Relation::transaction
+    pub fn abort(&self, reason: impl Into<String>) -> TxnError {
+        TxnError::Core(CoreError::TransactionAborted(reason.into()))
+    }
+}
+
+impl fmt::Debug for Transaction<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let touched: Vec<usize> = (0..self.parts.len())
+            .filter(|&i| self.parts[i].is_some())
+            .collect();
+        f.debug_struct("Transaction")
+            .field("instances", &self.parts.len())
+            .field("touched", &touched)
+            .field("single_shot", &self.single_shot)
+            .finish()
+    }
+}
+
+/// One instance's part of an attempt: the operations routed to it run
+/// through one executor and one lock engine, against the representation
+/// pinned for the attempt.
+pub(crate) struct Part<'t> {
     rel: &'t ConcurrentRelation,
-    /// The representation this attempt is pinned to (captured by the
-    /// transaction loop before the attempt starts; the loop validates at
-    /// commit that it is still the relation's current one).
     repr: &'t Repr,
     exec: Executor<'t>,
     /// Applied operations in order, for the WAL's redo record. Empty
-    /// (never pushed, no allocation) unless the relation has a WAL.
+    /// (never pushed, no allocation) unless the instance has a WAL.
     redo: Vec<RedoOp>,
-    /// Whether to capture [`RedoOp`]s — true exactly when the relation
+    /// Whether to capture [`RedoOp`]s — true exactly when the instance
     /// has a WAL attached.
     log_redo: bool,
     len_delta: isize,
-    /// The closure is one operation of the relation's single-shot sugar:
-    /// its last write is the attempt's last write.
     single_shot: bool,
     saw_restart: bool,
 }
 
-impl<'t> Transaction<'t> {
-    /// Opens one attempt on `rel`, pinned to `repr`, acquiring through
-    /// `engine`.
-    pub(crate) fn new(
+impl<'t> Part<'t> {
+    fn new(
         rel: &'t ConcurrentRelation,
         repr: &'t Repr,
         engine: &'t mut TwoPhaseEngine<LockToken>,
@@ -182,12 +536,12 @@ impl<'t> Transaction<'t> {
     ) -> Self {
         let mut exec = Executor::new(&repr.decomp, &repr.placement, engine);
         exec.always_sort_locks = rel.always_sort_locks();
-        Transaction {
+        Part {
             rel,
             repr,
             exec,
             redo: Vec::new(),
-            log_redo: rel.has_wal(),
+            log_redo: rel.wal().is_some(),
             len_delta: 0,
             single_shot,
             saw_restart: false,
@@ -198,9 +552,9 @@ impl<'t> Transaction<'t> {
     /// to the closure. A closure that swallows the error and returns `Ok`
     /// would otherwise commit a half-applied transaction (e.g. an update
     /// whose unlink succeeded but whose re-insert restarted, or a batch
-    /// stopped mid-way); the commit path checks
-    /// [`Transaction::needs_restart`] and rolls back and retries instead,
-    /// so the discipline is enforced, not just documented.
+    /// stopped mid-way); the commit path checks [`Part::needs_restart`] and
+    /// rolls back and retries instead, so the discipline is enforced, not
+    /// just documented.
     fn track<T>(&mut self, r: Result<T, MustRestart>) -> Result<T, TxnError> {
         if r.is_err() {
             self.saw_restart = true;
@@ -208,32 +562,10 @@ impl<'t> Transaction<'t> {
         r.map_err(TxnError::from)
     }
 
-    /// Whether any operation of this transaction demanded a restart. Once
-    /// set, the transaction must not commit, whatever the closure returns.
+    /// Whether any operation of this part demanded a restart. Once set,
+    /// the attempt must not commit, whatever the closure returns.
     pub(crate) fn needs_restart(&self) -> bool {
         self.saw_restart
-    }
-
-    /// Demotes every future lock acquisition of this transaction to a
-    /// *try* (restart on contention, never block). The sharding layer
-    /// calls this when the enclosing cross-shard transaction already holds
-    /// locks under a higher shard index, so blocking here would sit
-    /// outside the global (shard, token) order — see
-    /// [`crate::shard::ShardedTransaction`].
-    pub(crate) fn force_try_locks(&mut self) {
-        self.exec.set_try_only();
-    }
-
-    /// The relation this transaction operates on.
-    ///
-    /// Only for reading metadata (schema, columns): operations on the
-    /// relation inside the closure must go through the transaction —
-    /// single-shot calls there self-deadlock (and panic, see
-    /// [`ConcurrentRelation::transaction`]).
-    ///
-    /// [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
-    pub fn relation(&self) -> &'t ConcurrentRelation {
-        self.rel
     }
 
     /// §4.2 precondition for every operation: all acquisitions precede
@@ -248,66 +580,55 @@ impl<'t> Transaction<'t> {
         );
     }
 
+    /// The instance this part operates on.
+    pub(crate) fn relation(&self) -> &'t ConcurrentRelation {
+        self.rel
+    }
+
     /// Net tuple-count change of the operations applied so far.
     pub(crate) fn len_delta(&self) -> isize {
         self.len_delta
     }
 
-    /// The attempt's applied-operation stream for the WAL's redo record
-    /// (empty when the relation has no WAL, or nothing applied).
+    /// The part's applied-operation stream for the WAL's redo record
+    /// (empty when the instance has no WAL, or nothing applied).
     pub(crate) fn redo(&self) -> &[RedoOp] {
         &self.redo
     }
 
-    /// The attempt's MVCC state (commit stamp + write journal), which
-    /// [`crate::commit`] stamps and retires before the engine releases
-    /// any lock.
+    /// The part's MVCC state (commit stamp + write journal), which the
+    /// commit path stamps and retires before the engine releases any lock.
     pub(crate) fn mvcc(&self) -> &crate::mvcc::MvccScope {
         self.exec.mvcc()
     }
 
-    /// Takes back every write of the attempt from its write journal, while
+    /// Takes back every write of the part from its write journal, while
     /// all of its locks are still held (see the [module docs](self)).
-    /// Reached from [`crate::commit::abort`] and, when the closure
+    /// Reached from the commit path's abort and, when the closure
     /// panicked, from `Drop`; a no-op once the attempt has committed or
     /// rolled back.
     pub(crate) fn roll_back(&mut self) {
         self.exec.roll_back();
     }
 
-    /// The representation this attempt is pinned to.
+    /// The representation this part is pinned to.
     pub(crate) fn repr(&self) -> &'t Repr {
         self.repr
     }
 
-    /// The attempt's lock engine, for the release that ends it.
+    /// The part's lock engine, for the release that ends it.
     pub(crate) fn engine(&mut self) -> &mut TwoPhaseEngine<LockToken> {
         self.exec.engine()
     }
 
-    /// Pre-seeds the attempt's commit stamp. The sharding layer injects
-    /// one shared stamp into every shard-local transaction of a
-    /// cross-shard attempt, so all shards' versions become visible at one
-    /// timestamp (a single consistent cut).
-    pub(crate) fn set_mvcc_stamp(&mut self, stamp: std::sync::Arc<relc_locks::CommitStamp>) {
-        self.exec.set_mvcc_stamp(stamp);
-    }
-
-    /// `insert r s t` (§2) under this transaction's lock scope: inserts
-    /// `s ∪ t` provided no existing tuple extends `s`; returns whether the
-    /// insert happened.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::insert`], wrapped in
-    /// [`TxnError::Core`]; or [`TxnError::Restart`] (propagate it).
-    pub fn insert(&mut self, s: &Tuple, t: &Tuple) -> Result<bool, TxnError> {
+    /// `insert r s t` (§2); see [`Transaction::insert`].
+    fn insert(&mut self, s: &Tuple, t: &Tuple) -> Result<bool, TxnError> {
         self.insert_row(s, t, !self.single_shot)
     }
 
-    /// [`Transaction::insert`] with the isolation rule of
-    /// [`Executor::run_insert`] decided by the caller: a row of a batch is
-    /// never the attempt's last write, single-shot or not.
+    /// [`Part::insert`] with the isolation rule of [`Executor::run_insert`]
+    /// decided by the caller: a row of a batch is never the attempt's last
+    /// write, single-shot or not.
     fn insert_row(
         &mut self,
         s: &Tuple,
@@ -337,49 +658,25 @@ impl<'t> Transaction<'t> {
         }
     }
 
-    /// §2 argument validation shared by [`Transaction::insert`] and
-    /// [`Transaction::insert_all`]: disjoint domains, full valuation.
-    /// Returns `x = s ∪ t`.
+    /// §2 argument validation shared by [`Part::insert`] and
+    /// [`Part::insert_all`]: disjoint domains, full valuation. Returns
+    /// `x = s ∪ t`.
     fn validate_insert(&self, s: &Tuple, t: &Tuple) -> Result<Tuple, TxnError> {
+        let schema = self.rel.schema();
         if !s.dom().is_disjoint(t.dom()) {
+            let shared = s.dom().intersection(t.dom());
             return Err(SpecError::OverlappingInsertDomains {
-                shared: self
-                    .rel
-                    .schema()
-                    .catalog()
-                    .render_set(s.dom().intersection(t.dom())),
+                shared: schema.catalog().render_set(shared),
             }
             .into());
         }
         let x = s.union(t).expect("disjoint domains cannot conflict");
-        self.rel
-            .schema()
-            .check_valuation(&x)
-            .map_err(CoreError::from)?;
+        schema.check_valuation(&x).map_err(CoreError::from)?;
         Ok(x)
     }
 
-    /// Batched `insert r s t` over many rows under this transaction's lock
-    /// scope: semantically the sequential fold of [`Transaction::insert`]
-    /// over `rows` — one put-if-absent result per row, duplicate patterns
-    /// within the batch losing to the first occurrence — executed as **one
-    /// amortized pass**: one plan fetch for the whole batch, every row's
-    /// root lock targets deduplicated and acquired in one globally sorted
-    /// sweep, and root-edge publications fused into one bulk container
-    /// write per edge.
-    ///
-    /// The batch is atomic within the transaction: a mid-batch restart
-    /// fails the attempt, and the attempt's rollback takes back *every*
-    /// applied row, never a prefix. All rows are validated before the first
-    /// effect; rows whose shapes (`dom s`, `dom t`) differ from the first
-    /// row's fall back to the per-row path, keeping the fold semantics
-    /// exact.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transaction::insert`] — validation errors abort the whole
-    /// batch with no effect; or [`TxnError::Restart`] (propagate it).
-    pub fn insert_all(&mut self, rows: &[(Tuple, Tuple)]) -> Result<Vec<bool>, TxnError> {
+    /// Batched insert; see [`Transaction::insert_all`].
+    fn insert_all(&mut self, rows: &[(Tuple, Tuple)]) -> Result<Vec<bool>, TxnError> {
         self.assert_two_phase();
         let Some(((s0, t0), _)) = rows.split_first() else {
             return Ok(Vec::new());
@@ -411,24 +708,8 @@ impl<'t> Transaction<'t> {
         Ok(results)
     }
 
-    /// Batched `remove r s` over many keys under this transaction's lock
-    /// scope: semantically the sequential fold of [`Transaction::remove`]
-    /// over `keys` (duplicate keys remove once), executed as one amortized
-    /// pass with a single plan fetch and one globally sorted bulk lock
-    /// sweep. Returns one outcome per key — whether *that* key's tuple
-    /// existed and was removed (a later duplicate of a removed key reads
-    /// `false`) — so batch callers can tell which keys were present;
-    /// `results.iter().filter(|b| **b).count()` is the removed total.
-    ///
-    /// Atomic like [`Transaction::insert_all`]: a mid-batch restart fails
-    /// the attempt, whose rollback re-links every removed tuple. Keys whose
-    /// shape differs from the first key's fall back to the per-key path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transaction::remove`]; or [`TxnError::Restart`]
-    /// (propagate it).
-    pub fn remove_all(&mut self, keys: &[Tuple]) -> Result<Vec<bool>, TxnError> {
+    /// Batched remove; see [`Transaction::remove_all`].
+    fn remove_all(&mut self, keys: &[Tuple]) -> Result<Vec<bool>, TxnError> {
         self.assert_two_phase();
         let Some(k0) = keys.first() else {
             return Ok(Vec::new());
@@ -457,23 +738,9 @@ impl<'t> Transaction<'t> {
         }
     }
 
-    /// `remove r s` (§2) under this transaction's lock scope; returns how
-    /// many tuples were removed (0 or 1, since `s` must be a key).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::remove`], wrapped in
-    /// [`TxnError::Core`]; or [`TxnError::Restart`] (propagate it).
-    pub fn remove(&mut self, s: &Tuple) -> Result<usize, TxnError> {
-        Ok(usize::from(self.remove_returning(s)?.is_some()))
-    }
-
-    /// Like [`Transaction::remove`], but returns the removed tuple.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transaction::remove`].
-    pub fn remove_returning(&mut self, s: &Tuple) -> Result<Option<Tuple>, TxnError> {
+    /// `remove r s` (§2) returning the removed tuple; see
+    /// [`Transaction::remove_returning`].
+    fn remove_returning(&mut self, s: &Tuple) -> Result<Option<Tuple>, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.remove_plan(s.dom())?;
         let res = self.exec.run_remove(&plan, s, self.repr.root());
@@ -484,26 +751,9 @@ impl<'t> Transaction<'t> {
         Ok(removed)
     }
 
-    /// `update r s t` (§2) under this transaction's lock scope: replaces
-    /// the unique tuple `u ⊇ s` with `u ⊕ t`, returning the replaced
-    /// tuple, or `None` if no tuple extends `s`.
-    ///
-    /// `s` must be a key (as for `remove`) and `dom t` must be disjoint
-    /// from `dom s` — an update never changes which key the tuple answers
-    /// to.
-    ///
-    /// Two strategies, chosen by the planner (see
-    /// [`crate::planner::UpdatePlan`]): when the updated columns appear in
-    /// no non-sink node key, only the touched edges' entries are rewritten
-    /// **in place** under write locks on exactly those edges; otherwise a
-    /// locked unlink + re-insert runs under the one two-phase scope. Either
-    /// way the update is a single serializable step.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::update`], wrapped in
-    /// [`TxnError::Core`]; or [`TxnError::Restart`] (propagate it).
-    pub fn update(&mut self, s: &Tuple, t: &Tuple) -> Result<Option<Tuple>, TxnError> {
+    /// `update r s t` (§2) within this instance; see
+    /// [`Transaction::update`].
+    fn update(&mut self, s: &Tuple, t: &Tuple) -> Result<Option<Tuple>, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.update_plan(s.dom(), t.dom())?;
         let root = self.repr.root();
@@ -541,42 +791,19 @@ impl<'t> Transaction<'t> {
         Ok(old)
     }
 
-    /// `query r s C` (§2) under this transaction's lock scope: the
-    /// projection onto `cols` of all tuples extending `s`, deduplicated
-    /// and sorted. Observes this transaction's own earlier writes.
-    ///
-    /// Inside a transaction a query's shared locks *persist to commit*
-    /// (two-phase discipline) — the observed values stay stable for the
-    /// rest of the transaction. A later write to the same edges upgrades
-    /// shared→exclusive: in place when this transaction is the lock's only
-    /// reader; otherwise the closure restarts once and re-runs with
-    /// exclusive locks acquired up front (the engine's mode hints).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::query`], wrapped in
-    /// [`TxnError::Core`]; or [`TxnError::Restart`] (propagate it).
-    pub fn query(&mut self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, TxnError> {
+    /// `query r s C` (§2); see [`Transaction::query`].
+    fn query(&mut self, s: &Tuple, cols: ColumnSet) -> Result<Vec<Tuple>, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.query_plan(s.dom(), cols)?;
         let res = self.exec.run_query(&plan, s, self.repr.root());
         self.track(res)
     }
 
-    /// Range query under this transaction's lock scope: the projection
-    /// onto `cols` of all tuples extending `s` whose `range` column falls
-    /// inside the interval, ordered by (range-column value, projection),
-    /// deduplicated, truncated to `range.limit()` if set. Observes this
-    /// transaction's own earlier writes; the same two-phase lock
-    /// persistence as [`Transaction::query`] applies.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transaction::query`].
-    pub fn query_range(
+    /// Range query; see [`Transaction::query_range`].
+    fn query_range(
         &mut self,
         s: &Tuple,
-        range: &relc_spec::RangePattern,
+        range: &RangePattern,
         cols: ColumnSet,
     ) -> Result<Vec<Tuple>, TxnError> {
         self.assert_two_phase();
@@ -585,61 +812,23 @@ impl<'t> Transaction<'t> {
         self.track(res)
     }
 
-    /// Whether any tuple extends `s` — a short-circuiting existence check
-    /// that stops at the first witness instead of materializing,
-    /// deduplicating, and sorting every match the way
-    /// `query(s, ∅)` would.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transaction::query`].
-    pub fn contains(&mut self, s: &Tuple) -> Result<bool, TxnError> {
+    /// Existence check; see [`Transaction::contains`].
+    fn contains(&mut self, s: &Tuple) -> Result<bool, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.query_plan(s.dom(), ColumnSet::EMPTY)?;
         let res = self.exec.run_exists(&plan, s, self.repr.root());
         self.track(res)
     }
-
-    /// All tuples, sorted, as observed under this transaction's locks.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transaction::query`].
-    pub fn snapshot(&mut self) -> Result<Vec<Tuple>, TxnError> {
-        self.query(&Tuple::empty(), self.rel.schema().columns())
-    }
-
-    /// Aborts the transaction: return this from the closure (e.g.
-    /// `return Err(tx.abort("insufficient funds"))`) to roll back every
-    /// effect and surface [`CoreError::TransactionAborted`] to the
-    /// [`ConcurrentRelation::transaction`] caller.
-    ///
-    /// [`ConcurrentRelation::transaction`]: crate::ConcurrentRelation::transaction
-    pub fn abort(&self, reason: impl Into<String>) -> TxnError {
-        TxnError::Core(CoreError::TransactionAborted(reason.into()))
-    }
 }
 
-/// An attempt that ends without [`crate::commit::conclude`] — its closure
-/// panicked — must not leave its writes behind: the lock engine this
-/// transaction borrows releases every lock when *it* drops, which is
-/// strictly after this. Rolling back here keeps locked readers from seeing
-/// half a transaction and the version chains from keeping tentative heads
-/// forever. After a commit or an abort there is nothing left to take back
-/// and this does nothing.
-impl Drop for Transaction<'_> {
+/// A part that ends without the commit path — its closure panicked — must
+/// not leave its writes behind: the lock engine it borrows releases every
+/// lock when *it* drops, which is strictly after this. Rolling back here
+/// keeps locked readers from seeing half a transaction and the version
+/// chains from keeping tentative heads forever. After a commit or an abort
+/// there is nothing left to take back and this does nothing.
+impl Drop for Part<'_> {
     fn drop(&mut self) {
         self.roll_back();
-    }
-}
-
-impl fmt::Debug for Transaction<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Transaction")
-            .field("relation", &self.rel)
-            .field("mvcc", self.exec.mvcc())
-            .field("len_delta", &self.len_delta)
-            .field("single_shot", &self.single_shot)
-            .finish()
     }
 }

@@ -460,11 +460,7 @@ fn small_transaction_histories_are_linearizable() {
                                                 result: usize::from(removed.is_some()),
                                             });
                                             if let Some(u) = removed {
-                                                let wcol = tx
-                                                    .relation()
-                                                    .schema()
-                                                    .column("weight")
-                                                    .unwrap();
+                                                let wcol = tx.schema().column("weight").unwrap();
                                                 let wv =
                                                     u.get(wcol).and_then(|v| v.as_int()).unwrap();
                                                 let ins = tx.insert(

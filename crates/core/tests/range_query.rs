@@ -351,8 +351,8 @@ fn randomized_ranges_match_oracle() {
 }
 
 /// Sharded range routing: a pattern binding the routing columns is served
-/// by its owning shard alone — one shard's own `query_range`, one snapshot
-/// read — while a fan-out pattern reads every shard at one snapshot; both
+/// by its owning shard alone — one snapshot read there and none elsewhere
+/// — while a fan-out pattern reads every shard at one snapshot; both
 /// match the oracle (value parity across all shapes is
 /// `read_surfaces_match_oracle`'s job).
 #[test]
@@ -368,15 +368,15 @@ fn sharded_ranges_match_oracle() {
     let full = d.schema().columns();
     let wcol = d.schema().column("weight").unwrap();
     let range = RangePattern::closed(wcol, Value::from(2), Value::from(9)).with_limit(5);
-    let shard_range_queries = |rel: &ShardedRelation| -> Vec<u64> {
+    let shard_snapshot_reads = |rel: &ShardedRelation| -> Vec<u64> {
         rel.shards()
             .iter()
-            .map(|s| s.stats_snapshot().ops.range_queries)
+            .map(|s| s.lock_stats().snapshot_reads)
             .collect()
     };
 
     let routed = tup(&d, &[("src", 2), ("dst", 3)]);
-    let (reads, per_shard) = (rel.lock_stats().snapshot_reads, shard_range_queries(&rel));
+    let (reads, per_shard) = (rel.lock_stats().snapshot_reads, shard_snapshot_reads(&rel));
     let got = rel.query_range(&routed, &range, full).unwrap();
     assert_eq!(got, oracle.query_range(&routed, &range, full));
     assert_eq!(got.len(), 1, "the routed key is present and in range");
@@ -388,9 +388,9 @@ fn sharded_ranges_match_oracle() {
     let mut expect = per_shard;
     expect[rel.shard_of(&routed)] += 1;
     assert_eq!(
-        shard_range_queries(&rel),
+        shard_snapshot_reads(&rel),
         expect,
-        "a routed range read goes through its owning shard's own query_range"
+        "a routed range read is one snapshot read on its owning shard and none elsewhere"
     );
 
     let reads = rel.lock_stats().snapshot_reads;
@@ -401,10 +401,11 @@ fn sharded_ranges_match_oracle() {
         4,
         "a fan-out range read consults every shard"
     );
+    expect.iter_mut().for_each(|n| *n += 1);
     assert_eq!(
-        shard_range_queries(&rel),
+        shard_snapshot_reads(&rel),
         expect,
-        "a fan-out range read uses the shared reader, not the shards' single-shot path"
+        "a fan-out range read is one snapshot read on every shard"
     );
 }
 

@@ -281,7 +281,7 @@ fn cross_shard_abort_rolls_back_already_applied_shards() {
                 assert_eq!(tx.remove(&kb)?, 1);
                 assert!(tx.insert(&kb, &weight(&rel, 30))?);
                 // Read-your-writes across shards inside the transaction.
-                let wc = tx.relation().schema().column_set(&["weight"]).unwrap();
+                let wc = tx.schema().column_set(&["weight"]).unwrap();
                 assert_eq!(tx.query(&ka, wc)?, vec![weight(&rel, 70)]);
                 Err(tx.abort("insufficient funds"))
             })
@@ -551,7 +551,7 @@ fn opposing_cross_shard_transfers_make_progress_and_conserve_totals() {
                             let (from, to) = if tid % 2 == 0 { (a, b) } else { (b, a) };
                             let amount = (next() % 5) as i64;
                             rel.transaction(|tx| {
-                                let wc = tx.relation().schema().column_set(&["weight"]).unwrap();
+                                let wc = tx.schema().column_set(&["weight"]).unwrap();
                                 let wf = tx.query(&edge(&rel, from, from), wc)?;
                                 let wt = tx.query(&edge(&rel, to, to), wc)?;
                                 let (Some(wf), Some(wt)) = (wf.first(), wt.first()) else {

@@ -1047,3 +1047,98 @@ fn maintenance_fences_count_no_commits() {
     assert_eq!(counted(sharded.lock_stats()), before, "sharded migrate_to");
     assert_eq!(sharded.verify().unwrap().len(), 12);
 }
+
+/// A one-instance durable relation keeps its directory layout —
+/// `relation.wal` and `relation.ckpt`, not `shard-0.*` — so a directory
+/// written by it reopens: rows, a checkpoint, more writes after it, then a
+/// reopen that must equal the oracle.
+#[test]
+fn unsharded_durable_directory_keeps_its_files_and_recovers() {
+    let _serial = serialize();
+    let (d, p) = graph();
+    let dir = fresh_dir("unsharded-layout");
+    let opts = WalOptions::default();
+    let (rel, _) = ConcurrentRelation::open_durable(d.clone(), p.clone(), &dir, opts).unwrap();
+    let oracle = OracleRelation::empty(rel.schema().clone());
+    for i in 0..12i64 {
+        rel.insert(&key(&rel, i, i), &payload(&rel, i)).unwrap();
+        oracle.insert(&key(&rel, i, i), &payload(&rel, i)).unwrap();
+    }
+    assert_eq!(rel.checkpoint().unwrap(), 12);
+    for i in 0..4i64 {
+        rel.update(&key(&rel, i, i), &payload(&rel, 100 + i))
+            .unwrap();
+        oracle
+            .update(&key(&rel, i, i), &payload(&rel, 100 + i))
+            .unwrap();
+        assert_eq!(rel.remove(&key(&rel, 11 - i, 11 - i)).unwrap(), 1);
+        oracle.remove(&key(&rel, 11 - i, 11 - i));
+        rel.insert(&key(&rel, 50 + i, 0), &payload(&rel, i))
+            .unwrap();
+        oracle
+            .insert(&key(&rel, 50 + i, 0), &payload(&rel, i))
+            .unwrap();
+    }
+    drop(rel);
+
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["relation.ckpt", "relation.wal"]);
+
+    let (rec, report) = ConcurrentRelation::open_durable(d, p, &dir, opts).unwrap();
+    assert_eq!(report.checkpoint_rows, 12);
+    assert_eq!(report.replayed, 12);
+    let want: BTreeSet<Tuple> = oracle.snapshot().into_iter().collect();
+    assert_eq!(rec.verify().unwrap(), want);
+    assert_eq!(rec.len(), oracle.len());
+}
+
+/// A routed single-shot write on a relation with several logs holds its
+/// locks until its record is durable. Thread A updates key `k` on shard
+/// `i`; once a snapshot read sees the new value, a locked transaction
+/// queries `k` and then writes shard `j ≠ i`. With a long group window
+/// the only thing that delays A's flush is the window, so had A released
+/// its locks before its fsync, the query would return while the record
+/// is still buffered — and the transaction, durable in shard `j`'s log,
+/// could survive a crash that loses the write it read.
+#[test]
+fn routed_write_on_several_logs_is_durable_before_it_is_read() {
+    let _serial = serialize();
+    let (d, p) = graph();
+    let dir = fresh_dir("routed-fsync");
+    let opts = WalOptions {
+        fsync: true,
+        group_window: Duration::from_millis(300),
+    };
+    let (rel, _) = ShardedRelation::open_durable(d, p, 4, &dir, opts).unwrap();
+    let (k, kj) = shard_mates(&rel, false);
+    let i = rel.shard_of(&k);
+    rel.insert(&k, &spayload(&rel, 0)).unwrap();
+    rel.insert(&kj, &spayload(&rel, 0)).unwrap();
+    let wc = rel.schema().column_set(&["weight"]).unwrap();
+    let fsyncs = || rel.shards()[i].wal_stats().unwrap().fsyncs;
+    let before = fsyncs();
+
+    let durable_when_read = std::thread::scope(|s| {
+        s.spawn(|| rel.update(&k, &spayload(&rel, 1)).unwrap());
+        while rel.query(&k, wc).unwrap() != vec![spayload(&rel, 1)] {
+            std::thread::yield_now();
+        }
+        let durable = AtomicBool::new(false);
+        rel.transaction(|tx| {
+            assert_eq!(tx.query(&k, wc)?, vec![spayload(&rel, 1)]);
+            durable.store(fsyncs() > before, Ordering::SeqCst);
+            tx.update(&kj, &spayload(&rel, 2))?;
+            Ok(())
+        })
+        .unwrap();
+        durable.load(Ordering::SeqCst)
+    });
+    assert!(
+        durable_when_read,
+        "a routed write was read before its record was durable"
+    );
+}

@@ -74,8 +74,8 @@ impl CommitStamp {
     }
 }
 
-/// The process-global commit timestamp authority. See the
-/// [module docs](self).
+/// The process-global commit timestamp authority. See the module docs
+/// of `clock.rs`.
 #[derive(Debug)]
 pub struct CommitClock {
     /// Last timestamp handed out.
@@ -140,8 +140,8 @@ impl CommitClock {
     /// on *smaller* timestamps the wait-for order is acyclic (no
     /// deadlock). On a heavily oversubscribed box (threads ≫ cores) the
     /// stall is scheduler-bound, not instruction-bound, so the wait is
-    /// **bounded**: [`PUBLISH_SPINS`] busy iterations, then
-    /// [`PUBLISH_YIELDS`] yields, then the waiter *parks* on a condvar
+    /// **bounded**: `PUBLISH_SPINS` busy iterations, then
+    /// `PUBLISH_YIELDS` yields, then the waiter *parks* on a condvar
     /// and is woken by whichever publisher advances `visible` — parked
     /// waiters consume no CPU, which is exactly what lets the descheduled
     /// predecessor run. The uncontended path never touches the mutex:
@@ -321,7 +321,7 @@ impl SnapshotRegistry {
     }
 
     /// Registers the calling thread as reading at the clock's current
-    /// watermark, using publish-then-validate (see the [module docs](self))
+    /// watermark, using publish-then-validate (see the module docs of `clock.rs`)
     /// so a concurrent committer's [`SnapshotRegistry::min_active`] can
     /// never miss the registration.
     pub fn register(self: &Arc<Self>, clock: &CommitClock) -> SnapshotGuard {

@@ -67,7 +67,7 @@ pub struct GroupCommitStats {
 }
 
 /// One append-only log file with group-commit fsync batching. See the
-/// [module docs](self).
+/// module docs of `group_commit.rs`.
 #[derive(Debug)]
 pub struct GroupCommit {
     /// The log file; touched only by the elected leader (and by

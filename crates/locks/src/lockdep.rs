@@ -12,7 +12,7 @@
 //! interleaving the two orders could block each other — even if no stress
 //! run ever manifests it. Cycles are detected incrementally at edge
 //! insertion and recorded (not panicked), so a test harness can assert on
-//! [`cycle_reports`] after driving the workload.
+//! `cycle_reports()` after driving the workload.
 //!
 //! The graph deliberately ignores whether an acquisition blocked or only
 //! *tried*: a try-only inversion cannot deadlock by itself (nobody blocks),

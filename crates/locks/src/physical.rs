@@ -52,7 +52,7 @@ impl PhysicalLock {
 
     /// Acquires the lock in `mode`, blocking if necessary.
     ///
-    /// A blocking exclusive acquisition raises [`WRITER_PENDING`], which
+    /// A blocking exclusive acquisition raises `WRITER_PENDING`, which
     /// turns away newly arriving readers while the current ones drain —
     /// writer preference, so read-heavy traffic cannot starve writers.
     /// (Blocked *readers* then wait for that writer; the wait-for edges
@@ -110,7 +110,7 @@ impl PhysicalLock {
     }
 
     /// Attempts to acquire the lock in `mode` without blocking. Fails for
-    /// either mode while a blocking writer is flagged ([`WRITER_PENDING`])
+    /// either mode while a blocking writer is flagged (`WRITER_PENDING`)
     /// — try-only callers restart rather than queue-jump.
     pub fn try_acquire(&self, mode: LockMode) -> bool {
         match mode {
@@ -141,7 +141,7 @@ impl PhysicalLock {
     /// Turns the caller's shared hold into an exclusive one without
     /// releasing it, if that needs no waiting: succeeds only when the
     /// caller is the sole reader and no writer is flagged
-    /// ([`WRITER_PENDING`]), so writer preference is kept. On failure the
+    /// (`WRITER_PENDING`), so writer preference is kept. On failure the
     /// caller still holds the lock shared.
     ///
     /// # Safety

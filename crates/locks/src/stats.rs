@@ -86,7 +86,7 @@ impl LockStats {
 
     /// Records `n` completed MVCC snapshot read operations. Snapshot
     /// reads never enter the lock engine (that is the point), so they
-    /// bypass the [`LocalStats`] flush path and record directly.
+    /// bypass the `LocalStats` flush path and record directly.
     pub fn record_snapshot_reads(&self, n: u64) {
         if n > 0 {
             self.snapshot_reads.fetch_add(n, Ordering::Relaxed);
@@ -135,6 +135,23 @@ pub struct LockStatsSnapshot {
     /// Lock-free MVCC snapshot read operations (queries/membership tests
     /// served from version chains without touching the lock engine).
     pub snapshot_reads: u64,
+}
+
+/// Field-wise sum: the counters of several engines' sinks (the instances
+/// of one relation) read as one.
+impl std::iter::Sum for LockStatsSnapshot {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| LockStatsSnapshot {
+            acquisitions: a.acquisitions + b.acquisitions,
+            contended: a.contended + b.contended,
+            restarts: a.restarts + b.restarts,
+            upgrades: a.upgrades + b.upgrades,
+            speculation_failures: a.speculation_failures + b.speculation_failures,
+            commits: a.commits + b.commits,
+            user_rollbacks: a.user_rollbacks + b.user_rollbacks,
+            snapshot_reads: a.snapshot_reads + b.snapshot_reads,
+        })
+    }
 }
 
 impl fmt::Display for LockStatsSnapshot {
