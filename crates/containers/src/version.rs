@@ -40,7 +40,8 @@ use crossbeam::epoch::{self, Atomic, Guard, Owned, Shared};
 use relc_locks::CommitStamp;
 
 use crate::api::{ContainerKind, Key, Val};
-use crate::skiplist::SkipList;
+use crate::extsync::ExtSyncCell;
+use crate::skiplist::{Node, SkipList};
 
 /// Process-global count of version nodes ever created.
 static VERSIONS_CREATED: AtomicU64 = AtomicU64::new(0);
@@ -352,7 +353,13 @@ pub struct VersionIndex<K, V> {
 
 enum Shape<K, V> {
     One(VersionCell<(K, V)>),
-    Map(SkipList<K, VersionCell<V>>),
+    Map {
+        list: SkipList<K, VersionCell<V>>,
+        /// Where the next [`VersionIndex::sweep`] step resumes: the last
+        /// entry the previous step visited, `None` at the start. Written
+        /// only by a sweep, whose caller holds the whole index's locks.
+        cursor: ExtSyncCell<Option<K>>,
+    },
 }
 
 impl<K: Key, V: Val> VersionIndex<K, V> {
@@ -362,7 +369,10 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
         VersionIndex {
             shape: match kind {
                 ContainerKind::Singleton => Shape::One(VersionCell::empty()),
-                _ => Shape::Map(SkipList::new()),
+                _ => Shape::Map {
+                    list: SkipList::new(),
+                    cursor: ExtSyncCell::new(None),
+                },
             },
         }
     }
@@ -383,7 +393,7 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     }
                 }
             },
-            Shape::Map(list) => {
+            Shape::Map { list, .. } => {
                 list.upsert(
                     key,
                     guard,
@@ -415,7 +425,7 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     .filter(|(held, _)| held == key)
                     .map(|(_, v)| v)
             }
-            Shape::Map(list) => {
+            Shape::Map { list, .. } => {
                 let cell = &list.get(key, guard)?.payload;
                 cell.pop(stamp, guard);
                 if cell.is_empty(guard) {
@@ -433,7 +443,7 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 .resolve_ref(snap, guard)
                 .filter(|(held, _)| held == key)
                 .map(|(_, v)| v),
-            Shape::Map(list) => list.get(key, guard)?.payload.resolve_ref(snap, guard),
+            Shape::Map { list, .. } => list.get(key, guard)?.payload.resolve_ref(snap, guard),
         }
     }
 
@@ -455,7 +465,7 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     }
                 }
             }
-            Shape::Map(list) => list.walk(lo, hi, guard, |node| {
+            Shape::Map { list, .. } => list.walk(lo, hi, guard, |node| {
                 match node.payload.resolve_ref(snap, guard) {
                     Some(v) => f(&node.key, v),
                     None => ControlFlow::Continue(()),
@@ -472,7 +482,7 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
     pub fn retire(&self, key: &K, floor: u64, guard: &Guard) {
         match &self.shape {
             Shape::One(cell) => cell.truncate_to_empty(floor, guard),
-            Shape::Map(list) => {
+            Shape::Map { list, .. } => {
                 let Some(node) = list.get(key, guard) else {
                     return;
                 };
@@ -484,24 +494,60 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
         }
     }
 
-    /// [`retire`](Self::retire) for every entry. Caller must hold write
-    /// locks covering the whole index.
-    pub fn sweep(&self, floor: u64, guard: &Guard) {
+    /// One step of the resumable sweep: [`retire`](Self::retire) for up to
+    /// `budget` entries, returning how many it visited. A step resumes
+    /// just after the cursor — the last entry the previous step visited —
+    /// and wraps from the end of the index to its start, visiting no entry
+    /// twice; a cursor whose own entry was unlinked in between resumes at
+    /// its successor. A step cut short by its budget leaves the cursor on
+    /// its last entry, so consecutive steps walk the index round in key
+    /// order and visit every entry present throughout within ⌈N / budget⌉
+    /// steps of an N-entry index. `usize::MAX` sweeps the whole index (the
+    /// one-chain shape is one entry). Caller must hold write locks covering
+    /// the whole index.
+    pub fn sweep<'g>(&'g self, floor: u64, budget: usize, guard: &'g Guard) -> usize {
         match &self.shape {
-            Shape::One(cell) => cell.truncate_to_empty(floor, guard),
-            Shape::Map(list) => {
+            Shape::One(cell) => {
+                if budget == 0 || cell.is_empty(guard) {
+                    return 0;
+                }
+                cell.truncate_to_empty(floor, guard);
+                1
+            }
+            Shape::Map { list, cursor } => cursor.write(|cursor| {
+                let mut visited = 0;
+                let mut cut_short = false;
+                let mut last: Option<&K> = None;
                 let mut dead: Vec<&K> = Vec::new();
-                list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
+                let mut visit = |node: &'g Node<K, VersionCell<V>>| {
+                    if visited == budget {
+                        cut_short = true;
+                        return ControlFlow::Break(());
+                    }
+                    visited += 1;
                     node.payload.truncate(floor, guard);
                     if node.payload.is_dead(floor, guard) {
                         dead.push(&node.key);
                     }
+                    last = Some(&node.key);
                     ControlFlow::Continue(())
-                });
+                };
+                match cursor.as_ref() {
+                    None => list.walk(Bound::Unbounded, Bound::Unbounded, guard, &mut visit),
+                    Some(from) => {
+                        list.walk(Bound::Excluded(from), Bound::Unbounded, guard, &mut visit);
+                        // Past the wrap; a spent budget breaks at once.
+                        list.walk(Bound::Unbounded, Bound::Included(from), guard, &mut visit);
+                    }
+                }
+                // A step that went all the way round leaves no cursor: the
+                // next one starts at the first entry.
+                *cursor = last.filter(|_| cut_short).cloned();
                 for key in dead {
                     list.remove(key, guard, |_| ());
                 }
-            }
+                visited
+            }),
         }
     }
 
@@ -516,10 +562,12 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     f(None, stamps);
                 }
             }
-            Shape::Map(list) => list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
-                f(Some(&node.key), node.payload.chain_stamps(guard));
-                ControlFlow::Continue(())
-            }),
+            Shape::Map { list, .. } => {
+                list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
+                    f(Some(&node.key), node.payload.chain_stamps(guard));
+                    ControlFlow::Continue(())
+                })
+            }
         }
     }
 }
@@ -528,7 +576,7 @@ impl<K, V> fmt::Debug for VersionIndex<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self.shape {
             Shape::One(_) => "VersionIndex::One { .. }",
-            Shape::Map(_) => "VersionIndex::Map { .. }",
+            Shape::Map { .. } => "VersionIndex::Map { .. }",
         })
     }
 }

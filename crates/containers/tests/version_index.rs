@@ -214,7 +214,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     Retire::Nothing => continue,
                     Retire::Written => written.iter().for_each(|k| index.retire(k, at, &guard)),
                     Retire::Sweep => {
-                        index.sweep(at, &guard);
+                        index.sweep(at, usize::MAX, &guard);
                         index.chains(&guard, |key, stamps| {
                             let old = stamps.iter().filter(|(s, _)| *s <= at).count();
                             let dead = stamps.len() == 1 && old == 1 && !stamps[0].1;
@@ -448,10 +448,11 @@ fn stress(attempts: i64) {
             let floor = registry.min_active(clock);
             one.retire(&n, floor, &guard);
             if n % 64 == 0 {
-                map.sweep(floor, &guard);
+                map.sweep(floor, usize::MAX, &guard);
             } else {
                 map.retire(&set, floor, &guard);
                 map.retire(&cleared, floor, &guard);
+                map.sweep(floor, 3, &guard);
             }
         }
         done.store(true, SeqCst);
@@ -462,8 +463,8 @@ fn stress(attempts: i64) {
     // Quiescent: one more sweep leaves one version per live entry.
     let guard = epoch::pin();
     let now = clock.now();
-    one.sweep(now, &guard);
-    map.sweep(now, &guard);
+    one.sweep(now, usize::MAX, &guard);
+    map.sweep(now, usize::MAX, &guard);
     let count = |index: &VersionIndex<i64, i64>| {
         let mut versions = 0;
         index.chains(&guard, |_, stamps| versions += stamps.len());
@@ -492,4 +493,179 @@ fn snapshot_readers_never_see_a_torn_pair() {
 fn snapshot_readers_never_see_a_torn_pair_soak() {
     let _serial = serialize();
     stress(2_000_000);
+}
+
+// ---------------------------------------------------------------------
+// Budgeted sweep steps.
+// ---------------------------------------------------------------------
+
+/// Commits one write of every `(key, value)` under one stamp.
+fn commit_all(
+    index: &VersionIndex<i64, i64>,
+    writes: impl IntoIterator<Item = (i64, Option<i64>)>,
+) {
+    let guard = epoch::pin();
+    let stamp = CommitStamp::new();
+    for (key, value) in writes {
+        index.write(&key, Arc::clone(&stamp), value, &guard);
+    }
+    commit_clock().commit(&stamp);
+}
+
+/// A map-shaped index over `keys`, each entry two committed versions deep.
+fn two_deep(keys: impl Iterator<Item = i64> + Clone) -> VersionIndex<i64, i64> {
+    let index = VersionIndex::for_kind(MAP);
+    commit_all(&index, keys.clone().map(|k| (k, Some(k))));
+    commit_all(&index, keys.map(|k| (k, Some(-k))));
+    index
+}
+
+/// One sweep step at the present floor, and the entries it visited: those
+/// whose chain it truncated to one version. Each of them is pushed back to
+/// two versions, so the next step shows what *it* visits.
+fn step(index: &VersionIndex<i64, i64>, budget: usize) -> (usize, Vec<i64>) {
+    let guard = epoch::pin();
+    let count = index.sweep(commit_clock().now(), budget, &guard);
+    let mut visited = Vec::new();
+    index.chains(&guard, |key, stamps| {
+        if stamps.len() == 1 {
+            visited.push(*key.expect("map shape"));
+        }
+    });
+    commit_all(index, visited.iter().map(|&k| (k, Some(k))));
+    (count, visited)
+}
+
+/// Consecutive steps walk the index round in key order: with `budget`
+/// dividing N, every ⌈N / budget⌉ consecutive steps visit each entry
+/// exactly once, also when the window straddles the end of the index;
+/// otherwise each at least once and none more than twice.
+#[test]
+fn budgeted_steps_visit_every_entry_once_per_round() {
+    let _serial = serialize();
+    for (entries, budget) in [(12usize, 4usize), (12, 3), (10, 4), (7, 1), (5, 64)] {
+        let index = two_deep(0..entries as i64);
+        // Start off the first entry so that rounds straddle the wrap.
+        assert_eq!(step(&index, 1), (1, vec![0]));
+        let round = entries.div_ceil(budget);
+        let exact = entries.is_multiple_of(budget) || budget >= entries;
+        let mut order = Vec::new();
+        for _ in 0..3 * round {
+            let (count, visited) = step(&index, budget);
+            assert_eq!(count, visited.len(), "{entries}/{budget}: {visited:?}");
+            order.push(visited);
+        }
+        for window in order.windows(round) {
+            let mut seen = vec![0usize; entries];
+            window.iter().flatten().for_each(|&k| seen[k as usize] += 1);
+            assert!(
+                seen.iter()
+                    .all(|&n| if exact { n == 1 } else { (1..=2).contains(&n) }),
+                "{entries}/{budget}: {window:?} visited {seen:?}"
+            );
+        }
+    }
+}
+
+/// A step resumes at the cursor's successor when the cursor's own entry —
+/// and the one after it — was unlinked between steps, and wraps to the
+/// first entry when nothing is left after the cursor.
+#[test]
+fn a_step_resumes_past_an_unlinked_cursor() {
+    let _serial = serialize();
+    let index = two_deep(0..10);
+    let unlink = |keys: &[i64]| {
+        commit_all(&index, keys.iter().map(|&k| (k, None)));
+        let guard = epoch::pin();
+        let now = commit_clock().now();
+        keys.iter().for_each(|k| index.retire(k, now, &guard));
+    };
+    assert_eq!(step(&index, 3), (3, vec![0, 1, 2]));
+    unlink(&[2, 3]);
+    assert_eq!(step(&index, 3), (3, vec![4, 5, 6]));
+    assert_eq!(step(&index, 3), (3, vec![7, 8, 9]));
+    unlink(&[9]);
+    assert_eq!(step(&index, 2), (2, vec![0, 1]));
+}
+
+/// A step visits `min(budget, N)` entries of an N-entry index — never more
+/// than its budget, and never one entry twice.
+#[test]
+fn a_step_never_visits_more_than_its_budget() {
+    let _serial = serialize();
+    for entries in [0i64, 1, 9, 70] {
+        let index = two_deep(0..entries);
+        for budget in [0usize, 1, 2, 8, 9, 10, 64, 71, usize::MAX] {
+            for _ in 0..3 {
+                let (count, visited) = step(&index, budget);
+                assert_eq!(count, budget.min(entries as usize), "{entries}/{budget}");
+                assert_eq!(count, visited.len(), "{entries}/{budget}");
+            }
+        }
+    }
+    let one: VersionIndex<i64, i64> = VersionIndex::for_kind(ONE);
+    let guard = epoch::pin();
+    assert_eq!(
+        one.sweep(commit_clock().now(), usize::MAX, &guard),
+        0,
+        "empty chain"
+    );
+    commit_all(&one, [(1, Some(1))]);
+    assert_eq!(one.sweep(commit_clock().now(), 0, &guard), 0);
+    assert_eq!(one.sweep(commit_clock().now(), 1, &guard), 1);
+}
+
+/// `usize::MAX` is the whole-index sweep, from wherever budgeted steps
+/// left the cursor: it leaves the same chains as retiring every entry,
+/// which is what the sweep did before it took a budget.
+#[test]
+fn an_unbounded_step_leaves_the_chains_a_whole_index_sweep_did() {
+    let _serial = serialize();
+    let clock = commit_clock();
+    let (swept, reference) = (VersionIndex::for_kind(MAP), VersionIndex::for_kind(MAP));
+    let mut floor = 0;
+    for round in 0..6i64 {
+        // Both indexes get every write under one stamp, so their chains
+        // compare stamp for stamp.
+        let guard = epoch::pin();
+        let stamp = CommitStamp::new();
+        // Odd keys stop being written at the floor: those last tombstoned
+        // by then are dead.
+        for k in (0..40).filter(|k| (k + round) % 3 != 0 && (round <= 3 || k % 2 == 0)) {
+            let tombstone = (k * 7 + round) % 5 == 0;
+            for index in [&swept, &reference] {
+                index.write(
+                    &k,
+                    Arc::clone(&stamp),
+                    (!tombstone).then_some(k * 100 + round),
+                    &guard,
+                );
+            }
+        }
+        clock.commit(&stamp);
+        if round == 3 {
+            floor = clock.now();
+        }
+    }
+    let guard = epoch::pin();
+    // Floor 0 truncates nothing: these steps only move the cursor.
+    for budget in [7, 11, 5] {
+        assert_eq!(swept.sweep(0, budget, &guard), budget);
+    }
+    let entries = {
+        let mut n = 0;
+        reference.chains(&guard, |_, _| n += 1);
+        n
+    };
+    assert_eq!(swept.sweep(floor, usize::MAX, &guard), entries);
+    let keys: Vec<i64> = (0..40).collect();
+    keys.iter().for_each(|k| reference.retire(k, floor, &guard));
+    let chains = |index: &VersionIndex<i64, i64>| {
+        let mut out = Vec::new();
+        index.chains(&guard, |key, stamps| out.push((*key.unwrap(), stamps)));
+        out
+    };
+    let after = chains(&swept);
+    assert!(after.len() < entries, "the floor unlinked no dead entry");
+    assert_eq!(after, chains(&reference));
 }

@@ -304,12 +304,15 @@ pub(crate) fn with_write_fence<T>(
 /// the checkpoint itself is their durability. `wals` are the shards' logs,
 /// in shard order. Returns the rows written.
 ///
+/// Once the fence is released the checkpoint also hands the heap's free
+/// pages back to the operating system ([`trim_heap`]).
+///
 /// # Errors
 ///
 /// [`CoreError::Durability`] on any I/O error; the in-memory state is
 /// unaffected either way.
 pub(crate) fn checkpoint(shards: &[ConcurrentRelation], wals: &[&Wal]) -> Result<usize, CoreError> {
-    with_write_fence(shards, |reprs| {
+    let out = with_write_fence(shards, |reprs| {
         let cut_ts = relc_locks::commit_clock().now();
         let mut total = 0;
         for ((shard, repr), wal) in shards.iter().zip(reprs).zip(wals) {
@@ -321,5 +324,30 @@ pub(crate) fn checkpoint(shards: &[ConcurrentRelation], wals: &[&Wal]) -> Result
             wal.truncate_log()?;
         }
         Ok(total)
-    })
+    });
+    trim_heap();
+    out
+}
+
+/// Returns the allocator's free heap pages to the operating system.
+///
+/// Rows replaced by client threads are freed into the arenas of the
+/// threads that allocated them (glibc keeps one per thread), and pages a
+/// churning workload frees there are otherwise kept for reuse by a thread
+/// that may never allocate again, so resident memory grows with the
+/// number of operations a run completes. A checkpoint is the periodic,
+/// already-slow point at which to give them back.
+fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: glibc's `malloc_trim` takes no pointers and only walks
+        // the allocator's own arenas, under their locks; any thread may
+        // call it at any time.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
 }

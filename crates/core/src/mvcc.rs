@@ -45,9 +45,17 @@
 //! entry's 2PL write locks, which is what makes the chains single-writer
 //! — for a one-entry edge too, whose every writer holds the lock of the
 //! entry present. An entry tombstoned while an old reader was still live
-//! is retired the next time *any* transaction writes that entry (or
-//! sweeps its index, or when the relation drops); it is never reclaimed
-//! behind a lock-free reader's back.
+//! is retired the next time *any* transaction writes that entry, when a
+//! later commit's sweep step reaches it, or when the relation drops; it
+//! is never reclaimed behind a lock-free reader's back.
+//!
+//! Where one physical lock guards a whole edge container instance, a
+//! commit also takes one bounded step of the edge's resumable index sweep
+//! ([`MvccScope::retire`]): `max(64, 4 ×` the edge's journaled entries`)`
+//! entries onward from where the previous step stopped, wrapping at the
+//! end. The work under the lock is proportional to the write, not to the
+//! index, and every entry of an N-entry index is still revisited within
+//! ⌈N / 64⌉ sweeping commits.
 //!
 //! # Rollback
 //!
@@ -75,9 +83,14 @@ use relc_spec::Tuple;
 
 use crate::commit::Participant;
 use crate::decomp::{Decomposition, EdgeId};
-use crate::instance::{NodeInstance, NodeRef};
+use crate::instance::{NodeInstance, NodeRef, VersionIndex};
 use crate::placement::LockPlacement;
 use crate::query::{EdgeView, KeyBounds, QueryState};
+
+/// The least number of entries one commit's step of a version index's
+/// sweep visits ([`MvccScope::retire`]); a commit that journaled `w`
+/// entries of the index visits `max(SWEEP_BUDGET, 4w)`.
+const SWEEP_BUDGET: usize = 64;
 
 /// One mirrored write: where to find the entry again when the attempt
 /// ends — at commit for truncation and dead-entry purge, at rollback to
@@ -161,35 +174,47 @@ impl MvccScope {
     ///
     /// Where the placement guards a whole edge container instance with
     /// one physical lock
-    /// (`!`[`LockPlacement::admits_container_concurrency`]), the *whole*
-    /// version index of each journaled edge is swept, not just the
-    /// journaled entries. A dead entry that a live reader pinned at *its*
+    /// (`!`[`LockPlacement::admits_container_concurrency`]), each distinct
+    /// journaled `(host, edge)` also takes one step of its version index's
+    /// resumable [sweep](crate::instance::VersionIndex::sweep), of
+    /// `max(`[`SWEEP_BUDGET`]`, 4 ×` that edge's journaled entries`)`
+    /// entries. A dead entry that a live reader pinned at *its*
     /// committing transaction's retirement can only otherwise be
     /// reclaimed by a later write of the same entry key — and on
     /// value-keyed edges (a weight sink, say) the same key rarely
     /// recurs, so those corpses would pile up and every snapshot scan
-    /// would crawl them forever. The sweep is safe exactly because this
-    /// attempt holds that single per-instance lock exclusively for every
-    /// journaled edge, so no other writer can be mutating *any* entry of
-    /// the index. Speculative edges (present entries locked at per-entry
-    /// targets) and edges striped by entry-key columns (another stripe's
-    /// writer may hold another stripe) keep the journaled-entries-only
-    /// rule — there, the entry keys are relation keys, which workloads
-    /// do rewrite.
+    /// would crawl them forever. The steps walk the index round, so every
+    /// entry of an N-entry index is revisited within ⌈N / 64⌉ sweeping
+    /// commits, while the work under the lock stays proportional to the
+    /// write rather than to the index. Sweeping is safe exactly because
+    /// this attempt holds that single per-instance lock exclusively for
+    /// every journaled edge, so no other writer can be mutating *any*
+    /// entry of the index. Speculative edges (present entries locked at
+    /// per-entry targets) and edges striped by entry-key columns (another
+    /// stripe's writer may hold another stripe) keep the
+    /// journaled-entries-only rule — there, the entry keys are relation
+    /// keys, which workloads do rewrite.
     pub fn retire(&self, placement: &LockPlacement, min_active: u64, guard: &Guard) {
         let decomp = placement.decomposition();
-        let mut swept: Vec<(*const (), EdgeId)> = Vec::new();
+        // One per distinct `(host, edge)` — one index — with its count of
+        // journaled entries.
+        let mut sweeps: Vec<(&VersionIndex, usize)> = Vec::new();
         for entry in &self.journal {
             let index = entry.host.versions(decomp, entry.edge);
+            index.retire(&entry.key, min_active, guard);
             if placement.admits_container_concurrency(entry.edge) {
-                index.retire(&entry.key, min_active, guard);
                 continue;
             }
-            let tag = (Arc::as_ptr(&entry.host).cast::<()>(), entry.edge);
-            if !swept.contains(&tag) {
-                swept.push(tag);
-                index.sweep(min_active, guard);
+            match sweeps
+                .iter_mut()
+                .find(|(swept, _)| std::ptr::eq(*swept, index))
+            {
+                Some((_, writes)) => *writes += 1,
+                None => sweeps.push((index, 1)),
             }
+        }
+        for (index, writes) in sweeps {
+            index.sweep(min_active, SWEEP_BUDGET.max(4 * writes), guard);
         }
     }
 
@@ -313,7 +338,7 @@ pub(crate) fn verify_versions(
                     ControlFlow::Continue(())
                 });
             let index = inst.versions(decomp, e);
-            index.sweep(floor, &guard);
+            index.sweep(floor, usize::MAX, &guard);
             let mut err: Option<String> = None;
             index.chains(&guard, |k, stamps| {
                 let below = stamps.iter().filter(|&&(s, _)| s <= floor).count();

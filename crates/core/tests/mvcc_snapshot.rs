@@ -485,7 +485,7 @@ fn superseded_versions_are_retired_and_reclaimed() {
 }
 
 /// A dead cell that a registered reader pins at its own commit must be
-/// reclaimed by a *later* commit's whole-index sweep — not wait for "the
+/// reclaimed by a *later* commit's sweep step — not wait for "the
 /// next write of the same entry key", which on a value-keyed edge (the
 /// weight sink here) may never come. Every update below commits with a
 /// reader registered, so its tombstoned old-weight cell always survives
@@ -522,6 +522,67 @@ fn pinned_dead_cells_are_swept_by_later_commits() {
     );
     drop(rel);
     relc_containers::reclamation_flush();
+}
+
+/// The sweep is bounded, not lost: on a `fine` root index of well over
+/// one budget's entries, dead entries that a reader pinned at scattered
+/// keys are all reclaimed by later commits that write *other* keys, within
+/// ⌈N / 64⌉ + 1 of them — each commit's step takes the next 64 entries of
+/// the index round.
+#[test]
+fn scattered_pinned_corpses_are_reclaimed_within_one_round_of_sweep_steps() {
+    let _serial = serialize();
+    const ROWS: i64 = 4_096;
+    const CORPSES: i64 = 48;
+    let d = stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
+    let rel = ConcurrentRelation::new(d.clone(), LockPlacement::fine(&d).unwrap()).unwrap();
+    for s in 0..ROWS {
+        rel.insert(&edge(&rel, s, 0), &weight(&rel, s)).unwrap();
+    }
+    let before = rel.version_footprint();
+
+    // Under a registered reader, move `CORPSES` rows from scattered keys
+    // to fresh ones: each old key's root entry is left a pinned tombstone
+    // over the version the reader can still see.
+    let g = rel.snapshots().register(relc_locks::commit_clock());
+    for j in 0..CORPSES {
+        let from = j * 89 % ROWS;
+        assert_eq!(rel.remove(&edge(&rel, from, 0)).unwrap(), 1);
+        assert!(rel
+            .insert(&edge(&rel, ROWS + j, 0), &weight(&rel, from))
+            .unwrap());
+    }
+    drop(g);
+    assert_eq!(
+        rel.version_footprint(),
+        before + 2 * CORPSES as usize,
+        "every moved row left a two-version corpse"
+    );
+
+    // Later commits write the root index at one fresh key each (inserted
+    // and removed again: no footprint of their own).
+    let entries = (ROWS + CORPSES) as usize;
+    let steps = entries.div_ceil(64) + 1;
+    let mut reclaimed_after = None;
+    for i in 0..steps {
+        let key = edge(&rel, 2 * ROWS + i as i64, 0);
+        rel.transaction(|tx| {
+            tx.insert(&key, &weight(&rel, 0))?;
+            tx.remove(&key)
+        })
+        .unwrap();
+        if rel.version_footprint() == before {
+            reclaimed_after = Some(i + 1);
+            break;
+        }
+    }
+    assert!(
+        reclaimed_after.is_some(),
+        "{steps} commits left {} unreclaimed versions",
+        rel.version_footprint() - before
+    );
+    assert_eq!(rel.len(), ROWS as usize);
+    rel.verify().unwrap();
 }
 
 /// A reader registered at an old snapshot pins history: versions it can

@@ -287,3 +287,74 @@ fn soak_relation_churn_memory_stays_bounded() {
     // the rest keep retiring (see the containers soak for the math).
     churn_one("stick(skiplist)/fine soak", &rel, 4, 30_000, 64, 32_768);
 }
+
+/// The bounded sweep keeps up under a reader that never lets go: two
+/// writers move rows of a ~16k-entry `fine` root to fresh keys while a
+/// snapshot reader re-registers in a loop, so a good share of commits
+/// leave a pinned corpse at the root for a later commit's sweep step to
+/// reclaim. Checked between rounds (the footprint walk reads the
+/// containers unlocked): the footprint stays within one version per live
+/// index entry plus a quarter of the root's size.
+#[test]
+#[ignore = "long-running relation-level reclamation soak; run with `cargo test -- --ignored`"]
+fn soak_pinned_root_corpses_stay_bounded_under_budgeted_sweeps() {
+    let _serial = serialize();
+    const ROWS: i64 = 16_384;
+    let d = stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
+    let rel = ConcurrentRelation::new(d.clone(), LockPlacement::fine(&d).unwrap()).unwrap();
+    let rows: Vec<(Tuple, Tuple)> = (0..ROWS)
+        .map(|s| (edge(&rel, s, 0), weight(&rel, s)))
+        .collect();
+    rel.insert_all(&rows).unwrap();
+    let done = AtomicBool::new(false);
+    let mut over = None;
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut reads = 0u64;
+            let cols = rel.schema().column_set(&["weight"]).unwrap();
+            while !done.load(SeqCst) {
+                rel.read_transaction(|snap| {
+                    let k = (reads * 7_919 % ROWS as u64) as i64;
+                    snap.query(&edge(&rel, k, 0), cols).unwrap();
+                });
+                reads += 1;
+            }
+            reads
+        });
+        for round in 0..20i64 {
+            std::thread::scope(|writers| {
+                for t in 0..2i64 {
+                    let rel = &rel;
+                    writers.spawn(move || {
+                        // Writer `t` owns the rows `≡ t (mod 2)`; each
+                        // round moves a row of them to a key never used
+                        // before, so no later write of the key it left
+                        // reclaims the corpse there: only sweeps do.
+                        let (from, to) = (round * ROWS, (round + 1) * ROWS);
+                        for i in 0..1_000i64 {
+                            let k = (i * 2 + t) * 7 % ROWS;
+                            if rel.remove(&edge(rel, k + from, 0)).unwrap() == 1 {
+                                rel.insert(&edge(rel, k + to, 0), &weight(rel, k)).unwrap();
+                            }
+                        }
+                    });
+                }
+            });
+            let live = 3 * rel.len();
+            let footprint = rel.version_footprint();
+            if footprint > live + ROWS as usize / 4 {
+                over = Some(format!(
+                    "round {round}: footprint {footprint} over {live} live entries"
+                ));
+                break;
+            }
+        }
+        // Stop the reader before any assertion, or a failing one would
+        // leave the scope waiting on it forever.
+        done.store(true, SeqCst);
+        assert!(reader.join().unwrap() > 0, "the reader never read");
+    });
+    assert_eq!(over, None);
+    assert_eq!(rel.len(), ROWS as usize);
+    rel.verify().unwrap();
+}
