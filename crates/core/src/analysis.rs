@@ -438,7 +438,7 @@ impl<'a> SymExec<'a> {
         }
     }
 
-    /// Mirror of [`LockPlacement::all_stripe_tokens`] in origin space.
+    /// Mirror of [`LockPlacement::all_stripe_tokens_into`] in origin space.
     fn all_stripe_tokens(
         &mut self,
         e: EdgeId,

@@ -22,15 +22,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use relc_locks::{LockMode, MustRestart, TwoPhaseEngine};
+use relc_locks::{LockMode, MustRestart, PhysicalLock, TwoPhaseEngine};
 use relc_spec::{ColumnSet, RangePattern, Tuple, Value};
 
-use crate::decomp::{Decomposition, EdgeId};
+use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::instance::{NodeInstance, NodeRef};
 use crate::mvcc::MvccScope;
 use crate::placement::{LockPlacement, LockToken};
 use crate::planner::{InPlaceUpdate, InsertPlan, Plan, RemovePlan};
-use crate::query::{bind, eval_all, eval_any, eval_states, EdgeView, KeyBounds, QueryState};
+use crate::query::{bind, eval_all, eval_any, eval_rows, EdgeView, Frame, KeyBounds, Row};
 
 /// FNV-1a, the hasher for the batch-local maps: their keys are consulted
 /// once or twice per row on the hot path, where SipHash's per-hash setup
@@ -116,35 +116,39 @@ pub struct Executor<'a> {
 
 /// The locked edge view: a step's locks are really taken (through the
 /// two-phase engine, which holds them to commit) and edges are read from
-/// their main containers, which those locks make safe to read.
+/// their main containers, which those locks make safe to read. A row holds
+/// each node instance by a counted [`NodeRef`]: a locate's survivor keeps
+/// them for its write phase, which may unlink what it located.
 impl EdgeView for Executor<'_> {
+    type Node = NodeRef;
     type Restart = MustRestart;
 
     /// Containers walk an interval in key order only when they are sorted;
     /// the step's `ordered` flag says which.
     const WALKS_IN_KEY_ORDER: bool = false;
 
+    /// The batch is every row's tokens, each computed from the row's slots,
+    /// paired with the lock it names at the row's host instance.
     fn lock(
         &mut self,
-        states: &[QueryState],
+        rows: &Frame<NodeRef>,
+        bound: ColumnSet,
         edge: EdgeId,
         mode: LockMode,
         presorted: bool,
         all_stripes: bool,
     ) -> Result<(), MustRestart> {
         let host = self.placement.edge(edge).host;
-        let mut batch: Vec<(LockToken, Arc<relc_locks::PhysicalLock>)> = Vec::new();
-        for st in states {
-            let inst = st.instance(host);
-            let tokens = if all_stripes {
-                self.placement.all_stripe_tokens(edge, &st.tuple)
-            } else {
-                self.placement.fallback_tokens(edge, &st.tuple)
-            };
-            for tok in tokens {
-                let lock = Arc::clone(inst.lock(tok.stripe));
-                batch.push((tok, lock));
-            }
+        let mut tokens = Vec::new();
+        let mut batch: Vec<(LockToken, &Arc<PhysicalLock>)> = Vec::with_capacity(rows.len());
+        for row in rows.rows(bound) {
+            let inst = row.instance(host);
+            self.placement
+                .tokens_into(edge, &row, all_stripes, &mut tokens);
+            batch.extend(tokens.drain(..).map(|tok| {
+                let lock = inst.lock(tok.stripe);
+                (tok, lock)
+            }));
         }
         if presorted && !self.always_sort_locks {
             debug_assert!(
@@ -155,7 +159,7 @@ impl EdgeView for Executor<'_> {
             batch.sort_by(|a, b| a.0.cmp(&b.0));
         }
         for (tok, lock) in batch {
-            self.engine.acquire(tok, &lock, mode)?;
+            self.engine.acquire(tok, lock, mode)?;
         }
         Ok(())
     }
@@ -166,12 +170,12 @@ impl EdgeView for Executor<'_> {
     /// transaction on a wrong guess — `None` is then a *verified* absence.
     fn follow(
         &mut self,
-        st: &QueryState,
+        row: Row<'_, NodeRef>,
         edge: EdgeId,
         key: &Tuple,
         spec: Option<LockMode>,
     ) -> Result<Option<NodeRef>, MustRestart> {
-        let src = st.instance(self.decomp.edge(edge).src);
+        let src = row.instance(self.decomp.edge(edge).src);
         let container = src.container(self.decomp, edge);
         let Some(mode) = spec else {
             return Ok(container.lookup(key));
@@ -181,8 +185,7 @@ impl EdgeView for Executor<'_> {
                 // Guess: present. Lock the target instance, then verify
                 // that the edge still points at the same object.
                 let tok = self.placement.target_token(edge, child.key());
-                let lock = Arc::clone(child.lock(0));
-                self.engine.acquire(tok, &lock, mode)?;
+                self.engine.acquire(tok, child.lock(0), mode)?;
                 match container.lookup(key) {
                     Some(now) if Arc::ptr_eq(&now, &child) => Ok(Some(child)),
                     _ => Err(self.engine.fail_speculation()),
@@ -191,9 +194,11 @@ impl EdgeView for Executor<'_> {
             None => {
                 // Guess: absent. Lock the fallback stripe(s) at the
                 // source, then verify the edge is still absent.
-                for tok in self.placement.fallback_tokens(edge, &st.tuple) {
-                    let lock = Arc::clone(src.lock(tok.stripe));
-                    self.engine.acquire(tok, &lock, mode)?;
+                let mut tokens = Vec::new();
+                self.placement.tokens_into(edge, &row, false, &mut tokens);
+                for tok in tokens {
+                    let stripe = tok.stripe;
+                    self.engine.acquire(tok, src.lock(stripe), mode)?;
                 }
                 match container.lookup(key) {
                     Some(_) => Err(self.engine.fail_speculation()),
@@ -209,25 +214,34 @@ impl EdgeView for Executor<'_> {
     /// full scan.
     fn walk(
         &mut self,
-        st: &QueryState,
+        src: &NodeRef,
         edge: EdgeId,
         bounds: Option<&KeyBounds>,
-        mut f: impl FnMut(&mut Self, &Tuple, NodeRef) -> ControlFlow<()>,
+        mut f: impl FnMut(&mut Self, &Tuple, &NodeRef) -> ControlFlow<()>,
     ) {
-        let container = st
-            .instance(self.decomp.edge(edge).src)
-            .container(self.decomp, edge);
-        let mut visit = |k: &Tuple, child: &NodeRef| {
-            if st.tuple.matches(k) {
-                f(self, k, Arc::clone(child))
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
+        let container = src.container(self.decomp, edge);
+        let mut visit = |k: &Tuple, child: &NodeRef| f(self, k, child);
         match bounds {
             Some((lo, hi)) => container.scan_range(lo.as_ref(), hi.as_ref(), &mut visit),
             None => container.scan(&mut visit),
         }
+    }
+}
+
+/// The one survivor of a mutation's locate plan, materialized for the
+/// write phase: the stored tuple extending the key pattern, and the node
+/// instances it is stored under.
+struct Located {
+    tuple: Tuple,
+    nodes: Vec<Option<NodeRef>>,
+}
+
+impl Located {
+    /// The instance of `node` the tuple is stored under.
+    fn instance(&self, node: NodeId) -> &NodeRef {
+        self.nodes[node.index()]
+            .as_ref()
+            .expect("the locate plan binds every node")
     }
 }
 
@@ -311,7 +325,7 @@ impl<'a> Executor<'a> {
         pattern: &Tuple,
         root: &NodeRef,
     ) -> Result<Vec<Tuple>, MustRestart> {
-        eval_all(self.decomp, self, plan, pattern, None, root)
+        eval_all(self.decomp, self, plan, pattern, None, Arc::clone(root))
     }
 
     /// Runs a compiled range plan (§2's `query_range r s ρ C`): as
@@ -329,7 +343,14 @@ impl<'a> Executor<'a> {
         range: &RangePattern,
         root: &NodeRef,
     ) -> Result<Vec<Tuple>, MustRestart> {
-        eval_all(self.decomp, self, plan, pattern, Some(range), root)
+        eval_all(
+            self.decomp,
+            self,
+            plan,
+            pattern,
+            Some(range),
+            Arc::clone(root),
+        )
     }
 
     /// Acquires the migration write fence: every stripe of every
@@ -651,8 +672,7 @@ impl<'a> Executor<'a> {
         pattern: &Tuple,
         root: &NodeRef,
     ) -> Result<bool, MustRestart> {
-        let st = QueryState::initial(self.decomp, pattern.clone(), Arc::clone(root));
-        eval_any(self.decomp, self, &plan.steps, st)
+        eval_any(self.decomp, self, plan, pattern, Arc::clone(root))
     }
 
     /// Runs a mutation's locate plan for key pattern `s` and returns its
@@ -666,14 +686,15 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         s: &Tuple,
         root: &NodeRef,
-    ) -> Result<Option<QueryState>, MustRestart> {
-        let st = QueryState::initial(self.decomp, s.clone(), Arc::clone(root));
-        let mut survivors = eval_states(self.decomp, self, plan, None, st)?;
+    ) -> Result<Option<Located>, MustRestart> {
+        let (survivors, bound) = eval_rows(self.decomp, self, plan, None, s, Arc::clone(root))?;
         debug_assert!(
             survivors.len() <= 1,
             "s is a key: at most one candidate can survive the full traversal"
         );
-        Ok(survivors.pop())
+        Ok(survivors
+            .into_first(bound)
+            .map(|(tuple, nodes)| Located { tuple, nodes }))
     }
 
     /// Runs the in-place update fast path: locates the unique tuple
@@ -794,8 +815,10 @@ impl<'a> Executor<'a> {
         let Some(survivor) = self.locate(&plan.locate, s, root)? else {
             return Ok(None); // no tuple matches s
         };
-        let tuple = survivor.tuple;
-        let bindings = survivor.nodes;
+        let Located {
+            tuple,
+            nodes: bindings,
+        } = survivor;
 
         // All edges present: unlink bottom-up. A node dies when all its
         // containers become empty; dying children are removed from every

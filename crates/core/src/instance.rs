@@ -55,7 +55,9 @@ pub struct NodeInstance {
 
 impl NodeInstance {
     /// Creates a fresh instance of `node` keyed by `key` (a valuation of the
-    /// node's `A` columns), with empty containers and `stripe_count` locks.
+    /// node's `A` columns), with empty containers and the placement's
+    /// [`lock_count`](LockPlacement::lock_count) locks: its stripes where
+    /// some edge's locks live, none where no plan can take one.
     ///
     /// # Panics
     ///
@@ -72,7 +74,7 @@ impl NodeInstance {
             "instance key {key:?} must be a valuation of node {}'s key columns",
             meta.name
         );
-        let locks = (0..placement.stripe_count(node))
+        let locks = (0..placement.lock_count(node))
             .map(|_| Arc::new(PhysicalLock::new()))
             .collect();
         // The index follows the edge: both are made from the edge's
@@ -110,7 +112,7 @@ impl NodeInstance {
     ///
     /// # Panics
     ///
-    /// Panics if `stripe` exceeds the placement's stripe count for the node.
+    /// Panics if `stripe` exceeds the placement's lock count for the node.
     pub fn lock(&self, stripe: u32) -> &Arc<PhysicalLock> {
         &self.locks[stripe as usize]
     }

@@ -79,13 +79,13 @@ use std::sync::Arc;
 
 use relc_containers::epoch::Guard;
 use relc_locks::{CommitStamp, LockMode};
-use relc_spec::Tuple;
+use relc_spec::{ColumnSet, Tuple};
 
 use crate::commit::Participant;
 use crate::decomp::{Decomposition, EdgeId};
 use crate::instance::{NodeInstance, NodeRef, VersionIndex};
 use crate::placement::LockPlacement;
-use crate::query::{EdgeView, KeyBounds, QueryState};
+use crate::query::{EdgeView, Frame, KeyBounds, Row};
 
 /// The least number of entries one commit's step of a version index's
 /// sweep visits ([`MvccScope::retire`]); a commit that journaled `w`
@@ -412,13 +412,25 @@ pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize
 /// and purged cells alive for the whole traversal. A step's locks are not
 /// taken and a §4.5 speculative lookup is a plain one: the versions a
 /// snapshot resolves are immutable once committed, so nothing can restart.
-pub(crate) struct Snapshot<'a> {
-    pub decomp: &'a Decomposition,
+///
+/// A row binds a node instance as a `&'g NodeRef` borrowed from the
+/// version that holds it, and no reference count is touched. The borrow
+/// is good for the guard's lifetime `'g`: [`VersionIndex::get`] and
+/// [`VersionIndex::walk`] hand out borrows of a version's value that live
+/// as long as the guard, because a version leaves its chain only by being
+/// retired through the epoch collector, which frees nothing a pinned
+/// guard could still reach. The version owns the `Arc`, so the instance
+/// it names — with the indexes inside it, which the next step reads —
+/// outlives the guard too. Induction from the root, which the reader's
+/// representation owns for longer still, covers every handle a row holds.
+pub(crate) struct Snapshot<'g> {
+    pub decomp: &'g Decomposition,
     pub snap: u64,
-    pub guard: &'a Guard,
+    pub guard: &'g Guard,
 }
 
-impl EdgeView for Snapshot<'_> {
+impl<'g> EdgeView for Snapshot<'g> {
+    type Node = &'g NodeRef;
     type Restart = Infallible;
 
     /// Both version index shapes walk in key order, so an interval walk
@@ -428,7 +440,8 @@ impl EdgeView for Snapshot<'_> {
 
     fn lock(
         &mut self,
-        _: &[QueryState],
+        _: &Frame<&'g NodeRef>,
+        _: ColumnSet,
         _: EdgeId,
         _: LockMode,
         _: bool,
@@ -439,39 +452,30 @@ impl EdgeView for Snapshot<'_> {
 
     fn follow(
         &mut self,
-        st: &QueryState,
+        row: Row<'_, &'g NodeRef>,
         edge: EdgeId,
         key: &Tuple,
         _spec: Option<LockMode>,
-    ) -> Result<Option<NodeRef>, Infallible> {
-        Ok(st
-            .instance(self.decomp.edge(edge).src)
+    ) -> Result<Option<&'g NodeRef>, Infallible> {
+        let src: &'g NodeRef = row.node(self.decomp.edge(edge).src);
+        Ok(src
             .versions(self.decomp, edge)
-            .get(key, self.snap, self.guard)
-            .cloned())
+            .get(key, self.snap, self.guard))
     }
 
     fn walk(
         &mut self,
-        st: &QueryState,
+        src: &&'g NodeRef,
         edge: EdgeId,
         bounds: Option<&KeyBounds>,
-        mut f: impl FnMut(&mut Self, &Tuple, NodeRef) -> ControlFlow<()>,
+        mut f: impl FnMut(&mut Self, &Tuple, &&'g NodeRef) -> ControlFlow<()>,
     ) {
-        let index = st
-            .instance(self.decomp.edge(edge).src)
-            .versions(self.decomp, edge);
         let (lo, hi) = match bounds {
             Some((lo, hi)) => (lo.as_ref(), hi.as_ref()),
             None => (Bound::Unbounded, Bound::Unbounded),
         };
-        index.walk(lo, hi, self.snap, self.guard, |k, child| {
-            if st.tuple.matches(k) {
-                f(self, k, Arc::clone(child))
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        src.versions(self.decomp, edge)
+            .walk(lo, hi, self.snap, self.guard, |k, child| f(self, k, &child));
     }
 }
 

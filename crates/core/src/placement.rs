@@ -21,7 +21,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use relc_locks::LockMode;
-use relc_spec::{ColumnSet, Tuple};
+use relc_spec::{ColumnId, ColumnSet, Tuple, Value};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
@@ -46,7 +46,46 @@ pub struct LockPlacement {
     decomp: Arc<Decomposition>,
     edges: Vec<EdgePlacement>,
     stripe_counts: Vec<u32>,
+    /// Per node: whether its instances hold physical locks (see
+    /// [`LockPlacement::lock_count`]).
+    holds_locks: Vec<bool>,
     name: String,
+}
+
+/// The fields an operation has bound, as a lock-token computation reads
+/// them: a [`Tuple`], or one row of the evaluator's frame
+/// ([`crate::query`]).
+pub(crate) trait BoundFields {
+    /// The bound columns.
+    fn dom(&self) -> ColumnSet;
+    /// The value of bound column `c`.
+    fn value(&self, c: ColumnId) -> &Value;
+}
+
+impl BoundFields for Tuple {
+    fn dom(&self) -> ColumnSet {
+        Tuple::dom(self)
+    }
+
+    fn value(&self, c: ColumnId) -> &Value {
+        self.get(c).expect("token columns are bound")
+    }
+}
+
+/// Per node: whether some edge's locks live at its instances — it hosts
+/// an edge, or is the target of a §4.5 speculative edge, whose present
+/// instances are locked there. These are the only lock sites a plan
+/// names.
+fn lock_holders(decomp: &Decomposition, edges: &[EdgePlacement]) -> Vec<bool> {
+    let mut holds = vec![false; decomp.node_count()];
+    for (e, em) in decomp.edges() {
+        let ep = edges[e.index()];
+        holds[ep.host.index()] = true;
+        if ep.speculative {
+            holds[em.dst.index()] = true;
+        }
+    }
+    holds
 }
 
 /// A globally ordered identifier of one physical lock (§5.1): topological
@@ -188,6 +227,19 @@ impl LockPlacement {
         self.stripe_counts[node.index()]
     }
 
+    /// Number of physical locks an instance of `node` is built with: its
+    /// [stripe count](LockPlacement::stripe_count) where some edge's locks
+    /// live — it hosts an edge, or is a §4.5 speculative edge's target —
+    /// and none elsewhere, since no plan can name a lock there. Computed
+    /// once per placement.
+    pub fn lock_count(&self, node: NodeId) -> u32 {
+        if self.holds_locks[node.index()] {
+            self.stripe_count(node)
+        } else {
+            0
+        }
+    }
+
     /// The lock mode required to *read* (observe) edge instances of `e`.
     ///
     /// Shared for containers whose concurrent reads are safe; exclusive for
@@ -232,67 +284,58 @@ impl LockPlacement {
     /// buffer — the batched operations compute thousands of tokens per
     /// sweep and reuse one allocation.
     pub fn fallback_tokens_into(&self, e: EdgeId, bound: &Tuple, out: &mut Vec<LockToken>) {
+        self.tokens_into(e, bound, false, out);
+    }
+
+    /// Like [`LockPlacement::fallback_tokens_into`], but unconditionally
+    /// takes every stripe at the host. Used when an operation must cover a
+    /// whole container instance (scans, emptiness checks) that striping
+    /// would otherwise split (§4.4: "we can always conservatively take all
+    /// k locks").
+    pub fn all_stripe_tokens_into(&self, e: EdgeId, bound: &Tuple, out: &mut Vec<LockToken>) {
+        self.tokens_into(e, bound, true, out);
+    }
+
+    /// The fallback tokens of edge `e` for the fields `bound` — every
+    /// stripe at the host if `all_stripes` — appended to `out`: the one
+    /// definition behind [`LockPlacement::fallback_tokens_into`] and
+    /// [`LockPlacement::all_stripe_tokens_into`], which the evaluator's
+    /// locked view also calls with a row of its frame.
+    pub(crate) fn tokens_into(
+        &self,
+        e: EdgeId,
+        bound: &impl BoundFields,
+        all_stripes: bool,
+        out: &mut Vec<LockToken>,
+    ) {
         let ep = self.edges[e.index()];
-        let host_meta = self.decomp.node(ep.host);
-        let instance = bound.project(host_meta.key_cols);
+        let key_cols = self.decomp.node(ep.host).key_cols;
+        let dom = bound.dom();
         debug_assert!(
-            instance.is_valuation_for(host_meta.key_cols),
+            key_cols.is_subset(dom),
             "host instance key must be bound when locking (planner invariant)"
         );
+        let instance = Tuple::from_pairs(key_cols.iter().map(|c| (c, bound.value(c).clone())));
         let k = self.stripe_count(ep.host);
         let node_pos = self.decomp.topo_position(ep.host);
+        let token = |instance, stripe| LockToken {
+            node_pos,
+            instance,
+            stripe,
+        };
         // An empty stripe_by pins the edge to stripe 0 — one fixed lock at
         // a (possibly otherwise striped) node.
-        if k == 1 || ep.stripe_by.is_empty() {
-            out.push(LockToken {
-                node_pos,
-                instance,
-                stripe: 0,
-            });
-        } else if ep.stripe_by.is_subset(bound.dom()) {
-            let stripe = (bound.stable_hash_of(ep.stripe_by) % u64::from(k)) as u32;
-            out.push(LockToken {
-                node_pos,
-                instance,
-                stripe,
-            });
+        if !all_stripes && (k == 1 || ep.stripe_by.is_empty()) {
+            out.push(token(instance, 0));
+        } else if !all_stripes && ep.stripe_by.is_subset(dom) {
+            let fields = ep.stripe_by.iter().map(|c| (c, bound.value(c)));
+            let stripe = (Tuple::stable_hash_fields(fields) % u64::from(k)) as u32;
+            out.push(token(instance, stripe));
         } else {
-            // Conservative: all stripes.
-            out.extend((0..k).map(|stripe| LockToken {
-                node_pos,
-                instance: instance.clone(),
-                stripe,
-            }));
+            // Every stripe: asked for, or (conservatively) because the
+            // stripe columns are not all bound.
+            out.extend((0..k).map(|stripe| token(instance.clone(), stripe)));
         }
-    }
-
-    /// Like [`LockPlacement::fallback_tokens`], but unconditionally takes
-    /// every stripe at the host. Used when an operation must cover a whole
-    /// container instance (scans, emptiness checks) that striping would
-    /// otherwise split (§4.4: "we can always conservatively take all k
-    /// locks").
-    pub fn all_stripe_tokens(&self, e: EdgeId, bound: &Tuple) -> Vec<LockToken> {
-        let mut out = Vec::new();
-        self.all_stripe_tokens_into(e, bound, &mut out);
-        out
-    }
-
-    /// [`LockPlacement::all_stripe_tokens`] appended into a caller-owned
-    /// buffer (see [`LockPlacement::fallback_tokens_into`]).
-    pub fn all_stripe_tokens_into(&self, e: EdgeId, bound: &Tuple, out: &mut Vec<LockToken>) {
-        let ep = self.edges[e.index()];
-        let host_meta = self.decomp.node(ep.host);
-        let instance = bound.project(host_meta.key_cols);
-        debug_assert!(
-            instance.is_valuation_for(host_meta.key_cols),
-            "host instance key must be bound when locking (planner invariant)"
-        );
-        let node_pos = self.decomp.topo_position(ep.host);
-        out.extend((0..self.stripe_count(ep.host)).map(|stripe| LockToken {
-            node_pos,
-            instance: instance.clone(),
-            stripe,
-        }));
     }
 
     /// The token of the *target-side* lock used by the speculation protocol
@@ -497,12 +540,17 @@ impl PlacementBuilder {
             }
             edges.push(ep);
         }
-        Ok(Arc::new(LockPlacement {
-            decomp: Arc::clone(d),
+        Ok(self.finish(edges))
+    }
+
+    fn finish(&self, edges: Vec<EdgePlacement>) -> Arc<LockPlacement> {
+        Arc::new(LockPlacement {
+            decomp: Arc::clone(&self.decomp),
+            holds_locks: lock_holders(&self.decomp, &edges),
             edges,
             stripe_counts: self.stripe_counts.clone(),
             name: self.name.clone(),
-        }))
+        })
     }
 
     /// Builds the placement **without** the §4.3/§4.5 validation — every
@@ -531,19 +579,14 @@ impl PlacementBuilder {
             })?;
             edges.push(ep);
         }
-        Ok(Arc::new(LockPlacement {
-            decomp: Arc::clone(d),
-            edges,
-            stripe_counts: self.stripe_counts.clone(),
-            name: self.name.clone(),
-        }))
+        Ok(self.finish(edges))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::library::{dcache, diamond, split, stick};
+    use crate::decomp::library::{dcache, diamond, kv, split, stick};
     use relc_containers::ContainerKind;
     use relc_spec::Value;
 
@@ -738,6 +781,80 @@ mod tests {
         let uv = d.edge_between("u", "v").unwrap();
         assert_eq!(p.read_mode(ru), LockMode::Exclusive);
         assert_eq!(p.read_mode(uv), LockMode::Shared);
+    }
+
+    /// `ρ -key,value→ a`: the root edge's target is a sink, so under a
+    /// speculative placement it holds a lock only as the target.
+    fn leaf_target() -> Arc<Decomposition> {
+        let mut b = Decomposition::builder(relc_spec::library::kv_schema());
+        let root = b.root();
+        let a = b.node("a");
+        b.edge(root, a, &["key", "value"], ContainerKind::ConcurrentHashMap)
+            .unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn only_lock_sites_get_locks() {
+        let ch = ContainerKind::ConcurrentHashMap;
+        let decomps = [
+            stick(ch, ContainerKind::TreeMap),
+            split(ch, ContainerKind::HashMap),
+            diamond(ch, ContainerKind::HashMap),
+            kv(ch),
+            dcache(),
+            leaf_target(),
+        ];
+        let mut speculative = 0;
+        for d in &decomps {
+            let placements = [
+                LockPlacement::coarse(d),
+                LockPlacement::fine(d),
+                LockPlacement::striped_root(d, 8),
+                LockPlacement::speculative(d, 4),
+            ];
+            for p in placements.into_iter().flatten() {
+                speculative += usize::from(p.name().starts_with("speculative"));
+                for (v, meta) in d.nodes() {
+                    let site = d.edges().any(|(e, em)| {
+                        p.edge(e).host == v || (p.edge(e).speculative && em.dst == v)
+                    });
+                    let want = if site { p.stripe_count(v) } else { 0 };
+                    assert_eq!(p.lock_count(v), want, "{} under {}", meta.name, p.name());
+                }
+            }
+        }
+        assert!(speculative > 0, "a speculative placement was covered");
+
+        let node = |d: &Arc<Decomposition>, name| d.node_by_name(name).unwrap();
+        let d = split(ch, ContainerKind::HashMap);
+        let p = LockPlacement::striped_root(&d, 1024).unwrap();
+        assert_eq!(p.lock_count(d.root()), 1024);
+        for leaf in ["x", "z"] {
+            assert_eq!(p.lock_count(node(&d, leaf)), 0, "{leaf}");
+        }
+        assert_eq!(p.lock_count(node(&d, "u")), 1);
+        let d = stick(ch, ContainerKind::TreeMap);
+        let p = LockPlacement::fine(&d).unwrap();
+        assert_eq!(p.lock_count(node(&d, "w")), 0);
+        let p = LockPlacement::coarse(&d).unwrap();
+        for name in ["u", "v", "w"] {
+            assert_eq!(p.lock_count(node(&d, name)), 0, "{name}");
+        }
+        let d = kv(ch);
+        let p = LockPlacement::striped_root(&d, 64).unwrap();
+        assert_eq!(p.lock_count(node(&d, "b")), 0);
+        let d = diamond(ch, ContainerKind::HashMap);
+        let p = LockPlacement::speculative(&d, 4).unwrap();
+        for target in ["x", "y"] {
+            assert_eq!(p.lock_count(node(&d, target)), 1, "{target}");
+        }
+        assert_eq!(p.lock_count(node(&d, "z")), 0);
+        let d = leaf_target();
+        let p = LockPlacement::speculative(&d, 4).unwrap();
+        assert_eq!(p.lock_count(node(&d, "a")), 1, "speculative target");
+        let p = LockPlacement::fine(&d).unwrap();
+        assert_eq!(p.lock_count(node(&d, "a")), 0);
     }
 
     #[test]

@@ -58,6 +58,18 @@ pub struct Plan {
     /// plan of a remove or an in-place update, whose steps the mutation
     /// order fixes).
     pub cost: f64,
+    /// Rows the evaluator's step buffers are first sized for: the
+    /// planner's estimate of the widest step, capped at 64.
+    pub frame_rows: usize,
+}
+
+/// The most rows a plan sizes its step buffers for up front; a wider
+/// step grows them.
+const MAX_FRAME_ROWS: usize = 64;
+
+/// A plan's [`Plan::frame_rows`] from an estimated state count.
+fn frame_rows(states: f64) -> usize {
+    states.clamp(1.0, MAX_FRAME_ROWS as f64) as usize
 }
 
 /// A compiled insert plan (§2's `insert r s t`, put-if-absent).
@@ -402,6 +414,7 @@ impl Planner {
         // The two coincide only while (a) every scanned container is sorted
         // and (b) the scanned column groups appear in ascending column-id
         // order (so scan-major order equals tuple-major order).
+        let mut widest = states;
         let mut chain_sorted = true; // one initial state is trivially sorted
         let mut last_scanned_max: Option<usize> = None;
         for &e in chain {
@@ -493,11 +506,13 @@ impl Planner {
                 }
             }
             known = known.union(em.cols);
+            widest = widest.max(states);
         }
         Some(Plan {
             steps,
             output,
             cost,
+            frame_rows: frame_rows(widest),
         })
     }
 
@@ -615,11 +630,19 @@ impl Planner {
     }
 
     /// A mutation's locate plan: its survivor is the whole stored tuple.
+    /// Its widest step is estimated from the scans, each of which fans
+    /// out unless its edge is a singleton.
     fn locate_plan(&self, steps: Vec<PlanStep>) -> Plan {
+        let fanout = |step: &PlanStep| match step {
+            PlanStep::Scan { edge } if !self.decomp.edge(*edge).singleton => DEFAULT_FANOUT,
+            _ => 1.0,
+        };
+        let states = steps.iter().map(fanout).product();
         Plan {
             steps,
             output: self.decomp.schema().columns(),
             cost: 0.0,
+            frame_rows: frame_rows(states),
         }
     }
 

@@ -1,41 +1,59 @@
 //! The concurrent query language (§5.2, Fig. 4) and its one evaluator.
 //!
 //! Compiled relational operations are sequences of *plan steps* over sets of
-//! *query states*. A query state pairs a partial tuple with a mapping from
-//! decomposition nodes to node instances — exactly the paper's `(t, m)`
-//! pairs. The step language mirrors Fig. 4's expressions: `lock`, `lookup`,
-//! and `scan` (plus the combined speculative lookup of §4.5); `let`-bound
-//! sequencing is implicit in the step list, and the matching `unlock`s of
-//! the shrinking phase are emitted by the renderer and performed by the
-//! engine's release-all at commit.
+//! *query states* — the paper's `(t, m)` pairs of a partial tuple and a
+//! mapping from decomposition nodes to node instances. The step language
+//! mirrors Fig. 4's expressions: `lock`, `lookup`, and `scan` (plus the
+//! combined speculative lookup of §4.5); `let`-bound sequencing is implicit
+//! in the step list, and the matching `unlock`s of the shrinking phase are
+//! emitted by the renderer and performed by the engine's release-all at
+//! commit.
+//!
+//! # Row frames
+//!
+//! The evaluator keeps a step's query states as rows of a `Frame`: one
+//! value slot per schema column (at [`ColumnId::index`]) and one binding
+//! slot per decomposition node, stored flat in buffers that two
+//! alternating frames reuse from step to step, sized from the plan
+//! ([`Plan::frame_rows`]). Every row of a step binds the same columns, so
+//! the bound column set is tracked once per step, not per row. A lookup
+//! fills one reused key tuple from the row's slots; a scan compares an
+//! entry only on the slots already bound and copies the entry's fields
+//! into their slots — no tuple is unioned, projected or cloned per state.
+//! A query builds one [`Tuple`] per surviving row from the plan's output
+//! slots; a mutation's locate materializes its one survivor.
 //!
 //! # One evaluator, two edge views
 //!
 //! The language has one evaluation semantics, so it has one evaluator, in
-//! two traversal orders: breadth-first over every state (`query`,
+//! two traversal orders: breadth-first over every row (`query`,
 //! `query_range`, and the locate phase of every mutation — §5.2's "query
 //! plan that locates and locks all of the edges that require updating")
-//! and depth-first to the first witness (`contains`, and an insert's
-//! existence check). They are the only code that interprets
-//! [`PlanStep`]s; a mutation adds only its write phase, over the states
-//! its locate plan leaves. What differs between a locked read and a
-//! lock-free snapshot read is *how one edge is read*, and that is the edge
-//! view the evaluator is generic over: the locked view
-//! ([`crate::exec::Executor`]) takes the step's locks and reads the edge
-//! containers; the snapshot view (in `mvcc.rs`) takes none and resolves
-//! the edge's version index at its timestamp.
+//! and depth-first over one row to the first witness (`contains`, and an
+//! insert's existence check). They are the only code that interprets
+//! [`PlanStep`]s; a mutation adds only its write phase, over the row its
+//! locate plan leaves. What differs between a locked read and a lock-free
+//! snapshot read is *how one edge is read* and *how a row holds a node
+//! instance*, and that is the edge view the evaluator is generic over: the
+//! locked view ([`crate::exec::Executor`]) takes the step's locks, reads
+//! the edge containers and binds counted [`NodeRef`]s; the snapshot view
+//! (in `mvcc.rs`) takes none, resolves the edge's version index at its
+//! timestamp and binds `&NodeRef` borrows good for its epoch guard, so a
+//! snapshot read touches no reference count.
 
-use std::collections::BTreeSet;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 use relc_locks::LockMode;
-use relc_spec::{RangePattern, Tuple, Value};
+use relc_spec::{ColumnId, ColumnSet, RangePattern, Tuple, Value};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::exec::assemble_range_output;
 use crate::instance::NodeRef;
+use crate::placement::BoundFields;
 use crate::planner::Plan;
 
 /// One step of a compiled plan (growing phase; unlocks are implicit).
@@ -117,37 +135,177 @@ impl PlanStep {
     }
 }
 
-/// A query state `(t, m)`: a partial tuple plus bindings from decomposition
-/// nodes to node instances (§5.2).
-#[derive(Debug, Clone)]
-pub struct QueryState {
-    /// The tuple accumulated so far (pattern plus bound columns).
-    pub tuple: Tuple,
-    /// `m`: per-node instance bindings (indexed by `NodeId`).
-    pub nodes: Vec<Option<NodeRef>>,
+/// The rows of one plan step, stored flat: §5.2's query states `(t, m)`
+/// compiled to slots. Row `i` holds one value slot per schema column,
+/// `vals[i * cols + c.index()]`, and one binding slot per decomposition
+/// node, `nodes[i * width + v.index()]`. Every row of a step binds the same
+/// columns, so the step's bound column set is kept once, by the evaluator,
+/// and handed to each [`Row`]; a value slot outside it holds whatever an
+/// earlier row or branch left there and is never read.
+pub(crate) struct Frame<H> {
+    cols: usize,
+    width: usize,
+    vals: Vec<Value>,
+    nodes: Vec<Option<H>>,
 }
 
-impl QueryState {
-    /// The initial state: the operation's pattern tuple with only the root
-    /// instance bound.
-    pub fn initial(decomp: &Decomposition, pattern: Tuple, root: NodeRef) -> Self {
-        let mut nodes = vec![None; decomp.node_count()];
-        nodes[decomp.root().index()] = Some(root);
-        QueryState {
-            tuple: pattern,
-            nodes,
+impl<H: Clone + Borrow<NodeRef>> Frame<H> {
+    /// An empty frame over `decomp`'s columns and nodes, with room for
+    /// `rows` rows.
+    fn new(decomp: &Decomposition, rows: usize) -> Self {
+        let cols = decomp
+            .schema()
+            .columns()
+            .iter()
+            .last()
+            .map_or(0, |c| c.index() + 1);
+        let width = decomp.node_count();
+        Frame {
+            cols,
+            width,
+            vals: Vec::with_capacity(rows * cols),
+            nodes: Vec::with_capacity(rows * width),
         }
     }
 
-    /// The bound instance of `node`.
+    /// A frame with room for `rows` rows holding the initial row: the
+    /// pattern's fields in their slots and only the root bound.
+    fn initial(decomp: &Decomposition, rows: usize, pattern: &Tuple, root: H) -> Self {
+        let mut frame = Frame::new(decomp, rows);
+        frame.vals.resize(frame.cols, Value::Unit);
+        for (c, v) in pattern.iter() {
+            frame.vals[c.index()] = v.clone();
+        }
+        frame.nodes.resize(frame.width, None);
+        frame.nodes[decomp.root().index()] = Some(root);
+        frame
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len() / self.width
+    }
+
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.nodes.clear();
+    }
+
+    /// Row `i`, whose step binds the columns `bound`.
+    fn row(&self, i: usize, bound: ColumnSet) -> Row<'_, H> {
+        Row {
+            vals: &self.vals[i * self.cols..][..self.cols],
+            nodes: &self.nodes[i * self.width..][..self.width],
+            bound,
+        }
+    }
+
+    /// Every row, in order, of a step that binds the columns `bound`.
+    pub(crate) fn rows(&self, bound: ColumnSet) -> impl Iterator<Item = Row<'_, H>> {
+        (0..self.len()).map(move |i| self.row(i, bound))
+    }
+
+    /// Row `i`'s slots, for writing.
+    fn slots_mut(&mut self, i: usize) -> (&mut [Value], &mut [Option<H>]) {
+        (
+            &mut self.vals[i * self.cols..][..self.cols],
+            &mut self.nodes[i * self.width..][..self.width],
+        )
+    }
+
+    /// Appends a copy of `row` and returns the copy's slots.
+    fn push(&mut self, row: Row<'_, H>) -> (&mut [Value], &mut [Option<H>]) {
+        self.vals.extend_from_slice(row.vals);
+        self.nodes.extend_from_slice(row.nodes);
+        self.slots_mut(self.len() - 1)
+    }
+
+    /// Orders rows `i` and `j` by their values on `cols`.
+    fn cmp_on(&self, i: usize, j: usize, cols: ColumnSet) -> Ordering {
+        let (a, b) = (&self.vals[i * self.cols..], &self.vals[j * self.cols..]);
+        cols.iter()
+            .map(|c| a[c.index()].cmp(&b[c.index()]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// The first row, materialized for a write phase: the tuple of the
+    /// columns `bound` and the node bindings. `None` if there is no row.
+    pub(crate) fn into_first(mut self, bound: ColumnSet) -> Option<(Tuple, Vec<Option<H>>)> {
+        if self.len() == 0 {
+            return None;
+        }
+        let tuple = self.row(0, bound).project(bound);
+        self.nodes.truncate(self.width);
+        Some((tuple, self.nodes))
+    }
+}
+
+/// One row of a [`Frame`], with its step's bound column set: what a plan
+/// step reads of one query state.
+pub(crate) struct Row<'a, H> {
+    vals: &'a [Value],
+    nodes: &'a [Option<H>],
+    bound: ColumnSet,
+}
+
+impl<H> Clone for Row<'_, H> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<H> Copy for Row<'_, H> {}
+
+impl<'a, H: Borrow<NodeRef>> Row<'a, H> {
+    /// The handle bound to `node`.
     ///
     /// # Panics
     ///
     /// Panics if the node is unbound — a planner invariant violation.
-    pub fn instance(&self, node: NodeId) -> &NodeRef {
+    pub(crate) fn node(&self, node: NodeId) -> &'a H {
         self.nodes[node.index()]
             .as_ref()
             .expect("planner invariant: node instance bound before use")
+    }
+
+    /// The instance bound to `node` (see [`Row::node`]).
+    pub(crate) fn instance(&self, node: NodeId) -> &'a NodeRef {
+        self.node(node).borrow()
+    }
+
+    /// Whether entry key `k` agrees with the row on every bound column:
+    /// [`Tuple::matches`] over slots.
+    fn matches(&self, k: &Tuple) -> bool {
+        k.iter()
+            .all(|(c, v)| !self.bound.contains(c) || self.vals[c.index()] == *v)
+    }
+
+    /// Fills `key` with the row's valuation of `cols`, all bound.
+    fn key_into(&self, cols: ColumnSet, key: &mut Tuple) {
+        debug_assert!(
+            cols.is_subset(self.bound),
+            "planner invariant: lookup key fully bound"
+        );
+        key.assign(cols.iter().map(|c| (c, self.vals[c.index()].clone())));
+    }
+
+    /// The row's valuation of `cols`, all bound, as a tuple.
+    fn project(&self, cols: ColumnSet) -> Tuple {
+        debug_assert!(cols.is_subset(self.bound), "projected columns are bound");
+        cols.iter()
+            .map(|c| (c, self.vals[c.index()].clone()))
+            .collect()
+    }
+}
+
+impl<H> BoundFields for Row<'_, H> {
+    fn dom(&self) -> ColumnSet {
+        self.bound
+    }
+
+    fn value(&self, c: ColumnId) -> &Value {
+        &self.vals[c.index()]
     }
 }
 
@@ -170,6 +328,10 @@ fn range_key_bounds(range: &RangePattern) -> KeyBounds {
 /// plan step asks, answered under some synchronisation policy. The
 /// evaluator is monomorphised over this, so the policy costs nothing.
 pub(crate) trait EdgeView {
+    /// How a row binds a node instance: a borrow good for the snapshot's
+    /// epoch guard, a counted reference under locks.
+    type Node: Clone + Borrow<NodeRef>;
+
     /// What a failed acquisition or speculation returns: `MustRestart`
     /// under locks, `Infallible` at a snapshot.
     type Restart;
@@ -179,36 +341,38 @@ pub(crate) trait EdgeView {
     const WALKS_IN_KEY_ORDER: bool;
 
     /// Acquires the physical locks implementing `edge`'s logical locks for
-    /// every state in `states`.
+    /// every row of `rows`, whose step binds the columns `bound`.
     fn lock(
         &mut self,
-        states: &[QueryState],
+        rows: &Frame<Self::Node>,
+        bound: ColumnSet,
         edge: EdgeId,
         mode: LockMode,
         presorted: bool,
         all_stripes: bool,
     ) -> Result<(), Self::Restart>;
 
-    /// Follows `key` through `edge` of `st`'s source instance; `None` if the
-    /// edge instance is absent. `spec` carries the mode of a §4.5
+    /// Follows `key` through `edge` of `row`'s source instance; `None` if
+    /// the edge instance is absent. `spec` carries the mode of a §4.5
     /// speculative step, whose view also takes the step's locks.
     fn follow(
         &mut self,
-        st: &QueryState,
+        row: Row<'_, Self::Node>,
         edge: EdgeId,
         key: &Tuple,
         spec: Option<LockMode>,
-    ) -> Result<Option<NodeRef>, Self::Restart>;
+    ) -> Result<Option<Self::Node>, Self::Restart>;
 
-    /// Walks the entries of `edge` at `st`'s source instance that match
-    /// `st`'s partial tuple (inside `bounds`, if given) until `f` breaks.
-    /// `f` gets the view back so a depth-first caller can keep using it.
+    /// Walks the entries of `edge` at instance `src` (inside `bounds`, if
+    /// given) until `f` breaks; the evaluator filters them against the
+    /// row. `f` gets the view back so a depth-first caller can keep using
+    /// it.
     fn walk(
         &mut self,
-        st: &QueryState,
+        src: &Self::Node,
         edge: EdgeId,
         bounds: Option<&KeyBounds>,
-        f: impl FnMut(&mut Self, &Tuple, NodeRef) -> ControlFlow<()>,
+        f: impl FnMut(&mut Self, &Tuple, &Self::Node) -> ControlFlow<()>,
     );
 }
 
@@ -218,50 +382,63 @@ fn walk_bounds(ranged: bool, bounds: Option<&KeyBounds>) -> Option<&KeyBounds> {
     ranged.then(|| bounds.expect("planner invariant: RangeScan only in plans run with a range"))
 }
 
-/// Binds `dst` to `child` in `nodes`. A node reached along two edges is
-/// reached at one instance (§4.1 sharing), so a second binding must name
-/// the instance already bound.
-pub(crate) fn bind(nodes: &mut [Option<NodeRef>], dst: NodeId, child: NodeRef) {
+/// Binds `dst` to `child` in `nodes` and returns the previous binding. A
+/// node reached along two edges is reached at one instance (§4.1
+/// sharing), so a second binding must name the instance already bound.
+pub(crate) fn bind<H: Borrow<NodeRef>>(
+    nodes: &mut [Option<H>],
+    dst: NodeId,
+    child: H,
+) -> Option<H> {
+    let slot = &mut nodes[dst.index()];
     debug_assert!(
-        nodes[dst.index()]
-            .as_ref()
-            .is_none_or(|prev| Arc::ptr_eq(prev, &child)),
+        slot.as_ref()
+            .is_none_or(|prev| Arc::ptr_eq(prev.borrow(), child.borrow())),
         "shared node reached with different instances"
     );
-    nodes[dst.index()] = Some(child);
+    slot.replace(child)
 }
 
-/// `st` extended through a walked entry (`k` joins the tuple, `child` binds
-/// `dst`). Clone-then-overwrite on purpose: building it from `nodes.clone()`
-/// alone measured −20% ops/s on `graph_read_mostly` (CHANGES.md, PR 16).
-fn extend(st: &QueryState, dst: NodeId, k: &Tuple, child: NodeRef) -> QueryState {
-    let mut next = st.clone();
-    next.tuple = st.tuple.union(k).expect("matches implies mergeable");
-    bind(&mut next.nodes, dst, child);
-    next
+/// The mode of a §4.5 speculative lookup; `None` for any other step.
+fn spec_mode(step: &PlanStep) -> Option<LockMode> {
+    match step {
+        PlanStep::SpecLookup { mode, .. } => Some(*mode),
+        _ => None,
+    }
 }
 
-/// Evaluates `plan` breadth-first over **all** states from `st` — the
-/// locked view needs every state of a step at once to sort its lock batch
-/// — and returns the states that survive every step. A query projects
-/// them ([`eval_all`]); a mutation's locate phase reads its one survivor's
-/// tuple and node instances, which it then writes under the locks the
-/// walk took.
+/// Evaluates `plan` breadth-first from the pattern's initial row over
+/// **all** rows of each step — the locked view needs every row of a step
+/// at once to sort its lock batch — and returns the rows that survive
+/// every step with the columns they bind. Two frames alternate as one
+/// step's input and the next one's output, so a step allocates only when
+/// it outgrows the plan's [`frame_rows`](Plan::frame_rows). A query
+/// projects the survivors ([`eval_all`]); a mutation's locate phase
+/// materializes its one survivor's tuple and node instances, which it then
+/// writes under the locks the walk took.
 ///
 /// Given a `range`, `RangeScan` steps walk only its key interval, and an
 /// ordered walk that is the plan's last traversal stops once it has
-/// `limit` distinct output projections per state.
-pub(crate) fn eval_states<V: EdgeView>(
+/// `limit` distinct output projections per row.
+pub(crate) fn eval_rows<V: EdgeView>(
     decomp: &Decomposition,
     view: &mut V,
     plan: &Plan,
     range: Option<&RangePattern>,
-    st: QueryState,
-) -> Result<Vec<QueryState>, V::Restart> {
-    let mut states = vec![st];
+    pattern: &Tuple,
+    root: V::Node,
+) -> Result<(Frame<V::Node>, ColumnSet), V::Restart> {
+    let mut cur = Frame::initial(decomp, plan.frame_rows, pattern, root);
+    let mut next = Frame::new(decomp, plan.frame_rows);
+    let mut bound = pattern.dom();
+    let mut key = Tuple::empty();
+    // Per source row on a limited walk: its output rows with distinct
+    // output projections, as indices into `next`, sorted by projection.
+    let mut distinct: Vec<usize> = Vec::new();
     let bounds = range.map(range_key_bounds);
     let last = plan.steps.len().saturating_sub(1);
     for (i, step) in plan.steps.iter().enumerate() {
+        next.clear();
         match step {
             PlanStep::Lock {
                 edge,
@@ -269,33 +446,22 @@ pub(crate) fn eval_states<V: EdgeView>(
                 presorted,
                 all_stripes,
             } => {
-                view.lock(&states, *edge, *mode, *presorted, *all_stripes)?;
+                view.lock(&cur, bound, *edge, *mode, *presorted, *all_stripes)?;
                 continue;
             }
             PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
                 let em = decomp.edge(*edge);
-                let spec = match step {
-                    PlanStep::SpecLookup { mode, .. } => Some(*mode),
-                    _ => None,
-                };
-                let mut out = Vec::with_capacity(states.len());
-                for mut st in states {
-                    let key = st.tuple.project(em.cols);
-                    debug_assert!(
-                        key.is_valuation_for(em.cols),
-                        "planner invariant: lookup key fully bound"
-                    );
-                    if let Some(child) = view.follow(&st, *edge, &key, spec)? {
-                        bind(&mut st.nodes, em.dst, child);
-                        out.push(st);
+                for row in cur.rows(bound) {
+                    row.key_into(em.cols, &mut key);
+                    if let Some(child) = view.follow(row, *edge, &key, spec_mode(step))? {
+                        bind(next.push(row).1, em.dst, child);
                     }
                 }
-                states = out;
             }
             PlanStep::Scan { edge } | PlanStep::RangeScan { edge, .. } => {
                 // Top-k short circuit, only on an ordered walk that is the
                 // plan's final traversal: entries arrive in strictly
-                // ascending value order per state (single-column keys carry
+                // ascending value order per row (single-column keys carry
                 // one entry per value), so once `k` distinct output
                 // projections are collected, every later entry either
                 // duplicates one (at a larger value, which dedup discards)
@@ -311,40 +477,52 @@ pub(crate) fn eval_states<V: EdgeView>(
                 let limit = range
                     .and_then(RangePattern::limit)
                     .filter(|_| in_order && i == last);
-                let dst = decomp.edge(*edge).dst;
-                let mut out = Vec::new();
-                for st in &states {
-                    let mut distinct: BTreeSet<Tuple> = BTreeSet::new();
-                    view.walk(st, *edge, interval, |_, k, child| {
-                        let next = extend(st, dst, k, child);
-                        if let Some(limit) = limit {
-                            distinct.insert(next.tuple.project(plan.output));
-                            out.push(next);
-                            if distinct.len() >= limit {
-                                return ControlFlow::Break(());
-                            }
-                        } else {
-                            out.push(next);
+                let em = decomp.edge(*edge);
+                for row in cur.rows(bound) {
+                    distinct.clear();
+                    view.walk(row.node(em.src), *edge, interval, |_, k, child| {
+                        if !row.matches(k) {
+                            return ControlFlow::Continue(());
                         }
-                        ControlFlow::Continue(())
+                        let (vals, nodes) = next.push(row);
+                        for (c, v) in k.iter() {
+                            vals[c.index()] = v.clone();
+                        }
+                        bind(nodes, em.dst, child.clone());
+                        let Some(limit) = limit else {
+                            return ControlFlow::Continue(());
+                        };
+                        let j = next.len() - 1;
+                        if let Err(at) =
+                            distinct.binary_search_by(|&d| next.cmp_on(d, j, plan.output))
+                        {
+                            distinct.insert(at, j);
+                        }
+                        if distinct.len() >= limit {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
                     });
                 }
-                states = out;
+                bound = bound.union(em.cols);
             }
         }
-        if states.is_empty() {
+        std::mem::swap(&mut cur, &mut next);
+        if cur.len() == 0 {
             break;
         }
     }
-    Ok(states)
+    Ok((cur, bound))
 }
 
-/// Evaluates `plan` from the pattern's initial state ([`eval_states`]) and
-/// returns the plan's output projection of the survivors: deduplicated and
-/// sorted (§2's `query r s C`), or, given a `range`, in the canonical
-/// range order via [`assemble_range_output`] (`query_range r s ρ C`).
+/// Evaluates `plan` from the pattern's initial row ([`eval_rows`]) and
+/// returns one tuple per surviving row, built from the row's output
+/// slots: sorted and deduplicated (§2's `query r s C`), or, given a
+/// `range`, in the canonical range order via [`assemble_range_output`]
+/// (`query_range r s ρ C`), which also needs each row's range value.
 ///
-/// The final range filter re-checks the interval on every surviving state,
+/// The final range filter re-checks the interval on every surviving row,
 /// so chains that bind the range column through an ordinary multi-column
 /// scan (no single-column edge qualified) are just as correct — they only
 /// do more work.
@@ -354,27 +532,30 @@ pub(crate) fn eval_all<V: EdgeView>(
     plan: &Plan,
     pattern: &Tuple,
     range: Option<&RangePattern>,
-    root: &NodeRef,
+    root: V::Node,
 ) -> Result<Vec<Tuple>, V::Restart> {
-    let st = QueryState::initial(decomp, pattern.clone(), Arc::clone(root));
-    let tuples = eval_states(decomp, view, plan, range, st)?
-        .into_iter()
-        .map(|st| st.tuple);
+    let (frame, bound) = eval_rows(decomp, view, plan, range, pattern, root)?;
+    let rows = frame.rows(bound);
     Ok(match range {
-        Some(range) => assemble_range_output(tuples, range, plan.output),
+        Some(range) => {
+            let cols = plan.output.with(range.col());
+            assemble_range_output(rows.map(|row| row.project(cols)), range, plan.output)
+        }
         None => {
-            let set: BTreeSet<Tuple> = tuples.map(|t| t.project(plan.output)).collect();
-            set.into_iter().collect()
+            let mut out: Vec<Tuple> = rows.map(|row| row.project(plan.output)).collect();
+            out.sort_unstable();
+            out.dedup();
+            out
         }
     })
 }
 
-/// Evaluates `steps` from `st` depth-first and stops at the **first
-/// witness**: `true` as soon as one state survives every step, without
-/// materializing, deduplicating, or sorting the matches (§2's `query r s C`
-/// asked as a boolean).
+/// Evaluates `plan` from the pattern's initial row depth-first, over one
+/// frame of one row, and stops at the **first witness**: `true` as soon
+/// as one row survives every step, without materializing, deduplicating,
+/// or sorting the matches (§2's `query r s C` asked as a boolean).
 ///
-/// Sibling states produced by a scan are explored one at a time, so under
+/// Sibling rows produced by a scan are explored one at a time, so under
 /// the locked view locks for later siblings can be requested out of the
 /// global order; the engine then only *tries* those acquisitions, and
 /// contention surfaces as a restart — the same protocol as speculative
@@ -382,11 +563,36 @@ pub(crate) fn eval_all<V: EdgeView>(
 pub(crate) fn eval_any<V: EdgeView>(
     decomp: &Decomposition,
     view: &mut V,
+    plan: &Plan,
+    pattern: &Tuple,
+    root: V::Node,
+) -> Result<bool, V::Restart> {
+    let mut frame = Frame::initial(decomp, 1, pattern, root);
+    let mut key = Tuple::empty();
+    witness(
+        decomp,
+        view,
+        &plan.steps,
+        &mut frame,
+        pattern.dom(),
+        &mut key,
+    )
+}
+
+/// [`eval_any`] from `steps` on, over the frame's one row, whose steps so
+/// far bound the columns `bound`. Each step that binds a node puts the
+/// previous binding back before it returns, so a branch leaves the row as
+/// it found it, apart from value slots outside `bound`.
+fn witness<V: EdgeView>(
+    decomp: &Decomposition,
+    view: &mut V,
     steps: &[PlanStep],
-    mut st: QueryState,
+    frame: &mut Frame<V::Node>,
+    bound: ColumnSet,
+    key: &mut Tuple,
 ) -> Result<bool, V::Restart> {
     let Some((step, rest)) = steps.split_first() else {
-        return Ok(true); // the state survived every step: a witness
+        return Ok(true); // the row survived every step: a witness
     };
     match step {
         PlanStep::Lock {
@@ -395,31 +601,38 @@ pub(crate) fn eval_any<V: EdgeView>(
             presorted,
             all_stripes,
         } => {
-            let states = std::slice::from_ref(&st);
-            view.lock(states, *edge, *mode, *presorted, *all_stripes)?;
-            eval_any(decomp, view, rest, st)
+            view.lock(frame, bound, *edge, *mode, *presorted, *all_stripes)?;
+            witness(decomp, view, rest, frame, bound, key)
         }
         PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
             let em = decomp.edge(*edge);
-            let key = st.tuple.project(em.cols);
-            let spec = match step {
-                PlanStep::SpecLookup { mode, .. } => Some(*mode),
-                _ => None,
+            let row = frame.row(0, bound);
+            row.key_into(em.cols, key);
+            let Some(child) = view.follow(row, *edge, key, spec_mode(step))? else {
+                return Ok(false);
             };
-            match view.follow(&st, *edge, &key, spec)? {
-                Some(child) => {
-                    bind(&mut st.nodes, em.dst, child);
-                    eval_any(decomp, view, rest, st)
-                }
-                None => Ok(false),
-            }
+            let prev = bind(frame.slots_mut(0).1, em.dst, child);
+            let found = witness(decomp, view, rest, frame, bound, key);
+            frame.slots_mut(0).1[em.dst.index()] = prev;
+            found
         }
         PlanStep::Scan { edge } | PlanStep::RangeScan { edge, .. } => {
-            let mut outcome = Ok(false);
+            let em = decomp.edge(*edge);
             let interval = walk_bounds(matches!(step, PlanStep::RangeScan { .. }), None);
-            let dst = decomp.edge(*edge).dst;
-            view.walk(&st, *edge, interval, |view, k, child| {
-                match eval_any(decomp, view, rest, extend(&st, dst, k, child)) {
+            let src = frame.row(0, bound).node(em.src).clone();
+            let mut outcome = Ok(false);
+            view.walk(&src, *edge, interval, |view, k, child| {
+                if !frame.row(0, bound).matches(k) {
+                    return ControlFlow::Continue(());
+                }
+                let (vals, nodes) = frame.slots_mut(0);
+                for (c, v) in k.iter() {
+                    vals[c.index()] = v.clone();
+                }
+                let prev = bind(nodes, em.dst, child.clone());
+                let found = witness(decomp, view, rest, frame, bound.union(em.cols), key);
+                frame.slots_mut(0).1[em.dst.index()] = prev;
+                match found {
                     Ok(false) => ControlFlow::Continue(()),
                     done => {
                         // Witness found (or restart demanded): stop
@@ -554,10 +767,14 @@ mod tests {
         let d = stick(ContainerKind::TreeMap, ContainerKind::TreeMap);
         let p = LockPlacement::coarse(&d).unwrap();
         let root = NodeInstance::new(&d, &p, d.root(), Tuple::empty());
-        let st = QueryState::initial(&d, Tuple::empty(), root);
-        assert!(st.nodes[d.root().index()].is_some());
-        assert_eq!(st.nodes.iter().filter(|n| n.is_some()).count(), 1);
-        let _ = st.instance(d.root());
+        let src = d.schema().column("src").unwrap();
+        let pattern = Tuple::from_pairs([(src, Value::from(7))]);
+        let frame = Frame::initial(&d, 4, &pattern, root);
+        assert_eq!(frame.len(), 1);
+        let row = frame.row(0, pattern.dom());
+        assert_eq!(row.nodes.iter().filter(|n| n.is_some()).count(), 1);
+        let _ = row.instance(d.root());
+        assert_eq!(row.project(pattern.dom()), pattern);
     }
 
     #[test]
@@ -566,8 +783,10 @@ mod tests {
         let d = stick(ContainerKind::TreeMap, ContainerKind::TreeMap);
         let p = LockPlacement::coarse(&d).unwrap();
         let root = NodeInstance::new(&d, &p, d.root(), Tuple::empty());
-        let st = QueryState::initial(&d, Tuple::empty(), root);
-        let _ = st.instance(d.node_by_name("u").unwrap());
+        let frame = Frame::initial(&d, 1, &Tuple::empty(), root);
+        let _ = frame
+            .row(0, ColumnSet::EMPTY)
+            .instance(d.node_by_name("u").unwrap());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::instance::{self, NodeInstance, NodeRef};
 use crate::mvcc;
 use crate::placement::LockPlacement;
 use crate::planner::{InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
-use crate::query::{eval_all, eval_any, QueryState};
+use crate::query::{eval_all, eval_any};
 use crate::shard::Router;
 use crate::txn::{Transaction, TxnError};
 use crate::wal::{RecoveryReport, Wal, WalOptions, WalRecord};
@@ -436,11 +436,8 @@ impl Repr {
             guard,
         };
         let Ok(out) = match read {
-            SnapshotRead::Witness => {
-                let st = QueryState::initial(&self.decomp, s.clone(), Arc::clone(&self.root));
-                eval_any(&self.decomp, &mut view, &plan.steps, st)
-                    .map(|found| Vec::from_iter(found.then(Tuple::empty)))
-            }
+            SnapshotRead::Witness => eval_any(&self.decomp, &mut view, &plan, s, &self.root)
+                .map(|found| Vec::from_iter(found.then(Tuple::empty))),
             _ => eval_all(&self.decomp, &mut view, &plan, s, range, &self.root),
         };
         Ok(out)

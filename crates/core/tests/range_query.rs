@@ -42,7 +42,21 @@ fn graph_decomps() -> Vec<(&'static str, Arc<Decomposition>)> {
             "diamond(chm,tm)",
             diamond(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap),
         ),
+        ("pair(chm)", pair(ContainerKind::ConcurrentHashMap)),
     ]
+}
+
+/// `ρ -src,dst→ u -weight→ w`: one root edge keyed by two columns, so a
+/// pattern that binds one of them is checked by the root scan's filter
+/// on its bound slots rather than used by a lookup.
+fn pair(root_edge: ContainerKind) -> Arc<Decomposition> {
+    let mut b = Decomposition::builder(relc_spec::library::graph_schema());
+    let root = b.root();
+    let u = b.node("u");
+    let w = b.node("w");
+    b.edge(root, u, &["src", "dst"], root_edge).unwrap();
+    b.edge(u, w, &["weight"], ContainerKind::Singleton).unwrap();
+    b.build().unwrap()
 }
 
 fn standard_placements(d: &Arc<Decomposition>) -> Vec<Arc<LockPlacement>> {
@@ -135,7 +149,8 @@ fn core<T>(r: Result<T, TxnError>) -> Result<T, CoreError> {
 }
 
 /// The table: every pattern × every read. Patterns cover fan-out (empty,
-/// partial) and routed (full key) shapes, present and absent; reads cover
+/// partial), routed (full key) and filtered-scan (a bound column that
+/// some chain checks in a scan) shapes, present and absent; reads cover
 /// `query`, `contains`, and `query_range` over the whole battery on all
 /// three columns — which, crossed with the patterns, includes the range
 /// column already bound by the pattern — under projections that dedup
@@ -148,6 +163,12 @@ fn read_table(d: &Arc<Decomposition>) -> Vec<(Tuple, Read)> {
         // Bind the full routing key: served by one shard.
         tup(d, &[("src", 2), ("dst", 3)]),
         tup(d, &[("src", 2), ("dst", 4)]),
+        // Bound columns that a later scan checks rather than a lookup
+        // uses: each entry is compared on its bound slots only.
+        tup(d, &[("dst", 3)]),
+        tup(d, &[("weight", 6)]),
+        tup(d, &[("src", 2), ("weight", 6)]),
+        tup(d, &[("dst", 99)]),
     ];
     let projections = [
         d.schema().columns(),

@@ -230,7 +230,7 @@ impl Tuple {
     /// A deterministic 64-bit hash of the projection of this tuple onto
     /// `cols`, for lock striping (§4.4): the stripe is `hash mod k`.
     pub fn stable_hash_of(&self, cols: ColumnSet) -> u64 {
-        self.fold_hash_of(cols, 0x9e37_79b9_7f4a_7c15)
+        self.fold_hash_of(cols, STABLE_SEED)
     }
 
     /// [`Tuple::stable_hash_of`] with an explicit seed and a final
@@ -249,18 +249,29 @@ impl Tuple {
         h ^ (h >> 31)
     }
 
+    /// [`Tuple::stable_hash_of`] over fields held elsewhere than in a
+    /// tuple: `fields` in ascending column order hash exactly as a tuple
+    /// of those fields hashes on its whole domain.
+    pub fn stable_hash_fields<'a>(fields: impl IntoIterator<Item = (ColumnId, &'a Value)>) -> u64 {
+        fold_hash(fields, STABLE_SEED)
+    }
+
     fn fold_hash_of(&self, cols: ColumnSet, seed: u64) -> u64 {
-        let mut h = seed;
-        for (c, v) in &self.fields {
-            if cols.contains(*c) {
-                h = h
-                    .rotate_left(13)
-                    .wrapping_mul(0xff51_afd7_ed55_8ccd)
-                    .wrapping_add(u64::from(c.0 as u32))
-                    .wrapping_add(v.stable_hash());
-            }
-        }
-        h
+        let fields = self.fields.iter().filter(|(c, _)| cols.contains(*c));
+        fold_hash(fields.map(|(c, v)| (*c, v)), seed)
+    }
+
+    /// Replaces the fields with `fields`, which must come in ascending
+    /// column order without repeats, keeping the allocation: a caller that
+    /// builds many short-lived tuples of one shape, one after the other,
+    /// allocates once.
+    pub fn assign(&mut self, fields: impl IntoIterator<Item = (ColumnId, Value)>) {
+        self.fields.clear();
+        self.fields.extend(fields);
+        debug_assert!(
+            self.fields.windows(2).all(|w| w[0].0 < w[1].0),
+            "assign requires ascending, distinct columns"
+        );
     }
 
     /// Renders the tuple with column names from `catalog`,
@@ -278,6 +289,18 @@ impl Tuple {
         s.push('⟩');
         s
     }
+}
+
+/// The seed of [`Tuple::stable_hash_of`].
+const STABLE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+fn fold_hash<'a>(fields: impl IntoIterator<Item = (ColumnId, &'a Value)>, seed: u64) -> u64 {
+    fields.into_iter().fold(seed, |h, (c, v)| {
+        h.rotate_left(13)
+            .wrapping_mul(0xff51_afd7_ed55_8ccd)
+            .wrapping_add(u64::from(c.0 as u32))
+            .wrapping_add(v.stable_hash())
+    })
 }
 
 /// Total order: lexicographic over the sorted field list.
@@ -374,6 +397,19 @@ mod tests {
         assert_eq!(a.dom(), ColumnSet::from_iter([c(0), c(3)]));
         assert!(a.is_valuation_for(ColumnSet::from_iter([c(0), c(3)])));
         assert!(!a.is_valuation_for(ColumnSet::from_iter([c(0)])));
+    }
+
+    #[test]
+    fn hash_of_fields_matches_hash_of_tuple_and_assign_reuses() {
+        let a = t(&[(0, 1), (1, 2), (2, 3)]);
+        let cols = ColumnSet::from_iter([c(0), c(2)]);
+        let fields = cols.iter().map(|col| (col, a.get(col).unwrap()));
+        assert_eq!(Tuple::stable_hash_fields(fields), a.stable_hash_of(cols));
+        let mut key = Tuple::empty();
+        key.assign([(c(0), Value::from(1)), (c(2), Value::from(3))]);
+        assert_eq!(key, a.project(cols));
+        key.assign([(c(1), Value::from(2))]);
+        assert_eq!(key, t(&[(1, 2)]));
     }
 
     #[test]
