@@ -48,17 +48,21 @@ const MAX_HEIGHT: usize = 20;
 /// chases no second pointer per node.
 ///
 /// The number is measured, because a node's allocation size is something
-/// clients feel through the system allocator. With every level above 0
-/// boxed (72-byte nodes over `Tuple` keys, plus a small box for half of
+/// clients feel through the system allocator. The effects below were
+/// measured over 24-byte `Tuple` keys (a `Vec` of 32-byte fields). With
+/// every level above 0 boxed (72-byte nodes, plus a small box for half of
 /// them) all that a removed row hands the collector is fastbin-sized:
 /// glibc parks such chunks and coalesces them in bursts, and the bursts
 /// landed on whichever operation next freed a larger block
 /// (`graph_read_mostly` `write_p99_us` +65%). With 8 inline levels a node
-/// is 128 bytes — the size class of the evaluator's 4-field tuple buffers
+/// was 128 bytes — the size class of the evaluator's 4-field tuple buffers
 /// — and nodes freed by the other client migrated between the per-thread
 /// arenas through that class until both clients convoyed on arena locks
-/// (`ops_per_s` −40% some 15 s into a run). Ten levels, 144 bytes, is past
-/// the first effect and clear of the second.
+/// (`ops_per_s` −40% some 15 s into a run). Ten levels, 144 bytes, was
+/// past the first effect and clear of the second. Over today's 32-byte `Tuple` keys (one field held
+/// inline, 16-byte `Value`s) a node is 152 bytes: the same 160-byte glibc
+/// chunk, and no longer the class of a 4-field tuple buffer, which is now
+/// 96 bytes.
 const INLINE_HEIGHT: usize = 10;
 
 /// The linkage of one tower: what the algorithm locks, marks and follows.

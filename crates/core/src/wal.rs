@@ -399,7 +399,7 @@ fn decode_tuple(c: &mut Cursor<'_>) -> Option<Tuple> {
             3 => {
                 let len = c.u32()? as usize;
                 let bytes = c.take(len)?;
-                Value::Str(std::str::from_utf8(bytes).ok()?.into())
+                Value::from(std::str::from_utf8(bytes).ok()?)
             }
             _ => return None,
         };
@@ -573,21 +573,61 @@ mod tests {
         )
     }
 
-    #[test]
-    fn record_round_trip_all_value_kinds() {
+    /// One op of each kind over tuples that hold every kind of value.
+    fn all_value_kinds_ops() -> Vec<RedoOp> {
         let s = Tuple::from_pairs([
             (ColumnId::from_index(0), Value::Int(-7)),
-            (ColumnId::from_index(1), Value::Str("héllo".into())),
+            (ColumnId::from_index(1), Value::from("héllo")),
         ]);
         let tt = Tuple::from_pairs([
             (ColumnId::from_index(2), Value::Bool(true)),
             (ColumnId::from_index(3), Value::Unit),
         ]);
-        let ops = vec![
+        vec![
             RedoOp::Insert(s.clone(), tt.clone()),
             RedoOp::Remove(s.clone()),
-            RedoOp::Update(s.clone(), tt.clone()),
-        ];
+            RedoOp::Update(s, tt),
+        ]
+    }
+
+    /// `encode_ops(&all_value_kinds_ops())`, written down once: logs on
+    /// disk must stay readable whatever the in-memory layout of `Value`
+    /// and `Tuple`, so the byte format is pinned, not only its round trip.
+    #[rustfmt::skip]
+    const ALL_VALUE_KINDS_BYTES: &[u8] = &[
+        3, 0, 0, 0, // three ops
+        0, // insert
+        2, 0, 0, 0, // s: two fields
+        0, 0, 0, 0, 2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // c0: Int(-7)
+        1, 0, 0, 0, 3, 6, 0, 0, 0, b'h', 0xc3, 0xa9, b'l', b'l', b'o', // c1: Str("héllo")
+        2, 0, 0, 0, // tt: two fields
+        2, 0, 0, 0, 1, 1, // c2: Bool(true)
+        3, 0, 0, 0, 0, // c3: Unit
+        1, // remove
+        2, 0, 0, 0,
+        0, 0, 0, 0, 2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        1, 0, 0, 0, 3, 6, 0, 0, 0, b'h', 0xc3, 0xa9, b'l', b'l', b'o',
+        2, // update
+        2, 0, 0, 0,
+        0, 0, 0, 0, 2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        1, 0, 0, 0, 3, 6, 0, 0, 0, b'h', 0xc3, 0xa9, b'l', b'l', b'o',
+        2, 0, 0, 0,
+        2, 0, 0, 0, 1, 1,
+        3, 0, 0, 0, 0,
+    ];
+
+    #[test]
+    fn encoding_of_all_value_kinds_is_pinned() {
+        let ops = all_value_kinds_ops();
+        assert_eq!(encode_ops(&ops), ALL_VALUE_KINDS_BYTES);
+        let mut c = Cursor::new(ALL_VALUE_KINDS_BYTES);
+        assert_eq!(decode_ops(&mut c), Some(ops));
+        assert!(c.done());
+    }
+
+    #[test]
+    fn record_round_trip_all_value_kinds() {
+        let ops = all_value_kinds_ops();
         let payload = {
             let mut p = 99u64.to_le_bytes().to_vec();
             p.push(FLAG_CROSS_SHARD);

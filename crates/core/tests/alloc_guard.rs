@@ -13,14 +13,20 @@
 //! still live after the preload, and 86.0 allocations per 8-row read** (90
 //! on the benchmark's own stream). The edge-shaped index brought the rows
 //! to 70.9 and 39.8; giving no locks to the nodes where no plan can take
-//! one (`LockPlacement::lock_count`) brought them to 66.1 and 35.8, and
-//! the ceilings below (69 and 38) fail without it.
+//! one (`LockPlacement::lock_count`) brought them to 66.1 and 35.8.
 //!
 //! Reads are evaluated over row frames: slots per column and per node,
 //! reused from step to step, with no tuple or binding vector cloned per
 //! query state. That took an 8-row snapshot read from 84.0 allocations to
-//! 15.0 (ceiling 20) and the same read inside a `transaction`, under its
-//! locks, from 110.0 to 33.0 (ceiling 55, half the old count).
+//! 15.0 and the same read inside a `transaction`, under its locks, from
+//! 110.0 to 33.0.
+//!
+//! A one-field tuple holds its field inline, on a 16-byte `Value`: the
+//! one-column edge keys and payloads of this shape, the query pattern and
+//! the evaluator's lookup key no longer allocate. That took a preloaded row
+//! to 40.4 allocations, 27.1 of them live, the snapshot read to 13.0 and
+//! the locked read to 30.0. The ceilings — 48, 30, 14 and 32 — fail on the
+//! layout before it (66.1, 35.8, 15.0, 33.0).
 //!
 //! This binary holds exactly one test: the counter is process-global and
 //! the harness runs a binary's tests on parallel threads.
@@ -126,16 +132,16 @@ fn preloaded_row_and_single_shot_read_stay_within_their_allocation_budget() {
          per 8-row read {per_read:.1}, locked {per_locked_read:.1}"
     );
     assert!(
-        per_row <= 69.0,
+        per_row <= 48.0,
         "{per_row:.1} allocations per preloaded row"
     );
     assert!(
-        live_per_row <= 38.0,
+        live_per_row <= 30.0,
         "{live_per_row:.1} live per preloaded row"
     );
-    assert!(per_read <= 20.0, "{per_read:.1} allocations per 8-row read");
+    assert!(per_read <= 14.0, "{per_read:.1} allocations per 8-row read");
     assert!(
-        per_locked_read <= 55.0,
+        per_locked_read <= 32.0,
         "{per_locked_read:.1} allocations per locked 8-row read"
     );
     rel.verify().unwrap();

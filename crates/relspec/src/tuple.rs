@@ -4,9 +4,18 @@
 //! [`Tuple`] stores fields sorted by [`ColumnId`], giving canonical equality,
 //! a total order (used for the lexicographic part of the global lock order,
 //! §5.1), and O(log n) field access.
+//!
+//! Most tuples the engine stores and compares have one field: every edge
+//! key of `stick`, `split` and `kv`, every `kv` payload, every one-column
+//! query pattern. A tuple holds one field inline — a `Tuple` is 32 bytes,
+//! a one-field tuple no allocation, and a key comparison no dependent load
+//! — and two or more in a `Vec`. Which form holds a tuple is never
+//! observable: equality, order and hashing all read the field slice.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use crate::column::{Catalog, ColumnId, ColumnSet};
 use crate::value::Value;
@@ -24,16 +33,77 @@ use crate::value::Value;
 /// assert_eq!(t.get(src), Some(&Value::from(1)));
 /// assert_eq!(t.dom().len(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct Tuple {
     /// Sorted by `ColumnId`, no duplicates.
-    fields: Vec<(ColumnId, Value)>,
+    fields: Fields,
+}
+
+/// A tuple's fields: one inline, or any number in a `Vec` (the form of
+/// every tuple of two or more fields, and of a buffer [`Tuple::assign`]
+/// reuses once it has allocated, whatever it holds). Read only through
+/// the slice it derefs to.
+#[derive(Clone)]
+enum Fields {
+    One((ColumnId, Value)),
+    Many(Vec<(ColumnId, Value)>),
+}
+
+impl Fields {
+    /// `fields`, in the form their count picks. `cap` is a `Vec`'s starting
+    /// capacity (at least two); callers that know an upper bound on the
+    /// count pass it, so the `Vec` is allocated once.
+    fn collect(fields: impl IntoIterator<Item = (ColumnId, Value)>, cap: usize) -> Fields {
+        let mut fields = fields.into_iter();
+        let Some(first) = fields.next() else {
+            return Fields::default();
+        };
+        let Some(second) = fields.next() else {
+            return Fields::One(first);
+        };
+        let mut v = Vec::with_capacity(cap.max(2));
+        v.push(first);
+        v.push(second);
+        v.extend(fields);
+        Fields::Many(v)
+    }
+
+    /// `fields`, in the form their count picks, read from the iterator's
+    /// size hint. One that knows it yields two or more is collected by
+    /// `Vec` itself, which sizes it exactly and keeps the buffer of a `Vec`
+    /// passed in; any other goes through [`Fields::collect`], with room
+    /// for four fields if it needs a `Vec`, as `Vec`'s own `collect` makes.
+    fn from_iter(fields: impl IntoIterator<Item = (ColumnId, Value)>) -> Fields {
+        let fields = fields.into_iter();
+        match fields.size_hint() {
+            (lo, Some(hi)) if lo == hi && lo >= 2 => Fields::Many(fields.collect()),
+            (lo, _) => Fields::collect(fields, lo.max(4)),
+        }
+    }
+}
+
+impl Default for Fields {
+    fn default() -> Self {
+        Fields::Many(Vec::new())
+    }
+}
+
+impl Deref for Fields {
+    type Target = [(ColumnId, Value)];
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Fields::One(f) => std::slice::from_ref(f),
+            Fields::Many(v) => v,
+        }
+    }
 }
 
 impl Tuple {
     /// The empty tuple `⟨⟩`.
     pub fn empty() -> Self {
-        Tuple { fields: Vec::new() }
+        Tuple::default()
     }
 
     /// Builds a tuple from `(column, value)` pairs.
@@ -42,18 +112,23 @@ impl Tuple {
     ///
     /// Panics if the same column appears twice with different values.
     pub fn from_pairs<I: IntoIterator<Item = (ColumnId, Value)>>(pairs: I) -> Self {
-        let mut fields: Vec<(ColumnId, Value)> = pairs.into_iter().collect();
-        fields.sort_by_key(|(c, _)| *c);
-        for w in fields.windows(2) {
-            if w[0].0 == w[1].0 {
-                assert!(
-                    w[0].1 == w[1].1,
-                    "duplicate column {:?} with conflicting values",
-                    w[0].0
-                );
+        let mut fields = Fields::from_iter(pairs);
+        if let Fields::Many(v) = &mut fields {
+            v.sort_by_key(|(c, _)| *c);
+            for w in v.windows(2) {
+                if w[0].0 == w[1].0 {
+                    assert!(
+                        w[0].1 == w[1].1,
+                        "duplicate column {:?} with conflicting values",
+                        w[0].0
+                    );
+                }
+            }
+            v.dedup_by(|a, b| a.0 == b.0);
+            if v.len() == 1 {
+                fields = Fields::One(v.pop().expect("one field"));
             }
         }
-        fields.dedup_by(|a, b| a.0 == b.0);
         Tuple { fields }
     }
 
@@ -96,13 +171,9 @@ impl Tuple {
     /// (standard relational projection semantics on partial tuples).
     #[must_use]
     pub fn project(&self, cols: ColumnSet) -> Tuple {
+        let kept = self.fields.iter().filter(|(c, _)| cols.contains(*c));
         Tuple {
-            fields: self
-                .fields
-                .iter()
-                .filter(|(c, _)| cols.contains(*c))
-                .cloned()
-                .collect(),
+            fields: Fields::collect(kept.cloned(), self.len().min(cols.len())),
         }
     }
 
@@ -156,14 +227,7 @@ impl Tuple {
                 right: other.clone(),
             });
         }
-        let mut fields = self.fields.clone();
-        for (c, v) in &other.fields {
-            if self.get(*c).is_none() {
-                fields.push((*c, v.clone()));
-            }
-        }
-        fields.sort_by_key(|(c, _)| *c);
-        Ok(Tuple { fields })
+        Ok(self.merge(other))
     }
 
     /// Union of two tuples whose domains the *caller* guarantees disjoint
@@ -180,21 +244,7 @@ impl Tuple {
             self.dom().is_disjoint(other.dom()),
             "union_disjoint requires disjoint domains"
         );
-        let (a, b) = (&self.fields, &other.fields);
-        let mut fields = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].0 < b[j].0 {
-                fields.push(a[i].clone());
-                i += 1;
-            } else {
-                fields.push(b[j].clone());
-                j += 1;
-            }
-        }
-        fields.extend_from_slice(&a[i..]);
-        fields.extend_from_slice(&b[j..]);
-        Tuple { fields }
+        self.merge(other)
     }
 
     /// Right-biased override: the fields of `self`, with every column of
@@ -216,15 +266,32 @@ impl Tuple {
     /// ```
     #[must_use]
     pub fn override_with(&self, other: &Tuple) -> Tuple {
-        let mut fields: Vec<(ColumnId, Value)> = self
-            .fields
-            .iter()
-            .filter(|(c, _)| other.get(*c).is_none())
-            .cloned()
-            .collect();
-        fields.extend(other.fields.iter().cloned());
-        fields.sort_by_key(|(c, _)| *c);
-        Tuple { fields }
+        self.merge(other)
+    }
+
+    /// One sorted merge of both field lists; a column in both takes
+    /// `other`'s value.
+    fn merge(&self, other: &Tuple) -> Tuple {
+        let (a, b) = (&*self.fields, &*other.fields);
+        let (mut i, mut j) = (0, 0);
+        let merged = std::iter::from_fn(|| {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(x), y) if y.is_none_or(|y| x.0 < y.0) => {
+                    i += 1;
+                    x
+                }
+                (x, Some(y)) => {
+                    i += usize::from(x.is_some_and(|x| x.0 == y.0));
+                    j += 1;
+                    y
+                }
+                _ => return None,
+            };
+            Some(next.clone())
+        });
+        Tuple {
+            fields: Fields::collect(merged, a.len() + b.len()),
+        }
     }
 
     /// A deterministic 64-bit hash of the projection of this tuple onto
@@ -265,9 +332,18 @@ impl Tuple {
     /// column order without repeats, keeping the allocation: a caller that
     /// builds many short-lived tuples of one shape, one after the other,
     /// allocates once.
+    ///
+    /// A buffer that holds an allocated `Vec` keeps it, even for one field;
+    /// any other takes the form the new fields' count picks, so a reused
+    /// one-field key never allocates.
     pub fn assign(&mut self, fields: impl IntoIterator<Item = (ColumnId, Value)>) {
-        self.fields.clear();
-        self.fields.extend(fields);
+        match &mut self.fields {
+            Fields::Many(v) if v.capacity() > 0 => {
+                v.clear();
+                v.extend(fields);
+            }
+            _ => self.fields = Fields::from_iter(fields),
+        }
         debug_assert!(
             self.fields.windows(2).all(|w| w[0].0 < w[1].0),
             "assign requires ascending, distinct columns"
@@ -303,6 +379,25 @@ fn fold_hash<'a>(fields: impl IntoIterator<Item = (ColumnId, &'a Value)>, seed: 
     })
 }
 
+/// Equality of the field lists, whichever form holds them.
+impl PartialEq for Tuple {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        *self.fields == *other.fields
+    }
+}
+
+impl Eq for Tuple {}
+
+/// Hashes the field slice: the bytes a `Vec` of the same fields writes, so
+/// container buckets and lock stripes do not depend on the form.
+impl Hash for Tuple {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fields[..].hash(state);
+    }
+}
+
 /// Total order: lexicographic over the sorted field list.
 ///
 /// For tuples that are valuations of the *same* column set, this coincides
@@ -311,12 +406,14 @@ fn fold_hash<'a>(fields: impl IntoIterator<Item = (ColumnId, &'a Value)>, seed: 
 /// interleaved column/value sequence), which keeps `BTreeMap<Tuple, _>`
 /// usable as a container key type.
 impl Ord for Tuple {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.fields.cmp(&other.fields)
+        self.fields[..].cmp(&other.fields[..])
     }
 }
 
 impl PartialOrd for Tuple {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }

@@ -5,13 +5,21 @@
 //! enum with a total order and a hash, so it can serve both as container key
 //! material and as lock-ordering material (lock order on node instances is
 //! lexicographic on key-column values, §5.1 of the paper).
+//!
+//! A `Value` is 16 bytes: a tag and one 8-byte payload. A string is held
+//! behind a thin reference-counted pointer (`Arc<String>`, one word) rather
+//! than a fat `Arc<str>` (two words), so that the integers that make up
+//! nearly every key pay nothing for the rare string. A `Tuple` of one field
+//! holds that field inline, which is only a memory win while `Value` is
+//! this small.
 
 use std::fmt;
 use std::sync::Arc;
 
 /// A single untyped relational value.
 ///
-/// `Value` is cheap to clone: strings are reference counted.
+/// `Value` is cheap to clone: strings are reference counted. It is 16
+/// bytes; a string costs one allocation more than its `Value`.
 ///
 /// # Examples
 ///
@@ -34,8 +42,9 @@ pub enum Value {
     /// A 64-bit signed integer. The common case in the paper's benchmarks
     /// (graph node ids, weights).
     Int(i64),
-    /// An interned string (reference-counted, cheap to clone).
-    Str(Arc<str>),
+    /// A string (reference-counted, cheap to clone). The `Arc<String>`
+    /// keeps the pointer thin; it orders and hashes as the `str` it holds.
+    Str(Arc<String>),
 }
 
 impl Value {
@@ -152,13 +161,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(Arc::from(v))
+        Value::Str(Arc::new(v.to_owned()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Arc::new(v))
     }
 }
 
@@ -227,6 +236,49 @@ mod tests {
             assert!(!format!("{v}").is_empty());
             assert!(!format!("{v:?}").is_empty());
         }
+    }
+
+    #[test]
+    fn value_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    /// The fat-pointer layout `Value` had before: the thin one must hash
+    /// and order every value exactly as it did, or container buckets, lock
+    /// stripes and shard routes would move.
+    #[derive(Hash, PartialEq, Eq, PartialOrd, Ord)]
+    enum FatValue {
+        Unit,
+        Bool(bool),
+        Int(i64),
+        Str(Arc<str>),
+    }
+
+    #[test]
+    fn hashes_and_orders_as_the_fat_layout_did() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        fn hash(x: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        let pairs = [
+            (Value::Unit, FatValue::Unit),
+            (Value::Bool(true), FatValue::Bool(true)),
+            (Value::Int(-3), FatValue::Int(-3)),
+            (Value::from("héllo"), FatValue::Str("héllo".into())),
+            (
+                Value::from(String::from("hello")),
+                FatValue::Str("hello".into()),
+            ),
+        ];
+        for (thin, fat) in &pairs {
+            assert_eq!(hash(thin), hash(fat), "{thin:?}");
+            for (thin2, fat2) in &pairs {
+                assert_eq!(thin.cmp(thin2), fat.cmp(fat2), "{thin:?} vs {thin2:?}");
+            }
+        }
+        assert_eq!(Value::from("héllo").as_str(), Some("héllo"));
     }
 
     #[test]
