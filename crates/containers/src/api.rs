@@ -141,33 +141,6 @@ pub trait Container<K: Key, V: Val>: Send + Sync + fmt::Debug {
         Some(old)
     }
 
-    /// Inserts every `(key, value)` entry of `entries`, in order, as one
-    /// fused bulk operation; returns how many entries displaced an existing
-    /// key (including keys written earlier in the same batch).
-    ///
-    /// Semantically equivalent to `write(k, Some(v))` per entry — the
-    /// default implementation is exactly that loop — but implementations
-    /// fuse the batch through their synchronization structure: one
-    /// writer span instead of one per entry (hash map, AVL tree, splay
-    /// tree), one array copy instead of one per entry (copy-on-write),
-    /// one lock acquisition per *shard* touched instead of one per entry
-    /// (striped hash). Callers that sort `entries` by key additionally
-    /// give sorted containers locality along one in-order sweep.
-    ///
-    /// **Atomicity:** as for [`Container::update_entry`], the batch is not
-    /// one atomic step with respect to *unlocked* concurrent readers
-    /// unless the implementation says so; the synthesis runtime only
-    /// invokes it on edges whose placement locks are held exclusively.
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        let mut displaced = 0;
-        for (k, v) in entries {
-            if self.write(&k, Some(v)).is_some() {
-                displaced += 1;
-            }
-        }
-        displaced
-    }
-
     /// Number of entries.
     fn len(&self) -> usize;
 

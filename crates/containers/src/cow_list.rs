@@ -152,28 +152,6 @@ impl<K: Key, V: Val> Container<K, V> for CowArrayList<K, V> {
         Some(old)
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // One array copy and one snapshot publication for the whole batch —
-        // the default path would clone the array once per entry.
-        if entries.is_empty() {
-            return 0;
-        }
-        let mut guard = self.current.write();
-        let mut next: Vec<(K, V)> = (**guard).clone();
-        let mut displaced = 0;
-        for (k, v) in entries {
-            match next.binary_search_by(|(nk, _)| nk.cmp(&k)) {
-                Ok(i) => {
-                    next[i].1 = v;
-                    displaced += 1;
-                }
-                Err(i) => next.insert(i, (k, v)),
-            }
-        }
-        *guard = Arc::new(next);
-        displaced
-    }
-
     fn len(&self) -> usize {
         self.current.read().len()
     }

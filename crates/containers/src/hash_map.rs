@@ -141,20 +141,6 @@ impl<K: Key, V: Val> Container<K, V> for ChainedHashMap<K, V> {
         })
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // One externally synchronized writer span for the whole batch
-        // instead of one per entry.
-        self.inner.write(|t| {
-            let mut displaced = 0;
-            for (k, v) in entries {
-                if t.write(&k, Some(v)).is_some() {
-                    displaced += 1;
-                }
-            }
-            displaced
-        })
-    }
-
     fn len(&self) -> usize {
         self.inner.read(|t| t.len)
     }

@@ -103,20 +103,6 @@ impl<K: Key, V: Val> Container<K, V> for SingletonCell<K, V> {
         }
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // One writer-lock acquisition; the cell has capacity one, so only
-        // the last entry survives (as the default per-entry loop would
-        // leave it).
-        let mut guard = self.slot.write();
-        let mut displaced = 0;
-        for (k, v) in entries {
-            if guard.replace((k, v)).is_some() {
-                displaced += 1;
-            }
-        }
-        displaced
-    }
-
     fn len(&self) -> usize {
         usize::from(self.slot.read().is_some())
     }

@@ -637,21 +637,6 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
         Some(old)
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // Inserts are lock-free, so there is no synchronization to fuse;
-        // a key-sorted batch still wins by descending warm index paths
-        // (each insert's search starts where the previous one ended up in
-        // cache). This override just keeps the loop straight-line on
-        // `insert` instead of round-tripping through `write`'s dispatch.
-        let mut displaced = 0;
-        for (k, v) in entries {
-            if self.insert(&k, v).is_some() {
-                displaced += 1;
-            }
-        }
-        displaced
-    }
-
     fn len(&self) -> usize {
         self.len.load(SeqCst)
     }

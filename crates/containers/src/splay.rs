@@ -277,20 +277,6 @@ impl<K: Key, V: Val> Container<K, V> for SplayTreeMap<K, V> {
         })
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // One writer span; each insert splays its key to the root, so a
-        // key-sorted batch keeps successive insertions adjacent.
-        self.inner.write(|t| {
-            let mut displaced = 0;
-            for (k, v) in entries {
-                if t.insert(&k, v).is_some() {
-                    displaced += 1;
-                }
-            }
-            displaced
-        })
-    }
-
     fn len(&self) -> usize {
         self.inner.read(|t| t.len)
     }

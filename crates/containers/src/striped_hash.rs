@@ -201,38 +201,6 @@ impl<K: Key, V: Val> Container<K, V> for StripedHashMap<K, V> {
         Some(old)
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // Group the batch by shard and lock each touched shard exactly once
-        // (in index order, as `update_entry` does), instead of one lock
-        // round-trip per entry. Entries within a shard keep batch order, so
-        // duplicate keys resolve last-writer-wins exactly like the default.
-        let mut by_shard: Vec<Vec<(u64, K, V)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (k, v) in entries {
-            let hash = hash_key(&k);
-            by_shard[self.shard_of(hash)].push((hash, k, v));
-        }
-        let mut displaced = 0;
-        let mut inserted = 0;
-        for (s, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[s].write();
-            for (hash, k, v) in group {
-                if shard.write(hash, &k, Some(v)).is_some() {
-                    displaced += 1;
-                } else {
-                    inserted += 1;
-                }
-            }
-        }
-        if inserted > 0 {
-            self.len.fetch_add(inserted, Ordering::Relaxed);
-        }
-        displaced
-    }
-
     fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }

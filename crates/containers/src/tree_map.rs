@@ -339,24 +339,6 @@ impl<K: Key, V: Val> Container<K, V> for AvlTreeMap<K, V> {
         })
     }
 
-    fn extend_entries(&self, entries: Vec<(K, V)>) -> usize {
-        // One externally synchronized writer span for the whole batch; a
-        // key-sorted batch descends along warm paths of the AVL tree.
-        self.inner.write(|t| {
-            let mut displaced = 0;
-            for (k, v) in entries {
-                let (root, old) = RawTree::insert(t.root.take(), &k, v);
-                t.root = Some(root);
-                if old.is_some() {
-                    displaced += 1;
-                } else {
-                    t.len += 1;
-                }
-            }
-            displaced
-        })
-    }
-
     fn len(&self) -> usize {
         self.inner.read(|t| t.len)
     }

@@ -12,7 +12,6 @@ use relc_containers::{Container, ContainerKind};
 enum Op {
     Write(i64, Option<i64>),
     Move(i64, i64, i64),
-    Extend(Vec<(i64, i64)>),
     Lookup(i64),
     Scan,
     Len,
@@ -22,7 +21,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0i64..40, proptest::option::of(any::<i64>())).prop_map(|(k, v)| Op::Write(k, v)),
         (0i64..40, 0i64..40, any::<i64>()).prop_map(|(o, n, v)| Op::Move(o, n, v)),
-        proptest::collection::vec((0i64..40, any::<i64>()), 0..12).prop_map(Op::Extend),
         (0i64..40).prop_map(Op::Lookup),
         Just(Op::Scan),
         Just(Op::Len),
@@ -55,16 +53,6 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     got, expected,
                     "{kind}: update_entry({old_key}, {new_key}, {v})"
                 );
-            }
-            Op::Extend(entries) => {
-                let mut expected = 0usize;
-                for (k, v) in entries {
-                    if model.insert(*k, *v).is_some() {
-                        expected += 1;
-                    }
-                }
-                let got = container.extend_entries(entries.clone());
-                assert_eq!(got, expected, "{kind}: extend_entries({entries:?})");
             }
             Op::Lookup(k) => {
                 assert_eq!(
@@ -173,57 +161,6 @@ fn update_entry_semantics_on_every_kind() {
         assert_eq!(c.lookup(&2), Some(30), "{kind}: value rewritten");
         assert_eq!(c.len(), 1, "{kind}");
     }
-}
-
-#[test]
-fn extend_entries_semantics_on_every_kind() {
-    // Sorted, reverse-sorted, and overlapping batches must all leave every
-    // map-like container equivalent to the BTreeMap model (the fused
-    // implementations re-order work internally — shard grouping, single
-    // array copy — but the observable result is the per-entry fold).
-    let sorted: Vec<(i64, i64)> = (0..32).map(|k| (k, k * 10)).collect();
-    let reverse: Vec<(i64, i64)> = (0..32).rev().map(|k| (k, k * 100)).collect();
-    // Overlap half the existing keys, plus an in-batch duplicate (the later
-    // entry wins and counts as a displacement of the earlier one).
-    let mut overlapping: Vec<(i64, i64)> = (16..48).map(|k| (k, k + 1)).collect();
-    overlapping.push((47, -1));
-    for kind in ContainerKind::ALL {
-        if kind == ContainerKind::Singleton {
-            continue; // capacity-one cell: dedicated check below
-        }
-        let c: Box<dyn Container<i64, i64>> = kind.instantiate();
-        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
-        for batch in [&sorted, &reverse, &overlapping] {
-            let mut expected = 0usize;
-            for (k, v) in batch.iter() {
-                if model.insert(*k, *v).is_some() {
-                    expected += 1;
-                }
-            }
-            assert_eq!(
-                c.extend_entries(batch.clone()),
-                expected,
-                "{kind}: displaced count"
-            );
-        }
-        assert_eq!(c.len(), model.len(), "{kind}: len after batches");
-        let mut got: Vec<(i64, i64)> = Vec::new();
-        c.scan(&mut |k, v| {
-            got.push((*k, *v));
-            ControlFlow::Continue(())
-        });
-        got.sort_unstable();
-        let want: Vec<(i64, i64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, want, "{kind}: contents after batches");
-    }
-    // The singleton cell keeps only the last entry of the batch, exactly as
-    // the default per-entry loop would.
-    let c: Box<dyn Container<i64, i64>> = ContainerKind::Singleton.instantiate();
-    assert_eq!(c.extend_entries(vec![(1, 10), (2, 20), (3, 30)]), 2);
-    assert_eq!(c.lookup(&3), Some(30));
-    assert_eq!(c.len(), 1);
-    assert_eq!(c.extend_entries(Vec::new()), 0);
-    assert_eq!(c.lookup(&3), Some(30));
 }
 
 #[test]

@@ -17,8 +17,11 @@
 //! plan, an insert's existence check — and the executor keeps only what
 //! no plan expresses: the root lock sweep, the insert's full-tuple walk,
 //! and the write phases (materialize and publish, unlink, rewrite).
+//!
+//! An insert or remove runs over N ≥ 1 rows: one root sweep over every
+//! row's tokens, then the single-row body per row, publishing as it goes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -31,35 +34,6 @@ use crate::mvcc::MvccScope;
 use crate::placement::{LockPlacement, LockToken};
 use crate::planner::{InPlaceUpdate, InsertPlan, Plan, RemovePlan};
 use crate::query::{bind, eval_all, eval_any, eval_rows, EdgeView, Frame, KeyBounds, Row};
-
-/// FNV-1a, the hasher for the batch-local maps: their keys are consulted
-/// once or twice per row on the hot path, where SipHash's per-hash setup
-/// cost (the `HashMap` default) is measurable and HashDoS resistance is
-/// irrelevant (the maps live for one batch, keyed by the caller's own
-/// tuples).
-#[derive(Default, Clone, Copy)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type BuildFnv = std::hash::BuildHasherDefault<FnvHasher>;
 
 /// Assembles the canonical `query_range` output from surviving (full or
 /// partial) tuples: filter by the interval, order by **(range value,
@@ -93,13 +67,6 @@ pub(crate) fn assemble_range_output(
     }
     out
 }
-
-/// A batch's deferred root publications: (edge, entry key) →
-/// complete-but-unpublished child instance. [`Executor::run_insert_all`]
-/// threads one through its per-row passes — publication of an edge that
-/// leaves the root waits for the flush, and later rows consult the map so
-/// shared subtrees stay shared.
-type PendingPublications = HashMap<(EdgeId, Tuple), NodeRef, BuildFnv>;
 
 /// Executes compiled plans for one transaction at a time.
 pub struct Executor<'a> {
@@ -377,26 +344,28 @@ impl<'a> Executor<'a> {
             .collect();
         // The root's key columns are empty, so the empty tuple is a valid
         // instance bound for every root-hosted token.
-        self.acquire_root_sweep(&hosted, std::slice::from_ref(&Tuple::empty()), root)
+        self.acquire_root_sweep(&hosted, [&Tuple::empty()], root)
     }
 
-    /// Runs a compiled insert plan for the full tuple `x = s ∪ t` with
-    /// pattern `s`. Returns whether the tuple was inserted (put-if-absent,
-    /// §2).
+    /// Runs a compiled insert plan over `rows` — each a full tuple
+    /// `x = s ∪ t` and its pattern `s`, all binding the same column sets —
+    /// and sets `inserted[i]` to whether row `i` was inserted
+    /// (put-if-absent, §2): one root sweep over every row's tokens, then
+    /// the single-row body per row, which publishes as it goes. A row whose
+    /// pattern an earlier row claimed finds that row's tuple like any other
+    /// lookup would.
     ///
-    /// Every lock is taken before the first write, so a [`MustRestart`]
-    /// leaves nothing of *this* insert behind; what an attempt wrote before
-    /// it is taken back from the write journal, under the locks the attempt
-    /// still holds, with no help from the operation that wrote it (see
-    /// `mvcc.rs`, *Rollback*). One isolation rule remains with the
-    /// caller: `hold_published_targets` says this is not the attempt's
-    /// last write — more operations (or more rows of a batch) follow, any
-    /// of which can still restart and roll this insert back. Such an
-    /// insert takes the target-side lock of every §4.5 speculative child it
-    /// publishes *before* publishing it: published with its lock free, a
-    /// speculative reader could take that lock and read a row that may
-    /// yet be rolled back. The final write of a single-shot operation
-    /// passes `false`: nothing can follow it but the commit.
+    /// Every lock a row needs is taken before its first write, so a
+    /// [`MustRestart`] leaves nothing of that row behind; what the attempt
+    /// wrote before it is taken back from the write journal, under the
+    /// locks the attempt still holds (see `mvcc.rs`, *Rollback*). One
+    /// isolation rule remains with the caller: `hold_published_targets`
+    /// says more writes follow — later rows or operations, any of which can
+    /// still restart and roll these rows back. Each row then takes the
+    /// target-side lock of every §4.5 speculative child it publishes
+    /// *before* publishing it: published with its lock free, a speculative
+    /// reader could read a row that may yet be rolled back. Only the final
+    /// write of a single-shot operation, one row, passes `false`.
     ///
     /// # Errors
     ///
@@ -405,29 +374,28 @@ impl<'a> Executor<'a> {
     pub fn run_insert(
         &mut self,
         plan: &InsertPlan,
-        x: &Tuple,
-        s: &Tuple,
+        rows: &[(&Tuple, &Tuple)],
         root: &NodeRef,
         hold_published_targets: bool,
-    ) -> Result<bool, MustRestart> {
+        inserted: &mut [bool],
+    ) -> Result<(), MustRestart> {
+        debug_assert_eq!(rows.len(), inserted.len());
+        debug_assert!(
+            hold_published_targets || rows.len() == 1,
+            "a later row can roll an earlier one back"
+        );
         // Root-hosted edges include all speculative fallbacks, which
         // freezes the presence of speculative edges for the rest of the
         // transaction.
-        self.acquire_root_sweep(&plan.root_hosted, std::slice::from_ref(x), root)?;
-        self.insert_under_root_locks(plan, x, s, root, hold_published_targets, None)
+        self.acquire_root_sweep(&plan.root_hosted, rows.iter().map(|&(x, _)| x), root)?;
+        for (&(x, s), out) in rows.iter().zip(inserted) {
+            *out = self.insert_under_root_locks(plan, x, s, root, hold_published_targets)?;
+        }
+        Ok(())
     }
 
-    /// The per-tuple body of [`Executor::run_insert`], entered with the
-    /// tuple's root-hosted locks already held (by `run_insert`'s own root
-    /// sweep, or by [`Executor::run_insert_all`]'s bulk one).
-    ///
-    /// When `pending` is given, root-source edge publications are
-    /// *deferred*: the completed child goes into the batch's pending map
-    /// instead of the root container, and lookups consult that map, so
-    /// later rows of the same batch still share subtrees. The caller
-    /// flushes the map — in one fused
-    /// [`relc_containers::Container::extend_entries`] call per container —
-    /// before releasing any lock.
+    /// The per-row body of [`Executor::run_insert`], entered with the
+    /// row's root-hosted locks already held by its root sweep.
     fn insert_under_root_locks(
         &mut self,
         plan: &InsertPlan,
@@ -435,7 +403,6 @@ impl<'a> Executor<'a> {
         s: &Tuple,
         root: &NodeRef,
         hold_published_targets: bool,
-        mut pending: Option<&mut PendingPublications>,
     ) -> Result<bool, MustRestart> {
         // Walk every edge in mutation order, locking non-root hosts and
         // recording bindings/presence along x's projections.
@@ -460,15 +427,7 @@ impl<'a> Executor<'a> {
                 continue; // absent prefix: subtree will be created privately
             };
             let key = x.project(em.cols);
-            let found = src_inst.container(self.decomp, e).lookup(&key).or_else(|| {
-                // An earlier row of this batch may have created the edge
-                // with its publication still pending.
-                pending
-                    .as_ref()
-                    .filter(|_| em.src == self.decomp.root())
-                    .and_then(|pending| pending.get(&(e, key.clone())).cloned())
-            });
-            if let Some(child) = found {
+            if let Some(child) = src_inst.container(self.decomp, e).lookup(&key) {
                 // Speculative edges: presence is frozen by the fallback
                 // lock held exclusively, so no target lock or re-validation
                 // is needed for the existence check.
@@ -539,19 +498,8 @@ impl<'a> Executor<'a> {
             // Mirror the publication into the version index first: the
             // version stays tentative (invisible to snapshot readers)
             // until the commit stamp publishes, so mirror-then-write and
-            // write-then-mirror are indistinguishable — and mirroring the
-            // *deferred* branch here (rather than at the batch flush)
-            // keeps one code path for both.
+            // write-then-mirror are indistinguishable.
             self.mvcc_write(&src, e, x.project(em.cols), Some(Arc::clone(&dst)));
-            if let Some(pending) = pending.as_mut().filter(|_| em.src == self.decomp.root()) {
-                // Defer the publication: the subtree below `dst` is
-                // complete (deeper edges were just written), so linking
-                // it in later — at the batch flush, still under every
-                // lock of this sweep — is indistinguishable to readers.
-                let prev = pending.insert((e, x.project(em.cols)), Arc::clone(&dst));
-                debug_assert!(prev.is_none(), "edge instance appeared under our locks");
-                continue;
-            }
             let prev = src
                 .container(self.decomp, e)
                 .write(&x.project(em.cols), Some(Arc::clone(&dst)));
@@ -570,10 +518,10 @@ impl<'a> Executor<'a> {
     /// others in the global order, so when this runs as a transaction
     /// operation's first acquisition the whole sweep is in-order (blocking,
     /// never restarting on order violations).
-    fn acquire_root_sweep(
+    fn acquire_root_sweep<'b>(
         &mut self,
         hosted: &[(EdgeId, bool)],
-        bounds: &[Tuple],
+        bounds: impl IntoIterator<Item = &'b Tuple>,
         root: &NodeRef,
     ) -> Result<(), MustRestart> {
         let mut sweep: Vec<LockToken> = Vec::new();
@@ -593,69 +541,6 @@ impl<'a> Executor<'a> {
             self.engine.acquire(tok, &lock, LockMode::Exclusive)?;
         }
         Ok(())
-    }
-
-    /// Runs one insert plan over a batch: row `i` inserts the full tuple
-    /// `xs[i]` with existence pattern `rows[i].0` (the caller's validated
-    /// originals; all rows bind the same column sets). The amortized form
-    /// of one [`Executor::run_insert`] per row; returns one put-if-absent
-    /// flag per row.
-    ///
-    /// Locking: every row's root-hosted lock tokens are deduplicated,
-    /// globally sorted, and acquired in **one in-order sweep** before the
-    /// first row runs; the per-row passes then skip the root sweep
-    /// entirely. Root-source edge publications are deferred into a pending
-    /// map and flushed at the end with one fused
-    /// [`relc_containers::Container::extend_entries`] call per container,
-    /// key-sorted so sorted containers insert along one in-order walk.
-    ///
-    /// Put-if-absent semantics are the sequential fold: a row whose `s`
-    /// equals an earlier row's is `false` without re-running the check
-    /// (under one batch all rows share `dom s`, so an earlier row's tuple
-    /// extends a later `s` exactly when the patterns are equal).
-    ///
-    /// # Errors
-    ///
-    /// [`MustRestart`] on lock contention, with some rows possibly applied
-    /// and none published at the root; the caller rolls the attempt back
-    /// (the journal names every write) and retries.
-    pub fn run_insert_all(
-        &mut self,
-        plan: &InsertPlan,
-        xs: &[Tuple],
-        rows: &[(Tuple, Tuple)],
-        root: &NodeRef,
-    ) -> Result<Vec<bool>, MustRestart> {
-        self.acquire_root_sweep(&plan.root_hosted, xs, root)?;
-        let mut pending = PendingPublications::default();
-        let mut seen: HashSet<&Tuple, BuildFnv> = HashSet::default();
-        let mut results = Vec::with_capacity(xs.len());
-        for (x, (s, _)) in xs.iter().zip(rows) {
-            // An earlier row claimed this pattern (whether it inserted or
-            // found the tuple pre-existing): put-if-absent fails. A later
-            // row can still restart the batch, so every row holds the
-            // targets it publishes.
-            let inserted = seen.insert(s)
-                && self.insert_under_root_locks(plan, x, s, root, true, Some(&mut pending))?;
-            results.push(inserted);
-        }
-        self.flush_pending_publications(pending, root);
-        Ok(results)
-    }
-
-    /// Publishes a batch's deferred root-source edges: one fused
-    /// key-sorted [`relc_containers::Container::extend_entries`] call per
-    /// edge container, under the still-held bulk sweep locks.
-    fn flush_pending_publications(&self, pending: PendingPublications, root: &NodeRef) {
-        let mut by_edge: BTreeMap<EdgeId, Vec<(Tuple, NodeRef)>> = BTreeMap::new();
-        for ((e, key), child) in pending {
-            by_edge.entry(e).or_default().push((key, child));
-        }
-        for (e, mut entries) in by_edge {
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            let displaced = root.container(self.decomp, e).extend_entries(entries);
-            debug_assert_eq!(displaced, 0, "edge instances appeared under our locks");
-        }
     }
 
     /// Runs a compiled query plan as a short-circuiting existence check:
@@ -762,50 +647,35 @@ impl<'a> Executor<'a> {
         Ok(Some(survivor.tuple))
     }
 
-    /// Runs a compiled remove plan for key pattern `s`. Returns the removed
-    /// tuple, if one existed (§2; at most one, since `s` is a key).
-    ///
-    /// # Errors
-    ///
-    /// [`MustRestart`] on lock contention; the caller rolls back and
-    /// retries.
-    pub fn run_remove(
-        &mut self,
-        plan: &RemovePlan,
-        s: &Tuple,
-        root: &NodeRef,
-    ) -> Result<Option<Tuple>, MustRestart> {
-        self.acquire_root_sweep(&plan.root_hosted, std::slice::from_ref(s), root)?;
-        self.remove_under_root_locks(plan, s, root)
-    }
-
-    /// Runs one remove plan over `keys` (all binding the same column set):
-    /// the amortized form of one [`Executor::run_remove`] per key. Every
-    /// key's root-hosted tokens are acquired in one globally sorted
-    /// in-order sweep, then each key unlinks under the held set. Returns,
-    /// per key, whether it matched a tuple; duplicate keys in one batch
-    /// behave as the sequential fold — the first occurrence removes, later
-    /// ones find nothing.
+    /// Runs a compiled remove plan over `keys` (all binding the same
+    /// column set) and sets `removed[i]` to the tuple key `i` removed, if
+    /// one existed (§2; at most one, since a key pattern is a key). Every
+    /// key's root-hosted tokens are taken in one sorted sweep, then each
+    /// key unlinks under the held set; duplicate keys behave as the
+    /// sequential fold — the first occurrence removes, later ones find
+    /// nothing.
     ///
     /// # Errors
     ///
     /// [`MustRestart`] on lock contention, with some keys possibly
     /// unlinked; the caller rolls the attempt back and retries.
-    pub fn run_remove_all(
+    pub fn run_remove(
         &mut self,
         plan: &RemovePlan,
         keys: &[Tuple],
         root: &NodeRef,
-    ) -> Result<Vec<bool>, MustRestart> {
+        removed: &mut [Option<Tuple>],
+    ) -> Result<(), MustRestart> {
+        debug_assert_eq!(keys.len(), removed.len());
         self.acquire_root_sweep(&plan.root_hosted, keys, root)?;
-        keys.iter()
-            .map(|s| Ok(self.remove_under_root_locks(plan, s, root)?.is_some()))
-            .collect()
+        for (s, out) in keys.iter().zip(removed) {
+            *out = self.remove_under_root_locks(plan, s, root)?;
+        }
+        Ok(())
     }
 
     /// The per-key body of [`Executor::run_remove`], entered with the
-    /// key's root-hosted locks already held (by `run_remove`'s own root
-    /// sweep, or by [`Executor::run_remove_all`]'s bulk one).
+    /// key's root-hosted locks already held by its root sweep.
     fn remove_under_root_locks(
         &mut self,
         plan: &RemovePlan,

@@ -761,10 +761,9 @@ impl<L: Layout> Relation<L> {
     /// (one put-if-absent result per row, duplicates losing to the first
     /// occurrence), but atomic — observers see all of the batch's effects
     /// or none, across every instance it touches — and amortized: the plan
-    /// is fetched once per instance, every row's root lock targets are
-    /// deduplicated and acquired in one globally sorted sweep, and
-    /// root-edge publications are fused into one bulk container write per
-    /// edge ([`relc_containers::Container::extend_entries`]).
+    /// is fetched once per instance, and every row's root lock targets are
+    /// deduplicated and acquired in one globally sorted sweep; each row
+    /// then runs the single-row insert under that sweep.
     ///
     /// A validation error in *any* row aborts the whole batch with no
     /// effect.
@@ -1081,9 +1080,10 @@ impl<L: Layout> Relation<L> {
     /// 2. **One cut.** Under the fences no writer can commit, so the whole
     ///    relation is frozen. Each instance's contents are read at an MVCC
     ///    cut (lock-free snapshot read) and loaded into a freshly built
-    ///    tree for the new pair via the batched `insert_all` sweep (one
-    ///    fused container write per root edge); the new trees are private
-    ///    until the swap, so the loads contend with nobody.
+    ///    tree for the new pair through batched `insert_all` (one root
+    ///    sweep per batch, then the single-row insert per row); the new
+    ///    trees are private until the swap, so the loads contend with
+    ///    nobody.
     /// 3. **Swap window.** The migration epoch goes odd, every instance's
     ///    representation is swapped, the epoch goes even. Snapshot readers
     ///    spin past the odd window and re-validate their captured
@@ -1381,8 +1381,8 @@ impl ConcurrentRelation {
     fn load_frozen_contents(&self, repr: &Repr, new_repr: &Arc<Repr>) -> Result<usize, CoreError> {
         let rows = self.frozen_rows(repr)?;
         // Load through a scratch relation wrapping the new representation
-        // so the batched insert path (plans, bulk sweeps, fused container
-        // writes, MVCC mirrors) is reused verbatim. Its locks are private
+        // so the batched insert path (plans, root sweeps, row inserts, MVCC
+        // mirrors) is reused verbatim. Its locks are private
         // until the swap, so this contends with nobody; its bulk commits
         // stamp the new tree's version chains *before* the swap makes
         // them reachable, so any reader registered after the swap has a

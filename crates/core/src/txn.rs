@@ -255,8 +255,7 @@ impl<'t> Transaction<'t> {
     /// amortized pass per touched instance** (rows keep their relative
     /// order; equal keys route identically): one plan fetch, every row's
     /// root lock targets deduplicated and acquired in one globally sorted
-    /// sweep, and root-edge publications fused into one bulk container
-    /// write per edge.
+    /// sweep, then the single-row insert per row under that sweep.
     ///
     /// The batch is atomic within the transaction: a mid-batch restart
     /// fails the attempt, and the attempt's rollback takes back *every*
@@ -638,11 +637,15 @@ impl<'t> Part<'t> {
         self.assert_two_phase();
         let x = self.validate_insert(s, t)?;
         let plan = self.repr.insert_plan(s.dom())?;
-        let root = self.repr.root();
-        let res = self
-            .exec
-            .run_insert(&plan, &x, s, root, hold_published_targets);
-        let inserted = self.track(res)?;
+        let mut inserted = false;
+        let res = self.exec.run_insert(
+            &plan,
+            &[(&x, s)],
+            self.repr.root(),
+            hold_published_targets,
+            std::slice::from_mut(&mut inserted),
+        );
+        self.track(res)?;
         if inserted {
             self.applied_insert(s, t);
         }
@@ -699,9 +702,20 @@ impl<'t> Part<'t> {
         }
         self.validate_insert(s0, t0)?;
         let xs: Vec<Tuple> = rows.iter().map(|(s, t)| s.union_disjoint(t)).collect();
+        let xs_and_patterns: Vec<(&Tuple, &Tuple)> =
+            xs.iter().zip(rows.iter().map(|(s, _)| s)).collect();
         let plan = self.repr.insert_plan(dom_s)?;
-        let res = self.exec.run_insert_all(&plan, &xs, rows, self.repr.root());
-        let results = self.track(res)?;
+        let mut results = vec![false; rows.len()];
+        // A later row can restart and roll an earlier one back, so every
+        // row holds the targets it publishes.
+        let res = self.exec.run_insert(
+            &plan,
+            &xs_and_patterns,
+            self.repr.root(),
+            true,
+            &mut results,
+        );
+        self.track(res)?;
         for ((s, t), _) in rows.iter().zip(&results).filter(|(_, &inserted)| inserted) {
             self.applied_insert(s, t);
         }
@@ -721,12 +735,15 @@ impl<'t> Part<'t> {
                 .collect();
         }
         let plan = self.repr.remove_plan(k0.dom())?;
-        let res = self.exec.run_remove_all(&plan, keys, self.repr.root());
-        let results = self.track(res)?;
-        for (key, _) in keys.iter().zip(&results).filter(|(_, &removed)| removed) {
+        let mut removed = vec![None; keys.len()];
+        let res = self
+            .exec
+            .run_remove(&plan, keys, self.repr.root(), &mut removed);
+        self.track(res)?;
+        for (key, _) in keys.iter().zip(&removed).filter(|(_, r)| r.is_some()) {
             self.applied_remove(key);
         }
-        Ok(results)
+        Ok(removed.iter().map(Option::is_some).collect())
     }
 
     /// Bookkeeping for one removed row: the tuple count and the redo
@@ -743,8 +760,14 @@ impl<'t> Part<'t> {
     fn remove_returning(&mut self, s: &Tuple) -> Result<Option<Tuple>, TxnError> {
         self.assert_two_phase();
         let plan = self.repr.remove_plan(s.dom())?;
-        let res = self.exec.run_remove(&plan, s, self.repr.root());
-        let removed = self.track(res)?;
+        let mut removed = None;
+        let res = self.exec.run_remove(
+            &plan,
+            std::slice::from_ref(s),
+            self.repr.root(),
+            std::slice::from_mut(&mut removed),
+        );
+        self.track(res)?;
         if removed.is_some() {
             self.applied_remove(s);
         }
@@ -765,8 +788,15 @@ impl<'t> Part<'t> {
                 self.track(res)?
             }
             UpdatePlan::General(gp) => {
-                let res = self.exec.run_remove(&gp.remove, s, root);
-                let Some(old) = self.track(res)? else {
+                let mut removed = None;
+                let res = self.exec.run_remove(
+                    &gp.remove,
+                    std::slice::from_ref(s),
+                    root,
+                    std::slice::from_mut(&mut removed),
+                );
+                self.track(res)?;
+                let Some(old) = removed else {
                     return Ok(None);
                 };
                 // From here the unlink is applied, and the re-insert can
@@ -774,10 +804,15 @@ impl<'t> Part<'t> {
                 // tokens): `track` then fails the attempt, and its
                 // rollback re-links what the unlink took out.
                 let new = old.override_with(t);
-                let res = self
-                    .exec
-                    .run_insert(&gp.insert, &new, &new, root, !self.single_shot);
-                let reinserted = self.track(res)?;
+                let mut reinserted = false;
+                let res = self.exec.run_insert(
+                    &gp.insert,
+                    &[(&new, &new)],
+                    root,
+                    !self.single_shot,
+                    std::slice::from_mut(&mut reinserted),
+                );
+                self.track(res)?;
                 debug_assert!(
                     reinserted,
                     "no tuple can extend the unlinked key under our exclusive locks"

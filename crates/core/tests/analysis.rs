@@ -373,7 +373,10 @@ fn outcome<T: std::fmt::Debug>(r: Result<T, relc::CoreError>) -> String {
 /// insert of a fresh and of a present key, and of a fresh row by each
 /// one-column pattern; remove of a present and an
 /// absent tuple by every key of the schema (smallest first); one update
-/// of the non-key columns by the smallest key. Rows are `r·10 + column`,
+/// of the non-key columns by the smallest key; `insert_all` of fresh rows,
+/// of a present and a fresh row, and of a fresh row twice (the second
+/// with another payload); `remove_all` of present, absent and present
+/// keys. Rows are `r·10 + column`,
 /// so `row(7)` is absent and its values collide with no preloaded row.
 fn footprint_cases(d: &Arc<Decomposition>, p: &Arc<LockPlacement>) -> Vec<(String, String)> {
     let schema = d.schema();
@@ -454,6 +457,25 @@ fn footprint_cases(d: &Arc<Decomposition>, p: &Arc<LockPlacement>) -> Vec<(Strin
         outcome(old.map(|o| o.is_some()))
     });
     cases.push((kind.to_owned(), out));
+    // Batches: the root sweep over every row, then each row's body; the
+    // duplicate row finds the first one's tuple as a single insert would.
+    let insert_all = |rows: &[(i64, i64)]| {
+        let rows: Vec<(Tuple, Tuple)> = rows
+            .iter()
+            .map(|&(k, t)| (row(k).project(key), row(t).project(payload)))
+            .collect();
+        move |rel: &ConcurrentRelation| outcome(rel.insert_all(&rows))
+    };
+    for (name, rows) in [
+        ("insert_all fresh", &[(7, 7), (8, 8)][..]),
+        ("insert_all present", &[(1, 1), (8, 8)]),
+        ("insert_all dup", &[(7, 7), (8, 8), (7, 9)]),
+    ] {
+        cases.push((name.to_owned(), measure(&insert_all(rows))));
+    }
+    let remove_keys: Vec<Tuple> = [1, 7, 2].map(|r| row(r).project(key)).into();
+    let out = measure(&|rel| outcome(rel.remove_all(&remove_keys)));
+    cases.push(("remove_all".to_owned(), out));
     cases
 }
 
@@ -528,6 +550,10 @@ stick(chm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=
 stick(chm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -538,6 +564,10 @@ stick(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 
 stick(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -548,6 +578,10 @@ stick(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgra
 stick(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -558,6 +592,10 @@ stick(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgra
 stick(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -568,6 +606,10 @@ stick(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 u
 stick(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert_all fresh | [true, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -578,6 +620,10 @@ stick(tm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0
 stick(tm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -588,6 +634,10 @@ stick(tm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 s
 stick(tm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -598,6 +648,10 @@ stick(cslm,chm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrade
 stick(cslm,chm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -608,6 +662,10 @@ stick(cslm,chm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=
 stick(cslm,chm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -618,6 +676,10 @@ stick(cslm,chm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upg
 stick(cslm,chm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -628,6 +690,10 @@ stick(cslm,chm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upg
 stick(cslm,chm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -638,6 +704,10 @@ stick(cslm,chm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0
 stick(cslm,chm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert_all fresh | [true, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove_all | [true, false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -648,6 +718,10 @@ split(chm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=
 split(chm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -658,6 +732,10 @@ split(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 
 split(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove_all | [true, false, true] acq=9 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -668,6 +746,10 @@ split(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgra
 split(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove_all | [true, false, true] acq=9 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -678,6 +760,10 @@ split(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgra
 split(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert_all present | [false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=6 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove_all | [true, false, true] acq=11 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -688,6 +774,10 @@ split(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 u
 split(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert_all fresh | [true, true] acq=6 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert_all present | [false, true] acq=8 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=8 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=10 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -698,6 +788,10 @@ diamond(chm,tm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrade
 diamond(chm,tm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | fine | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -708,6 +802,10 @@ diamond(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=
 diamond(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | fine | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(2) | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -718,6 +816,10 @@ diamond(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upg
 diamond(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(2) | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(8) | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -728,6 +830,10 @@ diamond(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upg
 diamond(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | striped(8) | remove_all | [true, false, true] acq=9 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | speculative(4) | insert present | false acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -738,6 +844,10 @@ diamond(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0
 diamond(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=4 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert_all fresh | [true, true] acq=6 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert_all present | [false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=7 restarts=0 upgrades=0 spec_fail=0
+diamond(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=8 restarts=0 upgrades=0 spec_fail=0
 dcache | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | coarse | insert fresh {parent} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -748,6 +858,10 @@ dcache | coarse | remove absent {parent, name} | 0 acq=1 restarts=0 upgrades=0 s
 dcache | coarse | remove present {parent, name, child} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | coarse | remove absent {parent, name, child} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 dcache | fine | insert fresh {parent} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -758,6 +872,10 @@ dcache | fine | remove absent {parent, name} | 0 acq=1 restarts=0 upgrades=0 spe
 dcache | fine | remove present {parent, name, child} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 dcache | fine | remove absent {parent, name, child} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 dcache | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+dcache | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | coarse | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -767,6 +885,10 @@ kv(cslm) | coarse | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fai
 kv(cslm) | coarse | remove present {key, value} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | coarse | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | coarse | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -776,6 +898,10 @@ kv(cslm) | fine | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=
 kv(cslm) | fine | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -785,6 +911,10 @@ kv(cslm) | striped(2) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec
 kv(cslm) | striped(2) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -794,6 +924,10 @@ kv(cslm) | striped(8) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec
 kv(cslm) | striped(8) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -803,6 +937,10 @@ kv(cslm) | speculative(4) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 
 kv(cslm) | speculative(4) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert_all fresh | [true, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | speculative(4) | remove_all | [true, false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -813,6 +951,10 @@ mid-key(hm) | coarse | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 
 mid-key(hm) | coarse | remove present {src, dst, weight} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | coarse | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | coarse | update general | true acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | fine | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -823,4 +965,8 @@ mid-key(hm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 sp
 mid-key(hm) | fine | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
 mid-key(hm) | fine | update general | true acq=2 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+mid-key(hm) | fine | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 ";

@@ -217,8 +217,8 @@ fn oracle_differential_unchanged_under_reclamation() {
 }
 
 /// Batched ops through a sharded, skip-list-backed relation churn and
-/// reclaim too (exercises `extend_entries` + cross-shard removal against
-/// the collector).
+/// reclaim too (exercises batch inserts' row-by-row publication and
+/// cross-shard removal against the collector).
 #[test]
 fn sharded_batch_churn_reclaims() {
     let _serial = serialize();

@@ -1,7 +1,8 @@
 //! Isolation regressions under the §4.5 speculative placement, where
 //! readers guess through *unlocked* lookups: a transaction that removes
 //! and re-creates the same key must never expose a half-built or
-//! half-unlinked instance to a speculative reader. Historically caught
+//! half-unlinked instance to a speculative reader, and a batch that aborts
+//! must never expose any of its rows. Historically caught
 //! two bugs: insert publishing the root link before the subtree was
 //! complete, and the engine treating a re-created instance's fresh
 //! physical lock as covered by the dead object's token. The same suite
@@ -154,6 +155,64 @@ fn rollback_reinsert_never_exposes_uncommitted_values() {
     }
     let snap = rel.verify().unwrap();
     assert_eq!(snap.len(), 5);
+}
+
+#[test]
+fn aborted_batch_is_never_visible_to_speculative_readers() {
+    // A batch publishes each row as it goes, and a later row (or the
+    // closure) can still roll it back: every row must hold the target-side
+    // lock of each speculative child it publishes, so a reader that guesses
+    // through a just-published entry waits for the rollback and then finds
+    // the entry gone — it must never see a row of a batch that aborted.
+    let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+    let p = LockPlacement::speculative(&d, 8).unwrap();
+    let rel = Arc::new(ConcurrentRelation::new(d.clone(), p).unwrap());
+    let sch = d.schema().clone();
+    for k in [1, 2, 3] {
+        rel.insert(&key(&sch, k), &w(&sch, 100)).unwrap();
+    }
+    let rows: Vec<(Tuple, Tuple)> = [7, 8, 9].map(|k| (key(&sch, k), w(&sch, k))).into();
+    let readers = 3;
+    let barrier = Arc::new(Barrier::new(readers + 1));
+
+    let writer = {
+        let rel = rel.clone();
+        let barrier = barrier.clone();
+        std::thread::spawn(move || {
+            barrier.wait();
+            for _ in 0..20000 {
+                let err = rel
+                    .transaction(|tx| -> Result<(), relc::TxnError> {
+                        let inserted = tx.insert_all(&rows)?;
+                        assert_eq!(inserted, [true; 3]);
+                        Err(tx.abort("always roll back"))
+                    })
+                    .unwrap_err();
+                assert!(matches!(err, relc::CoreError::TransactionAborted(_)));
+            }
+        })
+    };
+    let handles: Vec<_> = (0..readers)
+        .map(|_| {
+            let rel = rel.clone();
+            let barrier = barrier.clone();
+            let first = key(&sch, 7);
+            std::thread::spawn(move || {
+                barrier.wait();
+                for _ in 0..20000 {
+                    let seen = rel.transaction(|tx| tx.contains(&first)).unwrap();
+                    assert!(!seen, "read a row of an aborted batch");
+                }
+            })
+        })
+        .collect();
+    writer.join().unwrap();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let snap = rel.verify().unwrap();
+    assert_eq!(snap.len(), 3);
+    assert_eq!(rel.len(), 3);
 }
 
 #[test]
