@@ -17,14 +17,18 @@ use std::time::Instant;
 use relc::decomp::library::stick;
 use relc::placement::LockPlacement;
 use relc::ConcurrentRelation;
-use relc_bench::arg_value;
+use relc_bench::Args;
 use relc_containers::ContainerKind;
 use relc_spec::{Tuple, Value};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let edges: i64 = arg_value(&args, "--edges", 2_000);
-    let iters: usize = arg_value(&args, "--iters", 200);
+    let args = Args::from_env(
+        "ablation_sorting [--edges N] [--iters M]",
+        &[],
+        &["--edges", "--iters"],
+    );
+    let edges: i64 = args.value("--edges", 2_000);
+    let iters: usize = args.value("--iters", 200);
 
     // Sorted containers end-to-end: the planner marks every lock statement
     // presorted, so the elision has maximal effect.

@@ -14,13 +14,13 @@ use relc::placement::LockPlacement;
 use relc::ConcurrentRelation;
 use relc_autotune::calibrate::{run_workload, KeyDistribution, OpMix, WorkloadConfig};
 use relc_autotune::{GraphOps, RelationGraph};
-use relc_bench::arg_value;
 use relc_bench::report::ThroughputTable;
+use relc_bench::Args;
 use relc_containers::ContainerKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let ops: usize = arg_value(&args, "--ops", 20_000);
+    let args = Args::from_env("ablation_zipf [--ops N]", &[], &["--ops"]);
+    let ops: usize = args.value("--ops", 20_000);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

@@ -25,7 +25,7 @@ use relc::ConcurrentRelation;
 use relc_autotune::calibrate::{CalibrationConfig, TxnMix};
 use relc_autotune::candidates::{Candidate, PlacementKind, Structure};
 use relc_autotune::cost::{CostModel, ObservedSignals};
-use relc_bench::{arg_present, arg_value};
+use relc_bench::Args;
 use relc_containers::ContainerKind;
 use relc_spec::{RelationSchema, Tuple, Value};
 
@@ -408,20 +408,31 @@ fn run_scenario(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = arg_present(&args, "--quick");
-    let threads: usize = arg_value(
-        &args,
+    let args = Args::from_env(
+        "autotune [--quick] [--model PATH] [--report PATH] [--threads T] [--keys K] \
+         [--window-ms W] [--cal-ops N]",
+        &["--quick"],
+        &[
+            "--model",
+            "--report",
+            "--threads",
+            "--keys",
+            "--window-ms",
+            "--cal-ops",
+        ],
+    );
+    let quick = args.present("--quick");
+    let threads: usize = args.value(
         "--threads",
         std::thread::available_parallelism()
             .map(|n| n.get().min(8))
             .unwrap_or(4),
     );
-    let keys: i64 = arg_value(&args, "--keys", 256);
-    let window_ms: u64 = arg_value(&args, "--window-ms", if quick { 250 } else { 600 });
-    let cal_ops: usize = arg_value(&args, "--cal-ops", if quick { 1_500 } else { 6_000 });
-    let model_path: String = arg_value(&args, "--model", String::new());
-    let report_path: String = arg_value(&args, "--report", String::new());
+    let keys: i64 = args.value("--keys", 256);
+    let window_ms: u64 = args.value("--window-ms", if quick { 250 } else { 600 });
+    let cal_ops: usize = args.value("--cal-ops", if quick { 1_500 } else { 6_000 });
+    let model_path: String = args.value("--model", String::new());
+    let report_path: String = args.value("--report", String::new());
     let window = Duration::from_millis(window_ms);
 
     let pool = candidate_pool(quick);

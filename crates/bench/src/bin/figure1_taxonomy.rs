@@ -5,9 +5,11 @@
 //! cargo run -p relc-bench --release --bin figure1_taxonomy
 //! ```
 
+use relc_bench::Args;
 use relc_containers::{render_figure1, ContainerKind};
 
 fn main() {
+    Args::from_env("figure1_taxonomy", &[], &[]);
     println!("Figure 1: concurrency safety of the container catalog");
     println!("(cells: yes = safe + linearizable, weak = safe but weakly");
     println!(" consistent, no = unsafe without external synchronization)\n");

@@ -15,14 +15,18 @@ use std::sync::Arc;
 
 use relc_autotune::calibrate::{run_workload, KeyDistribution, WorkloadConfig, FIGURE5_MIXES};
 use relc_bench::report::{default_thread_counts, ThroughputTable};
-use relc_bench::{arg_present, arg_value, figures};
+use relc_bench::{figures, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = arg_present(&args, "--full");
-    let ops: usize = arg_value(&args, "--ops", if full { 500_000 } else { 50_000 });
-    let keys: i64 = arg_value(&args, "--keys", 256);
-    let seed: u64 = arg_value(&args, "--seed", 0x5eed);
+    let args = Args::from_env(
+        "figure5 [--ops N | --full] [--keys K] [--seed S]",
+        &["--full"],
+        &["--ops", "--keys", "--seed"],
+    );
+    let full = args.present("--full");
+    let ops: usize = args.value("--ops", if full { 500_000 } else { 50_000 });
+    let keys: i64 = args.value("--keys", 256);
+    let seed: u64 = args.value("--seed", 0x5eed);
     let threads = default_thread_counts();
 
     println!("Figure 5: throughput-scalability for the §6.2 graph benchmark");

@@ -20,6 +20,7 @@ use relc::analysis::Analyzer;
 use relc::decomp::library;
 use relc::placement::LockPlacement;
 use relc::Decomposition;
+use relc_bench::Args;
 use relc_containers::ContainerKind;
 
 fn standard_decomps() -> Vec<(&'static str, Arc<Decomposition>)> {
@@ -69,6 +70,7 @@ fn standard_placements(d: &Arc<Decomposition>) -> Vec<Arc<LockPlacement>> {
 }
 
 fn main() -> ExitCode {
+    Args::from_env("relc-analyze", &[], &[]);
     let mut combos = 0usize;
     let mut violations = 0usize;
     println!("lock-discipline report: static verification of every plan shape\n");

@@ -62,6 +62,25 @@ pub mod epoch {
     pub use crossbeam::epoch::{pin, Guard};
 }
 
+/// Hints the CPU to start loading the cache line holding `p` into every
+/// cache level, and returns at once: a reader that knows the addresses it
+/// will touch next issues their misses together instead of one after
+/// another. It never reads through `p` as far as the program can tell, so
+/// any address — dangling, null, unaligned — is fine. Does nothing where no
+/// prefetch instruction is wired up (anywhere but x86_64).
+#[inline(always)]
+pub fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that never faults and has no effect the
+    // program can observe besides timing, whatever address it is given.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 pub use api::{
     reclamation_flush, reclamation_stats, Container, ContainerKind, Key, ReclamationStats, Val,
 };

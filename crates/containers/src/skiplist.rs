@@ -275,6 +275,12 @@ impl<K: Ord, P> SkipList<K, P> {
         Some(held)
     }
 
+    /// The first node of the bottom level, live or not; null if the list
+    /// is empty. Where an unbounded walk starts.
+    pub(crate) fn first<'g>(&'g self, guard: &'g Guard) -> Shared<'g, Node<K, P>> {
+        self.head.low[0].load(SeqCst, guard)
+    }
+
     /// The live node holding `key`, if any.
     pub(crate) fn get<'g>(&'g self, key: &K, guard: &'g Guard) -> Option<&'g Node<K, P>> {
         let (curr, exact) = self.seek(key, guard);
@@ -299,7 +305,7 @@ impl<K: Ord, P> SkipList<K, P> {
         mut f: impl FnMut(&'g Node<K, P>) -> ControlFlow<()>,
     ) {
         let mut curr = match lo {
-            Bound::Unbounded => self.head.low[0].load(SeqCst, guard),
+            Bound::Unbounded => self.first(guard),
             Bound::Included(b) => self.seek(b, guard).0,
             Bound::Excluded(b) => match self.seek(b, guard) {
                 // SAFETY: found under `guard`; an exact hit is never null.

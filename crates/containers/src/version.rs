@@ -36,7 +36,7 @@ use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
 
-use crossbeam::epoch::{self, Atomic, Guard, Owned, Shared};
+use crossbeam::epoch::{self, Atomic, Guard, Owned, Pointer, Shared};
 use relc_locks::CommitStamp;
 
 use crate::api::{ContainerKind, Key, Val};
@@ -266,12 +266,17 @@ impl<V: Clone> VersionCell<V> {
         }
     }
 
+    /// The newest version, committed or not.
+    fn head_node<'g>(&'g self, guard: &'g Guard) -> Option<&'g VersionNode<V>> {
+        // SAFETY: loaded under `guard`; see `push` for chain liveness.
+        unsafe { self.head.load(SeqCst, guard).as_ref() }
+    }
+
     /// The value of the newest version, committed or not — what the
-    /// entry holds as far as the writer that holds its locks can tell.
+    /// entry holds as far as the writer that holds its locks can tell. A
+    /// node's value is never written after the node is published.
     fn newest<'g>(&'g self, guard: &'g Guard) -> Option<&'g V> {
-        // SAFETY: loaded under `guard`; see `push` for chain liveness. A
-        // node's value is never written after the node is published.
-        unsafe { self.head.load(SeqCst, guard).as_ref() }.and_then(|node| node.value.as_ref())
+        self.head_node(guard).and_then(|node| node.value.as_ref())
     }
 
     /// Drops the head if it is the version the attempt holding `stamp`
@@ -471,6 +476,30 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     None => ControlFlow::Continue(()),
                 }
             }),
+        }
+    }
+
+    /// Starts loading where a read of this index goes first, without
+    /// waiting for it: the entry point — the head version on the one-chain
+    /// shape, the first entry on the map shape — or, with `beyond`, the hop
+    /// after it: that version's commit stamp, or the first entry's head
+    /// version. A hint with no effect on what any read returns; a `beyond`
+    /// call reads the entry point, so it pays off after a plain one.
+    pub fn prefetch(&self, beyond: bool, guard: &Guard) {
+        match &self.shape {
+            Shape::One(cell) if beyond => {
+                if let Some(node) = cell.head_node(guard) {
+                    crate::prefetch(Arc::as_ptr(&node.stamp));
+                }
+            }
+            Shape::One(cell) => crate::prefetch(cell.head.load(SeqCst, guard).into_ptr()),
+            Shape::Map { list, .. } if beyond => {
+                list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
+                    crate::prefetch(node.payload.head.load(SeqCst, guard).into_ptr());
+                    ControlFlow::Break(())
+                })
+            }
+            Shape::Map { list, .. } => crate::prefetch(list.first(guard).into_ptr()),
         }
     }
 

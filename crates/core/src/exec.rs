@@ -21,12 +21,11 @@
 //! An insert or remove runs over N ≥ 1 rows: one root sweep over every
 //! row's tokens, then the single-row body per row, publishing as it goes.
 
-use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use relc_locks::{LockMode, MustRestart, PhysicalLock, TwoPhaseEngine};
-use relc_spec::{ColumnSet, RangePattern, Tuple, Value};
+use relc_spec::{ColumnSet, RangePattern, Tuple};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::instance::{NodeInstance, NodeRef};
@@ -34,39 +33,6 @@ use crate::mvcc::MvccScope;
 use crate::placement::{LockPlacement, LockToken};
 use crate::planner::{InPlaceUpdate, InsertPlan, Plan, RemovePlan};
 use crate::query::{bind, eval_all, eval_any, eval_rows, EdgeView, Frame, KeyBounds, Row};
-
-/// Assembles the canonical `query_range` output from surviving (full or
-/// partial) tuples: filter by the interval, order by **(range value,
-/// projected tuple)**, deduplicate keeping first occurrences, truncate at
-/// the limit — exactly [`relc_spec::OracleRelation::query_range`]'s
-/// reference order, written independently of it (the differential suites
-/// compare the two). Shared by the evaluator and the sharded fan-out
-/// merge, so every access path agrees with the oracle tuple-for-tuple.
-pub(crate) fn assemble_range_output(
-    tuples: impl IntoIterator<Item = Tuple>,
-    range: &RangePattern,
-    output: ColumnSet,
-) -> Vec<Tuple> {
-    let mut matched: Vec<(Value, Tuple)> = tuples
-        .into_iter()
-        .filter_map(|t| {
-            let v = t.get(range.col()).filter(|v| range.contains(v))?.clone();
-            Some((v, t.project(output)))
-        })
-        .collect();
-    matched.sort();
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for (_, p) in matched {
-        if seen.insert(p.clone()) {
-            out.push(p);
-            if range.limit().is_some_and(|k| out.len() >= k) {
-                break;
-            }
-        }
-    }
-    out
-}
 
 /// Executes compiled plans for one transaction at a time.
 pub struct Executor<'a> {

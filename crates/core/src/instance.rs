@@ -149,6 +149,25 @@ impl NodeInstance {
         &self.edge(decomp, edge).versions
     }
 
+    /// Starts loading what reading outgoing edge `edge` of this instance
+    /// touches, one hop at a time, without waiting for it: this instance's
+    /// own fields that find the edge (`slot` false), or the edge's slot,
+    /// where its version index begins (`slot` true; reads those fields, so
+    /// it pays off after a `slot`-false call). The first 64 bytes of the
+    /// index — where either shape keeps the pointer a read follows first —
+    /// may straddle two cache lines, so both are asked for. A hint with no
+    /// effect on what any read returns.
+    pub(crate) fn prefetch(&self, decomp: &Decomposition, edge: EdgeId, slot: bool) {
+        if slot {
+            let index = std::ptr::from_ref(self.versions(decomp, edge)).cast::<u8>();
+            relc_containers::prefetch(index);
+            relc_containers::prefetch(index.wrapping_add(63));
+        } else {
+            relc_containers::prefetch(&self.node);
+            relc_containers::prefetch(&self.edges);
+        }
+    }
+
     /// Whether every container of this instance is empty (the instance
     /// represents no residual tuples and should be unlinked).
     pub fn is_exhausted(&self) -> bool {

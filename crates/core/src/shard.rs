@@ -85,6 +85,7 @@
 //! [`RelationSchema::canonical_key`]: relc_spec::RelationSchema::canonical_key
 //! [`Transaction`]: crate::Transaction
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -92,8 +93,8 @@ use relc_spec::{ColumnSet, RangePattern, Tuple};
 
 use crate::decomp::Decomposition;
 use crate::error::CoreError;
-use crate::exec::assemble_range_output;
 use crate::placement::LockPlacement;
+use crate::query::select_range_rows;
 use crate::relation::{ConcurrentRelation, Layout, Relation};
 use crate::wal::{RecoveryReport, WalOptions};
 
@@ -275,7 +276,11 @@ mod route {
         /// instance **uncapped** with the range column added to the
         /// projection, then merge, order, deduplicate, and cap globally — a
         /// per-instance cap could drop a projection whose in-instance
-        /// predecessors dedup away against other instances' results.
+        /// predecessors dedup away against other instances' results. The
+        /// merge is the evaluator's range rule
+        /// ([`select_range_rows`](crate::query::select_range_rows)) over
+        /// the merged tuples, compared field by field; only the tuples it
+        /// keeps are projected onto `cols`.
         pub(crate) fn fan_query_range<E>(
             &self,
             s: &Tuple,
@@ -292,7 +297,24 @@ mod route {
             for i in 0..self.instances.len() {
                 acc.extend(read(i, &uncapped, ext)?);
             }
-            Ok(assemble_range_output(acc, range, cols))
+            let value = |i: usize, c| acc[i].get(c);
+            let inside = (0..acc.len())
+                .filter(|&i| value(i, range.col()).is_some_and(|v| range.contains(v)))
+                .collect();
+            let cmp_on = |i, j, on: ColumnSet| {
+                on.iter()
+                    .map(|c| value(i, c).cmp(&value(j, c)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            };
+            let kept = select_range_rows(
+                inside,
+                range.limit(),
+                cols.contains(range.col()),
+                |i, j| value(i, range.col()).cmp(&value(j, range.col())),
+                |i, j| cmp_on(i, j, cols),
+            );
+            Ok(kept.into_iter().map(|i| acc[i].project(cols)).collect())
         }
 
         /// Route-or-fan-out for `contains`: fan-out patterns probe

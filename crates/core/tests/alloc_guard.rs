@@ -1,5 +1,6 @@
-//! Allocation guard: what a preloaded row, a single-shot read and a locked
-//! read cost the allocator, counted — so it gates — on the
+//! Allocation guard: what a preloaded row, a single-shot read, a locked
+//! read and the two kinds of range read cost the allocator, counted — so
+//! it gates — on the
 //! `graph_read_mostly` shape of the benchmark
 //! (`split(ConcurrentHashMap, HashMap)` + `striped_root(1024)`, 4,096
 //! nodes, 32,768 edges).
@@ -28,6 +29,13 @@
 //! the locked read to 30.0. The ceilings — 48, 30, 14 and 32 — fail on the
 //! layout before it (66.1, 35.8, 15.0, 33.0).
 //!
+//! A range read — `query_range(∅, src ∈ [lo, lo + 4) limit 32)` onto every
+//! column, 32 rows — used to project each surviving row into tuples and
+//! order, deduplicate and cap those: 117.0 allocations single-shot and
+//! 166.0 inside a `transaction`. Assembled on the frame, ordering and
+//! deduplicating row indices and building one tuple per row kept, it takes
+//! 45.0 and 94.0; the ceilings, 52 and 100, fail on the assembly before.
+//!
 //! This binary holds exactly one test: the counter is process-global and
 //! the harness runs a binary's tests on parallel threads.
 
@@ -38,7 +46,7 @@ use relc::decomp::library::split;
 use relc::placement::LockPlacement;
 use relc::ConcurrentRelation;
 use relc_containers::ContainerKind;
-use relc_spec::{Tuple, Value};
+use relc_spec::{RangePattern, Tuple, Value};
 
 /// Counts every allocation (a `realloc` is one more) and every release.
 struct Counting;
@@ -127,9 +135,33 @@ fn preloaded_row_and_single_shot_read_stay_within_their_allocation_budget() {
     }
     let per_locked_read = (counters().0 - before_locked) as f64 / reads as f64;
 
+    // Four sources' out-edges: 32 rows, every column, in range order.
+    let all = schema.columns();
+    let window = |n: u32| {
+        let lo = (n * 7) % (NODES - 4);
+        RangePattern::half_open(src, Value::from(lo), Value::from(lo + 4)).with_limit(32)
+    };
+    let (before_range, _) = counters();
+    for n in 0..reads {
+        let rows = rel.query_range(&Tuple::empty(), &window(n), all).unwrap();
+        assert_eq!(rows.len(), 32);
+    }
+    let per_range = (counters().0 - before_range) as f64 / reads as f64;
+
+    let (before_locked_range, _) = counters();
+    for n in 0..reads {
+        let range = window(n);
+        let rows = rel
+            .transaction(|tx| tx.query_range(&Tuple::empty(), &range, all))
+            .unwrap();
+        assert_eq!(rows.len(), 32);
+    }
+    let per_locked_range = (counters().0 - before_locked_range) as f64 / reads as f64;
+
     println!(
         "allocations per preloaded row {per_row:.1}, live {live_per_row:.1}; \
-         per 8-row read {per_read:.1}, locked {per_locked_read:.1}"
+         per 8-row read {per_read:.1}, locked {per_locked_read:.1}; \
+         per 32-row range read {per_range:.1}, locked {per_locked_range:.1}"
     );
     assert!(
         per_row <= 48.0,
@@ -143,6 +175,14 @@ fn preloaded_row_and_single_shot_read_stay_within_their_allocation_budget() {
     assert!(
         per_locked_read <= 32.0,
         "{per_locked_read:.1} allocations per locked 8-row read"
+    );
+    assert!(
+        per_range <= 52.0,
+        "{per_range:.1} allocations per 32-row range read"
+    );
+    assert!(
+        per_locked_range <= 100.0,
+        "{per_locked_range:.1} allocations per locked 32-row range read"
     );
     rel.verify().unwrap();
 }

@@ -91,13 +91,14 @@ fn seed_data(d: &Arc<Decomposition>) -> Vec<(Tuple, Tuple)> {
 }
 
 /// A battery of interval shapes over one column: both-ends bounds of
-/// every openness, rays, unbounded, empty, and limits.
+/// every openness, rays, unbounded, empty, and limits (top-0 included).
 fn range_battery(d: &Arc<Decomposition>, col: &str) -> Vec<RangePattern> {
     let c = d.schema().column(col).unwrap();
     vec![
         RangePattern::all(c),
         RangePattern::all(c).with_limit(3),
         RangePattern::all(c).with_limit(1),
+        RangePattern::all(c).with_limit(0),
         RangePattern::closed(c, Value::from(2), Value::from(6)),
         RangePattern::half_open(c, Value::from(2), Value::from(6)),
         RangePattern::half_open(c, Value::from(3), Value::from(3)),
@@ -296,6 +297,60 @@ fn read_surfaces_match_oracle() {
                  {planned} vs {surfaces:?}",
                 p.name()
             );
+        }
+    }
+}
+
+/// Steps longer than one prefetch group: a snapshot read takes the rows of
+/// a step in groups of `PREFETCH_GROUP` and prefetches each group before
+/// reading it, so a slip at a group boundary would drop, repeat or
+/// misread rows. Every step of these relations has at most `n` rows and
+/// the widest has exactly `n`: `n` sources, all with destination 0 — on
+/// `stick` a map-shaped `u → v` step, on `split` the one-chain `Singleton`
+/// steps and the `v → y` fan-out of destination 0. `snapshot()`, a
+/// full-width `query_range` and a fan-out `query` must match the oracle
+/// at `n` one short of a group, a group, one past it, two groups and one,
+/// and about 300.
+#[test]
+fn steps_longer_than_a_prefetch_group_match_oracle() {
+    let g = relc::query::PREFETCH_GROUP;
+    let decomps = [
+        (
+            "stick(cslm,hm)",
+            stick(ContainerKind::ConcurrentSkipListMap, ContainerKind::HashMap),
+        ),
+        (
+            "split(chm,tm)",
+            split(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap),
+        ),
+    ];
+    for (dname, d) in decomps {
+        for n in [g - 1, g, g + 1, 2 * g + 1, 301] {
+            let rel = ConcurrentRelation::new(d.clone(), LockPlacement::fine(&d).unwrap()).unwrap();
+            let oracle = OracleRelation::empty(d.schema().clone());
+            for k in 0..n as i64 {
+                let s = tup(&d, &[("src", k), ("dst", 0)]);
+                let t = tup(&d, &[("weight", (k * 3) % 7)]);
+                assert!(rel.insert(&s, &t).unwrap());
+                assert!(oracle.insert(&s, &t).unwrap());
+            }
+            let at = format!("{dname} with {n} rows");
+            let all = d.schema().columns();
+            assert_eq!(rel.snapshot().unwrap(), oracle.snapshot(), "{at}");
+            assert_eq!(rel.snapshot().unwrap().len(), n, "{at}");
+            let range = RangePattern::all(d.schema().column("src").unwrap());
+            assert_eq!(
+                rel.query_range(&Tuple::empty(), &range, all).unwrap(),
+                oracle.query_range(&Tuple::empty(), &range, all),
+                "{at}"
+            );
+            let fan_out = tup(&d, &[("dst", 0)]);
+            assert_eq!(
+                rel.query(&fan_out, all).unwrap(),
+                oracle.query(&fan_out, all),
+                "{at}"
+            );
+            rel.verify().unwrap();
         }
     }
 }

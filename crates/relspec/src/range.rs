@@ -171,11 +171,11 @@ impl RangePattern {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for (_, p) in matched {
+            if self.limit.is_some_and(|k| out.len() >= k) {
+                break;
+            }
             if seen.insert(p.clone()) {
                 out.push(p);
-                if self.limit.is_some_and(|k| out.len() >= k) {
-                    break;
-                }
             }
         }
         out
@@ -245,5 +245,27 @@ mod tests {
         assert!(RangePattern::closed(c, Value::from(6), Value::from(5)).is_empty_interval());
         assert!(!RangePattern::closed(c, Value::from(5), Value::from(5)).is_empty_interval());
         assert!(!RangePattern::all(c).is_empty_interval());
+    }
+
+    #[test]
+    fn limit_caps_the_selection_and_zero_selects_nothing() {
+        let schema = graph_schema();
+        let c = schema.column("dst").unwrap();
+        let tuples: Vec<Tuple> = (0..4)
+            .map(|k| {
+                schema
+                    .tuple(&[
+                        ("src", Value::from(1)),
+                        ("dst", Value::from(k)),
+                        ("weight", Value::from(0)),
+                    ])
+                    .unwrap()
+            })
+            .collect();
+        let cols = ColumnSet::new().with(c);
+        let select = |r: RangePattern| r.select(&tuples, &Tuple::empty(), cols).len();
+        assert_eq!(select(RangePattern::all(c)), 4);
+        assert_eq!(select(RangePattern::all(c).with_limit(2)), 2);
+        assert_eq!(select(RangePattern::all(c).with_limit(0)), 0);
     }
 }
