@@ -5,8 +5,8 @@
 //!
 //! * the **transaction-layer mixes** ([`TxnMix`]) — read, update,
 //!   read-modify-write and transfer shapes, run via [`calibrate_run`] with
-//!   per-op latency capture and a [`relc::StatsSnapshot`] delta, producing
-//!   the [`crate::cost::FeatureVector`] per (candidate, mix);
+//!   per-op latency capture, producing the [`crate::cost::FeatureVector`]
+//!   per (candidate, mix);
 //! * the legacy **§6.2 graph workload** ([`run_workload`]) — `k` identical
 //!   threads performing random graph operations drawn from an `x-y-z-w`
 //!   distribution ("x% successors, y% predecessors, z% inserts, w%
@@ -397,7 +397,7 @@ fn percentiles_us(mut lats: Vec<u64>) -> (f64, f64) {
 /// Runs one calibration probe of `mix` against `rel`: pre-populates the
 /// diagonal keyspace, drives the mix from `cfg.threads` workers with
 /// per-op latency capture, and derives the mix's [`FeatureVector`] from
-/// the run plus the [`relc::StatsSnapshot`] delta around it.
+/// the run's throughput and latencies.
 ///
 /// The caller is responsible for feasibility ([`TxnMix::supported_by`]);
 /// an unsupported mix panics on the first unplannable operation.
@@ -410,7 +410,6 @@ pub fn calibrate_run(
     for k in 0..cfg.key_range {
         let _ = rel.insert(&cal_key(&schema, k, k), &cal_weight(&schema, k));
     }
-    let before = rel.stats_snapshot();
     let barrier = Arc::new(Barrier::new(cfg.threads + 1));
     let latencies = Arc::new(std::sync::Mutex::new(Vec::<u64>::new()));
     let done = Arc::new(AtomicU64::new(0));
@@ -487,23 +486,12 @@ pub fn calibrate_run(
         h.join().expect("calibration worker panicked");
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let after = rel.stats_snapshot();
     let total_ops = done.load(Ordering::Relaxed);
     let lats = std::mem::take(&mut *latencies.lock().unwrap());
     let (p50_us, p99_us) = percentiles_us(lats);
-
-    let d = |a: u64, b: u64| a.saturating_sub(b) as f64;
-    let ops = (total_ops as f64).max(1.0);
-    let commits = d(after.locks.commits, before.locks.commits).max(1.0);
-    let acqs = d(after.locks.acquisitions, before.locks.acquisitions).max(1.0);
     FeatureVector {
         mix: mix.label(),
         ops_per_sec: total_ops as f64 / elapsed.max(1e-9),
-        restart_rate: d(after.locks.restarts, before.locks.restarts) / commits,
-        contention: d(after.locks.contended, before.locks.contended) / acqs,
-        snapshot_read_rate: d(after.locks.snapshot_reads, before.locks.snapshot_reads) / ops,
-        version_churn: d(after.versions.created, before.versions.created) / ops,
-        reclamation_in_flight: after.reclamation.in_flight(),
         p50_us,
         p99_us,
     }

@@ -22,9 +22,6 @@ use relc::placement::LockPlacement;
 use relc::{ConcurrentRelation, CoreError, Decomposition};
 use relc_containers::ContainerKind;
 
-use crate::calibrate::OpMix;
-use crate::graph::RelationGraph;
-
 /// The three Fig. 3 decomposition structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Structure {
@@ -186,42 +183,6 @@ impl Candidate {
         Ok(Arc::new(ConcurrentRelation::new(d, p)?))
     }
 
-    /// Builds the candidate and wraps it in the graph interface.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Candidate::build`].
-    pub fn build_graph(&self) -> Result<RelationGraph, CoreError> {
-        RelationGraph::new(self.build()?)
-    }
-
-    /// Whether this candidate's plans support every operation of `mix` —
-    /// e.g. speculative placements cannot answer queries that must scan a
-    /// speculative edge.
-    pub fn supports(&self, mix: OpMix) -> bool {
-        let Ok(rel) = self.build() else { return false };
-        let schema = rel.schema().clone();
-        let planner = rel.planner();
-        let src = schema.column_set(&["src"]).expect("graph schema");
-        let dst = schema.column_set(&["dst"]).expect("graph schema");
-        let key = schema.column_set(&["src", "dst"]).expect("graph schema");
-        let dw = schema.column_set(&["dst", "weight"]).expect("graph schema");
-        let sw = schema.column_set(&["src", "weight"]).expect("graph schema");
-        if mix.successors > 0 && planner.plan_query(src, dw).is_err() {
-            return false;
-        }
-        if mix.predecessors > 0 && planner.plan_query(dst, sw).is_err() {
-            return false;
-        }
-        if mix.inserts > 0 && planner.plan_insert(key).is_err() {
-            return false;
-        }
-        if mix.removes > 0 && planner.plan_remove(key).is_err() {
-            return false;
-        }
-        true
-    }
-
     /// A short display name, e.g. `split/striped(1024)/ConcurrentHashMap+HashMap`
     /// (with ` | top2+second2` appended when the dst branch differs).
     pub fn name(&self) -> String {
@@ -304,7 +265,7 @@ pub fn enumerate(stripe_factors: &[u32]) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibrate::FIGURE5_MIXES;
+    use crate::calibrate::{TxnMix, FIGURE5_MIXES};
 
     #[test]
     fn space_has_paper_scale() {
@@ -376,10 +337,11 @@ mod tests {
             second2: None,
             placement: PlacementKind::Speculative(4),
         };
+        let rel = cand.build().unwrap();
         // 70-0-20-10 has no predecessor queries: supported.
-        assert!(cand.supports(FIGURE5_MIXES[0]));
+        assert!(TxnMix::Graph(FIGURE5_MIXES[0]).supported_by(&rel));
         // 35-35-20-10 queries predecessors, which on a stick must scan the
         // speculative root edge: unsupported.
-        assert!(!cand.supports(FIGURE5_MIXES[1]));
+        assert!(!TxnMix::Graph(FIGURE5_MIXES[1]).supported_by(&rel));
     }
 }

@@ -1,28 +1,23 @@
 //! The online cost model: per-candidate feature vectors measured by short
-//! calibration runs, persisted to JSON, and consulted at runtime to rank
-//! candidate representations for an *observed* workload without
-//! re-measuring.
+//! calibration runs, consulted at runtime to rank candidate
+//! representations for an *observed* workload without re-measuring.
 //!
 //! The §6.1 autotuner was offline: enumerate, measure every candidate,
 //! pick the best. This module keeps the measurement (now at the
 //! transaction layer, via [`crate::calibrate::calibrate_run`]) but makes
-//! the result a reusable model: [`CostModel::calibrate`] builds a
-//! per-(candidate, mix) [`FeatureVector`] table, [`CostModel::to_json`] /
-//! [`CostModel::from_json`] persist it (hand-rolled JSON — the workspace
-//! deliberately carries no serialization dependency), and
-//! [`CostModel::advise`] matches live [`ObservedSignals`] against the
-//! calibrated mixes and returns [`RankedCandidates`] when the model
-//! [covers](CostModel::covers) the observed traffic. The closed loop —
-//! observe, advise, [`relc::ConcurrentRelation::migrate_to`], re-measure —
-//! lives in the `autotune` bench binary.
-
-use std::fmt::Write as _;
+//! the result a model the calibrating process reuses:
+//! [`CostModel::calibrate`] builds a per-(candidate, mix)
+//! [`FeatureVector`] table, and [`CostModel::advise`] matches live
+//! [`ObservedSignals`] against the calibrated mixes and returns
+//! [`RankedCandidates`] when one of them describes the observed traffic.
+//! The closed loop — observe, advise,
+//! [`relc::ConcurrentRelation::migrate_to`], re-measure — lives in the
+//! `autotune` bench binary.
 
 use relc::StatsSnapshot;
-use relc_containers::ContainerKind;
 
 use crate::calibrate::{calibrate_run, CalibrationConfig, MixProfile, TxnMix};
-use crate::candidates::{Candidate, PlacementKind, Structure};
+use crate::candidates::Candidate;
 
 /// Maximum profile distance at which the model considers a calibrated mix
 /// to describe the observed traffic (beyond it, [`CostModel::advise`]
@@ -36,16 +31,6 @@ pub struct FeatureVector {
     pub mix: String,
     /// Completed top-level operations per second.
     pub ops_per_sec: f64,
-    /// Transaction restarts per commit.
-    pub restart_rate: f64,
-    /// Contended lock acquisitions per acquisition.
-    pub contention: f64,
-    /// Lock-free snapshot reads per operation.
-    pub snapshot_read_rate: f64,
-    /// MVCC version nodes created per operation.
-    pub version_churn: f64,
-    /// Deferred destructions not yet reclaimed at the end of the run.
-    pub reclamation_in_flight: u64,
     /// Median per-operation latency, microseconds.
     pub p50_us: f64,
     /// 99th-percentile per-operation latency, microseconds.
@@ -130,9 +115,9 @@ pub struct RankedCandidate {
     pub features: FeatureVector,
 }
 
-/// The advice [`CostModel::advise`] returns when the model covers the
-/// observed traffic: candidates ranked fastest-first under the calibrated
-/// mix nearest to the observation.
+/// The advice [`CostModel::advise`] returns when a calibrated mix
+/// describes the observed traffic: candidates ranked fastest-first under
+/// the calibrated mix nearest to the observation.
 #[derive(Debug, Clone)]
 pub struct RankedCandidates {
     /// Label of the calibrated mix matched to the observation.
@@ -150,7 +135,7 @@ impl RankedCandidates {
     }
 }
 
-/// The persisted cost model: calibrated mixes and per-candidate features.
+/// The cost model: calibrated mixes and per-candidate features.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
     /// The calibrated mixes (label, nominal profile).
@@ -198,18 +183,10 @@ impl CostModel {
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Whether the model's calibrated mixes describe the observed traffic
-    /// closely enough ([`COVERAGE_THRESHOLD`]) to advise without
-    /// re-measuring.
-    pub fn covers(&self, signals: &ObservedSignals) -> bool {
-        self.nearest_mix(signals)
-            .is_some_and(|(_, d)| d <= COVERAGE_THRESHOLD)
-    }
-
     /// Ranks the calibrated candidates for the observed traffic, fastest
     /// first, without re-measuring. Returns `None` when no calibrated mix
-    /// covers the observation (the caller should fall back to a fresh
-    /// calibration).
+    /// lies within [`COVERAGE_THRESHOLD`] of the observation (the caller
+    /// should calibrate for the observed mix).
     pub fn advise(&self, signals: &ObservedSignals) -> Option<RankedCandidates> {
         let (label, distance) = self.nearest_mix(signals)?;
         if distance > COVERAGE_THRESHOLD {
@@ -239,461 +216,15 @@ impl CostModel {
             ranked,
         })
     }
-
-    /// Serializes the model to JSON (stable field order, round-trips
-    /// losslessly through [`CostModel::from_json`]).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"version\": 1,\n  \"mixes\": [");
-        for (i, (label, p)) in self.mixes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"label\": {}, \"read\": {}, \"write\": {}, \"txn\": {}}}",
-                json_str(label),
-                json_num(p.read_fraction),
-                json_num(p.write_fraction),
-                json_num(p.txn_fraction)
-            );
-        }
-        s.push_str("\n  ],\n  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {\"candidate\": ");
-            candidate_to_json(&e.candidate, &mut s);
-            s.push_str(", \"features\": [");
-            for (j, f) in e.features.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "\n      {{\"mix\": {}, \"ops_per_sec\": {}, \"restart_rate\": {}, \
-                     \"contention\": {}, \"snapshot_read_rate\": {}, \"version_churn\": {}, \
-                     \"reclamation_in_flight\": {}, \"p50_us\": {}, \"p99_us\": {}}}",
-                    json_str(&f.mix),
-                    json_num(f.ops_per_sec),
-                    json_num(f.restart_rate),
-                    json_num(f.contention),
-                    json_num(f.snapshot_read_rate),
-                    json_num(f.version_churn),
-                    f.reclamation_in_flight,
-                    json_num(f.p50_us),
-                    json_num(f.p99_us)
-                );
-            }
-            s.push_str("\n    ]}");
-        }
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-
-    /// Parses a model previously produced by [`CostModel::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed construct (bad JSON,
-    /// missing field, unknown structure/container/placement name).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = Json::parse(text)?;
-        let obj = root.as_obj("model")?;
-        let mut mixes = Vec::new();
-        for m in get(obj, "mixes")?.as_arr("mixes")? {
-            let mo = m.as_obj("mix")?;
-            mixes.push((
-                get(mo, "label")?.as_str("label")?.to_owned(),
-                MixProfile::new(
-                    get(mo, "read")?.as_num("read")?,
-                    get(mo, "write")?.as_num("write")?,
-                    get(mo, "txn")?.as_num("txn")?,
-                ),
-            ));
-        }
-        let mut entries = Vec::new();
-        for e in get(obj, "entries")?.as_arr("entries")? {
-            let eo = e.as_obj("entry")?;
-            let candidate = candidate_from_json(get(eo, "candidate")?)?;
-            let mut features = Vec::new();
-            for f in get(eo, "features")?.as_arr("features")? {
-                let fo = f.as_obj("feature")?;
-                features.push(FeatureVector {
-                    mix: get(fo, "mix")?.as_str("mix")?.to_owned(),
-                    ops_per_sec: get(fo, "ops_per_sec")?.as_num("ops_per_sec")?,
-                    restart_rate: get(fo, "restart_rate")?.as_num("restart_rate")?,
-                    contention: get(fo, "contention")?.as_num("contention")?,
-                    snapshot_read_rate: get(fo, "snapshot_read_rate")?
-                        .as_num("snapshot_read_rate")?,
-                    version_churn: get(fo, "version_churn")?.as_num("version_churn")?,
-                    reclamation_in_flight: get(fo, "reclamation_in_flight")?
-                        .as_num("reclamation_in_flight")?
-                        as u64,
-                    p50_us: get(fo, "p50_us")?.as_num("p50_us")?,
-                    p99_us: get(fo, "p99_us")?.as_num("p99_us")?,
-                });
-            }
-            entries.push(ModelEntry {
-                candidate,
-                features,
-            });
-        }
-        Ok(CostModel { mixes, entries })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Candidate (de)serialization by name.
-// ---------------------------------------------------------------------------
-
-fn candidate_to_json(c: &Candidate, s: &mut String) {
-    let (family, stripes) = match c.placement {
-        PlacementKind::Coarse => ("coarse", 0),
-        PlacementKind::Fine => ("fine", 0),
-        PlacementKind::Striped(k) => ("striped", k),
-        PlacementKind::Speculative(k) => ("speculative", k),
-    };
-    let opt = |s: &mut String, v: Option<ContainerKind>| match v {
-        Some(k) => {
-            let _ = write!(s, "{}", json_str(&k.to_string()));
-        }
-        None => s.push_str("null"),
-    };
-    let _ = write!(
-        s,
-        "{{\"structure\": {}, \"top\": {}, \"second\": {}, \"top2\": ",
-        json_str(&c.structure.to_string()),
-        json_str(&c.top.to_string()),
-        json_str(&c.second.to_string())
-    );
-    opt(s, c.top2);
-    s.push_str(", \"second2\": ");
-    opt(s, c.second2);
-    let _ = write!(
-        s,
-        ", \"placement\": {}, \"stripes\": {stripes}}}",
-        json_str(family)
-    );
-}
-
-fn structure_from_name(s: &str) -> Result<Structure, String> {
-    match s {
-        "stick" => Ok(Structure::Stick),
-        "split" => Ok(Structure::Split),
-        "diamond" => Ok(Structure::Diamond),
-        other => Err(format!("unknown structure `{other}`")),
-    }
-}
-
-fn container_from_name(s: &str) -> Result<ContainerKind, String> {
-    match s {
-        "HashMap" => Ok(ContainerKind::HashMap),
-        "TreeMap" => Ok(ContainerKind::TreeMap),
-        "ConcurrentHashMap" => Ok(ContainerKind::ConcurrentHashMap),
-        "ConcurrentSkipListMap" => Ok(ContainerKind::ConcurrentSkipListMap),
-        "CopyOnWriteArrayList" => Ok(ContainerKind::CopyOnWriteArrayList),
-        "SplayTreeMap" => Ok(ContainerKind::SplayTreeMap),
-        "Singleton" => Ok(ContainerKind::Singleton),
-        other => Err(format!("unknown container `{other}`")),
-    }
-}
-
-fn candidate_from_json(v: &Json) -> Result<Candidate, String> {
-    let o = v.as_obj("candidate")?;
-    let opt = |name: &str| -> Result<Option<ContainerKind>, String> {
-        match get(o, name)? {
-            Json::Null => Ok(None),
-            other => Ok(Some(container_from_name(other.as_str(name)?)?)),
-        }
-    };
-    let stripes = get(o, "stripes")?.as_num("stripes")? as u32;
-    let placement = match get(o, "placement")?.as_str("placement")? {
-        "coarse" => PlacementKind::Coarse,
-        "fine" => PlacementKind::Fine,
-        "striped" => PlacementKind::Striped(stripes),
-        "speculative" => PlacementKind::Speculative(stripes),
-        other => return Err(format!("unknown placement `{other}`")),
-    };
-    Ok(Candidate {
-        structure: structure_from_name(get(o, "structure")?.as_str("structure")?)?,
-        top: container_from_name(get(o, "top")?.as_str("top")?)?,
-        second: container_from_name(get(o, "second")?.as_str("second")?)?,
-        top2: opt("top2")?,
-        second2: opt("second2")?,
-        placement,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON: emitter helpers and a recursive-descent parser. Covers the
-// subset the model emits (objects, arrays, strings with simple escapes,
-// finite numbers, null) — not a general-purpose JSON library.
-// ---------------------------------------------------------------------------
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Rust's shortest-round-trip float formatting, with a decimal point kept
-/// so integers stay re-parseable as floats. Non-finite values have no
-/// JSON number form, so they are encoded as tagged strings instead of
-/// being silently clamped: `"Infinity"`, `"-Infinity"`, and
-/// `"NaN:<16 hex digits>"` carrying the exact bit pattern (sign and
-/// payload survive the round trip). [`Json::as_num`] decodes all three.
-fn json_num(v: f64) -> String {
-    if v.is_nan() {
-        return format!("\"NaN:{:016x}\"", v.to_bits());
-    }
-    if v.is_infinite() {
-        return if v > 0.0 {
-            "\"Infinity\"".to_owned()
-        } else {
-            "\"-Infinity\"".to_owned()
-        };
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-/// Decodes the tagged-string forms [`json_num`] uses for values JSON
-/// numbers cannot carry.
-fn non_finite_from_str(s: &str) -> Option<f64> {
-    match s {
-        "Infinity" => Some(f64::INFINITY),
-        "-Infinity" => Some(f64::NEG_INFINITY),
-        _ => s
-            .strip_prefix("NaN:")
-            .filter(|hex| hex.len() == 16)
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .map(f64::from_bits)
-            .filter(|v| v.is_nan()),
-    }
-}
-
-/// A parsed JSON value (the model's subset: no `true`/`false` needed, but
-/// accepted for robustness).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_num(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            Json::Str(s) => non_finite_from_str(s)
-                .ok_or_else(|| format!("{what}: expected number, got string `{s}`")),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_owned())
-            }
-            b'\\' => {
-                let esc = b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *pos += 4;
-                        let c = char::from_u32(code).ok_or("bad \\u code point")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("unsupported escape `\\{}`", *other as char)),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
+    use relc_containers::ContainerKind;
 
     use super::*;
     use crate::calibrate::OpMix;
+    use crate::candidates::{PlacementKind, Structure};
 
     fn small_candidates() -> Vec<Candidate> {
         vec![
@@ -729,11 +260,6 @@ mod tests {
         FeatureVector {
             mix: mix.to_owned(),
             ops_per_sec: ops,
-            restart_rate: 0.01,
-            contention: 0.25,
-            snapshot_read_rate: 0.9,
-            version_churn: 0.05,
-            reclamation_in_flight: 7,
             p50_us: 1.5,
             p99_us: 12.25,
         }
@@ -803,7 +329,6 @@ mod tests {
             contention: 0.1,
             snapshot_read_rate: 0.9,
         };
-        assert!(model.covers(&obs));
         let advice = model.advise(&obs).unwrap();
         assert_eq!(advice.matched_mix, "read_heavy");
         assert!(advice.distance <= COVERAGE_THRESHOLD);
@@ -837,97 +362,7 @@ mod tests {
             contention: 0.0,
             snapshot_read_rate: 0.0,
         };
-        assert!(!model.covers(&obs));
         assert!(model.advise(&obs).is_none());
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let model = fake_model();
-        let text = model.to_json();
-        let back = CostModel::from_json(&text).unwrap();
-        assert_eq!(back.mixes.len(), model.mixes.len());
-        for (a, b) in back.mixes.iter().zip(&model.mixes) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1, b.1);
-        }
-        assert_eq!(back.entries.len(), model.entries.len());
-        for (a, b) in back.entries.iter().zip(&model.entries) {
-            assert_eq!(a.candidate.name(), b.candidate.name());
-            assert_eq!(a.features, b.features);
-        }
-        // And a re-serialization is byte-identical (stable field order).
-        assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_non_finite_features() {
-        // A calibration run divided by a zero counter once produced NaN
-        // and infinity features; the old emitter silently clamped them
-        // to 0, corrupting the model on save/load. They must round-trip
-        // bit-exactly now (including NaN payload bits and -0.0's sign).
-        let mut model = fake_model();
-        let f = &mut model.entries[0].features[0];
-        f.ops_per_sec = f64::NAN;
-        f.restart_rate = f64::INFINITY;
-        f.contention = f64::NEG_INFINITY;
-        f.snapshot_read_rate = f64::from_bits(0x7ff8_dead_beef_0001); // payload NaN
-        f.version_churn = f64::MIN_POSITIVE / 2.0; // subnormal
-        f.p50_us = -0.0;
-        let text = model.to_json();
-        let back = CostModel::from_json(&text).unwrap();
-        let g = &back.entries[0].features[0];
-        let bits = |v: f64| v.to_bits();
-        let orig = &model.entries[0].features[0];
-        assert_eq!(bits(g.ops_per_sec), bits(orig.ops_per_sec));
-        assert_eq!(bits(g.restart_rate), bits(orig.restart_rate));
-        assert_eq!(bits(g.contention), bits(orig.contention));
-        assert_eq!(bits(g.snapshot_read_rate), bits(orig.snapshot_read_rate));
-        assert_eq!(bits(g.version_churn), bits(orig.version_churn));
-        assert_eq!(bits(g.p50_us), bits(orig.p50_us));
-        assert_eq!(
-            back.to_json(),
-            text,
-            "re-serialization must be byte-identical"
-        );
-    }
-
-    proptest! {
-        /// Every f64 bit pattern — finite, subnormal, ±0, ±inf, and NaNs
-        /// with arbitrary payloads — survives emit → parse → re-emit with
-        /// identical bits and identical text.
-        #[test]
-        fn json_num_round_trips_every_bit_pattern(
-            bits in prop_oneof![
-                4 => any::<u64>(),
-                // Subnormals of both signs (mantissa-only patterns).
-                2 => 1u64..1 << 52,
-                2 => (1u64..1 << 52).prop_map(|m| m | (1 << 63)),
-                // Non-finite: ±inf and arbitrary-payload NaNs.
-                1 => Just(0x7ff0_0000_0000_0000u64),
-                1 => Just(0xfff0_0000_0000_0000u64),
-                2 => 0x7ff0_0000_0000_0001u64..0x8000_0000_0000_0000,
-                2 => 0xfff0_0000_0000_0001u64..u64::MAX,
-            ]
-        ) {
-            let v = f64::from_bits(bits);
-            let text = json_num(v);
-            let parsed = Json::parse(&text).unwrap();
-            let back = parsed.as_num("v").unwrap();
-            prop_assert_eq!(back.to_bits(), v.to_bits());
-            prop_assert_eq!(json_num(back), text);
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(CostModel::from_json("").is_err());
-        assert!(CostModel::from_json("{\"version\": 1}").is_err());
-        assert!(CostModel::from_json("{\"mixes\": [], \"entries\": [}").is_err());
-        let bad_container = fake_model()
-            .to_json()
-            .replace("ConcurrentHashMap", "FooMap");
-        assert!(CostModel::from_json(&bad_container).is_err());
     }
 
     #[test]

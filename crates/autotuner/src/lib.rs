@@ -7,9 +7,9 @@
 //! container data structures, and choice of lock placement."
 //!
 //! This crate provides the candidate space and, beyond the paper's offline
-//! enumerate-and-measure loop, an *online* cost model: calibrate once,
-//! persist the per-candidate feature vectors, then rank candidates for
-//! live traffic without re-measuring — feeding
+//! enumerate-and-measure loop, an *online* cost model: calibrate once in
+//! the process that uses it, then rank candidates for live traffic
+//! without re-measuring — feeding
 //! [`relc::ConcurrentRelation::migrate_to`] for live re-decomposition.
 //!
 //! * [`graph`] — the §6.2 four-operation concurrent graph interface
@@ -20,9 +20,8 @@
 //! * [`calibrate`] — the transaction-layer calibration mixes
 //!   ([`calibrate::TxnMix`]) and measurement runner, plus the legacy §6.2
 //!   Herlihy-style graph workload ([`calibrate::run_workload`]) folded in;
-//! * [`cost`] — the persisted [`cost::CostModel`]: feature vectors,
-//!   JSON round-tripping, and [`cost::CostModel::advise`] over observed
-//!   workload signals.
+//! * [`cost`] — the in-memory [`cost::CostModel`]: feature vectors and
+//!   [`cost::CostModel::advise`] over observed workload signals.
 //!
 //! # Example
 //!

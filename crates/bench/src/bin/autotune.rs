@@ -1,21 +1,19 @@
-//! The **closed-loop autotuner**: observe a live `calibrate::TxnMix`-shaped
-//! workload, consult the persisted cost model ([`CostModel`]), and when
-//! the model covers the observed traffic, **migrate the running relation
-//! live** ([`ConcurrentRelation::migrate_to`]) to the advised
-//! representation — then re-measure and report before/after throughput.
+//! The **closed-loop autotuner**: calibrate a cost model ([`CostModel`])
+//! over a candidate pool, observe a live `calibrate::TxnMix`-shaped
+//! workload, and when a calibrated mix describes the observed traffic,
+//! **migrate the running relation live**
+//! ([`ConcurrentRelation::migrate_to`]) to the advised representation —
+//! then re-measure and report before/after throughput.
 //!
 //! ```text
 //! cargo run -p relc-bench --release --bin autotune [-- --quick]
-//!     [--model PATH] [--report PATH] [--threads T] [--keys K]
-//!     [--window-ms W] [--cal-ops N]
+//!     [--report PATH] [--threads T] [--keys K] [--window-ms W] [--cal-ops N]
 //! ```
 //!
 //! `--quick` calibrates two candidates on one mix and performs one live
 //! migration — the CI smoke gate. Without it, the loop runs three
-//! workload scenarios over a five-candidate pool. `--model` persists the
-//! calibration (JSON) and reuses it on later runs when it still covers
-//! the observed mixes; `--report` writes the before/after markdown
-//! report.
+//! workload scenarios over a five-candidate pool. Every run calibrates
+//! afresh; `--report` writes the before/after markdown report.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -25,7 +23,7 @@ use relc::ConcurrentRelation;
 use relc_autotune::calibrate::{CalibrationConfig, TxnMix};
 use relc_autotune::candidates::{Candidate, PlacementKind, Structure};
 use relc_autotune::cost::{CostModel, ObservedSignals};
-use relc_bench::Args;
+use relc_bench::{fail, Args};
 use relc_containers::ContainerKind;
 use relc_spec::{RelationSchema, Tuple, Value};
 
@@ -407,33 +405,77 @@ fn run_scenario(
     }
 }
 
-fn main() {
-    let args = Args::from_env(
-        "autotune [--quick] [--model PATH] [--report PATH] [--threads T] [--keys K] \
-         [--window-ms W] [--cal-ops N]",
-        &["--quick"],
-        &[
-            "--model",
-            "--report",
+const USAGE: &str = "autotune [--quick] [--report PATH] [--threads T] [--keys K] \
+                     [--window-ms W] [--cal-ops N]";
+const SWITCHES: &[&str] = &["--quick"];
+const OPTIONS: &[&str] = &[
+    "--report",
+    "--threads",
+    "--keys",
+    "--window-ms",
+    "--cal-ops",
+];
+
+/// The run's settings, read from the command line.
+#[derive(Debug)]
+struct Settings {
+    quick: bool,
+    threads: usize,
+    keys: i64,
+    window: Duration,
+    cal_ops: usize,
+    report_path: String,
+}
+
+impl Settings {
+    /// Reads the flags and refuses values the loop cannot run with: a
+    /// transfer moves weight between two distinct keys, so `--keys` must
+    /// be at least 2, and `--threads`, `--window-ms` and `--cal-ops` at
+    /// least 1.
+    fn from_args(args: &Args) -> Result<Settings, String> {
+        let quick = args.present("--quick");
+        let threads: usize = args.try_value(
             "--threads",
-            "--keys",
-            "--window-ms",
-            "--cal-ops",
-        ],
-    );
-    let quick = args.present("--quick");
-    let threads: usize = args.value(
-        "--threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(4),
-    );
-    let keys: i64 = args.value("--keys", 256);
-    let window_ms: u64 = args.value("--window-ms", if quick { 250 } else { 600 });
-    let cal_ops: usize = args.value("--cal-ops", if quick { 1_500 } else { 6_000 });
-    let model_path: String = args.value("--model", String::new());
-    let report_path: String = args.value("--report", String::new());
-    let window = Duration::from_millis(window_ms);
+            std::thread::available_parallelism()
+                .map(|n| n.get().min(8))
+                .unwrap_or(4),
+        )?;
+        let keys: i64 = args.try_value("--keys", 256)?;
+        let window_ms: u64 = args.try_value("--window-ms", if quick { 250 } else { 600 })?;
+        let cal_ops: usize = args.try_value("--cal-ops", if quick { 1_500 } else { 6_000 })?;
+        if keys < 2 {
+            return Err(format!("`--keys` must be at least 2, got {keys}"));
+        }
+        for (flag, value) in [
+            ("--threads", threads as u64),
+            ("--window-ms", window_ms),
+            ("--cal-ops", cal_ops as u64),
+        ] {
+            if value == 0 {
+                return Err(format!("`{flag}` must be at least 1"));
+            }
+        }
+        Ok(Settings {
+            quick,
+            threads,
+            keys,
+            window: Duration::from_millis(window_ms),
+            cal_ops,
+            report_path: args.try_value("--report", String::new())?,
+        })
+    }
+}
+
+fn main() {
+    let args = Args::from_env(USAGE, SWITCHES, OPTIONS);
+    let Settings {
+        quick,
+        threads,
+        keys,
+        window,
+        cal_ops,
+        report_path,
+    } = Settings::from_args(&args).unwrap_or_else(|e| fail(USAGE, &e));
 
     let pool = candidate_pool(quick);
     let shapes: &[Shape] = if quick {
@@ -454,50 +496,25 @@ fn main() {
         keys
     );
 
-    // Load the persisted model if it still covers the scenario mixes;
-    // otherwise calibrate afresh (and persist).
-    let loaded = (!model_path.is_empty())
-        .then(|| std::fs::read_to_string(&model_path).ok())
-        .flatten()
-        .and_then(|text| CostModel::from_json(&text).ok())
-        .filter(|m| {
-            mixes
-                .iter()
-                .all(|mix| m.mixes.iter().any(|(label, _)| *label == mix.label()))
-                && !m.entries.is_empty()
-        });
-    let model = match loaded {
-        Some(m) => {
-            println!("cost model: reusing persisted calibration from `{model_path}`\n");
-            m
-        }
-        None => {
-            println!(
-                "cost model: calibrating {} candidates × {} mixes ({} ops/thread)...",
-                pool.len(),
-                mixes.len(),
-                cal_ops
-            );
-            let cfg = CalibrationConfig {
-                threads,
-                ops_per_thread: cal_ops,
-                key_range: keys.min(128),
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let m = CostModel::calibrate(&pool, &mixes, &cfg);
-            println!(
-                "cost model: calibrated in {:.1}s ({} feasible entries)\n",
-                t0.elapsed().as_secs_f64(),
-                m.entries.len()
-            );
-            if !model_path.is_empty() {
-                std::fs::write(&model_path, m.to_json()).expect("write model JSON");
-                println!("cost model: persisted to `{model_path}`\n");
-            }
-            m
-        }
+    println!(
+        "cost model: calibrating {} candidates × {} mixes ({} ops/thread)...",
+        pool.len(),
+        mixes.len(),
+        cal_ops
+    );
+    let cfg = CalibrationConfig {
+        threads,
+        ops_per_thread: cal_ops,
+        key_range: keys.min(128),
+        ..Default::default()
     };
+    let t0 = Instant::now();
+    let model = CostModel::calibrate(&pool, &mixes, &cfg);
+    println!(
+        "cost model: calibrated in {:.1}s ({} feasible entries)\n",
+        t0.elapsed().as_secs_f64(),
+        model.entries.len()
+    );
 
     let mut reports = Vec::new();
     for &shape in shapes {
@@ -529,14 +546,17 @@ fn main() {
     if !report_path.is_empty() {
         let mut md = String::from(
             "# Closed-loop autotune report\n\n\
-             Observe a live `calibrate::TxnMix`-shaped workload, match it against the\n\
-             calibrated cost model, migrate the running relation live to the\n\
-             advised representation, and re-measure.\n\n\
+             Calibrate a cost model over the candidate pool, observe a live\n\
+             `calibrate::TxnMix`-shaped workload, match it against the model,\n\
+             migrate the running relation live to the advised representation,\n\
+             and re-measure.\n\n\
              Regenerate with:\n\n\
              ```\n\
-             cargo run -p relc-bench --release --bin autotune -- \
-             --model AUTOTUNE_MODEL.json --report AUTOTUNE.md\n\
-             ```\n\n",
+             cargo run -p relc-bench --release --bin autotune -- --report AUTOTUNE.md\n\
+             ```\n\n\
+             Every run calibrates afresh, and short calibrations are noisy: the\n\
+             predicted and measured gains move from run to run. This is one\n\
+             run's output as printed.\n\n",
         );
         for r in &reports {
             md.push_str(&r.markdown());
@@ -561,4 +581,34 @@ fn main() {
             .map(|r| (r.shape.label(), r.before_ops, r.after_ops))
             .collect::<Vec<_>>()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn settings(words: &[&str]) -> Result<Settings, String> {
+        let argv = words.iter().map(|s| s.to_string());
+        Settings::from_args(&Args::parse(USAGE, SWITCHES, OPTIONS, argv)?)
+    }
+
+    #[test]
+    fn flags_the_loop_cannot_run_with_are_refused() {
+        for (words, err) in [
+            (&["--keys", "1"][..], "`--keys` must be at least 2, got 1"),
+            (&["--keys", "-3"][..], "`--keys` must be at least 2, got -3"),
+            (&["--threads", "0"][..], "`--threads` must be at least 1"),
+            (
+                &["--window-ms", "0"][..],
+                "`--window-ms` must be at least 1",
+            ),
+            (&["--cal-ops", "0"][..], "`--cal-ops` must be at least 1"),
+        ] {
+            assert_eq!(settings(words).unwrap_err(), err, "{words:?}");
+        }
+        let s = settings(&["--quick", "--keys", "2", "--threads", "1"]).unwrap();
+        assert_eq!((s.keys, s.threads, s.cal_ops), (2, 1, 1_500));
+        assert_eq!(s.window, Duration::from_millis(250));
+        assert!(settings(&["--model", "cost-model"]).is_err());
+    }
 }

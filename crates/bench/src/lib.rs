@@ -4,12 +4,12 @@
 //!
 //! | Artifact | Binary | Notes |
 //! |---|---|---|
-//! | Figure 1 (container taxonomy) | `figure1_taxonomy` | property table from `relc-containers` |
+//! | Figure 1 (container taxonomy) | `figures taxonomy` | property table from `relc-containers` |
 //! | Figure 5 (4 throughput/scalability graphs) | `figure5` | 13 series + speculative bonus; `--full` for paper-scale op counts |
-//! | §6.1 autotuner | `autotune` | enumerates the candidate space and ranks it per mix |
-//! | Stripe-factor ablation (§4.4) | `ablation_striping` | k ∈ {1, 4, 64, 1024} |
-//! | Lock-sort elision ablation (§5.2) | `ablation_sorting` | planner analysis on vs forced runtime sorts |
-//! | Key-skew ablation (extension) | `ablation_zipf` | Zipf-skewed keys across placements |
+//! | §6.1 autotuner | `autotune` | calibrates a candidate pool, then advises and migrates a live workload |
+//! | Stripe-factor ablation (§4.4) | `figures striping` | k ∈ {1, 4, 64, 1024} |
+//! | Lock-sort elision ablation (§5.2) | `figures sorting` | planner analysis on vs forced runtime sorts |
+//! | Key-skew ablation (extension) | `figures zipf` | Zipf-skewed keys across placements |
 //! | §4.3/§5.1 lock-discipline report | `relc-analyze` | static analyzer over every standard decomposition × placement; exits non-zero on a diagnostic |
 //!
 //! The repository's performance benchmark is the separate `benchmark/`
@@ -41,7 +41,17 @@ impl Args {
     /// The process's arguments, parsed as [`Args::parse`] does; on an
     /// error, prints it and `usage` to stderr and exits with status 2.
     pub fn from_env(usage: &'static str, switches: &[&str], options: &[&str]) -> Args {
-        let argv = std::env::args().skip(1);
+        Args::from_words(usage, switches, options, std::env::args().skip(1))
+    }
+
+    /// `argv` parsed as [`Args::parse`] does; on an error, prints it and
+    /// `usage` to stderr and exits with status 2.
+    pub fn from_words(
+        usage: &'static str,
+        switches: &[&str],
+        options: &[&str],
+        argv: impl IntoIterator<Item = String>,
+    ) -> Args {
         Args::parse(usage, switches, options, argv).unwrap_or_else(|e| fail(usage, &e))
     }
 
@@ -113,8 +123,9 @@ impl Args {
 }
 
 /// Reports a command-line error with the bin's usage and exits with
-/// status 2.
-fn fail(usage: &str, err: &str) -> ! {
+/// status 2: for a word no parser declares, or a value that parses but
+/// that the bin cannot run with.
+pub fn fail(usage: &str, err: &str) -> ! {
     eprintln!("error: {err}\nusage: {usage}");
     std::process::exit(2)
 }

@@ -31,11 +31,6 @@ impl OpKind {
             OpKind::Write => 'W',
         }
     }
-
-    /// Whether the operation mutates the container.
-    pub fn is_write(self) -> bool {
-        matches!(self, OpKind::Write)
-    }
 }
 
 impl fmt::Display for OpKind {

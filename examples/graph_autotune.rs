@@ -1,8 +1,7 @@
 //! Autotuning demo (§6.1, online): calibrate a cost model over a slice of
 //! the representation space, then ask it to *advise* on observed workloads
 //! without re-measuring — showing that "the best data representation
-//! varies with the workload", and that a persisted model can answer for
-//! traffic it has already seen.
+//! varies with the workload".
 //!
 //! ```text
 //! cargo run -p relc-integration --example graph_autotune --release
@@ -87,13 +86,4 @@ fn main() {
             None => println!("    model does not cover this mix; re-calibration needed\n"),
         }
     }
-
-    // The model round-trips through JSON for persistence across runs.
-    let json = model.to_json();
-    let reloaded = CostModel::from_json(&json).expect("model round-trips");
-    println!(
-        "persisted model: {} bytes of JSON, {} entries after reload",
-        json.len(),
-        reloaded.entries.len()
-    );
 }
