@@ -394,10 +394,70 @@ fn percentiles_us(mut lats: Vec<u64>) -> (f64, f64) {
     (at(0.50), at(0.99))
 }
 
+/// Pre-populates the diagonal keyspace the scenarios run over: account `k`
+/// is the row `(k, k)` holding weight `k`, for every `k` in `0..keys`. A
+/// row already present is left as it is.
+pub fn populate(rel: &ConcurrentRelation, keys: i64) {
+    let schema = rel.schema();
+    for k in 0..keys {
+        let _ = rel.insert(&cal_key(schema, k, k), &cal_weight(schema, k));
+    }
+}
+
+/// One operation of the `read_heavy` scenario, the `i`-th its worker
+/// issues: every 20th sets account `a`'s weight to `w`, the rest read it
+/// from a snapshot.
+pub fn read_heavy_op(rel: &ConcurrentRelation, i: usize, a: i64, w: i64) {
+    if i.is_multiple_of(20) {
+        update_heavy_op(rel, a, w);
+    } else {
+        point_read(rel, a);
+    }
+}
+
+/// A snapshot read of account `a`'s weight.
+fn point_read(rel: &ConcurrentRelation, a: i64) {
+    let schema = rel.schema();
+    let wcols = schema.column_set(&["weight"]).expect("graph schema");
+    let _ = rel.query(&cal_key(schema, a, a), wcols).unwrap();
+}
+
+/// One operation of the `update_heavy` scenario: sets account `a`'s weight
+/// to `w`.
+pub fn update_heavy_op(rel: &ConcurrentRelation, a: i64, w: i64) {
+    let schema = rel.schema();
+    rel.update(&cal_key(schema, a, a), &cal_weight(schema, w))
+        .unwrap();
+}
+
+/// One operation of the `txn_transfer` scenario: a transaction that reads
+/// accounts `a` and `b` under their locks and moves one unit of weight
+/// from `a` to `b` — two locked reads and two updates that preserve the
+/// sum of all weights, which a run can check afterwards.
+pub fn txn_transfer_op(rel: &ConcurrentRelation, a: i64, b: i64) {
+    let schema = rel.schema();
+    let wcols = schema.column_set(&["weight"]).expect("graph schema");
+    let wcol = schema.column("weight").expect("graph schema");
+    let balance = |rows: &[Tuple]| rows.first().and_then(|t| t.get(wcol)?.as_int());
+    rel.transaction(|tx| {
+        let wa = balance(&tx.query(&cal_key(schema, a, a), wcols)?);
+        let wb = balance(&tx.query(&cal_key(schema, b, b), wcols)?);
+        let (Some(wa), Some(wb)) = (wa, wb) else {
+            return Ok(());
+        };
+        tx.update(&cal_key(schema, a, a), &cal_weight(schema, wa - 1))?;
+        tx.update(&cal_key(schema, b, b), &cal_weight(schema, wb + 1))?;
+        Ok(())
+    })
+    .unwrap();
+}
+
 /// Runs one calibration probe of `mix` against `rel`: pre-populates the
-/// diagonal keyspace, drives the mix from `cfg.threads` workers with
-/// per-op latency capture, and derives the mix's [`FeatureVector`] from
-/// the run's throughput and latencies.
+/// diagonal keyspace ([`populate`]), drives the mix from `cfg.threads`
+/// workers with per-op latency capture — each scenario's operations are
+/// the ones a live run of it issues ([`read_heavy_op`],
+/// [`update_heavy_op`], [`txn_transfer_op`]) — and derives the mix's
+/// [`FeatureVector`] from the run's throughput and latencies.
 ///
 /// The caller is responsible for feasibility ([`TxnMix::supported_by`]);
 /// an unsupported mix panics on the first unplannable operation.
@@ -406,17 +466,13 @@ pub fn calibrate_run(
     mix: TxnMix,
     cfg: &CalibrationConfig,
 ) -> FeatureVector {
-    let schema = rel.schema().clone();
-    for k in 0..cfg.key_range {
-        let _ = rel.insert(&cal_key(&schema, k, k), &cal_weight(&schema, k));
-    }
+    populate(rel, cfg.key_range);
     let barrier = Arc::new(Barrier::new(cfg.threads + 1));
     let latencies = Arc::new(std::sync::Mutex::new(Vec::<u64>::new()));
     let done = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..cfg.threads as u64)
         .map(|tid| {
             let rel = Arc::clone(rel);
-            let schema = schema.clone();
             let barrier = Arc::clone(&barrier);
             let latencies = Arc::clone(&latencies);
             let done = Arc::clone(&done);
@@ -424,7 +480,6 @@ pub fn calibrate_run(
             std::thread::spawn(move || {
                 let graph =
                     crate::graph::RelationGraph::new(Arc::clone(&rel)).expect("graph schema");
-                let wcols = schema.column_set(&["weight"]).unwrap();
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ (tid + 1).wrapping_mul(0x9e37_79b9));
                 barrier.wait();
                 let mut lats = Vec::with_capacity(cfg.ops_per_thread);
@@ -437,29 +492,14 @@ pub fn calibrate_run(
                     let w = rng.random_range(0..1_000i64);
                     let t0 = Instant::now();
                     match mix {
-                        TxnMix::ReadHeavy => {
-                            if i % 20 == 0 {
-                                rel.update(&cal_key(&schema, a, a), &cal_weight(&schema, w))
-                                    .unwrap();
-                            } else {
-                                let _ = rel.query(&cal_key(&schema, a, a), wcols).unwrap();
-                            }
-                        }
-                        TxnMix::UpdateHeavy => {
-                            rel.update(&cal_key(&schema, a, a), &cal_weight(&schema, w))
-                                .unwrap();
-                        }
+                        TxnMix::ReadHeavy => read_heavy_op(&rel, i, a, w),
+                        TxnMix::UpdateHeavy => update_heavy_op(&rel, a, w),
                         TxnMix::MixedRmw => match i % 10 {
-                            0..=4 => {
-                                rel.update(&cal_key(&schema, a, a), &cal_weight(&schema, w))
-                                    .unwrap();
-                            }
-                            5..=7 => {
-                                let _ = rel.query(&cal_key(&schema, a, a), wcols).unwrap();
-                            }
-                            _ => transfer(&rel, &schema, wcols, a, b, w),
+                            0..=4 => update_heavy_op(&rel, a, w),
+                            5..=7 => point_read(&rel, a),
+                            _ => txn_transfer_op(&rel, a, b),
                         },
-                        TxnMix::TxnTransfer => transfer(&rel, &schema, wcols, a, b, w),
+                        TxnMix::TxnTransfer => txn_transfer_op(&rel, a, b),
                         TxnMix::Graph(m) => {
                             let dice = rng.random_range(0..100u32);
                             if dice < m.successors {
@@ -495,29 +535,6 @@ pub fn calibrate_run(
         p50_us,
         p99_us,
     }
-}
-
-/// A transfer transaction between diagonal keys `a` and `b` (the
-/// `txn_transfer` shape: two locked reads, two updates).
-fn transfer(
-    rel: &ConcurrentRelation,
-    schema: &RelationSchema,
-    wcols: relc_spec::ColumnSet,
-    a: i64,
-    b: i64,
-    w: i64,
-) {
-    rel.transaction(|tx| {
-        let wa = tx.query(&cal_key(schema, a, a), wcols)?;
-        let wb = tx.query(&cal_key(schema, b, b), wcols)?;
-        if wa.is_empty() || wb.is_empty() {
-            return Ok(());
-        }
-        tx.update(&cal_key(schema, a, a), &cal_weight(schema, w))?;
-        tx.update(&cal_key(schema, b, b), &cal_weight(schema, w + 1))?;
-        Ok(())
-    })
-    .unwrap();
 }
 
 #[cfg(test)]

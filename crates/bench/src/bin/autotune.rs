@@ -20,12 +20,11 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use relc::ConcurrentRelation;
-use relc_autotune::calibrate::{CalibrationConfig, TxnMix};
+use relc_autotune::calibrate::{self, CalibrationConfig, TxnMix};
 use relc_autotune::candidates::{Candidate, PlacementKind, Structure};
 use relc_autotune::cost::{CostModel, ObservedSignals};
 use relc_bench::{fail, Args};
 use relc_containers::ContainerKind;
-use relc_spec::{RelationSchema, Tuple, Value};
 
 /// The candidate pool the model calibrates over: coarse, fine and striped
 /// placements over the three structures — which placement wins a mix
@@ -126,16 +125,6 @@ impl Shape {
     }
 }
 
-fn key(schema: &RelationSchema, a: i64) -> Tuple {
-    schema
-        .tuple(&[("src", Value::from(a)), ("dst", Value::from(a))])
-        .unwrap()
-}
-
-fn weight(schema: &RelationSchema, w: i64) -> Tuple {
-    schema.tuple(&[("weight", Value::from(w))]).unwrap()
-}
-
 /// A continuously running workload against one relation: `threads`
 /// workers driving `shape` until stopped, bumping a shared op counter.
 struct LiveWorkload {
@@ -156,8 +145,6 @@ impl LiveWorkload {
                 let ops = Arc::clone(&ops);
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    let schema = rel.schema().clone();
-                    let wcols = schema.column_set(&["weight"]).unwrap();
                     let mut x = (tid + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                     let mut next = move || {
                         x ^= x << 13;
@@ -166,44 +153,18 @@ impl LiveWorkload {
                         x
                     };
                     barrier.wait();
-                    let mut i = 0u64;
+                    let mut i = 0usize;
                     while !stop.load(Ordering::Relaxed) {
                         let a = (next() % keys as u64) as i64;
                         let mut b = (next() % keys as u64) as i64;
                         if b == a {
                             b = (b + 1) % keys;
                         }
+                        let w = (next() % 1_000) as i64;
                         match shape {
-                            Shape::ReadHeavy => {
-                                if i.is_multiple_of(20) {
-                                    let w = (next() % 1_000) as i64;
-                                    rel.update(&key(&schema, a), &weight(&schema, w)).unwrap();
-                                } else {
-                                    let _ = rel.query(&key(&schema, a), wcols).unwrap();
-                                }
-                            }
-                            Shape::UpdateHeavy => {
-                                let w = (next() % 1_000) as i64;
-                                rel.update(&key(&schema, a), &weight(&schema, w)).unwrap();
-                            }
-                            Shape::TxnTransfer => {
-                                // Sum-preserving transfer: move one unit
-                                // from account `a` to account `b`.
-                                rel.transaction(|tx| {
-                                    let wa = tx.query(&key(&schema, a), wcols)?;
-                                    let wb = tx.query(&key(&schema, b), wcols)?;
-                                    let (Some(wa), Some(wb)) = (wa.first(), wb.first()) else {
-                                        return Ok(());
-                                    };
-                                    let va = wa.get(schema.column("weight").unwrap()).unwrap();
-                                    let vb = wb.get(schema.column("weight").unwrap()).unwrap();
-                                    let (va, vb) = (va.as_int().unwrap(), vb.as_int().unwrap());
-                                    tx.update(&key(&schema, a), &weight(&schema, va - 1))?;
-                                    tx.update(&key(&schema, b), &weight(&schema, vb + 1))?;
-                                    Ok(())
-                                })
-                                .unwrap();
-                            }
+                            Shape::ReadHeavy => calibrate::read_heavy_op(&rel, i, a, w),
+                            Shape::UpdateHeavy => calibrate::update_heavy_op(&rel, a, w),
+                            Shape::TxnTransfer => calibrate::txn_transfer_op(&rel, a, b),
                         }
                         ops.fetch_add(1, Ordering::Relaxed);
                         i += 1;
@@ -327,9 +288,7 @@ fn run_scenario(
 ) -> ScenarioReport {
     let rel = start.build().expect("starting candidate builds");
     let schema = rel.schema().clone();
-    for k in 0..keys {
-        rel.insert(&key(&schema, k), &weight(&schema, k)).unwrap();
-    }
+    calibrate::populate(&rel, keys);
     let initial_sum: i64 = (0..keys).sum();
 
     let wl = LiveWorkload::start(&rel, shape, threads, keys);

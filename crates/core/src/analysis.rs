@@ -27,6 +27,13 @@
 //!   edge container has a corresponding `mvcc_write` mirror site, so no
 //!   version chain can silently go stale.
 //!
+//! The plans checked are the ones a relation runs: the lowered plans of
+//! [`Planner::lowered`], against the lowered placement, where a fused
+//! tail's lock is its parent edge's and a write of the tail's columns is a
+//! write of the parent's entry ([`crate::lower`]). The structural
+//! placement checks read the logical placement, which lowering keeps
+//! well-formed.
+//!
 //! The symbolic domain replaces runtime tuples with *origins*: a column is
 //! bound either by an operand (`Origin::Operand(row)`) or by a scan fanout
 //! (`Origin::Scanned(id)`, one fresh id per scan step). Two abstract
@@ -39,7 +46,8 @@
 //!
 //! [`AnalyzerOptions`] can seed deliberate discipline violations (skip the
 //! sweep sort, undo mode promotion, drop an MVCC mirror site, publish a
-//! speculative child without its lock); together
+//! speculative child without its lock, fuse a node without moving its
+//! tail's lock); together
 //! with [`PlacementBuilder::build_unchecked`](crate::placement::PlacementBuilder::build_unchecked)
 //! (non-dominating hosts) these drive the rejection battery that proves
 //! the analyzer flags each violation class with a step-level diagnostic.
@@ -53,6 +61,7 @@ use relc_spec::{ColumnId, ColumnSet};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
+use crate::lower::Fusion;
 use crate::placement::LockPlacement;
 use crate::planner::{InPlaceUpdate, InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
 use crate::query::PlanStep;
@@ -245,6 +254,15 @@ pub struct AnalyzerOptions {
     /// read a row that a later restart rolls back; the publication must be
     /// flagged as an uncovered write.
     pub suppress_published_target_lock: bool,
+    /// Model a lowering that fuses this node away but leaves its tail's
+    /// logical lock where the logical placement put it — at the fused node,
+    /// which is never instantiated — instead of moving it onto the parent
+    /// edge. The plans are then compiled as if the tail were locked apart,
+    /// nothing raises the parent's lock for a write of the tail's columns,
+    /// and the tail's lock steps vanish with the tail: an in-place rewrite
+    /// of the fused entry happens without its parent-host lock held
+    /// exclusively, and must be flagged.
+    pub unmoved_fused_lock: Option<NodeId>,
 }
 
 /// How strictly an acquisition site treats ordering. Blocking sites are
@@ -305,6 +323,7 @@ impl SymState {
 struct SymExec<'a> {
     decomp: &'a Decomposition,
     placement: &'a LockPlacement,
+    fusion: &'a Fusion,
     options: &'a AnalyzerOptions,
     op: String,
     /// `(token, mode, ordered)` — `ordered` is false for tolerant-site
@@ -320,12 +339,14 @@ impl<'a> SymExec<'a> {
     fn new(
         decomp: &'a Decomposition,
         placement: &'a LockPlacement,
+        fusion: &'a Fusion,
         options: &'a AnalyzerOptions,
         op: String,
     ) -> Self {
         SymExec {
             decomp,
             placement,
+            fusion,
             options,
             op,
             held: Vec::new(),
@@ -759,9 +780,11 @@ impl<'a> SymExec<'a> {
     /// container mutation with an `mvcc_write` mirror under the same
     /// exclusive locks. [`AnalyzerOptions::suppress_mirror`] models a
     /// forgotten site, which must surface as
-    /// [`DiagnosticKind::MissingMvccMirror`].
+    /// [`DiagnosticKind::MissingMvccMirror`]. A fused edge's entry carries
+    /// its tail's columns, so its mirror is its tail's too.
     fn mirror_write(&mut self, e: EdgeId, step: Option<usize>) {
-        if self.options.suppress_mirror == Some(e) {
+        let suppressed = self.options.suppress_mirror;
+        if suppressed.is_some_and(|s| s == e || self.fusion.parent_of(s) == Some(e)) {
             let ename = self.edge_name(e);
             self.diag(
                 DiagnosticKind::MissingMvccMirror,
@@ -790,7 +813,11 @@ impl<'a> SymExec<'a> {
 /// placement checks. See the module docs for the properties verified.
 pub struct Analyzer {
     decomp: Arc<Decomposition>,
+    /// The logical placement, which the structural checks read.
     placement: Arc<LockPlacement>,
+    /// The lowered placement the plans run under, which the symbolic
+    /// executions check them against.
+    lowered: Arc<LockPlacement>,
     planner: Planner,
     options: AnalyzerOptions,
 }
@@ -809,17 +836,22 @@ impl Analyzer {
         placement: Arc<LockPlacement>,
         options: AnalyzerOptions,
     ) -> Self {
-        let planner = Planner::new(Arc::clone(&decomp), Arc::clone(&placement));
+        let fusion = Fusion::of(&decomp, &placement);
+        let lowered = fusion.placement(&placement, None);
+        let planned = fusion.placement(&placement, options.unmoved_fused_lock);
+        let planner = Planner::with_fusion(Arc::clone(&decomp), planned, fusion);
         Analyzer {
             decomp,
             placement,
+            lowered,
             planner,
             options,
         }
     }
 
     fn exec(&self, op: String) -> SymExec<'_> {
-        SymExec::new(&self.decomp, &self.placement, &self.options, op)
+        let fusion = self.planner.fusion();
+        SymExec::new(&self.decomp, &self.lowered, fusion, &self.options, op)
     }
 
     fn render_set(&self, s: ColumnSet) -> String {
@@ -949,13 +981,12 @@ impl Analyzer {
                 }
                 PlanStep::Lookup { edge } => {
                     ex.require_read(edge, &st, true, step_no);
-                    st.bound[self.decomp.edge(edge).dst.index()] = true;
+                    self.traverse(ex, &mut st, edge);
                 }
                 PlanStep::Scan { edge } => {
                     let em = self.decomp.edge(edge);
                     ex.require_read(edge, &st, false, step_no);
-                    st.scan_bind(em.cols, &mut ex.next_scan);
-                    st.bound[em.dst.index()] = true;
+                    self.traverse(ex, &mut st, edge);
                     if tolerant_after_scan {
                         site = Site::Tolerant;
                     }
@@ -976,8 +1007,7 @@ impl Analyzer {
                     // striped hosts, shared mode otherwise).
                     let em = self.decomp.edge(edge);
                     ex.require_read(edge, &st, false, step_no);
-                    st.scan_bind(em.cols, &mut ex.next_scan);
-                    st.bound[em.dst.index()] = true;
+                    self.traverse(ex, &mut st, edge);
                     if tolerant_after_scan {
                         site = Site::Tolerant;
                     }
@@ -1029,6 +1059,18 @@ impl Analyzer {
             }
         }
         st
+    }
+
+    /// Binds what traversing `edge` binds in `st`: the edge's columns, and
+    /// either its target's instance or — on a fused edge — the target's
+    /// dependent columns, read from the entry.
+    fn traverse(&self, ex: &mut SymExec<'_>, st: &mut SymState, edge: EdgeId) {
+        let em = self.decomp.edge(edge);
+        let fusion = self.planner.fusion();
+        st.scan_bind(em.cols.union(fusion.payload(edge)), &mut ex.next_scan);
+        if !fusion.is_fused(edge) {
+            st.bound[em.dst.index()] = true;
+        }
     }
 
     /// Analyzes `query r s C` for a pattern binding `bound` with outputs
@@ -1136,7 +1178,7 @@ impl Analyzer {
     ) {
         let root = self.decomp.root();
         for &e in &plan.edges {
-            if self.placement.edge(e).host != root {
+            if self.lowered.edge(e).host != root {
                 let toks = ex.fallback_tokens(e, st_full, None);
                 ex.acquire_batch(toks, LockMode::Exclusive, walk_site, None);
             }
@@ -1155,7 +1197,7 @@ impl Analyzer {
         // `mirror_write`: the model binds every host, so the walk's own
         // holds at the child would mask a state-based check.)
         for (i, &e) in plan.edges.iter().enumerate() {
-            if !self.placement.edge(e).speculative {
+            if !self.lowered.edge(e).speculative {
                 continue;
             }
             let Some(tok) = ex.target_token(e, st_full, Some(i)) else {
@@ -1451,7 +1493,7 @@ impl Analyzer {
         // one sorted sweep (the executor's `acquire_migration_fence`).
         let mut sweep = Vec::new();
         for (e, _) in self.decomp.edges() {
-            if self.placement.edge(e).host == root {
+            if self.lowered.edge(e).host == root {
                 let mut toks = ex.all_stripe_tokens(e, &st, None);
                 if self.options.suppress_migration_fence {
                     toks.truncate(1);
@@ -1464,14 +1506,15 @@ impl Analyzer {
         // edge, descending in topological order and scan-binding the
         // columns it reads (so lower hosts' instance keys are bound when
         // their lock sites are checked).
-        let mut edges: Vec<EdgeId> = self.decomp.edges().map(|(e, _)| e).collect();
+        let fusion = self.planner.fusion();
+        let mut edges: Vec<EdgeId> = (self.decomp.edges())
+            .map(|(e, _)| e)
+            .filter(|&e| fusion.parent_of(e).is_none())
+            .collect();
         edges.sort_by_key(|&e| self.decomp.topo_position(self.decomp.edge(e).src));
         for &e in &edges {
-            let em = self.decomp.edge(e);
-            let (dst, cols) = (em.dst, em.cols);
             ex.require_read(e, &st, false, None);
-            st.scan_bind(cols, &mut ex.next_scan);
-            st.bound[dst.index()] = true;
+            self.traverse(&mut ex, &mut st, e);
         }
         // Bulk load: writes into the new tree's still-unpublished
         // instances are self-covered (`fresh`), like the executor's
@@ -1483,7 +1526,7 @@ impl Analyzer {
         // carries the same writer-exclusion obligation as mutating every
         // root-hosted edge in place.
         for &e in &edges {
-            if self.placement.edge(e).host == root {
+            if self.lowered.edge(e).host == root {
                 ex.require_write(e, &st, false, None);
             }
         }

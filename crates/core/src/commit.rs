@@ -63,7 +63,7 @@ impl<'a> Participant<'a> {
     /// entries only resolve against the placement they were written
     /// under — so each participant retires under its own.
     pub(crate) fn placement(&self) -> &LockPlacement {
-        &self.tx.repr().placement
+        self.tx.repr().physical.placement()
     }
 
     /// The attempt's MVCC state in this instance.
@@ -277,7 +277,7 @@ pub(crate) fn with_write_fence<T>(
             .zip(&reprs)
             .zip(&mut engines)
             .all(|((shard, repr), engine)| {
-                let mut exec = Executor::new(&repr.decomp, &repr.placement, engine);
+                let mut exec = Executor::new(&repr.physical, engine);
                 exec.always_sort_locks = shard.always_sort_locks();
                 exec.acquire_migration_fence(&repr.root).is_ok()
             });

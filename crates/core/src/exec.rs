@@ -20,6 +20,12 @@
 //!
 //! An insert or remove runs over N ≥ 1 rows: one root sweep over every
 //! row's tokens, then the single-row body per row, publishing as it goes.
+//!
+//! The executor runs a relation's *lowered* plans ([`crate::lower`]): a
+//! fused edge's entry holds its target's dependent columns, so an insert
+//! writes that row instead of materializing the target and its leaves, a
+//! remove drops the entry with its row, and an in-place update of a
+//! dependent column is one version push on the fused entry.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -28,16 +34,20 @@ use relc_locks::{LockMode, MustRestart, PhysicalLock, TwoPhaseEngine};
 use relc_spec::{ColumnSet, RangePattern, Tuple};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
-use crate::instance::{NodeInstance, NodeRef};
+use crate::instance::{Child, NodeInstance, NodeRef};
+use crate::lower::Fusion;
 use crate::mvcc::MvccScope;
 use crate::placement::{LockPlacement, LockToken};
-use crate::planner::{InPlaceUpdate, InsertPlan, Plan, RemovePlan};
-use crate::query::{bind, eval_all, eval_any, eval_rows, EdgeView, Frame, KeyBounds, Row};
+use crate::planner::{InPlaceUpdate, InsertPlan, Plan, Planner, RemovePlan};
+use crate::query::{bind, eval_all, eval_any, eval_rows, EdgeView, Entry, Frame, KeyBounds, Row};
 
 /// Executes compiled plans for one transaction at a time.
 pub struct Executor<'a> {
     decomp: &'a Decomposition,
+    /// The lowered placement the plans were compiled against.
     placement: &'a LockPlacement,
+    /// Which edges' entries hold their target's dependent columns.
+    fusion: &'a Fusion,
     engine: &'a mut TwoPhaseEngine<LockToken>,
     /// Ablation knob: ignore the planner's sort-elision analysis and always
     /// sort lock sets at runtime (§5.2).
@@ -54,6 +64,7 @@ pub struct Executor<'a> {
 /// them for its write phase, which may unlink what it located.
 impl EdgeView for Executor<'_> {
     type Node = NodeRef;
+    type Row = Tuple;
     type Restart = MustRestart;
 
     /// Containers walk an interval in key order only when they are sorted;
@@ -107,20 +118,30 @@ impl EdgeView for Executor<'_> {
         edge: EdgeId,
         key: &Tuple,
         spec: Option<LockMode>,
-    ) -> Result<Option<NodeRef>, MustRestart> {
+    ) -> Result<Option<Entry<NodeRef, Tuple>>, MustRestart> {
         let src = row.instance(self.decomp.edge(edge).src);
         let container = src.container(self.decomp, edge);
         let Some(mode) = spec else {
-            return Ok(container.lookup(key));
+            return Ok(container.lookup(key).map(|child| match child {
+                Child::Node(node) => Entry::Node(node),
+                Child::Row(row) => Entry::Row(row),
+            }));
         };
-        match container.lookup(key) {
+        // A speculative edge is never fused: its target holds its lock.
+        let present = |child: Child| {
+            child
+                .node()
+                .cloned()
+                .expect("a speculative edge is unfused")
+        };
+        match container.lookup(key).map(present) {
             Some(child) => {
                 // Guess: present. Lock the target instance, then verify
                 // that the edge still points at the same object.
                 let tok = self.placement.target_token(edge, child.key());
                 self.engine.acquire(tok, child.lock(0), mode)?;
-                match container.lookup(key) {
-                    Some(now) if Arc::ptr_eq(&now, &child) => Ok(Some(child)),
+                match container.lookup(key).map(present) {
+                    Some(now) if Arc::ptr_eq(&now, &child) => Ok(Some(Entry::Node(child))),
                     _ => Err(self.engine.fail_speculation()),
                 }
             }
@@ -150,10 +171,13 @@ impl EdgeView for Executor<'_> {
         src: &NodeRef,
         edge: EdgeId,
         bounds: Option<&KeyBounds>,
-        mut f: impl FnMut(&mut Self, &Tuple, &NodeRef) -> ControlFlow<()>,
+        mut f: impl FnMut(&mut Self, &Tuple, Entry<&NodeRef, &Tuple>) -> ControlFlow<()>,
     ) {
         let container = src.container(self.decomp, edge);
-        let mut visit = |k: &Tuple, child: &NodeRef| f(self, k, child);
+        let mut visit = |k: &Tuple, child: &Child| match child {
+            Child::Node(node) => f(self, k, Entry::Node(node)),
+            Child::Row(row) => f(self, k, Entry::Row(row)),
+        };
         match bounds {
             Some((lo, hi)) => container.scan_range(lo.as_ref(), hi.as_ref(), &mut visit),
             None => container.scan(&mut visit),
@@ -179,15 +203,15 @@ impl Located {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor borrowing the transaction's lock engine.
-    pub fn new(
-        decomp: &'a Decomposition,
-        placement: &'a LockPlacement,
-        engine: &'a mut TwoPhaseEngine<LockToken>,
-    ) -> Self {
+    /// Creates an executor for the plans of `planner` — a relation's
+    /// lowered planner ([`Planner::lowered`]), whose placement and fusion
+    /// the plans were compiled against — borrowing the transaction's lock
+    /// engine.
+    pub fn new(planner: &'a Planner, engine: &'a mut TwoPhaseEngine<LockToken>) -> Self {
         Executor {
-            decomp,
-            placement,
+            decomp: planner.decomposition(),
+            placement: planner.placement(),
+            fusion: planner.fusion(),
             engine,
             always_sort_locks: false,
             mvcc: MvccScope::default(),
@@ -224,7 +248,7 @@ impl<'a> Executor<'a> {
     /// Mirrors a locked container write into `host`'s shadow version
     /// index for `edge` (see [`crate::mvcc`]). Called at every site that
     /// mutates an edge container, under the same exclusive locks.
-    fn mvcc_write(&mut self, host: &NodeRef, edge: EdgeId, key: Tuple, value: Option<NodeRef>) {
+    fn mvcc_write(&mut self, host: &NodeRef, edge: EdgeId, key: Tuple, value: Option<Child>) {
         let guard = relc_containers::epoch::pin();
         self.mvcc.write(self.decomp, host, edge, key, value, &guard);
     }
@@ -396,8 +420,11 @@ impl<'a> Executor<'a> {
             if let Some(child) = src_inst.container(self.decomp, e).lookup(&key) {
                 // Speculative edges: presence is frozen by the fallback
                 // lock held exclusively, so no target lock or re-validation
-                // is needed for the existence check.
-                bind(&mut bindings, em.dst, child);
+                // is needed for the existence check. A fused entry binds no
+                // instance: its target is never materialized.
+                if let Child::Node(child) = child {
+                    bind(&mut bindings, em.dst, child);
+                }
                 present[e.index()] = true;
             }
         }
@@ -418,7 +445,8 @@ impl<'a> Executor<'a> {
             return Ok(false);
         }
 
-        // Materialize: create missing instances in topological order.
+        // Materialize: create missing instances in topological order (the
+        // lowered plan lists no node that fusion leaves uninstantiated).
         for &v in &plan.topo_nodes {
             if bindings[v.index()].is_none() {
                 let key = x.project(self.decomp.node(v).key_cols);
@@ -457,18 +485,19 @@ impl<'a> Executor<'a> {
                 .as_ref()
                 .expect("all bound")
                 .clone();
-            let dst = bindings[em.dst.index()]
-                .as_ref()
-                .expect("all bound")
-                .clone();
+            let child = if self.fusion.is_fused(e) {
+                Child::Row(x.project(self.fusion.payload(e)))
+            } else {
+                Child::Node(bindings[em.dst.index()].clone().expect("all bound"))
+            };
             // Mirror the publication into the version index first: the
             // version stays tentative (invisible to snapshot readers)
             // until the commit stamp publishes, so mirror-then-write and
             // write-then-mirror are indistinguishable.
-            self.mvcc_write(&src, e, x.project(em.cols), Some(Arc::clone(&dst)));
+            self.mvcc_write(&src, e, x.project(em.cols), Some(child.clone()));
             let prev = src
                 .container(self.decomp, e)
-                .write(&x.project(em.cols), Some(Arc::clone(&dst)));
+                .write(&x.project(em.cols), Some(child));
             debug_assert!(prev.is_none(), "edge instance appeared under our locks");
         }
         Ok(true)
@@ -558,9 +587,11 @@ impl<'a> Executor<'a> {
     /// All lock acquisitions happen during the locate phase, strictly
     /// before the first container write; a [`MustRestart`] therefore never
     /// leaves a partial rewrite behind, and the write phase itself cannot
-    /// fail. Affected sink instances are replaced by fresh instances keyed
-    /// by the new valuation (one per sink node, shared across its touched
-    /// edges, preserving the §4.1 sharing invariant).
+    /// fail. A touched fused edge keeps its entry's key and takes the new
+    /// dependent columns: one version push. Elsewhere affected sink
+    /// instances are replaced by fresh instances keyed by the new valuation
+    /// (one per sink node, shared across its touched edges, preserving the
+    /// §4.1 sharing invariant).
     ///
     /// # Errors
     ///
@@ -593,21 +624,34 @@ impl<'a> Executor<'a> {
         for &e in &plan.touched {
             let em = self.decomp.edge(e);
             let src_inst = survivor.instance(em.src);
+            let (old_key, new_key) = (old.project(em.cols), new.project(em.cols));
+            if self.fusion.is_fused(e) {
+                // The key is the fused target's key, which an in-place
+                // update never assigns: the entry stays, its row changes.
+                debug_assert_eq!(old_key, new_key, "an in-place update keeps a fused key");
+                let row = Child::Row(new.project(self.fusion.payload(e)));
+                self.mvcc_write(src_inst, e, new_key.clone(), Some(row.clone()));
+                let prev = src_inst
+                    .container(self.decomp, e)
+                    .write(&new_key, Some(row));
+                debug_assert!(prev.is_some(), "touched entry vanished under our locks");
+                continue;
+            }
             let inst = fresh[em.dst.index()]
                 .get_or_insert_with(|| {
                     let key = new.project(self.decomp.node(em.dst).key_cols);
                     NodeInstance::new(self.decomp, self.placement, em.dst, key)
                 })
                 .clone();
-            let (old_key, new_key) = (old.project(em.cols), new.project(em.cols));
             // Mirror as tombstone(old) + live(new); when the keys
             // coincide the two same-stamp pushes hit one cell and
             // collapse to the live version.
             self.mvcc_write(src_inst, e, old_key.clone(), None);
-            self.mvcc_write(src_inst, e, new_key.clone(), Some(Arc::clone(&inst)));
+            let child = Child::Node(inst);
+            self.mvcc_write(src_inst, e, new_key.clone(), Some(child.clone()));
             let prev = src_inst
                 .container(self.decomp, e)
-                .update_entry(&old_key, &new_key, inst);
+                .update_entry(&old_key, &new_key, child);
             debug_assert!(prev.is_some(), "touched entry vanished under our locks");
         }
         Ok(Some(survivor.tuple))
@@ -658,7 +702,8 @@ impl<'a> Executor<'a> {
 
         // All edges present: unlink bottom-up. A node dies when all its
         // containers become empty; dying children are removed from every
-        // parent container.
+        // parent container. A fused entry goes with its tuple (the lowered
+        // plan lists no node that fusion leaves uninstantiated).
         let mut dies = vec![false; self.decomp.node_count()];
         for &v in &plan.reverse_topo_nodes {
             let meta = self.decomp.node(v);
@@ -669,7 +714,7 @@ impl<'a> Executor<'a> {
             }
             for &e in &meta.outgoing {
                 let em = self.decomp.edge(e);
-                if dies[em.dst.index()] {
+                if self.fusion.is_fused(e) || dies[em.dst.index()] {
                     self.mvcc_write(&inst, e, tuple.project(em.cols), None);
                     let prev = inst
                         .container(self.decomp, e)

@@ -16,6 +16,17 @@
 //! the edge holds at most one entry (`Singleton`), a skip list with the
 //! chains embedded in its nodes everywhere else. Nothing else in the
 //! runtime knows which shape an edge has.
+//!
+//! **An entry holds a child or a row.** An entry of an edge leads to the
+//! instance of the edge's target ([`Child::Node`]) — unless lowering fused
+//! the edge ([`crate::lower`]): then the target and its Singleton leaves are
+//! never instantiated, and the entry holds the target's dependent columns
+//! instead ([`Child::Row`]), in the container and in the version cell
+//! alike. The `weight` of a `split` edge `(s, d)` is then one field of the
+//! entry `d` in `s`'s instance, not an instance `w` with an `edges` box, a
+//! version chain and a leaf of its own. A fused entry's logical lock is its
+//! parent edge's: it lives at the same host, on the same stripe, as the
+//! lock of the entry's key.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -31,16 +42,36 @@ use crate::placement::LockPlacement;
 /// Shared handle to a node instance.
 pub type NodeRef = Arc<NodeInstance>;
 
+/// What an entry of an edge holds (see the module docs).
+#[derive(Debug, Clone)]
+pub enum Child {
+    /// The instance of the edge's target.
+    Node(NodeRef),
+    /// A fused edge's payload: the valuation of its target's dependent
+    /// columns.
+    Row(Tuple),
+}
+
+impl Child {
+    /// The child instance; `None` for a fused entry's row.
+    pub fn node(&self) -> Option<&NodeRef> {
+        match self {
+            Child::Node(node) => Some(node),
+            Child::Row(_) => None,
+        }
+    }
+}
+
 /// The shadow version index of one outgoing edge: entry key → that
 /// entry's MVCC version chain. Kept parallel to the edge's main
 /// container and mirrored by every locked write, so snapshot readers
 /// traverse only this lock-free structure and never touch containers
 /// that are unsafe under concurrent writes.
-pub type VersionIndex = relc_containers::VersionIndex<Tuple, NodeRef>;
+pub type VersionIndex = relc_containers::VersionIndex<Tuple, Child>;
 
 /// What an instance owns per outgoing edge.
 struct EdgeInstance {
-    container: Box<dyn Container<Tuple, NodeRef>>,
+    container: Box<dyn Container<Tuple, Child>>,
     versions: VersionIndex,
 }
 
@@ -85,7 +116,7 @@ impl NodeInstance {
             .map(|&e| {
                 let kind = decomp.edge(e).container;
                 EdgeInstance {
-                    container: kind.instantiate::<Tuple, NodeRef>(),
+                    container: kind.instantiate::<Tuple, Child>(),
                     versions: VersionIndex::for_kind(kind),
                 }
             })
@@ -132,11 +163,7 @@ impl NodeInstance {
     /// # Panics
     ///
     /// Panics if `edge` is not an outgoing edge of this node.
-    pub fn container(
-        &self,
-        decomp: &Decomposition,
-        edge: EdgeId,
-    ) -> &dyn Container<Tuple, NodeRef> {
+    pub fn container(&self, decomp: &Decomposition, edge: EdgeId) -> &dyn Container<Tuple, Child> {
         &*self.edge(decomp, edge).container
     }
 
@@ -187,18 +214,31 @@ impl fmt::Debug for NodeInstance {
 
 /// Walks one maximal chain of `decomp` from `root`, returning the set of
 /// full tuples it represents. `chain` is a root-originating edge path ending
-/// at a sink.
+/// at a sink. A fused entry's row completes its tuple: the chain's edges
+/// below it, which fusion never instantiated, pass it through.
 ///
 /// Not synchronized: callers must be quiescent (tests, assertions).
 fn tuples_along_chain(decomp: &Decomposition, root: &NodeRef, chain: &[EdgeId]) -> BTreeSet<Tuple> {
-    let mut states: Vec<(Tuple, NodeRef)> = vec![(Tuple::empty(), Arc::clone(root))];
+    let mut states: Vec<(Tuple, Option<NodeRef>)> = vec![(Tuple::empty(), Some(Arc::clone(root)))];
     for &e in chain {
         let mut next = Vec::new();
-        for (t, inst) in &states {
+        for (t, inst) in states {
+            let Some(inst) = inst else {
+                next.push((t, None));
+                continue;
+            };
             inst.container(decomp, e)
-                .scan(&mut |k: &Tuple, child: &NodeRef| {
+                .scan(&mut |k: &Tuple, child: &Child| {
                     let merged = t.union(k).expect("container keys extend the path tuple");
-                    next.push((merged, Arc::clone(child)));
+                    next.push(match child {
+                        Child::Node(node) => (merged, Some(Arc::clone(node))),
+                        Child::Row(row) => (
+                            merged
+                                .union(row)
+                                .expect("a payload extends its entry's key"),
+                            None,
+                        ),
+                    });
                     std::ops::ControlFlow::Continue(())
                 });
         }
@@ -246,7 +286,8 @@ pub fn abstract_relation(decomp: &Decomposition, root: &NodeRef) -> BTreeSet<Tup
 /// * every maximal chain represents the same tuple set (branch agreement);
 /// * instances of shared nodes are physically shared (`Arc::ptr_eq`);
 /// * no instance is exhausted (empty substructures must be unlinked);
-/// * every instance key matches its position in the graph.
+/// * every instance key matches its position in the graph;
+/// * a fused entry's row binds exactly its target's dependent columns.
 ///
 /// Returns the represented relation on success.
 ///
@@ -297,18 +338,36 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
             None => {}
         }
         for &e in &meta.outgoing {
+            let dst = decomp.node(decomp.edge(e).dst);
+            let mut bad_row = None;
             inst.container(decomp, e)
-                .scan(&mut |k: &Tuple, child: &NodeRef| {
-                    let expected = inst
-                        .key()
-                        .union(k)
-                        .expect("edge key extends instance key")
-                        .project(decomp.node(decomp.edge(e).dst).key_cols);
-                    if child.key() == &expected {
-                        stack.push(Arc::clone(child));
+                .scan(&mut |k: &Tuple, child: &Child| {
+                    match child {
+                        Child::Node(node) => {
+                            let expected = inst
+                                .key()
+                                .union(k)
+                                .expect("edge key extends instance key")
+                                .project(dst.key_cols);
+                            if node.key() == &expected {
+                                stack.push(Arc::clone(node));
+                            }
+                        }
+                        Child::Row(row) if row.dom() != dst.residual => {
+                            bad_row.get_or_insert_with(|| k.clone());
+                        }
+                        Child::Row(_) => {}
                     }
                     std::ops::ControlFlow::Continue(())
                 });
+            if let Some(k) = bad_row {
+                return Err(format!(
+                    "fused entry {k:?} of instance {:?} of {} does not hold {}'s dependent columns",
+                    inst.key(),
+                    meta.name,
+                    dst.name
+                ));
+            }
         }
     }
     Ok(reference)
@@ -352,14 +411,18 @@ mod tests {
         let ru = d.edge_between("ρ", "u").unwrap();
         let uv = d.edge_between("u", "v").unwrap();
         let vw = d.edge_between("v", "w").unwrap();
-        root.container(&d, ru)
-            .write(&full.project(d.edge(ru).cols), Some(Arc::clone(&u_inst)));
-        u_inst
-            .container(&d, uv)
-            .write(&full.project(d.edge(uv).cols), Some(Arc::clone(&v_inst)));
-        v_inst
-            .container(&d, vw)
-            .write(&full.project(d.edge(vw).cols), Some(Arc::clone(&w_inst)));
+        root.container(&d, ru).write(
+            &full.project(d.edge(ru).cols),
+            Some(Child::Node(Arc::clone(&u_inst))),
+        );
+        u_inst.container(&d, uv).write(
+            &full.project(d.edge(uv).cols),
+            Some(Child::Node(Arc::clone(&v_inst))),
+        );
+        v_inst.container(&d, vw).write(
+            &full.project(d.edge(vw).cols),
+            Some(Child::Node(Arc::clone(&w_inst))),
+        );
 
         let rel = abstract_relation(&d, &root);
         assert_eq!(rel.len(), 1);
@@ -385,14 +448,18 @@ mod tests {
         let rx = d.edge_between("ρ", "x").unwrap();
         let xw = d.edge_between("x", "w").unwrap();
         let wz = d.edge_between("w", "z").unwrap();
-        root.container(&d, rx)
-            .write(&full.project(d.edge(rx).cols), Some(Arc::clone(&x_inst)));
-        x_inst
-            .container(&d, xw)
-            .write(&full.project(d.edge(xw).cols), Some(Arc::clone(&w_inst)));
-        w_inst
-            .container(&d, wz)
-            .write(&full.project(d.edge(wz).cols), Some(Arc::clone(&z_inst)));
+        root.container(&d, rx).write(
+            &full.project(d.edge(rx).cols),
+            Some(Child::Node(Arc::clone(&x_inst))),
+        );
+        x_inst.container(&d, xw).write(
+            &full.project(d.edge(xw).cols),
+            Some(Child::Node(Arc::clone(&w_inst))),
+        );
+        w_inst.container(&d, wz).write(
+            &full.project(d.edge(wz).cols),
+            Some(Child::Node(Arc::clone(&z_inst))),
+        );
 
         let err = verify_instance(&d, &root).unwrap_err();
         assert!(err.contains("branch disagreement"), "{err}");
@@ -418,17 +485,26 @@ mod tests {
         let xy = d.edge_between("x", "y").unwrap();
         let ry = d.edge_between("ρ", "y").unwrap();
         let yz = d.edge_between("y", "z").unwrap();
-        root.container(&d, rx)
-            .write(&full.project(d.edge(rx).cols), Some(Arc::clone(&x_inst)));
-        x_inst
-            .container(&d, xy)
-            .write(&full.project(d.edge(xy).cols), Some(Arc::clone(&y1)));
-        root.container(&d, ry)
-            .write(&full.project(d.edge(ry).cols), Some(Arc::clone(&y2)));
-        y1.container(&d, yz)
-            .write(&full.project(d.edge(yz).cols), Some(Arc::clone(&z_inst)));
-        y2.container(&d, yz)
-            .write(&full.project(d.edge(yz).cols), Some(Arc::clone(&z_inst)));
+        root.container(&d, rx).write(
+            &full.project(d.edge(rx).cols),
+            Some(Child::Node(Arc::clone(&x_inst))),
+        );
+        x_inst.container(&d, xy).write(
+            &full.project(d.edge(xy).cols),
+            Some(Child::Node(Arc::clone(&y1))),
+        );
+        root.container(&d, ry).write(
+            &full.project(d.edge(ry).cols),
+            Some(Child::Node(Arc::clone(&y2))),
+        );
+        y1.container(&d, yz).write(
+            &full.project(d.edge(yz).cols),
+            Some(Child::Node(Arc::clone(&z_inst))),
+        );
+        y2.container(&d, yz).write(
+            &full.project(d.edge(yz).cols),
+            Some(Child::Node(Arc::clone(&z_inst))),
+        );
 
         let err = verify_instance(&d, &root).unwrap_err();
         assert!(err.contains("duplicated"), "{err}");

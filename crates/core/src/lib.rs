@@ -39,6 +39,7 @@ pub mod error;
 pub mod exec;
 pub mod instance;
 pub mod lincheck;
+pub mod lower;
 pub(crate) mod mvcc;
 pub mod placement;
 pub mod planner;
@@ -52,6 +53,7 @@ pub mod wal;
 pub use analysis::{Analyzer, AnalyzerOptions, Diagnostic, DiagnosticKind};
 pub use decomp::{Decomposition, DecompositionBuilder, EdgeId, NodeId};
 pub use error::CoreError;
+pub use lower::Fusion;
 pub use placement::{LockPlacement, LockToken, PlacementBuilder};
 pub use planner::{Plan, Planner};
 pub use relation::{

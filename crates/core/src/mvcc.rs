@@ -15,6 +15,14 @@
 //! `≤` a reader's snapshot implies the whole owning transaction committed
 //! before that snapshot.
 //!
+//! A fused edge ([`crate::lower`]) mirrors like any other: its entry's
+//! versions carry the row of its target's dependent columns
+//! ([`Child::Row`](crate::instance::Child::Row)) where an unfused entry's
+//! carry the child instance, so one version cell holds the history of the
+//! entry *and* of the Singleton tail it stands for. An in-place update of a
+//! dependent column is one push onto that cell, under the parent edge's
+//! lock, which is where the tail's lock lives.
+//!
 //! Snapshot readers ([`crate::relation::SnapshotReader`]) run the same
 //! compiled plans through the same evaluator ([`crate::query`]) as locked
 //! reads; only the edge view differs. [`Snapshot`] never touches the main
@@ -83,9 +91,10 @@ use relc_spec::{ColumnSet, Tuple};
 
 use crate::commit::Participant;
 use crate::decomp::{Decomposition, EdgeId};
-use crate::instance::{NodeInstance, NodeRef, VersionIndex};
+use crate::instance::{Child, NodeInstance, NodeRef, VersionIndex};
+use crate::lower::Fusion;
 use crate::placement::LockPlacement;
-use crate::query::{EdgeView, Frame, KeyBounds, Row};
+use crate::query::{EdgeView, Entry, Frame, KeyBounds, Row};
 
 /// The least number of entries one commit's step of a version index's
 /// sweep visits ([`MvccScope::retire`]); a commit that journaled `w`
@@ -155,7 +164,7 @@ impl MvccScope {
         host: &NodeRef,
         edge: EdgeId,
         key: Tuple,
-        value: Option<NodeRef>,
+        value: Option<Child>,
         guard: &Guard,
     ) {
         let stamp = self.stamp();
@@ -332,9 +341,9 @@ pub(crate) fn verify_versions(
             let ename = format!("{}→{}", meta.name, decomp.node(em.dst).name);
             let mut live: BTreeSet<Tuple> = BTreeSet::new();
             inst.container(decomp, e)
-                .scan(&mut |k: &Tuple, child: &NodeRef| {
+                .scan(&mut |k: &Tuple, child: &Child| {
                     live.insert(k.clone());
-                    stack.push(Arc::clone(child));
+                    stack.extend(child.node().cloned());
                     ControlFlow::Continue(())
                 });
             let index = inst.versions(decomp, e);
@@ -380,12 +389,16 @@ pub(crate) fn verify_versions(
 }
 
 /// Total number of versions across every version chain reachable from
-/// `root` (test support; surfaced through
-/// [`ConcurrentRelation::version_footprint`](crate::ConcurrentRelation::version_footprint)).
-/// Unlike [`verify_versions`] this is pure observation: no truncation,
-/// no invariant checks — so a retirement regression can compare
-/// footprints before/after churn without perturbing the chains.
-pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize {
+/// `root`, counted per logical entry (test support; surfaced through
+/// [`ConcurrentRelation::version_footprint`](crate::ConcurrentRelation::version_footprint)):
+/// a fused entry's chain stands for its own edge's entry and each of its
+/// tail edges' ([`crate::lower`]), so each of its versions counts once per
+/// edge it stands for, and a footprint reads the same whichever form the
+/// decomposition is instantiated in. Unlike [`verify_versions`] this is
+/// pure observation: no truncation, no invariant checks — so a retirement
+/// regression can compare footprints before/after churn without
+/// perturbing the chains.
+pub(crate) fn version_footprint(decomp: &Decomposition, fusion: &Fusion, root: &NodeRef) -> usize {
     let guard = relc_containers::epoch::pin();
     let mut total = 0usize;
     let mut seen: HashSet<*const NodeInstance> = HashSet::new();
@@ -396,12 +409,17 @@ pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize
         }
         for &e in &decomp.node(inst.node()).outgoing {
             inst.container(decomp, e)
-                .scan(&mut |_k: &Tuple, child: &NodeRef| {
-                    stack.push(Arc::clone(child));
+                .scan(&mut |_k: &Tuple, child: &Child| {
+                    stack.extend(child.node().cloned());
                     ControlFlow::Continue(())
                 });
+            let edges = if fusion.is_fused(e) {
+                1 + decomp.node(decomp.edge(e).dst).outgoing.len()
+            } else {
+                1
+            };
             inst.versions(decomp, e)
-                .chains(&guard, |_, stamps| total += stamps.len());
+                .chains(&guard, |_, stamps| total += edges * stamps.len());
         }
     }
     total
@@ -414,7 +432,9 @@ pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize
 /// snapshot resolves are immutable once committed, so nothing can restart.
 ///
 /// A row binds a node instance as a `&'g NodeRef` borrowed from the
-/// version that holds it, and no reference count is touched. The borrow
+/// version that holds it — or copies a fused entry's row of dependent
+/// columns out of the version into its slots — and no reference count is
+/// touched. The borrow
 /// is good for the guard's lifetime `'g`: [`VersionIndex::get`] and
 /// [`VersionIndex::walk`] hand out borrows of a version's value that live
 /// as long as the guard, because a version leaves its chain only by being
@@ -429,8 +449,18 @@ pub(crate) struct Snapshot<'g> {
     pub guard: &'g Guard,
 }
 
+/// A version's value as the evaluator takes it: the instance it names,
+/// or a fused entry's row, each borrowed for the guard's lifetime.
+fn entry(child: &Child) -> Entry<&NodeRef, &Tuple> {
+    match child {
+        Child::Node(node) => Entry::Node(node),
+        Child::Row(row) => Entry::Row(row),
+    }
+}
+
 impl<'g> EdgeView for Snapshot<'g> {
     type Node = &'g NodeRef;
+    type Row = &'g Tuple;
     type Restart = Infallible;
 
     /// Both version index shapes walk in key order, so an interval walk
@@ -456,11 +486,12 @@ impl<'g> EdgeView for Snapshot<'g> {
         edge: EdgeId,
         key: &Tuple,
         _spec: Option<LockMode>,
-    ) -> Result<Option<&'g NodeRef>, Infallible> {
+    ) -> Result<Option<Entry<&'g NodeRef, &'g Tuple>>, Infallible> {
         let src: &'g NodeRef = row.node(self.decomp.edge(edge).src);
         Ok(src
             .versions(self.decomp, edge)
-            .get(key, self.snap, self.guard))
+            .get(key, self.snap, self.guard)
+            .map(entry))
     }
 
     fn walk(
@@ -468,14 +499,22 @@ impl<'g> EdgeView for Snapshot<'g> {
         src: &&'g NodeRef,
         edge: EdgeId,
         bounds: Option<&KeyBounds>,
-        mut f: impl FnMut(&mut Self, &Tuple, &&'g NodeRef) -> ControlFlow<()>,
+        mut f: impl FnMut(&mut Self, &Tuple, Entry<&&'g NodeRef, &Tuple>) -> ControlFlow<()>,
     ) {
         let (lo, hi) = match bounds {
             Some((lo, hi)) => (lo.as_ref(), hi.as_ref()),
             None => (Bound::Unbounded, Bound::Unbounded),
         };
-        src.versions(self.decomp, edge)
-            .walk(lo, hi, self.snap, self.guard, |k, child| f(self, k, &child));
+        src.versions(self.decomp, edge).walk(
+            lo,
+            hi,
+            self.snap,
+            self.guard,
+            |k, child| match entry(child) {
+                Entry::Node(node) => f(self, k, Entry::Node(&node)),
+                Entry::Row(row) => f(self, k, Entry::Row(row)),
+            },
+        );
     }
 
     /// Group prefetch (Chen, Ailamaki, Gibbons & Mowry, ICDE 2004): one
@@ -537,10 +576,12 @@ mod tests {
             let child = inst(to);
             let (container, mirror) = writes(to);
             if container {
-                src.container(&d, e).write(&key, Some(Arc::clone(&child)));
+                src.container(&d, e)
+                    .write(&key, Some(Child::Node(Arc::clone(&child))));
             }
             if mirror {
-                scope.write(&d, &src, e, key, Some(Arc::clone(&child)), &guard);
+                let value = Some(Child::Node(Arc::clone(&child)));
+                scope.write(&d, &src, e, key, value, &guard);
             }
             src = child;
         }

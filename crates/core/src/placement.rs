@@ -16,6 +16,16 @@
 //!   (path-sharing); and container choices are compatible — a
 //!   concurrency-unsafe container must be serialized by its placement, and
 //!   speculative edges need linearizable unlocked lookups.
+//!
+//! A placement is given for the logical decomposition. The relation runs
+//! it *lowered* ([`crate::lower`]): where lowering fuses a Singleton tail
+//! `w → x` into its parent edge `p → w`, the tail's logical lock becomes
+//! the parent edge's — the same host, the same `stripe_by` — since the
+//! tail's entries now live in the parent's. §4.3 admits the coarsening:
+//! the parent's host dominates `w`, and the only path from it to `w` runs
+//! through the parent edge. A fused entry is therefore written under the
+//! lock its key hashes to at the parent's host, and `w`, which is never
+//! instantiated, holds no lock.
 
 use std::fmt;
 use std::sync::Arc;

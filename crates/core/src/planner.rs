@@ -33,6 +33,14 @@
 //! * The §5.2 static **sort-elision analysis**: a lock set produced by
 //!   traversing sorted containers is already in lock order, so the runtime
 //!   sort can be skipped (`presorted`).
+//!
+//! A relation runs the plans of its *lowered* planner
+//! ([`Planner::lowered`]): the same compilation against the placement
+//! whose tail locks fusion moved onto their parent edges, followed by the
+//! lowering pass of [`crate::lower`], which removes every step on a fused
+//! tail. [`Planner::new`] compiles the logical plans, which
+//! [`Planner::render`] prints and [`Relation::planner`](crate::Relation::planner)
+//! hands out.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -44,6 +52,7 @@ use relc_spec::{ColumnId, ColumnSet, RelationSchema, SpecError};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
+use crate::lower::Fusion;
 use crate::placement::LockPlacement;
 use crate::query::{render_plan, PlanStep};
 
@@ -240,6 +249,8 @@ pub struct RemoveBatchPlan {
 pub struct Planner {
     decomp: Arc<Decomposition>,
     placement: Arc<LockPlacement>,
+    /// What the plans are lowered by: nothing for a logical planner.
+    fusion: Arc<Fusion>,
 }
 
 fn lookup_cost(kind: ContainerKind) -> f64 {
@@ -273,11 +284,38 @@ impl Planner {
     ///
     /// Panics if the placement belongs to a different decomposition.
     pub fn new(decomp: Arc<Decomposition>, placement: Arc<LockPlacement>) -> Self {
+        Self::with_fusion(decomp, placement, Fusion::none())
+    }
+
+    /// Creates the planner of the plans a relation runs: `placement`
+    /// lowered by the decomposition's [`Fusion`] — every fused tail's lock
+    /// moved onto its parent edge — and every plan lowered with it (see
+    /// [`crate::lower`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement belongs to a different decomposition.
+    pub fn lowered(decomp: Arc<Decomposition>, placement: Arc<LockPlacement>) -> Self {
+        let fusion = Fusion::of(&decomp, &placement);
+        let lowered = fusion.placement(&placement, None);
+        Self::with_fusion(decomp, lowered, fusion)
+    }
+
+    /// A planner compiling against `placement` whose plans `fusion` lowers.
+    pub(crate) fn with_fusion(
+        decomp: Arc<Decomposition>,
+        placement: Arc<LockPlacement>,
+        fusion: Fusion,
+    ) -> Self {
         assert!(
             Arc::ptr_eq(placement.decomposition(), &decomp),
             "placement must belong to the decomposition"
         );
-        Planner { decomp, placement }
+        Planner {
+            decomp,
+            placement,
+            fusion: Arc::new(fusion),
+        }
     }
 
     /// The decomposition being planned against.
@@ -285,9 +323,16 @@ impl Planner {
         &self.decomp
     }
 
-    /// The lock placement being planned against.
+    /// The lock placement being planned against: a lowered planner's is
+    /// the lowered placement.
     pub fn placement(&self) -> &Arc<LockPlacement> {
         &self.placement
+    }
+
+    /// The fusion the plans are lowered by (nothing fused for a logical
+    /// planner).
+    pub fn fusion(&self) -> &Fusion {
+        &self.fusion
     }
 
     /// Plans `query r s C` for a pattern binding `bound` and outputs
@@ -348,7 +393,7 @@ impl Planner {
             &mut chain,
             &mut best,
         );
-        best.ok_or_else(|| {
+        best.map(|plan| self.fusion.plan(plan)).ok_or_else(|| {
             CoreError::NoValidPlan(format!(
                 "no chain can bind {} under placement `{}` (speculative edges \
                  cannot be scanned)",
@@ -553,7 +598,7 @@ impl Planner {
             .collect();
         let scans = (check.steps.iter()).any(|step| matches!(step, PlanStep::Scan { .. }));
         Ok(InsertPlan {
-            edges: self.mutation_order(),
+            edges: self.fusion.edges(&self.mutation_order()),
             check,
             root_hosted: self.root_hosted_edges(|_| scans),
             topo_nodes: self.nodes_in_topo_order(false),
@@ -610,7 +655,7 @@ impl Planner {
             known = known.union(em.cols);
         }
         Ok(RemovePlan {
-            locate: self.locate_plan(steps),
+            locate: self.locate_plan(self.fusion.steps(steps)),
             root_hosted: self.root_hosted_edges(|e| forced.contains(&e)),
             reverse_topo_nodes: self.nodes_in_topo_order(true),
         })
@@ -669,19 +714,25 @@ impl Planner {
     }
 
     /// Root-hosted edges, each with the force-all-stripes flag `force_all`
-    /// assigns it — the shape of a root lock sweep.
+    /// assigns it — the shape of a root lock sweep. A fused tail's tokens
+    /// are its parent's, so it is left to its parent.
     fn root_hosted_edges(&self, force_all: impl Fn(EdgeId) -> bool) -> Vec<(EdgeId, bool)> {
         let root = self.decomp.root();
         self.decomp
             .edges()
             .filter(|&(e, _)| self.placement.edge(e).host == root)
+            .filter(|&(e, _)| self.fusion.parent_of(e).is_none())
             .map(|(e, _)| (e, force_all(e)))
             .collect()
     }
 
-    /// All node ids sorted by topological position (reversed on demand).
+    /// All instantiated node ids sorted by topological position (reversed
+    /// on demand).
     fn nodes_in_topo_order(&self, reverse: bool) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.decomp.nodes().map(|(id, _)| id).collect();
+        let mut nodes: Vec<NodeId> = (self.decomp.nodes())
+            .map(|(id, _)| id)
+            .filter(|&v| !self.fusion.is_elided(v))
+            .collect();
         nodes.sort_by_key(|&v| self.decomp.topo_position(v));
         if reverse {
             nodes.reverse();
@@ -723,9 +774,9 @@ impl Planner {
             .collect();
         if let Some(locate) = self.plan_in_place(bound, updated, &touched) {
             return Ok(UpdatePlan::InPlace(InPlaceUpdate {
-                locate,
+                locate: self.fusion.plan(locate),
                 updated,
-                touched,
+                touched: self.fusion.edges(&touched),
             }));
         }
         let remove = self.plan_remove(bound)?;
@@ -734,7 +785,7 @@ impl Planner {
             remove,
             insert,
             updated,
-            touched,
+            touched: self.fusion.edges(&touched),
         }))
     }
 

@@ -23,6 +23,17 @@
 //! A query builds one [`Tuple`] per surviving row from the plan's output
 //! slots; a mutation's locate materializes its one survivor.
 //!
+//! # Fused edges
+//!
+//! A relation runs its *lowered* plans ([`crate::lower`]): where an edge's
+//! Singleton tail is fused, the edge's entries hold the tail's dependent
+//! columns, and the plan has no step on the tail. A `Lookup` or `Scan` of
+//! the fused edge binds the key slots and the payload slots in one step —
+//! the entry hands back a row (`Entry::Row`) instead of an instance to
+//! bind — and checks the payload against the slots already bound, as the
+//! tail's steps did. The step's bound columns grow by the payload's, and
+//! the fused target, never instantiated, is never bound.
+//!
 //! # One evaluator, two edge views
 //!
 //! The language has one evaluation semantics, so it has one evaluator, in
@@ -381,6 +392,10 @@ pub(crate) trait EdgeView {
         all_stripes: bool,
     ) -> Result<(), Self::Restart>;
 
+    /// How a row holds a fused entry's payload: a borrow good for the
+    /// snapshot's epoch guard, a copy under locks.
+    type Row: Borrow<Tuple>;
+
     /// Follows `key` through `edge` of `row`'s source instance; `None` if
     /// the edge instance is absent. `spec` carries the mode of a §4.5
     /// speculative step, whose view also takes the step's locks.
@@ -390,7 +405,7 @@ pub(crate) trait EdgeView {
         edge: EdgeId,
         key: &Tuple,
         spec: Option<LockMode>,
-    ) -> Result<Option<Self::Node>, Self::Restart>;
+    ) -> Result<Option<Found<Self>>, Self::Restart>;
 
     /// Walks the entries of `edge` at instance `src` (inside `bounds`, if
     /// given) until `f` breaks; the evaluator filters them against the
@@ -401,7 +416,7 @@ pub(crate) trait EdgeView {
         src: &Self::Node,
         edge: EdgeId,
         bounds: Option<&KeyBounds>,
-        f: impl FnMut(&mut Self, &Tuple, &Self::Node) -> ControlFlow<()>,
+        f: impl FnMut(&mut Self, &Tuple, Entry<&Self::Node, &Tuple>) -> ControlFlow<()>,
     );
 
     /// Starts loading what reading `edge` from the source instance of each
@@ -451,6 +466,51 @@ fn walk_bounds(ranged: bool, bounds: Option<&KeyBounds>) -> Option<&KeyBounds> {
     ranged.then(|| bounds.expect("planner invariant: RangeScan only in plans run with a range"))
 }
 
+/// What [`EdgeView::follow`] finds, held as the view holds it.
+pub(crate) type Found<V> = Entry<<V as EdgeView>::Node, <V as EdgeView>::Row>;
+
+/// What an entry hands the evaluator: the child instance to bind at the
+/// edge's target, or — on a fused edge ([`crate::lower`]) — the row of the
+/// target's dependent columns, which the step copies into its slots.
+pub(crate) enum Entry<H, R> {
+    /// The target's instance.
+    Node(H),
+    /// A fused entry's payload.
+    Row(R),
+}
+
+impl<H, R: Borrow<Tuple>> Entry<H, R> {
+    /// Whether the entry agrees with `row` beyond its key: a fused
+    /// payload must match the row on every bound column, as the tail's
+    /// own steps would have checked; a child instance always does.
+    fn admitted_by<N: Borrow<NodeRef>>(&self, row: &Row<'_, N>) -> bool {
+        match self {
+            Entry::Node(_) => true,
+            Entry::Row(payload) => row.matches(payload.borrow()),
+        }
+    }
+}
+
+/// Binds what `entry` holds in a row's slots — `dst`'s instance, or a fused
+/// payload's fields — and returns the columns it bound beyond the edge's
+/// key and the previous binding of `dst`, if `entry` bound it.
+fn bind_entry<H: Borrow<NodeRef>, R: Borrow<Tuple>>(
+    (vals, nodes): (&mut [Value], &mut [Option<H>]),
+    dst: NodeId,
+    entry: Entry<H, R>,
+) -> (ColumnSet, Option<Option<H>>) {
+    match entry {
+        Entry::Node(child) => (ColumnSet::EMPTY, Some(bind(nodes, dst, child))),
+        Entry::Row(row) => {
+            let row = row.borrow();
+            for (c, v) in row.iter() {
+                vals[c.index()] = v.clone();
+            }
+            (row.dom(), None)
+        }
+    }
+}
+
 /// Binds `dst` to `child` in `nodes` and returns the previous binding. A
 /// node reached along two edges is reached at one instance (§4.1
 /// sharing), so a second binding must name the instance already bound.
@@ -466,6 +526,14 @@ pub(crate) fn bind<H: Borrow<NodeRef>>(
         "shared node reached with different instances"
     );
     slot.replace(child)
+}
+
+/// A walked entry with its node handle cloned for the row that binds it.
+fn cloned<'a, H: Clone>(entry: Entry<&H, &'a Tuple>) -> Entry<H, &'a Tuple> {
+    match entry {
+        Entry::Node(node) => Entry::Node(node.clone()),
+        Entry::Row(row) => Entry::Row(row),
+    }
 }
 
 /// The mode of a §4.5 speculative lookup; `None` for any other step.
@@ -520,13 +588,16 @@ pub(crate) fn eval_rows<V: EdgeView>(
             }
             PlanStep::Lookup { edge } | PlanStep::SpecLookup { edge, .. } => {
                 let em = decomp.edge(*edge);
+                let mut payload = ColumnSet::EMPTY;
                 for_each_row(view, &cur, bound, *edge, |view, row| {
                     row.key_into(em.cols, &mut key);
-                    if let Some(child) = view.follow(row, *edge, &key, spec_mode(step))? {
-                        bind(next.push(row).1, em.dst, child);
+                    let entry = view.follow(row, *edge, &key, spec_mode(step))?;
+                    if let Some(entry) = entry.filter(|entry| entry.admitted_by(&row)) {
+                        payload = bind_entry(next.push(row), em.dst, entry).0;
                     }
                     Ok(())
                 })?;
+                bound = bound.union(payload);
             }
             PlanStep::Scan { edge } | PlanStep::RangeScan { edge, .. } => {
                 // Top-k short circuit, only on an ordered walk that is the
@@ -553,17 +624,18 @@ pub(crate) fn eval_rows<V: EdgeView>(
                     break;
                 }
                 let em = decomp.edge(*edge);
+                let mut payload = ColumnSet::EMPTY;
                 for_each_row(view, &cur, bound, *edge, |view, row| {
                     distinct.clear();
-                    view.walk(row.node(em.src), *edge, interval, |_, k, child| {
-                        if !row.matches(k) {
+                    view.walk(row.node(em.src), *edge, interval, |_, k, entry| {
+                        if !row.matches(k) || !entry.admitted_by(&row) {
                             return ControlFlow::Continue(());
                         }
                         let (vals, nodes) = next.push(row);
                         for (c, v) in k.iter() {
                             vals[c.index()] = v.clone();
                         }
-                        bind(nodes, em.dst, child.clone());
+                        payload = bind_entry((vals, nodes), em.dst, cloned(entry)).0;
                         let Some(limit) = limit else {
                             return ControlFlow::Continue(());
                         };
@@ -581,7 +653,7 @@ pub(crate) fn eval_rows<V: EdgeView>(
                     });
                     Ok::<_, V::Restart>(())
                 })?;
-                bound = bound.union(em.cols);
+                bound = bound.union(em.cols).union(payload);
             }
         }
         std::mem::swap(&mut cur, &mut next);
@@ -764,12 +836,15 @@ fn witness<V: EdgeView>(
             let em = decomp.edge(*edge);
             let row = frame.row(0, bound);
             row.key_into(em.cols, key);
-            let Some(child) = view.follow(row, *edge, key, spec_mode(step))? else {
+            let entry = view.follow(row, *edge, key, spec_mode(step))?;
+            let Some(entry) = entry.filter(|entry| entry.admitted_by(&row)) else {
                 return Ok(false);
             };
-            let prev = bind(frame.slots_mut(0).1, em.dst, child);
-            let found = witness(decomp, view, rest, frame, bound, key);
-            frame.slots_mut(0).1[em.dst.index()] = prev;
+            let (payload, prev) = bind_entry(frame.slots_mut(0), em.dst, entry);
+            let found = witness(decomp, view, rest, frame, bound.union(payload), key);
+            if let Some(prev) = prev {
+                frame.slots_mut(0).1[em.dst.index()] = prev;
+            }
             found
         }
         PlanStep::Scan { edge } | PlanStep::RangeScan { edge, .. } => {
@@ -777,17 +852,21 @@ fn witness<V: EdgeView>(
             let interval = walk_bounds(matches!(step, PlanStep::RangeScan { .. }), None);
             let src = frame.row(0, bound).node(em.src).clone();
             let mut outcome = Ok(false);
-            view.walk(&src, *edge, interval, |view, k, child| {
-                if !frame.row(0, bound).matches(k) {
+            view.walk(&src, *edge, interval, |view, k, entry| {
+                let row = frame.row(0, bound);
+                if !row.matches(k) || !entry.admitted_by(&row) {
                     return ControlFlow::Continue(());
                 }
                 let (vals, nodes) = frame.slots_mut(0);
                 for (c, v) in k.iter() {
                     vals[c.index()] = v.clone();
                 }
-                let prev = bind(nodes, em.dst, child.clone());
-                let found = witness(decomp, view, rest, frame, bound.union(em.cols), key);
-                frame.slots_mut(0).1[em.dst.index()] = prev;
+                let (payload, prev) = bind_entry((vals, nodes), em.dst, cloned(entry));
+                let bound = bound.union(em.cols).union(payload);
+                let found = witness(decomp, view, rest, frame, bound, key);
+                if let Some(prev) = prev {
+                    frame.slots_mut(0).1[em.dst.index()] = prev;
+                }
                 match found {
                     Ok(false) => ControlFlow::Continue(()),
                     done => {

@@ -179,7 +179,11 @@ impl<T> std::ops::DerefMut for PerInstance<T> {
 pub(crate) struct Repr {
     pub(crate) decomp: Arc<Decomposition>,
     pub(crate) placement: Arc<LockPlacement>,
+    /// The logical planner: what [`Relation::planner`] hands out.
     pub(crate) planner: Planner,
+    /// The lowered planner ([`Planner::lowered`]): its placement locks the
+    /// instance tree and its plans are the ones every operation runs.
+    pub(crate) physical: Planner,
     pub(crate) root: NodeRef,
     query_plans: PlanCache<(u64, u64), Plan>,
     range_plans: PlanCache<(u64, usize, u64), Plan>,
@@ -389,12 +393,14 @@ impl Repr {
                 "placement belongs to a different decomposition".into(),
             ));
         }
-        let root = NodeInstance::new(&decomp, &placement, decomp.root(), Tuple::empty());
         let planner = Planner::new(Arc::clone(&decomp), Arc::clone(&placement));
+        let physical = Planner::lowered(Arc::clone(&decomp), Arc::clone(&placement));
+        let root = NodeInstance::new(&decomp, physical.placement(), decomp.root(), Tuple::empty());
         Ok(Arc::new(Repr {
             decomp,
             placement,
             planner,
+            physical,
             root,
             query_plans: PlanCache::default(),
             range_plans: PlanCache::default(),
@@ -450,7 +456,7 @@ impl Repr {
     ) -> Result<Arc<Plan>, CoreError> {
         self.query_plans
             .get_or_build((bound.bits(), output.bits()), || {
-                self.planner.plan_query(bound, output)
+                self.physical.plan_query(bound, output)
             })
     }
 
@@ -462,17 +468,17 @@ impl Repr {
     ) -> Result<Arc<Plan>, CoreError> {
         let key = (bound.bits(), range.col().index(), output.bits());
         self.range_plans
-            .get_or_build(key, || self.planner.plan_range(bound, range.col(), output))
+            .get_or_build(key, || self.physical.plan_range(bound, range.col(), output))
     }
 
     pub(crate) fn insert_plan(&self, bound: ColumnSet) -> Result<Arc<InsertPlan>, CoreError> {
         self.insert_plans
-            .get_or_build(bound.bits(), || self.planner.plan_insert(bound))
+            .get_or_build(bound.bits(), || self.physical.plan_insert(bound))
     }
 
     pub(crate) fn remove_plan(&self, bound: ColumnSet) -> Result<Arc<RemovePlan>, CoreError> {
         self.remove_plans
-            .get_or_build(bound.bits(), || self.planner.plan_remove(bound))
+            .get_or_build(bound.bits(), || self.physical.plan_remove(bound))
     }
 
     pub(crate) fn update_plan(
@@ -482,7 +488,7 @@ impl Repr {
     ) -> Result<Arc<UpdatePlan>, CoreError> {
         self.update_plans
             .get_or_build((bound.bits(), updated.bits()), || {
-                self.planner.plan_update(bound, updated)
+                self.physical.plan_update(bound, updated)
             })
     }
 }
@@ -1043,14 +1049,16 @@ impl<L: Layout> Relation<L> {
     }
 
     /// Total number of versions held across every version chain reachable
-    /// from the roots (test support for retirement regressions: after
-    /// churn at quiescence this should return to one version per live
-    /// entry — even while a snapshot reader on a *different* relation
-    /// stays open, since registries are per relation).
+    /// from the roots, per entry of the logical decomposition — a fused
+    /// entry's versions count once for its own edge and once for each tail
+    /// edge it stands for (see [`crate::lower`]) — (test support for
+    /// retirement regressions: after churn at quiescence this should return
+    /// to one version per live entry — even while a snapshot reader on a
+    /// *different* relation stays open, since registries are per relation).
     pub fn version_footprint(&self) -> usize {
         let footprint = |s: &ConcurrentRelation| {
             let repr = s.current_repr();
-            mvcc::version_footprint(&repr.decomp, &repr.root)
+            mvcc::version_footprint(&repr.decomp, repr.physical.fusion(), &repr.root)
         };
         self.instances().iter().map(footprint).sum()
     }
@@ -1662,6 +1670,7 @@ impl<L: Layout> fmt::Debug for Relation<L> {
 mod tests {
     use super::*;
     use crate::decomp::library::{dcache, diamond, kv, split, stick};
+    use crate::instance::Child;
     use relc_containers::ContainerKind;
     use relc_spec::{OracleRelation, SpecError, Value};
     use std::collections::BTreeSet;
@@ -2037,10 +2046,12 @@ mod tests {
         while let Some(inst) = stack.pop() {
             for &e in &repr.decomp.node(inst.node()).outgoing {
                 let container = inst.container(&repr.decomp, e);
-                container.scan(&mut |k: &Tuple, child: &NodeRef| {
-                    let (from, to) = (Arc::as_ptr(&inst) as usize, Arc::as_ptr(child) as usize);
+                container.scan(&mut |k: &Tuple, child: &Child| {
+                    // A fused entry's row is a value: its key is the link.
+                    let to = child.node().map_or(0, |c| Arc::as_ptr(c) as usize);
+                    let from = Arc::as_ptr(&inst) as usize;
                     if links.insert((from, e.index(), k.clone(), to)) {
-                        stack.push(Arc::clone(child));
+                        stack.extend(child.node().cloned());
                     }
                     std::ops::ControlFlow::Continue(())
                 });
@@ -2252,7 +2263,7 @@ mod tests {
             .map(|cols| d.schema().column_set(cols).unwrap())
             .collect();
         let old = rel.current_repr();
-        let old_planner = rel.planner();
+        let old_planner = old.physical.clone();
         let cached: Vec<_> = shapes
             .iter()
             .map(|&b| old.query_plan(b, all).unwrap())
@@ -2269,7 +2280,8 @@ mod tests {
             assert!(Arc::ptr_eq(&was, before), "old plan still cached");
             assert_eq!(was.steps, old_planner.plan_query(b, all).unwrap().steps);
             let now = new.query_plan(b, all).unwrap();
-            assert_eq!(now.steps, rel.planner().plan_query(b, all).unwrap().steps);
+            let physical = &rel.current_repr().physical;
+            assert_eq!(now.steps, physical.plan_query(b, all).unwrap().steps);
             differ |= was.steps != now.steps;
         }
         assert!(differ, "stick and split plan some shape differently");

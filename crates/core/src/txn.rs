@@ -533,7 +533,7 @@ impl<'t> Part<'t> {
         engine: &'t mut TwoPhaseEngine<LockToken>,
         single_shot: bool,
     ) -> Self {
-        let mut exec = Executor::new(&repr.decomp, &repr.placement, engine);
+        let mut exec = Executor::new(&repr.physical, engine);
         exec.always_sort_locks = rel.always_sort_locks();
         Part {
             rel,

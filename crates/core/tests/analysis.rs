@@ -271,6 +271,82 @@ fn seeded_under_locked_range_scan_flagged() {
     assert!(ok.is_empty(), "standard range plan should be clean: {ok:?}");
 }
 
+/// Fusion moves a fused node's tail lock onto its parent edge, whose
+/// entry now holds the tail's columns. A lowering that fused the node but
+/// left the tail's lock where the logical placement put it would rewrite
+/// that entry without its parent-host lock held exclusively: nothing
+/// raises the parent's read lock, and the tail's own lock steps are gone
+/// with the tail. The analyzer must reject the in-place update that writes
+/// the dependent columns, and accept it once the lock has moved.
+fn assert_unmoved_fused_lock_flagged(
+    d: &Arc<Decomposition>,
+    p: &Arc<LockPlacement>,
+    fused: &str,
+    key: &[&str],
+    set: &[&str],
+) {
+    let node = d.node_by_name(fused).unwrap();
+    let opts = AnalyzerOptions {
+        unmoved_fused_lock: Some(node),
+        ..Default::default()
+    };
+    let analyzer = Analyzer::with_options(Arc::clone(d), Arc::clone(p), opts);
+    let (key, set) = (
+        d.schema().column_set(key).unwrap(),
+        d.schema().column_set(set).unwrap(),
+    );
+    let diags = analyzer.analyze_update(key, set).unwrap();
+    let hit = diags
+        .iter()
+        .find(|x| {
+            x.kind == DiagnosticKind::UncoveredWrite
+                || x.kind == DiagnosticKind::SharedToExclusiveUpgrade
+        })
+        .unwrap_or_else(|| panic!("{fused}: unlocked fused write not flagged: {diags:?}"));
+    assert!(
+        hit.step.is_some(),
+        "{fused}: diagnostic must name the plan step"
+    );
+    assert_eq!(
+        hit.tokens.len(),
+        1,
+        "{fused}: diagnostic must name the parent's lock"
+    );
+    let ok = Analyzer::new(Arc::clone(d), Arc::clone(p))
+        .analyze_update(key, set)
+        .unwrap();
+    assert!(
+        ok.is_empty(),
+        "{fused}: the lowered plan should be clean: {ok:?}"
+    );
+}
+
+/// `stick`'s `v`: the weight lives in `u→v`'s entry, locked at `u`.
+#[test]
+fn seeded_under_locked_fused_stick_v_flagged() {
+    let d = library::stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
+    let p = LockPlacement::fine(&d).unwrap();
+    assert_unmoved_fused_lock_flagged(&d, &p, "v", &["src", "dst"], &["weight"]);
+}
+
+/// `split`'s `w`: the weight lives in `u→w`'s entry, locked at `u` (`y`,
+/// the mirror image, keeps its lock moved).
+#[test]
+fn seeded_under_locked_fused_split_w_flagged() {
+    let d = library::split(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
+    let p = LockPlacement::fine(&d).unwrap();
+    assert_unmoved_fused_lock_flagged(&d, &p, "w", &["src", "dst"], &["weight"]);
+}
+
+/// `kv`'s `a`: the value lives in the root entry, locked on the root
+/// stripe of its key.
+#[test]
+fn seeded_under_locked_fused_kv_a_flagged() {
+    let d = library::kv(ContainerKind::ConcurrentSkipListMap);
+    let p = LockPlacement::striped_root(&d, 8).unwrap();
+    assert_unmoved_fused_lock_flagged(&d, &p, "a", &["key"], &["value"]);
+}
+
 /// A migration fence that sweeps only the *first* stripe of each
 /// root-hosted edge leaves the remaining stripes unlocked, so the frozen
 /// cut and the bulk-load publication are both under-protected; under a
@@ -555,61 +631,61 @@ stick(chm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upg
 stick(chm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | fine | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert fresh {dst} | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(2) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(2) | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert fresh {dst} | true acq=8 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | striped(8) | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | striped(8) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert fresh {dst} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(chm,tm) | speculative(4) | insert_all fresh | [true, true] acq=4 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
-stick(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -625,19 +701,19 @@ stick(tm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgr
 stick(tm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(tm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(tm,tm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(tm,tm) | fine | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -653,61 +729,61 @@ stick(cslm,chm) | coarse | insert_all present | [false, true] acq=1 restarts=0 u
 stick(cslm,chm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | fine | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert fresh {dst} | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(2) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(2) | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert fresh {dst} | true acq=8 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | striped(8) | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | striped(8) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert fresh {dst} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove present {src, dst} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove present {src, dst, weight} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
 stick(cslm,chm) | speculative(4) | insert_all fresh | [true, true] acq=4 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
-stick(cslm,chm) | speculative(4) | remove_all | [true, false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+stick(cslm,chm) | speculative(4) | remove_all | [true, false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -723,61 +799,61 @@ split(chm,tm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upg
 split(chm,tm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert fresh {weight} | true acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | fine | remove_all | [true, false, true] acq=9 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | fine | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert fresh {weight} | true acq=2 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | insert_all present | [false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=5 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(2) | remove_all | [true, false, true] acq=9 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(2) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert fresh {weight} | true acq=8 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | insert_all present | [false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=6 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | striped(8) | remove_all | [true, false, true] acq=11 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert_all present | [false, true] acq=4 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | insert_all dup | [true, true, false] acq=4 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | striped(8) | remove_all | [true, false, true] acq=7 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | insert present | false acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert present | false acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert fresh {dst} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert fresh {weight} | Err(NoValidPlan) acq=0 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove present {src, dst} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | remove absent {src, dst} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove present {src, dst, weight} | 1 acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | remove absent {src, dst, weight} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | update in-place | true acq=5 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | update in-place | true acq=3 restarts=0 upgrades=0 spec_fail=0
 split(chm,tm) | speculative(4) | insert_all fresh | [true, true] acq=6 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | insert_all present | [false, true] acq=8 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=8 restarts=0 upgrades=0 spec_fail=0
-split(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=10 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert_all present | [false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | insert_all dup | [true, true, false] acq=6 restarts=0 upgrades=0 spec_fail=0
+split(chm,tm) | speculative(4) | remove_all | [true, false, true] acq=6 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 diamond(chm,tm) | coarse | insert fresh {src} | true acq=1 restarts=0 upgrades=0 spec_fail=0
@@ -890,44 +966,44 @@ kv(cslm) | coarse | insert_all present | [false, true] acq=1 restarts=0 upgrades
 kv(cslm) | coarse | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | coarse | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert fresh {value} | true acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove present {key} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove present {key, value} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | fine | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | fine | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | fine | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert fresh {value} | true acq=2 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove present {key} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove present {key, value} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(2) | insert_all fresh | [true, true] acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(2) | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert_all present | [false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | insert_all dup | [true, true, false] acq=1 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(2) | remove_all | [true, false, true] acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert present | false acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert fresh {value} | true acq=8 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | remove present {key} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove present {key} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | remove absent {key} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | remove present {key, value} | 1 acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove present {key, value} | 1 acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | remove absent {key, value} | 0 acq=1 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | update in-place | true acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | update in-place | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | striped(8) | insert_all fresh | [true, true] acq=2 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | insert_all present | [false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | insert_all dup | [true, true, false] acq=3 restarts=0 upgrades=0 spec_fail=0
-kv(cslm) | striped(8) | remove_all | [true, false, true] acq=5 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert_all present | [false, true] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | insert_all dup | [true, true, false] acq=2 restarts=0 upgrades=0 spec_fail=0
+kv(cslm) | striped(8) | remove_all | [true, false, true] acq=3 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | insert fresh | true acq=1 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | insert present | false acq=2 restarts=0 upgrades=0 spec_fail=0
 kv(cslm) | speculative(4) | insert fresh {key} | true acq=1 restarts=0 upgrades=0 spec_fail=0
