@@ -92,4 +92,4 @@ pub use splay::SplayTreeMap;
 pub use striped_hash::StripedHashMap;
 pub use taxonomy::{render_figure1, ContainerProps, OpKind, OpPair, PairSafety};
 pub use tree_map::AvlTreeMap;
-pub use version::{version_stats, VersionCell, VersionIndex, VersionStats};
+pub use version::{version_stats, Newest, VersionCell, VersionIndex, VersionStats};

@@ -24,7 +24,12 @@
 //! A [`VersionIndex`] is one decomposition edge instance's map from entry
 //! key to chain, in one of two shapes fixed by the edge's container kind:
 //! one chain stored inline for an edge that holds at most one entry, a
-//! skip list with the chain embedded in its node for every other.
+//! skip list with the chain embedded in its node for every other. Where that
+//! shape already is the container the decomposition chose (a
+//! `ConcurrentSkipListMap` or a `Singleton` edge,
+//! [`VersionIndex::is_container_for`]) the index is the edge's only
+//! structure, and a reader holding the edge's locks reads its
+//! [newest](VersionIndex::newest) versions instead of a container.
 //!
 //! Retired nodes go through the epoch collector, so they are counted by
 //! [`ReclamationStats`](crate::ReclamationStats); this module additionally
@@ -33,11 +38,11 @@
 
 use std::fmt;
 use std::ops::{Bound, ControlFlow, RangeBounds};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
 
 use crossbeam::epoch::{self, Atomic, Guard, Owned, Pointer, Shared};
-use relc_locks::CommitStamp;
+use relc_locks::{CommitStamp, TENTATIVE_TS};
 
 use crate::api::{ContainerKind, Key, Val};
 use crate::extsync::ExtSyncCell;
@@ -179,6 +184,11 @@ impl<V: Clone> VersionCell<V> {
     /// versions outlive it) and the cell is borrowed (a dropped cell frees
     /// its chain eagerly).
     fn resolve_ref<'g>(&'g self, snap: u64, guard: &'g Guard) -> Option<&'g V> {
+        if snap == TENTATIVE_TS {
+            // Every stamp is at or below it: the head, without loading
+            // its stamp.
+            return self.newest(guard);
+        }
         let mut cur = self.head.load(SeqCst, guard);
         // SAFETY: every link was loaded under `guard`; retired nodes
         // outlive all guards pinned before their unlink.
@@ -325,9 +335,9 @@ impl<V> Drop for VersionCell<V> {
     }
 }
 
-/// The shadow version index of one decomposition edge instance: entry key →
-/// that entry's version chain. **The index follows the edge**: its shape is
-/// fixed at construction from the [`ContainerKind`] of the edge it shadows
+/// The version index of one decomposition edge instance: entry key → that
+/// entry's version chain. **The index follows the edge**: its shape is
+/// fixed at construction from the [`ContainerKind`] of the edge
 /// ([`VersionIndex::for_kind`]) and never changes.
 ///
 /// * An edge that holds at most one entry at a time
@@ -352,6 +362,11 @@ impl<V> Drop for VersionCell<V> {
 /// Writes follow the [`VersionCell`] contract: the caller holds the
 /// entry's write locks, so same-entry mutation is serialized; writers of
 /// *different* entries of a map-shaped index may run concurrently.
+///
+/// Either shape is also the edge's state as its writers leave it, tentative
+/// writes included: the [`newest`](Self::newest) view reads each entry's
+/// head version, which is what a container kept beside the index would
+/// hold.
 pub struct VersionIndex<K, V> {
     shape: Shape<K, V>,
 }
@@ -360,11 +375,23 @@ enum Shape<K, V> {
     One(VersionCell<(K, V)>),
     Map {
         list: SkipList<K, VersionCell<V>>,
+        /// Entries whose head version is live: the newest view's length,
+        /// kept by [`VersionIndex::write`] and [`VersionIndex::revert`].
+        live: AtomicUsize,
         /// Where the next [`VersionIndex::sweep`] step resumes: the last
         /// entry the previous step visited, `None` at the start. Written
         /// only by a sweep, whose caller holds the whole index's locks.
         cursor: ExtSyncCell<Option<K>>,
     },
+}
+
+/// Counts an entry whose head went from live `was` to live `now`.
+fn recount(live: &AtomicUsize, was: bool, now: bool) {
+    if now && !was {
+        live.fetch_add(1, SeqCst);
+    } else if was && !now {
+        live.fetch_sub(1, SeqCst);
+    }
 }
 
 impl<K: Key, V: Val> VersionIndex<K, V> {
@@ -376,36 +403,63 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 ContainerKind::Singleton => Shape::One(VersionCell::empty()),
                 _ => Shape::Map {
                     list: SkipList::new(),
+                    live: AtomicUsize::new(0),
                     cursor: ExtSyncCell::new(None),
                 },
             },
         }
     }
 
+    /// Whether the index [`for_kind`](Self::for_kind) makes is itself a
+    /// `kind` container, so that an edge of that kind needs no other
+    /// structure: the map shape is the lock-free skip list of
+    /// [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap), and the
+    /// one-chain shape is a one-entry cell, as a
+    /// [`SingletonCell`](crate::SingletonCell) is. Both are safe for the
+    /// unlocked readers a concurrent container admits.
+    pub fn is_container_for(kind: ContainerKind) -> bool {
+        matches!(
+            kind,
+            ContainerKind::ConcurrentSkipListMap | ContainerKind::Singleton
+        )
+    }
+
     /// Records that as of `stamp` the entry `key` holds `value` (`None`:
-    /// is absent). Caller must hold the entry's write locks.
+    /// is absent), and returns whether the entry was present just before,
+    /// in the [newest](Self::newest) view. Caller must hold the entry's
+    /// write locks.
     ///
     /// On the one-chain shape a live write *is* the edge's new state
     /// (whatever key it held before), and a tombstone applies only if
     /// `key` is the entry the edge holds now.
-    pub fn write(&self, key: &K, stamp: Arc<CommitStamp>, value: Option<V>, guard: &Guard) {
+    pub fn write(&self, key: &K, stamp: Arc<CommitStamp>, value: Option<V>, guard: &Guard) -> bool {
         match &self.shape {
-            Shape::One(cell) => match value {
-                Some(v) => cell.push(stamp, Some((key.clone(), v)), guard),
-                None => {
-                    if cell.newest(guard).is_some_and(|(held, _)| held == key) {
-                        cell.push(stamp, None, guard);
-                    }
+            Shape::One(cell) => {
+                let held = cell.newest(guard).is_some_and(|(held, _)| held == key);
+                match value {
+                    Some(v) => cell.push(stamp, Some((key.clone(), v)), guard),
+                    None if held => cell.push(stamp, None, guard),
+                    None => {}
                 }
-            },
-            Shape::Map { list, .. } => {
-                list.upsert(
-                    key,
-                    guard,
-                    (stamp, value),
-                    |cell, (stamp, value)| cell.push(stamp, value, guard),
-                    |(stamp, value)| VersionCell::new(stamp, value),
-                );
+                held
+            }
+            Shape::Map { list, live, .. } => {
+                let now = value.is_some();
+                let was = list
+                    .upsert(
+                        key,
+                        guard,
+                        (stamp, value),
+                        |cell, (stamp, value)| {
+                            let was = cell.newest(guard).is_some();
+                            cell.push(stamp, value, guard);
+                            was
+                        },
+                        |(stamp, value)| VersionCell::new(stamp, value),
+                    )
+                    .unwrap_or(false);
+                recount(live, was, now);
+                was
             }
         }
     }
@@ -430,15 +484,25 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     .filter(|(held, _)| held == key)
                     .map(|(_, v)| v)
             }
-            Shape::Map { list, .. } => {
+            Shape::Map { list, live, .. } => {
                 let cell = &list.get(key, guard)?.payload;
+                let was = cell.newest(guard).is_some();
                 cell.pop(stamp, guard);
+                let found = cell.newest(guard);
+                recount(live, was, found.is_some());
                 if cell.is_empty(guard) {
                     list.remove(key, guard, |_| ());
                 }
-                cell.newest(guard)
+                found
             }
         }
+    }
+
+    /// The newest view: every entry as its head version has it, tentative
+    /// or committed — the edge's state as a reader holding the edge's locks
+    /// sees it.
+    pub fn newest(&self) -> Newest<'_, K, V> {
+        Newest(self)
     }
 
     /// The value `key` held at snapshot `snap`, if it was present then.
@@ -543,7 +607,7 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 cell.truncate_to_empty(floor, guard);
                 1
             }
-            Shape::Map { list, cursor } => cursor.write(|cursor| {
+            Shape::Map { list, cursor, .. } => cursor.write(|cursor| {
                 let mut visited = 0;
                 let mut cut_short = false;
                 let mut last: Option<&K> = None;
@@ -597,6 +661,48 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     ControlFlow::Continue(())
                 })
             }
+        }
+    }
+}
+
+/// A [`VersionIndex`] read at its head versions
+/// ([`VersionIndex::newest`]): each entry's newest version, tentative
+/// included, and an entry whose head is a tombstone absent — a tombstone
+/// kept for an older snapshot reader too. No snapshot reaches
+/// [`TENTATIVE_TS`], the stamp a tentative head loads as, so the view is
+/// the index read at that timestamp, which resolves every chain at its
+/// head without loading a stamp.
+pub struct Newest<'a, K, V>(&'a VersionIndex<K, V>);
+
+impl<'a, K: Key, V: Val> Newest<'a, K, V> {
+    /// The value entry `key` holds, if it is present.
+    pub fn get<'g>(&self, key: &K, guard: &'g Guard) -> Option<&'g V>
+    where
+        'a: 'g,
+    {
+        self.0.get(key, TENTATIVE_TS, guard)
+    }
+
+    /// Visits, in key order, the present entries whose keys lie in
+    /// `[lo, hi]`, until `f` breaks.
+    pub fn walk<'g>(
+        &self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        guard: &'g Guard,
+        f: impl FnMut(&'g K, &'g V) -> ControlFlow<()>,
+    ) where
+        'a: 'g,
+    {
+        self.0.walk(lo, hi, TENTATIVE_TS, guard, f);
+    }
+
+    /// Whether no entry is present: the one chain's head is not live, or
+    /// the map shape counts no live head.
+    pub fn is_empty(&self) -> bool {
+        match &self.0.shape {
+            Shape::One(cell) => cell.newest(&epoch::pin()).is_none(),
+            Shape::Map { live, .. } => live.load(SeqCst) == 0,
         }
     }
 }

@@ -1,5 +1,6 @@
-//! [`VersionIndex`] — both shapes — against a model, under drop tracking,
-//! and under concurrent snapshot readers.
+//! [`VersionIndex`] — both shapes, read at a snapshot and through its
+//! newest view — against a model, under drop tracking, and under
+//! concurrent snapshot readers.
 //!
 //! The commit clock, the version counters and the epoch domain are
 //! process-global, so the tests in this binary serialize on a mutex.
@@ -93,6 +94,11 @@ impl Model {
             .filter_map(|k| self.at(k, snap).map(|v| (k, v)))
             .collect()
     }
+
+    /// Every key's newest committed value.
+    fn newest(&self) -> BTreeMap<i64, Option<i64>> {
+        (0..KEYS).map(|k| (k, self.at(k, u64::MAX))).collect()
+    }
 }
 
 fn walk(
@@ -108,6 +114,59 @@ fn walk(
         ControlFlow::Continue(())
     });
     out
+}
+
+/// The newest view against `state`, the value each key holds as the last
+/// writer left it: every key's lookup, the walk over `[lo, hi)` and over
+/// everything, and whether the view is empty.
+fn check_newest(
+    kind: ContainerKind,
+    index: &VersionIndex<i64, i64>,
+    state: &BTreeMap<i64, Option<i64>>,
+    (lo, hi): (i64, i64),
+    when: &str,
+) {
+    let guard = epoch::pin();
+    let newest = index.newest();
+    for key in 0..KEYS {
+        assert_eq!(
+            newest.get(&key, &guard).copied(),
+            state[&key],
+            "{kind}: newest get({key}) {when}"
+        );
+    }
+    let live: Vec<(i64, i64)> = state
+        .iter()
+        .filter_map(|(&k, v)| v.map(|v| (k, v)))
+        .collect();
+    let walk = |lo: Bound<&i64>, hi: Bound<&i64>| {
+        let mut out = Vec::new();
+        newest.walk(lo, hi, &guard, |k, v| {
+            out.push((*k, *v));
+            ControlFlow::Continue(())
+        });
+        out
+    };
+    assert_eq!(
+        walk(Bound::Unbounded, Bound::Unbounded),
+        live,
+        "{kind}: newest walk {when}"
+    );
+    let inside: Vec<_> = live
+        .iter()
+        .copied()
+        .filter(|(k, _)| (lo..hi).contains(k))
+        .collect();
+    assert_eq!(
+        walk(Bound::Included(&lo), Bound::Excluded(&hi)),
+        inside,
+        "{kind}: newest walk over [{lo}, {hi}) {when}"
+    );
+    assert_eq!(
+        newest.is_empty(),
+        live.is_empty(),
+        "{kind}: newest is_empty {when}"
+    );
 }
 
 /// One attempt's writes, applied to the index and to the model's view of
@@ -136,6 +195,9 @@ impl Attempt<'_> {
         }
         self.state.insert(key, value);
         self.written.push(key);
+        // The attempt's own tentative writes are the newest state.
+        let when = format!("after the attempt wrote {key} := {value:?}");
+        check_newest(self.kind, self.index, &self.state, (key, key + 2), &when);
     }
 }
 
@@ -152,6 +214,14 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
         times[times.len() - 1 - back.min(times.len() - 1)].max(floor)
     };
     for op in ops {
+        // Every op leaves the index at the model's newest committed state.
+        check_newest(
+            kind,
+            &index,
+            &model.newest(),
+            (1, KEYS - 1),
+            "between attempts",
+        );
         match op {
             Op::Attempt {
                 writes,
@@ -190,6 +260,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                             "{kind} {key:?}: {stamps:?} kept a reverted version or entry"
                         );
                     });
+                    check_newest(kind, &index, &before, (0, KEYS), "after revert");
                     continue;
                 }
                 let Attempt {
@@ -256,9 +327,11 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     inside,
                     "{kind}: walk over [{lo}, {hi}) at {snap}"
                 );
+                check_newest(kind, &index, &model.newest(), (*lo, *hi), "beside a read");
             }
         }
     }
+    check_newest(kind, &index, &model.newest(), (0, KEYS), "at the end");
 }
 
 proptest! {

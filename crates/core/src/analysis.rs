@@ -24,8 +24,9 @@
 //!   execution is forced into an upgrade, which restarts whenever another
 //!   reader shares the lock.
 //! * **MVCC write-side completeness** — every plan step that mutates an
-//!   edge container has a corresponding `mvcc_write` mirror site, so no
-//!   version chain can silently go stale.
+//!   edge pushes a version: beside the container write where the edge
+//!   keeps a container, so no version chain can silently go stale; as the
+//!   write itself, one site, where the edge is its version index alone.
 //!
 //! The plans checked are the ones a relation runs: the lowered plans of
 //! [`Planner::lowered`], against the lowered placement, where a fused
@@ -45,7 +46,7 @@
 //! engine's try-and-restart rule, which is deadlock-free by design).
 //!
 //! [`AnalyzerOptions`] can seed deliberate discipline violations (skip the
-//! sweep sort, undo mode promotion, drop an MVCC mirror site, publish a
+//! sweep sort, undo mode promotion, drop a version push, publish a
 //! speculative child without its lock, fuse a node without moving its
 //! tail's lock); together
 //! with [`PlacementBuilder::build_unchecked`](crate::placement::PlacementBuilder::build_unchecked)
@@ -61,6 +62,7 @@ use relc_spec::{ColumnId, ColumnSet};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
+use crate::instance::VersionIndex;
 use crate::lower::Fusion;
 use crate::placement::LockPlacement;
 use crate::planner::{InPlaceUpdate, InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
@@ -158,7 +160,7 @@ pub enum DiagnosticKind {
     /// A plan claims its lock batch is presorted (§5.2 sort elision) but
     /// the chain's scan order does not match the token order.
     PresortedUnsound,
-    /// A container mutation with no `mvcc_write` mirror site.
+    /// An edge mutation with no version push.
     MissingMvccMirror,
 }
 
@@ -218,8 +220,8 @@ impl fmt::Display for Diagnostic {
 /// absence. All default to `false`/`None` (analyze the real discipline).
 #[derive(Clone, Default)]
 pub struct AnalyzerOptions {
-    /// Model an executor that forgets the `mvcc_write` mirror at every
-    /// mutation of this edge.
+    /// Model an executor that forgets the version push at every mutation
+    /// of this edge.
     pub suppress_mirror: Option<EdgeId>,
     /// Model an executor whose bulk sweeps skip the global token sort.
     pub suppress_sweep_sort: bool,
@@ -776,24 +778,29 @@ impl<'a> SymExec<'a> {
         );
     }
 
-    /// The MVCC write-side completeness table: the executor pairs every
-    /// container mutation with an `mvcc_write` mirror under the same
-    /// exclusive locks. [`AnalyzerOptions::suppress_mirror`] models a
-    /// forgotten site, which must surface as
-    /// [`DiagnosticKind::MissingMvccMirror`]. A fused edge's entry carries
-    /// its tail's columns, so its mirror is its tail's too.
+    /// The MVCC write-side completeness table: every edge mutation pushes
+    /// a version under the entry's exclusive locks — before the container
+    /// write where the edge keeps a container, and as the whole write where
+    /// the edge is its version index alone
+    /// ([`VersionIndex::is_container_for`]).
+    /// [`AnalyzerOptions::suppress_mirror`] models a forgotten push, which
+    /// must surface as [`DiagnosticKind::MissingMvccMirror`]. A fused
+    /// edge's entry carries its tail's columns, so its push is its tail's
+    /// too.
     fn mirror_write(&mut self, e: EdgeId, step: Option<usize>) {
         let suppressed = self.options.suppress_mirror;
         if suppressed.is_some_and(|s| s == e || self.fusion.parent_of(s) == Some(e)) {
             let ename = self.edge_name(e);
+            let lost = if VersionIndex::is_container_for(self.decomp.edge(e).container) {
+                "the edge is its version index alone, so no reader would see the write"
+            } else {
+                "snapshot readers would observe a stale version chain"
+            };
             self.diag(
                 DiagnosticKind::MissingMvccMirror,
                 step,
                 vec![],
-                format!(
-                    "mutation of edge {ename} has no `mvcc_write` mirror site — \
-                     snapshot readers would observe a stale version chain"
-                ),
+                format!("mutation of edge {ename} pushes no version — {lost}"),
             );
         }
     }

@@ -11,8 +11,12 @@
 //! Plans are not interpreted here: the query language has one evaluator
 //! ([`crate::query`]), and the executor is its *locked edge view* — it
 //! answers each step's "take these locks", "follow this key" (including
-//! the §4.5 speculative protocol) and "walk these entries" against the
-//! main containers. A mutation locates what it writes with a plan of the
+//! the §4.5 speculative protocol) and "walk these entries" against each
+//! edge's newest state: its container where it keeps one, its version
+//! index's head versions where the index is the container
+//! ([`NodeInstance::lookup`], [`NodeInstance::scan`]). Every write goes
+//! through `MvccScope::write`: one version push, then the container where
+//! the edge keeps one. A mutation locates what it writes with a plan of the
 //! same language (§5.2) — a remove's and an in-place update's locate
 //! plan, an insert's existence check — and the executor keeps only what
 //! no plan expresses: the root lock sweep, the insert's full-tuple walk,
@@ -27,7 +31,7 @@
 //! remove drops the entry with its row, and an in-place update of a
 //! dependent column is one version push on the fused entry.
 
-use std::ops::ControlFlow;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 use relc_locks::{LockMode, MustRestart, PhysicalLock, TwoPhaseEngine};
@@ -53,13 +57,14 @@ pub struct Executor<'a> {
     /// sort lock sets at runtime (§5.2).
     pub always_sort_locks: bool,
     /// MVCC state of the current attempt: the shared commit stamp and the
-    /// journal of mirrored writes (see [`crate::mvcc`]).
+    /// journal of writes (see [`crate::mvcc`]).
     mvcc: MvccScope,
 }
 
 /// The locked edge view: a step's locks are really taken (through the
-/// two-phase engine, which holds them to commit) and edges are read from
-/// their main containers, which those locks make safe to read. A row holds
+/// two-phase engine, which holds them to commit) and edges are read as
+/// their writers left them — a kept container, or the index's newest
+/// versions — which those locks make safe to read. A row holds
 /// each node instance by a counted [`NodeRef`]: a locate's survivor keeps
 /// them for its write phase, which may unlink what it located.
 impl EdgeView for Executor<'_> {
@@ -67,8 +72,8 @@ impl EdgeView for Executor<'_> {
     type Row = Tuple;
     type Restart = MustRestart;
 
-    /// Containers walk an interval in key order only when they are sorted;
-    /// the step's `ordered` flag says which.
+    /// Edges walk an interval in key order only when they are sorted; the
+    /// step's `ordered` flag says which.
     const WALKS_IN_KEY_ORDER: bool = false;
 
     /// The batch is every row's tokens, each computed from the row's slots,
@@ -120,9 +125,9 @@ impl EdgeView for Executor<'_> {
         spec: Option<LockMode>,
     ) -> Result<Option<Entry<NodeRef, Tuple>>, MustRestart> {
         let src = row.instance(self.decomp.edge(edge).src);
-        let container = src.container(self.decomp, edge);
+        let lookup = || src.lookup(self.decomp, edge, key);
         let Some(mode) = spec else {
-            return Ok(container.lookup(key).map(|child| match child {
+            return Ok(lookup().map(|child| match child {
                 Child::Node(node) => Entry::Node(node),
                 Child::Row(row) => Entry::Row(row),
             }));
@@ -134,13 +139,13 @@ impl EdgeView for Executor<'_> {
                 .cloned()
                 .expect("a speculative edge is unfused")
         };
-        match container.lookup(key).map(present) {
+        match lookup().map(present) {
             Some(child) => {
                 // Guess: present. Lock the target instance, then verify
                 // that the edge still points at the same object.
                 let tok = self.placement.target_token(edge, child.key());
                 self.engine.acquire(tok, child.lock(0), mode)?;
-                match container.lookup(key).map(present) {
+                match lookup().map(present) {
                     Some(now) if Arc::ptr_eq(&now, &child) => Ok(Some(Entry::Node(child))),
                     _ => Err(self.engine.fail_speculation()),
                 }
@@ -154,7 +159,7 @@ impl EdgeView for Executor<'_> {
                     let stripe = tok.stripe;
                     self.engine.acquire(tok, src.lock(stripe), mode)?;
                 }
-                match container.lookup(key) {
+                match lookup() {
                     Some(_) => Err(self.engine.fail_speculation()),
                     None => Ok(None),
                 }
@@ -162,10 +167,9 @@ impl EdgeView for Executor<'_> {
         }
     }
 
-    /// On sorted containers a bounded walk visits only the interval, in
-    /// ascending key order; elsewhere
-    /// [`relc_containers::Container::scan_range`] degrades to a filtered
-    /// full scan.
+    /// On sorted edges a bounded walk visits only the interval, in
+    /// ascending key order; elsewhere it is a filtered full scan
+    /// ([`NodeInstance::scan`]).
     fn walk(
         &mut self,
         src: &NodeRef,
@@ -173,15 +177,14 @@ impl EdgeView for Executor<'_> {
         bounds: Option<&KeyBounds>,
         mut f: impl FnMut(&mut Self, &Tuple, Entry<&NodeRef, &Tuple>) -> ControlFlow<()>,
     ) {
-        let container = src.container(self.decomp, edge);
-        let mut visit = |k: &Tuple, child: &Child| match child {
+        let (lo, hi) = match bounds {
+            Some((lo, hi)) => (lo.as_ref(), hi.as_ref()),
+            None => (Bound::Unbounded, Bound::Unbounded),
+        };
+        src.scan(self.decomp, edge, lo, hi, &mut |k, child| match child {
             Child::Node(node) => f(self, k, Entry::Node(node)),
             Child::Row(row) => f(self, k, Entry::Row(row)),
-        };
-        match bounds {
-            Some((lo, hi)) => container.scan_range(lo.as_ref(), hi.as_ref(), &mut visit),
-            None => container.scan(&mut visit),
-        }
+        });
     }
 }
 
@@ -245,12 +248,12 @@ impl<'a> Executor<'a> {
         self.mvcc.stamp()
     }
 
-    /// Mirrors a locked container write into `host`'s shadow version
-    /// index for `edge` (see [`crate::mvcc`]). Called at every site that
-    /// mutates an edge container, under the same exclusive locks.
-    fn mvcc_write(&mut self, host: &NodeRef, edge: EdgeId, key: Tuple, value: Option<Child>) {
+    /// Writes entry `key` of `host`'s edge `edge` and returns whether it
+    /// was present ([`MvccScope::write`]). Called at every site that
+    /// mutates an edge, under the entry's exclusive locks.
+    fn write(&mut self, host: &NodeRef, edge: EdgeId, key: Tuple, value: Option<Child>) -> bool {
         let guard = relc_containers::epoch::pin();
-        self.mvcc.write(self.decomp, host, edge, key, value, &guard);
+        self.mvcc.write(self.decomp, host, edge, key, value, &guard)
     }
 
     /// Whether the engine has entered the shrinking phase. The
@@ -417,7 +420,7 @@ impl<'a> Executor<'a> {
                 continue; // absent prefix: subtree will be created privately
             };
             let key = x.project(em.cols);
-            if let Some(child) = src_inst.container(self.decomp, e).lookup(&key) {
+            if let Some(child) = src_inst.lookup(self.decomp, e, &key) {
                 // Speculative edges: presence is frozen by the fallback
                 // lock held exclusively, so no target lock or re-validation
                 // is needed for the existence check. A fused entry binds no
@@ -490,15 +493,10 @@ impl<'a> Executor<'a> {
             } else {
                 Child::Node(bindings[em.dst.index()].clone().expect("all bound"))
             };
-            // Mirror the publication into the version index first: the
-            // version stays tentative (invisible to snapshot readers)
-            // until the commit stamp publishes, so mirror-then-write and
-            // write-then-mirror are indistinguishable.
-            self.mvcc_write(&src, e, x.project(em.cols), Some(child.clone()));
-            let prev = src
-                .container(self.decomp, e)
-                .write(&x.project(em.cols), Some(child));
-            debug_assert!(prev.is_none(), "edge instance appeared under our locks");
+            // The version stays tentative (invisible to snapshot readers)
+            // until the commit stamp publishes.
+            let was = self.write(&src, e, x.project(em.cols), Some(child));
+            debug_assert!(!was, "edge instance appeared under our locks");
         }
         Ok(true)
     }
@@ -630,11 +628,8 @@ impl<'a> Executor<'a> {
                 // update never assigns: the entry stays, its row changes.
                 debug_assert_eq!(old_key, new_key, "an in-place update keeps a fused key");
                 let row = Child::Row(new.project(self.fusion.payload(e)));
-                self.mvcc_write(src_inst, e, new_key.clone(), Some(row.clone()));
-                let prev = src_inst
-                    .container(self.decomp, e)
-                    .write(&new_key, Some(row));
-                debug_assert!(prev.is_some(), "touched entry vanished under our locks");
+                let was = self.write(src_inst, e, new_key, Some(row));
+                debug_assert!(was, "touched entry vanished under our locks");
                 continue;
             }
             let inst = fresh[em.dst.index()]
@@ -643,16 +638,15 @@ impl<'a> Executor<'a> {
                     NodeInstance::new(self.decomp, self.placement, em.dst, key)
                 })
                 .clone();
-            // Mirror as tombstone(old) + live(new); when the keys
+            // Versioned as tombstone(old) + live(new); when the keys
             // coincide the two same-stamp pushes hit one cell and
             // collapse to the live version.
-            self.mvcc_write(src_inst, e, old_key.clone(), None);
-            let child = Child::Node(inst);
-            self.mvcc_write(src_inst, e, new_key.clone(), Some(child.clone()));
-            let prev = src_inst
-                .container(self.decomp, e)
-                .update_entry(&old_key, &new_key, child);
-            debug_assert!(prev.is_some(), "touched entry vanished under our locks");
+            let guard = relc_containers::epoch::pin();
+            let (decomp, child) = (self.decomp, Child::Node(inst));
+            let was = self
+                .mvcc
+                .move_entry(decomp, src_inst, e, (old_key, new_key), child, &guard);
+            debug_assert!(was, "touched entry vanished under our locks");
         }
         Ok(Some(survivor.tuple))
     }
@@ -715,11 +709,8 @@ impl<'a> Executor<'a> {
             for &e in &meta.outgoing {
                 let em = self.decomp.edge(e);
                 if self.fusion.is_fused(e) || dies[em.dst.index()] {
-                    self.mvcc_write(&inst, e, tuple.project(em.cols), None);
-                    let prev = inst
-                        .container(self.decomp, e)
-                        .write(&tuple.project(em.cols), None);
-                    debug_assert!(prev.is_some(), "edge vanished under our locks");
+                    let was = self.write(&inst, e, tuple.project(em.cols), None);
+                    debug_assert!(was, "edge vanished under our locks");
                 }
             }
             dies[v.index()] = v != self.decomp.root() && inst.is_exhausted();

@@ -3,19 +3,27 @@
 //!
 //! Each node `v : A ▷ B` of a decomposition has a set of run-time instances
 //! `v_t`, one per valuation `t` of `A`; each instance owns, per outgoing
-//! edge, the edge's container and its shadow [`VersionIndex`], and the
-//! physical lock stripes assigned to the node by the lock placement.
-//! Instances are shared via [`Arc`] — a node with several incoming edges
-//! (e.g. the diamond's `w`) is reachable from several containers but is one
-//! object, exactly as in Fig. 2(b).
+//! edge, the edge's [`VersionIndex`] — and its container, where the index
+//! is not already one — and the physical lock stripes assigned to the node
+//! by the lock placement. Instances are shared via [`Arc`] — a node with
+//! several incoming edges (e.g. the diamond's `w`) is reachable from
+//! several edges but is one object, exactly as in Fig. 2(b).
 //!
-//! **The index follows the edge.** [`NodeInstance::new`] makes both halves
-//! of an edge from the one [`ContainerKind`](relc_containers::ContainerKind)
-//! the decomposition gives it: the container that fits the edge, and the
-//! version index that fits that container — one inline version chain where
-//! the edge holds at most one entry (`Singleton`), a skip list with the
-//! chains embedded in its nodes everywhere else. Nothing else in the
-//! runtime knows which shape an edge has.
+//! **The index follows the edge.** [`NodeInstance::new`] makes an edge from
+//! the one [`ContainerKind`](relc_containers::ContainerKind) the
+//! decomposition gives it: the version index that fits the container — one
+//! inline version chain where the edge holds at most one entry
+//! (`Singleton`), a skip list with the chains embedded in its nodes
+//! everywhere else — and the container itself only where the index is not
+//! that container already
+//! ([`VersionIndex::is_container_for`](relc_containers::VersionIndex::is_container_for)).
+//! A `ConcurrentSkipListMap` or a `Singleton` edge is its index alone: the
+//! chain heads are its entries, tentative writes included. Every other
+//! edge keeps its container beside the index, written after it by the same
+//! `NodeInstance::write`. Readers holding the edge's locks go through
+//! [`NodeInstance::lookup`] and [`NodeInstance::scan`], which read
+//! whichever the edge has. Nothing else in the runtime knows which shape
+//! an edge has.
 //!
 //! **An entry holds a child or a row.** An entry of an edge leads to the
 //! instance of the edge's target ([`Child::Node`]) — unless lowering fused
@@ -30,10 +38,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
+use relc_containers::epoch::{self, Guard};
 use relc_containers::Container;
-use relc_locks::PhysicalLock;
+use relc_locks::{CommitStamp, PhysicalLock};
 use relc_spec::Tuple;
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
@@ -62,17 +72,17 @@ impl Child {
     }
 }
 
-/// The shadow version index of one outgoing edge: entry key → that
-/// entry's MVCC version chain. Kept parallel to the edge's main
-/// container and mirrored by every locked write, so snapshot readers
-/// traverse only this lock-free structure and never touch containers
-/// that are unsafe under concurrent writes.
+/// The version index of one outgoing edge: entry key → that entry's MVCC
+/// version chain. Written by every locked write, so snapshot readers
+/// traverse only this lock-free structure and never touch containers that
+/// are unsafe under concurrent writes.
 pub type VersionIndex = relc_containers::VersionIndex<Tuple, Child>;
 
 /// What an instance owns per outgoing edge.
 struct EdgeInstance {
-    container: Box<dyn Container<Tuple, Child>>,
     versions: VersionIndex,
+    /// The decomposition's container, where the index is not one already.
+    container: Option<Box<dyn Container<Tuple, Child>>>,
 }
 
 /// A run-time instance `v_t` of decomposition node `v`.
@@ -108,16 +118,17 @@ impl NodeInstance {
         let locks = (0..placement.lock_count(node))
             .map(|_| Arc::new(PhysicalLock::new()))
             .collect();
-        // The index follows the edge: both are made from the edge's
-        // container kind, here and nowhere else.
+        // The index follows the edge: it and any container are made from
+        // the edge's container kind, here and nowhere else.
         let edges = meta
             .outgoing
             .iter()
             .map(|&e| {
                 let kind = decomp.edge(e).container;
                 EdgeInstance {
-                    container: kind.instantiate::<Tuple, Child>(),
                     versions: VersionIndex::for_kind(kind),
+                    container: (!VersionIndex::is_container_for(kind))
+                        .then(|| kind.instantiate::<Tuple, Child>()),
                 }
             })
             .collect();
@@ -158,16 +169,138 @@ impl NodeInstance {
         &self.edges[pos]
     }
 
-    /// The container implementing outgoing edge `edge`.
+    /// The child or row entry `key` of outgoing edge `edge` holds now,
+    /// tentative writes included: what a reader holding the entry's locks
+    /// sees. Reads the edge's container where it keeps one, its index's
+    /// newest version elsewhere.
     ///
     /// # Panics
     ///
     /// Panics if `edge` is not an outgoing edge of this node.
-    pub fn container(&self, decomp: &Decomposition, edge: EdgeId) -> &dyn Container<Tuple, Child> {
-        &*self.edge(decomp, edge).container
+    pub fn lookup(&self, decomp: &Decomposition, edge: EdgeId, key: &Tuple) -> Option<Child> {
+        let slot = self.edge(decomp, edge);
+        match &slot.container {
+            Some(container) => container.lookup(key),
+            None => slot.versions.newest().get(key, &epoch::pin()).cloned(),
+        }
     }
 
-    /// The shadow version index of outgoing edge `edge`.
+    /// Visits the entries of outgoing edge `edge` whose keys lie in
+    /// `[lo, hi]`, as [`lookup`](Self::lookup) sees them, until `f`
+    /// breaks. In key order where the edge is sorted (a bounded walk then
+    /// visits only the interval); a bounded scan of an unsorted container
+    /// is a filtered full scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` is not an outgoing edge of this node.
+    pub fn scan(
+        &self,
+        decomp: &Decomposition,
+        edge: EdgeId,
+        lo: Bound<&Tuple>,
+        hi: Bound<&Tuple>,
+        f: &mut dyn FnMut(&Tuple, &Child) -> ControlFlow<()>,
+    ) {
+        let slot = self.edge(decomp, edge);
+        match &slot.container {
+            Some(container) if matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded)) => {
+                container.scan(f);
+            }
+            Some(container) => container.scan_range(lo, hi, f),
+            None => slot.versions.newest().walk(lo, hi, &epoch::pin(), f),
+        }
+    }
+
+    /// Writes entry `key` of outgoing edge `edge` (`None`: removes it) and
+    /// returns whether it was present before: pushes the version, stamped
+    /// `stamp`, onto the entry's chain, then writes the container where
+    /// the edge keeps one. The caller holds the entry's write locks and
+    /// journals the write ([`crate::mvcc::MvccScope::write`]).
+    pub(crate) fn write(
+        &self,
+        decomp: &Decomposition,
+        edge: EdgeId,
+        key: &Tuple,
+        value: Option<Child>,
+        stamp: Arc<CommitStamp>,
+        guard: &Guard,
+    ) -> bool {
+        let slot = self.edge(decomp, edge);
+        match &slot.container {
+            Some(container) => {
+                let was = slot.versions.write(key, stamp, value.clone(), guard);
+                container.write(key, value);
+                was
+            }
+            None => slot.versions.write(key, stamp, value, guard),
+        }
+    }
+
+    /// Moves the entry at `old_key` of outgoing edge `edge` to `new_key`,
+    /// holding `child`, and returns whether the entry was present: two
+    /// versions of one stamp — a tombstone at `old_key`, `child` at
+    /// `new_key`, which collapse to one where the keys coincide — then one
+    /// [`Container::update_entry`] where the edge keeps a container. Same
+    /// contract as [`write`](Self::write).
+    pub(crate) fn move_entry(
+        &self,
+        decomp: &Decomposition,
+        edge: EdgeId,
+        (old_key, new_key): (&Tuple, &Tuple),
+        child: Child,
+        stamp: Arc<CommitStamp>,
+        guard: &Guard,
+    ) -> bool {
+        let slot = self.edge(decomp, edge);
+        let was = slot
+            .versions
+            .write(old_key, Arc::clone(&stamp), None, guard);
+        match &slot.container {
+            Some(container) => {
+                slot.versions
+                    .write(new_key, stamp, Some(child.clone()), guard);
+                container.update_entry(old_key, new_key, child);
+            }
+            None => {
+                slot.versions.write(new_key, stamp, Some(child), guard);
+            }
+        }
+        was
+    }
+
+    /// Takes back what the attempt holding `stamp` wrote to entry `key` of
+    /// outgoing edge `edge` ([`VersionIndex::revert`]) and, where the edge
+    /// keeps a container, writes the container's entry back to what the
+    /// chain now says. The caller holds the entry's write locks and has not
+    /// committed `stamp`.
+    pub(crate) fn revert(
+        &self,
+        decomp: &Decomposition,
+        edge: EdgeId,
+        key: &Tuple,
+        stamp: &Arc<CommitStamp>,
+        guard: &Guard,
+    ) {
+        let slot = self.edge(decomp, edge);
+        let found = slot.versions.revert(key, stamp, guard);
+        if let Some(container) = &slot.container {
+            container.write(key, found.cloned());
+        }
+    }
+
+    /// The container of outgoing edge `edge`, if it keeps one beside its
+    /// index.
+    #[cfg(test)]
+    pub(crate) fn container(
+        &self,
+        decomp: &Decomposition,
+        edge: EdgeId,
+    ) -> Option<&dyn Container<Tuple, Child>> {
+        self.edge(decomp, edge).container.as_deref()
+    }
+
+    /// The version index of outgoing edge `edge`.
     ///
     /// # Panics
     ///
@@ -195,10 +328,11 @@ impl NodeInstance {
         }
     }
 
-    /// Whether every container of this instance is empty (the instance
-    /// represents no residual tuples and should be unlinked).
+    /// Whether every edge of this instance is empty (the instance
+    /// represents no residual tuples and should be unlinked). Asked of the
+    /// version indexes, whose newest view a kept container only copies.
     pub fn is_exhausted(&self) -> bool {
-        self.edges.iter().all(|e| e.container.is_empty())
+        self.edges.iter().all(|e| e.versions.newest().is_empty())
     }
 }
 
@@ -227,9 +361,13 @@ fn tuples_along_chain(decomp: &Decomposition, root: &NodeRef, chain: &[EdgeId]) 
                 next.push((t, None));
                 continue;
             };
-            inst.container(decomp, e)
-                .scan(&mut |k: &Tuple, child: &Child| {
-                    let merged = t.union(k).expect("container keys extend the path tuple");
+            inst.scan(
+                decomp,
+                e,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                &mut |k, child| {
+                    let merged = t.union(k).expect("edge keys extend the path tuple");
                     next.push(match child {
                         Child::Node(node) => (merged, Some(Arc::clone(node))),
                         Child::Row(row) => (
@@ -239,8 +377,9 @@ fn tuples_along_chain(decomp: &Decomposition, root: &NodeRef, chain: &[EdgeId]) 
                             None,
                         ),
                     });
-                    std::ops::ControlFlow::Continue(())
-                });
+                    ControlFlow::Continue(())
+                },
+            );
         }
         states = next;
     }
@@ -340,8 +479,12 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
         for &e in &meta.outgoing {
             let dst = decomp.node(decomp.edge(e).dst);
             let mut bad_row = None;
-            inst.container(decomp, e)
-                .scan(&mut |k: &Tuple, child: &Child| {
+            inst.scan(
+                decomp,
+                e,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                &mut |k, child| {
                     match child {
                         Child::Node(node) => {
                             let expected = inst
@@ -358,8 +501,9 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
                         }
                         Child::Row(_) => {}
                     }
-                    std::ops::ControlFlow::Continue(())
-                });
+                    ControlFlow::Continue(())
+                },
+            );
             if let Some(k) = bad_row {
                 return Err(format!(
                     "fused entry {k:?} of instance {:?} of {} does not hold {}'s dependent columns",
@@ -380,6 +524,14 @@ mod tests {
     use crate::placement::LockPlacement;
     use relc_containers::ContainerKind;
     use relc_spec::Value;
+
+    /// Links `child` under entry `key` of `src`'s edge `e`, as a write of
+    /// an attempt that never commits.
+    fn link(d: &Decomposition, src: &NodeRef, e: EdgeId, key: &Tuple, child: &NodeRef) {
+        let guard = epoch::pin();
+        let value = Some(Child::Node(Arc::clone(child)));
+        src.write(d, e, key, value, CommitStamp::new(), &guard);
+    }
 
     fn mk_tuple(d: &Decomposition, fields: &[(&str, i64)]) -> Tuple {
         d.schema()
@@ -411,18 +563,9 @@ mod tests {
         let ru = d.edge_between("ρ", "u").unwrap();
         let uv = d.edge_between("u", "v").unwrap();
         let vw = d.edge_between("v", "w").unwrap();
-        root.container(&d, ru).write(
-            &full.project(d.edge(ru).cols),
-            Some(Child::Node(Arc::clone(&u_inst))),
-        );
-        u_inst.container(&d, uv).write(
-            &full.project(d.edge(uv).cols),
-            Some(Child::Node(Arc::clone(&v_inst))),
-        );
-        v_inst.container(&d, vw).write(
-            &full.project(d.edge(vw).cols),
-            Some(Child::Node(Arc::clone(&w_inst))),
-        );
+        link(&d, &root, ru, &full.project(d.edge(ru).cols), &u_inst);
+        link(&d, &u_inst, uv, &full.project(d.edge(uv).cols), &v_inst);
+        link(&d, &v_inst, vw, &full.project(d.edge(vw).cols), &w_inst);
 
         let rel = abstract_relation(&d, &root);
         assert_eq!(rel.len(), 1);
@@ -448,18 +591,9 @@ mod tests {
         let rx = d.edge_between("ρ", "x").unwrap();
         let xw = d.edge_between("x", "w").unwrap();
         let wz = d.edge_between("w", "z").unwrap();
-        root.container(&d, rx).write(
-            &full.project(d.edge(rx).cols),
-            Some(Child::Node(Arc::clone(&x_inst))),
-        );
-        x_inst.container(&d, xw).write(
-            &full.project(d.edge(xw).cols),
-            Some(Child::Node(Arc::clone(&w_inst))),
-        );
-        w_inst.container(&d, wz).write(
-            &full.project(d.edge(wz).cols),
-            Some(Child::Node(Arc::clone(&z_inst))),
-        );
+        link(&d, &root, rx, &full.project(d.edge(rx).cols), &x_inst);
+        link(&d, &x_inst, xw, &full.project(d.edge(xw).cols), &w_inst);
+        link(&d, &w_inst, wz, &full.project(d.edge(wz).cols), &z_inst);
 
         let err = verify_instance(&d, &root).unwrap_err();
         assert!(err.contains("branch disagreement"), "{err}");
@@ -485,29 +619,46 @@ mod tests {
         let xy = d.edge_between("x", "y").unwrap();
         let ry = d.edge_between("ρ", "y").unwrap();
         let yz = d.edge_between("y", "z").unwrap();
-        root.container(&d, rx).write(
-            &full.project(d.edge(rx).cols),
-            Some(Child::Node(Arc::clone(&x_inst))),
-        );
-        x_inst.container(&d, xy).write(
-            &full.project(d.edge(xy).cols),
-            Some(Child::Node(Arc::clone(&y1))),
-        );
-        root.container(&d, ry).write(
-            &full.project(d.edge(ry).cols),
-            Some(Child::Node(Arc::clone(&y2))),
-        );
-        y1.container(&d, yz).write(
-            &full.project(d.edge(yz).cols),
-            Some(Child::Node(Arc::clone(&z_inst))),
-        );
-        y2.container(&d, yz).write(
-            &full.project(d.edge(yz).cols),
-            Some(Child::Node(Arc::clone(&z_inst))),
-        );
+        link(&d, &root, rx, &full.project(d.edge(rx).cols), &x_inst);
+        link(&d, &x_inst, xy, &full.project(d.edge(xy).cols), &y1);
+        link(&d, &root, ry, &full.project(d.edge(ry).cols), &y2);
+        link(&d, &y1, yz, &full.project(d.edge(yz).cols), &z_inst);
+        link(&d, &y2, yz, &full.project(d.edge(yz).cols), &z_inst);
 
         let err = verify_instance(&d, &root).unwrap_err();
         assert!(err.contains("duplicated"), "{err}");
+    }
+
+    /// An edge whose version index is its container keeps no other
+    /// structure; every other kind keeps its container beside the index.
+    #[test]
+    fn only_edges_whose_index_is_not_their_container_keep_one() {
+        let index_only = [
+            ContainerKind::ConcurrentSkipListMap,
+            ContainerKind::Singleton,
+        ];
+        for kind in ContainerKind::ALL {
+            // `stick`'s `v→w` is a Singleton edge; any kind but that fits
+            // its root edge.
+            let root_kind = if kind == ContainerKind::Singleton {
+                ContainerKind::HashMap
+            } else {
+                kind
+            };
+            let d = stick(root_kind, ContainerKind::TreeMap);
+            let p = LockPlacement::coarse(&d).unwrap();
+            let (src, dst) = if kind == ContainerKind::Singleton {
+                ("v", "w")
+            } else {
+                ("ρ", "u")
+            };
+            let node = d.node_by_name(src).unwrap();
+            let key = mk_tuple(&d, &[("src", 1), ("dst", 2)]).project(d.node(node).key_cols);
+            let inst = NodeInstance::new(&d, &p, node, key);
+            let edge = d.edge_between(src, dst).unwrap();
+            let kept = inst.container(&d, edge).is_some();
+            assert_eq!(kept, !index_only.contains(&kind), "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! The MVCC write mirror and the snapshot edge view.
+//! The MVCC write path and the snapshot edge view.
 //!
-//! Every locked container mutation in [`crate::exec`] is mirrored into
-//! the written instance's *shadow version index* (see
+//! Every locked write in [`crate::exec`] is a version pushed onto the
+//! written entry's chain in the instance's *version index* (see
 //! [`crate::instance::VersionIndex`]): a lock-free map from entry key to
-//! that entry's version chain, kept parallel to the edge's main container
-//! and shaped like it — one inline chain for an edge that holds at most
-//! one entry, a skip list with embedded chains for every other. This
-//! module never sees a chain: it writes entries, reads them at a
-//! timestamp, and asks the index to retire them. All versions written by
-//! one transaction attempt share one [`CommitStamp`]; the commit path
+//! that entry's version chain, shaped like the edge's container — one
+//! inline chain for an edge that holds at most one entry, a skip list with
+//! embedded chains for every other. Where that shape is the container
+//! itself (a `ConcurrentSkipListMap` or `Singleton` edge) the index is all
+//! the edge has; every other edge keeps its container beside the index and
+//! writes it after the version ([`NodeInstance::write`]). This module never
+//! sees a chain: it writes entries, reads them at a timestamp, and asks the
+//! index to retire them. All versions written by one transaction attempt
+//! share one [`CommitStamp`]; the commit path
 //! ([`crate::commit::commit`], where the whole ordering argument lives)
 //! stamps it through the global [`commit clock`](relc_locks::commit_clock)
 //! *before* the lock engine releases anything, so a version's stamp being
 //! `≤` a reader's snapshot implies the whole owning transaction committed
 //! before that snapshot.
 //!
-//! A fused edge ([`crate::lower`]) mirrors like any other: its entry's
+//! A fused edge ([`crate::lower`]) is written like any other: its entry's
 //! versions carry the row of its target's dependent columns
 //! ([`Child::Row`](crate::instance::Child::Row)) where an unfused entry's
 //! carry the child instance, so one version cell holds the history of the
@@ -25,9 +28,9 @@
 //!
 //! Snapshot readers ([`crate::relation::SnapshotReader`]) run the same
 //! compiled plans through the same evaluator ([`crate::query`]) as locked
-//! reads; only the edge view differs. [`Snapshot`] never touches the main
-//! containers — many of which are unsafe under concurrent writes and rely
-//! on the synthesized lock placement — only the version indexes,
+//! reads; only the edge view differs. [`Snapshot`] never touches a
+//! container — many are unsafe under concurrent writes and rely on the
+//! synthesized lock placement — only the version indexes,
 //! resolving at each edge the newest version committed at or before its
 //! timestamp, under one epoch guard held for the whole traversal (the
 //! indexes pin nothing themselves and hand back borrows good for that
@@ -72,8 +75,11 @@
 //! collapse), on top of the value the attempt found, so an attempt that
 //! does not commit is taken back physically
 //! ([`MvccScope::roll_back`]): newest journal entry first, drop the
-//! attempt's version from the entry's chain and write the main container's
-//! entry back to what the chain now says. Every journaled entry was written
+//! attempt's version from the entry's chain — on an edge that is its index
+//! alone, that is the whole rollback, and an entry the attempt created
+//! leaves with its node — and, where the edge keeps a container, write the
+//! container's entry back to what the chain now says. Every journaled
+//! entry was written
 //! under a lock the attempt still holds, so rollback acquires nothing,
 //! plans nothing and cannot restart; it re-links the *same* instances the
 //! attempt unlinked, so §4.1 sharing is restored rather than rebuilt; and
@@ -101,7 +107,7 @@ use crate::query::{EdgeView, Entry, Frame, KeyBounds, Row};
 /// entries of the index visits `max(SWEEP_BUDGET, 4w)`.
 const SWEEP_BUDGET: usize = 64;
 
-/// One mirrored write: where to find the entry again when the attempt
+/// One write: where to find the entry again when the attempt
 /// ends — at commit for truncation and dead-entry purge, at rollback to
 /// take the write back. The index is re-entered by key — the attempt wrote
 /// this entry moments ago, so the path to it is warm, and the journal holds
@@ -116,7 +122,7 @@ pub(crate) struct JournalEntry {
 }
 
 /// Per-transaction-attempt MVCC state, owned by the executor: the shared
-/// commit stamp (created lazily on the first mirrored write, so
+/// commit stamp (created lazily on the first write, so
 /// read-only and no-op transactions never touch the clock) and the write
 /// journal, revisited when the attempt ends: by [`MvccScope::retire`] if
 /// it commits, by [`MvccScope::roll_back`] if it does not.
@@ -132,14 +138,14 @@ impl MvccScope {
         Arc::clone(self.stamp.get_or_insert_with(CommitStamp::new))
     }
 
-    /// The stamp, if any mirrored write created one.
+    /// The stamp, if any write created one.
     pub fn stamp_opt(&self) -> Option<&Arc<CommitStamp>> {
         self.stamp.as_ref()
     }
 
     /// Pre-seeds the stamp (cross-shard attempts share one stamp).
     ///
-    /// A late injection — after a mirrored write already lazily created a
+    /// A late injection — after a write already lazily created a
     /// stamp — would split one attempt's versions across two
     /// `CommitStamp`s and break single-timestamp atomic visibility, so
     /// this asserts in release builds too (it is a once-per-attempt
@@ -147,17 +153,16 @@ impl MvccScope {
     pub fn set_stamp(&mut self, stamp: Arc<CommitStamp>) {
         assert!(
             self.stamp.is_none(),
-            "stamp injection must precede every mirrored write"
+            "stamp injection must precede every write"
         );
         self.stamp = Some(stamp);
     }
 
-    /// Mirrors one locked container write into `host`'s version index
-    /// for `edge`: records a version (`None` = tombstone) stamped with
-    /// this attempt's stamp for the entry. Caller must hold the entry's
-    /// placement write locks — the same locks that serialize the
-    /// mirrored container mutation — which serializes all same-entry
-    /// index mutation.
+    /// Writes entry `key` of `host`'s edge `edge` ([`NodeInstance::write`]:
+    /// a version stamped with this attempt's stamp, `None` a tombstone, then
+    /// the container where the edge keeps one), journals it, and returns
+    /// whether the entry was present before. Caller must hold the entry's
+    /// placement write locks, which serializes all same-entry mutation.
     pub fn write(
         &mut self,
         decomp: &Decomposition,
@@ -166,9 +171,33 @@ impl MvccScope {
         key: Tuple,
         value: Option<Child>,
         guard: &Guard,
-    ) {
+    ) -> bool {
+        let was = host.write(decomp, edge, &key, value, self.stamp(), guard);
+        self.journal(host, edge, key);
+        was
+    }
+
+    /// Moves entry `old_key` of `host`'s edge `edge` to `new_key`, holding
+    /// `child` ([`NodeInstance::move_entry`]), journals both keys, and
+    /// returns whether the entry was present. Same contract as
+    /// [`write`](Self::write).
+    pub fn move_entry(
+        &mut self,
+        decomp: &Decomposition,
+        host: &NodeRef,
+        edge: EdgeId,
+        (old_key, new_key): (Tuple, Tuple),
+        child: Child,
+        guard: &Guard,
+    ) -> bool {
         let stamp = self.stamp();
-        host.versions(decomp, edge).write(&key, stamp, value, guard);
+        let was = host.move_entry(decomp, edge, (&old_key, &new_key), child, stamp, guard);
+        self.journal(host, edge, old_key);
+        self.journal(host, edge, new_key);
+        was
+    }
+
+    fn journal(&mut self, host: &NodeRef, edge: EdgeId, key: Tuple) {
         self.journal.push(JournalEntry {
             host: Arc::clone(host),
             edge,
@@ -229,13 +258,14 @@ impl MvccScope {
 
     /// Takes back every write of an attempt that will not commit, newest
     /// first, with the attempt's locks still held: per journal entry, drop
-    /// the attempt's version from the entry's chain and write the main
-    /// container's entry back to what the chain now says (the instance the
-    /// attempt found there, or nothing). Deliberately handed nothing but
+    /// the attempt's version from the entry's chain and, where the edge
+    /// keeps a container, write its entry back to what the chain now says
+    /// (the instance the attempt found there, or nothing)
+    /// ([`NodeInstance::revert`]). Deliberately handed nothing but
     /// the decomposition: no engine, no plans, no clock. See the module
     /// docs.
     ///
-    /// Does nothing when there is nothing to take back: no mirrored write,
+    /// Does nothing when there is nothing to take back: no write,
     /// a journal already rolled back (this consumes it), or a stamp that
     /// has published — a committed attempt's journal is only waiting to be
     /// dropped, which it is with the attempt, after its locks are gone, so
@@ -246,8 +276,7 @@ impl MvccScope {
         };
         let guard = relc_containers::epoch::pin();
         while let Some(JournalEntry { host, edge, key }) = self.journal.pop() {
-            let found = host.versions(decomp, edge).revert(&key, stamp, &guard);
-            host.container(decomp, edge).write(&key, found.cloned());
+            host.revert(decomp, edge, &key, stamp, &guard);
         }
     }
 }
@@ -312,10 +341,10 @@ impl std::fmt::Debug for MvccScope {
 /// * after compacting each chain to the current retirement floor, at
 ///   most one version sits at or below the floor (the keeper —
 ///   [`relc_containers::VersionCell::truncate`]'s postcondition);
-/// * the version indexes, resolved at the current clock time, carry
-///   exactly the live keys of the main containers (every locked write
-///   was mirrored, every mirror was written) — whichever shape the
-///   index has.
+/// * where an edge keeps a container beside its index, the index,
+///   resolved at the current clock time, carries exactly the container's
+///   live keys (every write reached both) — whichever shape the index
+///   has. An edge that is its index alone has nothing to compare.
 ///
 /// As a side effect every index is swept to the current floor, exactly
 /// as a committing writer holding its lock would; at quiescence that is
@@ -340,12 +369,17 @@ pub(crate) fn verify_versions(
             let em = decomp.edge(e);
             let ename = format!("{}→{}", meta.name, decomp.node(em.dst).name);
             let mut live: BTreeSet<Tuple> = BTreeSet::new();
-            inst.container(decomp, e)
-                .scan(&mut |k: &Tuple, child: &Child| {
+            inst.scan(
+                decomp,
+                e,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                &mut |k, child| {
                     live.insert(k.clone());
                     stack.extend(child.node().cloned());
                     ControlFlow::Continue(())
-                });
+                },
+            );
             let index = inst.versions(decomp, e);
             index.sweep(floor, usize::MAX, &guard);
             let mut err: Option<String> = None;
@@ -368,6 +402,9 @@ pub(crate) fn verify_versions(
             if let Some(err) = err {
                 return Err(err);
             }
+            if VersionIndex::is_container_for(em.container) {
+                continue;
+            }
             let mut resolved: BTreeSet<Tuple> = BTreeSet::new();
             index.walk(Bound::Unbounded, Bound::Unbounded, now, &guard, |k, _| {
                 resolved.insert(k.clone());
@@ -378,7 +415,7 @@ pub(crate) fn verify_versions(
                 let phantom: Vec<_> = resolved.difference(&live).collect();
                 return Err(format!(
                     "version index for {ename} of instance {:?} disagrees \
-                     with the container: unmirrored live keys {missing:?}, \
+                     with the container: unversioned live keys {missing:?}, \
                      phantom version keys {phantom:?}",
                     inst.key()
                 ));
@@ -408,11 +445,16 @@ pub(crate) fn version_footprint(decomp: &Decomposition, fusion: &Fusion, root: &
             continue;
         }
         for &e in &decomp.node(inst.node()).outgoing {
-            inst.container(decomp, e)
-                .scan(&mut |_k: &Tuple, child: &Child| {
+            inst.scan(
+                decomp,
+                e,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                &mut |_, child| {
                     stack.extend(child.node().cloned());
                     ControlFlow::Continue(())
-                });
+                },
+            );
             let edges = if fusion.is_fused(e) {
                 1 + decomp.node(decomp.edge(e).dst).outgoing.len()
             } else {
@@ -464,7 +506,7 @@ impl<'g> EdgeView for Snapshot<'g> {
     type Restart = Infallible;
 
     /// Both version index shapes walk in key order, so an interval walk
-    /// is a bounded in-order traversal regardless of the main container's
+    /// is a bounded in-order traversal regardless of the edge's container
     /// kind (a step's `ordered` flag describes the locked view).
     const WALKS_IN_KEY_ORDER: bool = true;
 
@@ -548,9 +590,10 @@ mod tests {
     use relc_spec::Value;
 
     /// Writes the stick row `(1, 2, 42)` edge by edge — `ρ→u` and `u→v`
-    /// have map-shaped indexes, the Singleton `v→w` the one-chain shape —
-    /// with the container write and the mirror write of each edge switched
-    /// separately, commits, and verifies.
+    /// keep a `TreeMap` beside their map-shaped indexes, the Singleton
+    /// `v→w` is its one-chain index alone — with the container write and
+    /// the version write of each edge switched separately, commits, and
+    /// verifies.
     fn verify_row(writes: impl Fn(&str) -> (bool, bool)) -> Result<(), String> {
         let d = stick(ContainerKind::TreeMap, ContainerKind::TreeMap);
         let p = LockPlacement::coarse(&d).unwrap();
@@ -574,31 +617,36 @@ mod tests {
             let e = d.edge_between(from, to).unwrap();
             let key = row.project(d.edge(e).cols);
             let child = inst(to);
-            let (container, mirror) = writes(to);
-            if container {
-                src.container(&d, e)
-                    .write(&key, Some(Child::Node(Arc::clone(&child))));
-            }
-            if mirror {
-                let value = Some(Child::Node(Arc::clone(&child)));
-                scope.write(&d, &src, e, key, value, &guard);
+            let value = Some(Child::Node(Arc::clone(&child)));
+            match writes(to) {
+                (true, true) => {
+                    scope.write(&d, &src, e, key, value, &guard);
+                }
+                (true, false) => {
+                    src.container(&d, e)
+                        .expect("the edge keeps a container")
+                        .write(&key, value);
+                }
+                (false, true) => {
+                    src.versions(&d, e)
+                        .write(&key, scope.stamp(), value, &guard);
+                }
+                (false, false) => {}
             }
             src = child;
         }
         let registry = relc_locks::SnapshotRegistry::new();
-        relc_locks::commit_clock().commit(scope.stamp_opt().expect("something was mirrored"));
+        relc_locks::commit_clock().commit(scope.stamp_opt().expect("something was written"));
         scope.retire(&p, registry.min_active(relc_locks::commit_clock()), &guard);
         verify_versions(&d, &root, &registry)
     }
 
     #[test]
-    fn mirror_completeness_is_checked_on_both_index_shapes() {
-        verify_row(|_| (true, true)).expect("a fully mirrored row verifies");
-        for (edge_to, shape) in [("v", "map"), ("w", "one-chain")] {
-            let err = verify_row(|to| (true, to != edge_to)).unwrap_err();
-            assert!(err.contains("unmirrored live keys [⟨"), "{shape}: {err}");
-            let err = verify_row(|to| (to != edge_to, true)).unwrap_err();
-            assert!(err.contains("phantom version keys [⟨"), "{shape}: {err}");
-        }
+    fn container_agreement_is_checked_where_an_edge_keeps_one() {
+        verify_row(|_| (true, true)).expect("a row written through both verifies");
+        let err = verify_row(|to| (true, to != "v")).unwrap_err();
+        assert!(err.contains("unversioned live keys [⟨"), "{err}");
+        let err = verify_row(|to| (to != "v", true)).unwrap_err();
+        assert!(err.contains("phantom version keys [⟨"), "{err}");
     }
 }

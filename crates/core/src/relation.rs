@@ -956,7 +956,7 @@ impl<L: Layout> Relation<L> {
     /// relation — the state as of the commit timestamp captured at entry,
     /// on every instance — no matter how many writers commit while the
     /// closure runs. Readers acquire no locks, never restart, and never
-    /// block or restart writers; they traverse the decomposition's shadow
+    /// block or restart writers; they traverse the decomposition's
     /// version indexes under an epoch guard (see `mvcc.rs`).
     ///
     /// Snapshot reads are *serializable at their snapshot timestamp*:
@@ -1670,7 +1670,6 @@ impl<L: Layout> fmt::Debug for Relation<L> {
 mod tests {
     use super::*;
     use crate::decomp::library::{dcache, diamond, kv, split, stick};
-    use crate::instance::Child;
     use relc_containers::ContainerKind;
     use relc_spec::{OracleRelation, SpecError, Value};
     use std::collections::BTreeSet;
@@ -2045,8 +2044,8 @@ mod tests {
         let mut stack = vec![Arc::clone(repr.root())];
         while let Some(inst) = stack.pop() {
             for &e in &repr.decomp.node(inst.node()).outgoing {
-                let container = inst.container(&repr.decomp, e);
-                container.scan(&mut |k: &Tuple, child: &Child| {
+                let all = std::ops::Bound::Unbounded;
+                inst.scan(&repr.decomp, e, all, all, &mut |k, child| {
                     // A fused entry's row is a value: its key is the link.
                     let to = child.node().map_or(0, |c| Arc::as_ptr(c) as usize);
                     let from = Arc::as_ptr(&inst) as usize;
@@ -2060,10 +2059,40 @@ mod tests {
         links
     }
 
+    /// Every entry of every version index reachable from the root, by
+    /// instance address and edge (a one-chain index's entry has no key).
+    /// An edge that is its index alone has no container to compare the
+    /// index with, so an entry left behind shows up only here.
+    fn index_entries(rel: &ConcurrentRelation) -> BTreeSet<(usize, usize, Option<Tuple>)> {
+        let repr = rel.current_repr();
+        let guard = relc_containers::epoch::pin();
+        let mut entries = BTreeSet::new();
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![Arc::clone(repr.root())];
+        while let Some(inst) = stack.pop() {
+            if !seen.insert(Arc::as_ptr(&inst)) {
+                continue;
+            }
+            let from = Arc::as_ptr(&inst) as usize;
+            for &e in &repr.decomp.node(inst.node()).outgoing {
+                inst.versions(&repr.decomp, e).chains(&guard, |k, _| {
+                    entries.insert((from, e.index(), k.cloned()));
+                });
+                let all = std::ops::Bound::Unbounded;
+                inst.scan(&repr.decomp, e, all, all, &mut |_, child| {
+                    stack.extend(child.node().cloned());
+                    std::ops::ControlFlow::Continue(())
+                });
+            }
+        }
+        entries
+    }
+
     /// Holding `present = (s, t)`, aborts a transaction that inserts
     /// `fresh`, updates `present` to `t2` and removes it: the rollback must
     /// be exact down to the objects — the same instances re-linked on every
-    /// path (so a shared node is restored shared, not rebuilt per parent).
+    /// path (so a shared node is restored shared, not rebuilt per parent),
+    /// the same version count, and no index entry the attempt created.
     fn check_abort_restores_instances(
         name: &str,
         rel: &ConcurrentRelation,
@@ -2074,6 +2103,8 @@ mod tests {
         rel.insert(present.0, present.1).unwrap();
         let before = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
         let links = instance_links(rel);
+        let footprint = rel.version_footprint();
+        let entries = index_entries(rel);
         let err = rel
             .transaction(|tx| -> Result<(), crate::TxnError> {
                 // Apply all three mutation kinds, then abort.
@@ -2088,6 +2119,8 @@ mod tests {
             "{name}: {err}"
         );
         assert_eq!(instance_links(rel), links, "{name}: same instances");
+        assert_eq!(rel.version_footprint(), footprint, "{name}: same versions");
+        assert_eq!(index_entries(rel), entries, "{name}: same index entries");
         let after = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(after, before, "{name}: rollback must be exact");
         assert_eq!(rel.len(), 1, "{name}");

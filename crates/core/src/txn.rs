@@ -25,8 +25,8 @@
 //! Operations apply their container writes eagerly (later operations in
 //! the same transaction must see them), so a restart in operation *k*
 //! must first take back the writes of operations *1..k*. There is one
-//! record of those writes — the MVCC write journal every mirrored
-//! container write already appends to — and it is the undo log: an attempt
+//! record of those writes — the MVCC write journal every edge write
+//! already appends to — and it is the undo log: an attempt
 //! that does not commit is rolled back from it, newest entry first, under
 //! the locks the attempt still holds (`mvcc.rs`, *Rollback*). The
 //! operations keep no inverse of themselves and acquire nothing on

@@ -48,13 +48,23 @@
 //! buffers each, the result vector and one tuple per row), and so does its
 //! ceiling, 14: a fused scan allocates nothing the tail's walk did not.
 //!
+//! The same test gates the `range_window` shape
+//! (`stick(ConcurrentSkipListMap, HashMap)` + `fine`), preloaded as that
+//! workload preloads it — diagonal rows and every other churn row, in a
+//! scattered order, in 1,024-row `insert_all` batches — at a quarter of
+//! its 65,536 rows. A `ConcurrentSkipListMap` edge is its version index
+//! alone, so the root keeps one skip list over its `src` keys instead of
+//! two: that took the live allocations per preloaded row from 12.6 to
+//! 10.9 (the container's node and boxed value, 1.75 per root entry, went).
+//! The ceiling, 11.5, fails on the layout before it.
+//!
 //! This binary holds exactly one test: the counter is process-global and
 //! the harness runs a binary's tests on parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use relc::decomp::library::split;
+use relc::decomp::library::{split, stick};
 use relc::placement::LockPlacement;
 use relc::ConcurrentRelation;
 use relc_containers::ContainerKind;
@@ -103,6 +113,11 @@ const EDGES: u32 = 32_768;
 
 #[test]
 fn preloaded_row_and_single_shot_read_stay_within_their_allocation_budget() {
+    graph_read_mostly_shape();
+    range_window_preload();
+}
+
+fn graph_read_mostly_shape() {
     let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
     let p = LockPlacement::striped_root(&d, 1024).unwrap();
     let rel = ConcurrentRelation::new(d, p).unwrap();
@@ -202,6 +217,56 @@ fn preloaded_row_and_single_shot_read_stay_within_their_allocation_budget() {
     assert!(
         per_locked_range <= 64.0,
         "{per_locked_range:.1} allocations per locked 32-row range read"
+    );
+    rel.verify().unwrap();
+}
+
+/// `range_window`'s rows at a quarter of its size: the diagonal `(k, k)`
+/// for seven eighths of them, and every other row `(s, s + 1)` of a churn
+/// universe a quarter of their number.
+const RANGE_ROWS: u32 = 16_384;
+
+fn range_window_preload() {
+    let d = stick(ContainerKind::ConcurrentSkipListMap, ContainerKind::HashMap);
+    let p = LockPlacement::fine(&d).unwrap();
+    let rel = ConcurrentRelation::new(d, p).unwrap();
+    let schema = rel.schema().clone();
+    let col = |n: &str| schema.column(n).unwrap();
+    let (src, dst, weight) = (col("src"), col("dst"), col("weight"));
+    let (diagonal, churn) = (RANGE_ROWS / 8 * 7, RANGE_ROWS / 4);
+    let churn_row = |j: u32| {
+        let s = (j as u64 * diagonal as u64 / churn as u64) as u32;
+        (s, s + 1)
+    };
+    let mut rows: Vec<(Tuple, Tuple)> = (0..diagonal)
+        .map(|k| (k, k))
+        .chain((0..churn).step_by(2).map(churn_row))
+        .map(|(s, t)| {
+            let key = Tuple::from_pairs([(src, Value::from(s)), (dst, Value::from(t))]);
+            (key, Tuple::from_pairs([(weight, Value::from(s))]))
+        })
+        .collect();
+    assert_eq!(rows.len() as u32, RANGE_ROWS);
+    // A fixed scattered order (Fisher–Yates over xorshift), as the
+    // workload's loader shuffles.
+    let mut x = 0x72_61_6e_67_65u64;
+    for i in (1..rows.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        rows.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+
+    let (_, live0) = counters();
+    for batch in rows.chunks(1024) {
+        let fresh = rel.insert_all(batch).unwrap();
+        assert!(fresh.iter().all(|&f| f));
+    }
+    let live_per_row = (counters().1 - live0) as f64 / RANGE_ROWS as f64;
+    println!("range_window preload: live allocations per row {live_per_row:.2}");
+    assert!(
+        live_per_row <= 11.5,
+        "{live_per_row:.2} live allocations per preloaded range_window row"
     );
     rel.verify().unwrap();
 }

@@ -188,33 +188,46 @@ fn seeded_missing_promotion_flagged() {
     assert!(ok.is_empty(), "promoted plan should be clean: {ok:?}");
 }
 
-/// Dropping the `mvcc_write` mirror at one edge's mutation sites must be
-/// flagged on every operation that writes the edge.
+/// Dropping the version push at one edge's mutation sites must be flagged
+/// on every operation that writes the edge: on a fused tail that keeps a
+/// container (`stick(ConcurrentHashMap, TreeMap)`'s `v→w`, written in
+/// `u→v`'s `TreeMap` entries), and on a `ConcurrentSkipListMap` root edge,
+/// which is its version index alone, so that the push is its one write
+/// site.
 #[test]
 fn seeded_missing_mvcc_mirror_flagged() {
-    let d = library::stick(ContainerKind::ConcurrentHashMap, ContainerKind::TreeMap);
-    let p = LockPlacement::fine(&d).unwrap();
-    let weight_edge = d
-        .edges()
-        .find(|(_, em)| d.node(em.dst).name == "w")
-        .map(|(e, _)| e)
-        .unwrap();
-    let opts = AnalyzerOptions {
-        suppress_mirror: Some(weight_edge),
-        ..Default::default()
-    };
-    let analyzer = Analyzer::with_options(Arc::clone(&d), p, opts);
-    let key = d.schema().column_set(&["src", "dst"]).unwrap();
-    for diags in [
-        analyzer.analyze_insert(key).unwrap(),
-        analyzer.analyze_remove(key).unwrap(),
+    for (root, tail, lost) in [
+        (ContainerKind::ConcurrentHashMap, "w", "stale version chain"),
+        (
+            ContainerKind::ConcurrentSkipListMap,
+            "u",
+            "version index alone",
+        ),
     ] {
-        assert!(
-            diags
-                .iter()
-                .any(|x| x.kind == DiagnosticKind::MissingMvccMirror),
-            "missing MVCC mirror not flagged: {diags:?}"
-        );
+        let d = library::stick(root, ContainerKind::TreeMap);
+        let p = LockPlacement::fine(&d).unwrap();
+        let suppressed = d
+            .edges()
+            .find(|(_, em)| d.node(em.dst).name == tail)
+            .map(|(e, _)| e)
+            .unwrap();
+        let opts = AnalyzerOptions {
+            suppress_mirror: Some(suppressed),
+            ..Default::default()
+        };
+        let analyzer = Analyzer::with_options(Arc::clone(&d), p, opts);
+        let key = d.schema().column_set(&["src", "dst"]).unwrap();
+        for diags in [
+            analyzer.analyze_insert(key).unwrap(),
+            analyzer.analyze_remove(key).unwrap(),
+        ] {
+            assert!(
+                diags
+                    .iter()
+                    .any(|x| x.kind == DiagnosticKind::MissingMvccMirror && x.detail.contains(lost)),
+                "{root:?} root, edge into {tail}: missing version push not flagged: {diags:?}"
+            );
+        }
     }
 }
 

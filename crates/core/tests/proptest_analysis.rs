@@ -140,8 +140,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// No false negatives (mirror omission): forgetting the `mvcc_write`
-    /// mirror on *any* edge of *any* structure is flagged on the insert
+    /// No false negatives (version-push omission): forgetting the version
+    /// push on *any* edge of *any* structure is flagged on the insert
     /// path, which writes every edge of a fresh tuple.
     #[test]
     fn forgotten_mirror_is_always_rejected(

@@ -485,6 +485,86 @@ fn sharded_ranges_match_oracle() {
     );
 }
 
+/// A `ConcurrentSkipListMap` root is its version index alone, so a locked
+/// read walks entries its container never held: tombstones kept for a
+/// registered snapshot reader. With a reader holding the seed state, root
+/// keys are removed (src 1, whose `u` loses its last entry) and removed and
+/// re-inserted with new weights (src 3); locked `query`, `contains` and
+/// `query_range` inside a `transaction` must still match the oracle over
+/// the whole read table, and `verify()` must find every emptied `u`
+/// unlinked. Once the reader drops, `verify()`
+/// leaves no dead entry: the version footprint is exactly that of a
+/// relation loaded with the final rows.
+#[test]
+fn locked_reads_skip_tombstones_kept_for_a_snapshot_reader() {
+    let d = stick(ContainerKind::ConcurrentSkipListMap, ContainerKind::HashMap);
+    let table = read_table(&d);
+    let col = |name: &str| d.schema().column(name).unwrap();
+    let (src, weight) = (col("src"), col("weight"));
+    let of_src = |k: i64| move |(s, _): &&(Tuple, Tuple)| s.get(src) == Some(&Value::from(k));
+    let seed = seed_data(&d);
+    for p in [
+        LockPlacement::fine(&d).unwrap(),
+        LockPlacement::striped_root(&d, 8).unwrap(),
+    ] {
+        let label = format!("stick(cslm,hm) under `{}`", p.name());
+        let rel = ConcurrentRelation::new(d.clone(), Arc::clone(&p)).unwrap();
+        let oracle = OracleRelation::empty(d.schema().clone());
+        for (s, t) in &seed {
+            rel.insert(s, t).unwrap();
+            oracle.insert(s, t).unwrap();
+        }
+        let reader = rel.snapshots().register(relc_locks::commit_clock());
+        for (s, _) in seed.iter().filter(|r| of_src(1)(r) || of_src(3)(r)) {
+            assert_eq!(rel.remove(s).unwrap(), 1, "{label}");
+            oracle.remove(s);
+        }
+        for (s, t) in seed.iter().filter(of_src(3)) {
+            let w = t.get(weight).and_then(Value::as_int).unwrap();
+            let t = tup(&d, &[("weight", 100 + w)]);
+            assert!(rel.insert(s, &t).unwrap(), "{label}");
+            oracle.insert(s, &t).unwrap();
+        }
+        let want: Vec<Answer> = table
+            .iter()
+            .map(|(s, row)| match row {
+                Read::Query(cols) => Answer::Rows(oracle.query(s, *cols)),
+                Read::Range(r, cols) => Answer::Rows(oracle.query_range(s, r, *cols)),
+                Read::Contains => Answer::Found(!oracle.query(s, ColumnSet::new()).is_empty()),
+            })
+            .collect();
+        let planned = rel
+            .transaction(|tx| {
+                let read = |s: &Tuple, r: &Read| core(answer!(tx, s, r));
+                Ok(sweep(&label, &table, &want, read))
+            })
+            .unwrap();
+        assert!(planned > 0, "{label}: nothing plannable");
+        rel.verify()
+            .unwrap_or_else(|e| panic!("{label}, reader held: {e}"));
+        let pinned = rel.version_footprint();
+        drop(reader);
+        let rows = rel.verify().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let fresh = ConcurrentRelation::new(d.clone(), p).unwrap();
+        for row in &rows {
+            let key = row.project(d.schema().column_set(&["src", "dst"]).unwrap());
+            fresh
+                .insert(&key, &row.project(ColumnSet::single(weight)))
+                .unwrap();
+        }
+        assert_eq!(fresh.verify().unwrap(), rows, "{label}");
+        assert_eq!(
+            rel.version_footprint(),
+            fresh.version_footprint(),
+            "{label}: a dead entry outlived its reader"
+        );
+        assert!(
+            pinned > fresh.version_footprint(),
+            "{label}: nothing was pinned"
+        );
+    }
+}
+
 /// Concurrent range reads observe one consistent cut: every writer
 /// transaction inserts a *pair* of tuples atomically, so any range read
 /// over the whole window must count an even number of results — on the
