@@ -46,6 +46,7 @@ mod hash_map;
 mod singleton;
 mod skiplist;
 mod splay;
+mod split_list;
 mod striped_hash;
 mod tree_map;
 mod version;

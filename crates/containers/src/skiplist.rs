@@ -15,12 +15,14 @@
 //!
 //! The algorithm — the tower search, lock-and-validate, link, unlink and
 //! the bottom-level walk — is written once, in [`SkipList`], generic over
-//! the payload `P` a node carries. [`ConcurrentSkipListMap`] is the face
-//! whose payload is a replaceable value pointer (a [`Slot`]); the map
-//! shape of [`VersionIndex`](crate::VersionIndex) is the face whose payload
-//! is a [`VersionCell`](crate::VersionCell) embedded in the node. Every
-//! read of the core runs under the *caller's* epoch guard and returns
-//! borrows tied to it, so a face decides how often to pin.
+//! the payload `P` a node carries, behind the [`EntryList`] interface it
+//! shares with the split-ordered list of the hash shape.
+//! [`ConcurrentSkipListMap`] is the face whose payload is a replaceable
+//! value pointer (a [`Slot`]); the sorted shape of
+//! [`VersionIndex`](crate::VersionIndex) is the face whose payload is a
+//! [`VersionCell`](crate::VersionCell) embedded in the node. Every read of
+//! the core runs under the *caller's* epoch guard and returns borrows tied
+//! to it, so a face decides how often to pin.
 //!
 //! # Locking order (deadlock freedom)
 //!
@@ -34,12 +36,13 @@ use std::cmp::Ordering;
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 
-use crossbeam::epoch::{self, Atomic, Guard, Owned, ReclamationStats, Shared};
+use crossbeam::epoch::{self, Atomic, Guard, Owned, Pointer, ReclamationStats, Shared};
 use parking_lot::{Mutex, MutexGuard};
 use relc_locks::Backoff;
 
 use crate::api::{Container, ContainerKind, Key, Val};
 use crate::taxonomy::ContainerProps;
+use crate::version::EntryList;
 
 const MAX_HEIGHT: usize = 20;
 
@@ -108,9 +111,9 @@ impl<K, P> Links<K, P> {
 /// the tower that links it — in that order in memory, so a bottom-level
 /// walk (key, payload, flags, level 0) stays in the node's first 56 bytes.
 #[repr(C)]
-pub(crate) struct Node<K, P> {
-    pub(crate) key: K,
-    pub(crate) payload: P,
+struct Node<K, P> {
+    key: K,
+    payload: P,
     links: Links<K, P>,
 }
 
@@ -163,12 +166,6 @@ pub(crate) struct SkipList<K, P> {
 }
 
 impl<K: Ord, P> SkipList<K, P> {
-    pub(crate) fn new() -> Self {
-        SkipList {
-            head: Links::new(MAX_HEIGHT, true),
-        }
-    }
-
     /// The tower search, top level down: at each level, walks right while
     /// keys are `< key`, then reports the level, the last tower before
     /// `key`, the first node not before it (null if none) and whether that
@@ -274,22 +271,36 @@ impl<K: Ord, P> SkipList<K, P> {
         }
         Some(held)
     }
+}
+
+impl<K: Ord + Clone, P> EntryList<K, P> for SkipList<K, P> {
+    const SORTED: bool = true;
+
+    fn new() -> Self {
+        SkipList {
+            head: Links::new(MAX_HEIGHT, true),
+        }
+    }
 
     /// The first node of the bottom level, live or not; null if the list
     /// is empty. Where an unbounded walk starts.
-    pub(crate) fn first<'g>(&'g self, guard: &'g Guard) -> Shared<'g, Node<K, P>> {
-        self.head.low[0].load(SeqCst, guard)
+    fn first(&self, guard: &Guard) -> *const u8 {
+        self.head.low[0]
+            .load(SeqCst, guard)
+            .into_ptr()
+            .cast_const()
+            .cast()
     }
 
-    /// The live node holding `key`, if any.
-    pub(crate) fn get<'g>(&'g self, key: &K, guard: &'g Guard) -> Option<&'g Node<K, P>> {
+    /// The payload of the live node holding `key`, if any.
+    fn get<'g>(&'g self, key: &K, guard: &'g Guard) -> Option<&'g P> {
         let (curr, exact) = self.seek(key, guard);
         if !exact {
             return None;
         }
         // SAFETY: found under `guard`; an exact hit is never null.
         let node = unsafe { curr.deref() };
-        node.is_live().then_some(node)
+        node.is_live().then_some(&node.payload)
     }
 
     /// Visits the live nodes whose keys lie in `[lo, hi]`, in key order,
@@ -297,15 +308,18 @@ impl<K: Ord, P> SkipList<K, P> {
     /// entries linked or unlinked behind the cursor are not revisited. A
     /// bounded walk positions itself by the tower search (O(log n)), not by
     /// walking from the head.
-    pub(crate) fn walk<'g>(
+    fn walk<'g>(
         &'g self,
         lo: Bound<&K>,
         hi: Bound<&K>,
         guard: &'g Guard,
-        mut f: impl FnMut(&'g Node<K, P>) -> ControlFlow<()>,
-    ) {
+        mut f: impl FnMut(&'g K, &'g P) -> ControlFlow<()>,
+    ) where
+        K: 'g,
+        P: 'g,
+    {
         let mut curr = match lo {
-            Bound::Unbounded => self.first(guard),
+            Bound::Unbounded => self.head.low[0].load(SeqCst, guard),
             Bound::Included(b) => self.seek(b, guard).0,
             Bound::Excluded(b) => match self.seek(b, guard) {
                 // SAFETY: found under `guard`; an exact hit is never null.
@@ -321,7 +335,7 @@ impl<K: Ord, P> SkipList<K, P> {
                 Bound::Excluded(b) => node.key < *b,
                 Bound::Unbounded => true,
             };
-            if !below || (node.is_live() && f(node).is_break()) {
+            if !below || (node.is_live() && f(&node.key, &node.payload).is_break()) {
                 return;
             }
             curr = node.links.low[0].load(SeqCst, guard);
@@ -332,17 +346,14 @@ impl<K: Ord, P> SkipList<K, P> {
     /// lock (which excludes a racing `remove` of that node) and returns its
     /// result; otherwise links a new node carrying `make`'s payload and
     /// returns `None`. `seed` goes to whichever of the two runs.
-    pub(crate) fn upsert<T, R>(
+    fn upsert<T, R>(
         &self,
         key: &K,
         guard: &Guard,
         seed: T,
         update: impl FnOnce(&P, T) -> R,
         make: impl FnOnce(T) -> P,
-    ) -> Option<R>
-    where
-        K: Clone,
-    {
+    ) -> Option<R> {
         // Retry paths escalate spin → yield → jittered sleep instead of
         // spinning unboundedly: on an oversubscribed box the thread we are
         // waiting on (a mid-removal unlinker or a mid-publication
@@ -404,12 +415,7 @@ impl<K: Ord, P> SkipList<K, P> {
     /// collector; `take` reads the payload once the node is unreachable to
     /// new readers (still under the victim's lock, so no `upsert` update
     /// races it).
-    pub(crate) fn remove<R>(
-        &self,
-        key: &K,
-        guard: &Guard,
-        take: impl FnOnce(&P) -> R,
-    ) -> Option<R> {
+    fn remove<R>(&self, key: &K, guard: &Guard, take: impl FnOnce(&P) -> R) -> Option<R> {
         let mut victim: Shared<'_, Node<K, P>> = Shared::null();
         let mut victim_guard: Option<MutexGuard<'_, ()>> = None;
         let mut top = 0usize;
@@ -600,7 +606,7 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
         let guard = epoch::pin();
         self.list
             .get(key, &guard)
-            .map(|node| node.payload.get(&guard).clone())
+            .map(|slot| slot.get(&guard).clone())
     }
 
     fn scan(&self, f: &mut dyn FnMut(&K, &V) -> ControlFlow<()>) {
@@ -614,9 +620,8 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
         f: &mut dyn FnMut(&K, &V) -> ControlFlow<()>,
     ) {
         let guard = epoch::pin();
-        self.list.walk(lo, hi, &guard, |node| {
-            f(&node.key, node.payload.get(&guard))
-        });
+        self.list
+            .walk(lo, hi, &guard, |key, slot| f(key, slot.get(&guard)));
     }
 
     fn write(&self, key: &K, value: Option<V>) -> Option<V> {

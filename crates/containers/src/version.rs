@@ -22,13 +22,14 @@
 //!   ([`VersionIndex::revert`]).
 //!
 //! A [`VersionIndex`] is one decomposition edge instance's map from entry
-//! key to chain, in one of two shapes fixed by the edge's container kind:
+//! key to chain, in one of three shapes fixed by the edge's container kind:
 //! one chain stored inline for an edge that holds at most one entry, a
-//! skip list with the chain embedded in its node for every other. Where that
-//! shape already is the container the decomposition chose (a
-//! `ConcurrentSkipListMap` or a `Singleton` edge,
-//! [`VersionIndex::is_container_for`]) the index is the edge's only
-//! structure, and a reader holding the edge's locks reads its
+//! split-ordered hash list with the chain embedded in its entry for a
+//! hash-keyed edge, a skip list with the chain embedded in its node for
+//! every other. Where that shape already is the container the decomposition
+//! chose (a `ConcurrentSkipListMap`, `HashMap`, `ConcurrentHashMap` or
+//! `Singleton` edge, [`VersionIndex::is_container_for`]) the index is the
+//! edge's only structure, and a reader holding the edge's locks reads its
 //! [newest](VersionIndex::newest) versions instead of a container.
 //!
 //! Retired nodes go through the epoch collector, so they are counted by
@@ -37,6 +38,7 @@
 //! so tests can prove superseded versions are actually reclaimed.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
@@ -46,7 +48,8 @@ use relc_locks::{CommitStamp, TENTATIVE_TS};
 
 use crate::api::{ContainerKind, Key, Val};
 use crate::extsync::ExtSyncCell;
-use crate::skiplist::{Node, SkipList};
+use crate::skiplist::SkipList;
+use crate::split_list::SplitList;
 
 /// Process-global count of version nodes ever created.
 static VERSIONS_CREATED: AtomicU64 = AtomicU64::new(0);
@@ -348,12 +351,21 @@ impl<V> Drop for VersionCell<V> {
 ///   the entry — tombstone the old key, write the new one, under one stamp —
 ///   collapses to one version (the same-stamp rule of
 ///   [`VersionCell::push`]) instead of an unlink and a relink.
-/// * Every other edge has the *map* shape: a lazy skip list (the algorithm
-///   of [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap), shared)
-///   whose node **embeds** the entry's `VersionCell` — no box, no
-///   reference count. An entry whose whole history is one dead tombstone
-///   is unlinked, and the collector frees the node together with what is
-///   left of its chain, as one deferred destruction.
+/// * A hash-keyed edge ([`ContainerKind::HashMap`],
+///   [`ContainerKind::ConcurrentHashMap`]) has the *hash* shape: a
+///   split-ordered list (Shalev & Shavit) whose entry **embeds** the entry's
+///   `VersionCell`. A point read is one bucket's walk, not a descent of key
+///   comparisons; a walk goes in the list's hash order, so a bounded walk
+///   filters every entry to the bounds.
+/// * Every other edge has the *sorted* shape: a lazy skip list (the
+///   algorithm of [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap),
+///   shared) whose node embeds the entry's `VersionCell`, walked in key
+///   order.
+///
+/// On both multi-entry shapes the cell is embedded — no box, no reference
+/// count — and an entry whose whole history is one dead tombstone is
+/// unlinked: the collector frees it together with what is left of its
+/// chain, as one deferred destruction.
 ///
 /// Reads take the caller's epoch guard and return borrows good for as
 /// long as that guard *and* the index are held: one pin covers a whole
@@ -361,9 +373,9 @@ impl<V> Drop for VersionCell<V> {
 ///
 /// Writes follow the [`VersionCell`] contract: the caller holds the
 /// entry's write locks, so same-entry mutation is serialized; writers of
-/// *different* entries of a map-shaped index may run concurrently.
+/// *different* entries of a multi-entry index may run concurrently.
 ///
-/// Either shape is also the edge's state as its writers leave it, tentative
+/// Every shape is also the edge's state as its writers leave it, tentative
 /// writes included: the [`newest`](Self::newest) view reads each entry's
 /// head version, which is what a container kept beside the index would
 /// hold.
@@ -373,16 +385,73 @@ pub struct VersionIndex<K, V> {
 
 enum Shape<K, V> {
     One(VersionCell<(K, V)>),
-    Map {
-        list: SkipList<K, VersionCell<V>>,
-        /// Entries whose head version is live: the newest view's length,
-        /// kept by [`VersionIndex::write`] and [`VersionIndex::revert`].
-        live: AtomicUsize,
-        /// Where the next [`VersionIndex::sweep`] step resumes: the last
-        /// entry the previous step visited, `None` at the start. Written
-        /// only by a sweep, whose caller holds the whole index's locks.
-        cursor: ExtSyncCell<Option<K>>,
-    },
+    Sorted(Entries<K, V, SkipList<K, VersionCell<V>>>),
+    Hashed(Entries<K, V, SplitList<K, VersionCell<V>>>),
+}
+
+/// What a multi-entry shape needs of the list it keeps its entries in —
+/// the skip list of the sorted shape, the split-ordered list of the hash
+/// shape. Every read runs under the caller's epoch guard and hands back
+/// borrows tied to it. Writers of one key are serialized by the caller;
+/// writers of different keys may run at once.
+pub(crate) trait EntryList<K, P> {
+    /// Whether the list's order is key order.
+    const SORTED: bool;
+
+    /// An empty list.
+    fn new() -> Self;
+
+    /// The address of the list's first node, for a prefetch.
+    fn first(&self, guard: &Guard) -> *const u8;
+
+    /// The payload of the live entry `key`, if there is one.
+    fn get<'g>(&'g self, key: &K, guard: &'g Guard) -> Option<&'g P>;
+
+    /// Visits the live entries between `lo` and `hi`, bounds and visits
+    /// both in the list's order, until `f` breaks. A bound names a position
+    /// whether or not its key is in the list. Weakly consistent: entries
+    /// linked or unlinked behind the walk are not revisited, and an entry
+    /// present throughout is visited.
+    fn walk<'g>(
+        &'g self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        guard: &'g Guard,
+        f: impl FnMut(&'g K, &'g P) -> ControlFlow<()>,
+    ) where
+        K: 'g,
+        P: 'g;
+
+    /// If `key` is present, runs `update` on its payload under the entry's
+    /// lock (which excludes a racing `remove` of it) and returns its result;
+    /// otherwise links a new entry carrying `make`'s payload and returns
+    /// `None`. `seed` goes to whichever of the two runs.
+    fn upsert<T, R>(
+        &self,
+        key: &K,
+        guard: &Guard,
+        seed: T,
+        update: impl FnOnce(&P, T) -> R,
+        make: impl FnOnce(T) -> P,
+    ) -> Option<R>;
+
+    /// Unlinks `key`'s entry, if one is linked, and hands it to the
+    /// collector; `take` reads the payload once the entry is unreachable to
+    /// new readers.
+    fn remove<R>(&self, key: &K, guard: &Guard, take: impl FnOnce(&P) -> R) -> Option<R>;
+}
+
+/// A multi-entry shape: the list, and what the index keeps beside it.
+struct Entries<K, V, L> {
+    list: L,
+    /// Entries whose head version is live: the newest view's length, kept
+    /// by [`VersionIndex::write`] and [`VersionIndex::revert`].
+    live: AtomicUsize,
+    /// Where the next [`VersionIndex::sweep`] step resumes: the last entry
+    /// the previous step visited, `None` at the start. Written only by a
+    /// sweep, whose caller holds the whole index's locks.
+    cursor: ExtSyncCell<Option<K>>,
+    _values: PhantomData<V>,
 }
 
 /// Counts an entry whose head went from live `was` to live `now`.
@@ -394,6 +463,146 @@ fn recount(live: &AtomicUsize, was: bool, now: bool) {
     }
 }
 
+impl<K: Key, V: Val, L: EntryList<K, VersionCell<V>>> Entries<K, V, L> {
+    fn new() -> Self {
+        Entries {
+            list: L::new(),
+            live: AtomicUsize::new(0),
+            cursor: ExtSyncCell::new(None),
+            _values: PhantomData,
+        }
+    }
+
+    fn write(&self, key: &K, stamp: Arc<CommitStamp>, value: Option<V>, guard: &Guard) -> bool {
+        let now = value.is_some();
+        let was = self
+            .list
+            .upsert(
+                key,
+                guard,
+                (stamp, value),
+                |cell, (stamp, value)| {
+                    let was = cell.newest(guard).is_some();
+                    cell.push(stamp, value, guard);
+                    was
+                },
+                |(stamp, value)| VersionCell::new(stamp, value),
+            )
+            .unwrap_or(false);
+        recount(&self.live, was, now);
+        was
+    }
+
+    fn revert<'g>(&'g self, key: &K, stamp: &Arc<CommitStamp>, guard: &'g Guard) -> Option<&'g V> {
+        let cell = self.list.get(key, guard)?;
+        let was = cell.newest(guard).is_some();
+        cell.pop(stamp, guard);
+        let found = cell.newest(guard);
+        recount(&self.live, was, found.is_some());
+        if cell.is_empty(guard) {
+            self.list.remove(key, guard, |_| ());
+        }
+        found
+    }
+
+    fn walk<'g>(
+        &'g self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        snap: u64,
+        guard: &'g Guard,
+        mut f: impl FnMut(&'g K, &'g V) -> ControlFlow<()>,
+    ) {
+        let mut visit = |k: &'g K, cell: &'g VersionCell<V>| match cell.resolve_ref(snap, guard) {
+            Some(v) => f(k, v),
+            None => ControlFlow::Continue(()),
+        };
+        if L::SORTED {
+            self.list.walk(lo, hi, guard, visit);
+        } else {
+            self.list
+                .walk(Bound::Unbounded, Bound::Unbounded, guard, |k, cell| {
+                    if (lo, hi).contains(k) {
+                        visit(k, cell)
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+        }
+    }
+
+    fn prefetch(&self, beyond: bool, guard: &Guard) {
+        if beyond {
+            self.list
+                .walk(Bound::Unbounded, Bound::Unbounded, guard, |_, cell| {
+                    crate::prefetch(cell.head.load(SeqCst, guard).into_ptr());
+                    ControlFlow::Break(())
+                });
+        } else {
+            crate::prefetch(self.list.first(guard));
+        }
+    }
+
+    fn retire(&self, key: &K, floor: u64, guard: &Guard) {
+        let Some(cell) = self.list.get(key, guard) else {
+            return;
+        };
+        cell.truncate(floor, guard);
+        if cell.is_dead(floor, guard) {
+            self.list.remove(key, guard, |_| ());
+        }
+    }
+
+    fn sweep<'g>(&'g self, floor: u64, budget: usize, guard: &'g Guard) -> usize {
+        self.cursor.write(|cursor| {
+            let mut visited = 0;
+            let mut cut_short = false;
+            let mut last: Option<&K> = None;
+            let mut dead: Vec<&K> = Vec::new();
+            let mut visit = |key: &'g K, cell: &'g VersionCell<V>| {
+                if visited == budget {
+                    cut_short = true;
+                    return ControlFlow::Break(());
+                }
+                visited += 1;
+                cell.truncate(floor, guard);
+                if cell.is_dead(floor, guard) {
+                    dead.push(key);
+                }
+                last = Some(key);
+                ControlFlow::Continue(())
+            };
+            match cursor.as_ref() {
+                None => self
+                    .list
+                    .walk(Bound::Unbounded, Bound::Unbounded, guard, &mut visit),
+                Some(from) => {
+                    self.list
+                        .walk(Bound::Excluded(from), Bound::Unbounded, guard, &mut visit);
+                    // Past the wrap; a spent budget breaks at once.
+                    self.list
+                        .walk(Bound::Unbounded, Bound::Included(from), guard, &mut visit);
+                }
+            }
+            // A step that went all the way round leaves no cursor: the
+            // next one starts at the first entry.
+            *cursor = last.filter(|_| cut_short).cloned();
+            for key in dead {
+                self.list.remove(key, guard, |_| ());
+            }
+            visited
+        })
+    }
+
+    fn chains(&self, guard: &Guard, f: &mut impl FnMut(Option<&K>, Vec<(u64, bool)>)) {
+        self.list
+            .walk(Bound::Unbounded, Bound::Unbounded, guard, |key, cell| {
+                f(Some(key), cell.chain_stamps(guard));
+                ControlFlow::Continue(())
+            });
+    }
+}
+
 impl<K: Key, V: Val> VersionIndex<K, V> {
     /// The index for an edge implemented by a `kind` container — the one
     /// place the shape is decided.
@@ -401,26 +610,35 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
         VersionIndex {
             shape: match kind {
                 ContainerKind::Singleton => Shape::One(VersionCell::empty()),
-                _ => Shape::Map {
-                    list: SkipList::new(),
-                    live: AtomicUsize::new(0),
-                    cursor: ExtSyncCell::new(None),
-                },
+                ContainerKind::HashMap | ContainerKind::ConcurrentHashMap => {
+                    Shape::Hashed(Entries::new())
+                }
+                _ => Shape::Sorted(Entries::new()),
             },
         }
     }
 
     /// Whether the index [`for_kind`](Self::for_kind) makes is itself a
     /// `kind` container, so that an edge of that kind needs no other
-    /// structure: the map shape is the lock-free skip list of
-    /// [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap), and the
-    /// one-chain shape is a one-entry cell, as a
-    /// [`SingletonCell`](crate::SingletonCell) is. Both are safe for the
-    /// unlocked readers a concurrent container admits.
+    /// structure: the sorted shape is the lock-free skip list of
+    /// [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap), the hash
+    /// shape a hash table whose readers take no lock and whose writers of
+    /// different keys run at once, as a
+    /// [`StripedHashMap`](crate::StripedHashMap)'s do, and the one-chain
+    /// shape a one-entry cell, as a [`SingletonCell`](crate::SingletonCell)
+    /// is. Each is safe for the unlocked readers a concurrent container
+    /// admits, so a `HashMap` edge, whose placement excludes every reader
+    /// from its writers, asks less of its index than it gives. Only the
+    /// sorted kinds with an order or an access discipline of their own
+    /// (`TreeMap`, `CopyOnWriteArrayList`, `SplayTreeMap`) keep their
+    /// container beside the index.
     pub fn is_container_for(kind: ContainerKind) -> bool {
         matches!(
             kind,
-            ContainerKind::ConcurrentSkipListMap | ContainerKind::Singleton
+            ContainerKind::ConcurrentSkipListMap
+                | ContainerKind::Singleton
+                | ContainerKind::HashMap
+                | ContainerKind::ConcurrentHashMap
         )
     }
 
@@ -443,24 +661,8 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 }
                 held
             }
-            Shape::Map { list, live, .. } => {
-                let now = value.is_some();
-                let was = list
-                    .upsert(
-                        key,
-                        guard,
-                        (stamp, value),
-                        |cell, (stamp, value)| {
-                            let was = cell.newest(guard).is_some();
-                            cell.push(stamp, value, guard);
-                            was
-                        },
-                        |(stamp, value)| VersionCell::new(stamp, value),
-                    )
-                    .unwrap_or(false);
-                recount(live, was, now);
-                was
-            }
+            Shape::Sorted(entries) => entries.write(key, stamp, value, guard),
+            Shape::Hashed(entries) => entries.write(key, stamp, value, guard),
         }
     }
 
@@ -468,9 +670,9 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
     /// its one tentative version, if it is still there — and returns what
     /// the entry holds without it: the value the attempt found, `None` if
     /// it found the entry absent. An entry the attempt created goes with
-    /// its version (a map-shaped index unlinks the node; a one-chain index
-    /// falls back to the `(key, value)` it held before). Caller must hold
-    /// the entry's write locks and must not have committed `stamp`.
+    /// its version (a multi-entry index unlinks it; a one-chain index falls
+    /// back to the `(key, value)` it held before). Caller must hold the
+    /// entry's write locks and must not have committed `stamp`.
     pub fn revert<'g>(
         &'g self,
         key: &K,
@@ -484,17 +686,8 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     .filter(|(held, _)| held == key)
                     .map(|(_, v)| v)
             }
-            Shape::Map { list, live, .. } => {
-                let cell = &list.get(key, guard)?.payload;
-                let was = cell.newest(guard).is_some();
-                cell.pop(stamp, guard);
-                let found = cell.newest(guard);
-                recount(live, was, found.is_some());
-                if cell.is_empty(guard) {
-                    list.remove(key, guard, |_| ());
-                }
-                found
-            }
+            Shape::Sorted(entries) => entries.revert(key, stamp, guard),
+            Shape::Hashed(entries) => entries.revert(key, stamp, guard),
         }
     }
 
@@ -512,12 +705,14 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 .resolve_ref(snap, guard)
                 .filter(|(held, _)| held == key)
                 .map(|(_, v)| v),
-            Shape::Map { list, .. } => list.get(key, guard)?.payload.resolve_ref(snap, guard),
+            Shape::Sorted(entries) => entries.list.get(key, guard)?.resolve_ref(snap, guard),
+            Shape::Hashed(entries) => entries.list.get(key, guard)?.resolve_ref(snap, guard),
         }
     }
 
-    /// Visits, in key order, the entries present at snapshot `snap` whose
-    /// keys lie in `[lo, hi]`, until `f` breaks.
+    /// Visits the entries present at snapshot `snap` whose keys lie in
+    /// `[lo, hi]`, until `f` breaks: in key order on the sorted shape, in
+    /// the hash shape's own order there.
     pub fn walk<'g>(
         &'g self,
         lo: Bound<&K>,
@@ -534,21 +729,18 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     }
                 }
             }
-            Shape::Map { list, .. } => list.walk(lo, hi, guard, |node| {
-                match node.payload.resolve_ref(snap, guard) {
-                    Some(v) => f(&node.key, v),
-                    None => ControlFlow::Continue(()),
-                }
-            }),
+            Shape::Sorted(entries) => entries.walk(lo, hi, snap, guard, f),
+            Shape::Hashed(entries) => entries.walk(lo, hi, snap, guard, f),
         }
     }
 
     /// Starts loading where a read of this index goes first, without
     /// waiting for it: the entry point — the head version on the one-chain
-    /// shape, the first entry on the map shape — or, with `beyond`, the hop
-    /// after it: that version's commit stamp, or the first entry's head
-    /// version. A hint with no effect on what any read returns; a `beyond`
-    /// call reads the entry point, so it pays off after a plain one.
+    /// shape, the first node of a multi-entry shape's list — or, with
+    /// `beyond`, the hop after it: that version's commit stamp, or the
+    /// first entry's head version. A hint with no effect on what any read
+    /// returns; a `beyond` call reads the entry point, so it pays off after
+    /// a plain one.
     pub fn prefetch(&self, beyond: bool, guard: &Guard) {
         match &self.shape {
             Shape::One(cell) if beyond => {
@@ -557,13 +749,8 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 }
             }
             Shape::One(cell) => crate::prefetch(cell.head.load(SeqCst, guard).into_ptr()),
-            Shape::Map { list, .. } if beyond => {
-                list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
-                    crate::prefetch(node.payload.head.load(SeqCst, guard).into_ptr());
-                    ControlFlow::Break(())
-                })
-            }
-            Shape::Map { list, .. } => crate::prefetch(list.first(guard).into_ptr()),
+            Shape::Sorted(entries) => entries.prefetch(beyond, guard),
+            Shape::Hashed(entries) => entries.prefetch(beyond, guard),
         }
     }
 
@@ -575,30 +762,25 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
     pub fn retire(&self, key: &K, floor: u64, guard: &Guard) {
         match &self.shape {
             Shape::One(cell) => cell.truncate_to_empty(floor, guard),
-            Shape::Map { list, .. } => {
-                let Some(node) = list.get(key, guard) else {
-                    return;
-                };
-                node.payload.truncate(floor, guard);
-                if node.payload.is_dead(floor, guard) {
-                    list.remove(key, guard, |_| ());
-                }
-            }
+            Shape::Sorted(entries) => entries.retire(key, floor, guard),
+            Shape::Hashed(entries) => entries.retire(key, floor, guard),
         }
     }
 
     /// One step of the resumable sweep: [`retire`](Self::retire) for up to
     /// `budget` entries, returning how many it visited. A step resumes
     /// just after the cursor — the last entry the previous step visited —
-    /// and wraps from the end of the index to its start, visiting no entry
+    /// in the index's own order (key order on the sorted shape, the
+    /// split-ordered list's on the hash shape, which no resize changes) and
+    /// wraps from the end of the index to its start, visiting no entry
     /// twice; a cursor whose own entry was unlinked in between resumes at
     /// its successor. A step cut short by its budget leaves the cursor on
-    /// its last entry, so consecutive steps walk the index round in key
-    /// order and visit every entry present throughout within ⌈N / budget⌉
-    /// steps of an N-entry index. `usize::MAX` sweeps the whole index (the
-    /// one-chain shape is one entry). Caller must hold write locks covering
-    /// the whole index.
-    pub fn sweep<'g>(&'g self, floor: u64, budget: usize, guard: &'g Guard) -> usize {
+    /// its last entry, so consecutive steps walk the index round and visit
+    /// every entry present throughout within ⌈N / budget⌉ steps of an
+    /// N-entry index. `usize::MAX` sweeps the whole index (the one-chain
+    /// shape is one entry). Caller must hold write locks covering the whole
+    /// index.
+    pub fn sweep(&self, floor: u64, budget: usize, guard: &Guard) -> usize {
         match &self.shape {
             Shape::One(cell) => {
                 if budget == 0 || cell.is_empty(guard) {
@@ -607,46 +789,17 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                 cell.truncate_to_empty(floor, guard);
                 1
             }
-            Shape::Map { list, cursor, .. } => cursor.write(|cursor| {
-                let mut visited = 0;
-                let mut cut_short = false;
-                let mut last: Option<&K> = None;
-                let mut dead: Vec<&K> = Vec::new();
-                let mut visit = |node: &'g Node<K, VersionCell<V>>| {
-                    if visited == budget {
-                        cut_short = true;
-                        return ControlFlow::Break(());
-                    }
-                    visited += 1;
-                    node.payload.truncate(floor, guard);
-                    if node.payload.is_dead(floor, guard) {
-                        dead.push(&node.key);
-                    }
-                    last = Some(&node.key);
-                    ControlFlow::Continue(())
-                };
-                match cursor.as_ref() {
-                    None => list.walk(Bound::Unbounded, Bound::Unbounded, guard, &mut visit),
-                    Some(from) => {
-                        list.walk(Bound::Excluded(from), Bound::Unbounded, guard, &mut visit);
-                        // Past the wrap; a spent budget breaks at once.
-                        list.walk(Bound::Unbounded, Bound::Included(from), guard, &mut visit);
-                    }
-                }
-                // A step that went all the way round leaves no cursor: the
-                // next one starts at the first entry.
-                *cursor = last.filter(|_| cut_short).cloned();
-                for key in dead {
-                    list.remove(key, guard, |_| ());
-                }
-                visited
-            }),
+            Shape::Sorted(entries) => entries.sweep(floor, budget, guard),
+            Shape::Hashed(entries) => entries.sweep(floor, budget, guard),
         }
     }
 
-    /// Invariant-checking view: every non-empty chain's
-    /// [`chain_stamps`](VersionCell::chain_stamps), with the entry key it
-    /// belongs to (`None` on the one-chain shape, whose chain spans keys).
+    /// Invariant-checking view: every entry's
+    /// [`chain_stamps`](VersionCell::chain_stamps), in the index's own
+    /// order, with the entry key it belongs to — `None` on the one-chain
+    /// shape, whose chain spans keys and is reported only when it is not
+    /// empty. An entry of a multi-entry shape is reported whatever its
+    /// chain holds, so an entry left with an empty chain shows.
     pub fn chains(&self, guard: &Guard, mut f: impl FnMut(Option<&K>, Vec<(u64, bool)>)) {
         match &self.shape {
             Shape::One(cell) => {
@@ -655,11 +808,26 @@ impl<K: Key, V: Val> VersionIndex<K, V> {
                     f(None, stamps);
                 }
             }
-            Shape::Map { list, .. } => {
-                list.walk(Bound::Unbounded, Bound::Unbounded, guard, |node| {
-                    f(Some(&node.key), node.payload.chain_stamps(guard));
-                    ControlFlow::Continue(())
-                })
+            Shape::Sorted(entries) => entries.chains(guard, &mut f),
+            Shape::Hashed(entries) => entries.chains(guard, &mut f),
+        }
+    }
+
+    /// Test support: links entry `key` with no version at all — what a
+    /// rollback that forgot to unlink an entry it emptied would leave — so
+    /// that invariant checks can be shown to catch it. Does nothing on the
+    /// one-chain shape, whose empty chain is an empty edge.
+    #[doc(hidden)]
+    pub fn plant_empty_entry(&self, key: &K) {
+        let guard = epoch::pin();
+        let plant = |_| VersionCell::empty();
+        match &self.shape {
+            Shape::One(_) => {}
+            Shape::Sorted(entries) => {
+                entries.list.upsert(key, &guard, (), |_, _| (), plant);
+            }
+            Shape::Hashed(entries) => {
+                entries.list.upsert(key, &guard, (), |_, _| (), plant);
             }
         }
     }
@@ -683,8 +851,8 @@ impl<'a, K: Key, V: Val> Newest<'a, K, V> {
         self.0.get(key, TENTATIVE_TS, guard)
     }
 
-    /// Visits, in key order, the present entries whose keys lie in
-    /// `[lo, hi]`, until `f` breaks.
+    /// Visits the present entries whose keys lie in `[lo, hi]`, in the
+    /// order of [`VersionIndex::walk`], until `f` breaks.
     pub fn walk<'g>(
         &self,
         lo: Bound<&K>,
@@ -698,11 +866,13 @@ impl<'a, K: Key, V: Val> Newest<'a, K, V> {
     }
 
     /// Whether no entry is present: the one chain's head is not live, or
-    /// the map shape counts no live head.
+    /// a multi-entry shape counts no live head.
     pub fn is_empty(&self) -> bool {
         match &self.0.shape {
             Shape::One(cell) => cell.newest(&epoch::pin()).is_none(),
-            Shape::Map { live, .. } => live.load(SeqCst) == 0,
+            Shape::Sorted(Entries { live, .. }) | Shape::Hashed(Entries { live, .. }) => {
+                live.load(SeqCst) == 0
+            }
         }
     }
 }
@@ -711,7 +881,8 @@ impl<K, V> fmt::Debug for VersionIndex<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self.shape {
             Shape::One(_) => "VersionIndex::One { .. }",
-            Shape::Map { .. } => "VersionIndex::Map { .. }",
+            Shape::Sorted(_) => "VersionIndex::Sorted { .. }",
+            Shape::Hashed(_) => "VersionIndex::Hashed { .. }",
         })
     }
 }

@@ -1,11 +1,12 @@
-//! [`VersionIndex`] — both shapes, read at a snapshot and through its
+//! [`VersionIndex`] — all three shapes, read at a snapshot and through its
 //! newest view — against a model, under drop tracking, and under
-//! concurrent snapshot readers.
+//! concurrent snapshot readers; the hash shape also while concurrent
+//! writers grow its table.
 //!
 //! The commit clock, the version counters and the epoch domain are
 //! process-global, so the tests in this binary serialize on a mutex.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -21,13 +22,31 @@ fn serialize() -> MutexGuard<'static, ()> {
 }
 
 const ONE: ContainerKind = ContainerKind::Singleton;
-const MAP: ContainerKind = ContainerKind::HashMap;
+/// A kind whose index has the sorted shape, walked in key order.
+const SORTED: ContainerKind = ContainerKind::ConcurrentSkipListMap;
+/// A kind whose index has the hash shape, walked in its own order.
+const HASH: ContainerKind = ContainerKind::HashMap;
+/// The multi-entry shapes.
+const MULTI: [ContainerKind; 2] = [SORTED, HASH];
+
+/// A walk's visits as the model lists them: in key order, which the hash
+/// shape does not walk in (a duplicate visit still shows).
+fn in_key_order(kind: ContainerKind, mut visits: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
+    if kind == HASH {
+        visits.sort_unstable();
+    }
+    visits
+}
 
 // ---------------------------------------------------------------------
 // Model equivalence.
 // ---------------------------------------------------------------------
 
+/// Keys of the model tests: a few, so that attempts collide.
 const KEYS: i64 = 6;
+/// Keys of the hash shape's resize test: enough live entries to grow its
+/// table three times (past 8, 16 and 32 entries).
+const MANY_KEYS: i64 = 64;
 
 #[derive(Debug, Clone)]
 enum Retire {
@@ -54,11 +73,11 @@ enum Op {
     Read { back: usize, lo: i64, hi: i64 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let write = (0..KEYS, proptest::option::of(0i64..1000));
+fn op_strategy(keys: i64, writes: std::ops::Range<usize>) -> impl Strategy<Value = Op> {
+    let write = (0..keys, proptest::option::of(0i64..1000));
     prop_oneof![
         (
-            proptest::collection::vec(write, 1..5),
+            proptest::collection::vec(write, writes),
             any::<bool>(),
             prop_oneof![
                 Just(Retire::Nothing),
@@ -73,13 +92,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 retire,
                 floor_back,
             }),
-        (0usize..4, 0..KEYS, 0..KEYS + 1).prop_map(|(back, lo, hi)| Op::Read { back, lo, hi }),
+        (0usize..4, 0..keys, 0..keys + 1).prop_map(|(back, lo, hi)| Op::Read { back, lo, hi }),
     ]
 }
 
-/// The reference: each key's committed history, oldest first.
-#[derive(Default)]
+/// The reference: each of `keys` keys' committed history, oldest first.
 struct Model {
+    keys: i64,
     history: BTreeMap<i64, Vec<(u64, Option<i64>)>>,
 }
 
@@ -90,14 +109,14 @@ impl Model {
     }
 
     fn live_at(&self, snap: u64) -> Vec<(i64, i64)> {
-        (0..KEYS)
+        (0..self.keys)
             .filter_map(|k| self.at(k, snap).map(|v| (k, v)))
             .collect()
     }
 
     /// Every key's newest committed value.
     fn newest(&self) -> BTreeMap<i64, Option<i64>> {
-        (0..KEYS).map(|k| (k, self.at(k, u64::MAX))).collect()
+        (0..self.keys).map(|k| (k, self.at(k, u64::MAX))).collect()
     }
 }
 
@@ -128,7 +147,7 @@ fn check_newest(
 ) {
     let guard = epoch::pin();
     let newest = index.newest();
-    for key in 0..KEYS {
+    for &key in state.keys() {
         assert_eq!(
             newest.get(&key, &guard).copied(),
             state[&key],
@@ -145,7 +164,7 @@ fn check_newest(
             out.push((*k, *v));
             ControlFlow::Continue(())
         });
-        out
+        in_key_order(kind, out)
     };
     assert_eq!(
         walk(Bound::Unbounded, Bound::Unbounded),
@@ -201,11 +220,14 @@ impl Attempt<'_> {
     }
 }
 
-fn check_model(kind: ContainerKind, ops: &[Op]) {
+fn check_model(kind: ContainerKind, keys: i64, ops: &[Op]) {
     let _serial = serialize();
     let clock = commit_clock();
     let index: VersionIndex<i64, i64> = VersionIndex::for_kind(kind);
-    let mut model = Model::default();
+    let mut model = Model {
+        keys,
+        history: BTreeMap::new(),
+    };
     // Own commit timestamps, and the highest floor retired at so far: a
     // reader older than a floor a writer used cannot exist in the system.
     let mut times: Vec<u64> = vec![clock.now()];
@@ -219,7 +241,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
             kind,
             &index,
             &model.newest(),
-            (1, KEYS - 1),
+            (1, keys - 1),
             "between attempts",
         );
         match op {
@@ -232,7 +254,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                 let guard = epoch::pin();
                 let now = *times.last().unwrap();
                 let before: BTreeMap<i64, Option<i64>> =
-                    (0..KEYS).map(|k| (k, model.at(k, now))).collect();
+                    (0..keys).map(|k| (k, model.at(k, now))).collect();
                 let mut attempt = Attempt {
                     kind,
                     index: &index,
@@ -260,7 +282,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                             "{kind} {key:?}: {stamps:?} kept a reverted version or entry"
                         );
                     });
-                    check_newest(kind, &index, &before, (0, KEYS), "after revert");
+                    check_newest(kind, &index, &before, (0, keys), "after revert");
                     continue;
                 }
                 let Attempt {
@@ -305,7 +327,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     assert!(live.len() <= 1, "a one-entry edge held {live:?} at {snap}");
                 }
                 let guard = epoch::pin();
-                for key in 0..KEYS {
+                for key in 0..keys {
                     assert_eq!(
                         index.get(&key, snap, &guard).copied(),
                         model.at(key, snap),
@@ -313,7 +335,7 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     );
                 }
                 assert_eq!(
-                    walk(&index, Bound::Unbounded, Bound::Unbounded, snap),
+                    in_key_order(kind, walk(&index, Bound::Unbounded, Bound::Unbounded, snap)),
                     live,
                     "{kind}: walk at {snap}"
                 );
@@ -323,7 +345,10 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
                     .filter(|(k, _)| (*lo..*hi).contains(k))
                     .collect();
                 assert_eq!(
-                    walk(&index, Bound::Included(lo), Bound::Excluded(hi), snap),
+                    in_key_order(
+                        kind,
+                        walk(&index, Bound::Included(lo), Bound::Excluded(hi), snap)
+                    ),
                     inside,
                     "{kind}: walk over [{lo}, {hi}) at {snap}"
                 );
@@ -331,20 +356,47 @@ fn check_model(kind: ContainerKind, ops: &[Op]) {
             }
         }
     }
-    check_newest(kind, &index, &model.newest(), (0, KEYS), "at the end");
+    check_newest(kind, &index, &model.newest(), (0, keys), "at the end");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn map_shape_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
-        check_model(MAP, &ops);
+    fn sorted_shape_matches_model(ops in proptest::collection::vec(op_strategy(KEYS, 1..5), 1..80)) {
+        check_model(SORTED, KEYS, &ops);
     }
 
     #[test]
-    fn one_chain_shape_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
-        check_model(ONE, &ops);
+    fn hash_shape_matches_model(ops in proptest::collection::vec(op_strategy(KEYS, 1..5), 1..80)) {
+        check_model(HASH, KEYS, &ops);
+    }
+
+    #[test]
+    fn one_chain_shape_matches_model(ops in proptest::collection::vec(op_strategy(KEYS, 1..5), 1..80)) {
+        check_model(ONE, KEYS, &ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The hash shape over enough keys that its table grows while the
+    /// model's attempts, rollbacks, retirements and reads go on: a first
+    /// attempt links a third of the keys (two resizes), and the random
+    /// attempts over all of them grow it past 32 entries.
+    #[test]
+    fn hash_shape_matches_model_across_resizes(
+        ops in proptest::collection::vec(op_strategy(MANY_KEYS, 1..12), 1..60)
+    ) {
+        let first = Op::Attempt {
+            writes: (0..MANY_KEYS / 3).map(|k| (k, Some(k))).collect(),
+            abort: false,
+            retire: Retire::Nothing,
+            floor_back: 0,
+        };
+        let ops: Vec<Op> = std::iter::once(first).chain(ops).collect();
+        check_model(HASH, MANY_KEYS, &ops);
     }
 }
 
@@ -368,14 +420,15 @@ fn commit_write(index: &VersionIndex<i64, DropCounter>, key: i64, value: Option<
 #[test]
 fn retired_entries_are_destroyed_once_and_only_after_earlier_guards_drop() {
     let _serial = serialize();
-    for kind in [MAP, ONE] {
+    for kind in [SORTED, HASH, ONE] {
         let fam = DropFamily::new();
         let index: VersionIndex<i64, DropCounter> = VersionIndex::for_kind(kind);
         commit_write(&index, 7, Some(fam.make(1)));
         commit_write(&index, 8, Some(fam.make(2)));
-        // What survives all of this test's retirement: on the map shape
-        // entry 7; on the one-chain shape nothing (writing 8 replaced 7).
-        let (kept, kept_versions) = if kind == MAP { (1, 1) } else { (0, 0) };
+        // What survives all of this test's retirement: on a multi-entry
+        // shape entry 7; on the one-chain shape nothing (writing 8
+        // replaced 7).
+        let (kept, kept_versions) = if kind == ONE { (0, 0) } else { (1, 1) };
         reclamation_flush();
         assert_eq!(fam.live(), kept + 1, "{kind}");
         let v0 = version_stats().live() - kept_versions - 1;
@@ -384,9 +437,9 @@ fn retired_entries_are_destroyed_once_and_only_after_earlier_guards_drop() {
         let snap = commit_clock().now();
         let seen = index.get(&8, snap, &held).expect("present at the snapshot");
         // Tombstone, then retire: the live version is truncated and the
-        // entry, now one dead tombstone, is unlinked with its cell (map)
-        // or emptied (one chain) — all of it handed to the collector, none
-        // of it destroyed while `held` is pinned.
+        // entry, now one dead tombstone, is unlinked with its cell (multi-
+        // entry shapes) or emptied (one chain) — all of it handed to the
+        // collector, none of it destroyed while `held` is pinned.
         commit_write(&index, 8, None);
         assert!(index.get(&8, commit_clock().now(), &held).is_none());
         reclamation_flush();
@@ -396,7 +449,7 @@ fn retired_entries_are_destroyed_once_and_only_after_earlier_guards_drop() {
             kept + 1,
             "{kind}: nothing freed under the guard"
         );
-        if kind == MAP {
+        if kind != ONE {
             // The tombstone lives in the unlinked node's embedded cell.
             assert_eq!(version_stats().live() - v0, kept_versions + 1);
         }
@@ -434,11 +487,14 @@ const SLOTS: i64 = 8;
 /// committed attempt ever holds, all reverted newest first under a stamp
 /// that never commits. Readers must never see a negative value or such a
 /// key, and a reverted entry must be gone from the index, not emptied.
-fn stress(attempts: i64) {
+///
+/// The map index has the shape of `kind`: a sorted one must walk in key
+/// order, a hash one must visit no key twice.
+fn stress(kind: ContainerKind, attempts: i64) {
     let clock = commit_clock();
     let registry = SnapshotRegistry::new();
     let one: VersionIndex<i64, i64> = VersionIndex::for_kind(ONE);
-    let map: VersionIndex<i64, i64> = VersionIndex::for_kind(MAP);
+    let map: VersionIndex<i64, i64> = VersionIndex::for_kind(kind);
     let done = AtomicBool::new(false);
     let newest = AtomicI64::new(0);
     std::thread::scope(|s| {
@@ -474,17 +530,18 @@ fn stress(attempts: i64) {
                             "attempt {n} is visible in one index and not the other"
                         );
                         let mut prev = -1;
+                        let mut seen = 0u64;
                         map.walk(
                             Bound::Unbounded,
                             Bound::Unbounded,
                             reg.snap(),
                             &guard,
                             |k, v| {
-                                assert!(
-                                    *k > prev && *v > 0 && *v % SLOTS == *k && *v <= n,
-                                    "({k}, {v}) at {n}"
-                                );
+                                assert!(*v > 0 && *v % SLOTS == *k && *v <= n, "({k}, {v}) at {n}");
+                                assert!(kind != SORTED || *k > prev, "{kind}: {k} after {prev}");
+                                assert_eq!(seen & 1 << k, 0, "{kind}: {k} visited twice");
                                 prev = *k;
+                                seen |= 1 << k;
                                 ControlFlow::Continue(())
                             },
                         );
@@ -556,7 +613,9 @@ fn stress(attempts: i64) {
 #[test]
 fn snapshot_readers_never_see_a_torn_pair() {
     let _serial = serialize();
-    stress(20_000);
+    for kind in MULTI {
+        stress(kind, 20_000);
+    }
 }
 
 /// Long form of [`snapshot_readers_never_see_a_torn_pair`] for the soak
@@ -565,7 +624,130 @@ fn snapshot_readers_never_see_a_torn_pair() {
 #[ignore = "soak: run with --ignored"]
 fn snapshot_readers_never_see_a_torn_pair_soak() {
     let _serial = serialize();
-    stress(2_000_000);
+    for kind in MULTI {
+        stress(kind, 1_000_000);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The hash shape's table growing under concurrent writers and readers.
+// ---------------------------------------------------------------------
+
+/// Keys every round starts with and never writes again: present
+/// throughout.
+const STEADY: i64 = 48;
+const WRITERS: i64 = 2;
+
+/// Per round, a fresh hash-shaped index holding [`STEADY`] keys, then
+/// [`WRITERS`] writers of disjoint key sets, each inserting `churn` keys of
+/// its own and then removing them — a committed tombstone, retired at the
+/// registry's floor until the entry is unlinked — while two snapshot
+/// readers walk and probe. The inserts grow the table from one bucket to
+/// `churn` of them, so every round crosses several resizes with readers on
+/// the list and two writers linking entries and bucket sentinels at once.
+/// Every reader's walk must visit each steady key exactly once, and a
+/// probe of it must find it; nothing a reader sees may be a value no
+/// writer wrote.
+fn grow_under_readers(rounds: usize, churn: i64) {
+    let clock = commit_clock();
+    for _ in 0..rounds {
+        let registry = SnapshotRegistry::new();
+        let index: VersionIndex<i64, i64> = VersionIndex::for_kind(HASH);
+        commit_all(&index, (0..STEADY).map(|k| (k, Some(k))));
+        let writing = AtomicI64::new(WRITERS);
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|r| {
+                    let (index, registry, writing) = (&index, &registry, &writing);
+                    s.spawn(move || {
+                        let mut reads = 0u64;
+                        while writing.load(SeqCst) > 0 || reads == 0 {
+                            let reg = registry.register(clock);
+                            let guard = epoch::pin();
+                            let mut steady = vec![0u8; STEADY as usize];
+                            index.walk(
+                                Bound::Unbounded,
+                                Bound::Unbounded,
+                                reg.snap(),
+                                &guard,
+                                |k, v| {
+                                    assert_eq!(k, v, "a value no writer wrote");
+                                    if *k < STEADY {
+                                        steady[*k as usize] += 1;
+                                    }
+                                    ControlFlow::Continue(())
+                                },
+                            );
+                            assert!(
+                                steady.iter().all(|&n| n == 1),
+                                "a walk visited the steady keys {steady:?} times"
+                            );
+                            let probe = (reads as i64 * 7 + r) % STEADY;
+                            assert_eq!(index.get(&probe, reg.snap(), &guard), Some(&probe));
+                            reads += 1;
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            for w in 0..WRITERS {
+                let (index, registry, writing) = (&index, &registry, &writing);
+                s.spawn(move || {
+                    let mine = (0..churn).map(|i| STEADY + i * WRITERS + w);
+                    for key in mine.clone() {
+                        commit_all(index, [(key, Some(key))]);
+                    }
+                    let mut linked: Vec<i64> = mine.collect();
+                    for &key in &linked {
+                        commit_all(index, [(key, None)]);
+                    }
+                    while !linked.is_empty() {
+                        let guard = epoch::pin();
+                        let floor = registry.min_active(clock);
+                        linked
+                            .iter()
+                            .for_each(|key| index.retire(key, floor, &guard));
+                        let mut left = BTreeSet::new();
+                        index.chains(&guard, |k, _| {
+                            left.extend(k.copied());
+                        });
+                        linked.retain(|key| left.contains(key));
+                        std::thread::yield_now();
+                    }
+                    writing.fetch_sub(1, SeqCst);
+                });
+            }
+            for r in readers {
+                assert!(r.join().unwrap() > 0, "a reader never completed a read");
+            }
+        });
+        let guard = epoch::pin();
+        let mut left = Vec::new();
+        index.chains(&guard, |k, stamps| {
+            assert_eq!(stamps.len(), 1);
+            left.push(*k.unwrap());
+        });
+        left.sort_unstable();
+        assert_eq!(left, (0..STEADY).collect::<Vec<_>>());
+        drop(guard);
+        drop(index);
+    }
+    assert_eq!(reclamation_flush().in_flight(), 0, "retired == reclaimed");
+}
+
+#[test]
+fn readers_find_every_steady_key_while_writers_grow_the_table() {
+    let _serial = serialize();
+    grow_under_readers(4, 1_024);
+}
+
+/// Long form of [`readers_find_every_steady_key_while_writers_grow_the_table`]
+/// for the soak step.
+#[test]
+#[ignore = "soak: run with --ignored"]
+fn readers_find_every_steady_key_while_writers_grow_the_table_soak() {
+    let _serial = serialize();
+    grow_under_readers(200, 8_192);
 }
 
 // ---------------------------------------------------------------------
@@ -585,47 +767,77 @@ fn commit_all(
     commit_clock().commit(&stamp);
 }
 
-/// A map-shaped index over `keys`, each entry two committed versions deep.
-fn two_deep(keys: impl Iterator<Item = i64> + Clone) -> VersionIndex<i64, i64> {
-    let index = VersionIndex::for_kind(MAP);
+/// A `kind`-shaped index over `keys`, each entry two committed versions
+/// deep.
+fn two_deep(
+    kind: ContainerKind,
+    keys: impl Iterator<Item = i64> + Clone,
+) -> VersionIndex<i64, i64> {
+    let index = VersionIndex::for_kind(kind);
     commit_all(&index, keys.clone().map(|k| (k, Some(k))));
     commit_all(&index, keys.map(|k| (k, Some(-k))));
     index
 }
 
-/// One sweep step at the present floor, and the entries it visited: those
-/// whose chain it truncated to one version. Each of them is pushed back to
-/// two versions, so the next step shows what *it* visits.
+/// The index's keys in its own order: key order on the sorted shape, the
+/// split-ordered list's on the hash shape. A sweep step goes round in it.
+fn index_order(index: &VersionIndex<i64, i64>) -> Vec<i64> {
+    let guard = epoch::pin();
+    let mut keys = Vec::new();
+    index.chains(&guard, |key, _| {
+        keys.push(*key.expect("a multi-entry shape"))
+    });
+    keys
+}
+
+/// One sweep step at the present floor, and the entries it visited, in the
+/// index's order: those whose chain it truncated to one version. Each of
+/// them is pushed back to two versions, so the next step shows what *it*
+/// visits.
 fn step(index: &VersionIndex<i64, i64>, budget: usize) -> (usize, Vec<i64>) {
     let guard = epoch::pin();
     let count = index.sweep(commit_clock().now(), budget, &guard);
     let mut visited = Vec::new();
     index.chains(&guard, |key, stamps| {
         if stamps.len() == 1 {
-            visited.push(*key.expect("map shape"));
+            visited.push(*key.expect("a multi-entry shape"));
         }
     });
     commit_all(index, visited.iter().map(|&k| (k, Some(k))));
     (count, visited)
 }
 
-/// Consecutive steps walk the index round in key order: with `budget`
+/// Consecutive steps walk the index round in its order: with `budget`
 /// dividing N, every ⌈N / budget⌉ consecutive steps visit each entry
 /// exactly once, also when the window straddles the end of the index;
-/// otherwise each at least once and none more than twice.
+/// otherwise each at least once and none more than twice. On the hash
+/// shape the index also grows its table in between (the entries past the
+/// first eight), which moves no entry of the round.
 #[test]
 fn budgeted_steps_visit_every_entry_once_per_round() {
     let _serial = serialize();
-    for (entries, budget) in [(12usize, 4usize), (12, 3), (10, 4), (7, 1), (5, 64)] {
-        let index = two_deep(0..entries as i64);
+    let cases = [
+        (12usize, 4usize),
+        (12, 3),
+        (10, 4),
+        (7, 1),
+        (5, 64),
+        (40, 8),
+    ];
+    for (kind, (entries, budget)) in MULTI.into_iter().flat_map(|k| cases.map(|c| (k, c))) {
+        let index = two_deep(kind, 0..entries as i64);
         // Start off the first entry so that rounds straddle the wrap.
-        assert_eq!(step(&index, 1), (1, vec![0]));
+        assert_eq!(step(&index, 1), (1, vec![index_order(&index)[0]]), "{kind}");
         let round = entries.div_ceil(budget);
         let exact = entries.is_multiple_of(budget) || budget >= entries;
         let mut order = Vec::new();
         for _ in 0..3 * round {
             let (count, visited) = step(&index, budget);
-            assert_eq!(count, visited.len(), "{entries}/{budget}: {visited:?}");
+            assert_eq!(
+                count,
+                visited.len(),
+                "{kind} {entries}/{budget}: {visited:?}"
+            );
             order.push(visited);
         }
         for window in order.windows(round) {
@@ -634,7 +846,7 @@ fn budgeted_steps_visit_every_entry_once_per_round() {
             assert!(
                 seen.iter()
                     .all(|&n| if exact { n == 1 } else { (1..=2).contains(&n) }),
-                "{entries}/{budget}: {window:?} visited {seen:?}"
+                "{kind} {entries}/{budget}: {window:?} visited {seen:?}"
             );
         }
     }
@@ -646,19 +858,22 @@ fn budgeted_steps_visit_every_entry_once_per_round() {
 #[test]
 fn a_step_resumes_past_an_unlinked_cursor() {
     let _serial = serialize();
-    let index = two_deep(0..10);
-    let unlink = |keys: &[i64]| {
-        commit_all(&index, keys.iter().map(|&k| (k, None)));
-        let guard = epoch::pin();
-        let now = commit_clock().now();
-        keys.iter().for_each(|k| index.retire(k, now, &guard));
-    };
-    assert_eq!(step(&index, 3), (3, vec![0, 1, 2]));
-    unlink(&[2, 3]);
-    assert_eq!(step(&index, 3), (3, vec![4, 5, 6]));
-    assert_eq!(step(&index, 3), (3, vec![7, 8, 9]));
-    unlink(&[9]);
-    assert_eq!(step(&index, 2), (2, vec![0, 1]));
+    for kind in MULTI {
+        let index = two_deep(kind, 0..10);
+        let o = index_order(&index);
+        let unlink = |keys: &[i64]| {
+            commit_all(&index, keys.iter().map(|&k| (k, None)));
+            let guard = epoch::pin();
+            let now = commit_clock().now();
+            keys.iter().for_each(|k| index.retire(k, now, &guard));
+        };
+        assert_eq!(step(&index, 3), (3, o[0..3].to_vec()), "{kind}");
+        unlink(&[o[2], o[3]]);
+        assert_eq!(step(&index, 3), (3, o[4..7].to_vec()), "{kind}");
+        assert_eq!(step(&index, 3), (3, o[7..10].to_vec()), "{kind}");
+        unlink(&[o[9]]);
+        assert_eq!(step(&index, 2), (2, o[0..2].to_vec()), "{kind}");
+    }
 }
 
 /// A step visits `min(budget, N)` entries of an N-entry index — never more
@@ -666,13 +881,20 @@ fn a_step_resumes_past_an_unlinked_cursor() {
 #[test]
 fn a_step_never_visits_more_than_its_budget() {
     let _serial = serialize();
-    for entries in [0i64, 1, 9, 70] {
-        let index = two_deep(0..entries);
+    for (kind, entries) in MULTI
+        .into_iter()
+        .flat_map(|k| [0i64, 1, 9, 70].map(|n| (k, n)))
+    {
+        let index = two_deep(kind, 0..entries);
         for budget in [0usize, 1, 2, 8, 9, 10, 64, 71, usize::MAX] {
             for _ in 0..3 {
                 let (count, visited) = step(&index, budget);
-                assert_eq!(count, budget.min(entries as usize), "{entries}/{budget}");
-                assert_eq!(count, visited.len(), "{entries}/{budget}");
+                assert_eq!(
+                    count,
+                    budget.min(entries as usize),
+                    "{kind} {entries}/{budget}"
+                );
+                assert_eq!(count, visited.len(), "{kind} {entries}/{budget}");
             }
         }
     }
@@ -694,8 +916,14 @@ fn a_step_never_visits_more_than_its_budget() {
 #[test]
 fn an_unbounded_step_leaves_the_chains_a_whole_index_sweep_did() {
     let _serial = serialize();
+    for kind in MULTI {
+        unbounded_step_against_whole_index_sweep(kind);
+    }
+}
+
+fn unbounded_step_against_whole_index_sweep(kind: ContainerKind) {
     let clock = commit_clock();
-    let (swept, reference) = (VersionIndex::for_kind(MAP), VersionIndex::for_kind(MAP));
+    let (swept, reference) = (VersionIndex::for_kind(kind), VersionIndex::for_kind(kind));
     let mut floor = 0;
     for round in 0..6i64 {
         // Both indexes get every write under one stamp, so their chains

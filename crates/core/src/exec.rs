@@ -34,6 +34,7 @@
 use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
+use relc_containers::epoch::Guard;
 use relc_locks::{LockMode, MustRestart, PhysicalLock, TwoPhaseEngine};
 use relc_spec::{ColumnSet, RangePattern, Tuple};
 
@@ -71,10 +72,6 @@ impl EdgeView for Executor<'_> {
     type Node = NodeRef;
     type Row = Tuple;
     type Restart = MustRestart;
-
-    /// Edges walk an interval in key order only when they are sorted; the
-    /// step's `ordered` flag says which.
-    const WALKS_IN_KEY_ORDER: bool = false;
 
     /// The batch is every row's tokens, each computed from the row's slots,
     /// paired with the lock it names at the row's host instance.
@@ -205,6 +202,15 @@ impl Located {
     }
 }
 
+/// One epoch pin for a whole operation of the locked view. The version
+/// indexes it reads — every edge that is its index alone is read there,
+/// under the edge's locks — pin again for each lookup and scan, which
+/// inside this pin only counts a thread-local depth instead of publishing
+/// the thread's epoch once per read.
+fn pin_operation() -> Guard {
+    relc_containers::epoch::pin()
+}
+
 impl<'a> Executor<'a> {
     /// Creates an executor for the plans of `planner` — a relation's
     /// lowered planner ([`Planner::lowered`]), whose placement and fusion
@@ -285,6 +291,7 @@ impl<'a> Executor<'a> {
         pattern: &Tuple,
         root: &NodeRef,
     ) -> Result<Vec<Tuple>, MustRestart> {
+        let _pinned = pin_operation();
         eval_all(self.decomp, self, plan, pattern, None, Arc::clone(root))
     }
 
@@ -303,6 +310,7 @@ impl<'a> Executor<'a> {
         range: &RangePattern,
         root: &NodeRef,
     ) -> Result<Vec<Tuple>, MustRestart> {
+        let _pinned = pin_operation();
         eval_all(
             self.decomp,
             self,
@@ -372,6 +380,7 @@ impl<'a> Executor<'a> {
         hold_published_targets: bool,
         inserted: &mut [bool],
     ) -> Result<(), MustRestart> {
+        let _pinned = pin_operation();
         debug_assert_eq!(rows.len(), inserted.len());
         debug_assert!(
             hold_published_targets || rows.len() == 1,
@@ -432,17 +441,17 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Existence check: does any tuple extend s? When the check's first
-        // step is a point lookup, the walk above already answered it: the
-        // lookup key is `s`'s projection, which coincides with `x`'s on
-        // columns bound by `s`, and the walk evaluates every root-source
-        // edge definitively. An absent first edge means no tuple extends
-        // `s` — the common case for fresh-key inserts — so the check is
-        // skipped entirely. Otherwise it runs unlocked: the sweep and the
-        // walk's exclusive locks exclude every writer of what it reads.
-        let exists = match plan.first_check_lookup() {
-            Some(e1) if !present[e1.index()] => false,
-            _ => self.run_exists(&plan.check, s, root)?,
+        // Existence check: does any tuple extend s? The walk above often
+        // already answered it (`InsertPlan::answer_from_walk`): an absent
+        // first edge of the check means no tuple extends `s` — the common
+        // case for fresh-key inserts — and a check of lookups keyed by
+        // `s`'s columns that the walk found all of means one does — the
+        // common case for inserting a present key. Otherwise it runs
+        // unlocked: the sweep and the walk's exclusive locks exclude every
+        // writer of what it reads.
+        let exists = match plan.answer_from_walk(&present) {
+            Some(exists) => exists,
+            None => self.run_exists(&plan.check, s, root)?,
         };
         if exists {
             return Ok(false);
@@ -550,6 +559,7 @@ impl<'a> Executor<'a> {
         pattern: &Tuple,
         root: &NodeRef,
     ) -> Result<bool, MustRestart> {
+        let _pinned = pin_operation();
         eval_any(self.decomp, self, plan, pattern, Arc::clone(root))
     }
 
@@ -603,6 +613,7 @@ impl<'a> Executor<'a> {
         t: &Tuple,
         root: &NodeRef,
     ) -> Result<Option<Tuple>, MustRestart> {
+        let _pinned = pin_operation();
         let Some(survivor) = self.locate(&plan.locate, s, root)? else {
             return Ok(None); // no tuple matches s
         };
@@ -670,6 +681,7 @@ impl<'a> Executor<'a> {
         root: &NodeRef,
         removed: &mut [Option<Tuple>],
     ) -> Result<(), MustRestart> {
+        let _pinned = pin_operation();
         debug_assert_eq!(keys.len(), removed.len());
         self.acquire_root_sweep(&plan.root_hosted, keys, root)?;
         for (s, out) in keys.iter().zip(removed) {

@@ -13,17 +13,19 @@
 //! the one [`ContainerKind`](relc_containers::ContainerKind) the
 //! decomposition gives it: the version index that fits the container — one
 //! inline version chain where the edge holds at most one entry
-//! (`Singleton`), a skip list with the chains embedded in its nodes
-//! everywhere else — and the container itself only where the index is not
-//! that container already
+//! (`Singleton`), a split-ordered hash list with the chains embedded in its
+//! entries for a hash-keyed edge (`HashMap`, `ConcurrentHashMap`), a skip
+//! list with the chains embedded in its nodes for every other — and the
+//! container itself only where the index is not that container already
 //! ([`VersionIndex::is_container_for`](relc_containers::VersionIndex::is_container_for)).
-//! A `ConcurrentSkipListMap` or a `Singleton` edge is its index alone: the
-//! chain heads are its entries, tentative writes included. Every other
-//! edge keeps its container beside the index, written after it by the same
-//! `NodeInstance::write`. Readers holding the edge's locks go through
-//! [`NodeInstance::lookup`] and [`NodeInstance::scan`], which read
-//! whichever the edge has. Nothing else in the runtime knows which shape
-//! an edge has.
+//! A `ConcurrentSkipListMap`, `HashMap`, `ConcurrentHashMap` or `Singleton`
+//! edge is its index alone: the chain heads are its entries, tentative
+//! writes included. Only a `TreeMap`, `CopyOnWriteArrayList` or
+//! `SplayTreeMap` edge keeps its container beside the index, written after
+//! it by the same `NodeInstance::write`. Readers holding the edge's locks
+//! go through [`NodeInstance::lookup`] and [`NodeInstance::scan`], which
+//! read whichever the edge has. Nothing else in the runtime knows which
+//! shape an edge has.
 //!
 //! **An entry holds a child or a row.** An entry of an edge leads to the
 //! instance of the edge's target ([`Child::Node`]) — unless lowering fused
@@ -188,8 +190,8 @@ impl NodeInstance {
     /// Visits the entries of outgoing edge `edge` whose keys lie in
     /// `[lo, hi]`, as [`lookup`](Self::lookup) sees them, until `f`
     /// breaks. In key order where the edge is sorted (a bounded walk then
-    /// visits only the interval); a bounded scan of an unsorted container
-    /// is a filtered full scan.
+    /// visits only the interval); a bounded scan of a hash-keyed edge is a
+    /// filtered full scan.
     ///
     /// # Panics
     ///
@@ -630,12 +632,15 @@ mod tests {
     }
 
     /// An edge whose version index is its container keeps no other
-    /// structure; every other kind keeps its container beside the index.
+    /// structure; only the kinds no index shape stands in for — `TreeMap`,
+    /// `CopyOnWriteArrayList`, `SplayTreeMap` — keep their container beside
+    /// the index.
     #[test]
     fn only_edges_whose_index_is_not_their_container_keep_one() {
-        let index_only = [
-            ContainerKind::ConcurrentSkipListMap,
-            ContainerKind::Singleton,
+        let kept_beside = [
+            ContainerKind::TreeMap,
+            ContainerKind::CopyOnWriteArrayList,
+            ContainerKind::SplayTreeMap,
         ];
         for kind in ContainerKind::ALL {
             // `stick`'s `v→w` is a Singleton edge; any kind but that fits
@@ -657,7 +662,7 @@ mod tests {
             let inst = NodeInstance::new(&d, &p, node, key);
             let edge = d.edge_between(src, dst).unwrap();
             let kept = inst.container(&d, edge).is_some();
-            assert_eq!(kept, !index_only.contains(&kind), "{kind:?}");
+            assert_eq!(kept, kept_beside.contains(&kind), "{kind:?}");
         }
     }
 

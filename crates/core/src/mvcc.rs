@@ -4,14 +4,16 @@
 //! written entry's chain in the instance's *version index* (see
 //! [`crate::instance::VersionIndex`]): a lock-free map from entry key to
 //! that entry's version chain, shaped like the edge's container — one
-//! inline chain for an edge that holds at most one entry, a skip list with
+//! inline chain for an edge that holds at most one entry, a split-ordered
+//! hash list with embedded chains for a hash-keyed edge, a skip list with
 //! embedded chains for every other. Where that shape is the container
-//! itself (a `ConcurrentSkipListMap` or `Singleton` edge) the index is all
-//! the edge has; every other edge keeps its container beside the index and
-//! writes it after the version ([`NodeInstance::write`]). This module never
-//! sees a chain: it writes entries, reads them at a timestamp, and asks the
-//! index to retire them. All versions written by one transaction attempt
-//! share one [`CommitStamp`]; the commit path
+//! itself (a `ConcurrentSkipListMap`, `HashMap`, `ConcurrentHashMap` or
+//! `Singleton` edge) the index is all the edge has; a `TreeMap`,
+//! `CopyOnWriteArrayList` or `SplayTreeMap` edge keeps its container beside
+//! the index and writes it after the version ([`NodeInstance::write`]).
+//! This module never sees a chain: it writes entries, reads them at a
+//! timestamp, and asks the index to retire them. All versions written by
+//! one transaction attempt share one [`CommitStamp`]; the commit path
 //! ([`crate::commit::commit`], where the whole ordering argument lives)
 //! stamps it through the global [`commit clock`](relc_locks::commit_clock)
 //! *before* the lock engine releases anything, so a version's stamp being
@@ -49,7 +51,7 @@
 //! pointer. Retiring an entry truncates versions strictly older than the
 //! newest version at or below the floor and — if the whole remaining
 //! history is one committed tombstone at or below it — drops the entry
-//! from the index (a map-shaped index unlinks the node and defers it, with
+//! from the index (a multi-entry index unlinks the node and defers it, with
 //! the chain it embeds, through the epoch collector, so retirement shows
 //! up in `ReclamationStats`; a one-chain index empties its chain).
 //! Entries are only ever mutated or unlinked by a transaction holding the
@@ -75,12 +77,13 @@
 //! collapse), on top of the value the attempt found, so an attempt that
 //! does not commit is taken back physically
 //! ([`MvccScope::roll_back`]): newest journal entry first, drop the
-//! attempt's version from the entry's chain — on an edge that is its index
-//! alone, that is the whole rollback, and an entry the attempt created
-//! leaves with its node — and, where the edge keeps a container, write the
-//! container's entry back to what the chain now says. Every journaled
-//! entry was written
-//! under a lock the attempt still holds, so rollback acquires nothing,
+//! attempt's version from the entry's chain. On an edge that is its index
+//! alone — every hash-keyed, `ConcurrentSkipListMap` and `Singleton` edge —
+//! that is the whole rollback, and an entry the attempt created leaves
+//! with its node; only a `TreeMap`, `CopyOnWriteArrayList` or
+//! `SplayTreeMap` edge also has its container's entry written back to what
+//! the chain now says. Every journaled entry was written under a lock the
+//! attempt still holds, so rollback acquires nothing,
 //! plans nothing and cannot restart; it re-links the *same* instances the
 //! attempt unlinked, so §4.1 sharing is restored rather than rebuilt; and
 //! it never touches the commit clock — the stamp of an attempt that rolled
@@ -259,7 +262,8 @@ impl MvccScope {
     /// Takes back every write of an attempt that will not commit, newest
     /// first, with the attempt's locks still held: per journal entry, drop
     /// the attempt's version from the entry's chain and, where the edge
-    /// keeps a container, write its entry back to what the chain now says
+    /// keeps a container (`TreeMap`, `CopyOnWriteArrayList`,
+    /// `SplayTreeMap`), write its entry back to what the chain now says
     /// (the instance the attempt found there, or nothing)
     /// ([`NodeInstance::revert`]). Deliberately handed nothing but
     /// the decomposition: no engine, no plans, no clock. See the module
@@ -335,20 +339,23 @@ impl std::fmt::Debug for MvccScope {
 /// (test support; surfaced through
 /// [`ConcurrentRelation::verify`](crate::ConcurrentRelation::verify)):
 ///
+/// * no entry's chain is empty (a rollback unlinks an entry it emptied);
 /// * chain stamps are strictly decreasing newest-first;
 /// * no tentative stamp survives quiescence (an attempt either commits
 ///   its stamp or drops its versions — [`MvccScope::roll_back`]);
 /// * after compacting each chain to the current retirement floor, at
 ///   most one version sits at or below the floor (the keeper —
 ///   [`relc_containers::VersionCell::truncate`]'s postcondition);
-/// * where an edge keeps a container beside its index, the index,
-///   resolved at the current clock time, carries exactly the container's
-///   live keys (every write reached both) — whichever shape the index
-///   has. An edge that is its index alone has nothing to compare.
+/// * where a `TreeMap`, `CopyOnWriteArrayList` or `SplayTreeMap` edge keeps
+///   a container beside its index, the index, resolved at the current
+///   clock time, carries exactly the container's live keys (every write
+///   reached both). An edge that is its index alone — every other kind —
+///   has nothing to compare.
 ///
 /// As a side effect every index is swept to the current floor, exactly
 /// as a committing writer holding its lock would; at quiescence that is
-/// sound and exercises the retirement path.
+/// sound and exercises the retirement path. The first three checks run
+/// before the sweep, which would unlink an empty entry as dead.
 pub(crate) fn verify_versions(
     decomp: &Decomposition,
     root: &NodeRef,
@@ -381,23 +388,37 @@ pub(crate) fn verify_versions(
                 },
             );
             let index = inst.versions(decomp, e);
-            index.sweep(floor, usize::MAX, &guard);
             let mut err: Option<String> = None;
-            index.chains(&guard, |k, stamps| {
-                let below = stamps.iter().filter(|&&(s, _)| s <= floor).count();
-                let fault = if let Some(w) = stamps.windows(2).find(|w| w[0].0 <= w[1].0) {
-                    format!("is not strictly decreasing: {} then {}", w[0].0, w[1].0)
-                } else if stamps.iter().any(|&(s, _)| s == u64::MAX) {
-                    "holds a tentative stamp at quiescence".to_owned()
-                } else if below > 1 {
-                    format!("keeps {below} versions at or below the retirement floor {floor}")
-                } else {
-                    return;
-                };
+            let mut fault = |k: Option<&Tuple>, fault: String| {
                 err.get_or_insert(format!(
                     "version chain for {k:?} on {ename} of instance {:?} {fault}",
                     inst.key()
                 ));
+            };
+            // Before the sweep, which unlinks an entry with no version as
+            // dead: such an entry is what a rollback that forgot to unlink
+            // an entry it emptied leaves.
+            index.chains(&guard, |k, stamps| {
+                if stamps.is_empty() {
+                    fault(k, "is empty".to_owned());
+                } else if let Some(w) = stamps.windows(2).find(|w| w[0].0 <= w[1].0) {
+                    fault(
+                        k,
+                        format!("is not strictly decreasing: {} then {}", w[0].0, w[1].0),
+                    );
+                } else if stamps.iter().any(|&(s, _)| s == u64::MAX) {
+                    fault(k, "holds a tentative stamp at quiescence".to_owned());
+                }
+            });
+            index.sweep(floor, usize::MAX, &guard);
+            index.chains(&guard, |k, stamps| {
+                let below = stamps.iter().filter(|&&(s, _)| s <= floor).count();
+                if below > 1 {
+                    fault(
+                        k,
+                        format!("keeps {below} versions at or below the retirement floor {floor}"),
+                    );
+                }
             });
             if let Some(err) = err {
                 return Err(err);
@@ -505,11 +526,6 @@ impl<'g> EdgeView for Snapshot<'g> {
     type Row = &'g Tuple;
     type Restart = Infallible;
 
-    /// Both version index shapes walk in key order, so an interval walk
-    /// is a bounded in-order traversal regardless of the edge's container
-    /// kind (a step's `ordered` flag describes the locked view).
-    const WALKS_IN_KEY_ORDER: bool = true;
-
     fn lock(
         &mut self,
         _: &Frame<&'g NodeRef>,
@@ -590,7 +606,7 @@ mod tests {
     use relc_spec::Value;
 
     /// Writes the stick row `(1, 2, 42)` edge by edge — `ρ→u` and `u→v`
-    /// keep a `TreeMap` beside their map-shaped indexes, the Singleton
+    /// keep a `TreeMap` beside their sorted indexes, the Singleton
     /// `v→w` is its one-chain index alone — with the container write and
     /// the version write of each edge switched separately, commits, and
     /// verifies.

@@ -105,15 +105,33 @@ pub struct InsertPlan {
     pub root_hosted: Vec<(EdgeId, bool)>,
     /// Node ids in topological order: the materialization order.
     pub topo_nodes: Vec<NodeId>,
+    /// Whether the full-tuple walk reads all the check reads: every check
+    /// step is a point lookup keyed by the pattern's own columns — the
+    /// walk looks up the same key, `x`'s projection, from the same
+    /// instance — and admits whatever entry it finds (a fused payload
+    /// binds none of the pattern's columns).
+    check_is_walked: bool,
 }
 
 impl InsertPlan {
-    /// The check's first edge when the check opens with a point lookup:
-    /// its key is the pattern's projection, which the full-tuple walk
-    /// looks up too.
-    pub(crate) fn first_check_lookup(&self) -> Option<EdgeId> {
-        match self.check.steps.first() {
-            Some(&PlanStep::Lookup { edge }) => Some(edge),
+    /// The check's answer where the full-tuple walk, which found the edges
+    /// marked in `present`, already has it: no when the check opens with a
+    /// point lookup of an absent edge (its key is the pattern's
+    /// projection, which the walk looks up too), yes when the walk reads
+    /// all the check reads and found every edge of it. `None` when the
+    /// check has to run.
+    pub(crate) fn answer_from_walk(&self, present: &[bool]) -> Option<bool> {
+        let lookup = |step: &PlanStep| match *step {
+            PlanStep::Lookup { edge } => Some(edge),
+            _ => None,
+        };
+        match self.check.steps.first().and_then(lookup) {
+            Some(first) if !present[first.index()] => Some(false),
+            _ if self.check_is_walked => Some(
+                (self.check.steps.iter())
+                    .filter_map(lookup)
+                    .all(|e| present[e.index()]),
+            ),
             _ => None,
         }
     }
@@ -597,11 +615,21 @@ impl Planner {
             })
             .collect();
         let scans = (check.steps.iter()).any(|step| matches!(step, PlanStep::Scan { .. }));
+        let check_is_walked = !check.steps.is_empty()
+            && check.steps.iter().all(|step| match *step {
+                PlanStep::Lookup { edge } => {
+                    self.decomp.edge(edge).cols.is_subset(bound)
+                        && (!self.fusion.is_fused(edge)
+                            || self.fusion.payload(edge).is_disjoint(bound))
+                }
+                _ => false,
+            });
         Ok(InsertPlan {
             edges: self.fusion.edges(&self.mutation_order()),
             check,
             root_hosted: self.root_hosted_edges(|_| scans),
             topo_nodes: self.nodes_in_topo_order(false),
+            check_is_walked,
         })
     }
 

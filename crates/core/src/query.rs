@@ -376,10 +376,6 @@ pub(crate) trait EdgeView {
     /// under locks, `Infallible` at a snapshot.
     type Restart;
 
-    /// Whether an interval [`Self::walk`] is in ascending key order whatever
-    /// the edge's container kind (else the step's `ordered` flag says).
-    const WALKS_IN_KEY_ORDER: bool;
-
     /// Acquires the physical locks implementing `edge`'s logical locks for
     /// every row of `rows`, whose step binds the columns `bound`.
     fn lock(
@@ -609,9 +605,7 @@ pub(crate) fn eval_rows<V: EdgeView>(
                 // or has `k` strictly smaller distinct predecessors — never
                 // in the global top-k.
                 let (ranged, in_order) = match step {
-                    PlanStep::RangeScan { ordered, .. } => {
-                        (true, *ordered || V::WALKS_IN_KEY_ORDER)
-                    }
+                    PlanStep::RangeScan { ordered, .. } => (true, *ordered),
                     _ => (false, false),
                 };
                 let interval = walk_bounds(ranged, bounds.as_ref());

@@ -572,7 +572,7 @@ impl<L: Layout> Relation<L> {
     }
 
     /// Epoch reclamation counters (retired / reclaimed deferred
-    /// destructions from lock-free containers — today the skip list).
+    /// destructions from lock-free containers and version indexes).
     ///
     /// The epoch domain is process-global, so this aggregates every
     /// epoch-managed container in the process, not just this relation's
@@ -2127,6 +2127,52 @@ mod tests {
         // The abort is an application rollback, not a conflict retry.
         let stats = rel.lock_stats();
         assert!(stats.user_rollbacks >= 1, "{name}: {stats}");
+    }
+
+    /// An index entry with no version at all — what a rollback that forgot
+    /// to unlink an entry it emptied leaves — fails `verify`, on every
+    /// multi-entry shape: sorted with a container beside it (`TreeMap`),
+    /// sorted alone (`ConcurrentSkipListMap`), hashed (`HashMap`,
+    /// `ConcurrentHashMap`), at the root and below it. `verify` sweeps
+    /// every index, and a sweep unlinks such an entry as dead, so the check
+    /// has to come first.
+    #[test]
+    fn verify_fails_on_an_index_entry_with_an_empty_chain() {
+        for d in [
+            stick(ContainerKind::TreeMap, ContainerKind::HashMap),
+            stick(ContainerKind::ConcurrentSkipListMap, ContainerKind::TreeMap),
+            stick(ContainerKind::HashMap, ContainerKind::ConcurrentSkipListMap),
+            stick(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap),
+        ] {
+            for below in [false, true] {
+                let name = format!("{} / below the root: {below}", d.describe());
+                let rel =
+                    ConcurrentRelation::new(d.clone(), LockPlacement::fine(&d).unwrap()).unwrap();
+                rel.insert(&edge(&d, 1, 2), &weight(&d, 3)).unwrap();
+                rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
+                let repr = rel.current_repr();
+                let root_edge = repr.decomp.node(repr.decomp.root()).outgoing[0];
+                let (host, e, key) = if below {
+                    let child = repr
+                        .root()
+                        .lookup(
+                            &repr.decomp,
+                            root_edge,
+                            &edge(&d, 1, 0).project(repr.decomp.edge(root_edge).cols),
+                        )
+                        .and_then(|c| c.node().cloned())
+                        .expect("the row's source instance");
+                    let e = repr.decomp.node(child.node()).outgoing[0];
+                    (child, e, edge(&d, 1, 9).project(repr.decomp.edge(e).cols))
+                } else {
+                    let key = edge(&d, 9, 0).project(repr.decomp.edge(root_edge).cols);
+                    (Arc::clone(repr.root()), root_edge, key)
+                };
+                host.versions(&repr.decomp, e).plant_empty_entry(&key);
+                let err = rel.verify().expect_err(&name);
+                assert!(err.contains("is empty"), "{name}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -355,6 +355,57 @@ fn steps_longer_than_a_prefetch_group_match_oracle() {
     }
 }
 
+/// A range column held by a hash-keyed edge: the edge's index walks in
+/// its hash order, not in key order, so a limited range read must not stop
+/// after the first `k` entries it meets. On the snapshot path and inside a
+/// `transaction` alike, every interval and limit — top-k included —
+/// answers as the oracle does, with the root's table grown past one
+/// bucket.
+#[test]
+fn limited_ranges_over_a_hash_keyed_edge_match_oracle() {
+    for kind in [ContainerKind::HashMap, ContainerKind::ConcurrentHashMap] {
+        let d = stick(kind, ContainerKind::HashMap);
+        for p in [LockPlacement::coarse(&d), LockPlacement::fine(&d)] {
+            let p = p.unwrap();
+            let at = format!("{} / {}", d.describe(), p.name());
+            let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
+            let oracle = OracleRelation::empty(d.schema().clone());
+            for k in 0..96i64 {
+                let s = tup(&d, &[("src", (k * 37) % 64), ("dst", k % 3)]);
+                let t = tup(&d, &[("weight", (k * 5) % 13)]);
+                assert_eq!(rel.insert(&s, &t).unwrap(), oracle.insert(&s, &t).unwrap());
+            }
+            let src = d.schema().column("src").unwrap();
+            let ranges = [
+                RangePattern::all(src).with_limit(1),
+                RangePattern::all(src).with_limit(5),
+                RangePattern::all(src).with_limit(40),
+                RangePattern::all(src).with_limit(0),
+                RangePattern::closed(src, Value::from(10), Value::from(50)).with_limit(7),
+                RangePattern::at_least(src, Value::from(60)).with_limit(3),
+                RangePattern::below(src, Value::from(20)),
+            ];
+            let projections = [
+                d.schema().columns(),
+                d.schema().column_set(&["src"]).unwrap(),
+                d.schema().column_set(&["weight"]).unwrap(),
+            ];
+            for range in &ranges {
+                for &cols in &projections {
+                    let want = oracle.query_range(&Tuple::empty(), range, cols);
+                    let got = rel.query_range(&Tuple::empty(), range, cols).unwrap();
+                    assert_eq!(got, want, "{at}: snapshot {range:?} onto {cols:?}");
+                    let locked = rel
+                        .transaction(|tx| tx.query_range(&Tuple::empty(), range, cols))
+                        .unwrap();
+                    assert_eq!(locked, want, "{at}: transaction {range:?} onto {cols:?}");
+                }
+            }
+            rel.verify().unwrap();
+        }
+    }
+}
+
 /// Randomized differential: random churn, then random intervals with
 /// random openness and limits, compared against the oracle on every
 /// round.
