@@ -1,4 +1,4 @@
-//! The container interface (§3) and the container catalog.
+//! The container interface (§3), the container kinds and their shapes.
 //!
 //! "A container is a data structure that implements an associative key-value
 //! map interface consisting of read operations `lookup(k)` and `scan(f)`, and
@@ -8,14 +8,9 @@ use std::fmt;
 use std::hash::Hash;
 use std::ops::{Bound, ControlFlow};
 
-use crate::cow_list::CowArrayList;
-use crate::hash_map::ChainedHashMap;
-use crate::singleton::SingletonCell;
 use crate::skiplist::ConcurrentSkipListMap;
-use crate::splay::SplayTreeMap;
 use crate::striped_hash::StripedHashMap;
 use crate::taxonomy::{ContainerProps, PairSafety};
-use crate::tree_map::AvlTreeMap;
 
 pub use crossbeam::epoch::ReclamationStats;
 
@@ -56,10 +51,9 @@ impl<T: Clone + Send + Sync + fmt::Debug + 'static> Val for T {}
 
 /// The paper's container interface: `lookup`, `scan`, `write` (§3).
 ///
-/// All methods take `&self`; containers that are not concurrency-safe use
-/// interior mutability and rely on *external* synchronization supplied by the
-/// synthesized lock placement. See [`crate::extsync::ExtSyncCell`] for the
-/// safety contract and the debug-mode race detector that enforces it.
+/// All methods take `&self`. Both implementations —
+/// [`StripedHashMap`] and [`ConcurrentSkipListMap`], what
+/// [`ContainerKind::instantiate`] builds — are concurrency-safe.
 pub trait Container<K: Key, V: Val>: Send + Sync + fmt::Debug {
     /// Returns the value associated with `key`, if any.
     fn lookup(&self, key: &K) -> Option<V>;
@@ -67,15 +61,15 @@ pub trait Container<K: Key, V: Val>: Send + Sync + fmt::Debug {
     /// Iterates over the map, invoking `f` once per entry; `f` may stop the
     /// iteration early by returning [`ControlFlow::Break`].
     ///
-    /// Whether iteration is sorted, snapshot, or weakly consistent is
-    /// declared by [`Container::props`].
+    /// Iteration is weakly consistent, and in key order where the
+    /// implementation keeps keys sorted.
     fn scan(&self, f: &mut dyn FnMut(&K, &V) -> ControlFlow<()>);
 
     /// Iterates over the entries whose keys lie in `[lo, hi]` (each end
     /// independently inclusive, exclusive, or unbounded), invoking `f`
     /// once per entry; `f` may stop early with [`ControlFlow::Break`].
     ///
-    /// Containers with `sorted_scan` keep keys ordered and override this
+    /// Containers that keep keys sorted override this
     /// with a *bounded* traversal that visits only the interval — in key
     /// order, so callers may break at the first key past a limit. The
     /// default is a filtered full scan: every entry is visited, order and
@@ -111,36 +105,6 @@ pub trait Container<K: Key, V: Val>: Send + Sync + fmt::Debug {
     /// existing entry (§3). Returns the previous value, if any.
     fn write(&self, key: &K, value: Option<V>) -> Option<V>;
 
-    /// Moves the entry at `old_key` to `new_key` with a fresh `value`,
-    /// returning the displaced old value — the container-level primitive of
-    /// the in-place `update` fast path. When no entry exists at `old_key`
-    /// the container is left unchanged and `None` is returned (`value` is
-    /// dropped).
-    ///
-    /// Semantically equivalent to `write(old_key, None)` followed (on a
-    /// hit) by `write(new_key, Some(value))`, but implementations fuse the
-    /// two writes: a single slot swap (singleton), one array copy instead
-    /// of two (copy-on-write), one traversal of the synchronization
-    /// structure where the keys colocate (striped hash). Callers must
-    /// guarantee `new_key` is not already occupied by a *different* entry
-    /// (the synthesis runtime's key-uniqueness argument); violating that
-    /// clobbers the occupant, exactly as `write` would.
-    ///
-    /// **Atomicity:** callers must not assume the move is one atomic step
-    /// with respect to *unlocked* concurrent readers. Some implementations
-    /// fuse it (singleton, copy-on-write, striped hash hold every involved
-    /// lock across both writes), but the skip list moves a key as a remove
-    /// followed by an insert — two linearization points, with a window
-    /// where the entry is absent under both keys. The synthesis runtime
-    /// only invokes `update_entry` on edges whose placement locks are held
-    /// exclusively, which serializes it against every observer; a future
-    /// lock-eliding caller would need a fused implementation first.
-    fn update_entry(&self, old_key: &K, new_key: &K, value: V) -> Option<V> {
-        let old = self.write(old_key, None)?;
-        self.write(new_key, Some(value));
-        Some(old)
-    }
-
     /// Number of entries.
     fn len(&self) -> usize;
 
@@ -148,39 +112,52 @@ pub trait Container<K: Key, V: Val>: Send + Sync + fmt::Debug {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The static property sheet (Figure 1 row) of this implementation.
-    fn props(&self) -> ContainerProps;
 }
 
-/// The catalog of container implementations available to the synthesizer.
+/// The container kinds the synthesizer chooses among for an edge.
 ///
-/// The first five are the Rust analogs of the JDK containers in Figure 1;
+/// The first five are the JDK containers of Figure 1;
 /// [`ContainerKind::SplayTreeMap`] realizes §3.1's aside that even reads can
-/// be concurrency-unsafe, and [`ContainerKind::Singleton`] implements the
-/// paper's "singleton tuple" edges (dotted edges in Figs. 2 and 3).
+/// be concurrency-unsafe, and [`ContainerKind::Singleton`] is the paper's
+/// "singleton tuple" edge (dotted edges in Figs. 2 and 3). A kind's
+/// Figure 1 row ([`ContainerKind::props`]) decides which locks an edge of
+/// that kind needs; its [`shape`](ContainerKind::shape) decides how the
+/// edge is laid out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ContainerKind {
-    /// Chained hash map; not concurrency-safe (JDK `HashMap` analog).
+    /// JDK `HashMap`: not concurrency-safe; hashed.
     HashMap,
-    /// AVL tree map with sorted scans; not concurrency-safe (JDK `TreeMap`
-    /// analog).
+    /// JDK `TreeMap`: not concurrency-safe, sorted scans; sorted.
     TreeMap,
-    /// Sharded hash map with per-shard reader-writer locks; concurrency-safe,
-    /// weakly-consistent scans (JDK `ConcurrentHashMap` analog).
+    /// JDK `ConcurrentHashMap`: concurrency-safe, weakly-consistent scans;
+    /// hashed.
     ConcurrentHashMap,
-    /// Lazy concurrent skip list with epoch reclamation; concurrency-safe,
-    /// sorted weakly-consistent scans (JDK `ConcurrentSkipListMap` analog).
+    /// JDK `ConcurrentSkipListMap`: concurrency-safe, sorted
+    /// weakly-consistent scans; sorted.
     ConcurrentSkipListMap,
-    /// Copy-on-write sorted array; concurrency-safe with linearizable
-    /// snapshot scans (JDK `CopyOnWriteArrayList` analog).
+    /// JDK `CopyOnWriteArrayList`: concurrency-safe, linearizable snapshot
+    /// scans; sorted.
     CopyOnWriteArrayList,
-    /// Splay tree map; *reads rebalance the tree*, so even concurrent
-    /// lookups are unsafe (§3.1's counterexample).
+    /// A splay tree map: *reads rebalance the tree*, so even concurrent
+    /// lookups are unsafe (§3.1's counterexample); sorted.
     SplayTreeMap,
-    /// A 0-or-1-entry cell used for functional-dependency-determined
-    /// singleton edges; internally locked, fully linearizable.
+    /// A 0-or-1-entry edge determined by a functional dependency: fully
+    /// linearizable; one entry.
     Singleton,
+}
+
+/// How an edge of a [`ContainerKind`] is laid out
+/// ([`ContainerKind::shape`]): what its
+/// [`VersionIndex`](crate::VersionIndex) is, and what
+/// [`ContainerKind::instantiate`] builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeShape {
+    /// At most one entry: one inline version chain.
+    OneEntry,
+    /// Entries in key order: a lock-free skip list.
+    Sorted,
+    /// Entries in hash order: a split-ordered hash list.
+    Hashed,
 }
 
 impl ContainerKind {
@@ -298,16 +275,25 @@ impl ContainerKind {
         }
     }
 
-    /// Instantiates an empty container of this kind.
-    pub fn instantiate<K: Key, V: Val>(self) -> Box<dyn Container<K, V>> {
+    /// The shape of an edge of this kind — the one place the rule is
+    /// written: a hash kind is hashed, a `Singleton` holds one entry, and
+    /// every other kind is sorted.
+    pub fn shape(self) -> EdgeShape {
         match self {
-            ContainerKind::HashMap => Box::new(ChainedHashMap::new()),
-            ContainerKind::TreeMap => Box::new(AvlTreeMap::new()),
-            ContainerKind::ConcurrentHashMap => Box::new(StripedHashMap::new()),
-            ContainerKind::ConcurrentSkipListMap => Box::new(ConcurrentSkipListMap::new()),
-            ContainerKind::CopyOnWriteArrayList => Box::new(CowArrayList::new()),
-            ContainerKind::SplayTreeMap => Box::new(SplayTreeMap::new()),
-            ContainerKind::Singleton => Box::new(SingletonCell::new()),
+            ContainerKind::HashMap | ContainerKind::ConcurrentHashMap => EdgeShape::Hashed,
+            ContainerKind::Singleton => EdgeShape::OneEntry,
+            _ => EdgeShape::Sorted,
+        }
+    }
+
+    /// Instantiates an empty standalone container for this kind's shape: a
+    /// [`StripedHashMap`] for a hashed kind, a [`ConcurrentSkipListMap`]
+    /// for every other (a one-entry kind's map simply never holds more
+    /// than one entry).
+    pub fn instantiate<K: Key, V: Val>(self) -> Box<dyn Container<K, V>> {
+        match self.shape() {
+            EdgeShape::Hashed => Box::new(StripedHashMap::new()),
+            EdgeShape::Sorted | EdgeShape::OneEntry => Box::new(ConcurrentSkipListMap::new()),
         }
     }
 }
@@ -328,10 +314,18 @@ mod tests {
             let c: Box<dyn Container<i64, i64>> = kind.instantiate();
             assert!(c.is_empty());
             assert_eq!(c.len(), 0);
-            assert_eq!(c.props().name, kind.props().name);
-            assert!(!format!("{c:?}").is_empty());
+            let structure = match kind.shape() {
+                EdgeShape::Hashed => "StripedHashMap",
+                EdgeShape::Sorted | EdgeShape::OneEntry => "ConcurrentSkipListMap",
+            };
+            assert!(format!("{c:?}").starts_with(structure), "{kind}: {c:?}");
             assert_eq!(kind.to_string(), kind.props().name);
         }
+        assert_eq!(ContainerKind::ConcurrentHashMap.shape(), EdgeShape::Hashed);
+        assert_eq!(
+            ContainerKind::ConcurrentSkipListMap.shape(),
+            EdgeShape::Sorted
+        );
     }
 
     #[test]
@@ -356,11 +350,7 @@ mod tests {
         use std::ops::Bound::{Excluded, Included, Unbounded};
         for kind in ContainerKind::ALL {
             let c: Box<dyn Container<i64, i64>> = kind.instantiate();
-            let n = if kind == ContainerKind::Singleton {
-                1
-            } else {
-                20
-            };
+            let n = 20;
             for k in 0..n {
                 c.write(&k, Some(k * 10));
             }
@@ -413,7 +403,7 @@ mod tests {
                         ControlFlow::Continue(())
                     }
                 });
-                let want: Vec<i64> = (2..n.min(5)).collect();
+                let want: Vec<i64> = (2..5).collect();
                 assert_eq!(got, want, "{kind}");
             }
         }

@@ -1,12 +1,15 @@
-//! Externally-synchronized interior mutability for concurrency-unsafe
-//! containers, with a debug-mode dynamic race detector.
+//! Externally-synchronized interior mutability, with a debug-mode dynamic
+//! race detector.
 //!
 //! The paper's non-concurrent containers (`HashMap`, `TreeMap`, splay trees)
 //! have *no internal synchronization at all*; their safety under concurrency
 //! is discharged entirely by the synthesized lock placement, which serializes
 //! access (§4.3: "while we must use locks to protect some containers from all
 //! concurrent accesses, in other cases we can rely on the container to
-//! mediate concurrent access").
+//! mediate concurrent access"). Every edge here is laid out in a structure
+//! that is safe without those locks; what still leans on a lock is a
+//! version index's sweep cursor, which only a writer holding the edge
+//! instance's one exclusive lock moves.
 //!
 //! In Rust this is exactly an ownership question: the container is shared
 //! (`&self`) but mutated, so we need interior mutability whose `Sync`
@@ -119,11 +122,10 @@ impl fmt::Debug for RaceDetector {
 ///
 /// Callers must guarantee that a `write` access never overlaps any other
 /// access to the same cell, and that `read` accesses only overlap other
-/// `read`s. In this workspace the guarantee is established by
-/// `relc`'s placement validator (a concurrency-unsafe container's edge must
-/// be protected by a placement that serializes conflicting operations) and
-/// double-checked at runtime in debug builds by the embedded
-/// [`RaceDetector`].
+/// `read`s. In this workspace the guarantee is established by the lock
+/// placement (a version index's sweep cursor moves only under the edge
+/// instance's one exclusive lock) and double-checked at runtime in debug
+/// builds by the embedded [`RaceDetector`].
 pub struct ExtSyncCell<T> {
     cell: UnsafeCell<T>,
     detector: RaceDetector,

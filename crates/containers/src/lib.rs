@@ -2,24 +2,29 @@
 //! synthesis
 //!
 //! This crate implements §3 of *Concurrent Data Representation Synthesis*
-//! (PLDI 2012): the container interface (`lookup` / `scan` / `write`), a
-//! catalog of container implementations **written from scratch**, and the
+//! (PLDI 2012): the container interface (`lookup` / `scan` / `write`), the
 //! concurrency-safety taxonomy of Figure 1 that the synthesis compiler
-//! consumes.
+//! consumes, and the structures an edge is laid out in, **written from
+//! scratch**.
 //!
-//! | Paper (JDK) container | This crate | Concurrency |
+//! The paper's containers are Java library classes. Here a
+//! [`ContainerKind`] names one of them: its Figure 1 row
+//! ([`ContainerKind::props`]) decides which locks an edge of that kind
+//! needs, and its [`EdgeShape`] decides the edge's physical layout — one
+//! of three, each a [`VersionIndex`] whose entries embed their MVCC
+//! version chains:
+//!
+//! | Shape | Kinds | Structure |
 //! |---|---|---|
-//! | `HashMap` | [`ChainedHashMap`] | unsafe under writes |
-//! | `TreeMap` | [`AvlTreeMap`] | unsafe under writes, sorted scans |
-//! | `ConcurrentHashMap` | [`StripedHashMap`] | linearizable L/W, weak scans |
-//! | `ConcurrentSkipListMap` | [`ConcurrentSkipListMap`] | linearizable L/W, weak sorted scans |
-//! | `CopyOnWriteArrayList` | [`CowArrayList`] | linearizable, snapshot scans |
-//! | splay tree (§3.1 aside) | [`SplayTreeMap`] | even reads are unsafe |
-//! | singleton tuples (dotted edges) | [`SingletonCell`] | linearizable |
+//! | [`EdgeShape::Hashed`] | `HashMap`, `ConcurrentHashMap` | split-ordered hash list, lock-free readers |
+//! | [`EdgeShape::Sorted`] | `TreeMap`, `ConcurrentSkipListMap`, `CopyOnWriteArrayList`, `SplayTreeMap` | lock-free skip list, sorted scans |
+//! | [`EdgeShape::OneEntry`] | `Singleton` | one inline version chain |
 //!
-//! Non-concurrent containers use [`extsync::ExtSyncCell`]: interior
-//! mutability whose soundness is discharged by the *synthesized lock
-//! placement*, enforced in debug builds by a dynamic race detector.
+//! Each shape is safe for unlocked readers and for writers of different
+//! keys at once, so it serves every kind's lock placement.
+//! [`ContainerKind::instantiate`] builds the standalone map of a kind's
+//! shape — a [`StripedHashMap`] or a [`ConcurrentSkipListMap`] — for
+//! callers that want a plain concurrent map.
 //!
 //! # Example
 //!
@@ -27,7 +32,6 @@
 //! use relc_containers::{Container, ContainerKind};
 //! use std::ops::ControlFlow;
 //!
-//! // The synthesizer picks kinds; clients can instantiate them directly too.
 //! let m: Box<dyn Container<i64, &'static str>> =
 //!     ContainerKind::ConcurrentSkipListMap.instantiate();
 //! m.write(&2, Some("b"));
@@ -41,14 +45,9 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod api;
-mod cow_list;
-mod hash_map;
-mod singleton;
 mod skiplist;
-mod splay;
 mod split_list;
 mod striped_hash;
-mod tree_map;
 mod version;
 
 pub mod extsync;
@@ -83,14 +82,10 @@ pub fn prefetch<T>(p: *const T) {
 }
 
 pub use api::{
-    reclamation_flush, reclamation_stats, Container, ContainerKind, Key, ReclamationStats, Val,
+    reclamation_flush, reclamation_stats, Container, ContainerKind, EdgeShape, Key,
+    ReclamationStats, Val,
 };
-pub use cow_list::CowArrayList;
-pub use hash_map::ChainedHashMap;
-pub use singleton::SingletonCell;
 pub use skiplist::ConcurrentSkipListMap;
-pub use splay::SplayTreeMap;
 pub use striped_hash::StripedHashMap;
 pub use taxonomy::{render_figure1, ContainerProps, OpKind, OpPair, PairSafety};
-pub use tree_map::AvlTreeMap;
 pub use version::{version_stats, Newest, VersionCell, VersionIndex, VersionStats};

@@ -40,8 +40,7 @@ use crossbeam::epoch::{self, Atomic, Guard, Owned, Pointer, ReclamationStats, Sh
 use parking_lot::{Mutex, MutexGuard};
 use relc_locks::Backoff;
 
-use crate::api::{Container, ContainerKind, Key, Val};
-use crate::taxonomy::ContainerProps;
+use crate::api::{Container, Key, Val};
 use crate::version::EntryList;
 
 const MAX_HEIGHT: usize = 20;
@@ -576,6 +575,22 @@ impl<K: Key, V: Val> ConcurrentSkipListMap<K, V> {
         Some(old)
     }
 
+    /// Moves the entry at `old_key` to `new_key` with a fresh `value` and
+    /// returns the displaced old value; a miss leaves the map unchanged
+    /// and returns `None`. Where the keys coincide this is one swap of the
+    /// node's value; otherwise a remove then an insert — two linearization
+    /// points, with a window where readers see neither key.
+    pub fn update_entry(&self, old_key: &K, new_key: &K, value: V) -> Option<V> {
+        if old_key == new_key {
+            let old = self.lookup(old_key)?;
+            self.insert(new_key, value);
+            return Some(old);
+        }
+        let old = self.remove(old_key)?;
+        self.insert(new_key, value);
+        Some(old)
+    }
+
     /// Snapshot of the epoch collector's reclamation counters.
     ///
     /// The epoch domain is process-global (one collector, as in the real
@@ -631,29 +646,8 @@ impl<K: Key, V: Val> Container<K, V> for ConcurrentSkipListMap<K, V> {
         }
     }
 
-    fn update_entry(&self, old_key: &K, new_key: &K, value: V) -> Option<V> {
-        if old_key == new_key {
-            // Same position: one swap of the node's value pointer via
-            // `insert`'s replace path, no unlink/relink at all.
-            let old = self.lookup(old_key)?;
-            self.insert(new_key, value);
-            return Some(old);
-        }
-        // A key move is remove-then-insert: two linearization points, with
-        // a window where unlocked readers see neither key (permitted by
-        // the `Container::update_entry` atomicity contract — the runtime
-        // holds the edge's placement locks exclusively around this call).
-        let old = self.remove(old_key)?;
-        self.insert(new_key, value);
-        Some(old)
-    }
-
     fn len(&self) -> usize {
         self.len.load(SeqCst)
-    }
-
-    fn props(&self) -> ContainerProps {
-        ContainerKind::ConcurrentSkipListMap.props()
     }
 }
 

@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
-use crate::api::{Container, ContainerKind, Key, Val};
+use crate::api::{Container, Key, Val};
 use crate::hashing::hash_key;
-use crate::taxonomy::ContainerProps;
 
 const DEFAULT_SHARDS: usize = 16;
 const INITIAL_BUCKETS_PER_SHARD: usize = 4;
@@ -170,43 +169,8 @@ impl<K: Key, V: Val> Container<K, V> for StripedHashMap<K, V> {
         old
     }
 
-    fn update_entry(&self, old_key: &K, new_key: &K, value: V) -> Option<V> {
-        // Both writes happen while every involved shard lock is held, so
-        // the move is one linearizable step (no observer sees the entry
-        // absent under both keys). Shards are locked in index order — two
-        // concurrent moves with opposite shard pairs cannot deadlock.
-        let (oh, nh) = (hash_key(old_key), hash_key(new_key));
-        let (os, ns) = (self.shard_of(oh), self.shard_of(nh));
-        let (old, prev) = if os == ns {
-            let mut shard = self.shards[os].write();
-            let old = shard.write(oh, old_key, None)?;
-            (old, shard.write(nh, new_key, Some(value)))
-        } else {
-            let (lo, hi) = (os.min(ns), os.max(ns));
-            let mut g_lo = self.shards[lo].write();
-            let mut g_hi = self.shards[hi].write();
-            let (old_shard, new_shard) = if os == lo {
-                (&mut g_lo, &mut g_hi)
-            } else {
-                (&mut g_hi, &mut g_lo)
-            };
-            let old = old_shard.write(oh, old_key, None)?;
-            (old, new_shard.write(nh, new_key, Some(value)))
-        };
-        // The removal and the insertion cancel out unless the new key
-        // displaced an existing entry.
-        if prev.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        Some(old)
-    }
-
     fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed)
-    }
-
-    fn props(&self) -> ContainerProps {
-        ContainerKind::ConcurrentHashMap.props()
     }
 }
 
@@ -356,9 +320,9 @@ mod tests {
 
     #[test]
     fn props_row() {
-        let m: StripedHashMap<i64, i64> = StripedHashMap::new();
-        assert!(m.props().is_concurrency_safe());
-        assert!(m.props().lookup_is_linearizable());
-        assert!(!m.props().sorted_scan);
+        let props = crate::ContainerKind::ConcurrentHashMap.props();
+        assert!(props.is_concurrency_safe());
+        assert!(props.lookup_is_linearizable());
+        assert!(!props.sorted_scan);
     }
 }

@@ -22,15 +22,12 @@
 //!   ([`VersionIndex::revert`]).
 //!
 //! A [`VersionIndex`] is one decomposition edge instance's map from entry
-//! key to chain, in one of three shapes fixed by the edge's container kind:
-//! one chain stored inline for an edge that holds at most one entry, a
+//! key to chain, in the [`EdgeShape`] of the edge's container kind: one
+//! chain stored inline for an edge that holds at most one entry, a
 //! split-ordered hash list with the chain embedded in its entry for a
 //! hash-keyed edge, a skip list with the chain embedded in its node for
-//! every other. Where that shape already is the container the decomposition
-//! chose (a `ConcurrentSkipListMap`, `HashMap`, `ConcurrentHashMap` or
-//! `Singleton` edge, [`VersionIndex::is_container_for`]) the index is the
-//! edge's only structure, and a reader holding the edge's locks reads its
-//! [newest](VersionIndex::newest) versions instead of a container.
+//! every other. The index is the edge's only structure: a reader holding
+//! the edge's locks reads its [newest](VersionIndex::newest) versions.
 //!
 //! Retired nodes go through the epoch collector, so they are counted by
 //! [`ReclamationStats`](crate::ReclamationStats); this module additionally
@@ -46,7 +43,7 @@ use std::sync::Arc;
 use crossbeam::epoch::{self, Atomic, Guard, Owned, Pointer, Shared};
 use relc_locks::{CommitStamp, TENTATIVE_TS};
 
-use crate::api::{ContainerKind, Key, Val};
+use crate::api::{ContainerKind, EdgeShape, Key, Val};
 use crate::extsync::ExtSyncCell;
 use crate::skiplist::SkipList;
 use crate::split_list::SplitList;
@@ -377,8 +374,7 @@ impl<V> Drop for VersionCell<V> {
 ///
 /// Every shape is also the edge's state as its writers leave it, tentative
 /// writes included: the [`newest`](Self::newest) view reads each entry's
-/// head version, which is what a container kept beside the index would
-/// hold.
+/// head version.
 pub struct VersionIndex<K, V> {
     shape: Shape<K, V>,
 }
@@ -604,42 +600,20 @@ impl<K: Key, V: Val, L: EntryList<K, VersionCell<V>>> Entries<K, V, L> {
 }
 
 impl<K: Key, V: Val> VersionIndex<K, V> {
-    /// The index for an edge implemented by a `kind` container — the one
-    /// place the shape is decided.
+    /// The index for an edge of container kind `kind`, in the kind's
+    /// [shape](ContainerKind::shape). Each shape is safe for unlocked
+    /// readers and for writers of different keys at once, so it serves
+    /// every placement the kind's Figure 1 row admits; a kind whose row
+    /// asks for more locks (`HashMap`, `TreeMap`, `SplayTreeMap`) asks
+    /// less of its index than it gives.
     pub fn for_kind(kind: ContainerKind) -> Self {
         VersionIndex {
-            shape: match kind {
-                ContainerKind::Singleton => Shape::One(VersionCell::empty()),
-                ContainerKind::HashMap | ContainerKind::ConcurrentHashMap => {
-                    Shape::Hashed(Entries::new())
-                }
-                _ => Shape::Sorted(Entries::new()),
+            shape: match kind.shape() {
+                EdgeShape::OneEntry => Shape::One(VersionCell::empty()),
+                EdgeShape::Hashed => Shape::Hashed(Entries::new()),
+                EdgeShape::Sorted => Shape::Sorted(Entries::new()),
             },
         }
-    }
-
-    /// Whether the index [`for_kind`](Self::for_kind) makes is itself a
-    /// `kind` container, so that an edge of that kind needs no other
-    /// structure: the sorted shape is the lock-free skip list of
-    /// [`ConcurrentSkipListMap`](crate::ConcurrentSkipListMap), the hash
-    /// shape a hash table whose readers take no lock and whose writers of
-    /// different keys run at once, as a
-    /// [`StripedHashMap`](crate::StripedHashMap)'s do, and the one-chain
-    /// shape a one-entry cell, as a [`SingletonCell`](crate::SingletonCell)
-    /// is. Each is safe for the unlocked readers a concurrent container
-    /// admits, so a `HashMap` edge, whose placement excludes every reader
-    /// from its writers, asks less of its index than it gives. Only the
-    /// sorted kinds with an order or an access discipline of their own
-    /// (`TreeMap`, `CopyOnWriteArrayList`, `SplayTreeMap`) keep their
-    /// container beside the index.
-    pub fn is_container_for(kind: ContainerKind) -> bool {
-        matches!(
-            kind,
-            ContainerKind::ConcurrentSkipListMap
-                | ContainerKind::Singleton
-                | ContainerKind::HashMap
-                | ContainerKind::ConcurrentHashMap
-        )
     }
 
     /// Records that as of `stamp` the entry `key` holds `value` (`None`:

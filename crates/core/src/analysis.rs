@@ -24,9 +24,9 @@
 //!   execution is forced into an upgrade, which restarts whenever another
 //!   reader shares the lock.
 //! * **MVCC write-side completeness** — every plan step that mutates an
-//!   edge pushes a version: beside the container write where the edge
-//!   keeps a container, so no version chain can silently go stale; as the
-//!   write itself, one site, where the edge is its version index alone.
+//!   edge pushes a version, and the push is the whole write: every edge is
+//!   its version index alone, so a step that pushes nothing writes nothing
+//!   any reader sees.
 //!
 //! The plans checked are the ones a relation runs: the lowered plans of
 //! [`Planner::lowered`], against the lowered placement, where a fused
@@ -62,7 +62,6 @@ use relc_spec::{ColumnId, ColumnSet};
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
 use crate::error::CoreError;
-use crate::instance::VersionIndex;
 use crate::lower::Fusion;
 use crate::placement::LockPlacement;
 use crate::planner::{InPlaceUpdate, InsertPlan, Plan, Planner, RemovePlan, UpdatePlan};
@@ -779,10 +778,8 @@ impl<'a> SymExec<'a> {
     }
 
     /// The MVCC write-side completeness table: every edge mutation pushes
-    /// a version under the entry's exclusive locks — before the container
-    /// write where the edge keeps a container, and as the whole write where
-    /// the edge is its version index alone
-    /// ([`VersionIndex::is_container_for`]).
+    /// a version under the entry's exclusive locks, and the push is the
+    /// whole write — the edge is its version index alone.
     /// [`AnalyzerOptions::suppress_mirror`] models a forgotten push, which
     /// must surface as [`DiagnosticKind::MissingMvccMirror`]. A fused
     /// edge's entry carries its tail's columns, so its push is its tail's
@@ -791,16 +788,14 @@ impl<'a> SymExec<'a> {
         let suppressed = self.options.suppress_mirror;
         if suppressed.is_some_and(|s| s == e || self.fusion.parent_of(s) == Some(e)) {
             let ename = self.edge_name(e);
-            let lost = if VersionIndex::is_container_for(self.decomp.edge(e).container) {
-                "the edge is its version index alone, so no reader would see the write"
-            } else {
-                "snapshot readers would observe a stale version chain"
-            };
             self.diag(
                 DiagnosticKind::MissingMvccMirror,
                 step,
                 vec![],
-                format!("mutation of edge {ename} pushes no version — {lost}"),
+                format!(
+                    "mutation of edge {ename} pushes no version — the edge is its \
+                     version index alone, so no reader would see the write"
+                ),
             );
         }
     }

@@ -12,11 +12,10 @@
 //! ([`crate::query`]), and the executor is its *locked edge view* — it
 //! answers each step's "take these locks", "follow this key" (including
 //! the §4.5 speculative protocol) and "walk these entries" against each
-//! edge's newest state: its container where it keeps one, its version
-//! index's head versions where the index is the container
+//! edge's newest state, the head versions of its version index
 //! ([`NodeInstance::lookup`], [`NodeInstance::scan`]). Every write goes
-//! through `MvccScope::write`: one version push, then the container where
-//! the edge keeps one. A mutation locates what it writes with a plan of the
+//! through `MvccScope::write`: one version push, which is the whole write.
+//! A mutation locates what it writes with a plan of the
 //! same language (§5.2) — a remove's and an in-place update's locate
 //! plan, an insert's existence check — and the executor keeps only what
 //! no plan expresses: the root lock sweep, the insert's full-tuple walk,
@@ -64,8 +63,8 @@ pub struct Executor<'a> {
 
 /// The locked edge view: a step's locks are really taken (through the
 /// two-phase engine, which holds them to commit) and edges are read as
-/// their writers left them — a kept container, or the index's newest
-/// versions — which those locks make safe to read. A row holds
+/// their writers left them — the index's newest versions, tentative ones
+/// included, which those locks make safe to read. A row holds
 /// each node instance by a counted [`NodeRef`]: a locate's survivor keeps
 /// them for its write phase, which may unlink what it located.
 impl EdgeView for Executor<'_> {

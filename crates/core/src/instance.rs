@@ -3,38 +3,41 @@
 //!
 //! Each node `v : A ▷ B` of a decomposition has a set of run-time instances
 //! `v_t`, one per valuation `t` of `A`; each instance owns, per outgoing
-//! edge, the edge's [`VersionIndex`] — and its container, where the index
-//! is not already one — and the physical lock stripes assigned to the node
-//! by the lock placement. Instances are shared via [`Arc`] — a node with
-//! several incoming edges (e.g. the diamond's `w`) is reachable from
-//! several edges but is one object, exactly as in Fig. 2(b).
+//! edge, the edge's [`VersionIndex`], and the physical lock stripes
+//! assigned to the node by the lock placement. Instances are shared via
+//! [`Arc`] — a node with several incoming edges (e.g. the diamond's `w`) is
+//! reachable from several edges but is one object, exactly as in
+//! Fig. 2(b).
 //!
-//! **The index follows the edge.** [`NodeInstance::new`] makes an edge from
-//! the one [`ContainerKind`](relc_containers::ContainerKind) the
-//! decomposition gives it: the version index that fits the container — one
-//! inline version chain where the edge holds at most one entry
-//! (`Singleton`), a split-ordered hash list with the chains embedded in its
-//! entries for a hash-keyed edge (`HashMap`, `ConcurrentHashMap`), a skip
-//! list with the chains embedded in its nodes for every other — and the
-//! container itself only where the index is not that container already
-//! ([`VersionIndex::is_container_for`](relc_containers::VersionIndex::is_container_for)).
-//! A `ConcurrentSkipListMap`, `HashMap`, `ConcurrentHashMap` or `Singleton`
-//! edge is its index alone: the chain heads are its entries, tentative
-//! writes included. Only a `TreeMap`, `CopyOnWriteArrayList` or
-//! `SplayTreeMap` edge keeps its container beside the index, written after
-//! it by the same `NodeInstance::write`. Readers holding the edge's locks
-//! go through [`NodeInstance::lookup`] and [`NodeInstance::scan`], which
-//! read whichever the edge has. Nothing else in the runtime knows which
-//! shape an edge has.
+//! **Every edge is its version index.** [`NodeInstance::new`] makes an
+//! edge's index from the one [`ContainerKind`](relc_containers::ContainerKind)
+//! the decomposition gives it, in the kind's
+//! [shape](relc_containers::ContainerKind::shape): one inline version
+//! chain where the edge holds at most one entry (`Singleton`), a
+//! split-ordered hash list with the chains embedded in its entries for a
+//! hash-keyed edge (`HashMap`, `ConcurrentHashMap`), a lock-free skip list
+//! with the chains embedded in its nodes for every other. The chain heads
+//! are the edge's entries, tentative writes included: readers holding the
+//! edge's locks go through [`NodeInstance::lookup`] and
+//! [`NodeInstance::scan`], which read the index's newest versions, and
+//! writers push versions onto it (`mvcc.rs`). The kind's
+//! Figure 1 row still decides which locks the edge's placement takes — a
+//! `SplayTreeMap` edge still takes exclusive read locks — but no structure
+//! depends on them for its memory safety: every shape admits unlocked
+//! readers and concurrent writers of different keys. So the debug race
+//! detector of [`ExtSyncCell`](relc_containers::extsync::ExtSyncCell),
+//! which watches only what depends on those locks, sees no under-locked
+//! edge read or write; the analyzer's seeded cases ([`crate::analysis`])
+//! and the oracle and linearizability suites catch those.
 //!
 //! **An entry holds a child or a row.** An entry of an edge leads to the
 //! instance of the edge's target ([`Child::Node`]) — unless lowering fused
 //! the edge ([`crate::lower`]): then the target and its Singleton leaves are
 //! never instantiated, and the entry holds the target's dependent columns
-//! instead ([`Child::Row`]), in the container and in the version cell
-//! alike. The `weight` of a `split` edge `(s, d)` is then one field of the
-//! entry `d` in `s`'s instance, not an instance `w` with an `edges` box, a
-//! version chain and a leaf of its own. A fused entry's logical lock is its
+//! instead ([`Child::Row`]), in its version cell. The `weight` of a
+//! `split` edge `(s, d)` is then one field of the entry `d` in `s`'s
+//! instance, not an instance `w` with an `edges` box, a version chain and
+//! a leaf of its own. A fused entry's logical lock is its
 //! parent edge's: it lives at the same host, on the same stripe, as the
 //! lock of the entry's key.
 
@@ -43,9 +46,8 @@ use std::fmt;
 use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
-use relc_containers::epoch::{self, Guard};
-use relc_containers::Container;
-use relc_locks::{CommitStamp, PhysicalLock};
+use relc_containers::epoch;
+use relc_locks::PhysicalLock;
 use relc_spec::Tuple;
 
 use crate::decomp::{Decomposition, EdgeId, NodeId};
@@ -74,18 +76,11 @@ impl Child {
     }
 }
 
-/// The version index of one outgoing edge: entry key → that entry's MVCC
-/// version chain. Written by every locked write, so snapshot readers
-/// traverse only this lock-free structure and never touch containers that
-/// are unsafe under concurrent writes.
+/// The version index of one outgoing edge — the edge itself: entry key →
+/// that entry's MVCC version chain. Written by every locked write, read at
+/// its newest versions by locked readers and at a timestamp by snapshot
+/// readers.
 pub type VersionIndex = relc_containers::VersionIndex<Tuple, Child>;
-
-/// What an instance owns per outgoing edge.
-struct EdgeInstance {
-    versions: VersionIndex,
-    /// The decomposition's container, where the index is not one already.
-    container: Option<Box<dyn Container<Tuple, Child>>>,
-}
 
 /// A run-time instance `v_t` of decomposition node `v`.
 pub struct NodeInstance {
@@ -93,12 +88,12 @@ pub struct NodeInstance {
     key: Tuple,
     locks: Box<[Arc<PhysicalLock>]>,
     /// Parallel to `node.outgoing`.
-    edges: Box<[EdgeInstance]>,
+    edges: Box<[VersionIndex]>,
 }
 
 impl NodeInstance {
     /// Creates a fresh instance of `node` keyed by `key` (a valuation of the
-    /// node's `A` columns), with empty containers and the placement's
+    /// node's `A` columns), with empty edges and the placement's
     /// [`lock_count`](LockPlacement::lock_count) locks: its stripes where
     /// some edge's locks live, none where no plan can take one.
     ///
@@ -120,19 +115,10 @@ impl NodeInstance {
         let locks = (0..placement.lock_count(node))
             .map(|_| Arc::new(PhysicalLock::new()))
             .collect();
-        // The index follows the edge: it and any container are made from
-        // the edge's container kind, here and nowhere else.
         let edges = meta
             .outgoing
             .iter()
-            .map(|&e| {
-                let kind = decomp.edge(e).container;
-                EdgeInstance {
-                    versions: VersionIndex::for_kind(kind),
-                    container: (!VersionIndex::is_container_for(kind))
-                        .then(|| kind.instantiate::<Tuple, Child>()),
-                }
-            })
+            .map(|&e| VersionIndex::for_kind(decomp.edge(e).container))
             .collect();
         Arc::new(NodeInstance {
             node,
@@ -161,30 +147,18 @@ impl NodeInstance {
         &self.locks[stripe as usize]
     }
 
-    fn edge(&self, decomp: &Decomposition, edge: EdgeId) -> &EdgeInstance {
-        let pos = decomp
-            .node(self.node)
-            .outgoing
-            .iter()
-            .position(|&e| e == edge)
-            .expect("edge must leave this node");
-        &self.edges[pos]
-    }
-
     /// The child or row entry `key` of outgoing edge `edge` holds now,
     /// tentative writes included: what a reader holding the entry's locks
-    /// sees. Reads the edge's container where it keeps one, its index's
-    /// newest version elsewhere.
+    /// sees, the newest version in the edge's index.
     ///
     /// # Panics
     ///
     /// Panics if `edge` is not an outgoing edge of this node.
     pub fn lookup(&self, decomp: &Decomposition, edge: EdgeId, key: &Tuple) -> Option<Child> {
-        let slot = self.edge(decomp, edge);
-        match &slot.container {
-            Some(container) => container.lookup(key),
-            None => slot.versions.newest().get(key, &epoch::pin()).cloned(),
-        }
+        self.versions(decomp, edge)
+            .newest()
+            .get(key, &epoch::pin())
+            .cloned()
     }
 
     /// Visits the entries of outgoing edge `edge` whose keys lie in
@@ -204,102 +178,9 @@ impl NodeInstance {
         hi: Bound<&Tuple>,
         f: &mut dyn FnMut(&Tuple, &Child) -> ControlFlow<()>,
     ) {
-        let slot = self.edge(decomp, edge);
-        match &slot.container {
-            Some(container) if matches!((lo, hi), (Bound::Unbounded, Bound::Unbounded)) => {
-                container.scan(f);
-            }
-            Some(container) => container.scan_range(lo, hi, f),
-            None => slot.versions.newest().walk(lo, hi, &epoch::pin(), f),
-        }
-    }
-
-    /// Writes entry `key` of outgoing edge `edge` (`None`: removes it) and
-    /// returns whether it was present before: pushes the version, stamped
-    /// `stamp`, onto the entry's chain, then writes the container where
-    /// the edge keeps one. The caller holds the entry's write locks and
-    /// journals the write ([`crate::mvcc::MvccScope::write`]).
-    pub(crate) fn write(
-        &self,
-        decomp: &Decomposition,
-        edge: EdgeId,
-        key: &Tuple,
-        value: Option<Child>,
-        stamp: Arc<CommitStamp>,
-        guard: &Guard,
-    ) -> bool {
-        let slot = self.edge(decomp, edge);
-        match &slot.container {
-            Some(container) => {
-                let was = slot.versions.write(key, stamp, value.clone(), guard);
-                container.write(key, value);
-                was
-            }
-            None => slot.versions.write(key, stamp, value, guard),
-        }
-    }
-
-    /// Moves the entry at `old_key` of outgoing edge `edge` to `new_key`,
-    /// holding `child`, and returns whether the entry was present: two
-    /// versions of one stamp — a tombstone at `old_key`, `child` at
-    /// `new_key`, which collapse to one where the keys coincide — then one
-    /// [`Container::update_entry`] where the edge keeps a container. Same
-    /// contract as [`write`](Self::write).
-    pub(crate) fn move_entry(
-        &self,
-        decomp: &Decomposition,
-        edge: EdgeId,
-        (old_key, new_key): (&Tuple, &Tuple),
-        child: Child,
-        stamp: Arc<CommitStamp>,
-        guard: &Guard,
-    ) -> bool {
-        let slot = self.edge(decomp, edge);
-        let was = slot
-            .versions
-            .write(old_key, Arc::clone(&stamp), None, guard);
-        match &slot.container {
-            Some(container) => {
-                slot.versions
-                    .write(new_key, stamp, Some(child.clone()), guard);
-                container.update_entry(old_key, new_key, child);
-            }
-            None => {
-                slot.versions.write(new_key, stamp, Some(child), guard);
-            }
-        }
-        was
-    }
-
-    /// Takes back what the attempt holding `stamp` wrote to entry `key` of
-    /// outgoing edge `edge` ([`VersionIndex::revert`]) and, where the edge
-    /// keeps a container, writes the container's entry back to what the
-    /// chain now says. The caller holds the entry's write locks and has not
-    /// committed `stamp`.
-    pub(crate) fn revert(
-        &self,
-        decomp: &Decomposition,
-        edge: EdgeId,
-        key: &Tuple,
-        stamp: &Arc<CommitStamp>,
-        guard: &Guard,
-    ) {
-        let slot = self.edge(decomp, edge);
-        let found = slot.versions.revert(key, stamp, guard);
-        if let Some(container) = &slot.container {
-            container.write(key, found.cloned());
-        }
-    }
-
-    /// The container of outgoing edge `edge`, if it keeps one beside its
-    /// index.
-    #[cfg(test)]
-    pub(crate) fn container(
-        &self,
-        decomp: &Decomposition,
-        edge: EdgeId,
-    ) -> Option<&dyn Container<Tuple, Child>> {
-        self.edge(decomp, edge).container.as_deref()
+        self.versions(decomp, edge)
+            .newest()
+            .walk(lo, hi, &epoch::pin(), f);
     }
 
     /// The version index of outgoing edge `edge`.
@@ -308,7 +189,13 @@ impl NodeInstance {
     ///
     /// Panics if `edge` is not an outgoing edge of this node.
     pub fn versions(&self, decomp: &Decomposition, edge: EdgeId) -> &VersionIndex {
-        &self.edge(decomp, edge).versions
+        let pos = decomp
+            .node(self.node)
+            .outgoing
+            .iter()
+            .position(|&e| e == edge)
+            .expect("edge must leave this node");
+        &self.edges[pos]
     }
 
     /// Starts loading what reading outgoing edge `edge` of this instance
@@ -331,10 +218,9 @@ impl NodeInstance {
     }
 
     /// Whether every edge of this instance is empty (the instance
-    /// represents no residual tuples and should be unlinked). Asked of the
-    /// version indexes, whose newest view a kept container only copies.
+    /// represents no residual tuples and should be unlinked).
     pub fn is_exhausted(&self) -> bool {
-        self.edges.iter().all(|e| e.versions.newest().is_empty())
+        self.edges.iter().all(|e| e.newest().is_empty())
     }
 }
 
@@ -532,7 +418,8 @@ mod tests {
     fn link(d: &Decomposition, src: &NodeRef, e: EdgeId, key: &Tuple, child: &NodeRef) {
         let guard = epoch::pin();
         let value = Some(Child::Node(Arc::clone(child)));
-        src.write(d, e, key, value, CommitStamp::new(), &guard);
+        src.versions(d, e)
+            .write(key, relc_locks::CommitStamp::new(), value, &guard);
     }
 
     fn mk_tuple(d: &Decomposition, fields: &[(&str, i64)]) -> Tuple {
@@ -629,41 +516,6 @@ mod tests {
 
         let err = verify_instance(&d, &root).unwrap_err();
         assert!(err.contains("duplicated"), "{err}");
-    }
-
-    /// An edge whose version index is its container keeps no other
-    /// structure; only the kinds no index shape stands in for — `TreeMap`,
-    /// `CopyOnWriteArrayList`, `SplayTreeMap` — keep their container beside
-    /// the index.
-    #[test]
-    fn only_edges_whose_index_is_not_their_container_keep_one() {
-        let kept_beside = [
-            ContainerKind::TreeMap,
-            ContainerKind::CopyOnWriteArrayList,
-            ContainerKind::SplayTreeMap,
-        ];
-        for kind in ContainerKind::ALL {
-            // `stick`'s `v→w` is a Singleton edge; any kind but that fits
-            // its root edge.
-            let root_kind = if kind == ContainerKind::Singleton {
-                ContainerKind::HashMap
-            } else {
-                kind
-            };
-            let d = stick(root_kind, ContainerKind::TreeMap);
-            let p = LockPlacement::coarse(&d).unwrap();
-            let (src, dst) = if kind == ContainerKind::Singleton {
-                ("v", "w")
-            } else {
-                ("ρ", "u")
-            };
-            let node = d.node_by_name(src).unwrap();
-            let key = mk_tuple(&d, &[("src", 1), ("dst", 2)]).project(d.node(node).key_cols);
-            let inst = NodeInstance::new(&d, &p, node, key);
-            let edge = d.edge_between(src, dst).unwrap();
-            let kept = inst.container(&d, edge).is_some();
-            assert_eq!(kept, kept_beside.contains(&kind), "{kind:?}");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A decomposition describes the heap logically, and most of it is
 //! instantiated as written: one [`NodeInstance`](crate::instance::NodeInstance)
-//! per node valuation, one container per outgoing edge. Its *Singleton
+//! per node valuation, one version index per outgoing edge. Its *Singleton
 //! tails* are not. Take an edge `p --K--> w` where `w` has exactly one
 //! incoming edge and only [`Singleton`](ContainerKind::Singleton) edges into
 //! leaves, each leaf with that one incoming edge: `w`'s dependent columns —
@@ -10,9 +10,8 @@
 //! Singleton edges' functional dependencies say), so they can live in the
 //! entry that leads to `w`. [`Fusion`] names those edges. A fused edge's
 //! entries hold `K` as their key and `w`'s dependent columns as their
-//! payload ([`Child::Row`](crate::instance::Child::Row)), in the container
-//! entry and in the version cell alike, and neither `w` nor its leaves is
-//! ever instantiated. The §6.2 hand-coded graph keeps an edge's weight
+//! payload ([`Child::Row`](crate::instance::Child::Row)), in their
+//! version cells, and neither `w` nor its leaves is ever instantiated. The §6.2 hand-coded graph keeps an edge's weight
 //! inside its `BTreeMap<dst, weight>` entry in just this way.
 //!
 //! What a fused tail costs is nothing: the plans a relation runs are the

@@ -3,14 +3,12 @@
 //! Every locked write in [`crate::exec`] is a version pushed onto the
 //! written entry's chain in the instance's *version index* (see
 //! [`crate::instance::VersionIndex`]): a lock-free map from entry key to
-//! that entry's version chain, shaped like the edge's container — one
-//! inline chain for an edge that holds at most one entry, a split-ordered
-//! hash list with embedded chains for a hash-keyed edge, a skip list with
-//! embedded chains for every other. Where that shape is the container
-//! itself (a `ConcurrentSkipListMap`, `HashMap`, `ConcurrentHashMap` or
-//! `Singleton` edge) the index is all the edge has; a `TreeMap`,
-//! `CopyOnWriteArrayList` or `SplayTreeMap` edge keeps its container beside
-//! the index and writes it after the version ([`NodeInstance::write`]).
+//! that entry's version chain, in the shape of the edge's container kind —
+//! one inline chain for an edge that holds at most one entry, a
+//! split-ordered hash list with embedded chains for a hash-keyed edge, a
+//! skip list with embedded chains for every other. The index is all the
+//! edge has, so the push is the whole write
+//! ([`VersionIndex::write`](relc_containers::VersionIndex::write)).
 //! This module never sees a chain: it writes entries, reads them at a
 //! timestamp, and asks the index to retire them. All versions written by
 //! one transaction attempt share one [`CommitStamp`]; the commit path
@@ -30,13 +28,11 @@
 //!
 //! Snapshot readers ([`crate::relation::SnapshotReader`]) run the same
 //! compiled plans through the same evaluator ([`crate::query`]) as locked
-//! reads; only the edge view differs. [`Snapshot`] never touches a
-//! container — many are unsafe under concurrent writes and rely on the
-//! synthesized lock placement — only the version indexes,
-//! resolving at each edge the newest version committed at or before its
-//! timestamp, under one epoch guard held for the whole traversal (the
-//! indexes pin nothing themselves and hand back borrows good for that
-//! guard).
+//! reads; only the edge view differs. [`Snapshot`] reads the same version
+//! indexes as the locked view, resolving at each edge the newest version
+//! committed at or before its timestamp instead of the head, under one
+//! epoch guard held for the whole traversal (the indexes pin nothing
+//! themselves and hand back borrows good for that guard).
 //!
 //! # Version retirement
 //!
@@ -77,19 +73,17 @@
 //! collapse), on top of the value the attempt found, so an attempt that
 //! does not commit is taken back physically
 //! ([`MvccScope::roll_back`]): newest journal entry first, drop the
-//! attempt's version from the entry's chain. On an edge that is its index
-//! alone — every hash-keyed, `ConcurrentSkipListMap` and `Singleton` edge —
-//! that is the whole rollback, and an entry the attempt created leaves
-//! with its node; only a `TreeMap`, `CopyOnWriteArrayList` or
-//! `SplayTreeMap` edge also has its container's entry written back to what
-//! the chain now says. Every journaled entry was written under a lock the
-//! attempt still holds, so rollback acquires nothing,
-//! plans nothing and cannot restart; it re-links the *same* instances the
-//! attempt unlinked, so §4.1 sharing is restored rather than rebuilt; and
-//! it never touches the commit clock — the stamp of an attempt that rolled
-//! back stays tentative and dies with its versions.
+//! attempt's version from the entry's chain. Every edge is its index alone,
+//! so that is the whole rollback, on every kind: an entry the attempt
+//! created leaves with its node, and nothing is written back. Every
+//! journaled entry was written under a lock the attempt still holds, so
+//! rollback acquires nothing, plans nothing and cannot restart; it
+//! re-links the *same* instances the attempt unlinked, so §4.1 sharing is
+//! restored rather than rebuilt; and it never touches the commit clock —
+//! the stamp of an attempt that rolled back stays tentative and dies with
+//! its versions.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::convert::Infallible;
 use std::ops::{Bound, ControlFlow, Range};
 use std::sync::Arc;
@@ -161,11 +155,11 @@ impl MvccScope {
         self.stamp = Some(stamp);
     }
 
-    /// Writes entry `key` of `host`'s edge `edge` ([`NodeInstance::write`]:
-    /// a version stamped with this attempt's stamp, `None` a tombstone, then
-    /// the container where the edge keeps one), journals it, and returns
-    /// whether the entry was present before. Caller must hold the entry's
-    /// placement write locks, which serializes all same-entry mutation.
+    /// Writes entry `key` of `host`'s edge `edge` — a version stamped with
+    /// this attempt's stamp, `None` a tombstone, pushed onto the entry's
+    /// chain in the edge's index — journals it, and returns whether the
+    /// entry was present before. Caller must hold the entry's placement
+    /// write locks, which serializes all same-entry mutation.
     pub fn write(
         &mut self,
         decomp: &Decomposition,
@@ -175,15 +169,18 @@ impl MvccScope {
         value: Option<Child>,
         guard: &Guard,
     ) -> bool {
-        let was = host.write(decomp, edge, &key, value, self.stamp(), guard);
+        let was = host
+            .versions(decomp, edge)
+            .write(&key, self.stamp(), value, guard);
         self.journal(host, edge, key);
         was
     }
 
     /// Moves entry `old_key` of `host`'s edge `edge` to `new_key`, holding
-    /// `child` ([`NodeInstance::move_entry`]), journals both keys, and
-    /// returns whether the entry was present. Same contract as
-    /// [`write`](Self::write).
+    /// `child` — two versions of one stamp, a tombstone at `old_key` and
+    /// `child` at `new_key`, which collapse to one where the keys coincide
+    /// — journals both keys, and returns whether the entry was present.
+    /// Same contract as [`write`](Self::write).
     pub fn move_entry(
         &mut self,
         decomp: &Decomposition,
@@ -194,7 +191,9 @@ impl MvccScope {
         guard: &Guard,
     ) -> bool {
         let stamp = self.stamp();
-        let was = host.move_entry(decomp, edge, (&old_key, &new_key), child, stamp, guard);
+        let index = host.versions(decomp, edge);
+        let was = index.write(&old_key, Arc::clone(&stamp), None, guard);
+        index.write(&new_key, stamp, Some(child), guard);
         self.journal(host, edge, old_key);
         self.journal(host, edge, new_key);
         was
@@ -261,11 +260,10 @@ impl MvccScope {
 
     /// Takes back every write of an attempt that will not commit, newest
     /// first, with the attempt's locks still held: per journal entry, drop
-    /// the attempt's version from the entry's chain and, where the edge
-    /// keeps a container (`TreeMap`, `CopyOnWriteArrayList`,
-    /// `SplayTreeMap`), write its entry back to what the chain now says
-    /// (the instance the attempt found there, or nothing)
-    /// ([`NodeInstance::revert`]). Deliberately handed nothing but
+    /// the attempt's version from the entry's chain
+    /// ([`VersionIndex::revert`](relc_containers::VersionIndex::revert)),
+    /// which leaves the entry as the attempt found it — holding the same
+    /// instance, or gone. Deliberately handed nothing but
     /// the decomposition: no engine, no plans, no clock. See the module
     /// docs.
     ///
@@ -280,7 +278,7 @@ impl MvccScope {
         };
         let guard = relc_containers::epoch::pin();
         while let Some(JournalEntry { host, edge, key }) = self.journal.pop() {
-            host.revert(decomp, edge, &key, stamp, &guard);
+            host.versions(decomp, edge).revert(&key, stamp, &guard);
         }
     }
 }
@@ -345,12 +343,7 @@ impl std::fmt::Debug for MvccScope {
 ///   its stamp or drops its versions — [`MvccScope::roll_back`]);
 /// * after compacting each chain to the current retirement floor, at
 ///   most one version sits at or below the floor (the keeper —
-///   [`relc_containers::VersionCell::truncate`]'s postcondition);
-/// * where a `TreeMap`, `CopyOnWriteArrayList` or `SplayTreeMap` edge keeps
-///   a container beside its index, the index, resolved at the current
-///   clock time, carries exactly the container's live keys (every write
-///   reached both). An edge that is its index alone — every other kind —
-///   has nothing to compare.
+///   [`relc_containers::VersionCell::truncate`]'s postcondition).
 ///
 /// As a side effect every index is swept to the current floor, exactly
 /// as a committing writer holding its lock would; at quiescence that is
@@ -361,9 +354,7 @@ pub(crate) fn verify_versions(
     root: &NodeRef,
     registry: &relc_locks::SnapshotRegistry,
 ) -> Result<(), String> {
-    let clock = relc_locks::commit_clock();
-    let floor = registry.min_active(clock);
-    let now = clock.now();
+    let floor = registry.min_active(relc_locks::commit_clock());
     let guard = relc_containers::epoch::pin();
     let mut seen: HashSet<*const NodeInstance> = HashSet::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
@@ -373,16 +364,13 @@ pub(crate) fn verify_versions(
         }
         let meta = decomp.node(inst.node());
         for &e in &meta.outgoing {
-            let em = decomp.edge(e);
-            let ename = format!("{}→{}", meta.name, decomp.node(em.dst).name);
-            let mut live: BTreeSet<Tuple> = BTreeSet::new();
+            let ename = format!("{}→{}", meta.name, decomp.node(decomp.edge(e).dst).name);
             inst.scan(
                 decomp,
                 e,
                 Bound::Unbounded,
                 Bound::Unbounded,
-                &mut |k, child| {
-                    live.insert(k.clone());
+                &mut |_, child| {
                     stack.extend(child.node().cloned());
                     ControlFlow::Continue(())
                 },
@@ -422,24 +410,6 @@ pub(crate) fn verify_versions(
             });
             if let Some(err) = err {
                 return Err(err);
-            }
-            if VersionIndex::is_container_for(em.container) {
-                continue;
-            }
-            let mut resolved: BTreeSet<Tuple> = BTreeSet::new();
-            index.walk(Bound::Unbounded, Bound::Unbounded, now, &guard, |k, _| {
-                resolved.insert(k.clone());
-                ControlFlow::Continue(())
-            });
-            if resolved != live {
-                let missing: Vec<_> = live.difference(&resolved).collect();
-                let phantom: Vec<_> = resolved.difference(&live).collect();
-                return Err(format!(
-                    "version index for {ename} of instance {:?} disagrees \
-                     with the container: unversioned live keys {missing:?}, \
-                     phantom version keys {phantom:?}",
-                    inst.key()
-                ));
             }
         }
     }
@@ -595,74 +565,5 @@ impl<'g> EdgeView for Snapshot<'g> {
                     .prefetch(beyond, self.guard);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::decomp::library::stick;
-    use relc_containers::ContainerKind;
-    use relc_spec::Value;
-
-    /// Writes the stick row `(1, 2, 42)` edge by edge — `ρ→u` and `u→v`
-    /// keep a `TreeMap` beside their sorted indexes, the Singleton
-    /// `v→w` is its one-chain index alone — with the container write and
-    /// the version write of each edge switched separately, commits, and
-    /// verifies.
-    fn verify_row(writes: impl Fn(&str) -> (bool, bool)) -> Result<(), String> {
-        let d = stick(ContainerKind::TreeMap, ContainerKind::TreeMap);
-        let p = LockPlacement::coarse(&d).unwrap();
-        let row = d
-            .schema()
-            .tuple(&[
-                ("src", Value::from(1)),
-                ("dst", Value::from(2)),
-                ("weight", Value::from(42)),
-            ])
-            .unwrap();
-        let inst = |name: &str| {
-            let node = d.node_by_name(name).unwrap();
-            NodeInstance::new(&d, &p, node, row.project(d.node(node).key_cols))
-        };
-        let root = inst("ρ");
-        let guard = relc_containers::epoch::pin();
-        let mut scope = MvccScope::default();
-        let mut src = Arc::clone(&root);
-        for (from, to) in [("ρ", "u"), ("u", "v"), ("v", "w")] {
-            let e = d.edge_between(from, to).unwrap();
-            let key = row.project(d.edge(e).cols);
-            let child = inst(to);
-            let value = Some(Child::Node(Arc::clone(&child)));
-            match writes(to) {
-                (true, true) => {
-                    scope.write(&d, &src, e, key, value, &guard);
-                }
-                (true, false) => {
-                    src.container(&d, e)
-                        .expect("the edge keeps a container")
-                        .write(&key, value);
-                }
-                (false, true) => {
-                    src.versions(&d, e)
-                        .write(&key, scope.stamp(), value, &guard);
-                }
-                (false, false) => {}
-            }
-            src = child;
-        }
-        let registry = relc_locks::SnapshotRegistry::new();
-        relc_locks::commit_clock().commit(scope.stamp_opt().expect("something was written"));
-        scope.retire(&p, registry.min_active(relc_locks::commit_clock()), &guard);
-        verify_versions(&d, &root, &registry)
-    }
-
-    #[test]
-    fn container_agreement_is_checked_where_an_edge_keeps_one() {
-        verify_row(|_| (true, true)).expect("a row written through both verifies");
-        let err = verify_row(|to| (true, to != "v")).unwrap_err();
-        assert!(err.contains("unversioned live keys [⟨"), "{err}");
-        let err = verify_row(|to| (to != "v", true)).unwrap_err();
-        assert!(err.contains("phantom version keys [⟨"), "{err}");
     }
 }

@@ -1011,11 +1011,11 @@ impl<L: Layout> Relation<L> {
 
     /// Structural verification of every quiescent instance: branch
     /// agreement, sharing, no exhausted instances, the MVCC version-chain
-    /// invariants (strictly decreasing stamps, no tentative stamps,
-    /// compaction to the retirement floor, mirror completeness against the
-    /// containers — see `mvcc::verify_versions`), and the routing
-    /// invariant: each tuple lives in exactly the instance the router
-    /// names. Returns the represented relation.
+    /// invariants (no empty chain, strictly decreasing stamps, no tentative
+    /// stamps, compaction to the retirement floor — see
+    /// `mvcc::verify_versions`), and the routing invariant: each tuple
+    /// lives in exactly the instance the router names. Returns the
+    /// represented relation.
     ///
     /// # Errors
     ///
@@ -2061,8 +2061,7 @@ mod tests {
 
     /// Every entry of every version index reachable from the root, by
     /// instance address and edge (a one-chain index's entry has no key).
-    /// An edge that is its index alone has no container to compare the
-    /// index with, so an entry left behind shows up only here.
+    /// An entry left behind with only a tombstone shows up only here.
     fn index_entries(rel: &ConcurrentRelation) -> BTreeSet<(usize, usize, Option<Tuple>)> {
         let repr = rel.current_repr();
         let guard = relc_containers::epoch::pin();
@@ -2131,11 +2130,10 @@ mod tests {
 
     /// An index entry with no version at all — what a rollback that forgot
     /// to unlink an entry it emptied leaves — fails `verify`, on every
-    /// multi-entry shape: sorted with a container beside it (`TreeMap`),
-    /// sorted alone (`ConcurrentSkipListMap`), hashed (`HashMap`,
-    /// `ConcurrentHashMap`), at the root and below it. `verify` sweeps
-    /// every index, and a sweep unlinks such an entry as dead, so the check
-    /// has to come first.
+    /// multi-entry shape: sorted (`TreeMap`, `ConcurrentSkipListMap`),
+    /// hashed (`HashMap`, `ConcurrentHashMap`), at the root and below it.
+    /// `verify` sweeps every index, and a sweep unlinks such an entry as
+    /// dead, so the check has to come first.
     #[test]
     fn verify_fails_on_an_index_entry_with_an_empty_chain() {
         for d in [
@@ -2175,9 +2173,30 @@ mod tests {
         }
     }
 
+    /// Rollback is dropping the attempt's versions on every kind: the
+    /// graph variants cover the hashed kinds, `ConcurrentSkipListMap` and
+    /// `TreeMap`; a `SplayTreeMap` root and `CopyOnWriteArrayList` edges,
+    /// under every placement they admit, cover the rest.
     #[test]
     fn aborted_transaction_rolls_back_every_effect() {
-        for (d, p) in graph_variants() {
+        let sorted_kinds = [
+            stick(
+                ContainerKind::SplayTreeMap,
+                ContainerKind::CopyOnWriteArrayList,
+            ),
+            split(ContainerKind::CopyOnWriteArrayList, ContainerKind::TreeMap),
+        ];
+        let placements = sorted_kinds.iter().flat_map(|d| {
+            [
+                LockPlacement::coarse(d),
+                LockPlacement::fine(d),
+                LockPlacement::striped_root(d, 16),
+                LockPlacement::speculative(d, 8),
+            ]
+            .into_iter()
+            .filter_map(|p| Some((d.clone(), p.ok()?)))
+        });
+        for (d, p) in graph_variants().into_iter().chain(placements) {
             let name = format!("{} / {}", d.describe(), p.name());
             let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
             check_abort_restores_instances(

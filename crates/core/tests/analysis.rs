@@ -189,15 +189,14 @@ fn seeded_missing_promotion_flagged() {
 }
 
 /// Dropping the version push at one edge's mutation sites must be flagged
-/// on every operation that writes the edge: on a fused tail that keeps a
-/// container (`stick(ConcurrentHashMap, TreeMap)`'s `v→w`, written in
-/// `u→v`'s `TreeMap` entries), and on a `ConcurrentSkipListMap` root edge,
-/// which is its version index alone, so that the push is its one write
-/// site.
+/// on every operation that writes the edge: on a fused tail
+/// (`stick(ConcurrentHashMap, TreeMap)`'s `v→w`, written in `u→v`'s
+/// `TreeMap` entries), and on a `ConcurrentSkipListMap` root edge. Every
+/// edge is its version index alone, so the push is its one write site.
 #[test]
 fn seeded_missing_mvcc_mirror_flagged() {
     for (root, tail, lost) in [
-        (ContainerKind::ConcurrentHashMap, "w", "stale version chain"),
+        (ContainerKind::ConcurrentHashMap, "w", "version index alone"),
         (
             ContainerKind::ConcurrentSkipListMap,
             "u",

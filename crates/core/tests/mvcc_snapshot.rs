@@ -725,13 +725,14 @@ fn snapshot_counters_surface_through_stats() {
 /// `verify()` must stay linear in the instance count: its three walks
 /// (structure, version chains, footprint) each remember the instances they
 /// visited, and with a list for that memory a 32,768-edge `split` graph —
-/// 4,096 `u`/`v` and 65,536 `w`/`y` instances, the benchmark's
-/// `graph_read_mostly` — took 40 s to verify. The graph is churned first
-/// so the walk meets both index shapes in every state a commit leaves
-/// them in: rewritten and emptied one-chain indexes (`w→x`, `y→z`),
-/// unlinked and re-linked map entries (`u→w`, `v→y`), and — under a
-/// registered reader — chains more than one version deep, whose
-/// mirror-completeness check has to resolve past the pinned versions.
+/// 4,096 `u`/`v` instances, the benchmark's `graph_read_mostly` — took
+/// 40 s to verify. The graph is churned first so the walk meets the
+/// indexes in every state a commit leaves them in: fused entries whose
+/// weight was rewritten (`u→w` holding `w→x`'s column, `v→y` holding
+/// `y→z`'s), unlinked and re-linked entries, and — under a registered
+/// reader — chains more than one version deep, which the chain checks
+/// walk and the compaction to the retirement floor has to cut past the
+/// pinned versions.
 #[test]
 fn verify_walks_a_benchmark_sized_graph_in_linear_time() {
     let _serial = serialize();

@@ -355,6 +355,48 @@ fn steps_longer_than_a_prefetch_group_match_oracle() {
     }
 }
 
+/// Limited and bounded range reads over `src`, the column of `d`'s root
+/// edge, against the oracle under `p`: limits 0, 1, 5 and 40, bounded
+/// intervals with and without a limit, on the snapshot path and inside a
+/// `transaction` alike, with the root holding 64 keys.
+fn check_limited_ranges(d: &Arc<Decomposition>, p: Arc<LockPlacement>) {
+    let at = format!("{} / {}", d.describe(), p.name());
+    let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
+    let oracle = OracleRelation::empty(d.schema().clone());
+    for k in 0..96i64 {
+        let s = tup(d, &[("src", (k * 37) % 64), ("dst", k % 3)]);
+        let t = tup(d, &[("weight", (k * 5) % 13)]);
+        assert_eq!(rel.insert(&s, &t).unwrap(), oracle.insert(&s, &t).unwrap());
+    }
+    let src = d.schema().column("src").unwrap();
+    let ranges = [
+        RangePattern::all(src).with_limit(1),
+        RangePattern::all(src).with_limit(5),
+        RangePattern::all(src).with_limit(40),
+        RangePattern::all(src).with_limit(0),
+        RangePattern::closed(src, Value::from(10), Value::from(50)).with_limit(7),
+        RangePattern::at_least(src, Value::from(60)).with_limit(3),
+        RangePattern::below(src, Value::from(20)),
+    ];
+    let projections = [
+        d.schema().columns(),
+        d.schema().column_set(&["src"]).unwrap(),
+        d.schema().column_set(&["weight"]).unwrap(),
+    ];
+    for range in &ranges {
+        for &cols in &projections {
+            let want = oracle.query_range(&Tuple::empty(), range, cols);
+            let got = rel.query_range(&Tuple::empty(), range, cols).unwrap();
+            assert_eq!(got, want, "{at}: snapshot {range:?} onto {cols:?}");
+            let locked = rel
+                .transaction(|tx| tx.query_range(&Tuple::empty(), range, cols))
+                .unwrap();
+            assert_eq!(locked, want, "{at}: transaction {range:?} onto {cols:?}");
+        }
+    }
+    rel.verify().unwrap();
+}
+
 /// A range column held by a hash-keyed edge: the edge's index walks in
 /// its hash order, not in key order, so a limited range read must not stop
 /// after the first `k` entries it meets. On the snapshot path and inside a
@@ -366,42 +408,38 @@ fn limited_ranges_over_a_hash_keyed_edge_match_oracle() {
     for kind in [ContainerKind::HashMap, ContainerKind::ConcurrentHashMap] {
         let d = stick(kind, ContainerKind::HashMap);
         for p in [LockPlacement::coarse(&d), LockPlacement::fine(&d)] {
-            let p = p.unwrap();
-            let at = format!("{} / {}", d.describe(), p.name());
-            let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
-            let oracle = OracleRelation::empty(d.schema().clone());
-            for k in 0..96i64 {
-                let s = tup(&d, &[("src", (k * 37) % 64), ("dst", k % 3)]);
-                let t = tup(&d, &[("weight", (k * 5) % 13)]);
-                assert_eq!(rel.insert(&s, &t).unwrap(), oracle.insert(&s, &t).unwrap());
-            }
-            let src = d.schema().column("src").unwrap();
-            let ranges = [
-                RangePattern::all(src).with_limit(1),
-                RangePattern::all(src).with_limit(5),
-                RangePattern::all(src).with_limit(40),
-                RangePattern::all(src).with_limit(0),
-                RangePattern::closed(src, Value::from(10), Value::from(50)).with_limit(7),
-                RangePattern::at_least(src, Value::from(60)).with_limit(3),
-                RangePattern::below(src, Value::from(20)),
-            ];
-            let projections = [
-                d.schema().columns(),
-                d.schema().column_set(&["src"]).unwrap(),
-                d.schema().column_set(&["weight"]).unwrap(),
-            ];
-            for range in &ranges {
-                for &cols in &projections {
-                    let want = oracle.query_range(&Tuple::empty(), range, cols);
-                    let got = rel.query_range(&Tuple::empty(), range, cols).unwrap();
-                    assert_eq!(got, want, "{at}: snapshot {range:?} onto {cols:?}");
-                    let locked = rel
-                        .transaction(|tx| tx.query_range(&Tuple::empty(), range, cols))
-                        .unwrap();
-                    assert_eq!(locked, want, "{at}: transaction {range:?} onto {cols:?}");
-                }
-            }
-            rel.verify().unwrap();
+            check_limited_ranges(&d, p.unwrap());
+        }
+    }
+}
+
+/// A range column held by a `TreeMap`, `SplayTreeMap` or
+/// `CopyOnWriteArrayList` edge, each laid out as the sorted index: a
+/// limited range read stops early in key order, under every placement the
+/// kind admits: `coarse` and `fine` for all three (the splay edge's reads
+/// exclusive), `striped_root` for the concurrency-safe
+/// `CopyOnWriteArrayList`.
+#[test]
+fn limited_ranges_over_sorted_kinds_match_oracle() {
+    for kind in [
+        ContainerKind::TreeMap,
+        ContainerKind::SplayTreeMap,
+        ContainerKind::CopyOnWriteArrayList,
+    ] {
+        let d = stick(kind, kind);
+        let placements = [
+            LockPlacement::coarse(&d).unwrap(),
+            LockPlacement::fine(&d).unwrap(),
+        ];
+        let striped = LockPlacement::striped_root(&d, 16).ok();
+        // Striping a root edge needs a concurrency-safe kind.
+        assert_eq!(
+            striped.is_some(),
+            kind.props().is_concurrency_safe(),
+            "{kind}: striped_root admitted"
+        );
+        for p in placements.into_iter().chain(striped) {
+            check_limited_ranges(&d, p);
         }
     }
 }
